@@ -155,12 +155,12 @@ class CaseResult:
 def run_case(spec: ChaosSpec,
              compiler: Optional[ScenarioCompiler] = None) -> CaseResult:
     """Compile, run and judge one spec (no journaling, read-only gates)."""
-    from repro.persistence.runner import _drive_to_horizon
+    from repro.persistence.runner import drive
     from repro.persistence.snapshot import system_digest
 
     started = time.perf_counter()
     prepared = (compiler or ScenarioCompiler()).compile(spec)
-    _drive_to_horizon(prepared.system, prepared.horizon)
+    drive(prepared.system, prepared.horizon)
     digest = system_digest(prepared.system)
     violations, gates = judge_case(spec, prepared)
     return CaseResult(spec=spec, violations=tuple(violations), gates=gates,

@@ -68,6 +68,7 @@ import argparse
 import json
 import os
 import signal
+import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 # When --json is active, tables accumulate here instead of printing.
@@ -439,52 +440,22 @@ def _run_monitored(quick: bool, scenario: str, strict: bool,
     joins the bundle on a gate failure; callers remove the directory on
     success).  Returns ``(system, monitor, flight, journal_path)``.
     """
-    from repro.observability.flight import FlightRecorder
-    from repro.persistence import ScenarioSpec, prepare
-    from repro.persistence.journal import JournalWriter
-    from repro.persistence.runner import RunRecorder, _drive_to_horizon
+    from repro.observability.flight import flight_armed_run
+    from repro.persistence import ScenarioSpec
 
     params = {"monitored": True, "strict": strict}
     if scenario == "smart-city-partition":
         params["quick"] = quick
     spec = ScenarioSpec(name=scenario, params=params)
-    prepared = prepare(spec)
-    system = prepared.system
-    monitor = prepared.aux["monitor"]
-    recorder = None
-    journal_path = None
-    if bundle_dir is not None:
-        os.makedirs(bundle_dir, exist_ok=True)
-        journal_path = os.path.join(bundle_dir, "journal.jsonl")
-        recorder = RunRecorder(system, JournalWriter(journal_path,
-                                                     spec.to_dict()))
-    flight = FlightRecorder(system, spec=spec,
-                            loops=prepared.aux.get("loops"))
-    flight.arm()   # chains after the journaling observer
-    # Registered for the whole drive: a SIGINT/SIGTERM mid-run raises
-    # _HarnessSignal (a BaseException, so nothing below catches it) and
-    # main() flushes this recorder as a harness-crash incident.
-    registration = (flight, bundle_dir, journal_path)
-    _SIGNAL_FLIGHTS.append(registration)
-    try:
-        with flight.guard():
-            _drive_to_horizon(system, prepared.horizon)
-    except Exception:
-        _SIGNAL_FLIGHTS.remove(registration)
-        flight.finalize()
-        flight.disarm()
-        if recorder is not None:
-            recorder.abandon()
-        if bundle_dir is not None:
-            flight.capture(bundle_dir, journal_path=journal_path)
-        raise
-    _SIGNAL_FLIGHTS.remove(registration)
-    monitor.evaluate_now()   # end-of-run evaluation at the final horizon
-    flight.finalize()
-    flight.disarm()
-    if recorder is not None:
-        recorder.finish()
-    return system, monitor, flight, journal_path
+    # Registered in _SIGNAL_FLIGHTS for the whole drive: a SIGINT/SIGTERM
+    # mid-run raises _HarnessSignal (a BaseException, so no scenario-level
+    # handler catches it) and main() flushes the recorder as a
+    # harness-crash incident.
+    with flight_armed_run(spec, bundle_dir,
+                          armed=_SIGNAL_FLIGHTS) as (run, flight):
+        monitor = run.prepared.aux["monitor"]
+        monitor.evaluate_now()   # end-of-run evaluation at the final horizon
+    return run.system, monitor, flight, run.journal_path
 
 
 def _incident_rows(flight) -> List[List[object]]:
@@ -1427,30 +1398,20 @@ def cmd_shard_run(quick: bool, scenario: str = "smart-city-federated",
 def cmd_shard_resume(out: str = "shard-out",
                      workers: Optional[int] = None) -> int:
     """Resume a killed federation run from its shard checkpoints."""
-    from repro.persistence import CheckpointError
     from repro.shard import ShardedSimulator
 
     _progress(f"shard resume: fast-forwarding shards in {out!r}...")
-    try:
-        result = ShardedSimulator.resume(out, workers=workers)
-    except CheckpointError as exc:
-        _progress(f"shard resume: {exc}")
-        return 2
+    result = ShardedSimulator.resume(out, workers=workers)
     return _shard_report("shard resume", result, out)
 
 
 def cmd_shard_verify(out: str = "shard-out",
                      workers: Optional[int] = None) -> int:
     """Replay every shard journal; verify the federation digest chain."""
-    from repro.persistence import CheckpointError
     from repro.shard import verify_federation
 
     _progress(f"shard verify: replaying shards in {out!r}...")
-    try:
-        report = verify_federation(out, workers=workers or 1)
-    except (CheckpointError, OSError, ValueError, KeyError) as exc:
-        _progress(f"shard verify: {exc}")
-        return 2
+    report = verify_federation(out, workers=workers or 1)
     _print_table(
         "shard verify: per-shard replay",
         ["shard", "records", "events", "digest", "verdict"],
@@ -1554,7 +1515,12 @@ COMMANDS: Dict[str, Callable[[bool], None]] = {
 
 def main(argv: List[str] = None) -> int:
     global _JSON_COLLECTOR
-    from repro.persistence import UnknownScenarioError, scenario_names
+    from repro.persistence import (
+        CheckpointError,
+        JournalError,
+        UnknownScenarioError,
+        scenario_names,
+    )
 
     persistence_scenarios = tuple(scenario_names())
     parser = argparse.ArgumentParser(
@@ -1800,10 +1766,6 @@ def main(argv: List[str] = None) -> int:
                                              workers=args.workers)
         else:
             COMMANDS[args.command](args.quick)
-        if _JSON_COLLECTOR is not None:
-            print(json.dumps({"tables": _JSON_COLLECTOR,
-                              "exit_code": exit_code}, indent=2,
-                             default=str))
     except _HarnessSignal as exc:
         # A batch command was interrupted (SIGINT/SIGTERM).  Flush any
         # armed flight recorder as a harness-crash incident before
@@ -1817,10 +1779,6 @@ def main(argv: List[str] = None) -> int:
         _print_data("interrupted", {"signal": exc.signum,
                                     "exit_code": exit_code,
                                     "bundles": bundles})
-        if _JSON_COLLECTOR is not None:
-            print(json.dumps({"tables": _JSON_COLLECTOR,
-                              "exit_code": exit_code}, indent=2,
-                             default=str))
     except UnknownScenarioError as exc:
         # Journals, checkpoints and bundles can name scenarios this
         # checkout no longer registers; list what *is* available instead
@@ -1832,12 +1790,17 @@ def main(argv: List[str] = None) -> int:
             _progress(f"  {name}")
         _print_data("error", {"error": f"unknown scenario {exc.name!r}",
                               "available": list(exc.available)})
-        if _JSON_COLLECTOR is not None:
-            print(json.dumps({"tables": _JSON_COLLECTOR,
-                              "exit_code": exit_code}, indent=2,
-                             default=str))
+    except (CheckpointError, JournalError, OSError) as exc:
+        # A missing, truncated or garbled run directory (checkpoint,
+        # journal, manifest) fails closed: one line, never a traceback.
+        exit_code = 2
+        print(f"error: {exc}", file=sys.stderr)
+        _print_data("error", {"error": str(exc)})
     finally:
-        _JSON_COLLECTOR = None
+        tables, _JSON_COLLECTOR = _JSON_COLLECTOR, None
+    if tables is not None:
+        print(json.dumps({"tables": tables, "exit_code": exit_code},
+                         indent=2, default=str))
     return exit_code
 
 

@@ -1,16 +1,18 @@
 """The live supervisor: a scenario run operated as a long-lived service.
 
-:class:`LiveService` wraps any registered scenario in the operational
-envelope the paper's vision calls for:
+:class:`LiveService` is a :class:`~repro.persistence.runner.Run` session
+plus a pacer plus an HTTP server -- it wraps any registered scenario in
+the operational envelope the paper's vision calls for:
 
 * the :class:`~repro.live.pacing.RealTimeExecutor` paces the kernel
   against the wall clock (telemetry-only: the journal stays byte-
   identical to a batch ``run_scenario`` at any speed factor);
-* every event is journaled (the same ``RunRecorder`` the batch drivers
+* every event is journaled (the same run session the batch drivers
   use) and a checkpoint is saved every ``checkpoint_every`` wall seconds
   -- always between events -- so a SIGKILL'd service restarted on the
   same ``--out`` directory resumes from its last barrier via the
-  standard ``fast_forward`` + WAL-truncate path, without loss;
+  standard ``Run.resume`` path (fast-forward + WAL truncate), without
+  loss;
 * the flight recorder stays armed for the whole run, and the SLO
   monitor (when the scenario wires one) drives ``/healthz``;
 * reconfigurations (fault schedules, chaos specs) hot-load between
@@ -40,9 +42,8 @@ from repro.live.reconfigure import LiveLoadError, apply_payload, validate_payloa
 from repro.live.server import DASHBOARD_REFRESH_S, TelemetryServer
 from repro.live.status import health_snapshot, status_snapshot
 from repro.persistence.checkpoint import Checkpoint, CheckpointError, default_paths
-from repro.persistence.journal import JournalWriter, truncate
-from repro.persistence.runner import RunRecorder, fast_forward, save_checkpoint
-from repro.persistence.scenarios import ScenarioSpec, prepare
+from repro.persistence.runner import Run
+from repro.persistence.scenarios import ScenarioSpec
 
 #: Default wall seconds between periodic checkpoints.
 CHECKPOINT_EVERY_S = 10.0
@@ -100,9 +101,7 @@ class LiveService:
         self.checkpoints_written = 0
         self.last_checkpoint_meta: Optional[Dict[str, Any]] = None
         self.hot_loads_applied: List[Dict[str, Any]] = []
-        self._prepared: Any = None
-        self._recorder: Optional[RunRecorder] = None
-        self._journal: Optional[JournalWriter] = None
+        self.session: Optional[Run] = None
         self._paths = default_paths(out)
         self._last_checkpoint_wall: float = 0.0
         self._last_reload_wall: float = 0.0
@@ -120,33 +119,25 @@ class LiveService:
         os.makedirs(self.out, exist_ok=True)
         checkpoint = self._load_checkpoint()
         if checkpoint is not None:
-            spec = ScenarioSpec.from_dict(checkpoint.scenario)
-            if spec.name != self.spec.name:
+            name = checkpoint.scenario.get("name")
+            if name != self.spec.name:
                 raise CheckpointError(
                     f"state directory {self.out!r} holds a checkpoint for "
-                    f"scenario {spec.name!r}, not {self.spec.name!r}; use a "
+                    f"scenario {name!r}, not {self.spec.name!r}; use a "
                     "fresh --out directory")
-            self.spec = spec
-            prepared = prepare(spec)
-            fast_forward(prepared.system, checkpoint)
-            truncate(self._paths["journal"], checkpoint.fired)
-            self._journal = JournalWriter(self._paths["journal"], append=True)
-            self.digest_every = checkpoint.digest_every
+            self.session = Run.resume(checkpoint, self._paths["journal"])
+            self.spec = self.session.spec
             self.resumed = True
             self._say(f"resumed from checkpoint at t={checkpoint.time:g}s "
                       f"({checkpoint.fired} events)")
         else:
-            prepared = prepare(self.spec)
-            self._journal = JournalWriter(self._paths["journal"],
-                                          self.spec.to_dict(),
-                                          self.digest_every)
-        self._prepared = prepared
-        self.system = prepared.system
+            self.session = Run.start(self.spec, self._paths["journal"],
+                                     digest_every=self.digest_every)
+        prepared = self.session.prepared
+        self.system = self.session.system
         self.monitor = prepared.aux.get("monitor")
         self.horizon = (self.until if self.until is not None
-                        else prepared.horizon)
-        self._recorder = RunRecorder(self.system, self._journal,
-                                     self.digest_every)
+                        else self.session.horizon)
         self.flight = FlightRecorder(self.system, spec=self.spec,
                                      loops=prepared.aux.get("loops"))
         self.flight.arm()   # chains after the journaling observer
@@ -178,14 +169,14 @@ class LiveService:
                                         housekeeping=self._housekeeping)
         except BaseException:
             with self._lock:
-                self._recorder.abandon()
+                self.session.abandon()
                 self._flush_incidents()
             raise
         finally:
             self.stop_serving()
         with self._lock:
             if outcome == "completed":
-                final = self._recorder.finish()
+                final = self.session.finish()
                 self.last_checkpoint_meta = {
                     "time": self.system.sim.now,
                     "fired": self.system.sim.fired_count,
@@ -195,7 +186,7 @@ class LiveService:
                           f"({self.system.sim.fired_count} events)")
             else:
                 self._save_checkpoint()
-                self._recorder.abandon()
+                self.session.abandon()
                 self._say(f"drained at t={self.system.sim.now:g}s "
                           f"({self.system.sim.fired_count} events); "
                           "journal left open for resume")
@@ -236,9 +227,7 @@ class LiveService:
             self.poll_reload_dir()
 
     def _save_checkpoint(self) -> Checkpoint:
-        checkpoint = save_checkpoint(self.system, self.spec,
-                                     self._paths["checkpoint"],
-                                     self.digest_every)
+        checkpoint = self.session.checkpoint(self._paths["checkpoint"])
         self.checkpoints_written += 1
         self._last_checkpoint_wall = self._clock()
         self.last_checkpoint_meta = {
@@ -284,11 +273,12 @@ class LiveService:
             payload = validate_payload(payload)
             sim = self.system.sim
             fired, now = sim.fired_count, sim.now
-            self._journal.append_reconfig(fired, now, payload)
+            self.session.journal.append_reconfig(fired, now, payload)
             summary = apply_payload(self.system, payload)
             loads = list(self.spec.params.get("live_loads", []))
             loads.append({"fired": fired, "time": now, "payload": payload})
-            self.spec = ScenarioSpec(
+            # Every later checkpoint must rebuild with the load applied.
+            self.spec = self.session.spec = ScenarioSpec(
                 name=self.spec.name, seed=self.spec.seed,
                 params={**self.spec.params, "live_loads": loads})
             if self.flight is not None:

@@ -41,12 +41,13 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.observability.diagnosis import Diagnosis, diagnose
 from repro.observability.export import event_to_dict
 from repro.observability.overhead import telemetry_health
-from repro.persistence.checkpoint import Checkpoint, CheckpointError
+from repro.persistence.checkpoint import Checkpoint
+from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec, prepare
 from repro.persistence.snapshot import system_digest, system_snapshot
 
@@ -409,8 +410,6 @@ def replay_incident(bundle: str) -> Dict[str, Any]:
     :class:`~repro.persistence.checkpoint.CheckpointError` on divergence
     and :class:`FlightError` when the bundle carries no checkpoint.
     """
-    from repro.persistence.runner import fast_forward
-
     manifest = load_manifest(bundle)
     checkpoint_path = os.path.join(bundle, "checkpoint.json")
     if not os.path.exists(checkpoint_path):
@@ -418,23 +417,74 @@ def replay_incident(bundle: str) -> Dict[str, Any]:
             f"{bundle}: no checkpoint (captured without a scenario spec); "
             "the triggering window cannot be replayed")
     checkpoint = Checkpoint.load(checkpoint_path)
-    spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    prepared = prepare(spec)
-    elapsed = fast_forward(prepared.system, checkpoint)
+    run = Run.resume(checkpoint)
+    run.abandon()   # the window is reproduced; nothing records past it
     return {
         "manifest": manifest,
-        "spec": spec,
-        "system": prepared.system,
+        "spec": run.spec,
+        "system": run.system,
         "barrier_time": checkpoint.time,
         "barrier_fired": checkpoint.fired,
         "digest": checkpoint.digest,
-        "replay_wall_s": elapsed,
+        "replay_wall_s": run.fast_forward_s,
     }
 
 
 # --------------------------------------------------------------------------- #
-# Gate helpers: capture incidents for runs that were not flight-armed
+# Flight-armed runs: the monitor verb and the gate-incident captures
 # --------------------------------------------------------------------------- #
+@contextmanager
+def flight_armed_run(spec: ScenarioSpec, directory: Optional[str] = None,
+                     until: Optional[float] = None,
+                     armed: Optional[List[Tuple[Any, ...]]] = None
+                     ) -> Iterator[Tuple[Run, FlightRecorder]]:
+    """Drive ``spec`` to its horizon journaled and flight-armed.
+
+    With ``directory`` the event stream is journaled to its
+    ``journal.jsonl``, where a later :meth:`FlightRecorder.capture` into
+    the same directory finds it.  The ``with`` body runs at the final
+    barrier, *before* evidence is pinned and the journal closes -- the
+    place for an end-of-run SLO evaluation or a ``gate-failure`` trigger.
+    An exception mid-drive becomes an ``exception`` trigger, is captured
+    into ``directory`` and re-raised, the journal left open-ended.
+    ``armed`` is a caller-owned list holding ``(flight, directory,
+    journal_path)`` for the length of the drive, so a harness that turns
+    signals into exceptions can flush the interrupted recorder.
+    """
+    journal_path = None
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
+        journal_path = os.path.join(directory, "journal.jsonl")
+    # An unjournaled run has no use for the periodic digest chain.
+    run = Run.start(spec, journal_path,
+                    digest_every=25 if journal_path else 0)
+    flight = FlightRecorder(run.system, spec=spec,
+                            loops=run.prepared.aux.get("loops"))
+    flight.arm()   # chains after the journaling observer
+    registration = (flight, directory, journal_path)
+    armed = [] if armed is None else armed
+    armed.append(registration)
+    try:
+        with flight.guard():
+            run.drive(until)
+    except BaseException as exc:
+        # A signal-turned-exception (not an ``Exception``) stays in
+        # ``armed``: the harness flushes it as a harness-crash incident.
+        if isinstance(exc, Exception):
+            armed.remove(registration)
+        flight.finalize()
+        flight.disarm()
+        run.abandon()
+        if directory is not None and flight.triggered:
+            flight.capture(directory, journal_path=journal_path)
+        raise
+    armed.remove(registration)
+    yield run, flight
+    flight.finalize()
+    flight.disarm()
+    run.finish()
+
+
 def capture_gate_incident(spec: ScenarioSpec, directory: str,
                           reason: str = "gate-failure",
                           detail: Optional[Dict[str, Any]] = None,
@@ -447,29 +497,9 @@ def capture_gate_incident(spec: ScenarioSpec, directory: str,
     recorder attached, triggers at the horizon, and writes the bundle
     (journal included) into ``directory``.
     """
-    from repro.persistence.journal import JournalWriter
-    from repro.persistence.runner import RunRecorder, _drive_to_horizon
-
-    prepared = prepare(spec)
-    system = prepared.system
-    os.makedirs(directory, exist_ok=True)
-    journal_path = os.path.join(directory, "journal.jsonl")
-    recorder = RunRecorder(system, JournalWriter(journal_path, spec.to_dict()))
-    flight = FlightRecorder(system, spec=spec,
-                            loops=prepared.aux.get("loops"))
-    flight.arm()
-    horizon = until if until is not None else prepared.horizon
-    try:
-        _drive_to_horizon(system, horizon)
-    except BaseException:
-        flight.disarm()
-        recorder.abandon()
-        raise
-    flight.trigger(reason, detail=detail)
-    flight.finalize()
-    flight.disarm()
-    recorder.finish()
-    return flight.capture(directory, journal_path=journal_path)
+    with flight_armed_run(spec, directory, until) as (run, flight):
+        flight.trigger(reason, detail=detail)
+    return flight.capture(directory, journal_path=run.journal_path)
 
 
 def capture_divergence_incident(journal_path: str, report: Any,

@@ -11,8 +11,9 @@ The persistence subsystem makes experiments resumable and auditable:
   checkpoint files.
 * :mod:`~repro.persistence.scenarios` -- the declarative scenario
   registry that makes checkpoints rebuildable.
-* :mod:`~repro.persistence.runner` -- journaled run / run-to-checkpoint /
-  resume drivers.
+* :mod:`~repro.persistence.runner` -- the :class:`Run` session
+  (start/resume -> drive -> checkpoint -> finish/abandon) and the thin
+  run / run-to-checkpoint / resume drivers over it.
 * :mod:`~repro.persistence.replay` -- re-run a journal and report the
   first divergence.
 """
@@ -36,11 +37,14 @@ from repro.persistence.replay import (
     ReplayReport,
     replay_journal,
     replay_records,
+    replay_run,
     write_divergence_report,
 )
 from repro.persistence.runner import (
+    Run,
     RunRecorder,
     RunResult,
+    drive,
     fast_forward,
     resume_run,
     run_scenario,
@@ -76,6 +80,7 @@ __all__ = [
     "JournalWriter",
     "PreparedRun",
     "ReplayReport",
+    "Run",
     "RunRecorder",
     "RunResult",
     "ScenarioSpec",
@@ -83,12 +88,14 @@ __all__ = [
     "UnknownScenarioError",
     "canonical_json",
     "default_paths",
+    "drive",
     "fast_forward",
     "prepare",
     "read_journal",
     "register_scenario",
     "replay_journal",
     "replay_records",
+    "replay_run",
     "resume_run",
     "run_scenario",
     "run_to_checkpoint",

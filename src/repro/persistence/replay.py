@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.persistence.journal import JournalError, JournalRecords, read_journal
-from repro.persistence.runner import RunRecorder, _drive_to_horizon
-from repro.persistence.scenarios import ScenarioSpec, prepare
+from repro.persistence.runner import Run
+from repro.persistence.scenarios import ScenarioSpec
 
 _COMPARED_FIELDS = {
     "event": ("i", "t", "label"),
@@ -98,7 +98,7 @@ class _MemoryJournal:
         self.records.append({"type": "end", "i": index, "t": time,
                              "digest": digest})
 
-    def abandon(self) -> None:  # pragma: no cover - interface parity
+    def abandon(self) -> None:
         pass
 
 
@@ -145,13 +145,24 @@ def replay_journal(journal_path: str,
 def replay_records(journal: JournalRecords,
                    until: Optional[float] = None) -> ReplayReport:
     """Replay from already-parsed records (see :func:`replay_journal`)."""
+    return replay_run(journal, lambda run: run.drive(until))[0]
+
+
+def replay_run(journal: JournalRecords,
+               drive: Callable[[Run], None]) -> Tuple[ReplayReport, Run]:
+    """Rebuild the journaled scenario, ``drive`` it, diff the records.
+
+    ``drive`` advances the rebuilt :class:`Run` the way the original was
+    advanced (straight to a horizon, or window by window for a federation
+    shard).  Returns the report and the finished run, whose system callers
+    may inspect.
+    """
     scenario = journal.scenario
     if not scenario or "name" not in scenario:
         raise JournalError("journal header has no scenario spec; "
                            "this journal cannot be replayed")
-    spec = ScenarioSpec.from_dict(scenario)
-    prepared = prepare(spec)
-    horizon = until if until is not None else prepared.horizon
+    memory = _MemoryJournal(journal.digest_every or 25)
+    run = Run.start(ScenarioSpec.from_dict(scenario), journal=memory)
 
     # Reconfigurations hot-loaded into the original run re-apply at their
     # fired-count barriers; the records themselves are instructions, not
@@ -160,32 +171,30 @@ def replay_records(journal: JournalRecords,
     if reconfigs:
         from repro.live.reconfigure import register_live_loads
 
-        register_live_loads(prepared.system,
+        register_live_loads(run.system,
                             [{"fired": r.get("i", 0), "time": r.get("t", 0.0),
                               "payload": r.get("payload", {})}
                              for r in reconfigs])
     compared = [r for r in journal.records if r.get("type") != "reconfig"]
 
-    memory = _MemoryJournal(journal.digest_every or 25)
-    recorder = RunRecorder(prepared.system, journal=memory)
     try:
-        _drive_to_horizon(prepared.system, horizon)
+        drive(run)
     finally:
         if journal.complete:
-            recorder.finish()
+            run.finish()
         else:
-            recorder.detach()
+            run.abandon()
 
-    divergence = _first_divergence(compared, memory.records,
-                                   journal.complete)
-    return ReplayReport(
+    report = ReplayReport(
         scenario=scenario,
         records_checked=len(compared),
-        events_replayed=prepared.system.sim.fired_count,
+        events_replayed=run.system.sim.fired_count,
         journal_complete=journal.complete,
-        divergence=divergence,
+        divergence=_first_divergence(compared, memory.records,
+                                     journal.complete),
         extra={"reconfigs_applied": len(reconfigs)} if reconfigs else {},
     )
+    return report, run
 
 
 def write_divergence_report(report: ReplayReport, path: str) -> None:

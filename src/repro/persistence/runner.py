@@ -1,24 +1,30 @@
-"""Drivers that journal, checkpoint and resume scenario runs.
+"""The run session: one lifecycle for every journaled, resumable run.
 
-The runner is the glue between the declarative scenario registry and the
-persistence primitives:
+:class:`Run` owns ``(spec, prepared, system, horizon, journal, recorder)``
+and is the *only* place that opens a journal, attaches a
+:class:`RunRecorder`, performs WAL recovery or loops past kernel stops:
 
-* :class:`RunRecorder` hooks the kernel's ``on_event`` observer and writes
-  one journal record per fired event plus a whole-system digest every
-  ``digest_every`` events.
-* :func:`run_scenario` performs an uninterrupted, journaled reference run.
-* :func:`run_to_checkpoint` runs to a barrier (an explicit ``--at`` time or
-  the first kernel stop, e.g. a :class:`~repro.faults.models.HarnessCrashFault`)
-  and saves a checkpoint plus the journal prefix, *without* an ``end``
-  record -- exactly what a crashed experiment leaves behind.
-* :func:`resume_run` rebuilds the scenario from the checkpoint's spec,
-  deterministically fast-forwards to the barrier, verifies the
-  whole-system digest, truncates the journal to the barrier and continues
-  to the horizon.  A resumed run's journal is byte-identical to an
-  uninterrupted run's.
+``Run.start(spec, ...)`` / ``Run.resume(checkpoint, ...)``
+    Build the scenario and arm journaling -- fresh, or fast-forwarded to a
+    checkpoint barrier (digest-verified) with the journal truncated to it.
+``run.drive(until)``
+    Run to ``until``, ignoring kernel stops (a pacer such as the live
+    executor may step the kernel itself instead).
+``run.checkpoint(path)``
+    Snapshot at the current barrier.
+``run.finish()`` / ``run.abandon()``
+    Close the journal with its ``end`` record, or leave it open-ended --
+    exactly what a crashed experiment leaves behind.
+
+Every public driver is a thin caller: :func:`run_scenario`,
+:func:`run_to_checkpoint` and :func:`resume_run` here, replay
+(:mod:`repro.persistence.replay`), the live service (``Run`` + pacer +
+HTTP), a federation shard (``Run`` + inbox, via :meth:`Run.window`) and
+the flight-armed gate runs.  A resumed run's journal is byte-identical to
+an uninterrupted run's.
 
 Checkpoints are taken *between* kernel events (the driver calls
-``run(until=T)`` and then saves), never as scheduled events, so the act of
+``drive(T)`` and then saves), never as scheduled events, so the act of
 checkpointing cannot perturb the journaled event stream.
 
 Persistence telemetry (save/restore latency, checkpoint size) is recorded
@@ -32,7 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.persistence.checkpoint import Checkpoint, CheckpointError, default_paths
 from repro.persistence.journal import JournalWriter, truncate
@@ -127,86 +133,6 @@ def save_checkpoint(system: Any, spec: ScenarioSpec, path: str,
     return checkpoint
 
 
-# --------------------------------------------------------------------------- #
-# Drivers
-# --------------------------------------------------------------------------- #
-@dataclass
-class RunResult:
-    """Outcome of a journaled run (uninterrupted, interrupted or resumed)."""
-
-    spec: ScenarioSpec
-    prepared: PreparedRun
-    journal_path: Optional[str] = None
-    checkpoint: Optional[Checkpoint] = None
-    final_digest: Optional[str] = None
-    fast_forward_events: int = 0
-    fast_forward_s: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def system(self) -> Any:
-        return self.prepared.system
-
-
-def _drive_to_horizon(system: Any, horizon: float) -> None:
-    """Run to ``horizon``, ignoring kernel stops.
-
-    A :class:`~repro.faults.models.HarnessCrashFault` stops the kernel to
-    model the experiment process dying; the *reference* driver (and a
-    resumed driver, whose crash already happened) simply keeps going.  The
-    crash event itself is part of the journaled stream either way, which
-    is what makes crashed-and-resumed runs comparable to uninterrupted
-    ones record-for-record.
-    """
-    system.run(until=horizon)
-    while system.sim.now < horizon:
-        system.run(until=horizon)
-
-
-def run_scenario(spec: ScenarioSpec, journal_path: Optional[str] = None,
-                 digest_every: int = 25,
-                 until: Optional[float] = None) -> RunResult:
-    """Uninterrupted reference run, optionally journaled."""
-    prepared = prepare(spec)
-    horizon = until if until is not None else prepared.horizon
-    journal = (JournalWriter(journal_path, spec.to_dict(), digest_every)
-               if journal_path else None)
-    recorder = RunRecorder(prepared.system, journal, digest_every)
-    try:
-        _drive_to_horizon(prepared.system, horizon)
-    except BaseException:
-        recorder.abandon()
-        raise
-    final = recorder.finish()
-    return RunResult(spec=spec, prepared=prepared, journal_path=journal_path,
-                     final_digest=final)
-
-
-def run_to_checkpoint(spec: ScenarioSpec, directory: str,
-                      at: Optional[float] = None,
-                      digest_every: int = 25) -> RunResult:
-    """Run until ``at`` (or the first kernel stop) and save a checkpoint.
-
-    Emulates an experiment that died mid-run: the journal holds a valid
-    prefix with no ``end`` record, and ``checkpoint.json`` captures the
-    barrier.  With no ``at``, the run lasts until a fault (e.g.
-    ``harness-crash``) stops the kernel, or the horizon if none does.
-    """
-    os.makedirs(directory, exist_ok=True)
-    paths = default_paths(directory)
-    prepared = prepare(spec)
-    horizon = prepared.horizon
-    barrier = min(at, horizon) if at is not None else horizon
-    journal = JournalWriter(paths["journal"], spec.to_dict(), digest_every)
-    recorder = RunRecorder(prepared.system, journal, digest_every)
-    try:
-        prepared.system.run(until=barrier)
-        checkpoint = save_checkpoint(prepared.system, spec,
-                                     paths["checkpoint"], digest_every)
-    finally:
-        recorder.abandon()
-    return RunResult(spec=spec, prepared=prepared,
-                     journal_path=paths["journal"], checkpoint=checkpoint)
 
 
 def fast_forward(system: Any, checkpoint: Checkpoint) -> float:
@@ -246,8 +172,201 @@ def fast_forward(system: Any, checkpoint: Checkpoint) -> float:
             f"t={checkpoint.time:g}): checkpoint {checkpoint.digest[:12]}..., "
             f"rebuilt {digest[:12]}...; scenario code or seed has drifted "
             f"since the checkpoint was taken")
+    if sim.fired_count != checkpoint.fired:
+        # Only reachable when the caller drove windows first: stepping
+        # above stops exactly at the barrier count.
+        raise CheckpointError(
+            f"replayed {sim.fired_count} events to the checkpoint barrier "
+            f"but the checkpoint recorded {checkpoint.fired}")
     _record_restore_telemetry(system, elapsed, checkpoint.fired)
     return elapsed
+
+
+def drive(system: Any, until: float) -> None:
+    """Run to ``until``, ignoring kernel stops.
+
+    A :class:`~repro.faults.models.HarnessCrashFault` stops the kernel to
+    model the experiment process dying; the *reference* driver (and a
+    resumed driver, whose crash already happened) simply keeps going.  The
+    crash event itself is part of the journaled stream either way, which
+    is what makes crashed-and-resumed runs comparable to uninterrupted
+    ones record-for-record.
+    """
+    system.run(until=until)
+    while system.sim.now < until:
+        system.run(until=until)
+
+
+# --------------------------------------------------------------------------- #
+# The run session
+# --------------------------------------------------------------------------- #
+class Run:
+    """One run session: start/resume -> drive -> checkpoint -> finish/abandon.
+
+    Build one with :meth:`start` or :meth:`resume`; both return a session
+    whose recorder is attached and whose journal (if any) is open.  The
+    session keeps no parsed journal records and no checkpoint state.
+    """
+
+    def __init__(self, spec: ScenarioSpec, prepared: PreparedRun) -> None:
+        self.spec = spec
+        self.prepared = prepared
+        self.system = prepared.system
+        self.horizon = prepared.horizon
+        self.journal: Any = None
+        self.journal_path: Optional[str] = None
+        self.recorder: Optional[RunRecorder] = None
+        self.fast_forward_events = 0
+        self.fast_forward_s = 0.0
+
+    def _record(self, journal: Any, digest_every: int,
+                journal_path: Optional[str]) -> "Run":
+        self.journal = journal
+        self.journal_path = journal_path
+        self.recorder = RunRecorder(self.system, journal, digest_every)
+        return self
+
+    @classmethod
+    def start(cls, spec: ScenarioSpec, journal_path: Optional[str] = None,
+              journal: Any = None, digest_every: int = 25) -> "Run":
+        """Build ``spec`` at t=0 and start recording.
+
+        ``journal_path`` opens a fresh on-disk journal; ``journal`` takes
+        an in-memory :class:`JournalWriter` look-alike instead (replay).
+        """
+        run = cls(spec, prepare(spec))
+        if journal_path:
+            journal = JournalWriter(journal_path, spec.to_dict(), digest_every)
+        return run._record(journal, digest_every, journal_path)
+
+    @classmethod
+    def resume(cls, checkpoint: Checkpoint,
+               journal_path: Optional[str] = None,
+               windows: Optional[Iterable[Tuple[float, List[dict]]]] = None
+               ) -> "Run":
+        """Rebuild the checkpointed scenario at its barrier and record on.
+
+        Fast-forwards deterministically and unrecorded -- a federation
+        shard first re-runs its recorded ``(barrier, inbox)`` ``windows``,
+        because cross-shard injections must land between the same windows
+        as originally -- and verifies event count and digest against the
+        checkpoint.  Then WAL recovery: the crashed run may have journaled
+        past its last durable checkpoint, so the journal is truncated to
+        the barrier and reopened for append.
+        """
+        spec = ScenarioSpec.from_dict(checkpoint.scenario)
+        run = cls(spec, prepare(spec))
+        started = perf_counter()
+        for barrier, inbox in windows or ():
+            # The regenerated outbox is discarded: the original run already
+            # routed it, and the peers' recorded inboxes hold the copies.
+            run.window(barrier, inbox)
+        run.fast_forward_s = (perf_counter() - started
+                              + fast_forward(run.system, checkpoint))
+        run.fast_forward_events = checkpoint.fired
+        journal = None
+        if journal_path and os.path.exists(journal_path):
+            truncate(journal_path, checkpoint.fired)
+            journal = JournalWriter(journal_path, append=True)
+        return run._record(journal, checkpoint.digest_every, journal_path)
+
+    @property
+    def digest_every(self) -> int:
+        return self.recorder.digest_every
+
+    def drive(self, until: Optional[float] = None) -> None:
+        """Run to ``until`` (default: the horizon), ignoring kernel stops."""
+        drive(self.system, self.horizon if until is None else until)
+
+    def window(self, barrier: float, inbox: List[dict]) -> List[dict]:
+        """One federation window: inject ``inbox`` at the current barrier,
+        drive to ``barrier``, return the envelopes sent to other domains."""
+        gateway = self.prepared.aux["federation"]
+        gateway.inject(inbox)
+        self.drive(barrier)
+        return gateway.drain_outbox()
+
+    def checkpoint(self, path: str) -> Checkpoint:
+        """Save a checkpoint at the current barrier (between events)."""
+        return save_checkpoint(self.system, self.spec, path,
+                               self.digest_every)
+
+    def finish(self) -> str:
+        """Close the journal with its ``end`` record; returns final digest."""
+        return self.recorder.finish()
+
+    def abandon(self) -> None:
+        """Stop recording and leave the journal open-ended (crash path)."""
+        self.recorder.abandon()
+
+
+# --------------------------------------------------------------------------- #
+# Batch drivers
+# --------------------------------------------------------------------------- #
+@dataclass
+class RunResult:
+    """Outcome of a journaled run (uninterrupted, interrupted or resumed)."""
+
+    spec: ScenarioSpec
+    prepared: PreparedRun
+    journal_path: Optional[str] = None
+    checkpoint: Optional[Checkpoint] = None
+    final_digest: Optional[str] = None
+    fast_forward_events: int = 0
+    fast_forward_s: float = 0.0
+    extra: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def system(self) -> Any:
+        return self.prepared.system
+
+
+def _complete(run: Run, until: Optional[float],
+              checkpoint: Optional[Checkpoint] = None) -> RunResult:
+    """Drive ``run`` to ``until`` and close it (abandoned on any error)."""
+    try:
+        run.drive(until)
+    except BaseException:
+        run.abandon()
+        raise
+    final = run.finish()
+    return RunResult(spec=run.spec, prepared=run.prepared,
+                     journal_path=run.journal_path, checkpoint=checkpoint,
+                     final_digest=final,
+                     fast_forward_events=run.fast_forward_events,
+                     fast_forward_s=run.fast_forward_s)
+
+
+def run_scenario(spec: ScenarioSpec, journal_path: Optional[str] = None,
+                 digest_every: int = 25,
+                 until: Optional[float] = None) -> RunResult:
+    """Uninterrupted reference run, optionally journaled."""
+    return _complete(Run.start(spec, journal_path, digest_every=digest_every),
+                     until)
+
+
+def run_to_checkpoint(spec: ScenarioSpec, directory: str,
+                      at: Optional[float] = None,
+                      digest_every: int = 25) -> RunResult:
+    """Run until ``at`` (or the first kernel stop) and save a checkpoint.
+
+    Emulates an experiment that died mid-run: the journal holds a valid
+    prefix with no ``end`` record, and ``checkpoint.json`` captures the
+    barrier.  With no ``at``, the run lasts until a fault (e.g.
+    ``harness-crash``) stops the kernel, or the horizon if none does.
+    """
+    os.makedirs(directory, exist_ok=True)
+    paths = default_paths(directory)
+    run = Run.start(spec, paths["journal"], digest_every=digest_every)
+    try:
+        # A single kernel run, not drive(): the first stop *is* the barrier.
+        run.system.run(until=min(at, run.horizon) if at is not None
+                       else run.horizon)
+        checkpoint = run.checkpoint(paths["checkpoint"])
+    finally:
+        run.abandon()
+    return RunResult(spec=spec, prepared=run.prepared,
+                     journal_path=paths["journal"], checkpoint=checkpoint)
 
 
 def resume_run(directory: Optional[str] = None,
@@ -256,12 +375,10 @@ def resume_run(directory: Optional[str] = None,
                until: Optional[float] = None) -> RunResult:
     """Resume a checkpointed run and complete its horizon.
 
-    Loads the checkpoint, rebuilds the scenario from its embedded spec,
-    fast-forwards to the barrier (verifying the digest), truncates the
-    journal to the barrier (WAL recovery: the crashed run may have
-    journaled past the last durable checkpoint) and continues, appending
-    to the same journal.  The result's journal is byte-identical to an
-    uninterrupted run of the same spec.
+    Loads the checkpoint and hands it to :meth:`Run.resume` (rebuild,
+    digest-verified fast-forward, journal truncated to the barrier), then
+    continues to the horizon appending to the same journal.  The result's
+    journal is byte-identical to an uninterrupted run of the same spec.
     """
     if directory is not None:
         paths = default_paths(directory)
@@ -270,25 +387,4 @@ def resume_run(directory: Optional[str] = None,
     if checkpoint_path is None:
         raise CheckpointError("resume_run needs a directory or checkpoint_path")
     checkpoint = Checkpoint.load(checkpoint_path)
-    spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    prepared = prepare(spec)
-    system = prepared.system
-    horizon = until if until is not None else prepared.horizon
-
-    elapsed = fast_forward(system, checkpoint)
-
-    journal = None
-    if journal_path and os.path.exists(journal_path):
-        truncate(journal_path, checkpoint.fired)
-        journal = JournalWriter(journal_path, append=True)
-    recorder = RunRecorder(system, journal, checkpoint.digest_every)
-    try:
-        _drive_to_horizon(system, horizon)
-    except BaseException:
-        recorder.abandon()
-        raise
-    final = recorder.finish()
-    return RunResult(spec=spec, prepared=prepared, journal_path=journal_path,
-                     checkpoint=checkpoint, final_digest=final,
-                     fast_forward_events=checkpoint.fired,
-                     fast_forward_s=elapsed)
+    return _complete(Run.resume(checkpoint, journal_path), until, checkpoint)

@@ -43,13 +43,12 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..persistence.checkpoint import Checkpoint, CheckpointError
-from ..persistence.journal import truncate
 from ..persistence.scenarios import ScenarioSpec
 from ..persistence.snapshot import state_digest
-from .worker import ShardHost, _worker_main, shard_paths
+from .worker import ShardHost, _worker_main, dispatch, shard_paths
 
 MANIFEST_VERSION = 1
 
@@ -70,6 +69,20 @@ class ShardWorkerError(RuntimeError):
 # --------------------------------------------------------------------------- #
 def manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.json")
+
+
+def load_manifest(out_dir: str) -> Dict[str, Any]:
+    """Read a federation manifest; a bad run directory fails closed."""
+    path = manifest_path(out_dir)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or "shards" not in manifest \
+            or "scenario" not in manifest:
+        raise CheckpointError(f"{path}: not a federation manifest")
+    return manifest
 
 
 def federation_digest(spec_dict: Dict[str, Any], shards: int,
@@ -216,21 +229,7 @@ class _InProcessWorker:
 
     def send(self, op: str, kwargs: Dict[str, Any]) -> None:
         try:
-            if op == "init":
-                host = ShardHost(kwargs["spec"], kwargs["shard_id"],
-                                 kwargs.get("out_dir"),
-                                 kwargs.get("digest_every", 25))
-                self._hosts[host.shard_id] = host
-                payload = host.describe()
-            else:
-                host = self._hosts[kwargs.pop("shard_id")]
-                payload = getattr(
-                    host, {"record": "record", "window": "window",
-                           "fastforward": "fastforward",
-                           "checkpoint": "checkpoint",
-                           "truncate": "truncate_journal",
-                           "finish": "finish",
-                           "abandon": "abandon"}[op])(**kwargs)
+            payload = dispatch(self._hosts, op, kwargs)
             self._replies.append(("ok", payload))
         except ShardWorkerError:
             raise
@@ -354,7 +353,7 @@ class ShardedSimulator:
 
     ``workers`` defaults to one process per shard (capped at the shard
     count); ``workers <= 0`` is a hard error — the same contract as
-    :func:`repro.sweep._pool`.  ``checkpoint_every`` is a window count
+    :func:`repro.sweep.worker_pool`.  ``checkpoint_every`` is a window count
     (0 disables checkpointing); ``stop_after_window`` aborts the run
     after that window completes, emulating a mid-run kill for the
     crash/resume tests and CI leg.
@@ -431,12 +430,18 @@ class ShardedSimulator:
         return [self._worker_of(shard).recv()
                 for shard in range(self.shards)]
 
-    def _init_shards(self) -> List[Dict[str, Any]]:
+    def _init_shards(
+        self,
+        resume_of: Optional[Callable[[int], Dict[str, Any]]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Build every shard's host; ``resume_of(shard)`` adds the
+        ``checkpoint``/``windows`` a resumed shard fast-forwards through."""
         infos = self._send_all("init", lambda shard: {
-            "spec": self.shard_spec(shard).to_dict(),
+            "spec_dict": self.shard_spec(shard).to_dict(),
             "shard_id": shard,
             "out_dir": self.out_dir,
             "digest_every": self.digest_every,
+            **(resume_of(shard) if resume_of else {}),
         })
         lookaheads = {info["lookahead"] for info in infos}
         horizons = {info["horizon"] for info in infos}
@@ -572,7 +577,6 @@ class ShardedSimulator:
                         self.shards, self.lookahead, self.horizon)
                 self._write_manifest(windows=len(barriers), complete=False,
                                      checkpoint_window=None)
-            self._send_all("record", lambda shard: {"append": False})
             completed, checkpoint_window = self._run_windows(
                 barriers, 1, {i: [] for i in range(self.shards)})
             return self._finalize(barriers, completed, checkpoint_window,
@@ -584,13 +588,7 @@ class ShardedSimulator:
     def resume(cls, out_dir: str,
                workers: Optional[int] = None) -> FederationResult:
         """Resume a killed federation run from its shard checkpoints."""
-        path = manifest_path(out_dir)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: unreadable manifest: {exc}") \
-                from exc
+        manifest = load_manifest(out_dir)
         if manifest.get("complete"):
             raise CheckpointError(f"{out_dir}: run already complete")
         window = manifest.get("checkpoint_window")
@@ -619,35 +617,27 @@ class ShardedSimulator:
                     f"{cp.state.get('window')}, manifest says {window}")
             checkpoints.append(cp)
 
-        # WAL recovery, driver-side: drop journal records past each
-        # checkpoint barrier and inbox records past window+1 (the last
-        # inboxes made durable before the checkpoint); the continued
-        # run regenerates both identically.
-        for shard, cp in enumerate(checkpoints):
-            paths = shard_paths(out_dir, shard)
-            if os.path.exists(paths["journal"]):
-                truncate(paths["journal"], cp.fired)
-            truncate_inbox(paths["inbox"], window + 1)
+        # WAL recovery of the driver-written files: drop inbox records past
+        # window+1 (the last inboxes made durable before the checkpoint).
+        # Each shard truncates its own journal inside ``Run.resume``; the
+        # continued run regenerates both identically.
+        barriers = lookahead_barriers(float(manifest["lookahead"]),
+                                      float(manifest["horizon"]))
+        recorded: Dict[int, Dict[int, List[dict]]] = {}
+        for shard in range(self.shards):
+            inbox_path = shard_paths(out_dir, shard)["inbox"]
+            truncate_inbox(inbox_path, window + 1)
+            _header, recorded[shard] = read_inbox(inbox_path)
 
         self._start_workers()
         try:
-            self._init_shards()
-            barriers = lookahead_barriers(self.lookahead, self.horizon)
-            recorded: Dict[int, Dict[int, List[dict]]] = {}
-            for shard in range(self.shards):
-                _header, inboxes = read_inbox(
-                    shard_paths(out_dir, shard)["inbox"])
-                recorded[shard] = inboxes
-            # Deterministic fast-forward: window-replay to the barrier,
-            # digest-verified against each shard's checkpoint.
-            self._send_all("fastforward", lambda shard: {
-                "windows": [(barriers[j - 1],
-                             recorded[shard].get(j, []))
+            # Deterministic fast-forward: each shard window-replays to the
+            # barrier, digest-verified against its checkpoint.
+            self._init_shards(lambda shard: {
+                "checkpoint": checkpoints[shard],
+                "windows": [(barriers[j - 1], recorded[shard].get(j, []))
                             for j in range(1, window + 1)],
-                "expect_digest": checkpoints[shard].digest,
-                "expect_fired": checkpoints[shard].fired,
             })
-            self._send_all("record", lambda shard: {"append": True})
             completed, checkpoint_window = self._run_windows(
                 barriers, window + 1,
                 {shard: recorded[shard].get(window + 1, [])

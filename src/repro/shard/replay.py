@@ -8,7 +8,7 @@ its peers, injected at the same lookahead barriers as in the original
 run.  A shard therefore verifies in isolation, without its peers
 running, which is what makes federation verification embarrassingly
 parallel: :func:`verify_federation` spreads shards over the shared
-:func:`repro.sweep._pool` worker pool.
+:func:`repro.sweep.worker_pool` worker pool.
 
 The federation digest is re-chained from the replayed shard digests and
 compared against the manifest, so a single bit of drift in any shard
@@ -21,65 +21,42 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from ..persistence.journal import read_journal
-from ..persistence.replay import _first_divergence, _MemoryJournal
-from ..persistence.runner import RunRecorder
-from ..persistence.scenarios import ScenarioSpec, prepare
+from ..persistence.replay import replay_run
+from ..persistence.runner import Run
 from ..persistence.snapshot import system_digest
-from ..sweep import _pool
+from ..sweep import worker_pool
 from .driver import (
     federation_digest,
+    load_manifest,
     lookahead_barriers,
-    manifest_path,
     read_inbox,
 )
 from .worker import shard_paths
-
-import json
 
 
 def replay_shard(out_dir: str, shard_id: int) -> Dict[str, Any]:
     """Replay one shard's journal against its recorded inboxes."""
     paths = shard_paths(out_dir, shard_id)
     journal = read_journal(paths["journal"])
-    scenario = journal.scenario
-    if not scenario or "name" not in scenario:
-        raise ValueError(f"shard {shard_id}: journal has no scenario spec")
     header, inboxes = read_inbox(paths["inbox"])
-    spec = ScenarioSpec.from_dict(scenario)
-    prepared = prepare(spec)
-    system = prepared.system
-    gateway = prepared.aux["federation"]
-    lookahead = (float(header["lookahead"]) if header
-                 else gateway.lookahead)
-    horizon = (float(header["horizon"]) if header
-               else prepared.horizon)
 
-    memory = _MemoryJournal(journal.digest_every or 25)
-    recorder = RunRecorder(system, journal=memory)
-    try:
+    def drive_windows(run: Run) -> None:
+        lookahead = (float(header["lookahead"]) if header
+                     else run.prepared.aux["federation"].lookahead)
+        horizon = float(header["horizon"]) if header else run.horizon
         for window, barrier in enumerate(
                 lookahead_barriers(lookahead, horizon), start=1):
-            gateway.inject(inboxes.get(window, []))
-            while system.sim.now < barrier:
-                system.run(until=barrier)
-            gateway.drain_outbox()
-    finally:
-        if journal.complete:
-            recorder.finish()
-        else:
-            recorder.detach()
+            run.window(barrier, inboxes.get(window, []))
 
-    compared = [r for r in journal.records if r.get("type") != "reconfig"]
-    divergence = _first_divergence(compared, memory.records,
-                                   journal.complete)
+    report, run = replay_run(journal, drive_windows)
     return {
         "shard": shard_id,
-        "ok": divergence is None,
-        "divergence": asdict(divergence) if divergence else None,
-        "records_checked": len(compared),
-        "events": system.sim.fired_count,
-        "digest": system_digest(system),
-        "complete": journal.complete,
+        "ok": report.ok,
+        "divergence": asdict(report.divergence) if report.divergence else None,
+        "records_checked": report.records_checked,
+        "events": report.events_replayed,
+        "digest": system_digest(run.system),
+        "complete": report.journal_complete,
     }
 
 
@@ -90,11 +67,10 @@ def verify_federation(out_dir: str, workers: int = 1) -> Dict[str, Any]:
     process pool (shard replays are stateless, so a plain executor fits
     — unlike the live run's barrier-synchronized actors).
     """
-    with open(manifest_path(out_dir), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_manifest(out_dir)
     shards = int(manifest["shards"])
     expected_digests = manifest.get("shard_digests") or []
-    pool = _pool(min(workers, shards))
+    pool = worker_pool(min(workers, shards))
     try:
         if pool is not None:
             futures = [pool.submit(replay_shard, out_dir, shard)

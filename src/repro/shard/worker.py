@@ -1,19 +1,21 @@
 """Shard hosts and the worker-process actor protocol.
 
-A :class:`ShardHost` owns one shard: the prepared system, its federation
-gateway, and its journal.  The federation driver either keeps hosts
-in-process or places them in persistent worker processes — **not** a
-``ProcessPoolExecutor``: pool tasks have no worker affinity, and a
-barrier-synchronized shard is a long-lived stateful actor that must stay
-on the process that built it.  Each worker runs :func:`_worker_main`
-over a ``multiprocessing.Pipe`` and may host several shards (shard ``i``
-lives on worker ``i % W``); placement affects wall-clock only, never
-results, because every exchange is routed by the driver at barriers.
+A :class:`ShardHost` is one shard of a federation: a
+:class:`~repro.persistence.runner.Run` session (system, journal,
+recorder, WAL recovery) plus the inbox the driver feeds it each window.
+The federation driver either keeps hosts in-process or places them in
+persistent worker processes — **not** a ``ProcessPoolExecutor``: pool
+tasks have no worker affinity, and a barrier-synchronized shard is a
+long-lived stateful actor that must stay on the process that built it.
+Each worker runs :func:`_worker_main` over a ``multiprocessing.Pipe`` and
+may host several shards (shard ``i`` lives on worker ``i % W``);
+placement affects wall-clock only, never results, because every exchange
+is routed by the driver at barriers.
 
 Protocol: the driver sends ``(op, kwargs)`` tuples, the worker answers
-``("ok", payload)`` or ``("error", repr, traceback)``.  Ops: ``init``,
-``record``, ``window``, ``fastforward``, ``checkpoint``, ``finish``,
-``abandon``, ``stop``.
+``("ok", payload)`` or ``("error", repr, traceback)``.  Ops: ``init``
+(fresh, or resumed when it carries a checkpoint and the recorded windows
+to replay), ``window``, ``checkpoint``, ``finish``, ``abandon``, ``stop``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import traceback
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..persistence.checkpoint import Checkpoint, CheckpointError
-from ..persistence.journal import JournalWriter, truncate
-from ..persistence.runner import RunRecorder
-from ..persistence.scenarios import ScenarioSpec, prepare
+from ..persistence.checkpoint import Checkpoint
+from ..persistence.runner import Run
+from ..persistence.scenarios import ScenarioSpec
 from ..persistence.snapshot import system_digest
+
+#: Ops that address an initialised host, by :class:`ShardHost` method name.
+HOST_OPS = ("window", "checkpoint", "finish", "abandon")
 
 
 def shard_dir(out_dir: str, shard_id: int) -> str:
@@ -45,64 +49,54 @@ def shard_paths(out_dir: str, shard_id: int) -> Dict[str, str]:
 
 
 class ShardHost:
-    """One shard of a federation: system + gateway + journal."""
+    """One shard of a federation: a run session + its gateway inbox.
+
+    With ``checkpoint`` the shard resumes: it window-replays ``windows``
+    (the recorded ``(barrier, inbox)`` pairs up to the checkpoint),
+    verifies the digest, truncates its journal to the barrier and records
+    on -- all inside :meth:`Run.resume`.  Otherwise it starts at t=0.
+    """
 
     def __init__(self, spec_dict: Dict[str, Any], shard_id: int,
-                 out_dir: Optional[str], digest_every: int = 25) -> None:
-        self.spec = ScenarioSpec.from_dict(spec_dict)
+                 out_dir: Optional[str], digest_every: int = 25,
+                 checkpoint: Optional[Checkpoint] = None,
+                 windows: Optional[List[Tuple[float, List[dict]]]] = None
+                 ) -> None:
         self.shard_id = shard_id
         self.out_dir = out_dir
-        self.digest_every = digest_every
-        self.prepared = prepare(self.spec)
-        self.system = self.prepared.system
-        self.horizon = self.prepared.horizon
-        self.gateway = self.prepared.aux["federation"]
-        self.recorder: Optional[RunRecorder] = None
-        self.windows_run = 0
+        journal_path = None
+        if out_dir is not None:
+            paths = shard_paths(out_dir, shard_id)
+            os.makedirs(paths["dir"], exist_ok=True)
+            journal_path = paths["journal"]
+        if checkpoint is not None:
+            self.run = Run.resume(checkpoint, journal_path, windows=windows)
+        else:
+            self.run = Run.start(ScenarioSpec.from_dict(spec_dict),
+                                 journal_path, digest_every=digest_every)
+        self.system = self.run.system
+        self.gateway = self.run.prepared.aux["federation"]
 
     # -- introspection ------------------------------------------------------ #
     def describe(self) -> Dict[str, Any]:
+        aux = self.run.prepared.aux
         return {
             "shard": self.shard_id,
-            "domains": list(self.prepared.aux.get("local_domains", [])),
+            "domains": list(aux.get("local_domains", [])),
             "lookahead": self.gateway.lookahead,
-            "horizon": self.horizon,
-            "devices": self.prepared.aux.get("devices_total", 0),
+            "horizon": self.run.horizon,
+            "devices": aux.get("devices_total", 0),
         }
 
-    # -- journaling --------------------------------------------------------- #
-    def record(self, append: bool = False) -> None:
-        """Attach the journaling recorder (fresh journal, or append)."""
-        journal = None
-        if self.out_dir is not None:
-            paths = shard_paths(self.out_dir, self.shard_id)
-            os.makedirs(paths["dir"], exist_ok=True)
-            if append:
-                journal = JournalWriter(paths["journal"], append=True)
-            else:
-                journal = JournalWriter(paths["journal"],
-                                        self.spec.to_dict(),
-                                        self.digest_every)
-        self.recorder = RunRecorder(self.system, journal, self.digest_every)
-
     # -- execution ---------------------------------------------------------- #
-    def _run_to(self, barrier: float) -> None:
-        # Mirrors the reference driver's _drive_to_horizon: a kernel
-        # stop (harness-crash fault) must not end the window early.
-        sim = self.system.sim
-        while sim.now < barrier:
-            self.system.run(until=barrier)
-
     def window(self, barrier: float, inbox: List[dict]) -> Dict[str, Any]:
         """Inject ``inbox`` at the current barrier, run to the next one."""
         started = perf_counter()
         fired_before = self.system.sim.fired_count
-        self.gateway.inject(inbox)
-        self._run_to(barrier)
-        self.windows_run += 1
+        outbox = self.run.window(barrier, inbox)
         return {
             "shard": self.shard_id,
-            "outbox": self.gateway.drain_outbox(),
+            "outbox": outbox,
             "fired": self.system.sim.fired_count,
             "events": self.system.sim.fired_count - fired_before,
             "now": self.system.sim.now,
@@ -110,43 +104,6 @@ class ShardHost:
             "outbox_peak": self.gateway.outbox_peak,
             "injected": self.gateway.injected_total,
         }
-
-    def fastforward(self, windows: List[Tuple[float, List[dict]]],
-                    expect_digest: Optional[str] = None,
-                    expect_fired: Optional[int] = None) -> Dict[str, Any]:
-        """Window-replay to a checkpoint barrier, without a recorder.
-
-        Re-runs the recorded windows (each with its recorded inbox) and
-        verifies the resulting digest against the checkpoint's.  This is
-        the shard analogue of :func:`repro.persistence.runner
-        .fast_forward`, driven by barriers instead of a step count
-        because cross-shard injections must land between the same
-        windows as in the original run.
-        """
-        started = perf_counter()
-        for barrier, inbox in windows:
-            self.gateway.inject(inbox)
-            self._run_to(barrier)
-            # Discard regenerated outbound envelopes: the original run
-            # already routed them, and the peers' recorded inboxes (or
-            # their own replays) hold the copies that matter.
-            self.gateway.drain_outbox()
-            self.windows_run += 1
-        digest = system_digest(self.system)
-        fired = self.system.sim.fired_count
-        if expect_digest is not None and digest != expect_digest:
-            raise CheckpointError(
-                f"shard {self.shard_id}: digest mismatch after replaying "
-                f"{len(windows)} windows (fired={fired}, expected "
-                f"fired={expect_fired}); scenario code or seed has "
-                f"drifted since the checkpoint")
-        if expect_fired is not None and fired != expect_fired:
-            raise CheckpointError(
-                f"shard {self.shard_id}: replayed {fired} events to the "
-                f"checkpoint barrier but the checkpoint recorded "
-                f"{expect_fired}")
-        return {"shard": self.shard_id, "digest": digest, "fired": fired,
-                "wall_s": perf_counter() - started}
 
     # -- persistence -------------------------------------------------------- #
     def checkpoint(self, window: int) -> Dict[str, Any]:
@@ -162,28 +119,19 @@ class ShardHost:
         paths = shard_paths(self.out_dir, self.shard_id)
         digest = system_digest(self.system)
         checkpoint = Checkpoint(
-            scenario=self.spec.to_dict(),
+            scenario=self.run.spec.to_dict(),
             time=self.system.sim.now,
             fired=self.system.sim.fired_count,
             digest=digest,
-            digest_every=self.digest_every,
+            digest_every=self.run.digest_every,
             state={"window": window, "shard": self.shard_id},
         )
         checkpoint.save(paths["checkpoint"])
         return {"shard": self.shard_id, "digest": digest,
                 "fired": checkpoint.fired, "window": window}
 
-    def truncate_journal(self, fired: int) -> None:
-        paths = shard_paths(self.out_dir, self.shard_id)
-        if os.path.exists(paths["journal"]):
-            truncate(paths["journal"], fired)
-
     def finish(self) -> Dict[str, Any]:
-        if self.recorder is not None:
-            digest = self.recorder.finish()
-            self.recorder = None
-        else:
-            digest = system_digest(self.system)
+        digest = self.run.finish()
         return {"shard": self.shard_id, "digest": digest,
                 "fired": self.system.sim.fired_count,
                 "counters": {
@@ -195,11 +143,21 @@ class ShardHost:
 
     def abandon(self) -> Dict[str, Any]:
         """Leave the journal open-ended (the crashed-run path)."""
-        if self.recorder is not None:
-            self.recorder.abandon()
-            self.recorder = None
+        self.run.abandon()
         return {"shard": self.shard_id,
                 "fired": self.system.sim.fired_count}
+
+
+def dispatch(hosts: Dict[int, ShardHost], op: str,
+             kwargs: Dict[str, Any]) -> Any:
+    """Execute one driver op against ``hosts`` (both worker kinds)."""
+    if op == "init":
+        host = ShardHost(**kwargs)
+        hosts[host.shard_id] = host
+        return host.describe()
+    if op not in HOST_OPS:
+        raise ValueError(f"unknown shard op {op!r}")
+    return getattr(hosts[kwargs.pop("shard_id")], op)(**kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -217,31 +175,7 @@ def _worker_main(conn) -> None:
             conn.send(("ok", None))
             break
         try:
-            if op == "init":
-                host = ShardHost(
-                    kwargs["spec"], kwargs["shard_id"],
-                    kwargs.get("out_dir"),
-                    kwargs.get("digest_every", 25))
-                hosts[host.shard_id] = host
-                payload = host.describe()
-            else:
-                host = hosts[kwargs.pop("shard_id")]
-                if op == "record":
-                    payload = host.record(**kwargs)
-                elif op == "window":
-                    payload = host.window(**kwargs)
-                elif op == "fastforward":
-                    payload = host.fastforward(**kwargs)
-                elif op == "checkpoint":
-                    payload = host.checkpoint(**kwargs)
-                elif op == "truncate":
-                    payload = host.truncate_journal(**kwargs)
-                elif op == "finish":
-                    payload = host.finish()
-                elif op == "abandon":
-                    payload = host.abandon()
-                else:
-                    raise ValueError(f"unknown shard op {op!r}")
+            payload = dispatch(hosts, op, kwargs)
             conn.send(("ok", payload))
         except BaseException as exc:  # surfaced driver-side with traceback
             conn.send(("error", repr(exc), traceback.format_exc()))

@@ -154,7 +154,7 @@ def _run_cell_serial(run: Callable[..., float], params: Dict[str, Any],
     return [float(run(**params, **{seed_param: seed})) for seed in seeds]
 
 
-def _pool(workers: int) -> Optional[ProcessPoolExecutor]:
+def worker_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     """Validated process-pool construction shared across parallel runners.
 
     Sweeps, the sharded-federation driver and shard replay verification
@@ -210,7 +210,7 @@ def run_sweep(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     pending = [params for params in combos if _cell_key(params) not in done]
-    executor = _pool(workers) if pending else None
+    executor = worker_pool(workers) if pending else None
     try:
         since_save = 0
         for params in pending:

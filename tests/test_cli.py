@@ -222,6 +222,49 @@ class TestUnknownScenarioHandling:
         assert "chaos" in error["data"]["available"]
 
 
+class TestBadRunDirectories:
+    """A missing, truncated or garbled run directory fails closed."""
+
+    def _assert_classified(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+        return captured
+
+    @pytest.mark.parametrize("verb", ["resume", "replay"])
+    def test_missing_directory_exits_2(self, verb, tmp_path, capsys):
+        self._assert_classified(
+            [verb, "--out", str(tmp_path / "nope")], capsys)
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["checkpoint", "control-outage", "--at", "10",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "checkpoint.json"
+        path.write_text(path.read_text()[:200])
+        self._assert_classified(["resume", "--out", str(tmp_path)], capsys)
+
+    def test_headerless_journal_exits_2(self, tmp_path, capsys):
+        (tmp_path / "journal.jsonl").write_text(
+            '{"type":"event","i":1,"t":0.5,"label":"x"}\n')
+        self._assert_classified(["replay", "--out", str(tmp_path)], capsys)
+
+    def test_json_mode_reports_the_error(self, tmp_path, capsys):
+        assert main(["--json", "resume",
+                     "--out", str(tmp_path / "nope")]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exit_code"] == 2
+        error = next(t for t in doc["tables"] if t.get("title") == "error")
+        assert "checkpoint.json" in error["data"]["error"]
+
+    def test_shard_verbs_share_the_classification(self, tmp_path, capsys):
+        for verb in ("resume", "verify"):
+            self._assert_classified(
+                ["shard", verb, "--out", str(tmp_path / "nope")], capsys)
+
+
 class TestChaosCommand:
     def test_run_clean_campaign_writes_report(self, tmp_path, capsys):
         # Seed 84 case 0 passes, so a 1-run campaign is the cheap path:

@@ -386,7 +386,7 @@ class TestSignals:
             os.kill(os.getpid(), signal.SIGINT)
             system.run(until=horizon)   # unreachable: handler raises
 
-        monkeypatch.setattr(runner, "_drive_to_horizon", interrupted)
+        monkeypatch.setattr(runner, "drive", interrupted)
         out = str(tmp_path / "out")
         code = cli.main(["monitor", "smart-city-partition", "--quick",
                          "--out", out])

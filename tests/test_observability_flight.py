@@ -36,7 +36,7 @@ from repro.persistence import (
     replay_journal,
     run_scenario,
 )
-from repro.persistence.runner import RunRecorder, _drive_to_horizon
+from repro.persistence.runner import RunRecorder, drive
 
 
 STRICT_CITY = ScenarioSpec(
@@ -55,7 +55,7 @@ def _run_flight_armed(spec, journal_path=None):
     flight = FlightRecorder(system, spec=spec,
                             loops=prepared.aux.get("loops"))
     flight.arm()
-    _drive_to_horizon(system, prepared.horizon)
+    drive(system, prepared.horizon)
     monitor = prepared.aux.get("monitor")
     if monitor is not None:
         monitor.evaluate_now()
@@ -151,7 +151,7 @@ class TestOtherTriggerClasses:
                             params={"crash_at": 10.0, "horizon": 20.0})
         prepared = prepare(spec)
         flight = FlightRecorder(prepared.system, spec=spec).arm()
-        _drive_to_horizon(prepared.system, prepared.horizon)
+        drive(prepared.system, prepared.horizon)
         flight.finalize()
         flight.disarm()
         assert flight.triggered

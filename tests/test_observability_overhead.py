@@ -207,7 +207,7 @@ class TestSampledRunIdentity:
 
         sampled = str(tmp_path / "sampled.jsonl")
         from repro.persistence import prepare
-        from repro.persistence.runner import RunRecorder, _drive_to_horizon
+        from repro.persistence.runner import RunRecorder, drive
         from repro.persistence import JournalWriter
 
         prepared = prepare(spec)
@@ -215,7 +215,7 @@ class TestSampledRunIdentity:
         assert system.spans is not None
         system.spans.sampler = SpanSampler(0.1, seed=system.rngs.seed)
         recorder = RunRecorder(system, JournalWriter(sampled, spec.to_dict()))
-        _drive_to_horizon(system, prepared.horizon)
+        drive(system, prepared.horizon)
         recorder.finish()
         assert system.spans.sampled_out > 0
 

@@ -380,7 +380,7 @@ class TestArmedRunIdentity:
             ScenarioSpec,
             prepare,
         )
-        from repro.persistence.runner import RunRecorder, _drive_to_horizon
+        from repro.persistence.runner import RunRecorder, drive
         from repro.persistence.snapshot import system_digest
 
         spec = ScenarioSpec(name="mape-outage", params={"observe": True})
@@ -392,7 +392,7 @@ class TestArmedRunIdentity:
                 system.sim.instrument = None  # profiling disarmed
             recorder = RunRecorder(system,
                                    JournalWriter(path, spec.to_dict()))
-            _drive_to_horizon(system, prepared.horizon)
+            drive(system, prepared.horizon)
             profile = system.profile_snapshot() if armed else None
             recorder.finish()
             return system, profile

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.observability.flight import capture_gate_incident
 from repro.persistence import (
     CheckpointError,
     Checkpoint,
@@ -76,6 +77,12 @@ class TestResumeBitwiseIdentity:
         with open(resumed.journal_path) as fh:
             resumed_bytes = fh.read()
         assert resumed_bytes == ref_bytes
+
+        # The flight-armed journaled run (the monitor / gate-incident
+        # helper) is one more driver over the same run session.
+        bundle = capture_gate_incident(spec, str(tmp_path / "armed"))
+        with open(default_paths(bundle)["journal"]) as fh:
+            assert fh.read() == ref_bytes
 
     def test_kpi_report_identical_after_resume(self, tmp_path):
         spec = ScenarioSpec(name="mape-outage")

@@ -44,3 +44,50 @@ def test_gitignore_covers_artifact_paths():
                    "prof-out/", "checkpoint-out/", "chaos-out/", "corpus/",
                    "live-out/", "shard-out/"):
         assert needle in ignored, f".gitignore lost the {needle!r} entry"
+
+
+def _cross_package_private_imports():
+    """``from <other repro unit> import _name`` lines under ``src/repro``.
+
+    A unit is a ``repro`` subpackage or top-level module; an underscore
+    name is that unit's implementation detail.
+    """
+    import ast
+
+    root = os.path.join(REPO_ROOT, "src")
+    offenders = []
+    for dirpath, _dirs, files in os.walk(os.path.join(root, "repro")):
+        for filename in files:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            parts = os.path.relpath(path, root)[:-3].split(os.sep)
+            package = parts[:-1]      # importing module's package
+            if filename == "__init__.py":
+                parts = package
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                target = (node.module or "").split(".") if node.module else []
+                if node.level:
+                    target = package[:len(package) - node.level + 1] + target
+                if target[:1] != ["repro"] or target[1:2] == parts[1:2]:
+                    continue
+                private = [alias.name for alias in node.names
+                           if alias.name.startswith("_")
+                           and not alias.name.startswith("__")]
+                if private:
+                    offenders.append(
+                        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno} "
+                        f"imports {', '.join(private)} from "
+                        f"{'.'.join(target)}")
+    return offenders
+
+
+def test_no_private_imports_across_packages():
+    offenders = _cross_package_private_imports()
+    assert not offenders, (
+        "underscore-prefixed names imported across repro packages "
+        f"(give them a public name, or keep the caller inside): {offenders}")

@@ -13,7 +13,12 @@ import os
 
 import pytest
 
-from repro.persistence import CheckpointError, ScenarioSpec, run_scenario
+from repro.persistence import (
+    CheckpointError,
+    JournalError,
+    ScenarioSpec,
+    run_scenario,
+)
 from repro.shard import (
     Envelope,
     ShardedSimulator,
@@ -21,11 +26,12 @@ from repro.shard import (
     lookahead_barriers,
     manifest_path,
     prepare_smart_city_federated,
+    replay_shard,
     shard_paths,
     verify_federation,
 )
 from repro.shard.gateway import canonical_payload, federation_keys, sign_envelope
-from repro.sweep import _pool
+from repro.sweep import worker_pool
 
 #: Tiny federation: fast enough for CI, still crossing every window
 #: boundary (exchange period = 2 lookahead windows) and — with horizon
@@ -280,18 +286,28 @@ class TestCrashResume:
         assert not report["reports"][1]["ok"]
         assert report["reports"][0]["ok"]
 
+    def test_replay_of_specless_journal_is_a_journal_error(self, tmp_path):
+        # Shard replay shares replay_records' path, classification included.
+        paths = shard_paths(str(tmp_path), 0)
+        os.makedirs(paths["dir"])
+        with open(paths["journal"], "w", encoding="utf-8") as fh:
+            fh.write('{"type":"header","version":1,"scenario":{},'
+                     '"digest_every":25}\n')
+        with pytest.raises(JournalError):
+            replay_shard(str(tmp_path), 0)
+
 
 # --------------------------------------------------------------------------- #
-# Worker-count validation (shared _pool contract)
+# Worker-count validation (shared worker_pool contract)
 # --------------------------------------------------------------------------- #
 class TestWorkerValidation:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_pool_rejects_nonpositive_workers(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            _pool(workers)
+            worker_pool(workers)
 
     def test_pool_serial_is_none(self):
-        assert _pool(1) is None
+        assert worker_pool(1) is None
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_sharded_simulator_rejects_nonpositive_workers(self, workers):
