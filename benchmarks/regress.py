@@ -66,6 +66,8 @@ TOLERANCES: List[Tuple[str, float, str]] = [
     (r".*\.events_per_s$", 0.5, "lower"),   # throughput: flag 50% drops
     (r".*\.specs_per_s$", 0.5, "lower"),    # compile throughput: same rule
     (r".*\.speedup_k\d+$", 0.5, "lower"),   # shard scaling: flag 50% drops
+    (r"route\.speedup$", 0.5, "lower"),     # flap/steady ratio: same rule
+    (r".*_us$", 1.0, "higher"),             # per-message cost: as wall_s
     (r".*", _EPS, "both"),                  # everything else: deterministic
 ]
 
@@ -284,6 +286,14 @@ def bench_security(quick: bool) -> Dict[str, float]:
     ratio is the closest observation of the intrinsic auth cost.  The
     0/1 gate is a gross-regression tripwire (e.g. an accidentally
     quadratic encoding), not a profiler.
+
+    The 15% is relative to a base that change-driven routing made ~5x
+    cheaper (attack-off 11.3 ms -> 2.3 ms on one box) while sign+verify
+    itself went 1.50 ms -> 1.26 ms, so the relative gate now reads 0.0
+    at an unchanged-or-lower absolute cost.  The budget is not widened;
+    ``auth_overhead_us`` (absolute sign+verify cost per sent message,
+    from the min walls) is the number to watch and carries the
+    tripwire's tolerance.
     """
     from repro.security.scenarios import (
         prepare_byzantine_gossip,
@@ -295,24 +305,28 @@ def bench_security(quick: bool) -> Dict[str, float]:
     horizon = 8.0 if quick else 24.0
     reps = 3 if quick else 5
 
-    def one_run(variant: str, authed: bool = False) -> Tuple[float, int]:
+    def one_run(variant: str, authed: bool = False) -> Tuple[float, Any]:
         prepared = prepare_byzantine_gossip(variant=variant, horizon=horizon,
                                             authed=authed)
         started = time.perf_counter()
         prepared.system.run(until=horizon)
-        return time.perf_counter() - started, prepared.system.sim.fired_count
+        return time.perf_counter() - started, prepared.system
 
     attack_off_wall = auth_on_wall = attack_on_wall = float("inf")
     best_ratio = float("inf")
     for _ in range(reps):
-        off_wall, attack_off_events = one_run("clean")
-        auth_wall, auth_on_events = one_run("clean", authed=True)
-        on_wall, attack_on_events = one_run("defended")
+        off_wall, off_system = one_run("clean")
+        auth_wall, auth_system = one_run("clean", authed=True)
+        on_wall, on_system = one_run("defended")
         attack_off_wall = min(attack_off_wall, off_wall)
         auth_on_wall = min(auth_on_wall, auth_wall)
         attack_on_wall = min(attack_on_wall, on_wall)
         if off_wall > 0:
             best_ratio = min(best_ratio, auth_wall / off_wall)
+    attack_off_events = off_system.sim.fired_count
+    auth_on_events = auth_system.sim.fired_count
+    attack_on_events = on_system.sim.fired_count
+    auth_sent = auth_system.network.stats.sent
 
     wall_overhead = max(0.0, best_ratio - 1.0)
     event_overhead = max(0.0, (auth_on_events - attack_off_events)
@@ -328,6 +342,8 @@ def bench_security(quick: bool) -> Dict[str, float]:
         "overhead_budget_ok": float(wall_overhead <= 0.15
                                     and event_overhead <= 0.15),
         "auth_event_overhead": round(event_overhead, 9),
+        "auth_overhead_us": (max(0.0, auth_on_wall - attack_off_wall)
+                             / auth_sent * 1e6 if auth_sent else 0.0),
         "attack_off_events": float(attack_off_events),
         "auth_on_events": float(auth_on_events),
         "attack_on_events": float(attack_on_events),
@@ -556,9 +572,20 @@ def bench_shard(quick: bool) -> Dict[str, float]:
     K to reproduce its federation digest bit-for-bit — the determinism
     headline for the parallel driver.  ``speedup_ok`` is the scaling
     tripwire: on runners with >= 4 cores the 4-shard run must beat the
-    unsharded one by >= 2.5x; on smaller machines (where parallel shards
-    cannot physically win) it records a gated pass, so a 1-core baseline
-    stays comparable to a 4-core CI check.
+    unsharded one by >= 1.3x; on smaller machines it records a gated
+    pass, so a small-box baseline stays comparable to a 4-core CI check.
+
+    The floor was 2.5x until routing became change-driven.  That figure
+    came from a *one*-core box and was not parallelism: every send
+    rebuilt the up-link graph, O(links), so a shard holding a quarter of
+    the links paid a quarter per send.  With the rebuild gone both legs
+    are faster but K=1 gains most -- on one 2-core box, quick mode:
+    K=1 1.58 s -> 0.54-0.87 s, K=4 0.46 s -> 0.21-0.36 s, ratio 3.4x ->
+    1.6-3.1x (median 2.4x over five runs).  What is left is parallel
+    speedup over fixed per-shard spawn/build cost, and it is noisy at
+    this size.  1.3x is 80% of the lowest of those five; more cores can
+    only raise the ratio, so it stands as the floor for the >= 4-core
+    gate (not re-measured on such a box: none was available).
     """
     from repro.persistence import ScenarioSpec
     from repro.shard import ShardedSimulator
@@ -589,7 +616,7 @@ def bench_shard(quick: bool) -> Dict[str, float]:
         "wall_s": walls[1],
         "events": events[1],
         "digest_stable": float(stable),
-        "speedup_ok": 1.0 if cores < 4 else float(speedup_k4 >= 2.5),
+        "speedup_ok": 1.0 if cores < 4 else float(speedup_k4 >= 1.3),
     }
     for shards in (1, 2, 4):
         metrics[f"k{shards}.wall_s"] = walls[shards]
@@ -598,6 +625,121 @@ def bench_shard(quick: bool) -> Dict[str, float]:
     metrics["speedup_k2"] = speedup_k2
     metrics["speedup_k4"] = speedup_k4
     return metrics
+
+
+def _uncached_route(topology: Any, src: str, dst: str) -> Optional[List[str]]:
+    """Reference routing: a fresh up-link graph per call, no memo."""
+    import networkx as nx
+
+    graph = topology.graph
+    if src == dst:
+        return [src]
+    if src not in graph or dst not in graph:
+        return None
+    sub = nx.Graph()
+    sub.add_nodes_from(graph.nodes)
+    for u, v, data in graph.edges(data=True):
+        if data["link"].up:
+            sub.add_edge(u, v, weight=data["weight"])
+    try:
+        return nx.shortest_path(sub, src, dst, weight="weight")
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return None
+
+
+def bench_route(quick: bool) -> Dict[str, float]:
+    """Route-on-change tripwire: steady sends vs a link flap before each.
+
+    Both legs send the same seeded ``N`` messages over the same
+    edge-cloud topology and time only the send loop.  *steady* never
+    touches the topology, so every send after a pair's first is a memo
+    hit; *flap* downs and re-ups one metro link before every send -- the
+    worst case, which rebuilds the up-link graph per send exactly as
+    every send did before the cache.  ``speedup`` is the min over paired
+    reps of flap/steady (noise only inflates a leg).  The miss counts are
+    deterministic and are the noise-free half of the tripwire: a change
+    that invalidates per send shows as ``steady_misses == sends`` on any
+    machine.  ``paths_identical`` replays a seeded flap/add/remove
+    schedule and requires every cached path to equal
+    :func:`_uncached_route`'s, ties included.
+    """
+    from repro.core.system import IoTSystem
+    from repro.network.link import LINK_PROFILES
+
+    n_sites, per_site = (8, 40) if quick else (16, 100)
+    sends = 2_000 if quick else 10_000
+    reps = 3
+
+    def build() -> Any:
+        system = IoTSystem.with_edge_cloud_landscape(n_sites, per_site, seed=7)
+        for node in system.topology.nodes:
+            system.network.register_default(node, lambda _message: None)
+        return system
+
+    def one_leg(flap: bool) -> Tuple[float, int]:
+        system = build()
+        topology, send = system.topology, system.network.send
+        devices = [d for members in system.sites.values() for d in members]
+        rng = random.Random(11)
+        # A run's traffic revisits a small set of (src, dst) pairs.
+        hot = [(rng.choice(devices), rng.choice(devices + ["cloud"]))
+               for _ in range(64)]
+        pairs = [rng.choice(hot) for _ in range(sends)]
+        link = topology.link_between("edge0", "edge1")
+        started = time.perf_counter()
+        for src, dst in pairs:
+            if flap:
+                link.set_up(False)
+                link.set_up(True)
+            send(src, dst, "bench.route")
+        wall = time.perf_counter() - started
+        system.run(until=5.0)
+        return wall, topology.route_misses
+
+    steady = flapped = float("inf")
+    speedup = float("inf")
+    for _ in range(reps):
+        s_wall, steady_misses = one_leg(flap=False)
+        f_wall, flap_misses = one_leg(flap=True)
+        steady, flapped = min(steady, s_wall), min(flapped, f_wall)
+        if s_wall > 0:
+            speedup = min(speedup, f_wall / s_wall)
+
+    # Correctness against the uncached reference, over topology churn.
+    system = build()
+    topology = system.topology
+    rng = random.Random(13)
+    profiles = sorted(LINK_PROFILES)
+    added: List[str] = []
+    identical = True
+    for step in range(120 if quick else 400):
+        action = rng.randrange(4)
+        if action == 0:
+            rng.choice(topology.links).set_up(rng.random() < 0.5)
+        elif action == 1:
+            a, b = rng.sample(topology.nodes, 2)
+            if topology.link_between(a, b) is None:
+                topology.add_link(a, b, profile=rng.choice(profiles))
+        elif action == 2:
+            added.append(f"extra{step}")
+            topology.add_link(added[-1], rng.choice(topology.nodes),
+                              profile=rng.choice(profiles))
+        elif added:
+            topology.remove_node(added.pop(rng.randrange(len(added))))
+        pairs = [rng.sample(topology.nodes, 2) for _ in range(8)]
+        for src, dst in pairs * 2:  # second pass is served from the memo
+            identical &= (topology.route(src, dst)
+                          == _uncached_route(topology, src, dst))
+    return {
+        "wall_s": steady,
+        "sends": float(sends),
+        "steady_us": steady / sends * 1e6,
+        "flap_us": flapped / sends * 1e6,
+        "speedup": speedup,
+        "steady_misses": float(steady_misses),
+        "flap_misses": float(flap_misses),
+        "paths_identical": float(identical),
+    }
 
 
 SCENARIOS: Dict[str, Callable[[bool], Dict[str, float]]] = {
@@ -612,6 +754,7 @@ SCENARIOS: Dict[str, Callable[[bool], Dict[str, float]]] = {
     "chaos": bench_chaos,
     "live": bench_live,
     "shard": bench_shard,
+    "route": bench_route,
 }
 
 

@@ -997,6 +997,7 @@ def cmd_profile_run(quick: bool, scenario: str = "smart-city-partition",
         collapsed_kernel_stacks,
         collapsed_span_stacks,
         profile_plane_rows,
+        route_cache_line,
         save_profile,
         write_flamegraph,
         write_profile_chrome_trace,
@@ -1044,6 +1045,7 @@ def cmd_profile_run(quick: bool, scenario: str = "smart-city-partition",
         ["plane", "events", "wall (ms)", "share", "mean (us)",
          "queue lag (s)"],
         profile_plane_rows(profile))
+    _progress(f"\n{route_cache_line(profile)}")
     critical = profile.get("critical_path")
     if critical:
         _print_table(

@@ -117,16 +117,20 @@ class IoTSystem:
         the kernel instrument and span recorder as they stand -- pure
         read, so calling it mid-run perturbs nothing the digest sees.
         Requires :meth:`enable_observability` (returns a near-empty
-        profile otherwise).
+        profile otherwise).  ``route_cache`` (the topology's hit/miss/
+        invalidation counts) rides along as the transport plane's
+        one-line "why was it slow".
         """
         from repro.observability.profile import capture_profile
 
         merged = {"seed": self.rngs.seed}
         if meta:
             merged.update(meta)
-        return capture_profile(
+        profile = capture_profile(
             instrument=self.sim.instrument, spans=self.spans,
             meta=merged, now=self.sim.now)
+        profile["route_cache"] = self.topology.route_cache_stats()
+        return profile
 
     # -- construction ----------------------------------------------------------#
     @classmethod

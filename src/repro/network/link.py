@@ -101,6 +101,10 @@ class Link:
     Links can be administratively downed (partition/fault injection) and
     degraded (latency spikes).  Message delivery consults :attr:`up` and the
     latency model at send time.
+
+    :attr:`up` is a notifying property: a link added to a
+    :class:`~repro.network.topology.Topology` tells it when its state
+    changes, which is what drops the topology's cached routes.
     """
 
     def __init__(self, a: str, b: str, profile: LinkProfile, rng: random.Random) -> None:
@@ -110,7 +114,9 @@ class Link:
         self.b = b
         self.profile = profile
         self.model = LatencyModel(profile, rng)
-        self.up = True
+        self._up = True
+        # Set by Topology.add_link_with_profile; None for a free-standing link.
+        self._topology = None
 
     @property
     def endpoints(self) -> frozenset:
@@ -122,6 +128,19 @@ class Link:
         if node == self.b:
             return self.a
         raise ValueError(f"node {node!r} not on link {self.a!r}-{self.b!r}")
+
+    @property
+    def up(self) -> bool:
+        return self._up
+
+    @up.setter
+    def up(self, up: bool) -> None:
+        up = bool(up)
+        if up == self._up:
+            return
+        self._up = up
+        if self._topology is not None:
+            self._topology._invalidate()
 
     def set_up(self, up: bool) -> None:
         self.up = up

@@ -4,7 +4,9 @@ A :class:`Topology` is a networkx graph of node ids plus a :class:`Link`
 per edge.  Builders construct the archetypal IoT layouts of Figure 1: a
 cloud region, edge sites with their local device clusters, and the links
 between the tiers.  Routing is shortest-path by expected latency, restricted
-to links that are currently up.
+to links that are currently up, and is a function of topology *state*: the
+up-link graph and the routes found on it are kept until a node, a link or a
+link's up/down state changes (DESIGN.md §4, "Route on change").
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ import networkx as nx
 
 from repro.network.link import LINK_PROFILES, Link, LinkProfile
 
+#: ``(nodes, links)`` of one route, as the route memo stores and shares it.
+Route = Tuple[Tuple[str, ...], Tuple[Link, ...]]
+
+# Memo default for "not looked up yet" (None is a memoised answer: unreachable).
+_UNKNOWN = object()
+
 
 class Topology:
     """A mutable graph of nodes and latency-annotated links."""
@@ -24,10 +32,19 @@ class Topology:
         self.graph = nx.Graph()
         self._rng = rng if rng is not None else random.Random(0)
         self._links: Dict[str, Link] = {}
+        # Derived from topology state, dropped together by _invalidate().
+        self._up_graph: Optional[nx.Graph] = None
+        self._routes: Dict[Tuple[str, str], Optional[Route]] = {}
+        # Plain ints, deliberately not metrics counters: those feed
+        # system_digest, and cache health must stay off the digest.
+        self.route_hits = 0
+        self.route_misses = 0
+        self.invalidations = 0
 
     # -- construction ----------------------------------------------------- #
     def add_node(self, node: str, **attrs: object) -> None:
         self.graph.add_node(node, **attrs)
+        self._invalidate()
 
     def add_link(self, a: str, b: str, profile: str = "lan") -> Link:
         """Add a bidirectional link with a named profile (see LINK_PROFILES)."""
@@ -40,8 +57,10 @@ class Topology:
             if node not in self.graph:
                 self.graph.add_node(node)
         link = Link(a, b, profile, self._rng)
+        link._topology = self
         self.graph.add_edge(a, b, link=link, weight=profile.base_latency)
         self._links[link.key()] = link
+        self._invalidate()
         return link
 
     def remove_node(self, node: str) -> None:
@@ -50,6 +69,7 @@ class Topology:
                 key = self.graph.edges[node, neighbor]["link"].key()
                 self._links.pop(key, None)
             self.graph.remove_node(node)
+            self._invalidate()
 
     # -- access --------------------------------------------------------- #
     @property
@@ -77,50 +97,93 @@ class Topology:
         return self.graph.nodes[node].get(key, default)
 
     # -- routing ---------------------------------------------------------- #
+    def _invalidate(self) -> None:
+        """Drop everything derived from topology state.
+
+        Called from the four seams that change that state (``add_node``,
+        ``add_link_with_profile``, ``remove_node``, the ``Link.up`` setter)
+        and from nowhere else.  A no-op while nothing has been derived since
+        the last change, so building a topology costs nothing extra.
+        """
+        if self._up_graph is None:
+            return
+        self._up_graph = None
+        self._routes.clear()
+        self.invalidations += 1
+
     def _up_subgraph(self) -> nx.Graph:
-        up_edges = [
-            (u, v) for u, v, data in self.graph.edges(data=True) if data["link"].up
-        ]
-        sub = nx.Graph()
-        sub.add_nodes_from(self.graph.nodes)
-        for u, v in up_edges:
-            sub.add_edge(u, v, weight=self.graph.edges[u, v]["weight"])
+        """The graph of up links, built on the first read after a change.
+
+        Always rebuilt in base-graph node/edge order, never patched: networkx
+        breaks equal-cost ties by adjacency insertion order, so a re-added
+        edge landing last would silently change routes (and with them every
+        latency draw and digest downstream).
+        """
+        sub = self._up_graph
+        if sub is None:
+            sub = nx.Graph()
+            sub.add_nodes_from(self.graph.nodes)
+            for u, v, data in self.graph.edges(data=True):
+                if data["link"].up:
+                    sub.add_edge(u, v, weight=data["weight"])
+            self._up_graph = sub
         return sub
+
+    def route_links(self, src: str, dst: str) -> Optional[Route]:
+        """The best route as ``(nodes, links)`` tuples, or None if unreachable.
+
+        Memoised per ``(src, dst)`` until the next topology change; the
+        tuples are shared with the memo, hence immutable.
+        """
+        if src == dst:
+            return (src,), ()
+        if src not in self.graph or dst not in self.graph:
+            return None
+        key = (src, dst)
+        found = self._routes.get(key, _UNKNOWN)
+        if found is not _UNKNOWN:
+            self.route_hits += 1
+            return found
+        self.route_misses += 1
+        try:
+            path = nx.shortest_path(self._up_subgraph(), src, dst, weight="weight")
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            found = None
+        else:
+            edges = self.graph.edges
+            found = (tuple(path),
+                     tuple(edges[u, v]["link"] for u, v in zip(path, path[1:])))
+        self._routes[key] = found
+        return found
 
     def route(self, src: str, dst: str) -> Optional[List[str]]:
         """Lowest expected-latency path over up links, or None if unreachable."""
-        if src == dst:
-            return [src]
-        if src not in self.graph or dst not in self.graph:
-            return None
-        sub = self._up_subgraph()
-        try:
-            return nx.shortest_path(sub, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
+        found = self.route_links(src, dst)
+        return None if found is None else list(found[0])
 
     def reachable(self, src: str, dst: str) -> bool:
-        return self.route(src, dst) is not None
-
-    def path_links(self, path: Sequence[str]) -> List[Link]:
-        out = []
-        for u, v in zip(path, path[1:]):
-            link = self.link_between(u, v)
-            if link is None:
-                raise ValueError(f"no link {u!r}-{v!r} on path")
-            out.append(link)
-        return out
+        return self.route_links(src, dst) is not None
 
     def expected_latency(self, src: str, dst: str) -> Optional[float]:
         """Sum of base latencies along the current best route."""
-        path = self.route(src, dst)
-        if path is None:
+        found = self.route_links(src, dst)
+        if found is None:
             return None
-        return sum(link.profile.base_latency for link in self.path_links(path))
+        return sum(link.profile.base_latency for link in found[1])
 
     def components(self) -> List[set]:
         """Connected components over up links (partition structure)."""
         return [set(c) for c in nx.connected_components(self._up_subgraph())]
+
+    def route_cache_stats(self) -> Dict[str, float]:
+        """Route-memo health: lookups served, recomputed, and cache drops."""
+        lookups = self.route_hits + self.route_misses
+        return {
+            "hits": self.route_hits,
+            "misses": self.route_misses,
+            "invalidations": self.invalidations,
+            "hit_rate": self.route_hits / lookups if lookups else 0.0,
+        }
 
 
 # ------------------------------------------------------------------------- #

@@ -258,10 +258,11 @@ class Network:
         if message.src in self._down_nodes or message.dst in self._down_nodes:
             self._drop(message, "unreachable", span)
             return
-        path = self.topology.route(message.src, message.dst)
-        if path is None:
+        route = self.topology.route_links(message.src, message.dst)
+        if route is None:
             self._drop(message, "unreachable", span)
             return
+        path, links = route
         intermediate = path[1:-1]
         if any(node in self._down_nodes for node in intermediate):
             # Down relays are invisible to shortest-path; model them as a
@@ -269,7 +270,7 @@ class Network:
             self._drop(message, "unreachable", span)
             return
         total_latency = 0.0
-        for link in self.topology.path_links(path):
+        for link in links:
             if link.model.sample_loss():
                 self._drop(message, "loss", span)
                 return

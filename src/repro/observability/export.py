@@ -774,6 +774,7 @@ def render_html_report(
         from repro.observability.profile import (
             profile_plane_rows,
             profile_segment_rows,
+            route_cache_line,
         )
 
         parts.append("<h2>Profile</h2>")
@@ -790,6 +791,9 @@ def render_html_report(
                 f"{kernel['busy_ms']:.1f} ms busy, mean queue depth "
                 f"{kernel['mean_queue_depth']:.1f} "
                 f"(max {kernel['max_queue_depth']}).</p>")
+        routes = route_cache_line(profile)
+        if routes:
+            parts.append(f"<p>{routes}.</p>")
         segment_rows = profile_segment_rows(profile)
         if segment_rows:
             parts.append("<h2>Request critical path</h2>")

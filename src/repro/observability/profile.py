@@ -621,6 +621,12 @@ def profile_prom_lines(profile: Dict[str, Any],
         metric = prefix + "profile_kernel_busy_seconds"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {kernel['busy_ms'] / 1e3!r}")
+    routes = profile.get("route_cache")
+    if routes:
+        for key in ("hits", "misses", "invalidations"):
+            metric = prefix + f"profile_route_cache_{key}_total"
+            lines.append(f"# TYPE {metric} counter")
+            lines.append(f"{metric} {routes[key]}")
     critical = profile.get("critical_path")
     if critical:
         metric = prefix + "profile_request_segment_seconds"
@@ -646,6 +652,16 @@ def profile_plane_rows(profile: Dict[str, Any]) -> List[List[Any]]:
             stats.get("mean_us", 0.0), stats.get("queue_s", 0.0),
         ])
     return rows
+
+
+def route_cache_line(profile: Dict[str, Any]) -> Optional[str]:
+    """One-line route-cache health for the CLI and the HTML report."""
+    routes = profile.get("route_cache")
+    if not routes:
+        return None
+    return (f"route cache: {routes['hit_rate']:.1%} hit rate "
+            f"({routes['hits']} hits, {routes['misses']} misses, "
+            f"{routes['invalidations']} invalidations)")
 
 
 def profile_segment_rows(profile: Dict[str, Any]) -> List[List[Any]]:

@@ -96,7 +96,6 @@ def system_digest_state(system) -> Dict[str, Any]:
     and metric counters catch adaptation drift.
     """
     sim = system.sim
-    rngs = system.rngs.snapshot_state()
     stats = system.network.stats
     return {
         "kernel": {
@@ -105,10 +104,7 @@ def system_digest_state(system) -> Dict[str, Any]:
             "next_seq": sim._next_seq,
             "pending": sim.pending_count,
         },
-        "rngs": {
-            name: state_digest(state)
-            for name, state in rngs["streams"].items()
-        },
+        "rngs": system.rngs.stream_digests(),
         "network": [stats.sent, stats.delivered, stats.dropped_loss,
                     stats.dropped_unreachable, stats.total_latency,
                     stats.dropped_quarantined, stats.dropped_auth,

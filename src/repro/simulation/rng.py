@@ -10,8 +10,10 @@ recorded experiment outputs stable across code evolution.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
-from typing import Any, Dict, List
+from array import array
+from typing import Any, Dict, List, Tuple
 
 
 class RngRegistry:
@@ -27,6 +29,8 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
+        # name -> (the getstate() a digest was computed from, digest).
+        self._digests: Dict[str, Tuple[tuple, str]] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically."""
@@ -61,6 +65,26 @@ class RngRegistry:
             },
         }
 
+    def stream_digests(self) -> Dict[str, str]:
+        """``{name: digest of the stream's serialized state}``, name-sorted.
+
+        A stream is re-encoded only when its ``getstate()`` differs from the
+        one its last digest was computed from.  The check is equality of the
+        whole state, so anything that moves a stream (a draw, ``gauss``,
+        ``setstate``, :meth:`restore_state`) is seen without being told.
+        """
+        out = {}
+        for name, rng in sorted(self._streams.items()):
+            version, internal, gauss_next = rng.getstate()
+            # The same tuple, words packed: 2.5 KB a stream where 625 int
+            # objects take 24 KB, and equality is as exact.
+            state = (version, array("I", internal).tobytes(), gauss_next)
+            memo = self._digests.get(name)
+            if memo is None or memo[0] != state:
+                memo = self._digests[name] = (state, rng_state_digest(rng))
+            out[name] = memo[1]
+        return out
+
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Restore every stream's draw position from :meth:`snapshot_state`.
 
@@ -76,6 +100,16 @@ def serialize_rng_state(rng: random.Random) -> List[Any]:
     """``Random.getstate()`` as a JSON-able ``[version, internal, gauss]``."""
     version, internal, gauss_next = rng.getstate()
     return [version, list(internal), gauss_next]
+
+
+def rng_state_digest(rng: random.Random) -> str:
+    """SHA-256 of the compact JSON of :func:`serialize_rng_state`.
+
+    Byte-for-byte what ``persistence.snapshot.state_digest`` yields for the
+    same serialized state (compact separators; a list has no keys to sort).
+    """
+    encoded = json.dumps(serialize_rng_state(rng), separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def restore_rng_state(rng: random.Random, state: List[Any]) -> None:

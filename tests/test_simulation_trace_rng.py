@@ -162,3 +162,66 @@ class TestRngRegistry:
         rngs.stream("zeta")
         rngs.stream("alpha")
         assert rngs.stream_names == ["alpha", "zeta"]
+
+
+class TestRngDigestMemo:
+    """``stream_digests`` is a memo over ``getstate()``; it must always
+    equal the digest of the freshly serialized state."""
+
+    @staticmethod
+    def fresh(registry):
+        from repro.persistence.snapshot import state_digest
+        from repro.simulation.rng import serialize_rng_state
+
+        return {name: state_digest(serialize_rng_state(registry.stream(name)))
+                for name in registry.stream_names}
+
+    def test_memo_tracks_every_way_a_stream_moves(self):
+        registry = RngRegistry(seed=11)
+        a, b = registry.stream("a"), registry.stream("b")
+        assert registry.stream_digests() == self.fresh(registry)
+        # No draw: answered from the memo, still right.
+        assert registry.stream_digests() == self.fresh(registry)
+        before = registry.stream_digests()
+        a.random()
+        after = registry.stream_digests()
+        assert after == self.fresh(registry)
+        assert after["a"] != before["a"] and after["b"] == before["b"]
+        b.gauss(0.0, 1.0)
+        assert registry.stream_digests() == self.fresh(registry)
+
+    def test_gauss_next_alone_changes_the_digest(self):
+        registry = RngRegistry(seed=3)
+        rng = registry.stream("g")
+        rng.gauss(0.0, 1.0)  # leaves a cached second variate
+        version, internal, gauss_next = rng.getstate()
+        assert gauss_next is not None
+        with_cached = registry.stream_digests()["g"]
+        rng.setstate((version, internal, None))
+        assert registry.stream_digests() == self.fresh(registry)
+        assert registry.stream_digests()["g"] != with_cached
+
+    def test_restore_state_and_late_streams(self):
+        registry = RngRegistry(seed=7)
+        registry.stream("a").random()
+        saved = registry.snapshot_state()
+        at_save = registry.stream_digests()
+        registry.stream("a").random()
+        registry.stream("late").random()  # created after the first digest
+        moved = registry.stream_digests()
+        assert moved == self.fresh(registry)
+        assert sorted(moved) == ["a", "late"]
+        registry.restore_state(saved)
+        assert registry.stream_digests()["a"] == at_save["a"]
+        assert registry.stream_digests() == self.fresh(registry)
+
+    def test_fork_has_its_own_memo(self):
+        parent = RngRegistry(seed=5)
+        parent.stream("x").random()
+        parent_digests = parent.stream_digests()
+        child = parent.fork("child")
+        assert child.stream_digests() == {}
+        child.stream("x").random()
+        assert child.stream_digests() == self.fresh(child)
+        assert child.stream_digests()["x"] != parent_digests["x"]
+        assert parent.stream_digests() == parent_digests
