@@ -90,10 +90,12 @@ _RUN_PROFILES: Dict[str, Dict[str, Any]] = {}
 
 def bench_smart_city(quick: bool) -> Dict[str, float]:
     """The observed smart-city disruption run and its resilience KPIs."""
-    from repro.cli import _run_smart_city_partition
+    from repro.scenarios import describe_scenario, prepare
 
     started = time.perf_counter()
-    system = _run_smart_city_partition(quick)
+    prepared = prepare(describe_scenario("smart-city-partition").spec(quick))
+    system = prepared.system
+    system.run(until=prepared.horizon)
     wall = time.perf_counter() - started
     system.spans.finish_open(system.sim.now)
     _RUN_PROFILES["smart_city"] = system.profile_snapshot(

@@ -41,7 +41,7 @@ from repro.faults.models import (
     NodeCompromiseFault,
     PartitionFault,
 )
-from repro.persistence.scenarios import PreparedRun
+from repro.persistence.scenarios import PreparedRun, register_scenario
 
 #: Edge serving capacity mirrors the canonical traffic scenarios:
 #: 4 slots x 50 req/s = 200 req/s.
@@ -366,3 +366,20 @@ class ScenarioCompiler:
 def compile_spec(spec: ChaosSpec) -> PreparedRun:
     """Module-level convenience: one-off compile of ``spec``."""
     return ScenarioCompiler().compile(spec)
+
+
+@register_scenario("chaos", plane="chaos")
+def _chaos(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """A compiled chaos spec (params carry its full dict form).
+
+    One registry entry covers the whole declarative cross-product:
+    ``params["spec"]`` is a :class:`repro.chaos.ChaosSpec` dict, and
+    the compiler wires it onto the same builders every hand-written
+    scenario uses -- so chaos runs checkpoint, resume and replay
+    like any curated scenario.  A persistence-level ``seed``
+    overrides the spec's own.
+    """
+    chaos = ChaosSpec.from_dict(params.get("spec", {}))
+    if seed:
+        chaos = chaos.with_seed(seed)
+    return compile_spec(chaos)

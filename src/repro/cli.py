@@ -5,71 +5,26 @@ experiment and prints its tables -- the zero-setup path for a reviewer to
 see the paper's shapes without touching pytest.  ``--json`` emits the same
 tables as machine-readable JSON on stdout.
 
-Commands
---------
-maturity    Tables 1-2: the ML1-ML4 comparison.
-landscape   Fig. 1: edge vs cloud latency and outage continuity.
-verify      Fig. 2: model checking and quantitative verification demos.
-control     Fig. 3: centralized vs decentralized control availability.
-dataflows   Fig. 4: privacy / freshness / availability of replication.
-mape        Fig. 5: MAPE placement vs time-to-repair.
-trace       Run an observed scenario; export spans, Chrome trace, profile.
-monitor     Run a scenario under live SLO evaluation; print resilience
-            KPIs per disruption vector; exit nonzero on SLO breach
-            (CI-gateable).
-report      Run a monitored scenario and write the self-contained HTML
-            resilience report plus a Prometheus metrics exposition.
-checkpoint  Run a persistence scenario up to ``--at`` (or its first
-            harness crash), journaling every event, and save a resumable
-            checkpoint into ``--out``.
-resume      Load the checkpoint in ``--out``, fast-forward deterministically
-            to the saved point, verify the state digest, and run to the
-            horizon -- the journal continues where it left off.
-replay      Re-run the scenario recorded in ``--out``'s journal from its
-            seed and compare every event and state digest; on divergence,
-            write a divergence report and exit nonzero.
-incident    ``incident show <bundle>`` prints a captured incident's
-            trigger, ranked causal chain and evidence inventory;
-            ``incident replay <bundle>`` deterministically reproduces the
-            bundle's triggering window and verifies its state digest.
-profile     ``profile run <scenario>`` runs fully observed and captures a
-            profile snapshot (per-plane cost attribution, flamegraphs,
-            request critical paths); ``profile diff <a> <b>`` attributes
-            the delta between two snapshots (or two BENCH baselines) to
-            subsystems.
-chaos       ``chaos run`` drives a seeded chaos-search campaign over
-            declarative specs (topology x workload x traffic x faults x
-            adversary x maturity), shrinks every violation to a minimal
-            spec and emits replay bundles into ``--corpus``;
-            ``chaos shrink <spec.json>`` minimizes one failing spec;
-            ``chaos corpus`` replays every corpus bundle and verifies
-            each state digest bit-for-bit (exit nonzero on divergence).
-scenarios   ``scenarios list`` prints the unified scenario registry --
-            every runnable scenario across all planes, with its owning
-            plane, variants and description.
-shard       ``shard run <scenario> --shards K [--workers W]`` partitions a
-            federated scenario into K administrative-domain shards, each
-            on its own simulator in a worker process, synchronized with
-            conservative lookahead windows; ``shard resume`` continues a
-            killed run from its barrier checkpoints; ``shard verify``
-            replays every shard journal and verifies the federation
-            digest chain bit-for-bit (exit nonzero on divergence).
-all         Every table command above, in order.
-
-Every gated command (monitor, traffic, security, replay) runs under a
-flight recorder: when its gate fails, a self-contained incident bundle
-(telemetry tails + checkpoint + journal) lands under ``--out``/incidents
-for the ``incident`` verbs to inspect and replay.
+The commands live in one table (:func:`command_table`): name, handler and
+the arguments the handler takes, one row each; a command's help is its
+handler's docstring and its defaults are the handler's keyword defaults.
+The parser, ``python -m repro -h`` and each ``<command> -h`` are generated
+from the table, and scenario choices come from the scenario registry
+(:mod:`repro.scenarios`), so a newly registered scenario is runnable under
+every verb without a CLI edit.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import signal
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+import textwrap
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # When --json is active, tables accumulate here instead of printing.
 _JSON_COLLECTOR: Optional[List[Dict[str, object]]] = None
@@ -98,21 +53,26 @@ class _HarnessSignal(BaseException):
 _SIGNAL_FLIGHTS: List[Tuple[object, Optional[str], Optional[str]]] = []
 
 
-def _install_signal_handlers() -> None:
-    """Raise :class:`_HarnessSignal` on SIGINT/SIGTERM (batch commands).
+def _raise_harness_signal(signum: int, _frame: object) -> None:
+    raise _HarnessSignal(signum)
 
-    Best-effort: embedding contexts (non-main threads, restricted
-    platforms) simply keep their default handlers.
+
+def _install_signal_handlers(
+        handler: Callable[[int, object], None] = _raise_harness_signal
+) -> List[Tuple[int, Any]]:
+    """Route SIGINT/SIGTERM to ``handler``; returns the replaced handlers.
+
+    Batch commands raise :class:`_HarnessSignal`.  Best-effort: embedding
+    contexts (non-main threads, restricted platforms) simply keep their
+    default handlers.
     """
-
-    def _handler(signum: int, _frame: object) -> None:
-        raise _HarnessSignal(signum)
-
+    previous = []
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
-            signal.signal(signum, _handler)
+            previous.append((signum, signal.signal(signum, handler)))
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
+    return previous
 
 
 def _flush_signal_incidents(signum: int) -> List[str]:
@@ -177,10 +137,19 @@ def _print_data(title: str, data: Dict[str, object]) -> None:
         _JSON_COLLECTOR.append({"title": title, "data": data})
 
 
+def _fail(message: str, code: int = 2) -> int:
+    """Report why a command exits non-zero: one stderr line, and an
+    ``error`` entry so ``--json`` callers get the reason too."""
+    print(f"error: {message}", file=sys.stderr)
+    _print_data("error", {"error": message})
+    return code
+
+
 # --------------------------------------------------------------------------- #
 # Commands
 # --------------------------------------------------------------------------- #
-def cmd_maturity(quick: bool) -> None:
+def cmd_maturity(quick: bool = False) -> None:
+    """Tables 1-2: the ML1-ML4 comparison."""
     from repro.core.assessment import comparison_table
     from repro.core.maturity import ScenarioParams, run_maturity_comparison
 
@@ -198,7 +167,8 @@ def cmd_maturity(quick: bool) -> None:
                  comparison_table(list(reports.values())))
 
 
-def cmd_landscape(quick: bool) -> None:
+def cmd_landscape(quick: bool = False) -> None:
+    """Fig. 1: edge vs cloud latency and outage continuity."""
     from repro.faults.models import PartitionFault
     from repro.workloads.smart_city import SmartCityWorkload
 
@@ -225,7 +195,8 @@ def cmd_landscape(quick: bool) -> None:
                   ["after", len(ingest.window(40, 60)) / 20.0]])
 
 
-def cmd_verify(quick: bool) -> None:
+def cmd_verify(quick: bool = False) -> None:
+    """Fig. 2: model checking and quantitative verification."""
     from repro.modeling.checker import ModelChecker
     from repro.modeling.dtmc import availability_dtmc
     from repro.modeling.lts import build_device_lifecycle_lts, build_grid_lts
@@ -260,7 +231,8 @@ def cmd_verify(quick: bool) -> None:
                   ["computed availability", computed]])
 
 
-def cmd_control(quick: bool) -> None:
+def cmd_control(quick: bool = False) -> None:
+    """Fig. 3: centralized vs decentralized control availability."""
     from repro.experiments import (
         FIG3_HORIZON,
         FIG3_OUTAGE,
@@ -281,7 +253,8 @@ def cmd_control(quick: bool) -> None:
                  ["architecture", "before", "during", "after"], rows)
 
 
-def cmd_dataflows(quick: bool) -> None:
+def cmd_dataflows(quick: bool = False) -> None:
+    """Fig. 4: privacy / freshness / availability of replication."""
     from repro.core.system import IoTSystem
     from repro.data.crdt import PNCounter
     from repro.data.quorum import QuorumClient, QuorumReplica
@@ -319,7 +292,8 @@ def cmd_dataflows(quick: bool) -> None:
                    converged(list(stores.values()), "events")]])
 
 
-def cmd_mape(quick: bool) -> None:
+def cmd_mape(quick: bool = False) -> None:
+    """Fig. 5: MAPE placement vs time-to-repair."""
     from repro.experiments import mape_repair_delays, run_mape_placement
 
     rows = []
@@ -335,39 +309,9 @@ def cmd_mape(quick: bool) -> None:
 # --------------------------------------------------------------------------- #
 # trace: observed scenario runs with exportable artifacts
 # --------------------------------------------------------------------------- #
-TRACE_SCENARIOS = ("smart-city-partition", "mape-outage")
-
-
-def _run_smart_city_partition(quick: bool, setup=None):
-    """The canonical observed run: a smart city losing its cloud.
-
-    Wiring lives in
-    :func:`repro.observability.scenarios.prepare_smart_city_partition`
-    (so the persistence registry can rebuild and replay the scenario);
-    this wrapper prepares, applies the optional ``setup`` hook with
-    ``(system, loops)`` -- the attachment point for SLO monitoring --
-    and drives the run.
-    """
-    from repro.observability.scenarios import prepare_smart_city_partition
-
-    prepared = prepare_smart_city_partition(quick=quick)
-    system = prepared.system
-    if setup is not None:
-        setup(system, prepared.aux["loops"])
-    system.run(until=prepared.horizon)
-    return system
-
-
-def _run_mape_outage(quick: bool, setup=None):
-    """Fig. 5's edge placement, observed end-to-end."""
-    from repro.experiments import run_mape_placement
-
-    system, _ = run_mape_placement("edge", observe=True, setup=setup)
-    return system
-
-
-def cmd_trace(quick: bool, scenario: str = "smart-city-partition",
+def cmd_trace(quick: bool = False, scenario: str = "smart-city-partition",
               out: str = "trace-out") -> None:
+    """Run an observed scenario; export spans, Chrome trace, profile."""
     from repro.observability.export import (
         write_chrome_trace,
         write_events_jsonl,
@@ -375,13 +319,12 @@ def cmd_trace(quick: bool, scenario: str = "smart-city-partition",
         write_profile,
         write_spans_jsonl,
     )
+    from repro.scenarios import describe_scenario, prepare
 
-    runners = {
-        "smart-city-partition": _run_smart_city_partition,
-        "mape-outage": _run_mape_outage,
-    }
     _progress(f"running observed scenario {scenario!r}...")
-    system = runners[scenario](quick)
+    prepared = prepare(describe_scenario(scenario).spec(quick, observe=True))
+    system = prepared.system
+    system.run(until=prepared.horizon)
     spans = system.spans
     spans.finish_open(system.sim.now)
     if system.trace.dropped:
@@ -428,25 +371,19 @@ def _run_monitored(quick: bool, scenario: str, strict: bool,
                    bundle_dir: Optional[str] = None):
     """Run ``scenario`` with SLO monitoring and a flight recorder armed.
 
-    The monitor evaluates inside the simulation (period 2s) so breaches
-    land causally among the faults and repairs they concern, and every
-    MAPE loop subscribes to alerts -- SLO burn can trigger adaptation.
-    Edge nodes additionally run a small gossip mesh sharing liveness
-    heartbeats, giving the convergence KPIs a live protocol to measure.
-
-    The run is rebuilt through the persistence scenario registry, so a
-    captured incident is deterministically replayable.  With
-    ``bundle_dir`` the whole event stream is journaled there (the journal
-    joins the bundle on a gate failure; callers remove the directory on
-    success).  Returns ``(system, monitor, flight, journal_path)``.
+    The monitoring stack is the scenario's own (``monitored`` param, see
+    :func:`repro.observability.scenarios.monitored_setup`).  The run is
+    rebuilt through the scenario registry, so a captured incident is
+    deterministically replayable.  With ``bundle_dir`` the whole event
+    stream is journaled there (the journal joins the bundle on a gate
+    failure; callers remove the directory on success).  Returns
+    ``(system, monitor, flight, journal_path)``.
     """
     from repro.observability.flight import flight_armed_run
-    from repro.persistence import ScenarioSpec
+    from repro.scenarios import describe_scenario
 
-    params = {"monitored": True, "strict": strict}
-    if scenario == "smart-city-partition":
-        params["quick"] = quick
-    spec = ScenarioSpec(name=scenario, params=params)
+    spec = describe_scenario(scenario).spec(quick, monitored=True,
+                                            strict=strict)
     # Registered in _SIGNAL_FLIGHTS for the whole drive: a SIGINT/SIGTERM
     # mid-run raises _HarnessSignal (a BaseException, so no scenario-level
     # handler catches it) and main() flushes the recorder as a
@@ -458,15 +395,23 @@ def _run_monitored(quick: bool, scenario: str, strict: bool,
     return run.system, monitor, flight, run.journal_path
 
 
+def _print_vector_kpis(title: str, report) -> None:
+    _print_table(title,
+                 ["vector", "faults", "resolved", "MTTD mean (s)",
+                  "MTTR mean (s)", "msgs/disruption", "disrupted (s)"],
+                 report.vector_rows())
+
+
 def _incident_rows(flight) -> List[List[object]]:
     """Diagnosis table rows for a triggered flight recorder."""
     diagnosis = flight.diagnosis
     return diagnosis.table_rows() if diagnosis is not None else []
 
 
-def cmd_monitor(quick: bool, scenario: str = "smart-city-partition",
+def cmd_monitor(quick: bool = False, scenario: str = "smart-city-partition",
                 strict: bool = False, out: str = "trace-out") -> int:
-    """Run with live SLOs; print KPI tables; exit 1 on any SLO breach."""
+    """Run under live SLO evaluation; print resilience KPIs per disruption
+    vector; exit 1 on an SLO breach (CI-gateable)."""
     import shutil
 
     _progress(f"running monitored scenario {scenario!r}"
@@ -477,12 +422,9 @@ def cmd_monitor(quick: bool, scenario: str = "smart-city-partition",
     system.spans.finish_open(system.sim.now)
     report = system.kpi_report()
 
-    _print_table(
+    _print_vector_kpis(
         f"monitor: resilience KPIs by disruption vector ({scenario}, "
-        f"horizon {system.sim.now:.0f}s)",
-        ["vector", "faults", "resolved", "MTTD mean (s)", "MTTR mean (s)",
-         "msgs/disruption", "disrupted (s)"],
-        report.vector_rows())
+        f"horizon {system.sim.now:.0f}s)", report)
     global_rows = [
         ["availability (fleet mean)", report.availability],
         ["availability (worst device)", report.worst_availability],
@@ -549,9 +491,10 @@ def _bench_trajectory_rows_if_available() -> Optional[List[List[object]]]:
     return bench_trajectory_rows(snapshots) if snapshots else None
 
 
-def cmd_report(quick: bool, scenario: str = "smart-city-partition",
+def cmd_report(quick: bool = False, scenario: str = "smart-city-partition",
                out: str = "trace-out", strict: bool = False) -> int:
-    """Run monitored and write HTML + Prometheus + KPI JSON artifacts."""
+    """Run monitored; write the self-contained HTML resilience report plus a
+    Prometheus exposition and the KPI/SLO JSON."""
     from repro.observability.export import (
         report_inputs,
         write_html_report,
@@ -604,16 +547,31 @@ def cmd_report(quick: bool, scenario: str = "smart-city-partition",
     return 0
 
 
+def _capture_incident(capture: Callable[..., str], *args: Any,
+                      **kwargs: Any) -> None:
+    """Capture a failed gate's incident bundle; the verdict stands even
+    when the capture itself fails."""
+    try:
+        bundle = capture(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - must not mask the gate failure
+        _progress(f"(incident capture failed: {exc})")
+    else:
+        _progress(f"incident bundle: {bundle}")
+
+
 # --------------------------------------------------------------------------- #
 # checkpoint / resume / replay: crash-resilient persistence
 # --------------------------------------------------------------------------- #
-def cmd_checkpoint(quick: bool, scenario: str = "control-outage",
+def cmd_checkpoint(quick: bool = False, scenario: str = "control-outage",
                    out: str = "checkpoint-out", at: Optional[float] = None,
                    seed: Optional[int] = None) -> int:
-    from repro.persistence import ScenarioSpec, default_paths, run_to_checkpoint
+    """Run a scenario up to --at (or its first harness crash), journaling
+    every event; save a resumable checkpoint into --out."""
+    from repro.persistence import default_paths, run_to_checkpoint
+    from repro.scenarios import describe_scenario
 
     _progress(f"running {scenario!r} to its checkpoint point...")
-    spec = ScenarioSpec(name=scenario, seed=seed)
+    spec = describe_scenario(scenario).spec(quick, seed=seed)
     result = run_to_checkpoint(spec, out, at=at)
     checkpoint = result.checkpoint
     paths = default_paths(out)
@@ -636,8 +594,10 @@ def cmd_checkpoint(quick: bool, scenario: str = "control-outage",
     return 0
 
 
-def cmd_resume(quick: bool, out: str = "checkpoint-out",
+def cmd_resume(out: str = "checkpoint-out",
                until: Optional[float] = None) -> int:
+    """Load the checkpoint in --out, fast-forward to it, verify the state
+    digest and run to the horizon; the journal continues where it left off."""
     from repro.persistence import resume_run
 
     _progress(f"resuming from checkpoint in {out!r}...")
@@ -652,17 +612,15 @@ def cmd_resume(quick: bool, out: str = "checkpoint-out",
          ["events fired (total)", system.sim.fired_count],
          ["final state digest", result.final_digest],
          ["journal", result.journal_path]])
-    _print_table(
-        "resume: resilience KPIs by disruption vector",
-        ["vector", "faults", "resolved", "MTTD mean (s)", "MTTR mean (s)",
-         "msgs/disruption", "disrupted (s)"],
-        report.vector_rows())
+    _print_vector_kpis("resume: resilience KPIs by disruption vector", report)
     _print_data("resume: kpis", report.to_dict())
     return 0
 
 
-def cmd_replay(quick: bool, out: str = "checkpoint-out",
+def cmd_replay(out: str = "checkpoint-out",
                until: Optional[float] = None) -> int:
+    """Re-run the journal in --out from its seed comparing every event and
+    state digest; on divergence write a report and exit 1."""
     from repro.persistence import (
         default_paths,
         replay_journal,
@@ -698,294 +656,80 @@ def cmd_replay(quick: bool, out: str = "checkpoint-out",
         if report.divergence is not None:
             from repro.observability.flight import capture_divergence_incident
 
-            try:
-                bundle = capture_divergence_incident(
-                    journal_path, report,
-                    os.path.join(out, "incidents", "replay-divergence"))
-            except Exception as exc:  # noqa: BLE001 - capture must not
-                # mask the gate failure itself
-                _progress(f"(incident capture failed: {exc})")
-            else:
-                _progress(f"incident bundle: {bundle}")
+            _capture_incident(
+                capture_divergence_incident, journal_path, report,
+                os.path.join(out, "incidents", "replay-divergence"))
         return 1
     _progress("\nREPLAY GATE: OK (journal matches deterministic re-run)")
     return 0
 
 
 # --------------------------------------------------------------------------- #
-# traffic: serving under overload and retry storms
+# traffic / security: gated scenarios (the gates live with the scenarios)
 # --------------------------------------------------------------------------- #
-TRAFFIC_SCENARIOS = ("overload", "retry-storm")
+def run_gated(family: str, scenario: str, quick: bool = False,
+              out: str = "trace-out") -> int:
+    """Run every variant of a gated scenario; exit 1 unless its gate holds.
 
-
-def _emit_gate_incident(spec_name: str, params: Dict[str, object],
-                        out: str, gate: str,
-                        detail: Dict[str, object]) -> Optional[str]:
-    """Capture an incident bundle for a failed gate; never masks the failure.
-
-    Re-runs the failing variant's registered scenario spec under a flight
-    recorder (journaled, checkpointed at the horizon) so the bundle is
-    self-contained and replayable even though the gate itself aggregates
-    several variant runs.
+    The registered descriptor's :class:`~repro.scenarios.Gate` says which
+    variants to run, how to tabulate them and what the verdict is.  On a
+    failure the verdict's variant is re-run journaled under a flight
+    recorder, so the bundle under ``out``/incidents is self-contained and
+    replayable even though the gate aggregates several runs.
     """
     from repro.observability.flight import capture_gate_incident
-    from repro.persistence import ScenarioSpec
+    from repro.scenarios import describe_scenario, prepare
 
-    directory = os.path.join(out, "incidents", spec_name)
-    try:
-        bundle = capture_gate_incident(
-            ScenarioSpec(name=spec_name, params=dict(params)), directory,
-            reason="gate-failure", detail={"gate": gate, **detail})
-    except Exception as exc:  # noqa: BLE001 - the gate verdict stands
-        _progress(f"(incident capture failed: {exc})")
-        return None
-    _progress(f"incident bundle: {bundle}")
-    return bundle
+    descriptor = describe_scenario(f"{family}-{scenario}")
+    gate = descriptor.gate
+    results = {}
+    for variant in gate.variants:
+        _progress(f"running {scenario} variant {variant!r}...")
+        prepared = prepare(descriptor.spec(
+            quick, **{descriptor.variant_param: variant}))
+        prepared.system.run(until=prepared.horizon)
+        results[variant] = gate.result(prepared)
+    _print_table(
+        gate.title.format(horizon=prepared.horizon), list(gate.headers),
+        [[round(cell, 4) if isinstance(cell, float) else cell
+          for cell in gate.row(result)] for result in results.values()])
+    _print_data(f"{family}: {scenario}", {"results": list(results.values())})
+    verdict = gate.judge(results)
+    _progress(f"\n{family.upper()} GATE: {'OK' if verdict.ok else 'FAIL'} "
+              f"({verdict.summary})")
+    if verdict.ok:
+        return 0
+    _capture_incident(
+        capture_gate_incident,
+        descriptor.spec(quick, **verdict.incident_params),
+        os.path.join(out, "incidents", descriptor.name),
+        reason="gate-failure",
+        detail={"gate": descriptor.name, **verdict.detail})
+    return 1
 
 
-def cmd_traffic(quick: bool, scenario: str = "overload",
+def cmd_traffic(quick: bool = False, scenario: str = "overload",
                 out: str = "trace-out") -> int:
-    """Run every variant of a traffic scenario; gate on the resilient one.
-
-    ``overload`` fails if admission control cannot hold goodput at >=80%
-    of capacity; ``retry-storm`` fails if the budget+breaker variant does
-    not recover >=90% of offered goodput after the outage heals.
-    """
-    from repro.traffic.scenarios import (
-        OVERLOAD_HORIZON,
-        OVERLOAD_VARIANTS,
-        RETRY_STORM_HORIZON,
-        RETRY_STORM_VARIANTS,
-        run_overload,
-        run_retry_storm,
-    )
-
-    def _round(value: object) -> object:
-        return round(value, 4) if isinstance(value, float) else value
-
-    if scenario == "overload":
-        horizon = 15.0 if quick else OVERLOAD_HORIZON
-        results = []
-        for variant in OVERLOAD_VARIANTS:
-            _progress(f"running overload variant {variant!r}...")
-            results.append(run_overload(variant, horizon=horizon))
-        _print_table(
-            f"traffic: overload at 1.6x capacity (horizon {horizon:g}s)",
-            ["variant", "offered/s", "capacity/s", "goodput/s", "success",
-             "p99 (s)", "rejected", "timed out"],
-            [[r["variant"], _round(r["offered_rate"]), _round(r["capacity"]),
-              _round(r["goodput"]), _round(r["success_ratio"]),
-              _round(r["p99_latency"]), r["rejected"], r["timed_out"]]
-             for r in results])
-        _print_data("traffic: overload", {"results": results})
-        held = next(r for r in results if r["variant"] == "admission")
-        if held["goodput_vs_capacity"] < 0.8:
-            _progress(f"\nTRAFFIC GATE: FAIL (admission goodput at "
-                      f"{held['goodput_vs_capacity']:.0%} of capacity)")
-            _emit_gate_incident(
-                "traffic-overload",
-                {"variant": "admission", "horizon": horizon},
-                out, gate="traffic-overload",
-                detail={"goodput_vs_capacity": held["goodput_vs_capacity"]})
-            return 1
-        _progress(f"\nTRAFFIC GATE: OK (admission control holds goodput at "
-                  f"{held['goodput_vs_capacity']:.0%} of capacity)")
-        return 0
-
-    horizon = 35.0 if quick else RETRY_STORM_HORIZON
-    results = []
-    for variant in RETRY_STORM_VARIANTS:
-        _progress(f"running retry-storm variant {variant!r}...")
-        results.append(run_retry_storm(variant, horizon=horizon))
-    _print_table(
-        f"traffic: retry storm across an 8s edge crash (horizon {horizon:g}s)",
-        ["variant", "offered/s", "recovered/s", "recovery", "retries",
-         "short-circuited", "breaker trips"],
-        [[r["variant"], _round(r["offered_rate"]),
-          _round(r["recovered_goodput"]), _round(r["recovery_ratio"]),
-          r["retries"], r["short_circuited"],
-          r.get("breaker", {}).get("trips", "-")]
-         for r in results])
-    _print_data("traffic: retry-storm", {"results": results})
-    resilient = next(r for r in results if r["variant"] == "resilient")
-    if resilient["recovery_ratio"] < 0.9:
-        _progress(f"\nTRAFFIC GATE: FAIL (post-heal goodput recovered only "
-                  f"{resilient['recovery_ratio']:.0%} of offered)")
-        _emit_gate_incident(
-            "traffic-retry-storm",
-            {"variant": "resilient", "horizon": horizon},
-            out, gate="traffic-retry-storm",
-            detail={"recovery_ratio": resilient["recovery_ratio"]})
-        return 1
-    _progress(f"\nTRAFFIC GATE: OK (budget+breaker recover "
-              f"{resilient['recovery_ratio']:.0%} of offered goodput)")
-    return 0
+    """Serving under overload / a retry storm: run every variant; exit 1
+    unless the resilient one holds its budget."""
+    return run_gated("traffic", scenario, quick, out)
 
 
-# --------------------------------------------------------------------------- #
-# security: resilience against an active adversary
-# --------------------------------------------------------------------------- #
-SECURITY_SCENARIOS = ("byzantine-gossip", "sybil-flood", "raft-equivocation")
-
-
-def cmd_security(quick: bool, scenario: str = "byzantine-gossip",
+def cmd_security(quick: bool = False, scenario: str = "byzantine-gossip",
                  out: str = "trace-out") -> int:
-    """Run every variant of a security scenario; gate naive-fails/defended-holds.
-
-    ``byzantine-gossip`` fails unless the naive mesh never converges while
-    the defended mesh converges within 2x the clean run and quarantines
-    the equivocator.  ``sybil-flood`` fails unless the naive run collapses
-    below 50% of clean goodput while the defended run holds >=90% with
-    zero sybil members.  ``raft-equivocation`` fails unless the naive run
-    elects two leaders in one term while the defended run keeps exactly
-    one safe leader.
-    """
-    from repro.security.scenarios import (
-        BYZANTINE_GOSSIP_HORIZON,
-        BYZANTINE_GOSSIP_VARIANTS,
-        RAFT_EQUIVOCATION_VARIANTS,
-        SYBIL_FLOOD_VARIANTS,
-        run_byzantine_gossip,
-        run_raft_equivocation,
-        run_sybil_flood,
-    )
-
-    def _round(value: object) -> object:
-        return round(value, 4) if isinstance(value, float) else value
-
-    if scenario == "byzantine-gossip":
-        horizon = 12.0 if quick else BYZANTINE_GOSSIP_HORIZON
-        results = []
-        for variant in BYZANTINE_GOSSIP_VARIANTS:
-            _progress(f"running byzantine-gossip variant {variant!r}...")
-            results.append(run_byzantine_gossip(variant, horizon=horizon))
-        _print_table(
-            f"security: byzantine gossip (horizon {horizon:g}s)",
-            ["variant", "converged", "converged at (s)", "honest values",
-             "quarantined", "auth drops"],
-            [[r["variant"], r["converged"], _round(r["converged_at"]),
-              len(r["honest_values"]), ",".join(r["quarantined"]) or "-",
-              r["security"]["dropped_auth"]] for r in results])
-        _print_data("security: byzantine-gossip", {"results": results})
-        by = {r["variant"]: r for r in results}
-        clean, naive, defended = (by[v] for v in BYZANTINE_GOSSIP_VARIANTS)
-        failures = []
-        if naive["converged"]:
-            failures.append("naive mesh converged despite the equivocator")
-        if not defended["converged"]:
-            failures.append("defended mesh never converged")
-        elif defended["converged_at"] > 2.0 * clean["converged_at"]:
-            failures.append(
-                f"defended convergence {defended['converged_at']:.1f}s "
-                f"exceeds 2x clean ({clean['converged_at']:.1f}s)")
-        if naive["attacker"] not in defended["quarantined"]:
-            failures.append("defended run did not quarantine the attacker")
-        if failures:
-            _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-            _emit_gate_incident(
-                "security-byzantine-gossip",
-                {"variant": "defended", "horizon": horizon},
-                out, gate="security-byzantine-gossip",
-                detail={"failures": failures})
-            return 1
-        _progress(f"\nSECURITY GATE: OK (defended converges at "
-                  f"{defended['converged_at']:.1f}s vs clean "
-                  f"{clean['converged_at']:.1f}s; naive never converges)")
-        return 0
-
-    if scenario == "sybil-flood":
-        results = []
-        for variant in SYBIL_FLOOD_VARIANTS:
-            _progress(f"running sybil-flood variant {variant!r}...")
-            results.append(run_sybil_flood(variant))
-        _print_table(
-            "security: sybil flood against an edge server",
-            ["variant", "offered/s", "goodput/s", "success", "sybils",
-             "attacker msgs", "quarantined"],
-            [[r["variant"], _round(r["offered_rate"]), _round(r["goodput"]),
-              _round(r["success_ratio"]), r["sybil_count"],
-              r["attacker_messages"], ",".join(r["quarantined"]) or "-"]
-             for r in results])
-        _print_data("security: sybil-flood", {"results": results})
-        by = {r["variant"]: r for r in results}
-        clean, naive, defended = (by[v] for v in SYBIL_FLOOD_VARIANTS)
-        failures = []
-        if naive["goodput"] >= 0.5 * clean["goodput"]:
-            failures.append("naive run did not collapse under the flood")
-        if defended["goodput"] < 0.9 * clean["goodput"]:
-            failures.append(
-                f"defended goodput {defended['goodput']:.1f}/s is below "
-                f"90% of clean ({clean['goodput']:.1f}/s)")
-        if defended["sybil_count"]:
-            failures.append(
-                f"defended membership admitted {defended['sybil_count']} "
-                "sybil identities")
-        if not naive["sybil_count"]:
-            failures.append("naive membership rejected the sybils "
-                            "(attack had no teeth)")
-        if failures:
-            _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-            _emit_gate_incident(
-                "security-sybil-flood", {"variant": "defended"},
-                out, gate="security-sybil-flood",
-                detail={"failures": failures})
-            return 1
-        _progress(f"\nSECURITY GATE: OK (defended holds "
-                  f"{defended['goodput'] / clean['goodput']:.0%} of clean "
-                  f"goodput; naive collapses to "
-                  f"{naive['goodput'] / clean['goodput']:.0%})")
-        return 0
-
-    results = []
-    for variant in RAFT_EQUIVOCATION_VARIANTS:
-        _progress(f"running raft-equivocation variant {variant!r}...")
-        results.append(run_raft_equivocation(variant))
-    _print_table(
-        "security: raft equivocation with f=2 of n=5 compromised",
-        ["variant", "elections won", "double-win terms", "safety",
-         "final leaders", "quarantined"],
-        [[r["variant"], r["elections_won"],
-          ",".join(str(t) for t in r["double_wins"]) or "-",
-          "VIOLATED" if r["safety_violated"] else "safe",
-          ",".join(r["final_leaders"]) or "-",
-          ",".join(r["quarantined"]) or "-"] for r in results])
-    _print_data("security: raft-equivocation", {"results": results})
-    by = {r["variant"]: r for r in results}
-    naive, defended = (by[v] for v in RAFT_EQUIVOCATION_VARIANTS)
-    failures = []
-    if not naive["safety_violated"]:
-        failures.append("naive run never double-elected "
-                        "(attack had no teeth)")
-    if defended["safety_violated"]:
-        failures.append("defended run elected two leaders in one term")
-    if not defended["leader_elected"]:
-        failures.append("defended run never elected a leader")
-    if failures:
-        _progress("\nSECURITY GATE: FAIL (" + "; ".join(failures) + ")")
-        _emit_gate_incident(
-            "security-raft-equivocation", {"variant": "defended"},
-            out, gate="security-raft-equivocation",
-            detail={"failures": failures})
-        return 1
-    _progress(f"\nSECURITY GATE: OK (naive double-elects in "
-              f"{len(naive['double_wins'])} term(s); defended keeps one "
-              f"safe leader and quarantines "
-              f"{','.join(defended['quarantined'])})")
-    return 0
+    """An active adversary: exit 1 unless the naive variant fails AND the
+    defended one holds with the attackers quarantined."""
+    return run_gated("security", scenario, quick, out)
 
 
 # --------------------------------------------------------------------------- #
 # profile: subsystem cost attribution and differential profiling
 # --------------------------------------------------------------------------- #
-PROFILE_VERBS = ("run", "diff")
-PROFILE_SCENARIOS = ("smart-city-partition", "mape-outage",
-                     "traffic-overload", "traffic-retry-storm")
-
-
-def cmd_profile_run(quick: bool, scenario: str = "smart-city-partition",
-                    out: str = "prof-out",
-                    seed: Optional[int] = None) -> int:
-    """Run a scenario fully observed and capture a profile snapshot.
+def cmd_profile_run(quick: bool = False,
+                    scenario: str = "smart-city-partition",
+                    out: str = "prof-out", seed: Optional[int] = None) -> int:
+    """Run a scenario fully observed; capture per-plane cost attribution,
+    flamegraphs and request critical paths.
 
     Artifacts under ``out``: ``profile.json`` (the snapshot ``profile
     diff`` consumes), ``kernel.folded`` / ``spans.folded`` (collapsed
@@ -1002,18 +746,10 @@ def cmd_profile_run(quick: bool, scenario: str = "smart-city-partition",
         write_flamegraph,
         write_profile_chrome_trace,
     )
-    from repro.persistence import ScenarioSpec, prepare
+    from repro.scenarios import describe_scenario, prepare
 
-    params: Dict[str, object] = {}
-    if scenario == "smart-city-partition":
-        params["quick"] = quick
-    elif quick and scenario == "traffic-overload":
-        params["horizon"] = 15.0
-    elif quick and scenario == "traffic-retry-storm":
-        params["horizon"] = 35.0
-    spec = ScenarioSpec(name=scenario, seed=seed, params=params)
     _progress(f"profiling scenario {scenario!r}...")
-    prepared = prepare(spec)
+    prepared = prepare(describe_scenario(scenario).spec(quick, seed=seed))
     system = prepared.system
     system.enable_observability(meter=True)
     system.run(until=prepared.horizon)
@@ -1079,7 +815,8 @@ def _profiles_in(data: Dict[str, object]) -> Dict[str, Dict[str, object]]:
 
 
 def cmd_profile_diff(path_a: str, path_b: str) -> int:
-    """Attribute the delta between two profile snapshots to subsystems."""
+    """Attribute the delta between two profile snapshots (or two BENCH
+    baselines) to subsystems."""
     from repro.observability.profile import (
         diff_profiles,
         load_profile,
@@ -1089,8 +826,7 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
     try:
         before, after = load_profile(path_a), load_profile(path_b)
     except (OSError, json.JSONDecodeError) as exc:
-        _progress(f"profile: cannot load snapshot: {exc}")
-        return 2
+        return _fail(f"profile: cannot load snapshot: {exc}")
     a_profiles, b_profiles = _profiles_in(before), _profiles_in(after)
     common = sorted(set(a_profiles) & set(b_profiles))
     if not common and len(a_profiles) == 1 and len(b_profiles) == 1:
@@ -1098,9 +834,8 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
         common = [next(iter(a_profiles))]
         b_profiles = {common[0]: next(iter(b_profiles.values()))}
     if not common:
-        _progress("profile: the snapshots share no profiled scenarios "
-                  f"({sorted(a_profiles)} vs {sorted(b_profiles)})")
-        return 2
+        return _fail("profile: the snapshots share no profiled scenarios "
+                     f"({sorted(a_profiles)} vs {sorted(b_profiles)})")
     for name in common:
         diff = diff_profiles(a_profiles[name], b_profiles[name])
         _print_block(f"profile diff: {name}",
@@ -1113,9 +848,6 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
 # --------------------------------------------------------------------------- #
 # incident: inspect and replay captured incident bundles
 # --------------------------------------------------------------------------- #
-INCIDENT_VERBS = ("show", "replay")
-
-
 def cmd_incident_show(path: str) -> int:
     """Print a bundle's trigger, causal chain and evidence inventory."""
     from repro.observability.diagnosis import Diagnosis
@@ -1124,8 +856,7 @@ def cmd_incident_show(path: str) -> int:
     try:
         manifest = load_manifest(path)
     except FlightError as exc:
-        _progress(f"incident: {exc}")
-        return 2
+        return _fail(f"incident: {exc}")
     trigger = manifest["trigger"]
     barrier = manifest["barrier"]
     scenario = manifest.get("scenario") or {}
@@ -1161,7 +892,7 @@ def cmd_incident_show(path: str) -> int:
 
 
 def cmd_incident_replay(path: str) -> int:
-    """Deterministically reproduce a bundle's triggering window."""
+    """Reproduce a bundle's triggering window and verify its state digest."""
     from repro.observability.flight import FlightError, replay_incident
     from repro.persistence import CheckpointError
 
@@ -1169,11 +900,9 @@ def cmd_incident_replay(path: str) -> int:
     try:
         result = replay_incident(path)
     except FlightError as exc:
-        _progress(f"incident: {exc}")
-        return 2
+        return _fail(f"incident: {exc}")
     except CheckpointError as exc:
-        _progress(f"\nINCIDENT REPLAY: DIVERGED ({exc})")
-        return 1
+        return _fail(f"INCIDENT REPLAY: DIVERGED ({exc})", 1)
     _print_table(
         "incident replay: deterministic verification",
         ["field", "value"],
@@ -1197,23 +926,20 @@ def cmd_incident_replay(path: str) -> int:
 # --------------------------------------------------------------------------- #
 # chaos: seeded spec-space search, shrinking and the replay corpus
 # --------------------------------------------------------------------------- #
-CHAOS_VERBS = ("run", "shrink", "corpus")
-SCENARIOS_VERBS = ("list",)
-
 #: The documented demo seed (EXPERIMENTS.md CHAOS-1): this campaign
 #: rediscovers the retry-storm metastable collapse on a naive config.
 CHAOS_DEMO_SEED = 84
 CHAOS_DEMO_RUNS = 6
 
 
-def cmd_chaos_run(quick: bool, seed: Optional[int] = None,
+def cmd_chaos_run(quick: bool = False, seed: int = CHAOS_DEMO_SEED,
                   runs: Optional[int] = None, out: str = "chaos-out",
                   corpus: str = "corpus") -> int:
-    """Run a seeded campaign; shrink and bundle every violation."""
+    """Seeded chaos-search campaign over declarative specs; shrink every
+    violation and emit replay bundles into --corpus."""
     from repro.chaos import ChaosCampaign
     from repro.observability.export import write_chaos_report
 
-    seed = CHAOS_DEMO_SEED if seed is None else seed
     if runs is None:
         runs = 3 if quick else CHAOS_DEMO_RUNS
     _progress(f"chaos campaign: seed {seed}, {runs} sampled specs, "
@@ -1256,14 +982,12 @@ def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
         with open(spec_path, encoding="utf-8") as fh:
             spec = ChaosSpec.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        _progress(f"chaos shrink: cannot load a spec from {path!r} ({exc})")
-        return 2
+        return _fail(f"chaos shrink: cannot load a spec from {path!r} ({exc})")
     _progress(f"shrinking {spec.describe()} ({spec.axis_count()} axes)...")
     try:
         report = shrink_spec(spec)
     except ValueError as exc:
-        _progress(f"chaos shrink: {exc}")
-        return 1
+        return _fail(f"chaos shrink: {exc}", 1)
     os.makedirs(out, exist_ok=True)
     shrunk_path = os.path.join(out, f"chaos-shrunk-{report.spec.digest()}.json")
     with open(shrunk_path, "w", encoding="utf-8") as fh:
@@ -1288,7 +1012,7 @@ def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
 
 
 def cmd_chaos_corpus(corpus: str = "corpus") -> int:
-    """Replay every corpus bundle; exit nonzero on any divergence."""
+    """Replay every corpus bundle bit-for-bit; exit 1 on any divergence."""
     from repro.chaos import replay_corpus
 
     _progress(f"replaying failure corpus {corpus!r}...")
@@ -1316,7 +1040,7 @@ def cmd_chaos_corpus(corpus: str = "corpus") -> int:
 
 
 def cmd_scenarios_list() -> int:
-    """Print the unified cross-plane scenario registry."""
+    """Every registered scenario with its plane, variants and description."""
     from repro.scenarios import catalog
 
     infos = catalog()
@@ -1334,9 +1058,6 @@ def cmd_scenarios_list() -> int:
 # --------------------------------------------------------------------------- #
 # shard: parallel multi-domain federation runs
 # --------------------------------------------------------------------------- #
-SHARD_VERBS = ("run", "verify", "resume")
-
-
 def _shard_report(title: str, result, out: str) -> int:
     """Print a federation result; write the metrics/report artifacts."""
     from repro.observability.export import write_html_report, write_prometheus
@@ -1375,19 +1096,17 @@ def _shard_report(title: str, result, out: str) -> int:
     return 0
 
 
-def cmd_shard_run(quick: bool, scenario: str = "smart-city-federated",
+def cmd_shard_run(quick: bool = False, scenario: str = "smart-city-federated",
                   shards: int = 4, workers: Optional[int] = None,
                   out: str = "shard-out", seed: Optional[int] = None,
                   checkpoint_every: int = 10,
                   stop_after: Optional[int] = None) -> int:
-    """Run a federated scenario partitioned across shard processes."""
-    from repro.persistence import ScenarioSpec
+    """Partition a federated scenario into domain shards on worker
+    processes, synchronized by conservative lookahead windows."""
+    from repro.scenarios import describe_scenario
     from repro.shard import ShardedSimulator
 
-    params: Dict[str, object] = {}
-    if quick:
-        params["quick"] = True
-    spec = ScenarioSpec(name=scenario, seed=seed, params=params)
+    spec = describe_scenario(scenario).spec(quick, seed=seed)
     driver = ShardedSimulator(spec, shards=shards, workers=workers,
                               out_dir=out, checkpoint_every=checkpoint_every,
                               stop_after_window=stop_after)
@@ -1399,7 +1118,7 @@ def cmd_shard_run(quick: bool, scenario: str = "smart-city-federated",
 
 def cmd_shard_resume(out: str = "shard-out",
                      workers: Optional[int] = None) -> int:
-    """Resume a killed federation run from its shard checkpoints."""
+    """Continue a killed federation run from its barrier checkpoints."""
     from repro.shard import ShardedSimulator
 
     _progress(f"shard resume: fast-forwarding shards in {out!r}...")
@@ -1409,7 +1128,8 @@ def cmd_shard_resume(out: str = "shard-out",
 
 def cmd_shard_verify(out: str = "shard-out",
                      workers: Optional[int] = None) -> int:
-    """Replay every shard journal; verify the federation digest chain."""
+    """Replay every shard journal; verify the federation digest chain
+    bit-for-bit (exit 1 on a divergence)."""
     from repro.shard import verify_federation
 
     _progress(f"shard verify: replaying shards in {out!r}...")
@@ -1429,13 +1149,14 @@ def cmd_shard_verify(out: str = "shard-out",
     return 1
 
 
-def cmd_live(quick: bool, scenario: str = "traffic-retry-storm",
+def cmd_live(quick: bool = False, scenario: str = "traffic-retry-storm",
              out: str = "live-out", speed: float = 1.0,
              port: int = 8321, checkpoint_every: float = 10.0,
              reload_dir: Optional[str] = None,
              until: Optional[float] = None,
              seed: Optional[int] = None) -> int:
-    """Run a scenario as a long-lived, operable service.
+    """Run a scenario as a paced, operable service: telemetry endpoints,
+    periodic checkpoints, hot reload, clean drain.
 
     Pacing, serving and checkpointing are all telemetry-only: the
     journal in ``--out`` stays byte-identical to a batch
@@ -1445,12 +1166,9 @@ def cmd_live(quick: bool, scenario: str = "traffic-retry-storm",
     last periodic checkpoint.
     """
     from repro.live import LiveService
-    from repro.persistence import ScenarioSpec
+    from repro.scenarios import describe_scenario
 
-    params: Dict[str, object] = {}
-    if quick and scenario == "smart-city-partition":
-        params["quick"] = True
-    spec = ScenarioSpec(name=scenario, seed=seed, params=params)
+    spec = describe_scenario(scenario).spec(quick, seed=seed)
     service = LiveService(spec, out, speed=speed, port=port,
                           checkpoint_every=checkpoint_every,
                           reload_dir=reload_dir, until=until)
@@ -1467,12 +1185,7 @@ def cmd_live(quick: bool, scenario: str = "traffic-retry-storm",
         received["signum"] = signum
         service.request_drain()
 
-    previous = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((signum, signal.signal(signum, _drain_handler)))
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
+    previous = _install_signal_handlers(_drain_handler)
     try:
         outcome = service.run()
     finally:
@@ -1505,269 +1218,253 @@ def cmd_live(quick: bool, scenario: str = "traffic-retry-storm",
     return 0
 
 
-COMMANDS: Dict[str, Callable[[bool], None]] = {
-    "maturity": cmd_maturity,
-    "landscape": cmd_landscape,
-    "verify": cmd_verify,
-    "control": cmd_control,
-    "dataflows": cmd_dataflows,
-    "mape": cmd_mape,
-}
+def cmd_all(quick: bool = False) -> None:
+    """Every table command (Tables 1-2, Figs. 1-5), in order."""
+    for command in (cmd_maturity, cmd_landscape, cmd_verify, cmd_control,
+                    cmd_dataflows, cmd_mape):
+        command(quick)
 
 
-def main(argv: List[str] = None) -> int:
+# --------------------------------------------------------------------------- #
+# The command table: one row per command; parser and dispatch come from it
+# --------------------------------------------------------------------------- #
+Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*names: str, **kwargs: Any) -> Arg:
+    """One ``add_argument`` call, as data."""
+    return names, kwargs
+
+
+def _at_least(minimum: float, cast: type = int,
+              exclusive: bool = False) -> Callable[[str], Any]:
+    """argparse ``type=`` accepting ``cast`` values >= (or >) ``minimum``."""
+
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if value < minimum or (exclusive and value == minimum):
+            raise ValueError(text)
+        return value
+
+    # argparse words the error as "invalid <type name> value: '<text>'".
+    parse.__name__ = f"{cast.__name__} {'>' if exclusive else '>='} {minimum}"
+    return parse
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: its handler plus the arguments the handler takes.
+
+    The handler owns the rest -- its docstring's first paragraph is the
+    command's help, its keyword defaults (``out="trace-out"``,
+    ``shards=4``, the default scenario) are the arguments' defaults.
+    """
+
+    name: str                          # "trace", or "<group> <verb>"
+    handler: Callable[..., Optional[int]]
+    args: Tuple[Arg, ...] = ()         # its own positionals and flags
+    default_verb: bool = False         # runs when its group gets no verb
+
+    @property
+    def help(self) -> str:
+        return " ".join(inspect.getdoc(self.handler).split("\n\n")[0].split())
+
+
+#: Accepted before or after any command.
+_GLOBAL_ARGS: Tuple[Arg, ...] = (
+    _arg("--quick", action="store_true",
+         help="smaller/faster variant (each scenario declares its own)"),
+    _arg("--json", action="store_true",
+         help="emit tables as JSON instead of text"),
+    _arg("--out", help="output directory for this command's artifacts"),
+)
+
+_STRICT = _arg("--strict", action="store_true",
+               help="add strict SLOs (cloud availability) that sustained "
+                    "outages breach")
+_SEED = _arg("--seed", type=int, help="override the scenario seed")
+_UNTIL = _arg("--until", type=float,
+              help="stop at this simulated time instead of the horizon")
+_WORKERS = _arg("--workers", type=_at_least(1),
+                help="worker processes (default: one per shard for "
+                     "run/resume, serial for verify)")
+_CORPUS = _arg("--corpus", help="failure-corpus directory")
+_BUNDLE = _arg("path", help="incident bundle directory")
+
+
+def command_table() -> Tuple[Command, ...]:
+    """Every command; scenario choices are read from the registry."""
+    from repro.scenarios import catalog
+
+    scenarios = catalog()
+
+    def scenario(choices: List[str]) -> Arg:
+        return _arg("scenario", nargs="?", choices=choices, metavar="scenario",
+                    help=f"one of {', '.join(choices)}")
+
+    def gated(family: str) -> Arg:
+        return scenario([s.name[len(family) + 1:] for s in catalog(family)
+                         if s.gate is not None])
+
+    every = scenario([s.name for s in scenarios])
+    observed = scenario([s.name for s in scenarios if s.monitored])
+    return (
+        Command("maturity", cmd_maturity),
+        Command("landscape", cmd_landscape),
+        Command("verify", cmd_verify),
+        Command("control", cmd_control),
+        Command("dataflows", cmd_dataflows),
+        Command("mape", cmd_mape),
+        Command("all", cmd_all),
+        Command("trace", cmd_trace, (observed,)),
+        Command("monitor", cmd_monitor, (observed, _STRICT)),
+        Command("report", cmd_report, (observed, _STRICT)),
+        Command("checkpoint", cmd_checkpoint, (
+            every, _SEED,
+            _arg("--at", type=float,
+                 help="simulated time to checkpoint at (default: the "
+                      "scenario's crash point or mid-horizon)"))),
+        Command("resume", cmd_resume, (_UNTIL,)),
+        Command("replay", cmd_replay, (_UNTIL,)),
+        Command("traffic", cmd_traffic, (gated("traffic"),)),
+        Command("security", cmd_security, (gated("security"),)),
+        Command("incident show", cmd_incident_show, (_BUNDLE,)),
+        Command("incident replay", cmd_incident_replay, (_BUNDLE,)),
+        Command("profile run", cmd_profile_run, (every, _SEED)),
+        Command("profile diff", cmd_profile_diff, (
+            _arg("path_a", help="first snapshot"),
+            _arg("path_b", help="second snapshot"))),
+        Command("chaos run", cmd_chaos_run, (
+            _arg("--seed", type=int, help="campaign seed"),
+            _arg("--runs", type=_at_least(1),
+                 help="number of sampled specs (default "
+                      f"{CHAOS_DEMO_RUNS}, 3 with --quick)"),
+            _CORPUS), default_verb=True),
+        Command("chaos shrink", cmd_chaos_shrink, (
+            _arg("path", help="spec.json, or a bundle directory"),)),
+        Command("chaos corpus", cmd_chaos_corpus, (_CORPUS,)),
+        Command("scenarios list", cmd_scenarios_list, default_verb=True),
+        Command("shard run", cmd_shard_run, (
+            every, _WORKERS, _SEED,
+            _arg("--shards", type=_at_least(1),
+                 help="domain shards; 1 = unsharded reference"),
+            _arg("--checkpoint-every", type=_at_least(0),
+                 help="lookahead windows between barrier checkpoints; "
+                      "0 = never"),
+            _arg("--stop-after", type=_at_least(0),
+                 help="abort after this window (emulated mid-run kill; "
+                      "continue with 'shard resume')")), default_verb=True),
+        Command("shard resume", cmd_shard_resume, (_WORKERS,)),
+        Command("shard verify", cmd_shard_verify, (_WORKERS,)),
+        Command("live", cmd_live, (
+            every, _UNTIL, _SEED,
+            _arg("--speed", type=_at_least(0, float),
+                 help="simulated seconds per wall second; 0 = unpaced"),
+            _arg("--port", type=int,
+                 help="telemetry server port; 0 = ephemeral"),
+            _arg("--checkpoint-every",
+                 type=_at_least(0, float, exclusive=True),
+                 help="wall seconds between periodic checkpoints"),
+            _arg("--reload-dir",
+                 help="directory polled for hot-load payload JSON files "
+                      "(fault schedules, chaos specs)"))),
+    )
+
+
+_EPILOG = """\
+Every gated command (monitor, traffic, security, replay) runs under a
+flight recorder: when its gate fails, a self-contained incident bundle
+(telemetry tails + checkpoint + journal) lands under --out/incidents for
+the incident verbs to inspect and replay.  '<command> -h' lists a
+command's own arguments and defaults."""
+
+
+def _add_args(parser: argparse.ArgumentParser, args: Tuple[Arg, ...],
+              handler: Optional[Callable[..., Any]] = None) -> None:
+    """Add ``args``, none with a parser-side default.
+
+    An argument that was not typed stays out of the namespace (``None``
+    for an omitted optional positional), so the handler's own keyword
+    default applies, a value typed at one parser level is never
+    overwritten by another level's default, and anything that *is* in
+    the namespace is known to have been typed.
+    """
+    owned = inspect.signature(handler).parameters if handler else {}
+    for names, kwargs in args:
+        action = parser.add_argument(*names, **kwargs)
+        if action.option_strings:
+            action.default = argparse.SUPPRESS
+        default = getattr(owned.get(action.dest), "default", None)
+        if default not in (None, False, inspect.Parameter.empty):
+            action.help += f" (default {default})"
+
+
+def _parse(argv: Optional[List[str]]
+           ) -> Tuple[Callable[..., Optional[int]], bool, Dict[str, Any]]:
+    """``argv`` -> (handler, --json, the handler arguments that were typed)."""
+    table = command_table()
+    rows = {row.name: row for row in table}
+    fallback = {row.name.split()[0]: row for row in table if row.default_verb}
+    width = max(map(len, rows)) + 2
+    listing = "\n".join(textwrap.fill(
+        row.help, 78, initial_indent=f"  {row.name:<{width}}",
+        subsequent_indent=" " * (width + 2)) for row in table)
+    parser = argparse.ArgumentParser(
+        prog="repro", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Run the resilient-IoT reproduction experiments.",
+        epilog=f"commands:\n{listing}\n\n{_EPILOG}")
+    _add_args(parser, _GLOBAL_ARGS)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="<command>")
+    verbs: Dict[str, Any] = {}
+    for row in table:
+        group, _, verb = row.name.partition(" ")
+        if verb and group not in verbs:
+            # A verb group also takes its default verb's flags, so
+            # 'chaos --seed 3' still means 'chaos run --seed 3'.
+            parent = commands.add_parser(group)
+            default = fallback.get(group)
+            _add_args(parent, _GLOBAL_ARGS + tuple(
+                arg for arg in (default.args if default else ())
+                if arg[0][0].startswith("-")), default and default.handler)
+            verbs[group] = parent.add_subparsers(
+                dest="verb", required=default is None, metavar="<verb>")
+        # The epilog lists every command; a verb group lists its verbs.
+        leaf = (verbs[group].add_parser(verb, help=row.help,
+                                        description=row.help)
+                if verb else commands.add_parser(group, description=row.help))
+        _add_args(leaf, _GLOBAL_ARGS + row.args, row.handler)
+    typed = {key: value for key, value in vars(parser.parse_args(argv)).items()
+             if value is not None}
+    name, verb = typed.pop("command"), typed.pop("verb", None)
+    row = rows[name] if name in rows else (
+        rows[f"{name} {verb}"] if verb else fallback[name])
+    # --quick and --out are accepted everywhere (a command with no use
+    # for them ignores them); anything else must be the command's own.
+    taken = inspect.signature(row.handler).parameters
+    stray = sorted(set(typed) - set(taken) - {"json", "quick", "out"})
+    if stray:
+        parser.error(f"'{row.name}' takes no "
+                     + ", ".join("--" + s.replace("_", "-") for s in stray))
+    return (row.handler, typed.get("json", False),
+            {key: value for key, value in typed.items() if key in taken})
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     global _JSON_COLLECTOR
     from repro.persistence import (
         CheckpointError,
         JournalError,
         UnknownScenarioError,
-        scenario_names,
     )
 
-    persistence_scenarios = tuple(scenario_names())
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run the resilient-IoT reproduction experiments.",
-    )
-    parser.add_argument("command",
-                        choices=sorted(COMMANDS) + ["all", "trace", "monitor",
-                                                    "report", "checkpoint",
-                                                    "resume", "replay",
-                                                    "traffic", "security",
-                                                    "incident", "profile",
-                                                    "chaos", "scenarios",
-                                                    "live", "shard"],
-                        help="which experiment to run")
-    parser.add_argument("scenario", nargs="?",
-                        choices=sorted(set(TRACE_SCENARIOS)
-                                       | set(persistence_scenarios)
-                                       | set(TRAFFIC_SCENARIOS)
-                                       | set(SECURITY_SCENARIOS)
-                                       | set(INCIDENT_VERBS)
-                                       | set(PROFILE_VERBS)
-                                       | set(CHAOS_VERBS)
-                                       | set(SCENARIOS_VERBS)
-                                       | set(SHARD_VERBS)),
-                        default=None,
-                        help="scenario for the trace/monitor/report/"
-                             "checkpoint/traffic/security commands, "
-                             "show|replay for the incident command, "
-                             "run|diff for the profile command, "
-                             "run|shrink|corpus for the chaos command, "
-                             "list for the scenarios command, or "
-                             "run|verify|resume for the shard command")
-    parser.add_argument("path", nargs="?", default=None,
-                        help="incident: path to a captured incident bundle; "
-                             "profile run / shard run: scenario name; "
-                             "profile diff: first snapshot")
-    parser.add_argument("path2", nargs="?", default=None,
-                        help="profile diff: second snapshot")
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller/faster variants of the experiments")
-    parser.add_argument("--json", action="store_true",
-                        help="emit tables as JSON instead of text")
-    parser.add_argument("--out", default=None,
-                        help="output directory for trace/report/checkpoint "
-                             "artifacts")
-    parser.add_argument("--strict", action="store_true",
-                        help="monitor/report: add strict SLOs (cloud "
-                             "availability) that sustained outages breach")
-    parser.add_argument("--at", type=float, default=None,
-                        help="checkpoint: simulated time to checkpoint at "
-                             "(default: the scenario's crash point or "
-                             "mid-horizon)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="checkpoint / profile run: override the "
-                             "scenario seed")
-    parser.add_argument("--until", type=float, default=None,
-                        help="resume/replay: stop at this simulated time "
-                             "instead of the scenario horizon")
-    parser.add_argument("--runs", type=int, default=None,
-                        help="chaos run: number of sampled specs "
-                             f"(default {CHAOS_DEMO_RUNS}, 3 with --quick)")
-    parser.add_argument("--corpus", default="corpus",
-                        help="chaos: failure-corpus directory "
-                             "(default 'corpus')")
-    parser.add_argument("--speed", type=float, default=1.0,
-                        help="live: simulated seconds per wall second "
-                             "(default 1.0 = real time, 0 = unpaced)")
-    parser.add_argument("--port", type=int, default=8321,
-                        help="live: telemetry server port (default 8321, "
-                             "0 = ephemeral)")
-    parser.add_argument("--checkpoint-every", type=float, default=10.0,
-                        dest="checkpoint_every",
-                        help="live: wall seconds between periodic "
-                             "checkpoints; shard run: lookahead windows "
-                             "between barrier checkpoints (default 10)")
-    parser.add_argument("--reload-dir", default=None, dest="reload_dir",
-                        help="live: directory polled for hot-load payload "
-                             "JSON files (fault schedules, chaos specs)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard run: number of domain shards "
-                             "(default 4; 1 = unsharded reference)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard: worker processes (default: one per "
-                             "shard for run/resume, serial for verify)")
-    parser.add_argument("--stop-after", type=int, default=None,
-                        dest="stop_after",
-                        help="shard run: abort after this lookahead window "
-                             "(emulated mid-run kill; resume with "
-                             "'shard resume')")
-    args = parser.parse_args(argv)
-    if args.command in ("trace", "monitor", "report"):
-        if args.scenario is None:
-            args.scenario = "smart-city-partition"
-        elif args.scenario not in TRACE_SCENARIOS:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"{args.command!r} (choose from {TRACE_SCENARIOS})")
-    elif args.command == "checkpoint":
-        if args.scenario is None:
-            args.scenario = "control-outage"
-        elif args.scenario not in persistence_scenarios:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         "'checkpoint' (choose from "
-                         f"{persistence_scenarios})")
-    elif args.command == "traffic":
-        if args.scenario is None:
-            args.scenario = "overload"
-        elif args.scenario not in TRAFFIC_SCENARIOS:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"'traffic' (choose from {TRAFFIC_SCENARIOS})")
-    elif args.command == "security":
-        if args.scenario is None:
-            args.scenario = "byzantine-gossip"
-        elif args.scenario not in SECURITY_SCENARIOS:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"'security' (choose from {SECURITY_SCENARIOS})")
-    elif args.command == "incident":
-        if args.scenario not in INCIDENT_VERBS:
-            parser.error("incident needs a verb: "
-                         f"choose from {INCIDENT_VERBS}")
-        if args.path is None:
-            parser.error(f"incident {args.scenario} needs a bundle path")
-    elif args.command == "profile":
-        if args.scenario not in PROFILE_VERBS:
-            parser.error(f"profile needs a verb: choose from {PROFILE_VERBS}")
-        if args.scenario == "run":
-            if args.path is None:
-                args.path = "smart-city-partition"
-            elif args.path not in PROFILE_SCENARIOS:
-                parser.error(f"scenario {args.path!r} is not available for "
-                             f"'profile run' (choose from {PROFILE_SCENARIOS})")
-        elif args.path is None or args.path2 is None:
-            parser.error("profile diff needs two snapshot paths")
-    elif args.command == "chaos":
-        if args.scenario is None:
-            args.scenario = "run"
-        elif args.scenario not in CHAOS_VERBS:
-            parser.error(f"chaos needs a verb: choose from {CHAOS_VERBS}")
-        if args.scenario == "shrink" and args.path is None:
-            parser.error("chaos shrink needs a spec.json (or bundle) path")
-    elif args.command == "scenarios":
-        if args.scenario is None:
-            args.scenario = "list"
-        elif args.scenario not in SCENARIOS_VERBS:
-            parser.error("scenarios needs a verb: "
-                         f"choose from {SCENARIOS_VERBS}")
-    elif args.command == "live":
-        if args.scenario is None:
-            args.scenario = "traffic-retry-storm"
-        elif args.scenario not in persistence_scenarios:
-            parser.error(f"scenario {args.scenario!r} is not available for "
-                         f"'live' (choose from {persistence_scenarios})")
-    elif args.command == "shard":
-        if args.scenario is None:
-            args.scenario = "run"
-        elif args.scenario not in SHARD_VERBS:
-            parser.error(f"shard needs a verb: choose from {SHARD_VERBS}")
-        if args.scenario == "run":
-            if args.path is None:
-                args.path = "smart-city-federated"
-            elif args.path not in persistence_scenarios:
-                parser.error(f"scenario {args.path!r} is not available for "
-                             "'shard run' (choose from "
-                             f"{persistence_scenarios})")
-    if args.out is None:
-        args.out = ("checkpoint-out"
-                    if args.command in ("checkpoint", "resume", "replay")
-                    else "prof-out" if args.command == "profile"
-                    else "chaos-out" if args.command == "chaos"
-                    else "live-out" if args.command == "live"
-                    else "shard-out" if args.command == "shard"
-                    else "trace-out")
-    if args.json:
+    handler, json_mode, kwargs = _parse(argv)
+    if json_mode:
         _JSON_COLLECTOR = []
     _install_signal_handlers()
     exit_code = 0
     try:
-        if args.command == "all":
-            for name in ("maturity", "landscape", "verify", "control",
-                         "dataflows", "mape"):
-                COMMANDS[name](args.quick)
-        elif args.command == "trace":
-            cmd_trace(args.quick, scenario=args.scenario, out=args.out)
-        elif args.command == "monitor":
-            exit_code = cmd_monitor(args.quick, scenario=args.scenario,
-                                    strict=args.strict, out=args.out)
-        elif args.command == "report":
-            exit_code = cmd_report(args.quick, scenario=args.scenario,
-                                   out=args.out, strict=args.strict)
-        elif args.command == "checkpoint":
-            exit_code = cmd_checkpoint(args.quick, scenario=args.scenario,
-                                       out=args.out, at=args.at,
-                                       seed=args.seed)
-        elif args.command == "resume":
-            exit_code = cmd_resume(args.quick, out=args.out, until=args.until)
-        elif args.command == "replay":
-            exit_code = cmd_replay(args.quick, out=args.out, until=args.until)
-        elif args.command == "traffic":
-            exit_code = cmd_traffic(args.quick, scenario=args.scenario,
-                                    out=args.out)
-        elif args.command == "security":
-            exit_code = cmd_security(args.quick, scenario=args.scenario,
-                                     out=args.out)
-        elif args.command == "incident":
-            exit_code = (cmd_incident_show(args.path)
-                         if args.scenario == "show"
-                         else cmd_incident_replay(args.path))
-        elif args.command == "profile":
-            exit_code = (cmd_profile_run(args.quick, scenario=args.path,
-                                         out=args.out, seed=args.seed)
-                         if args.scenario == "run"
-                         else cmd_profile_diff(args.path, args.path2))
-        elif args.command == "chaos":
-            if args.scenario == "run":
-                exit_code = cmd_chaos_run(args.quick, seed=args.seed,
-                                          runs=args.runs, out=args.out,
-                                          corpus=args.corpus)
-            elif args.scenario == "shrink":
-                exit_code = cmd_chaos_shrink(args.path, out=args.out)
-            else:
-                exit_code = cmd_chaos_corpus(args.corpus)
-        elif args.command == "scenarios":
-            exit_code = cmd_scenarios_list()
-        elif args.command == "live":
-            exit_code = cmd_live(args.quick, scenario=args.scenario,
-                                 out=args.out, speed=args.speed,
-                                 port=args.port,
-                                 checkpoint_every=args.checkpoint_every,
-                                 reload_dir=args.reload_dir,
-                                 until=args.until, seed=args.seed)
-        elif args.command == "shard":
-            if args.scenario == "run":
-                exit_code = cmd_shard_run(
-                    args.quick, scenario=args.path, shards=args.shards,
-                    workers=args.workers, out=args.out, seed=args.seed,
-                    checkpoint_every=int(args.checkpoint_every),
-                    stop_after=args.stop_after)
-            elif args.scenario == "verify":
-                exit_code = cmd_shard_verify(out=args.out,
-                                             workers=args.workers)
-            else:
-                exit_code = cmd_shard_resume(out=args.out,
-                                             workers=args.workers)
-        else:
-            COMMANDS[args.command](args.quick)
+        exit_code = handler(**kwargs) or 0
     except _HarnessSignal as exc:
         # A batch command was interrupted (SIGINT/SIGTERM).  Flush any
         # armed flight recorder as a harness-crash incident before
@@ -1795,9 +1492,7 @@ def main(argv: List[str] = None) -> int:
     except (CheckpointError, JournalError, OSError) as exc:
         # A missing, truncated or garbled run directory (checkpoint,
         # journal, manifest) fails closed: one line, never a traceback.
-        exit_code = 2
-        print(f"error: {exc}", file=sys.stderr)
-        _print_data("error", {"error": str(exc)})
+        exit_code = _fail(str(exc))
     finally:
         tables, _JSON_COLLECTOR = _JSON_COLLECTOR, None
     if tables is not None:

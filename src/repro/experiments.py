@@ -7,7 +7,7 @@ files add timing and shape assertions; the CLI prints tables.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adaptation import (
     DeviceLivenessAnalyzer,
@@ -19,7 +19,12 @@ from repro.adaptation import (
 )
 from repro.core.system import IoTSystem
 from repro.devices.software import Service
-from repro.faults.models import PartitionFault, ServiceFailureFault
+from repro.faults.models import (
+    HarnessCrashFault,
+    PartitionFault,
+    ServiceFailureFault,
+)
+from repro.persistence.scenarios import PreparedRun, register_scenario
 
 # ------------------------------------------------------------------------- #
 # Fig. 3: centralized vs decentralized control
@@ -177,3 +182,68 @@ def mape_repair_delays(system: IoTSystem, loops: List[MapeLoop]) -> List[float]:
         delays.extend(loop.time_to_repair(system.trace,
                                           fault_names=["service-failure"]))
     return sorted(delays)
+
+
+# ------------------------------------------------------------------------- #
+# Registered scenarios: the Fig. 3 / Fig. 5 runs as rebuildable specs
+# ------------------------------------------------------------------------- #
+@register_scenario("mape-outage", plane="adaptation",
+                   variants=("edge", "cloud"), variant_param="placement",
+                   monitored=True)
+def _mape_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """Fig. 5's MAPE placement run (default: edge placement).
+
+    ``monitored`` attaches the SLO monitoring stack (probe, default
+    SLOs, gossip liveness mesh) exactly as the CLI's ``monitor``
+    command does; ``strict`` adds the cloud-availability SLO.
+    """
+    monitored = bool(params.get("monitored"))
+    strict = bool(params.get("strict"))
+    aux: Dict[str, Any] = {}
+
+    def setup(system, loops) -> None:
+        from repro.observability.scenarios import monitored_setup
+
+        aux["monitor"] = monitored_setup(system, loops, strict=strict,
+                                         city=False)
+
+    system, loops = prepare_mape_placement(
+        params.get("placement", "edge"), seed=seed or 19,
+        observe=bool(params.get("observe")) or monitored,
+        setup=setup if monitored else None)
+    aux["loops"] = loops
+    return PreparedRun(system=system,
+                       horizon=float(params.get("horizon", FIG5_HORIZON)),
+                       aux=aux)
+
+
+@register_scenario("control-outage", plane="adaptation",
+                   variants=("centralized", "decentralized"),
+                   variant_param="architecture")
+def _control_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """Fig. 3's control-architecture run (default: decentralized)."""
+    system, loops = prepare_control_architecture(
+        params.get("architecture", "decentralized"), seed=seed or 11)
+    return PreparedRun(system=system,
+                       horizon=float(params.get("horizon", FIG3_HORIZON)),
+                       aux={"loops": loops})
+
+
+@register_scenario("harness-crash", plane="persistence")
+def _harness_crash(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """The fault engine's end-to-end recovery proof.
+
+    A decentralized control run whose fault schedule includes a
+    :class:`~repro.faults.models.HarnessCrashFault`: at ``crash_at``
+    the experiment process itself "dies" (the kernel stops
+    mid-horizon).  The persistence runner checkpoints at the stop,
+    and a resumed run must complete the horizon bit-identically to a
+    driver that ignores the stop -- proving the checkpoint/journal
+    path end to end.
+    """
+    prepared = _control_outage(seed, params)
+    crash_at = float(params.get("crash_at", 45.0))
+    prepared.system.injector.inject_at(crash_at, HarnessCrashFault(
+        name=f"harness-crash@{crash_at:g}"))
+    prepared.aux["crash_at"] = crash_at
+    return prepared

@@ -22,9 +22,9 @@ factored runs are bit-identical to the historical inline wiring.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.persistence.scenarios import PreparedRun
+from repro.persistence.scenarios import PreparedRun, register_scenario
 
 SMART_CITY_HORIZON = 60.0
 
@@ -129,3 +129,15 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
         aux["monitor"] = monitored_setup(system, loops, strict=strict,
                                          city=True)
     return PreparedRun(system=system, horizon=SMART_CITY_HORIZON, aux=aux)
+
+
+@register_scenario("smart-city-partition", plane="observability",
+                   quick={"quick": True}, monitored=True)
+def _smart_city_partition(seed: Optional[int],
+                          params: Dict[str, Any]) -> PreparedRun:
+    """The canonical observed run: a smart city losing its cloud."""
+    return prepare_smart_city_partition(
+        seed=seed,
+        quick=bool(params.get("quick")),
+        monitored=bool(params.get("monitored")),
+        strict=bool(params.get("strict")))

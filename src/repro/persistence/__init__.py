@@ -55,9 +55,9 @@ from repro.persistence.scenarios import (
     PreparedRun,
     ScenarioSpec,
     UnknownScenarioError,
+    describe_scenario,
     prepare,
     register_scenario,
-    scenario_builders,
     scenario_names,
 )
 from repro.persistence.snapshot import (
@@ -88,6 +88,7 @@ __all__ = [
     "UnknownScenarioError",
     "canonical_json",
     "default_paths",
+    "describe_scenario",
     "drive",
     "fast_forward",
     "prepare",
@@ -100,7 +101,6 @@ __all__ = [
     "run_scenario",
     "run_to_checkpoint",
     "save_checkpoint",
-    "scenario_builders",
     "scenario_names",
     "state_digest",
     "system_digest",

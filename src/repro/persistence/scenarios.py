@@ -8,6 +8,13 @@ devices, protocols, fault schedule) **without running it**.  The
 persistence runner then drives the run, journals it, checkpoints it and
 replays it.
 
+The registry record is the single owner of everything else the repo
+knows about a scenario: :func:`register_scenario` stores one frozen
+:class:`Scenario` (builder, plane, variants, quick params, monitored,
+gate) and the catalog, the CLI's choices and ``--quick``, and the
+traffic/security gates all read it.  Each plane's scenario module
+registers its own next to the ``prepare_*`` functions they wrap.
+
 Builders must be deterministic functions of ``(seed, params)``: two
 invocations with the same spec must produce systems whose runs are
 bit-identical.  Everything in the repo already obeys this discipline
@@ -17,8 +24,9 @@ avoid wall-clock and ambient randomness.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,9 +62,77 @@ class PreparedRun:
     aux: Dict[str, Any] = field(default_factory=dict)
 
 
-ScenarioBuilder = Callable[[int, Dict[str, Any]], PreparedRun]
+ScenarioBuilder = Callable[[Optional[int], Dict[str, Any]], PreparedRun]
 
-_REGISTRY: Dict[str, ScenarioBuilder] = {}
+
+@dataclass(frozen=True)
+class GateVerdict:
+    """What a gate concluded from one result per variant."""
+
+    ok: bool
+    summary: str                    # the parenthesised part of the gate line
+    failures: Tuple[str, ...] = ()
+    #: Spec params of the variant to re-run under a flight recorder, and
+    #: the trigger detail to pin on it, when the gate failed.
+    incident_params: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A scenario's pass/fail contract over its variants.
+
+    Data plus one function, owned by the scenario module: which variants
+    to run, how to tabulate one finished run, and ``judge`` -- variant ->
+    result in, :class:`GateVerdict` out.  The CLI, benches and tests all
+    call the same ``judge``; nobody re-derives a threshold.
+    """
+
+    variants: Tuple[str, ...]
+    title: str                      # may format ``{horizon:g}``
+    headers: Tuple[str, ...]
+    result: Callable[[PreparedRun], Dict[str, Any]]
+    row: Callable[[Dict[str, Any]], List[Any]]
+    judge: Callable[[Dict[str, Dict[str, Any]]], GateVerdict]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the repo knows about one scenario, in one record.
+
+    The builder makes it runnable; the rest is what the catalog, the CLI
+    and the gates would otherwise each keep their own copy of.
+    """
+
+    name: str
+    builder: ScenarioBuilder
+    plane: str
+    variants: Tuple[str, ...] = ()
+    variant_param: str = "variant"   # the spec param ``variants`` are values of
+    quick: Dict[str, Any] = field(default_factory=dict)
+    #: The builder honours ``observe``/``monitored``/``strict`` params and,
+    #: when monitored, puts the SLO ``monitor`` in ``aux``.
+    monitored: bool = False
+    gate: Optional[Gate] = None
+
+    @property
+    def description(self) -> str:
+        doc = (self.builder.__doc__ or "").strip()
+        return doc.splitlines()[0] if doc else ""
+
+    def spec(self, quick: bool = False, seed: Optional[int] = None,
+             **params: Any) -> ScenarioSpec:
+        """A spec of this scenario; ``quick`` means the same under every verb."""
+        return ScenarioSpec(self.name, seed=seed,
+                            params={**(self.quick if quick else {}), **params})
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"name": self.name, "plane": self.plane,
+                "variants": list(self.variants),
+                "description": self.description}
+
+
+_REGISTRY: Dict[str, Scenario] = {}
 
 
 class UnknownScenarioError(KeyError):
@@ -77,11 +153,18 @@ class UnknownScenarioError(KeyError):
         return f"unknown scenario {self.name!r}; registered: {self.available}"
 
 
-def register_scenario(name: str, builder: Optional[ScenarioBuilder] = None):
-    """Register a builder under ``name`` (usable as a decorator)."""
+def register_scenario(name: str, builder: Optional[ScenarioBuilder] = None, *,
+                      plane: str, variants: Tuple[str, ...] = (),
+                      variant_param: str = "variant",
+                      quick: Optional[Dict[str, Any]] = None,
+                      monitored: bool = False, gate: Optional[Gate] = None):
+    """Register ``name``'s descriptor (usable as a decorator on the builder)."""
 
     def _register(fn: ScenarioBuilder) -> ScenarioBuilder:
-        _REGISTRY[name] = fn
+        _REGISTRY[name] = Scenario(
+            name=name, builder=fn, plane=plane, variants=tuple(variants),
+            variant_param=variant_param, quick=dict(quick or {}),
+            monitored=monitored, gate=gate)
         return fn
 
     if builder is not None:
@@ -89,15 +172,40 @@ def register_scenario(name: str, builder: Optional[ScenarioBuilder] = None):
     return _register
 
 
+#: Every module that registers built-in scenarios next to the
+#: ``prepare_*`` functions they wrap.  Imported lazily: those modules
+#: import this one for :class:`PreparedRun`.
+_BUILTIN_MODULES = (
+    "repro.experiments",
+    "repro.observability.scenarios",
+    "repro.traffic.scenarios",
+    "repro.security.scenarios",
+    "repro.chaos.compiler",
+    "repro.shard.scenario",
+)
+
+
+def _ensure_builtin() -> None:
+    for module in _BUILTIN_MODULES:
+        importlib.import_module(module)
+
+
 def scenario_names() -> List[str]:
     _ensure_builtin()
     return sorted(_REGISTRY)
 
 
-def scenario_builders() -> Dict[str, ScenarioBuilder]:
-    """A copy of the registry (for catalog/introspection layers)."""
+def describe_scenario(name: str) -> Scenario:
+    """The descriptor registered under ``name``.
+
+    Raises :class:`UnknownScenarioError` (with the available names) for
+    anything not in the registry.
+    """
     _ensure_builtin()
-    return dict(_REGISTRY)
+    scenario = _REGISTRY.get(name)
+    if scenario is None:
+        raise UnknownScenarioError(name, sorted(_REGISTRY))
+    return scenario
 
 
 def prepare(spec: ScenarioSpec) -> PreparedRun:
@@ -110,200 +218,11 @@ def prepare(spec: ScenarioSpec) -> PreparedRun:
     reproduces the mutation at the identical point in the event sequence
     and every kernel sequence number matches the live run's.
     """
-    _ensure_builtin()
-    builder = _REGISTRY.get(spec.name)
-    if builder is None:
-        raise UnknownScenarioError(spec.name, scenario_names())
     params = dict(spec.params)
     live_loads = params.pop("live_loads", None)
-    prepared = builder(spec.seed, params)
+    prepared = describe_scenario(spec.name).builder(spec.seed, params)
     if live_loads:
         from repro.live.reconfigure import register_live_loads
 
         register_live_loads(prepared.system, live_loads)
     return prepared
-
-
-# --------------------------------------------------------------------------- #
-# Built-in scenarios
-# --------------------------------------------------------------------------- #
-_BUILTIN_LOADED = False
-
-
-def _ensure_builtin() -> None:
-    """Register the built-in scenarios lazily (import-cycle guard)."""
-    global _BUILTIN_LOADED
-    if _BUILTIN_LOADED:
-        return
-    _BUILTIN_LOADED = True
-
-    from repro.experiments import (
-        FIG3_HORIZON,
-        FIG5_HORIZON,
-        prepare_control_architecture,
-        prepare_mape_placement,
-    )
-
-    @register_scenario("mape-outage")
-    def _mape_outage(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Fig. 5's MAPE placement run (default: edge placement).
-
-        ``monitored`` attaches the SLO monitoring stack (probe, default
-        SLOs, gossip liveness mesh) exactly as the CLI's ``monitor``
-        command does; ``strict`` adds the cloud-availability SLO.
-        """
-        placement = params.get("placement", "edge")
-        monitored = bool(params.get("monitored"))
-        strict = bool(params.get("strict"))
-        aux: Dict[str, Any] = {}
-
-        def setup(system, loops) -> None:
-            from repro.observability.scenarios import monitored_setup
-
-            aux["monitor"] = monitored_setup(system, loops, strict=strict,
-                                             city=False)
-
-        system, loops = prepare_mape_placement(
-            placement, seed=seed or 19,
-            observe=bool(params.get("observe")) or monitored,
-            setup=setup if monitored else None)
-        aux["loops"] = loops
-        return PreparedRun(system=system,
-                           horizon=float(params.get("horizon", FIG5_HORIZON)),
-                           aux=aux)
-
-    @register_scenario("smart-city-partition")
-    def _smart_city(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """The canonical observed run: a smart city losing its cloud."""
-        from repro.observability.scenarios import prepare_smart_city_partition
-
-        return prepare_smart_city_partition(
-            seed=seed,
-            quick=bool(params.get("quick")),
-            monitored=bool(params.get("monitored")),
-            strict=bool(params.get("strict")))
-
-    @register_scenario("control-outage")
-    def _control(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Fig. 3's control-architecture run (default: decentralized)."""
-        architecture = params.get("architecture", "decentralized")
-        system, loops = prepare_control_architecture(architecture,
-                                                     seed=seed or 11)
-        return PreparedRun(system=system,
-                           horizon=float(params.get("horizon", FIG3_HORIZON)),
-                           aux={"loops": loops})
-
-    @register_scenario("harness-crash")
-    def _harness_crash(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """The fault engine's end-to-end recovery proof.
-
-        A decentralized control run whose fault schedule includes a
-        :class:`~repro.faults.models.HarnessCrashFault`: at ``crash_at``
-        the experiment process itself "dies" (the kernel stops
-        mid-horizon).  The persistence runner checkpoints at the stop,
-        and a resumed run must complete the horizon bit-identically to a
-        driver that ignores the stop -- proving the checkpoint/journal
-        path end to end.
-        """
-        from repro.faults.models import HarnessCrashFault
-
-        system, loops = prepare_control_architecture(
-            params.get("architecture", "decentralized"), seed=seed or 11)
-        crash_at = float(params.get("crash_at", 45.0))
-        system.injector.inject_at(crash_at, HarnessCrashFault(
-            name=f"harness-crash@{crash_at:g}"))
-        return PreparedRun(system=system,
-                           horizon=float(params.get("horizon", FIG3_HORIZON)),
-                           aux={"loops": loops, "crash_at": crash_at})
-
-    from repro.traffic.scenarios import (
-        OVERLOAD_HORIZON,
-        RETRY_STORM_HORIZON,
-        prepare_overload,
-        prepare_retry_storm,
-    )
-
-    @register_scenario("traffic-overload")
-    def _traffic_overload(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Edge server under 1.6x capacity (default: admission control)."""
-        return prepare_overload(
-            seed=seed or 23,
-            variant=params.get("variant", "admission"),
-            users=int(params.get("users", 8000)),
-            rate_per_user=float(params.get("rate_per_user", 0.04)),
-            horizon=float(params.get("horizon", OVERLOAD_HORIZON)))
-
-    @register_scenario("traffic-retry-storm")
-    def _traffic_retry_storm(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Retry amplification across an edge crash (default: resilient)."""
-        return prepare_retry_storm(
-            seed=seed or 29,
-            variant=params.get("variant", "resilient"),
-            users=int(params.get("users", 3500)),
-            rate_per_user=float(params.get("rate_per_user", 0.04)),
-            horizon=float(params.get("horizon", RETRY_STORM_HORIZON)))
-
-    from repro.security.scenarios import (
-        BYZANTINE_GOSSIP_HORIZON,
-        RAFT_EQUIVOCATION_HORIZON,
-        SYBIL_FLOOD_HORIZON,
-        prepare_byzantine_gossip,
-        prepare_raft_equivocation,
-        prepare_sybil_flood,
-    )
-
-    @register_scenario("security-byzantine-gossip")
-    def _security_byzantine(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """A gossiping site equivocates (default: defended mesh)."""
-        return prepare_byzantine_gossip(
-            seed=seed or 37,
-            variant=params.get("variant", "defended"),
-            horizon=float(params.get("horizon", BYZANTINE_GOSSIP_HORIZON)))
-
-    @register_scenario("security-raft-equivocation")
-    def _security_raft(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Two Raft voters grant every candidate (default: defended)."""
-        return prepare_raft_equivocation(
-            seed=seed or 41,
-            variant=params.get("variant", "defended"),
-            horizon=float(params.get("horizon", RAFT_EQUIVOCATION_HORIZON)))
-
-    @register_scenario("security-sybil-flood")
-    def _security_sybil(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """A compromised peer floods and forges joins (default: defended)."""
-        return prepare_sybil_flood(
-            seed=seed or 43,
-            variant=params.get("variant", "defended"),
-            horizon=float(params.get("horizon", SYBIL_FLOOD_HORIZON)))
-
-    @register_scenario("chaos")
-    def _chaos(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """A compiled chaos spec (params carry its full dict form).
-
-        One registry entry covers the whole declarative cross-product:
-        ``params["spec"]`` is a :class:`repro.chaos.ChaosSpec` dict, and
-        the compiler wires it onto the same builders every hand-written
-        scenario uses -- so chaos runs checkpoint, resume and replay
-        like any curated scenario.  A persistence-level ``seed``
-        overrides the spec's own.
-        """
-        from repro.chaos.compiler import ScenarioCompiler
-        from repro.chaos.spec import ChaosSpec
-
-        chaos = ChaosSpec.from_dict(params.get("spec", {}))
-        if seed:
-            chaos = chaos.with_seed(seed)
-        return ScenarioCompiler().compile(chaos)
-
-    @register_scenario("smart-city-federated")
-    def _smart_city_federated(seed: int, params: Dict[str, Any]) -> PreparedRun:
-        """Federated smart city: K administrative domains x N devices.
-
-        One shard's worth of the paper's Fig. 4 federation (all domains
-        when the ``shard``/``shards`` params are absent); see
-        :mod:`repro.shard.scenario`.  Runs standalone like any scenario,
-        or partitioned under the sharded federation driver.
-        """
-        from repro.shard.scenario import prepare_smart_city_federated
-
-        return prepare_smart_city_federated(seed, params)

@@ -1,36 +1,39 @@
 """One discoverable registry over every plane's scenarios.
 
-Historically each plane kept its own scenario surface
-(``traffic/scenarios.py``, ``security/scenarios.py``,
-``persistence/scenarios.py``) and only the persistence registry knew the
-full set of *runnable* names.  This module is the single front door: the
-persistence registry remains the authoritative name -> builder store
-(checkpoints must stay rebuildable from it), and this facade adds the
-discovery layer -- which plane owns a scenario, which variants it takes,
-what it does -- consumed by ``python -m repro scenarios list`` and the
-docs.  Compiled chaos specs register through the same path (scenario
-``"chaos"``), so a declarative spec and a hand-written scenario are
-interchangeable everywhere a scenario name is accepted.
+The front door to :mod:`repro.persistence.scenarios`, where one frozen
+:class:`Scenario` descriptor per name records the builder *and* what
+discovery needs -- owning plane, variants, what ``--quick`` means, whether
+it can run monitored, its pass/fail gate.  Each plane's scenario module
+registers its own descriptors next to the ``prepare_*`` functions they
+wrap; ``python -m repro scenarios list``, the CLI's scenario choices and
+the traffic/security gates all read them from here.  Compiled chaos specs
+register through the same path (scenario ``"chaos"``), so a declarative
+spec and a hand-written scenario are interchangeable everywhere a
+scenario name is accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.persistence.scenarios import (
+    Gate,
+    GateVerdict,
     PreparedRun,
+    Scenario,
     ScenarioSpec,
     UnknownScenarioError,
+    describe_scenario,
     prepare,
     register_scenario,
-    scenario_builders,
     scenario_names,
 )
 
 __all__ = [
+    "Gate",
+    "GateVerdict",
     "PreparedRun",
-    "ScenarioInfo",
+    "Scenario",
     "ScenarioSpec",
     "UnknownScenarioError",
     "catalog",
@@ -40,89 +43,8 @@ __all__ = [
     "scenario_names",
 ]
 
-#: Owning plane by exact name; prefixes cover the rest.
-_PLANES: Dict[str, str] = {
-    "mape-outage": "adaptation",
-    "control-outage": "adaptation",
-    "smart-city-partition": "observability",
-    "harness-crash": "persistence",
-    "chaos": "chaos",
-    "smart-city-federated": "shard",
-}
 
-
-def _plane_of(name: str) -> str:
-    if name in _PLANES:
-        return _PLANES[name]
-    prefix = name.split("-", 1)[0]
-    if prefix in ("traffic", "security"):
-        return prefix
-    return "core"
-
-
-def _variants_of(name: str) -> Tuple[str, ...]:
-    """The ``variant`` param values a scenario accepts (empty if none)."""
-    if name == "traffic-overload":
-        from repro.traffic.scenarios import OVERLOAD_VARIANTS
-
-        return tuple(OVERLOAD_VARIANTS)
-    if name == "traffic-retry-storm":
-        from repro.traffic.scenarios import RETRY_STORM_VARIANTS
-
-        return tuple(RETRY_STORM_VARIANTS)
-    if name == "security-byzantine-gossip":
-        from repro.security.scenarios import BYZANTINE_GOSSIP_VARIANTS
-
-        return tuple(BYZANTINE_GOSSIP_VARIANTS)
-    if name == "security-raft-equivocation":
-        from repro.security.scenarios import RAFT_EQUIVOCATION_VARIANTS
-
-        return tuple(RAFT_EQUIVOCATION_VARIANTS)
-    if name == "security-sybil-flood":
-        from repro.security.scenarios import SYBIL_FLOOD_VARIANTS
-
-        return tuple(SYBIL_FLOOD_VARIANTS)
-    if name == "control-outage":
-        return ("centralized", "decentralized")
-    if name == "mape-outage":
-        return ("edge", "cloud")
-    return ()
-
-
-@dataclass(frozen=True)
-class ScenarioInfo:
-    """Catalog row: everything discovery needs, nothing a run needs."""
-
-    name: str
-    plane: str
-    variants: Tuple[str, ...]
-    description: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "plane": self.plane,
-                "variants": list(self.variants),
-                "description": self.description}
-
-
-def describe_scenario(name: str) -> ScenarioInfo:
-    """Catalog entry for one registered scenario.
-
-    Raises :class:`UnknownScenarioError` (with the available names) for
-    anything not in the registry.
-    """
-    builders = scenario_builders()
-    builder = builders.get(name)
-    if builder is None:
-        raise UnknownScenarioError(name, sorted(builders))
-    doc = (builder.__doc__ or "").strip()
-    description = doc.splitlines()[0] if doc else ""
-    return ScenarioInfo(name=name, plane=_plane_of(name),
-                        variants=_variants_of(name), description=description)
-
-
-def catalog(plane: Optional[str] = None) -> List[ScenarioInfo]:
-    """Every registered scenario, optionally filtered by owning plane."""
-    infos = [describe_scenario(name) for name in scenario_names()]
-    if plane is not None:
-        infos = [info for info in infos if info.plane == plane]
-    return infos
+def catalog(plane: Optional[str] = None) -> List[Scenario]:
+    """Every registered descriptor, optionally filtered by owning plane."""
+    return [scenario for scenario in map(describe_scenario, scenario_names())
+            if plane in (None, scenario.plane)]

@@ -57,7 +57,12 @@ from repro.coordination.membership import MembershipProtocol
 from repro.coordination.raft import RaftNode
 from repro.core.system import IoTSystem
 from repro.faults.models import NodeCompromiseFault
-from repro.persistence.scenarios import PreparedRun
+from repro.persistence.scenarios import (
+    Gate,
+    GateVerdict,
+    PreparedRun,
+    register_scenario,
+)
 from repro.security.adversary import (
     FloodBehavior,
     GossipEquivocateBehavior,
@@ -444,3 +449,153 @@ def run_sybil_flood(variant: str, seed: int = 43,
     prepared = prepare_sybil_flood(seed=seed, variant=variant, **params)
     prepared.system.run(until=prepared.horizon)
     return sybil_flood_result(prepared)
+
+
+# --------------------------------------------------------------------------- #
+# Gates and registration: the naive variant must demonstrably fail AND the
+# defended one must hold
+# --------------------------------------------------------------------------- #
+def _failed(failures: List[str]) -> GateVerdict:
+    return GateVerdict(False, "; ".join(failures), tuple(failures),
+                       incident_params={"variant": "defended"},
+                       detail={"failures": failures})
+
+
+def _names(values: Any) -> str:
+    return ",".join(str(v) for v in values) or "-"
+
+
+def _judge_byzantine_gossip(results: Dict[str, Dict[str, Any]]) -> GateVerdict:
+    """Naive never converges; defended converges within 2x the clean run
+    and quarantines the equivocator."""
+    clean, naive, defended = (results[v] for v in BYZANTINE_GOSSIP_VARIANTS)
+    failures = []
+    if naive["converged"]:
+        failures.append("naive mesh converged despite the equivocator")
+    if not defended["converged"]:
+        failures.append("defended mesh never converged")
+    elif defended["converged_at"] > 2.0 * clean["converged_at"]:
+        failures.append(
+            f"defended convergence {defended['converged_at']:.1f}s "
+            f"exceeds 2x clean ({clean['converged_at']:.1f}s)")
+    if naive["attacker"] not in defended["quarantined"]:
+        failures.append("defended run did not quarantine the attacker")
+    if failures:
+        return _failed(failures)
+    return GateVerdict(True, (
+        f"defended converges at {defended['converged_at']:.1f}s vs clean "
+        f"{clean['converged_at']:.1f}s; naive never converges"))
+
+
+def _judge_sybil_flood(results: Dict[str, Dict[str, Any]]) -> GateVerdict:
+    """Naive collapses below 50% of clean goodput; defended holds >=90%
+    with zero sybil members."""
+    clean, naive, defended = (results[v] for v in SYBIL_FLOOD_VARIANTS)
+    failures = []
+    if naive["goodput"] >= 0.5 * clean["goodput"]:
+        failures.append("naive run did not collapse under the flood")
+    if defended["goodput"] < 0.9 * clean["goodput"]:
+        failures.append(
+            f"defended goodput {defended['goodput']:.1f}/s is below "
+            f"90% of clean ({clean['goodput']:.1f}/s)")
+    if defended["sybil_count"]:
+        failures.append(
+            f"defended membership admitted {defended['sybil_count']} "
+            "sybil identities")
+    if not naive["sybil_count"]:
+        failures.append("naive membership rejected the sybils "
+                        "(attack had no teeth)")
+    if failures:
+        return _failed(failures)
+    return GateVerdict(True, (
+        f"defended holds {defended['goodput'] / clean['goodput']:.0%} of "
+        "clean goodput; naive collapses to "
+        f"{naive['goodput'] / clean['goodput']:.0%}"))
+
+
+def _judge_raft_equivocation(results: Dict[str, Dict[str, Any]]
+                             ) -> GateVerdict:
+    """Naive elects two leaders in one term; defended keeps exactly one
+    safe leader."""
+    naive, defended = (results[v] for v in RAFT_EQUIVOCATION_VARIANTS)
+    failures = []
+    if not naive["safety_violated"]:
+        failures.append("naive run never double-elected "
+                        "(attack had no teeth)")
+    if defended["safety_violated"]:
+        failures.append("defended run elected two leaders in one term")
+    if not defended["leader_elected"]:
+        failures.append("defended run never elected a leader")
+    if failures:
+        return _failed(failures)
+    return GateVerdict(True, (
+        f"naive double-elects in {len(naive['double_wins'])} term(s); "
+        "defended keeps one safe leader and quarantines "
+        f"{','.join(defended['quarantined'])}"))
+
+
+BYZANTINE_GOSSIP_GATE = Gate(
+    variants=BYZANTINE_GOSSIP_VARIANTS,
+    title="security: byzantine gossip (horizon {horizon:g}s)",
+    headers=("variant", "converged", "converged at (s)", "honest values",
+             "quarantined", "auth drops"),
+    result=byzantine_gossip_result,
+    row=lambda r: [r["variant"], r["converged"], r["converged_at"],
+                   len(r["honest_values"]), _names(r["quarantined"]),
+                   r["security"]["dropped_auth"]],
+    judge=_judge_byzantine_gossip)
+
+SYBIL_FLOOD_GATE = Gate(
+    variants=SYBIL_FLOOD_VARIANTS,
+    title="security: sybil flood against an edge server",
+    headers=("variant", "offered/s", "goodput/s", "success", "sybils",
+             "attacker msgs", "quarantined"),
+    result=sybil_flood_result,
+    row=lambda r: [r["variant"], r["offered_rate"], r["goodput"],
+                   r["success_ratio"], r["sybil_count"],
+                   r["attacker_messages"], _names(r["quarantined"])],
+    judge=_judge_sybil_flood)
+
+RAFT_EQUIVOCATION_GATE = Gate(
+    variants=RAFT_EQUIVOCATION_VARIANTS,
+    title="security: raft equivocation with f=2 of n=5 compromised",
+    headers=("variant", "elections won", "double-win terms", "safety",
+             "final leaders", "quarantined"),
+    result=raft_equivocation_result,
+    row=lambda r: [r["variant"], r["elections_won"], _names(r["double_wins"]),
+                   "VIOLATED" if r["safety_violated"] else "safe",
+                   _names(r["final_leaders"]), _names(r["quarantined"])],
+    judge=_judge_raft_equivocation)
+
+
+@register_scenario("security-byzantine-gossip", plane="security",
+                   variants=BYZANTINE_GOSSIP_VARIANTS,
+                   quick={"horizon": 12.0}, gate=BYZANTINE_GOSSIP_GATE)
+def _security_byzantine(seed: Optional[int],
+                        params: Dict[str, Any]) -> PreparedRun:
+    """A gossiping site equivocates (default: defended mesh)."""
+    return prepare_byzantine_gossip(
+        seed=seed or 37,
+        variant=params.get("variant", "defended"),
+        horizon=float(params.get("horizon", BYZANTINE_GOSSIP_HORIZON)))
+
+
+@register_scenario("security-raft-equivocation", plane="security",
+                   variants=RAFT_EQUIVOCATION_VARIANTS,
+                   gate=RAFT_EQUIVOCATION_GATE)
+def _security_raft(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """Two Raft voters grant every candidate (default: defended)."""
+    return prepare_raft_equivocation(
+        seed=seed or 41,
+        variant=params.get("variant", "defended"),
+        horizon=float(params.get("horizon", RAFT_EQUIVOCATION_HORIZON)))
+
+
+@register_scenario("security-sybil-flood", plane="security",
+                   variants=SYBIL_FLOOD_VARIANTS, gate=SYBIL_FLOOD_GATE)
+def _security_sybil(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
+    """A compromised peer floods and forges joins (default: defended)."""
+    return prepare_sybil_flood(
+        seed=seed or 43,
+        variant=params.get("variant", "defended"),
+        horizon=float(params.get("horizon", SYBIL_FLOOD_HORIZON)))

@@ -48,14 +48,14 @@ from ..governance.domains import (
     TrustLevel,
 )
 from ..observability.slo import SloMonitor, SloSpec
-from ..persistence.scenarios import PreparedRun
+from ..persistence.scenarios import PreparedRun, register_scenario
 from ..security.plane import SecurityPlane
 from ..traffic.client import TrafficClient
 from ..traffic.loadgen import ClientCohort
 from ..traffic.server import Server, ServiceModel
 from .gateway import FederationGateway
 
-#: Canonical seed (see persistence.scenarios registration).
+#: Canonical seed.
 FEDERATED_SEED = 47
 
 #: Jurisdictions cycled across domains; GDPR->CCPA personal export is
@@ -265,3 +265,7 @@ def prepare_smart_city_federated(
         "horizon": horizon,
     }
     return PreparedRun(system=system, horizon=horizon, aux=aux)
+
+
+register_scenario("smart-city-federated", prepare_smart_city_federated,
+                  plane="shard", quick={"quick": True})

@@ -43,7 +43,12 @@ from repro.adaptation import (
 )
 from repro.core.system import IoTSystem
 from repro.faults.models import CrashRecoveryFault
-from repro.persistence.scenarios import PreparedRun
+from repro.persistence.scenarios import (
+    Gate,
+    GateVerdict,
+    PreparedRun,
+    register_scenario,
+)
 from repro.traffic.admission import QueueLengthAdmission
 from repro.traffic.client import COMPLETIONS_SERIES, TrafficClient
 from repro.traffic.loadgen import ClientCohort
@@ -259,3 +264,83 @@ def run_retry_storm(variant: str, seed: int = 29, **params: Any) -> Dict[str, An
     prepared = prepare_retry_storm(seed=seed, variant=variant, **params)
     prepared.system.run(until=prepared.horizon)
     return retry_storm_result(prepared)
+
+
+# --------------------------------------------------------------------------- #
+# Gates and registration
+# --------------------------------------------------------------------------- #
+def _judge_overload(results: Dict[str, Dict[str, Any]]) -> GateVerdict:
+    """Admission control must hold goodput at >=80% of capacity."""
+    held = results["admission"]["goodput_vs_capacity"]
+    if held < 0.8:
+        summary = f"admission goodput at {held:.0%} of capacity"
+        return GateVerdict(False, summary, failures=(summary,),
+                           incident_params={"variant": "admission"},
+                           detail={"goodput_vs_capacity": held})
+    return GateVerdict(True, "admission control holds goodput at "
+                             f"{held:.0%} of capacity")
+
+
+def _judge_retry_storm(results: Dict[str, Dict[str, Any]]) -> GateVerdict:
+    """Budget+breaker must recover >=90% of offered goodput after the heal."""
+    recovery = results["resilient"]["recovery_ratio"]
+    if recovery < 0.9:
+        summary = (f"post-heal goodput recovered only {recovery:.0%} "
+                   "of offered")
+        return GateVerdict(False, summary, failures=(summary,),
+                           incident_params={"variant": "resilient"},
+                           detail={"recovery_ratio": recovery})
+    return GateVerdict(True, f"budget+breaker recover {recovery:.0%} of "
+                             "offered goodput")
+
+
+OVERLOAD_GATE = Gate(
+    variants=OVERLOAD_VARIANTS,
+    title="traffic: overload at 1.6x capacity (horizon {horizon:g}s)",
+    headers=("variant", "offered/s", "capacity/s", "goodput/s", "success",
+             "p99 (s)", "rejected", "timed out"),
+    result=overload_result,
+    row=lambda r: [r["variant"], r["offered_rate"], r["capacity"],
+                   r["goodput"], r["success_ratio"], r["p99_latency"],
+                   r["rejected"], r["timed_out"]],
+    judge=_judge_overload)
+
+RETRY_STORM_GATE = Gate(
+    variants=RETRY_STORM_VARIANTS,
+    title="traffic: retry storm across an 8s edge crash "
+          "(horizon {horizon:g}s)",
+    headers=("variant", "offered/s", "recovered/s", "recovery", "retries",
+             "short-circuited", "breaker trips"),
+    result=retry_storm_result,
+    row=lambda r: [r["variant"], r["offered_rate"], r["recovered_goodput"],
+                   r["recovery_ratio"], r["retries"], r["short_circuited"],
+                   r.get("breaker", {}).get("trips", "-")],
+    judge=_judge_retry_storm)
+
+
+@register_scenario("traffic-overload", plane="traffic",
+                   variants=OVERLOAD_VARIANTS, quick={"horizon": 15.0},
+                   gate=OVERLOAD_GATE)
+def _traffic_overload(seed: Optional[int],
+                      params: Dict[str, Any]) -> PreparedRun:
+    """Edge server under 1.6x capacity (default: admission control)."""
+    return prepare_overload(
+        seed=seed or 23,
+        variant=params.get("variant", "admission"),
+        users=int(params.get("users", 8000)),
+        rate_per_user=float(params.get("rate_per_user", 0.04)),
+        horizon=float(params.get("horizon", OVERLOAD_HORIZON)))
+
+
+@register_scenario("traffic-retry-storm", plane="traffic",
+                   variants=RETRY_STORM_VARIANTS, quick={"horizon": 35.0},
+                   gate=RETRY_STORM_GATE)
+def _traffic_retry_storm(seed: Optional[int],
+                         params: Dict[str, Any]) -> PreparedRun:
+    """Retry amplification across an edge crash (default: resilient)."""
+    return prepare_retry_storm(
+        seed=seed or 29,
+        variant=params.get("variant", "resilient"),
+        users=int(params.get("users", 3500)),
+        rate_per_user=float(params.get("rate_per_user", 0.04)),
+        horizon=float(params.get("horizon", RETRY_STORM_HORIZON)))

@@ -1,6 +1,7 @@
 """Smoke tests for the CLI front-end."""
 
 import json
+import re
 
 import pytest
 
@@ -259,10 +260,133 @@ class TestBadRunDirectories:
         error = next(t for t in doc["tables"] if t.get("title") == "error")
         assert "checkpoint.json" in error["data"]["error"]
 
+    @pytest.mark.parametrize("argv,code,reason", [
+        (["incident", "show", "/nonexistent"], 2, "not an incident bundle"),
+        (["incident", "replay", "/nonexistent"], 2, "not an incident bundle"),
+        (["profile", "diff", "/a", "/b"], 2, "cannot load snapshot"),
+        (["chaos", "shrink", "/nonexistent"], 2, "cannot load a spec"),
+    ])
+    def test_json_mode_reports_every_verbs_error(self, argv, code, reason,
+                                                 capsys):
+        assert main(["--json", *argv]) == code
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["exit_code"] == code
+        error = next(t for t in doc["tables"] if t.get("title") == "error")
+        assert reason in error["data"]["error"]
+        assert captured.err == f"error: {error['data']['error']}\n"
+
+    def test_json_mode_reports_disjoint_profile_snapshots(self, tmp_path,
+                                                          capsys):
+        for name, scenario in (("a", "one"), ("b", "two")):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"benches": {}, "profiles": {scenario: {}, "other": {}}
+                 if name == "a" else {scenario: {}}}))
+        assert main(["--json", "profile", "diff", str(tmp_path / "a.json"),
+                     str(tmp_path / "b.json")]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        error = next(t for t in doc["tables"] if t.get("title") == "error")
+        assert "share no profiled scenarios" in error["data"]["error"]
+
     def test_shard_verbs_share_the_classification(self, tmp_path, capsys):
         for verb in ("resume", "verify"):
             self._assert_classified(
                 ["shard", verb, "--out", str(tmp_path / "nope")], capsys)
+
+
+def _usage_error(argv, capsys):
+    """``argv`` must be refused by the parser: exit 2, usage on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+class TestCommandTable:
+    """The parser is generated from the command table."""
+
+    def test_every_command_has_help_listing_only_its_own_flags(self, capsys):
+        from repro.cli import command_table
+
+        for row in command_table():
+            with pytest.raises(SystemExit) as exc:
+                main([*row.name.split(), "-h"])
+            assert exc.value.code == 0, row.name
+            text = capsys.readouterr().out
+            assert row.help.split(";")[0][:40] in " ".join(text.split())
+            flags = {flag for names, _ in row.args for flag in names
+                     if flag.startswith("--")}
+            # Option lines of the help: "  --flag ARG   ..." / "  -h, --help".
+            shown = set(re.findall(r"^  (?:-h, )?(--[a-z-]+)", text, re.M))
+            assert shown == flags | {"--help", "--quick", "--json", "--out"}, (
+                row.name)
+
+    def test_group_help_lists_verbs_not_foreign_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "-h"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for verb in ("run", "verify", "resume"):
+            assert verb in text
+        assert "--shards" in text and "--speed" not in text
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        from repro.cli import command_table
+
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        text = capsys.readouterr().out
+        for row in command_table():
+            assert f"  {row.name} " in text
+
+    @pytest.mark.parametrize("argv", [
+        ["live", "--checkpoint-every", "0"],
+        ["live", "--speed", "-1"],
+        ["shard", "run", "--shards", "0"],
+        ["shard", "run", "--checkpoint-every", "0.5"],
+        ["shard", "verify", "--workers", "0", "--out", "x"],
+        ["chaos", "run", "--runs", "0"],
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        assert "invalid" in _usage_error(argv, capsys)
+
+    def test_stray_positional_is_a_usage_error(self, tmp_path, capsys):
+        err = _usage_error(["resume", "control-outage",
+                            "--out", str(tmp_path)], capsys)
+        assert "unrecognized arguments: control-outage" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["maturity", "--shards", "9"],
+        ["replay", "--speed", "3"],
+        ["shard", "--shards", "3", "verify"],
+    ])
+    def test_foreign_flag_is_a_usage_error(self, argv, capsys):
+        _usage_error(argv, capsys)
+
+    def test_global_flags_before_or_after_the_command(self, capsys):
+        assert main(["--json", "--quick", "verify"]) == 0
+        before = capsys.readouterr().out
+        assert main(["verify", "--quick", "--json"]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_verb_group_defaults_to_its_default_verb(self, tmp_path, capsys):
+        assert main(["scenarios"]) == 0
+        assert "scenarios: unified registry" in capsys.readouterr().out
+        assert main(["chaos", "--seed", "84", "--runs", "1",
+                     "--out", str(tmp_path / "out"),
+                     "--corpus", str(tmp_path / "corpus")]) == 0
+        assert "0/1 specs violated" in capsys.readouterr().out
+
+    def test_quick_means_the_scenarios_own_params_under_every_verb(
+            self, tmp_path, capsys):
+        assert main(["checkpoint", "traffic-retry-storm", "--quick",
+                     "--at", "5", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        header = json.loads(
+            (tmp_path / "journal.jsonl").read_text().splitlines()[0])
+        assert header["scenario"]["params"] == {"horizon": 35.0}
 
 
 class TestChaosCommand:

@@ -47,42 +47,51 @@ def test_gitignore_covers_artifact_paths():
 
 
 def _cross_package_private_imports():
-    """``from <other repro unit> import _name`` lines under ``src/repro``.
+    """``from <other repro unit> import _name`` lines.
 
-    A unit is a ``repro`` subpackage or top-level module; an underscore
-    name is that unit's implementation detail.
+    Under ``src/repro`` a unit is a ``repro`` subpackage or top-level
+    module, and an underscore name is that unit's implementation detail.
+    The top-level ``benchmarks/*.py`` scripts belong to no unit, so every
+    underscore import from ``repro`` is foreign to them.
     """
     import ast
 
     root = os.path.join(REPO_ROOT, "src")
-    offenders = []
+    sources = []     # (path, importing module's dotted parts)
     for dirpath, _dirs, files in os.walk(os.path.join(root, "repro")):
         for filename in files:
-            if not filename.endswith(".py"):
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                sources.append(
+                    (path, os.path.relpath(path, root)[:-3].split(os.sep)))
+    bench_dir = os.path.join(REPO_ROOT, "benchmarks")
+    for filename in sorted(os.listdir(bench_dir)):
+        if filename.endswith(".py"):
+            sources.append((os.path.join(bench_dir, filename),
+                            ["benchmarks", ""]))
+    offenders = []
+    for path, parts in sources:
+        package = parts[:-1]      # importing module's package
+        if os.path.basename(path) == "__init__.py":
+            parts = package
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
                 continue
-            path = os.path.join(dirpath, filename)
-            parts = os.path.relpath(path, root)[:-3].split(os.sep)
-            package = parts[:-1]      # importing module's package
-            if filename == "__init__.py":
-                parts = package
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.ImportFrom):
-                    continue
-                target = (node.module or "").split(".") if node.module else []
-                if node.level:
-                    target = package[:len(package) - node.level + 1] + target
-                if target[:1] != ["repro"] or target[1:2] == parts[1:2]:
-                    continue
-                private = [alias.name for alias in node.names
-                           if alias.name.startswith("_")
-                           and not alias.name.startswith("__")]
-                if private:
-                    offenders.append(
-                        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno} "
-                        f"imports {', '.join(private)} from "
-                        f"{'.'.join(target)}")
+            target = (node.module or "").split(".") if node.module else []
+            if node.level:
+                target = package[:len(package) - node.level + 1] + target
+            if target[:1] != ["repro"] or target[1:2] == parts[1:2]:
+                continue
+            private = [alias.name for alias in node.names
+                       if alias.name.startswith("_")
+                       and not alias.name.startswith("__")]
+            if private:
+                offenders.append(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno} "
+                    f"imports {', '.join(private)} from "
+                    f"{'.'.join(target)}")
     return offenders
 
 
