@@ -15,6 +15,7 @@ from repro.devices.base import Device, DeviceClass
 from repro.network.transport import Network
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
+from repro.simulation.rng import derive_seed
 from repro.simulation.trace import TraceLog
 
 
@@ -42,7 +43,7 @@ class Sensor(Device):
         if period <= 0:
             raise ValueError("sampling period must be positive")
         self.period = period
-        self._rng = rng or random.Random(hash(device_id) & 0xFFFFFFFF)
+        self._rng = rng or random.Random(derive_seed(device_id))
         self._walk = 20.0
         self.signal = signal or self._random_walk
         self.sink: Optional[str] = None

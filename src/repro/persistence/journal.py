@@ -70,21 +70,19 @@ class JournalRecords:
 class JournalWriter:
     """Flushing JSONL writer bound to one run.
 
-    ``append=True`` (the resume path) expects the header to already be on
-    disk and continues after the existing records; use :func:`truncate`
-    first to drop any records written past the checkpoint barrier by the
-    crashed run.
+    ``append=True`` (the resume path) continues a journal that
+    :func:`truncate` has just cut back to the checkpoint barrier.  It does
+    not parse the file again: ``digest_every`` is the checkpoint's and
+    ``records_written`` the count ``truncate`` returned.
     """
 
     def __init__(self, path: str, scenario: Optional[Dict[str, Any]] = None,
-                 digest_every: int = 25, append: bool = False) -> None:
+                 digest_every: int = 25, append: bool = False,
+                 records_written: int = 0) -> None:
         self.path = path
         self.digest_every = digest_every
-        self.records_written = 0
+        self.records_written = records_written
         if append:
-            existing = read_journal(path)
-            self.digest_every = existing.digest_every
-            self.records_written = len(existing.records)
             self._fh = open(path, "a", encoding="utf-8")
         else:
             self._fh = open(path, "w", encoding="utf-8")

@@ -266,8 +266,10 @@ class Run:
         run.fast_forward_events = checkpoint.fired
         journal = None
         if journal_path and os.path.exists(journal_path):
-            truncate(journal_path, checkpoint.fired)
-            journal = JournalWriter(journal_path, append=True)
+            kept = truncate(journal_path, checkpoint.fired)
+            journal = JournalWriter(journal_path,
+                                    digest_every=checkpoint.digest_every,
+                                    append=True, records_written=kept)
         return run._record(journal, checkpoint.digest_every, journal_path)
 
     @property

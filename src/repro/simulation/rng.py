@@ -12,8 +12,54 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from array import array
-from typing import Any, Dict, List, Tuple
+import struct
+from typing import Any, Dict, List, Optional, Tuple
+
+# The Mersenne Twister state: 624 32-bit words, then the position word.
+_MT_STATE = struct.Struct("=625I")
+_mt_random = random.Random.random
+_mt_getrandbits = random.Random.getrandbits
+
+
+class CountedRandom(random.Random):
+    """A ``random.Random`` that counts every call that can move its state.
+
+    The Mersenne Twister state changes only through ``random()``,
+    ``getrandbits()``, ``seed()`` and ``setstate()`` -- every other draw
+    method is built on the first two -- so ``(moves, gauss_next)`` names a
+    state of this object: while it reads the same, the stream has not moved.
+    :meth:`RngRegistry.stream_digests` keeps its memo in the ``_digest*``
+    and ``_prefix*`` attributes; a copied or unpickled stream is rebuilt
+    from ``getstate()`` alone and so starts without one.
+
+    ``random`` *and* ``getrandbits`` are both overridden on purpose: with
+    only ``random`` in the class body, ``Random.__init_subclass__`` would
+    switch ``_randbelow`` to the variant that avoids ``getrandbits`` and
+    every ``choice``/``shuffle``/``sample``/``randrange`` sequence would
+    differ from a plain ``random.Random`` with the same seed.
+    """
+
+    moves = 0
+    _digest_key: Optional[Tuple[int, Optional[float]]] = None
+    _digest = ""
+    _prefix_words = b""
+    _prefix_hasher: Any = None
+
+    def random(self) -> float:
+        self.moves += 1
+        return _mt_random(self)
+
+    def getrandbits(self, k: int) -> int:
+        self.moves += 1
+        return _mt_getrandbits(self, k)
+
+    def seed(self, *args: Any, **kwargs: Any) -> None:
+        self.moves += 1
+        super().seed(*args, **kwargs)
+
+    def setstate(self, state: Any) -> None:
+        self.moves += 1
+        super().setstate(state)
 
 
 class RngRegistry:
@@ -28,19 +74,21 @@ class RngRegistry:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, random.Random] = {}
-        # name -> (the getstate() a digest was computed from, digest).
-        self._digests: Dict[str, Tuple[tuple, str]] = {}
+        self._streams: Dict[str, CountedRandom] = {}
+        # Digest-memo health (plain ints, off the digest): streams whose
+        # digest was recomputed, and how many of those also had to
+        # re-encode their 624 state words (once per twist).
+        self.streams_reencoded = 0
+        self.prefix_rebuilds = 0
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically."""
         if name not in self._streams:
-            self._streams[name] = random.Random(self._derive(name))
+            self._streams[name] = CountedRandom(self._derive(name))
         return self._streams[name]
 
     def _derive(self, name: str) -> int:
-        digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
+        return derive_seed(f"{self.seed}:{name}")
 
     def fork(self, name: str) -> "RngRegistry":
         """A child registry whose streams are independent of the parent's."""
@@ -66,24 +114,45 @@ class RngRegistry:
         }
 
     def stream_digests(self) -> Dict[str, str]:
-        """``{name: digest of the stream's serialized state}``, name-sorted.
+        """``{name: rng_state_digest(stream)}``, name-sorted.
 
-        A stream is re-encoded only when its ``getstate()`` differs from the
-        one its last digest was computed from.  The check is equality of the
-        whole state, so anything that moves a stream (a draw, ``gauss``,
-        ``setstate``, :meth:`restore_state`) is seen without being told.
+        A stream whose ``(moves, gauss_next)`` still reads what it read when
+        its digest was taken has not moved and costs two attribute reads.
+        ``gauss_next`` is in the key because ``gauss()`` consumes its cached
+        variate without drawing.
         """
         out = {}
         for name, rng in sorted(self._streams.items()):
-            version, internal, gauss_next = rng.getstate()
-            # The same tuple, words packed: 2.5 KB a stream where 625 int
-            # objects take 24 KB, and equality is as exact.
-            state = (version, array("I", internal).tobytes(), gauss_next)
-            memo = self._digests.get(name)
-            if memo is None or memo[0] != state:
-                memo = self._digests[name] = (state, rng_state_digest(rng))
-            out[name] = memo[1]
+            if rng._digest_key != (rng.moves, rng.gauss_next):
+                self._redigest(rng)
+            out[name] = rng._digest
         return out
+
+    def _redigest(self, rng: CountedRandom) -> None:
+        """Recompute ``rng``'s memoised digest, hashing only the tail.
+
+        Between twists (every 624 32-bit words drawn) a Mersenne Twister
+        changes nothing but its trailing position word, so the JSON of the
+        624 state words is encoded and fed to SHA-256 once per twist --
+        keyed by the packed words themselves, compared exactly -- and each
+        digest is a copy of that hasher plus ``<pos>],<gauss_next>]``.
+        """
+        version, internal, gauss_next = rng.getstate()
+        words = _MT_STATE.pack(*internal)[:-4]
+        if words != rng._prefix_words:
+            encoded = json.dumps([version, list(internal[:-1])],
+                                 separators=(",", ":"))
+            # "[3,[w0,...,w623]]" -> "[3,[w0,...,w623,"
+            rng._prefix_hasher = hashlib.sha256(
+                (encoded[:-2] + ",").encode("utf-8"))
+            rng._prefix_words = words
+            self.prefix_rebuilds += 1
+        hasher = rng._prefix_hasher.copy()
+        hasher.update(
+            f"{internal[-1]}],{json.dumps(gauss_next)}]".encode("utf-8"))
+        rng._digest = hasher.hexdigest()
+        rng._digest_key = (rng.moves, gauss_next)
+        self.streams_reencoded += 1
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Restore every stream's draw position from :meth:`snapshot_state`.
@@ -94,6 +163,15 @@ class RngRegistry:
         self.seed = int(state["seed"])
         for name, rng_state in state["streams"].items():
             restore_rng_state(self.stream(name), rng_state)
+
+
+def derive_seed(text: str) -> int:
+    """A 64-bit seed from ``text`` that is the same in every process.
+
+    SHA-256, not ``hash()``: string hashes vary with ``PYTHONHASHSEED``.
+    """
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def serialize_rng_state(rng: random.Random) -> List[Any]:

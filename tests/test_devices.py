@@ -1,5 +1,9 @@
 """Unit tests for resources, software stacks, devices and fleets."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.devices.base import DEVICE_CLASS_SPECS, Device, DeviceClass
@@ -304,6 +308,20 @@ class TestSensorActuator:
     def test_invalid_period_raises(self):
         with pytest.raises(ValueError):
             Sensor("s1", period=0.0)
+
+    def test_fallback_rng_ignores_pythonhashseed(self):
+        # A sensor built without an rng seeds its own from the device id;
+        # str hashes differ between processes, SHA-256 does not.
+        code = ("from repro.devices.sensor import Sensor; "
+                "s = Sensor('s1'); print([s.signal(0.0) for _ in range(5)])")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        samples = set()
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            samples.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert len(samples) == 1 and "[" in samples.pop()
 
     def test_actuator_applies_commands_and_records_latency(self, sim, rngs, metrics, trace):
         topo = build_star_topology("ctl", ["a1"], rng=rngs.stream("net"))

@@ -84,6 +84,28 @@ class TestResumeBitwiseIdentity:
         with open(default_paths(bundle)["journal"]) as fh:
             assert fh.read() == ref_bytes
 
+    def test_resume_parses_the_journal_once(self, tmp_path, monkeypatch):
+        from repro.persistence import Run, journal
+
+        spec = ScenarioSpec(name="control-outage", params={})
+        directory = str(tmp_path / "i")
+        run_to_checkpoint(spec, directory, at=45.0, digest_every=10)
+        paths = default_paths(directory)
+        on_disk = read_journal(paths["journal"])
+
+        parses = []
+        real = journal.read_journal
+        monkeypatch.setattr(
+            journal, "read_journal",
+            lambda path: parses.append(path) or real(path))
+        run = Run.resume(Checkpoint.load(paths["checkpoint"]),
+                         paths["journal"])
+        run.abandon()
+        assert parses == [paths["journal"]]
+        # The writer still knows what a second parse would have told it.
+        assert run.journal.digest_every == on_disk.digest_every == 10
+        assert run.journal.records_written == len(on_disk.records)
+
     def test_kpi_report_identical_after_resume(self, tmp_path):
         spec = ScenarioSpec(name="mape-outage")
         reference, _ = _reference(tmp_path, spec)

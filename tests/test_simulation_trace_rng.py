@@ -1,8 +1,14 @@
 """Unit tests for the trace log and RNG registry."""
 
-import pytest
+import copy
+import hashlib
+import pickle
+import random
 
-from repro.simulation.rng import RngRegistry
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.simulation.rng import RngRegistry, rng_state_digest
 from repro.simulation.trace import TraceEvent, TraceLog
 
 
@@ -165,8 +171,9 @@ class TestRngRegistry:
 
 
 class TestRngDigestMemo:
-    """``stream_digests`` is a memo over ``getstate()``; it must always
-    equal the digest of the freshly serialized state."""
+    """``stream_digests`` is a memo keyed on each stream's ``(moves,
+    gauss_next)``; it must always equal the digest of the freshly
+    serialized state."""
 
     @staticmethod
     def fresh(registry):
@@ -180,13 +187,21 @@ class TestRngDigestMemo:
         registry = RngRegistry(seed=11)
         a, b = registry.stream("a"), registry.stream("b")
         assert registry.stream_digests() == self.fresh(registry)
+        assert (registry.streams_reencoded, registry.prefix_rebuilds) == (2, 2)
         # No draw: answered from the memo, still right.
         assert registry.stream_digests() == self.fresh(registry)
         before = registry.stream_digests()
+        assert (registry.streams_reencoded, registry.prefix_rebuilds) == (2, 2)
         a.random()
         after = registry.stream_digests()
         assert after == self.fresh(registry)
         assert after["a"] != before["a"] and after["b"] == before["b"]
+        # A fresh generator twists on its first draw (new state words)...
+        assert (registry.streams_reencoded, registry.prefix_rebuilds) == (3, 3)
+        a.random()
+        assert registry.stream_digests() == self.fresh(registry)
+        # ...and after that only the position moves: the tail alone is hashed.
+        assert (registry.streams_reencoded, registry.prefix_rebuilds) == (4, 3)
         b.gauss(0.0, 1.0)
         assert registry.stream_digests() == self.fresh(registry)
 
@@ -200,6 +215,14 @@ class TestRngDigestMemo:
         rng.setstate((version, internal, None))
         assert registry.stream_digests() == self.fresh(registry)
         assert registry.stream_digests()["g"] != with_cached
+        # gauss() hands out its cached variate without drawing: the move
+        # counter stays put and only gauss_next tells the states apart.
+        rng.gauss(0.0, 1.0)
+        moves = rng.moves
+        assert registry.stream_digests() == self.fresh(registry)
+        rng.gauss(0.0, 1.0)
+        assert rng.moves == moves and rng.gauss_next is None
+        assert registry.stream_digests() == self.fresh(registry)
 
     def test_restore_state_and_late_streams(self):
         registry = RngRegistry(seed=7)
@@ -225,3 +248,188 @@ class TestRngDigestMemo:
         assert child.stream_digests() == self.fresh(child)
         assert child.stream_digests()["x"] != parent_digests["x"]
         assert parent.stream_digests() == parent_digests
+
+
+# --------------------------------------------------------------------------- #
+# The counting stream draws exactly what a plain random.Random draws
+# --------------------------------------------------------------------------- #
+_POPULATION = list(range(37))
+
+#: One call per public draw method of ``random.Random``.
+_DRAWS = {
+    "random": lambda r: r.random(),
+    "uniform": lambda r: r.uniform(-3.0, 9.0),
+    "triangular": lambda r: r.triangular(0.0, 10.0, 2.5),
+    "randint": lambda r: r.randint(-5, 10**12),
+    "randrange": lambda r: r.randrange(3, 10**6, 7),
+    "choice": lambda r: r.choice(_POPULATION),
+    "choices": lambda r: r.choices(_POPULATION, k=5),
+    "shuffle": lambda r: (lambda xs: (r.shuffle(xs), xs)[1])(_POPULATION[:]),
+    "sample": lambda r: r.sample(_POPULATION, 9),
+    "getrandbits": lambda r: (r.getrandbits(7), r.getrandbits(32),
+                              r.getrandbits(100)),
+    "randbytes": lambda r: r.randbytes(11),
+    "expovariate": lambda r: r.expovariate(2.5),
+    "gauss": lambda r: r.gauss(1.0, 2.0),
+    "normalvariate": lambda r: r.normalvariate(1.0, 2.0),
+    "lognormvariate": lambda r: r.lognormvariate(0.0, 0.25),
+    "vonmisesvariate": lambda r: r.vonmisesvariate(1.0, 4.0),
+    "gammavariate": lambda r: r.gammavariate(0.7, 2.0),
+    "betavariate": lambda r: r.betavariate(2.0, 5.0),
+    "paretovariate": lambda r: r.paretovariate(3.0),
+    "weibullvariate": lambda r: r.weibullvariate(1.0, 1.5),
+    "binomialvariate": lambda r: r.binomialvariate(40, 0.3),
+}
+
+
+class TestStreamDrawsLikePlainRandom:
+    """Guard for the ``_randbelow`` trap: a ``Random`` subclass overriding
+    ``random`` but not ``getrandbits`` silently changes every integer
+    draw (``choice``/``shuffle``/``sample``/``randrange``)."""
+
+    def test_every_public_draw_method_is_covered(self):
+        public = {name for name in dir(random.Random)
+                  if not name.startswith("_")
+                  and callable(getattr(random.Random, name))}
+        assert public - {"seed", "getstate", "setstate"} <= set(_DRAWS)
+
+    @pytest.mark.parametrize("method", sorted(_DRAWS))
+    def test_same_seed_same_sequence(self, method):
+        if not hasattr(random.Random, method):
+            pytest.skip(f"random.Random.{method} is not in this Python")
+        registry = RngRegistry(seed=21)
+        stream = registry.stream("s")
+        plain = random.Random(registry._derive("s"))
+        draw = _DRAWS[method]
+        # 400 calls is > 624 words for most methods: a twist lands inside.
+        assert ([draw(stream) for _ in range(400)]
+                == [draw(plain) for _ in range(400)])
+        assert stream.getstate() == plain.getstate()
+
+    def test_mixed_methods_and_reseed(self):
+        stream = RngRegistry(seed=4).stream("mix")
+        plain = random.Random()
+        for seed in (7, "text", b"bytes", 2**70):
+            stream.seed(seed)
+            plain.seed(seed)
+            for method, draw in sorted(_DRAWS.items()):
+                if hasattr(random.Random, method):
+                    assert draw(stream) == draw(plain), (seed, method)
+        assert stream.getstate() == plain.getstate()
+
+
+# --------------------------------------------------------------------------- #
+# Property: the memo never disagrees with the reference digest
+# --------------------------------------------------------------------------- #
+_NAMES = ("a", "b", "c")
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(("random", "gauss", "choice", "shuffle",
+                               "expovariate", "randbytes")),
+              st.sampled_from(_NAMES)),
+    st.tuples(st.just("words"), st.sampled_from(_NAMES),
+              st.sampled_from((1, 5, 623, 624, 700, 1300))),
+    st.tuples(st.just("drop-gauss"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("seed"), st.sampled_from(_NAMES), st.integers(0, 3)),
+    st.tuples(st.just("setstate"), st.sampled_from(_NAMES),
+              st.sampled_from(_NAMES)),
+    st.tuples(st.sampled_from(("snapshot", "restore", "late-stream",
+                               "pickle-registry", "deepcopy-registry",
+                               "digest")),),
+    st.tuples(st.sampled_from(("copy-stream", "pickle-stream", "fork")),
+              st.sampled_from(_NAMES)),
+)
+
+
+def _reference(registry):
+    return {name: rng_state_digest(registry.stream(name))
+            for name in registry.stream_names}
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 5), steps=st.lists(_STEP, max_size=40),
+       digest_every_step=st.booleans())
+def test_stream_digests_equal_the_reference_after_any_interleaving(
+        seed, steps, digest_every_step):
+    registry = RngRegistry(seed=seed)
+    registry.stream("a")
+    registry.stream("b")
+    snapshot = registry.snapshot_state()
+    for op, *args in steps:
+        if op in _DRAWS:
+            _DRAWS[op](registry.stream(args[0]))
+        elif op == "words":
+            rng = registry.stream(args[0])
+            for _ in range(args[1]):
+                rng.getrandbits(32)
+        elif op == "drop-gauss":
+            rng = registry.stream(args[0])
+            version, internal, _gauss_next = rng.getstate()
+            rng.setstate((version, internal, None))
+        elif op == "seed":
+            registry.stream(args[0]).seed(args[1])
+        elif op == "setstate":
+            registry.stream(args[0]).setstate(
+                registry.stream(args[1]).getstate())
+        elif op == "snapshot":
+            snapshot = registry.snapshot_state()
+        elif op == "restore":
+            registry.restore_state(snapshot)
+        elif op == "late-stream":
+            registry.stream(f"late{len(registry.stream_names)}").random()
+        elif op == "pickle-registry":
+            registry = pickle.loads(pickle.dumps(registry))
+        elif op == "deepcopy-registry":
+            registry = copy.deepcopy(registry)
+        elif op in ("copy-stream", "pickle-stream"):
+            rng = registry.stream(args[0])
+            clone = (copy.copy(rng) if op == "copy-stream"
+                     else pickle.loads(pickle.dumps(rng)))
+            # A clone carries the state but never the memo...
+            assert clone._digest_key is None
+            assert clone.getstate() == rng.getstate()
+            # ...and drawing from it leaves the original's digest alone.
+            clone.random()
+        elif op == "fork":
+            child = registry.fork(args[0])
+            child.stream("x").random()
+            assert child.stream_digests() == _reference(child)
+        if op == "digest" or digest_every_step:
+            assert registry.stream_digests() == _reference(registry)
+    assert registry.stream_digests() == _reference(registry)
+    assert registry.stream_digests() == _reference(registry)
+
+
+def test_twist_mid_sequence_rebuilds_the_prefix_once():
+    registry = RngRegistry(seed=9)
+    rng = registry.stream("t")
+    registry.stream_digests()
+    rebuilds = registry.prefix_rebuilds
+    for drawn in range(1, 701):
+        rng.getrandbits(32)
+        assert registry.stream_digests() == _reference(registry), drawn
+    # A fresh generator twists on draws 1 and 625; the other 698 digests
+    # hashed the tail only.
+    assert registry.prefix_rebuilds - rebuilds == 2
+    assert registry.streams_reencoded == 701
+
+
+# --------------------------------------------------------------------------- #
+# Byte-identity pins: journals recorded before the stream class changed
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("scenario,quick,sha256", [
+    ("control-outage", False,
+     "15bb9a07ef500ac15410a4b6629369d577e87f13101f336a9f2147e4367af1bd"),
+    ("traffic-overload", True,
+     "482311949ee8ae627318c067e874725031c3a7580051e351e3d845aac3dae20f"),
+    ("security-byzantine-gossip", False,
+     "e645b89c3d5831fef76d2b3924568bb4312fa178a87a1097306cd09a3c39a393"),
+], ids=["control-outage", "traffic-overload-quick",
+        "security-byzantine-gossip"])
+def test_journal_bytes_are_pinned(tmp_path, scenario, quick, sha256):
+    from repro.persistence import run_scenario
+    from repro.scenarios import describe_scenario
+
+    path = str(tmp_path / "journal.jsonl")
+    run_scenario(describe_scenario(scenario).spec(quick), journal_path=path)
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
