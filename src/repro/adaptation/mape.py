@@ -12,7 +12,7 @@ event in scope with the first successful adaptation action that fixes it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.adaptation.analyzer import Analyzer
 from repro.adaptation.executor import Executor
@@ -21,7 +21,6 @@ from repro.adaptation.planner import Plan, Planner, RuleBasedPlanner
 from repro.devices.fleet import DeviceFleet
 from repro.devices.software import ServiceState
 from repro.network.transport import Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
@@ -71,7 +70,6 @@ class MapeLoop:
         self.plans_executed = 0
         self.repairs: List[float] = []   # repair completion times
         self._running = False
-        self._tick_event = None
 
     # -- lifecycle ----------------------------------------------------------- #
     def start(self) -> None:
@@ -107,8 +105,7 @@ class MapeLoop:
                 issues = self._analyze(sim.now)
                 plan = self._plan(issues, sim.now)
                 self._execute(plan)
-        self._tick_event = sim.schedule(self.period, self._iterate,
-                                        label=f"mape:{self.host}")
+        sim.schedule(self.period, self._iterate, label=f"mape:{self.host}")
 
     # -- M ---------------------------------------------------------------------- #
     def _monitor(self, now: float) -> None:
@@ -195,38 +192,6 @@ class MapeLoop:
         # re-opens them only if the symptom persists.
         for issue in plan.addressed:
             self.knowledge.close_issue(issue)
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Loop counters, knowledge base, planner memory and pending tick."""
-        state: Dict[str, Any] = {
-            "running": self._running,
-            "iterations": self.iterations,
-            "observations": self.observations,
-            "missed_observations": self.missed_observations,
-            "plans_executed": self.plans_executed,
-            "repairs": list(self.repairs),
-            "knowledge": self.knowledge.snapshot_state(),
-            "tick": event_ref(self._tick_event),
-        }
-        if isinstance(self.planner, RuleBasedPlanner):
-            state["restart_attempts"] = dict(self.planner._restart_attempts)
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._running = bool(state["running"])
-        self.iterations = int(state["iterations"])
-        self.observations = int(state["observations"])
-        self.missed_observations = int(state["missed_observations"])
-        self.plans_executed = int(state["plans_executed"])
-        self.repairs = [float(t) for t in state["repairs"]]
-        self.knowledge.restore_state(state["knowledge"])
-        if isinstance(self.planner, RuleBasedPlanner) and "restart_attempts" in state:
-            self.planner._restart_attempts = {
-                k: int(v) for k, v in state["restart_attempts"].items()
-            }
-        self._tick_event = restore_event_ref(self.sim, state["tick"],
-                                             self._iterate)
 
     # -- measurement ---------------------------------------------------------- #
     def time_to_repair(self, trace: TraceLog, fault_names: Optional[List[str]] = None) -> List[float]:

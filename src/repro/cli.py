@@ -611,7 +611,7 @@ def cmd_resume(out: str = "checkpoint-out",
          ["fast-forward wall time (s)", result.fast_forward_s],
          ["events fired (total)", system.sim.fired_count],
          ["final state digest", result.final_digest],
-         ["journal", result.journal_path]])
+         ["journal", result.journal_path or "-"]])
     _print_vector_kpis("resume: resilience KPIs by disruption vector", report)
     _print_data("resume: kpis", report.to_dict())
     return 0

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.network.transport import Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 
 
@@ -54,7 +53,6 @@ class HeartbeatFailureDetector:
         self._last_heard: Dict[str, float] = {}
         self._suspected: Dict[str, bool] = {p: False for p in self.peers}
         self._running = False
-        self._tick_event = None
         network.register(node_id, "fd.heartbeat", self._on_heartbeat)
 
     def start(self) -> None:
@@ -95,8 +93,7 @@ class HeartbeatFailureDetector:
                     payload={"from": self.node_id}, size_bytes=32,
                 )
                 self._check(sim.now)
-        self._tick_event = sim.schedule(self.period, self._tick,
-                                        label=f"fd:{self.node_id}")
+        sim.schedule(self.period, self._tick, label=f"fd:{self.node_id}")
 
     def _on_heartbeat(self, message) -> None:
         peer = message.payload["from"]
@@ -120,23 +117,6 @@ class HeartbeatFailureDetector:
     @property
     def alive_peers(self) -> List[str]:
         return [p for p in self.peers if not self._suspected.get(p)]
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "running": self._running,
-            "peers": list(self.peers),
-            "last_heard": dict(self._last_heard),
-            "suspected": dict(self._suspected),
-            "tick": event_ref(self._tick_event),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._running = bool(state["running"])
-        self.peers = list(state["peers"])
-        self._last_heard = {p: float(t) for p, t in state["last_heard"].items()}
-        self._suspected = {p: bool(s) for p, s in state["suspected"].items()}
-        self._tick_event = restore_event_ref(self.sim, state["tick"], self._tick)
 
 
 class PhiAccrualFailureDetector:
@@ -176,7 +156,6 @@ class PhiAccrualFailureDetector:
         self._last_arrival: Dict[str, float] = {}
         self._suspected: Dict[str, bool] = {p: False for p in self.peers}
         self._running = False
-        self._tick_event = None
         network.register(node_id, "fd.phi_heartbeat", self._on_heartbeat)
 
     def start(self) -> None:
@@ -211,8 +190,7 @@ class PhiAccrualFailureDetector:
                     payload={"from": self.node_id}, size_bytes=32,
                 )
                 self._evaluate(sim.now)
-        self._tick_event = sim.schedule(self.period, self._tick,
-                                        label=f"phi:{self.node_id}")
+        sim.schedule(self.period, self._tick, label=f"phi:{self.node_id}")
 
     def _on_heartbeat(self, message) -> None:
         peer = message.payload["from"]
@@ -259,26 +237,3 @@ class PhiAccrualFailureDetector:
     @property
     def alive_peers(self) -> List[str]:
         return [p for p in self.peers if not self._suspected.get(p)]
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "running": self._running,
-            "peers": list(self.peers),
-            "intervals": {p: list(d) for p, d in sorted(self._intervals.items())},
-            "last_arrival": dict(self._last_arrival),
-            "suspected": dict(self._suspected),
-            "tick": event_ref(self._tick_event),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._running = bool(state["running"])
-        self.peers = list(state["peers"])
-        self._intervals = {
-            p: deque((float(x) for x in xs), maxlen=self.window_size)
-            for p, xs in state["intervals"].items()
-        }
-        self._last_arrival = {p: float(t)
-                              for p, t in state["last_arrival"].items()}
-        self._suspected = {p: bool(s) for p, s in state["suspected"].items()}
-        self._tick_event = restore_event_ref(self.sim, state["tick"], self._tick)

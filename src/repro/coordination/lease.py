@@ -17,10 +17,9 @@ the quorum) loses the lease after ``duration`` of log-time silence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.coordination.raft import RaftNode
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 
 
@@ -143,28 +142,6 @@ class LeaseManager:
             return 0.0
         return max(0.0, state.expires_at - self.sim.now)
 
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Lease state machine only; the underlying RaftNode snapshots
-        itself separately."""
-        return {
-            "leases": {
-                name: {"holder": s.holder, "granted_at": s.granted_at,
-                       "expires_at": s.expires_at}
-                for name, s in sorted(self._leases.items())
-            },
-            "commands_applied": self.commands_applied,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._leases = {
-            name: LeaseState(holder=s["holder"],
-                             granted_at=float(s["granted_at"]),
-                             expires_at=float(s["expires_at"]))
-            for name, s in state["leases"].items()
-        }
-        self.commands_applied = int(state["commands_applied"])
-
 
 class LeaseKeeper:
     """Background routine: try to acquire the lease when free, renew while
@@ -207,14 +184,6 @@ class LeaseKeeper:
         self._tick_event = sim.schedule(
             self.period, self._tick,
             label=f"lease-keeper:{manager.raft.node_id}")
-
-    # -- persistence ----------------------------------------------------------#
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"running": self._running, "tick": event_ref(self._tick_event)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._running = bool(state["running"])
-        self._tick_event = restore_event_ref(self.sim, state["tick"], self._tick)
 
 
 def start_lease_keeper(

@@ -12,7 +12,7 @@ import enum
 from typing import Any, Dict, Optional
 
 from repro.devices.resources import Battery, ResourcePool, ResourceSpec
-from repro.devices.software import Service, ServiceState, SoftwareStack, make_stack
+from repro.devices.software import Service, SoftwareStack, make_stack
 
 
 class DeviceClass(enum.Enum):
@@ -145,7 +145,7 @@ class Device:
 
     # -- persistence --------------------------------------------------------- #
     def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-able device state for checkpointing (Snapshottable)."""
+        """JSON-able device state for the checkpoint file."""
         return {
             "up": self._up,
             "domain": self.domain,
@@ -163,33 +163,6 @@ class Device:
                 for s in self.stack.services
             },
         }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`snapshot_state`.
-
-        Reconciles the hosted-service set against the snapshot: services
-        the rebuilt device deployed but the snapshot lacks are evicted,
-        missing ones are re-hosted, and every lifecycle state is restored.
-        """
-        self._up = bool(state["up"])
-        self.domain = state["domain"]
-        self.location = state["location"]
-        self.environment_trusted = bool(state["environment_trusted"])
-        self.battery.level = state["battery_level"]
-        wanted = state["services"]
-        for name in [s.name for s in self.stack.services]:
-            if name not in wanted:
-                self.evict(name)
-        for name in sorted(wanted):
-            desc = wanted[name]
-            if not self.stack.has_service(name):
-                self.host(Service(
-                    name=name, runtime=desc["runtime"], cpu=desc["cpu"],
-                    memory=desc["memory"], storage=desc["storage"],
-                    version=desc["version"], provides=set(desc["provides"]),
-                    requires=set(desc["requires"]),
-                ))
-            self.stack.service(name).state = ServiceState(desc["state"])
 
     # -- misc ---------------------------------------------------------------- #
     @property

@@ -115,21 +115,9 @@ class DeviceFleet:
 
     # -- persistence -------------------------------------------------------- #
     def snapshot_state(self) -> Dict[str, Dict]:
-        """Per-device snapshots, keyed by id (Snapshottable)."""
+        """Per-device snapshots for the checkpoint file, keyed by id."""
         return {device_id: self._devices[device_id].snapshot_state()
                 for device_id in sorted(self._devices)}
-
-    def restore_state(self, state: Dict[str, Dict]) -> None:
-        """Restore every device and re-sync network liveness.
-
-        No trace events or up/down metric levels are emitted: a restore
-        reinstates recorded history rather than creating new transitions.
-        """
-        for device_id in sorted(state):
-            device = self.get(device_id)
-            device.restore_state(state[device_id])
-            if self.network is not None:
-                self.network.set_node_up(device_id, device.up)
 
     def transfer_domain(self, device_id: str, new_domain: str) -> str:
         """Administrative domain transfer (a named disruption class, §I)."""

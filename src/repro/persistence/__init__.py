@@ -2,8 +2,8 @@
 
 The persistence subsystem makes experiments resumable and auditable:
 
-* :mod:`~repro.persistence.snapshot` -- the ``Snapshottable`` protocol,
-  canonical-JSON digests and whole-system fingerprints.
+* :mod:`~repro.persistence.snapshot` -- canonical-JSON digests,
+  whole-system fingerprints and the checkpoint file's state capture.
 * :mod:`~repro.persistence.journal` -- the append-only JSONL event
   journal (write-ahead log) with crash-tolerant reading and WAL-style
   truncation.
@@ -61,7 +61,6 @@ from repro.persistence.scenarios import (
     scenario_names,
 )
 from repro.persistence.snapshot import (
-    Snapshottable,
     canonical_json,
     state_digest,
     system_digest,
@@ -84,7 +83,6 @@ __all__ = [
     "RunRecorder",
     "RunResult",
     "ScenarioSpec",
-    "Snapshottable",
     "UnknownScenarioError",
     "canonical_json",
     "default_paths",

@@ -3,7 +3,8 @@
 A checkpoint captures everything needed to resume a run: the scenario
 spec (how to rebuild the system), the barrier (simulated time + fired
 event count), the whole-system digest at the barrier (how to *verify* the
-rebuild), and the full auditable component state.  The file is JSON with
+rebuild), and kernel/RNG/fleet detail for offline audit (never read back:
+a resume rebuilds and re-executes to the barrier).  The file is JSON with
 a SHA-256 integrity hash over the canonical encoding of the payload, so
 bit rot, truncation and hand-editing are all detected at load time.
 """
@@ -15,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.persistence.scenarios import ScenarioSpec
 from repro.persistence.snapshot import canonical_json, state_digest
 
 CHECKPOINT_VERSION = 1
@@ -40,8 +42,11 @@ class Checkpoint:
         Journal digest cadence the run was recorded with (a resumed run
         must keep the cadence or its digest chain would not line up).
     state:
-        Full component snapshot (kernel, RNG streams, fleet, ...) for
-        offline audit and direct component restoration.
+        Auditable detail for offline inspection: ``kernel``, ``rngs``,
+        ``fleet`` and ``digest_fields`` (``system_snapshot``), or a
+        federation shard's ``window``/``shard`` position.  A resume never
+        restores from it -- it rebuilds from ``scenario``, re-executes to
+        the barrier and checks ``digest``.
     """
 
     scenario: Dict[str, Any]
@@ -83,9 +88,10 @@ class Checkpoint:
                 document = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-        payload = document.get("payload")
-        if payload is None or "integrity" not in document:
+        if (not isinstance(document, dict) or "integrity" not in document
+                or not isinstance(document.get("payload"), dict)):
             raise CheckpointError(f"{path}: not a checkpoint file")
+        payload = document["payload"]
         expected = document["integrity"]
         actual = state_digest(_normalize(payload))
         if actual != expected:
@@ -96,15 +102,28 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version "
                 f"{payload.get('version')!r} (want {CHECKPOINT_VERSION})")
-        return cls(
-            scenario=payload["scenario"],
-            time=float(payload["time"]),
-            fired=int(payload["fired"]),
-            digest=payload["digest"],
-            digest_every=int(payload.get("digest_every", 25)),
-            state=payload.get("state", {}),
-            version=payload["version"],
-        )
+        # The integrity hash only proves the payload is what was written;
+        # a well-formed file of the wrong shape must still fail closed.
+        try:
+            ScenarioSpec.from_dict(payload["scenario"])
+            digest, state = payload["digest"], payload.get("state", {})
+            if not isinstance(digest, str) or not isinstance(state, dict):
+                raise ValueError("digest must be a string, state an object")
+            return cls(
+                scenario=payload["scenario"],
+                time=float(payload["time"]),
+                fired=int(payload["fired"]),
+                digest=digest,
+                digest_every=int(payload.get("digest_every", 25)),
+                state=state,
+                version=payload["version"],
+            )
+        except KeyError as exc:
+            raise CheckpointError(
+                f"{path}: checkpoint payload lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint payload: {exc}") from exc
 
 
 def _normalize(payload: Any) -> Any:

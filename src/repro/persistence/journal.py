@@ -145,6 +145,11 @@ def read_journal(path: str) -> JournalRecords:
                 # A torn trailing line is the signature of a mid-write
                 # crash: everything before it is a valid prefix.
                 break
+            if not isinstance(record, dict):
+                # The writer only emits objects, and no prefix of one is
+                # valid JSON: this is a foreign or edited file, not a tear.
+                raise JournalError(
+                    f"{path}: line {lineno + 1} is not a journal record")
             if lineno == 0:
                 if record.get("type") != "header":
                     raise JournalError(f"{path}: first record is not a header")

@@ -158,11 +158,13 @@ def replay_run(journal: JournalRecords,
     may inspect.
     """
     scenario = journal.scenario
-    if not scenario or "name" not in scenario:
+    try:
+        spec = ScenarioSpec.from_dict(scenario)
+    except ValueError as exc:
         raise JournalError("journal header has no scenario spec; "
-                           "this journal cannot be replayed")
+                           "this journal cannot be replayed") from exc
     memory = _MemoryJournal(journal.digest_every or 25)
-    run = Run.start(ScenarioSpec.from_dict(scenario), journal=memory)
+    run = Run.start(spec, journal=memory)
 
     # Reconfigurations hot-loaded into the original run re-apply at their
     # fired-count barriers; the records themselves are instructions, not

@@ -270,7 +270,8 @@ class Run:
             journal = JournalWriter(journal_path,
                                     digest_every=checkpoint.digest_every,
                                     append=True, records_written=kept)
-        return run._record(journal, checkpoint.digest_every, journal_path)
+        return run._record(journal, checkpoint.digest_every,
+                           journal_path if journal is not None else None)
 
     @property
     def digest_every(self) -> int:

@@ -43,10 +43,19 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        seed = data.get("seed")
-        return cls(name=data["name"],
-                   seed=None if seed is None else int(seed),
-                   params=dict(data.get("params", {})))
+        """Inverse of :meth:`to_dict`; ``ValueError`` for anything else.
+
+        Specs come back from checkpoints, journals and manifests on disk,
+        so a wrong shape must be one classifiable error, not whichever of
+        ``AttributeError``/``KeyError``/``TypeError`` it trips first.
+        """
+        try:
+            seed = data.get("seed")
+            return cls(name=data["name"],
+                       seed=None if seed is None else int(seed),
+                       params=dict(data.get("params", {})))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed scenario spec {data!r}") from exc
 
 
 @dataclass

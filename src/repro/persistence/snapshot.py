@@ -1,40 +1,28 @@
-"""The Snapshottable protocol and state digests.
+"""State digests and the checkpoint file's state capture.
 
-Every stateful component that participates in checkpointing implements two
-methods:
+There is one way to restore a run: :meth:`repro.persistence.runner.Run.resume`
+rebuilds the scenario from its spec, re-executes it to the checkpoint
+barrier and refuses to continue unless the digest there matches.  Nothing
+is restored *from* captured state, so this module only captures:
 
-* ``snapshot_state() -> dict`` -- a JSON-able capture of the component's
-  state, including the absolute times of its pending self-scheduled events
-  (periodic ticks, probe timeouts).
-* ``restore_state(state) -> None`` -- the inverse: rebuild the state and
-  *re-register* the pending events with the kernel.  Callbacks are never
-  serialized (closures do not survive a process boundary); each component
-  owns its own re-registration, which also naturally honors the kernel's
-  lazy cancellation -- cancelled events were excluded from the snapshot, so
-  they are simply never re-created.
-
-On top of the protocol this module provides canonical JSON hashing
-(:func:`state_digest`) and the compact whole-system digest
-(:func:`system_digest_state`) that the event journal records at a
-configurable cadence.  Digests are the ground truth of the replay
-machinery: two runs are "the same run" exactly when their digest chains
-match.
+* :func:`system_digest_state` / :func:`system_digest` -- the compact
+  whole-system fingerprint the event journal records at a configurable
+  cadence and every checkpoint carries.  Digests are the ground truth of
+  the replay machinery: two runs are "the same run" exactly when their
+  digest chains match.
+* :func:`system_snapshot` -- the auditable detail written into the
+  checkpoint file (kernel clock and pending-event metadata, RNG stream
+  states, per-device state).  It is for offline inspection; no code reads
+  it back.
+* :func:`canonical_json` / :func:`state_digest` -- the canonical encoding
+  and hash both are built on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """Structural protocol for checkpointable components."""
-
-    def snapshot_state(self) -> Dict[str, Any]: ...
-
-    def restore_state(self, state: Dict[str, Any]) -> None: ...
+from typing import Any, Dict
 
 
 def canonical_json(state: Any) -> str:
@@ -53,29 +41,6 @@ def _fallback(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"not JSON-serializable for snapshot: {value!r}")
-
-
-def event_ref(event: Any) -> Any:
-    """Serializable reference to a pending kernel event (or None).
-
-    Captures ``(time, priority, seq, label)`` so a component's
-    ``restore_state`` can re-register the event with
-    :meth:`~repro.simulation.kernel.Simulator.restore_event`, preserving
-    the original intra-instant firing order.  Cancelled or fired events
-    yield None -- lazy cancellation means they must not be re-created.
-    """
-    if event is None or not event.pending:
-        return None
-    return {"t": event.time, "priority": event.priority,
-            "seq": event.seq, "label": event.label}
-
-
-def restore_event_ref(sim: Any, ref: Any, callback: Any) -> Any:
-    """Re-register an :func:`event_ref` with ``callback``; None-safe."""
-    if ref is None:
-        return None
-    return sim.restore_event(ref["t"], callback, priority=ref["priority"],
-                             seq=ref["seq"], label=ref["label"])
 
 
 def state_digest(state: Any) -> str:

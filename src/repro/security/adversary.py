@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.persistence.snapshot import event_ref, restore_event_ref
-from repro.simulation.rng import restore_rng_state, serialize_rng_state
 from repro.traffic.request import REQUEST_KIND, Request, reply_kind
 
 
@@ -69,20 +67,6 @@ class AttackBehavior:
 
     def on_deactivate(self) -> None:
         """Stop generated traffic."""
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {"active": self.active,
-                                 "tampered": self.tampered}
-        if self.rng is not None:
-            state["rng"] = serialize_rng_state(self.rng)
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.active = bool(state["active"])
-        self.tampered = int(state["tampered"])
-        if self.rng is not None and "rng" in state:
-            restore_rng_state(self.rng, state["rng"])
 
 
 class TamperBehavior(AttackBehavior):
@@ -256,19 +240,6 @@ class FloodBehavior(AttackBehavior):
         self._tick_event = sim.schedule(self.batch_period, self._tick,
                                         label=f"security.flood:{self.node}")
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state.update({"carry": self._carry, "req_ids": self._req_ids,
-                      "tick": event_ref(self._tick_event)})
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._carry = float(state["carry"])
-        self._req_ids = int(state["req_ids"])
-        self._tick_event = restore_event_ref(
-            self.plane.system.sim, state["tick"], self._tick)
-
 
 class SybilJoinBehavior(AttackBehavior):
     """Forge SWIM piggybacks introducing fake members.
@@ -323,22 +294,6 @@ class SybilJoinBehavior(AttackBehavior):
                      size_bytes=128)
         self._tick_event = sim.schedule(self.period, self._tick,
                                         label=f"security.sybil:{self.node}")
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        state = super().snapshot_state()
-        state.update({"introduced": self._introduced,
-                      "target_cursor": self._target_cursor,
-                      "seq": self._seq,
-                      "tick": event_ref(self._tick_event)})
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._introduced = int(state["introduced"])
-        self._target_cursor = int(state["target_cursor"])
-        self._seq = int(state["seq"])
-        self._tick_event = restore_event_ref(
-            self.plane.system.sim, state["tick"], self._tick)
 
 
 class Adversary:
@@ -396,14 +351,3 @@ class Adversary:
             if verdict is not None:
                 return verdict
         return None
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {node: [b.snapshot_state() for b in behaviors]
-                for node, behaviors in sorted(self._behaviors.items())}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for node, behavior_states in state.items():
-            behaviors = self._behaviors.get(node, ())
-            for behavior, b_state in zip(behaviors, behavior_states):
-                behavior.restore_state(b_state)

@@ -103,7 +103,7 @@ class RngRegistry:
         """Serializable per-stream ``Random.getstate()`` for every stream.
 
         The Mersenne state tuple is converted to lists so the snapshot is
-        JSON-able; :meth:`restore_state` converts back.
+        JSON-able.
         """
         return {
             "seed": self.seed,
@@ -154,16 +154,6 @@ class RngRegistry:
         rng._digest_key = (rng.moves, gauss_next)
         self.streams_reencoded += 1
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore every stream's draw position from :meth:`snapshot_state`.
-
-        Streams absent from the registry are created first (via the normal
-        seed derivation) so a freshly built registry restores cleanly.
-        """
-        self.seed = int(state["seed"])
-        for name, rng_state in state["streams"].items():
-            restore_rng_state(self.stream(name), rng_state)
-
 
 def derive_seed(text: str) -> int:
     """A 64-bit seed from ``text`` that is the same in every process.
@@ -188,9 +178,3 @@ def rng_state_digest(rng: random.Random) -> str:
     """
     encoded = json.dumps(serialize_rng_state(rng), separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def restore_rng_state(rng: random.Random, state: List[Any]) -> None:
-    """Inverse of :func:`serialize_rng_state`."""
-    version, internal, gauss_next = state
-    rng.setstate((version, tuple(internal), gauss_next))

@@ -20,8 +20,8 @@ under disruption (§II-§IV); this package adds the missing serving layer:
   registry and exposed through ``python -m repro traffic``.
 
 Everything draws randomness from named :class:`~repro.simulation.rng.RngRegistry`
-streams and snapshots its dynamic state, so traffic runs are
-deterministic, checkpointable and bit-identical on resume.
+streams, so traffic runs are deterministic, checkpointable and
+bit-identical on resume.
 """
 
 from repro.traffic.admission import AdmissionPolicy, QueueLengthAdmission

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.simulation.kernel import Simulator
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.traffic.client import TrafficClient
 
 
@@ -102,15 +101,6 @@ class OpenLoopGenerator:
         self.client.submit(weight=self.weight, priority=self.priority)
         self._schedule_next(sim.now + self._gap())
 
-    # -- persistence ------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"arrivals": self.arrivals, "event": event_ref(self._event)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.arrivals = int(state["arrivals"])
-        if state["event"] is not None:
-            self._event = restore_event_ref(self.sim, state["event"], self._fire)
-
 
 class ClientCohort(OpenLoopGenerator):
     """An open-loop population batched to a bounded event rate."""
@@ -171,7 +161,6 @@ class ClosedLoopGenerator:
         self.stop_at = stop
         self.weight = weight
         self.cycles = 0            # completed submit->response cycles
-        self._think_events: Dict[int, Any] = {}   # worker index -> event
         self._worker_of_call: Dict[int, int] = {} # req_id -> worker index
         self._submitting: Optional[int] = None    # worker inside submit()
         client.on_complete = self._completed
@@ -184,12 +173,11 @@ class ClosedLoopGenerator:
     def _think(self, worker: int, at: float) -> None:
         if self.stop_at is not None and at > self.stop_at:
             return
-        self._think_events[worker] = self.sim.schedule_at(
+        self.sim.schedule_at(
             at, lambda _s, w=worker: self._submit(w),
             label=f"traffic.think:{self.client.name}")
 
     def _submit(self, worker: int) -> None:
-        self._think_events.pop(worker, None)
         # A breaker fast-fail completes synchronously inside submit();
         # the handshake via _submitting lets _completed attribute that
         # completion to this worker without a recorded call mapping.
@@ -210,24 +198,3 @@ class ClosedLoopGenerator:
         self.cycles += 1
         self._think(worker, self.sim.now + self.rng.expovariate(
             1.0 / self.think_time))
-
-    # -- persistence ------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "cycles": self.cycles,
-            "think": {str(w): event_ref(e)
-                      for w, e in sorted(self._think_events.items())},
-            "calls": {str(r): w
-                      for r, w in sorted(self._worker_of_call.items())},
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.cycles = int(state["cycles"])
-        self._think_events = {}
-        for worker_str, ref in state["think"].items():
-            worker = int(worker_str)
-            if ref is not None:
-                self._think_events[worker] = restore_event_ref(
-                    self.sim, ref, lambda _s, w=worker: self._submit(w))
-        self._worker_of_call = {int(r): int(w)
-                                for r, w in state["calls"].items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 # Circuit breaker states.
 CLOSED = "closed"
@@ -89,13 +89,6 @@ class RetryBudget:
             return True
         self.refused += weight
         return False
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"tokens": self.tokens, "refused": self.refused}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.tokens = float(state["tokens"])
-        self.refused = int(state["refused"])
 
 
 class CircuitBreaker:
@@ -177,27 +170,6 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._probes_in_flight = 0
         self._probe_successes = 0
-
-    # -- persistence ------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "state": self.state,
-            "opened_at": self.opened_at,
-            "trips": self.trips,
-            "transitions": [[t, s] for t, s in self.transitions],
-            "consecutive_failures": self._consecutive_failures,
-            "probes_in_flight": self._probes_in_flight,
-            "probe_successes": self._probe_successes,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.state = str(state["state"])
-        self.opened_at = state["opened_at"]
-        self.trips = int(state["trips"])
-        self.transitions = [(float(t), str(s)) for t, s in state["transitions"]]
-        self._consecutive_failures = int(state["consecutive_failures"])
-        self._probes_in_flight = int(state["probes_in_flight"])
-        self._probe_successes = int(state["probe_successes"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.network.transport import Network
-from repro.persistence.snapshot import event_ref, restore_event_ref
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
@@ -168,7 +167,7 @@ class Server:
         duration = self.service.sample(self.rng, weight)
         token = self._serving_seq
         self._serving_seq += 1
-        done = self.sim.schedule(
+        self.sim.schedule(
             duration, lambda _s, t=token: self._complete(t),
             label=f"traffic.serve:{self.node}",
         )
@@ -176,7 +175,6 @@ class Server:
             "payload": payload,
             "enqueued_at": enqueued_at,
             "started": self.sim.now,
-            "event": done,
         }
 
     def _complete(self, token: int) -> None:
@@ -275,65 +273,3 @@ class Server:
             "busy": self.busy,
             "backpressure_signals": self.backpressure_signals,
         }
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "queue": [[p, s, t, dict(payload)]
-                      for p, s, t, payload in sorted(self._queue)],
-            "queue_seq": self._queue_seq,
-            "serving_seq": self._serving_seq,
-            "accepted": self.accepted,
-            "served": self.served,
-            "rejected": self.rejected,
-            "in_service": [
-                {"token": token,
-                 "payload": dict(entry["payload"]),
-                 "enqueued_at": entry["enqueued_at"],
-                 "started": entry["started"],
-                 "event": event_ref(entry["event"])}
-                for token, entry in sorted(self._in_service.items())
-            ],
-            "admission": (self.admission.snapshot_state()
-                          if self.admission is not None else None),
-            "backpressure": {
-                "signals": self.backpressure_signals,
-                "above_since": self._above_since,
-                "last_signal": self._last_signal,
-                "event": event_ref(self._bp_event),
-            },
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._queue = [(int(p), int(s), float(t), dict(payload))
-                       for p, s, t, payload in state["queue"]]
-        heapq.heapify(self._queue)
-        self._queue_seq = int(state["queue_seq"])
-        self.accepted = int(state["accepted"])
-        self.served = int(state["served"])
-        self.rejected = int(state["rejected"])
-        self._serving_seq = 0
-        self._in_service = {}
-        for entry in state["in_service"]:
-            ref = entry["event"]
-            if ref is None:
-                continue
-            token = int(entry["token"])
-            done = restore_event_ref(
-                self.sim, ref, lambda _s, t=token: self._complete(t))
-            self._in_service[token] = {
-                "payload": dict(entry["payload"]),
-                "enqueued_at": float(entry["enqueued_at"]),
-                "started": float(entry["started"]),
-                "event": done,
-            }
-        self._serving_seq = int(state["serving_seq"])
-        if state["admission"] is not None and self.admission is not None:
-            self.admission.restore_state(state["admission"])
-        bp = state["backpressure"]
-        self.backpressure_signals = int(bp["signals"])
-        self._above_since = bp["above_since"]
-        self._last_signal = bp["last_signal"]
-        if bp["event"] is not None:
-            self._bp_event = restore_event_ref(self.sim, bp["event"],
-                                               self._bp_tick)

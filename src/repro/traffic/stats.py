@@ -77,17 +77,6 @@ class TrafficStats:
         }
         return out
 
-    # -- persistence ------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
-        state["latency"] = self.latency.to_dict()
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for name in _COUNTERS:
-            setattr(self, name, int(state[name]))
-        self.latency = StreamingHistogram.from_dict(state["latency"])
-
 
 def windowed_rate(metrics: "MetricsRecorder", name: str,
                   start: float, end: float) -> float:
@@ -178,22 +167,3 @@ class TrafficRegistry:
             if client.breaker is not None
         }
         return out
-
-    # -- persistence ---------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "servers": {node: self.servers[node].snapshot_state()
-                        for node in sorted(self.servers)},
-            "clients": {name: self.clients[name].snapshot_state()
-                        for name in sorted(self.clients)},
-            "generators": [g.snapshot_state() for g in self.generators],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for node, server_state in state["servers"].items():
-            self.servers[node].restore_state(server_state)
-        for name, client_state in state["clients"].items():
-            self.clients[name].restore_state(client_state)
-        for generator, generator_state in zip(self.generators,
-                                              state["generators"]):
-            generator.restore_state(generator_state)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.persistence import resume_run, state_digest
 
 
 class TestCli:
@@ -223,6 +224,15 @@ class TestUnknownScenarioHandling:
         assert "chaos" in error["data"]["available"]
 
 
+def _sealed(payload):
+    """A checkpoint document whose integrity hash matches ``payload``."""
+    return {"payload": payload, "integrity": state_digest(payload)}
+
+
+_HEADER = ('{"type":"header","version":1,"digest_every":25,'
+           '"scenario":{"name":"control-outage","seed":%s,"params":{}}}')
+
+
 class TestBadRunDirectories:
     """A missing, truncated or garbled run directory fails closed."""
 
@@ -251,6 +261,57 @@ class TestBadRunDirectories:
         (tmp_path / "journal.jsonl").write_text(
             '{"type":"event","i":1,"t":0.5,"label":"x"}\n')
         self._assert_classified(["replay", "--out", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("document", [
+        [],                                       # not an object at all
+        _sealed([]),                              # payload not an object
+        _sealed({"version": 1}),                  # no barrier, no spec
+        _sealed({"version": 1, "time": 1.0, "fired": 1, "digest": "d",
+                 "scenario": {"name": "control-outage", "seed": "abc"}}),
+        _sealed({"version": 1, "time": 1.0, "fired": "many", "digest": "d",
+                 "scenario": {"name": "control-outage"}}),
+    ], ids=["list", "payload-list", "no-barrier", "bad-seed", "bad-fired"])
+    def test_wrong_shape_checkpoint_exits_2(self, document, tmp_path, capsys):
+        """Well-formed JSON of the wrong shape -- valid integrity hash
+        included -- is a classified error, like a truncated file."""
+        (tmp_path / "checkpoint.json").write_text(json.dumps(document))
+        captured = self._assert_classified(
+            ["resume", "--out", str(tmp_path)], capsys)
+        assert "checkpoint" in captured.err
+
+    @pytest.mark.parametrize("lines", [
+        ["[]"],                                                # header
+        ["7"],
+        [_HEADER % "7", "[]"],                                 # a record
+        [_HEADER % "7", '{"type":"event","i":1,"t":0.5,"label":"x"}', "7",
+         '{"type":"event","i":2,"t":0.6,"label":"y"}'],
+        [_HEADER % '"abc"'],
+    ], ids=["header-list", "header-int", "record-list", "record-int",
+            "bad-seed"])
+    def test_wrong_shape_journal_exits_2(self, lines, tmp_path, capsys):
+        (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
+        captured = self._assert_classified(
+            ["replay", "--out", str(tmp_path)], capsys)
+        assert "journal" in captured.err
+
+    def test_wrong_shape_journal_fails_resume_closed(self, tmp_path, capsys):
+        assert main(["checkpoint", "control-outage", "--at", "10",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "journal.jsonl", "a") as fh:
+            fh.write("[]\n")
+        self._assert_classified(["resume", "--out", str(tmp_path)], capsys)
+
+    def test_resume_without_a_journal_names_none(self, tmp_path, capsys):
+        assert main(["checkpoint", "control-outage", "--at", "10",
+                     "--out", str(tmp_path)]) == 0
+        (tmp_path / "journal.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["resume", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^journal +- *$", out, re.M)
+        assert "journal.jsonl" not in out
+        assert resume_run(directory=str(tmp_path)).journal_path is None
 
     def test_json_mode_reports_the_error(self, tmp_path, capsys):
         assert main(["--json", "resume",

@@ -1,10 +1,9 @@
 """Unit tests for the persistence primitives.
 
-Covers the snapshot helpers (canonical digests), kernel checkpointing
-(clock/counters, pending-event metadata honoring lazy cancellation,
-seq-preserving re-registration), RNG stream round trips, device/fleet
-round trips, the JSONL journal (append, torn-line recovery, truncation),
-and the versioned integrity-hashed checkpoint file.
+Covers the snapshot helpers (canonical digests), the kernel's checkpoint
+capture (pending-event metadata honoring lazy cancellation, ``advance_to``),
+the JSONL journal (append, torn-line recovery, truncation), and the
+versioned integrity-hashed checkpoint file.
 """
 
 import json
@@ -25,14 +24,8 @@ from repro.persistence.journal import (
     read_journal,
     truncate,
 )
-from repro.persistence.snapshot import (
-    canonical_json,
-    event_ref,
-    restore_event_ref,
-    state_digest,
-)
+from repro.persistence.snapshot import canonical_json, state_digest
 from repro.simulation.kernel import SimulationError, Simulator
-from repro.simulation.rng import RngRegistry
 
 
 # --------------------------------------------------------------------------- #
@@ -67,54 +60,6 @@ class TestKernelSnapshot:
         assert [e["label"] for e in pending] == ["keep"]
         assert pending[0]["seq"] == keep.seq
 
-    def test_restore_requires_empty_kernel(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda s: None)
-        with pytest.raises(SimulationError):
-            sim.restore_state({"now": 0.0, "next_seq": 5, "fired": 0})
-
-    def test_counters_round_trip(self):
-        sim = Simulator()
-        for _ in range(3):
-            sim.schedule(1.0, lambda s: None)
-        sim.run(until=2.0)
-        snap = sim.snapshot_state()
-
-        fresh = Simulator()
-        fresh.restore_state(snap)
-        assert fresh.now == sim.now
-        assert fresh.fired_count == sim.fired_count
-        assert fresh.snapshot_state()["next_seq"] == snap["next_seq"]
-
-    def test_restore_event_preserves_original_seq(self):
-        sim = Simulator()
-        first = sim.schedule(5.0, lambda s: None, label="first")
-        second = sim.schedule(5.0, lambda s: None, label="second")
-        snap = sim.snapshot_state()
-
-        fired = []
-        fresh = Simulator()
-        fresh.restore_state(snap)
-        # Re-register in REVERSE order: original seqs must still decide
-        # the same-instant firing order.
-        for ref in reversed(snap["pending"]):
-            fresh.restore_event(ref["t"],
-                                lambda s, label=ref["label"]: fired.append(label),
-                                seq=ref["seq"], label=ref["label"])
-        fresh.run(until=10.0)
-        assert fired == ["first", "second"]
-        assert (first.seq, second.seq) == (snap["pending"][0]["seq"],
-                                           snap["pending"][1]["seq"])
-
-    def test_restore_event_rejects_future_seq_and_past_time(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda s: None)
-        sim.run(until=2.0)
-        with pytest.raises(SimulationError):
-            sim.restore_event(5.0, lambda s: None, seq=99)
-        with pytest.raises(SimulationError):
-            sim.restore_event(1.0, lambda s: None)
-
     def test_advance_to_moves_clock_without_firing(self):
         sim = Simulator()
         sim.schedule(10.0, lambda s: None)
@@ -125,69 +70,6 @@ class TestKernelSnapshot:
             sim.advance_to(3.0)          # backwards
         with pytest.raises(SimulationError):
             sim.advance_to(11.0)         # past the pending event
-
-    def test_event_ref_helpers(self):
-        sim = Simulator()
-        event = sim.schedule(3.0, lambda s: None, priority=2, label="tick")
-        ref = event_ref(event)
-        assert ref == {"t": 3.0, "priority": 2, "seq": event.seq,
-                       "label": "tick"}
-        sim.cancel(event)
-        assert event_ref(event) is None
-        assert restore_event_ref(sim, None, lambda s: None) is None
-
-
-# --------------------------------------------------------------------------- #
-# RNG streams
-# --------------------------------------------------------------------------- #
-class TestRngSnapshot:
-    def test_streams_resume_identical_sequences(self):
-        registry = RngRegistry(seed=7)
-        a, b = registry.stream("a"), registry.stream("b")
-        [a.random() for _ in range(10)]
-        [b.random() for _ in range(3)]
-        snap = json.loads(json.dumps(registry.snapshot_state()))
-        expected = [a.random() for _ in range(5)], [b.random() for _ in range(5)]
-
-        fresh = RngRegistry(seed=7)
-        fresh.stream("a"), fresh.stream("b")
-        fresh.restore_state(snap)
-        got = ([fresh.stream("a").random() for _ in range(5)],
-               [fresh.stream("b").random() for _ in range(5)])
-        assert got == expected
-
-
-# --------------------------------------------------------------------------- #
-# devices / fleet
-# --------------------------------------------------------------------------- #
-class TestFleetSnapshot:
-    def _fleet_pair(self):
-        from repro.core.system import IoTSystem
-
-        return (IoTSystem.with_edge_cloud_landscape(2, 2, seed=3),
-                IoTSystem.with_edge_cloud_landscape(2, 2, seed=3))
-
-    def test_crash_state_round_trips(self):
-        sys_a, sys_b = self._fleet_pair()
-        victim = sorted(sys_a.fleet.device_ids)[0]
-        sys_a.fleet.crash(victim)
-        snap = json.loads(json.dumps(sys_a.fleet.snapshot_state()))
-
-        sys_b.fleet.restore_state(snap)
-        assert not sys_b.fleet.get(victim).up
-        assert not sys_b.network.node_up(victim)
-        assert (state_digest(sys_b.fleet.snapshot_state())
-                == state_digest(snap))
-
-    def test_service_states_round_trip(self):
-        sys_a, sys_b = self._fleet_pair()
-        device = sys_a.fleet.get(sorted(sys_a.fleet.device_ids)[0])
-        if device.stack.services:
-            device.stack.mark_failed(device.stack.services[0].name)
-        snap = json.loads(json.dumps(sys_a.fleet.snapshot_state()))
-        sys_b.fleet.restore_state(snap)
-        assert (state_digest(sys_b.fleet.snapshot_state())
-                == state_digest(snap))
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ every diff and can shadow real sources; this test (and the matching CI
 step) fails the moment one is staged again.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -46,6 +47,37 @@ def test_gitignore_covers_artifact_paths():
         assert needle in ignored, f".gitignore lost the {needle!r} entry"
 
 
+def _repro_sources():
+    """``(path, dotted module parts)`` of every module under ``src/repro``."""
+    root = os.path.join(REPO_ROOT, "src")
+    sources = []
+    for dirpath, _dirs, files in os.walk(os.path.join(root, "repro")):
+        for filename in files:
+            if filename.endswith(".py"):
+                path = os.path.join(dirpath, filename)
+                sources.append(
+                    (path, os.path.relpath(path, root)[:-3].split(os.sep)))
+    return sorted(sources)
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _imported_modules(tree, package):
+    """``(lineno, absolute dotted target parts, names)`` per import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split("."), []
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module.split(".") if node.module else []
+            if node.level:
+                target = package[:len(package) - node.level + 1] + target
+            yield node.lineno, target, [alias.name for alias in node.names]
+
+
 def _cross_package_private_imports():
     """``from <other repro unit> import _name`` lines.
 
@@ -54,16 +86,7 @@ def _cross_package_private_imports():
     The top-level ``benchmarks/*.py`` scripts belong to no unit, so every
     underscore import from ``repro`` is foreign to them.
     """
-    import ast
-
-    root = os.path.join(REPO_ROOT, "src")
-    sources = []     # (path, importing module's dotted parts)
-    for dirpath, _dirs, files in os.walk(os.path.join(root, "repro")):
-        for filename in files:
-            if filename.endswith(".py"):
-                path = os.path.join(dirpath, filename)
-                sources.append(
-                    (path, os.path.relpath(path, root)[:-3].split(os.sep)))
+    sources = _repro_sources()     # (path, importing module's dotted parts)
     bench_dir = os.path.join(REPO_ROOT, "benchmarks")
     for filename in sorted(os.listdir(bench_dir)):
         if filename.endswith(".py"):
@@ -74,22 +97,14 @@ def _cross_package_private_imports():
         package = parts[:-1]      # importing module's package
         if os.path.basename(path) == "__init__.py":
             parts = package
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            target = (node.module or "").split(".") if node.module else []
-            if node.level:
-                target = package[:len(package) - node.level + 1] + target
+        for lineno, target, names in _imported_modules(_parse(path), package):
             if target[:1] != ["repro"] or target[1:2] == parts[1:2]:
                 continue
-            private = [alias.name for alias in node.names
-                       if alias.name.startswith("_")
-                       and not alias.name.startswith("__")]
+            private = [name for name in names
+                       if name.startswith("_") and not name.startswith("__")]
             if private:
                 offenders.append(
-                    f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno} "
+                    f"{os.path.relpath(path, REPO_ROOT)}:{lineno} "
                     f"imports {', '.join(private)} from "
                     f"{'.'.join(target)}")
     return offenders
@@ -100,3 +115,45 @@ def test_no_private_imports_across_packages():
     assert not offenders, (
         "underscore-prefixed names imported across repro packages "
         f"(give them a public name, or keep the caller inside): {offenders}")
+
+
+#: Planes the persistence plane records; none of them may know it exists.
+#: (``traffic`` and ``security`` register their scenarios with it from
+#: their ``scenarios.py`` -- the one module per plane allowed to.)
+_BELOW_PERSISTENCE = {
+    "simulation", "network", "devices", "faults", "coordination", "data",
+    "modeling", "adaptation", "orchestration", "governance", "streams",
+    "workloads", "core", "traffic", "security",
+}
+
+
+def test_protocol_planes_do_not_import_persistence():
+    offenders = []
+    for path, parts in _repro_sources():
+        if (parts[1] not in _BELOW_PERSISTENCE
+                or parts[1:] in (["traffic", "scenarios"],
+                                 ["security", "scenarios"])):
+            continue
+        for lineno, target, names in _imported_modules(_parse(path),
+                                                       parts[:-1]):
+            if (target[:2] == ["repro", "persistence"]
+                    or (target == ["repro"] and "persistence" in names)):
+                offenders.append(
+                    f"{os.path.relpath(path, REPO_ROOT)}:{lineno}")
+    assert not offenders, (
+        "modules below the persistence plane import repro.persistence "
+        f"(persistence observes them, never the reverse): {offenders}")
+
+
+def test_one_way_to_restore_a_run():
+    """No component-level ``restore_state``/``restore_event`` protocol:
+    every resume is rebuild + fast-forward + digest check (``Run.resume``)."""
+    offenders = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{node.lineno} {node.name}"
+        for path, _parts in _repro_sources()
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("restore_state", "restore_event")]
+    assert not offenders, (
+        "direct component restoration is deleted (DESIGN.md, 'One way to "
+        f"restore a run'); do not grow it back: {offenders}")

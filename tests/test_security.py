@@ -69,15 +69,6 @@ class TestKeyChain:
         assert not chain.known("a")
         assert chain.rotate("a") is None
 
-    def test_snapshot_round_trip(self, system):
-        chain = KeyChain(system.rngs.stream("k"))
-        chain.issue("a")
-        chain.rotate("a")
-        state = chain.snapshot_state()
-        other = KeyChain(system.rngs.stream("k2"))
-        other.restore_state(state)
-        assert other.key_of("a") == chain.key_of("a")
-
 
 class TestMessageAuthenticator:
     def _message(self, system, payload):
@@ -173,17 +164,6 @@ class TestTrustRegistry:
         trust = TrustRegistry(system)
         with pytest.raises(KeyError):
             trust.record("a", "b", "not-a-kind")
-
-    def test_snapshot_round_trip(self, system):
-        trust = TrustRegistry(system)
-        for _ in range(3):
-            trust.record("a", "b", "equivocation")
-        state = trust.snapshot_state()
-        other = TrustRegistry(system)
-        other.restore_state(state)
-        assert other.flagged == ["b"]
-        assert other.score("a", "b") == trust.score("a", "b")
-        assert other.evidence_counts == trust.evidence_counts
 
 
 class TestTransportSecurityHooks:
@@ -286,22 +266,6 @@ class TestSecurityPlane:
         for key in ("quarantined", "distrusted", "trust", "key_rotations",
                     "dropped_auth", "dropped_quarantined"):
             assert key in kpis
-
-    def test_snapshot_restores_quarantine_acl(self, system, plane):
-        plane.enable_auth(["edge0", "edge1"])
-        plane.quarantine_node("edge0")
-        plane.trust.record("edge1", "edge0", "digest-mismatch")
-        state = json.loads(json.dumps(plane.snapshot_state()))
-
-        fresh_system = IoTSystem.with_edge_cloud_landscape(3, 1, seed=7)
-        fresh = SecurityPlane(fresh_system)
-        fresh.enable_auth(["edge0", "edge1"])
-        fresh.restore_state(state)
-        assert fresh.quarantined == ["edge0"]
-        assert fresh_system.network.is_quarantined("edge0")
-        assert fresh.keychain.key_of("edge1") == plane.keychain.key_of("edge1")
-        assert fresh.trust.score("edge1", "edge0") == \
-            plane.trust.score("edge1", "edge0")
 
 
 class TestAttackBehaviors:

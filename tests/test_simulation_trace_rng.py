@@ -227,14 +227,14 @@ class TestRngDigestMemo:
     def test_restore_state_and_late_streams(self):
         registry = RngRegistry(seed=7)
         registry.stream("a").random()
-        saved = registry.snapshot_state()
+        saved = registry.stream("a").getstate()
         at_save = registry.stream_digests()
         registry.stream("a").random()
         registry.stream("late").random()  # created after the first digest
         moved = registry.stream_digests()
         assert moved == self.fresh(registry)
         assert sorted(moved) == ["a", "late"]
-        registry.restore_state(saved)
+        registry.stream("a").setstate(saved)  # rewind to the saved state
         assert registry.stream_digests()["a"] == at_save["a"]
         assert registry.stream_digests() == self.fresh(registry)
 
@@ -332,7 +332,7 @@ _STEP = st.one_of(
     st.tuples(st.just("seed"), st.sampled_from(_NAMES), st.integers(0, 3)),
     st.tuples(st.just("setstate"), st.sampled_from(_NAMES),
               st.sampled_from(_NAMES)),
-    st.tuples(st.sampled_from(("snapshot", "restore", "late-stream",
+    st.tuples(st.sampled_from(("save", "rewind", "late-stream",
                                "pickle-registry", "deepcopy-registry",
                                "digest")),),
     st.tuples(st.sampled_from(("copy-stream", "pickle-stream", "fork")),
@@ -353,7 +353,7 @@ def test_stream_digests_equal_the_reference_after_any_interleaving(
     registry = RngRegistry(seed=seed)
     registry.stream("a")
     registry.stream("b")
-    snapshot = registry.snapshot_state()
+    saved = {}
     for op, *args in steps:
         if op in _DRAWS:
             _DRAWS[op](registry.stream(args[0]))
@@ -370,10 +370,12 @@ def test_stream_digests_equal_the_reference_after_any_interleaving(
         elif op == "setstate":
             registry.stream(args[0]).setstate(
                 registry.stream(args[1]).getstate())
-        elif op == "snapshot":
-            snapshot = registry.snapshot_state()
-        elif op == "restore":
-            registry.restore_state(snapshot)
+        elif op == "save":
+            saved = {name: registry.stream(name).getstate()
+                     for name in registry.stream_names}
+        elif op == "rewind":
+            for name, state in saved.items():
+                registry.stream(name).setstate(state)
         elif op == "late-stream":
             registry.stream(f"late{len(registry.stream_names)}").random()
         elif op == "pickle-registry":
