@@ -2,7 +2,9 @@
 
 §IV.B calls for "stochastic processes or uncertainty quantification
 techniques" and "quantitative model checking".  A :class:`Dtmc` supports
-the two standard quantitative queries via numpy linear solves:
+the two standard quantitative queries via numpy linear solves (numpy is
+imported by the methods that solve, so a run that builds no chain never
+loads it):
 
 * ``reachability_probability(targets)`` -- P(eventually reach target set)
   per state, solving ``x = A x + b`` on the non-target, non-doomed states;
@@ -18,8 +20,6 @@ from __future__ import annotations
 
 import math
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
 
 
 class Dtmc:
@@ -66,7 +66,9 @@ class Dtmc:
     def state_count(self) -> int:
         return len(self._states)
 
-    def transition_matrix(self) -> np.ndarray:
+    def transition_matrix(self) -> "np.ndarray":
+        import numpy as np
+
         n = self.state_count
         matrix = np.zeros((n, n))
         for i, row in self._rows.items():
@@ -84,6 +86,8 @@ class Dtmc:
         target at all get probability 0; target states get 1; the rest
         solve the linear system ``(I - A) x = b``.
         """
+        import numpy as np
+
         self.validate()
         target_idx = {self._index[t] for t in targets}
         n = self.state_count
@@ -114,6 +118,8 @@ class Dtmc:
         self, targets: Iterable[Hashable], steps: int
     ) -> Dict[Hashable, float]:
         """P(reach ``targets`` within ``steps``) by value iteration."""
+        import numpy as np
+
         self.validate()
         if steps < 0:
             raise ValueError("steps must be non-negative")
@@ -132,6 +138,8 @@ class Dtmc:
 
     def expected_steps(self, targets: Iterable[Hashable]) -> Dict[Hashable, float]:
         """Expected hitting time of ``targets``; inf where not a.s. reached."""
+        import numpy as np
+
         self.validate()
         probabilities = self.reachability_probability(targets)
         target_idx = {self._index[t] for t in targets}
@@ -159,6 +167,8 @@ class Dtmc:
 
     def stationary_distribution(self, tol: float = 1e-12) -> Dict[Hashable, float]:
         """Long-run distribution via the left-eigenvector linear system."""
+        import numpy as np
+
         self.validate()
         matrix = self.transition_matrix()
         n = self.state_count

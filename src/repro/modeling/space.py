@@ -22,15 +22,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 
 class SpatialModel:
     """A composite model of physical space and located entities."""
 
     def __init__(self) -> None:
         self._parent: Dict[str, Optional[str]] = {}
-        self._adjacency = nx.Graph()
+        self._adjacency: Dict[str, Set[str]] = {}
         self._location: Dict[str, str] = {}   # entity -> place
         self._moves: List[Tuple[float, str, str, str]] = []
 
@@ -41,14 +39,15 @@ class SpatialModel:
         if parent is not None and parent not in self._parent:
             raise KeyError(f"unknown parent place {parent!r}")
         self._parent[place] = parent
-        self._adjacency.add_node(place)
+        self._adjacency[place] = set()
 
     def connect(self, a: str, b: str) -> None:
         """Declare two places physically adjacent (door, road, link)."""
         for place in (a, b):
             if place not in self._parent:
                 raise KeyError(f"unknown place {place!r}")
-        self._adjacency.add_edge(a, b)
+        self._adjacency[a].add(b)
+        self._adjacency[b].add(a)
 
     def has_place(self, place: str) -> bool:
         return place in self._parent
@@ -108,10 +107,9 @@ class SpatialModel:
         """Shortest adjacency distance between places; None if disconnected."""
         if a == b:
             return 0
-        try:
-            return nx.shortest_path_length(self._adjacency, a, b)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        if a not in self._parent or b not in self._parent:
             return None
+        return self._hops_from(a).get(b)
 
     def entity_distance(self, entity_a: str, entity_b: str) -> Optional[int]:
         place_a = self._location.get(entity_a)
@@ -124,17 +122,22 @@ class SpatialModel:
         """Places reachable from ``place`` in at most ``hops`` steps."""
         if place not in self._parent:
             raise KeyError(f"unknown place {place!r}")
-        seen = {place}
-        frontier = deque([(place, 0)])
+        return set(self._hops_from(place, hops))
+
+    def _hops_from(self, place: str,
+                   max_hops: Optional[int] = None) -> Dict[str, int]:
+        """Breadth-first hop count to every place within ``max_hops``."""
+        depth = {place: 0}
+        frontier = deque([place])
         while frontier:
-            current, depth = frontier.popleft()
-            if depth == hops:
+            current = frontier.popleft()
+            if depth[current] == max_hops:
                 continue
-            for neighbor in self._adjacency.neighbors(current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append((neighbor, depth + 1))
-        return seen
+            for neighbor in self._adjacency[current]:
+                if neighbor not in depth:
+                    depth[neighbor] = depth[current] + 1
+                    frontier.append(neighbor)
+        return depth
 
     def covered(
         self,

@@ -146,7 +146,9 @@ def write_chrome_trace(
     records = chrome_trace_events(spans=spans, events=events)
     payload = {"traceEvents": records, "displayTimeUnit": "ms"}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, default=_default)
+        # dumps, not dump: dump streams through the pure-Python encoder one
+        # token at a time; dumps encodes in C, byte for byte the same.
+        fh.write(json.dumps(payload, default=_default))
     return len(records)
 
 

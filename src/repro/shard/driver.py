@@ -43,7 +43,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..persistence.checkpoint import Checkpoint, CheckpointError
 from ..persistence.scenarios import ScenarioSpec
@@ -71,6 +71,19 @@ def manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.json")
 
 
+#: Manifest fields its readers compute with, and the JSON types each may have.
+_MANIFEST_TYPES: Dict[str, Tuple[type, ...]] = {
+    "shards": (int,), "workers": (int,), "digest_every": (int,),
+    "checkpoint_every": (int,), "lookahead": (int, float),
+    "horizon": (int, float), "checkpoint_window": (int, type(None)),
+}
+
+
+def _has_type(value: Any, kinds: Tuple[type, ...]) -> bool:
+    # bool is an int to isinstance, and never a count or a time here.
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def load_manifest(out_dir: str) -> Dict[str, Any]:
     """Read a federation manifest; a bad run directory fails closed."""
     path = manifest_path(out_dir)
@@ -82,6 +95,11 @@ def load_manifest(out_dir: str) -> Dict[str, Any]:
     if not isinstance(manifest, dict) or "shards" not in manifest \
             or "scenario" not in manifest:
         raise CheckpointError(f"{path}: not a federation manifest")
+    for name, kinds in _MANIFEST_TYPES.items():
+        if not _has_type(manifest.get(name), kinds):
+            raise CheckpointError(
+                f"{path}: malformed manifest: {name!r} is "
+                f"{manifest.get(name)!r}")
     return manifest
 
 
@@ -118,26 +136,44 @@ def append_inbox_record(path: str, window: int, barrier: float,
         os.fsync(fh.fileno())
 
 
-def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
-                                   Dict[int, List[dict]]]:
-    """Parse an inbox journal; returns (header, {window: envelopes})."""
-    header: Optional[Dict[str, Any]] = None
-    inboxes: Dict[int, List[dict]] = {}
+def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """``(line, record)`` for each readable line of an inbox journal.
+
+    Stops at a line that does not parse: a crash mid-append tears at most
+    the final one, and the valid prefix ends there.  A line that parses
+    but is not a record this module wrote fails closed.
+    """
     if not os.path.exists(path):
-        return header, inboxes
+        return
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                break  # torn final line from a crash: valid prefix ends
-            if record.get("type") == "fed-header":
-                header = record
-            elif record.get("type") == "inbox":
-                inboxes[int(record["window"])] = record["envelopes"]
+                return
+            well_formed = isinstance(record, dict)
+            if well_formed and record.get("type") == "inbox":
+                well_formed = (_has_type(record.get("window"), (int,))
+                               and isinstance(record.get("envelopes"), list))
+            if not well_formed:
+                raise CheckpointError(
+                    f"{path}: line {number}: not an inbox record")
+            yield line, record
+
+
+def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
+                                   Dict[int, List[dict]]]:
+    """Parse an inbox journal; returns (header, {window: envelopes})."""
+    header: Optional[Dict[str, Any]] = None
+    inboxes: Dict[int, List[dict]] = {}
+    for _line, record in _inbox_lines(path):
+        if record.get("type") == "fed-header":
+            header = record
+        elif record.get("type") == "inbox":
+            inboxes[record["window"]] = record["envelopes"]
     return header, inboxes
 
 
@@ -149,20 +185,9 @@ def truncate_inbox(path: str, max_window: int) -> None:
     """
     if not os.path.exists(path):
         return
-    kept: List[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError:
-                break  # torn final line from the crash
-            if (record.get("type") == "inbox"
-                    and int(record["window"]) > max_window):
-                continue
-            kept.append(stripped + "\n")
+    kept = [line + "\n" for line, record in _inbox_lines(path)
+            if not (record.get("type") == "inbox"
+                    and record["window"] > max_window)]
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
@@ -597,12 +622,11 @@ class ShardedSimulator:
                 f"{out_dir}: no shard checkpoints to resume from")
         spec = ScenarioSpec.from_dict(manifest["scenario"])
         self = cls(
-            spec, int(manifest["shards"]),
-            workers=workers if workers is not None
-            else int(manifest["workers"]),
+            spec, manifest["shards"],
+            workers=workers if workers is not None else manifest["workers"],
             out_dir=out_dir,
-            digest_every=int(manifest["digest_every"]),
-            checkpoint_every=int(manifest["checkpoint_every"]),
+            digest_every=manifest["digest_every"],
+            checkpoint_every=manifest["checkpoint_every"],
         )
         started = perf_counter()
 
@@ -621,8 +645,8 @@ class ShardedSimulator:
         # window+1 (the last inboxes made durable before the checkpoint).
         # Each shard truncates its own journal inside ``Run.resume``; the
         # continued run regenerates both identically.
-        barriers = lookahead_barriers(float(manifest["lookahead"]),
-                                      float(manifest["horizon"]))
+        barriers = lookahead_barriers(manifest["lookahead"],
+                                      manifest["horizon"])
         recorded: Dict[int, Dict[int, List[dict]]] = {}
         for shard in range(self.shards):
             inbox_path = shard_paths(out_dir, shard)["inbox"]

@@ -68,7 +68,7 @@ def verify_federation(out_dir: str, workers: int = 1) -> Dict[str, Any]:
     — unlike the live run's barrier-synchronized actors).
     """
     manifest = load_manifest(out_dir)
-    shards = int(manifest["shards"])
+    shards = manifest["shards"]
     expected_digests = manifest.get("shard_digests") or []
     pool = worker_pool(min(workers, shards))
     try:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -353,6 +354,61 @@ class TestBadRunDirectories:
         for verb in ("resume", "verify"):
             self._assert_classified(
                 ["shard", verb, "--out", str(tmp_path / "nope")], capsys)
+
+    @pytest.fixture(scope="class")
+    def killed_federation(self, tmp_path_factory):
+        """A two-shard run killed at window 4, checkpointed at window 4."""
+        out = tmp_path_factory.mktemp("killed-federation")
+        assert main(["shard", "run", "smart-city-federated", "--quick",
+                     "--shards", "2", "--workers", "1",
+                     "--checkpoint-every", "2", "--stop-after", "4",
+                     "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("line", [
+        "[]",
+        "7",
+        '{"type":"inbox","window":"five","barrier":1.0,"envelopes":[]}',
+        '{"type":"inbox","window":5,"barrier":1.0,"envelopes":{}}',
+        '{"type":"inbox","barrier":1.0}',
+    ], ids=["list", "int", "bad-window", "bad-envelopes", "no-fields"])
+    def test_malformed_inbox_record_exits_2(self, line, killed_federation,
+                                            tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(killed_federation, out)
+        with open(out / "shard-0" / "inbox.jsonl", "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        for verb in ("resume", "verify"):      # truncate_inbox, read_inbox
+            captured = self._assert_classified(
+                ["shard", verb, "--out", str(out)], capsys)
+            assert "inbox.jsonl" in captured.err
+
+    def test_torn_final_inbox_line_is_tolerated(self, killed_federation,
+                                                tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(killed_federation, out)
+        with open(out / "shard-0" / "inbox.jsonl", "a") as fh:
+            fh.write('{"type":"inbox","window":5,"barr')   # crash mid-append
+        assert main(["shard", "resume", "--out", str(out)]) == 0
+        assert main(["shard", "verify", "--out", str(out)]) == 0
+        assert "SHARD VERIFY: MATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field,value", [
+        ("shards", "two"), ("workers", [1]), ("digest_every", "often"),
+        ("checkpoint_every", None), ("lookahead", "0.375"),
+        ("horizon", True), ("checkpoint_window", 4.5),
+    ])
+    def test_wrong_typed_manifest_field_exits_2(self, field, value,
+                                                killed_federation, tmp_path,
+                                                capsys):
+        manifest = json.loads((killed_federation / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        for verb in ("resume", "verify"):
+            captured = self._assert_classified(
+                ["shard", verb, "--out", str(tmp_path)], capsys)
+            assert "manifest.json" in captured.err and field in captured.err
 
 
 def _usage_error(argv, capsys):

@@ -18,22 +18,34 @@ from repro.workloads.mobility import MobilityWorkload
 
 
 # -- reference: the uncached algorithm ------------------------------------- #
+def reference_edges(topology):
+    """The topology's links in ``nx.Graph.edges()`` order: nodes in order,
+    each node's neighbours in order, an edge once, from the endpoint walked
+    first.  (``tests/test_network_router_oracle.py`` holds that order to a
+    real ``nx.Graph`` fed the same mutations.)"""
+    walked = set()
+    for u in topology.nodes:
+        for v in topology.neighbors(u):
+            if v not in walked:
+                yield u, v, topology.link_between(u, v)
+        walked.add(u)
+
+
 def reference_up_subgraph(topology):
-    graph = topology.graph
     up_edges = [
-        (u, v) for u, v, data in graph.edges(data=True) if data["link"].up
+        (u, v, link) for u, v, link in reference_edges(topology) if link.up
     ]
     sub = nx.Graph()
-    sub.add_nodes_from(graph.nodes)
-    for u, v in up_edges:
-        sub.add_edge(u, v, weight=graph.edges[u, v]["weight"])
+    sub.add_nodes_from(topology.nodes)
+    for u, v, link in up_edges:
+        sub.add_edge(u, v, weight=link.profile.base_latency)
     return sub
 
 
 def reference_route(topology, src, dst):
     if src == dst:
         return [src]
-    if src not in topology.graph or dst not in topology.graph:
+    if not topology.has_node(src) or not topology.has_node(dst):
         return None
     sub = reference_up_subgraph(topology)
     try:
@@ -47,7 +59,7 @@ def reference_expected_latency(topology, src, dst):
     if path is None:
         return None
     return sum(
-        topology.graph.edges[u, v]["link"].profile.base_latency
+        topology.link_between(u, v).profile.base_latency
         for u, v in zip(path, path[1:])
     )
 

@@ -9,6 +9,7 @@ import ast
 import os
 import re
 import subprocess
+import sys
 
 import pytest
 
@@ -157,3 +158,63 @@ def test_one_way_to_restore_a_run():
     assert not offenders, (
         "direct component restoration is deleted (DESIGN.md, 'One way to "
         f"restore a run'); do not grow it back: {offenders}")
+
+
+def test_third_party_imports_stay_out_of_the_run_path():
+    """``src/`` routes on its own adjacency map (no networkx at all) and
+    loads numpy only inside the ``modeling/dtmc.py`` methods that solve."""
+    offenders = []
+    for path, parts in _repro_sources():
+        tree, package = _parse(path), parts[:-1]
+        in_functions = {
+            lineno
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for lineno, _target, _names in _imported_modules(function, package)}
+        for lineno, target, _names in _imported_modules(tree, package):
+            lazy_solver_import = (target[:1] == ["numpy"]
+                                  and parts[1:] == ["modeling", "dtmc"]
+                                  and lineno in in_functions)
+            if target[:1] in (["networkx"], ["numpy"]) \
+                    and not lazy_solver_import:
+                offenders.append(f"{os.path.relpath(path, REPO_ROOT)}:{lineno}"
+                                 f" imports {target[0]}")
+    assert not offenders, (
+        "the tie-break rule belongs to repro.network.topology and numpy "
+        f"loads on first solve (DESIGN.md §4, 'Route on change'): {offenders}")
+
+
+_STARTUP_PROBE = """
+import sys
+before = set(sys.modules)
+import repro.cli, repro.chaos, repro.shard, repro.observability.export
+from repro.persistence import ScenarioSpec, prepare, scenario_names
+scenario_names()
+prepared = prepare(ScenarioSpec(name="traffic-overload", seed=23,
+                                params={"horizon": 2.0}))
+prepared.system.run(until=prepared.horizon)
+assert prepared.system.sim.fired_count > 0
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+# __mp_main__ is multiprocessing's second name for __main__.
+allowed = set(sys.stdlib_module_names) | {"repro", "__mp_main__"}
+print(len(sys.modules), *sorted(loaded - allowed))
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"),
+                    reason="sys.stdlib_module_names needs Python 3.10")
+def test_a_run_loads_no_third_party_module():
+    """Importing what the repo benchmark's ``load_program()`` imports, then
+    building and running a quick ``traffic-overload``, loads the standard
+    library and ``repro`` only -- start-up is paid by every CLI command,
+    test subprocess and pool worker."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, *third_party = proc.stdout.split()
+    assert not third_party, (
+        f"a plain run imported third-party modules: {third_party}")
+    assert int(modules) <= 300, (
+        f"{modules} modules loaded at start-up (693 before the owned "
+        "adjacency map; see EXPERIMENTS.md, 'Start-up')")
