@@ -27,9 +27,22 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Dict, List, Optional
 
 JOURNAL_VERSION = 1
+
+#: Every record after the header is one of these and carries ``i`` and ``t``.
+_RECORD_TYPES = frozenset({"event", "digest", "reconfig", "end"})
+
+#: Encoded event labels kept per writer.  A run has a few dozen distinct
+#: labels; a run that mints one per event starts over at this many.
+_LABEL_MEMO_SIZE = 1024
+
+
+def _encode(value: Any) -> str:
+    """The journal's JSON: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class JournalError(ValueError):
@@ -82,6 +95,7 @@ class JournalWriter:
         self.path = path
         self.digest_every = digest_every
         self.records_written = records_written
+        self._labels: Dict[str, str] = {}
         if append:
             self._fh = open(path, "a", encoding="utf-8")
         else:
@@ -91,13 +105,35 @@ class JournalWriter:
                          "digest_every": digest_every})
 
     def _write(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
+        self._fh.write(_encode(record) + "\n")
         self._fh.flush()
 
     # -- records ------------------------------------------------------------ #
     def append_event(self, index: int, time: float, label: str) -> None:
-        self._write({"type": "event", "i": index, "t": time, "label": label})
+        """Write one event record: formatted, not serialised.
+
+        An event record's sorted key order is a constant and ``json`` prints
+        an ``int`` and a finite ``float`` with their own ``repr``, so the
+        line is a template.  Any other value (a ``bool`` index, an ``int``
+        or non-finite time, a non-``str`` label) is encoded on its own, so
+        the bytes are always those of encoding the whole record.
+        """
+        if type(label) is str:
+            encoded = self._labels.get(label)
+            if encoded is None:
+                if len(self._labels) >= _LABEL_MEMO_SIZE:
+                    self._labels.clear()
+                encoded = self._labels[label] = _encode(label)
+            label = encoded
+        else:
+            label = _encode(label)
+        if type(index) is not int:
+            index = _encode(index)
+        if type(time) is not float or not isfinite(time):
+            time = _encode(time)
+        self._fh.write(
+            f'{{"i":{index},"label":{label},"t":{time},"type":"event"}}\n')
+        self._fh.flush()
         self.records_written += 1
 
     def append_digest(self, index: int, time: float, digest: str) -> None:
@@ -130,6 +166,23 @@ class JournalWriter:
 # --------------------------------------------------------------------------- #
 # Reading and recovery
 # --------------------------------------------------------------------------- #
+def _mistyped(record: Dict[str, Any]) -> Optional[str]:
+    """What is wrong with the types of a non-header record, if anything.
+
+    ``json.loads`` yields exact types, so ``type() is`` keeps a bool from
+    passing as a count.  Values are not judged: a wrong one is a replay
+    divergence, not a malformed file.
+    """
+    if type(record.get("i")) is not int:
+        return "'i' is not an integer"
+    if type(record.get("t")) not in (int, float):
+        return "'t' is not a number"
+    kind = record.get("type")
+    if type(kind) is not str or kind not in _RECORD_TYPES:
+        return f"unknown record type {kind!r}"
+    return None
+
+
 def read_journal(path: str) -> JournalRecords:
     """Parse a journal file; tolerates a torn final line (crash artifact)."""
     header: Optional[Dict[str, Any]] = None
@@ -159,6 +212,10 @@ def read_journal(path: str) -> JournalRecords:
                         f"{record.get('version')!r} (want {JOURNAL_VERSION})")
                 header = record
             else:
+                problem = _mistyped(record)
+                if problem:
+                    raise JournalError(
+                        f"{path}: line {lineno + 1}: {problem}")
                 records.append(record)
     if header is None:
         raise JournalError(f"{path}: empty or headerless journal")
@@ -175,13 +232,11 @@ def truncate(path: str, fired: int) -> int:
     """
     journal = read_journal(path)
     kept = [r for r in journal.records
-            if r.get("type") != "end" and int(r.get("i", 0)) <= fired]
+            if r["type"] != "end" and r["i"] <= fired]
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(journal.header, sort_keys=True,
-                            separators=(",", ":")) + "\n")
+        fh.write(_encode(journal.header) + "\n")
         for record in kept:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+            fh.write(_encode(record) + "\n")
     os.replace(tmp, path)
     return len(kept)

@@ -105,27 +105,30 @@ class _MemoryJournal:
 def _first_divergence(recorded: List[Dict[str, Any]],
                       replayed: List[Dict[str, Any]],
                       complete: bool) -> Optional[Divergence]:
-    """Record-by-record diff; an incomplete journal is a valid prefix."""
+    """Record-by-record diff; an incomplete journal is a valid prefix.
+
+    :func:`read_journal` has checked that every recorded ``i`` is an int.
+    """
     for index, want in enumerate(recorded):
         kind = want.get("type", "?")
         if index >= len(replayed):
-            return Divergence(index=index, fired=int(want.get("i", -1)),
+            return Divergence(index=index, fired=want["i"],
                               time=want.get("t"), field="type",
                               recorded=kind, replayed="<journal longer than replay>")
         got = replayed[index]
         if got.get("type") != kind:
-            return Divergence(index=index, fired=int(want.get("i", -1)),
+            return Divergence(index=index, fired=want["i"],
                               time=want.get("t"), field="type",
                               recorded=kind, replayed=got.get("type"))
         for fld in _COMPARED_FIELDS.get(kind, ()):
             if want.get(fld) != got.get(fld):
-                return Divergence(index=index, fired=int(want.get("i", -1)),
+                return Divergence(index=index, fired=want["i"],
                                   time=want.get("t"), field=fld,
                                   recorded=want.get(fld),
                                   replayed=got.get(fld))
     if complete and len(replayed) > len(recorded):
         extra = replayed[len(recorded)]
-        return Divergence(index=len(recorded), fired=int(extra.get("i", -1)),
+        return Divergence(index=len(recorded), fired=extra["i"],
                           time=extra.get("t"), field="type",
                           recorded="<journal ends>", replayed=extra.get("type"))
     return None

@@ -71,11 +71,13 @@ def manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.json")
 
 
-#: Manifest fields its readers compute with, and the JSON types each may have.
-_MANIFEST_TYPES: Dict[str, Tuple[type, ...]] = {
-    "shards": (int,), "workers": (int,), "digest_every": (int,),
-    "checkpoint_every": (int,), "lookahead": (int, float),
-    "horizon": (int, float), "checkpoint_window": (int, type(None)),
+#: Manifest fields its readers compute with: the JSON types each may have,
+#: its lower bound, and whether the bound itself is a legal value.
+_MANIFEST_FIELDS: Dict[str, Tuple[Tuple[type, ...], int, bool]] = {
+    "shards": ((int,), 1, True), "workers": ((int,), 1, True),
+    "digest_every": ((int,), 0, True), "checkpoint_every": ((int,), 0, True),
+    "lookahead": ((int, float), 0, False), "horizon": ((int, float), 0, False),
+    "checkpoint_window": ((int, type(None)), 0, True),
 }
 
 
@@ -95,11 +97,17 @@ def load_manifest(out_dir: str) -> Dict[str, Any]:
     if not isinstance(manifest, dict) or "shards" not in manifest \
             or "scenario" not in manifest:
         raise CheckpointError(f"{path}: not a federation manifest")
-    for name, kinds in _MANIFEST_TYPES.items():
-        if not _has_type(manifest.get(name), kinds):
+    for name, (kinds, low, inclusive) in _MANIFEST_FIELDS.items():
+        value = manifest.get(name)
+        if not _has_type(value, kinds):
             raise CheckpointError(
-                f"{path}: malformed manifest: {name!r} is "
-                f"{manifest.get(name)!r}")
+                f"{path}: malformed manifest: {name!r} is {value!r}")
+        # NaN compares false both ways and an infinite horizon never ends.
+        if value is not None and not (low < value < float("inf")
+                                      or inclusive and value == low):
+            raise CheckpointError(
+                f"{path}: malformed manifest: {name!r} is {value!r}, "
+                f"want {'>=' if inclusive else '>'} {low}")
     return manifest
 
 

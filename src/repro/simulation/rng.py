@@ -12,25 +12,28 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-# The Mersenne Twister state: 624 32-bit words, then the position word.
-_MT_STATE = struct.Struct("=625I")
+#: 32-bit words in the Mersenne Twister state; one twist refills them all.
+_MT_WORDS = 624
 _mt_random = random.Random.random
 _mt_getrandbits = random.Random.getrandbits
 
 
 class CountedRandom(random.Random):
-    """A ``random.Random`` that counts every call that can move its state.
+    """A ``random.Random`` that counts the calls and the words it draws.
 
     The Mersenne Twister state changes only through ``random()``,
     ``getrandbits()``, ``seed()`` and ``setstate()`` -- every other draw
     method is built on the first two -- so ``(moves, gauss_next)`` names a
     state of this object: while it reads the same, the stream has not moved.
-    :meth:`RngRegistry.stream_digests` keeps its memo in the ``_digest*``
-    and ``_prefix*`` attributes; a copied or unpickled stream is rebuilt
-    from ``getstate()`` alone and so starts without one.
+    The first two also say *how far* it moved: ``random()`` consumes two
+    32-bit words and ``getrandbits(k)`` ``ceil(k / 32)``, so ``words`` since
+    the last read of ``getstate()`` gives the position word without reading
+    it again.  :meth:`RngRegistry.stream_digests` keeps its memo in the
+    ``_digest*`` and ``_prefix*`` attributes; ``seed()`` and ``setstate()``
+    drop the prefix (the words are new), and a copied or unpickled stream is
+    rebuilt from ``getstate()`` alone and so starts without one.
 
     ``random`` *and* ``getrandbits`` are both overridden on purpose: with
     only ``random`` in the class body, ``Random.__init_subclass__`` would
@@ -40,25 +43,33 @@ class CountedRandom(random.Random):
     """
 
     moves = 0
+    words = 0
     _digest_key: Optional[Tuple[int, Optional[float]]] = None
     _digest = ""
-    _prefix_words = b""
     _prefix_hasher: Any = None
+    # Position word minus ``words`` when the prefix was read.
+    _prefix_offset = 0
 
     def random(self) -> float:
         self.moves += 1
+        self.words += 2
         return _mt_random(self)
 
     def getrandbits(self, k: int) -> int:
         self.moves += 1
-        return _mt_getrandbits(self, k)
+        bits = _mt_getrandbits(self, k)
+        # Counted once the draw has happened: a ``k`` that raises drew nothing.
+        self.words += (k + 31) >> 5
+        return bits
 
     def seed(self, *args: Any, **kwargs: Any) -> None:
         self.moves += 1
+        self._prefix_hasher = None
         super().seed(*args, **kwargs)
 
     def setstate(self, state: Any) -> None:
         self.moves += 1
+        self._prefix_hasher = None
         super().setstate(state)
 
 
@@ -133,23 +144,38 @@ class RngRegistry:
 
         Between twists (every 624 32-bit words drawn) a Mersenne Twister
         changes nothing but its trailing position word, so the JSON of the
-        624 state words is encoded and fed to SHA-256 once per twist --
-        keyed by the packed words themselves, compared exactly -- and each
-        digest is a copy of that hasher plus ``<pos>],<gauss_next>]``.
+        624 state words is encoded and fed to SHA-256 once per twist and
+        each digest is a copy of that hasher plus ``<pos>],<gauss_next>]``.
+        The position is the one read with the prefix plus the words drawn
+        since.  ``getstate()`` is read only when that sum passes 624 (a
+        twist replaced the words) or there is no prefix (first sight,
+        ``seed()``, ``setstate()``, a copy) -- and a read that follows a
+        count must find the position the count predicts.
         """
-        version, internal, gauss_next = rng.getstate()
-        words = _MT_STATE.pack(*internal)[:-4]
-        if words != rng._prefix_words:
+        hasher = rng._prefix_hasher
+        position = rng._prefix_offset + rng.words
+        if hasher is None or position > _MT_WORDS:
+            version, internal, _gauss_next = rng.getstate()
+            # A twist wraps the position: word 625 is read from position 1.
+            counted = (position - 1) % _MT_WORDS + 1
+            position = internal[-1]
+            if hasher is not None and position != counted:
+                raise RuntimeError(
+                    f"RNG stream is at position {position} where its draw "
+                    f"count says {counted}: something drew from it without "
+                    f"going through CountedRandom.random()/getrandbits()")
             encoded = json.dumps([version, list(internal[:-1])],
                                  separators=(",", ":"))
             # "[3,[w0,...,w623]]" -> "[3,[w0,...,w623,"
-            rng._prefix_hasher = hashlib.sha256(
+            hasher = rng._prefix_hasher = hashlib.sha256(
                 (encoded[:-2] + ",").encode("utf-8"))
-            rng._prefix_words = words
+            rng._prefix_offset = position - rng.words
             self.prefix_rebuilds += 1
-        hasher = rng._prefix_hasher.copy()
-        hasher.update(
-            f"{internal[-1]}],{json.dumps(gauss_next)}]".encode("utf-8"))
+        gauss_next = rng.gauss_next
+        # Most streams never call gauss(): spare them the encoder.
+        cached = "null" if gauss_next is None else json.dumps(gauss_next)
+        hasher = hasher.copy()
+        hasher.update(f"{position}],{cached}]".encode("utf-8"))
         rng._digest = hasher.hexdigest()
         rng._digest_key = (rng.moves, gauss_next)
         self.streams_reencoded += 1

@@ -303,6 +303,56 @@ class TestBadRunDirectories:
             fh.write("[]\n")
         self._assert_classified(["resume", "--out", str(tmp_path)], capsys)
 
+    @pytest.fixture(scope="class")
+    def checkpointed_run(self, tmp_path_factory):
+        """``control-outage`` checkpointed mid-horizon; line 6 is an event."""
+        out = tmp_path_factory.mktemp("checkpointed-run")
+        assert main(["checkpoint", "control-outage", "--quick", "--at", "45",
+                     "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def _with_line_6_edited(run, out, pattern, replacement):
+        shutil.copytree(run, out)
+        lines = (out / "journal.jsonl").read_text().splitlines()
+        lines[5], edits = re.subn(pattern, replacement, lines[5])
+        assert edits == 1
+        (out / "journal.jsonl").write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("pattern,replacement,problem", [
+        (r'"i":\d+', '"i":"x"', "'i' is not an integer"),
+        (r'"i":\d+', '"i":null', "'i' is not an integer"),
+        (r'"i":\d+', '"i":3.5', "'i' is not an integer"),
+        (r'"i":\d+', '"i":true', "'i' is not an integer"),
+        (r'"t":[^,]+', '"t":"soon"', "'t' is not a number"),
+        (r'"t":[^,]+', '"t":false', "'t' is not a number"),
+        (r'"type":"event"', '"type":"evnt"', "unknown record type 'evnt'"),
+        (r',"type":"event"', '', "unknown record type None"),
+    ], ids=["i-str", "i-null", "i-float", "i-bool", "t-str", "t-bool",
+            "type-unknown", "type-missing"])
+    def test_wrong_typed_journal_field_exits_2(self, pattern, replacement,
+                                               problem, checkpointed_run,
+                                               tmp_path, capsys):
+        """A well-shaped record with a wrong-typed ``i``/``t``/``type`` is
+        a malformed file for both readers (``truncate`` and the replay
+        diff), not an ``int()`` traceback or a silent coercion."""
+        out = tmp_path / "run"
+        self._with_line_6_edited(checkpointed_run, out, pattern, replacement)
+        capsys.readouterr()
+        for verb in ("resume", "replay"):
+            captured = self._assert_classified(
+                [verb, "--out", str(out)], capsys)
+            assert f"journal.jsonl: line 6: {problem}" in captured.err
+
+    def test_wrong_valued_journal_field_is_a_divergence(
+            self, checkpointed_run, tmp_path, capsys):
+        """A wrong *value* of the right type is for replay to find."""
+        out = tmp_path / "run"
+        self._with_line_6_edited(checkpointed_run, out, r'"t":', '"t":1')
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_resume_without_a_journal_names_none(self, tmp_path, capsys):
         assert main(["checkpoint", "control-outage", "--at", "10",
                      "--out", str(tmp_path)]) == 0
@@ -402,6 +452,23 @@ class TestBadRunDirectories:
     def test_wrong_typed_manifest_field_exits_2(self, field, value,
                                                 killed_federation, tmp_path,
                                                 capsys):
+        manifest = json.loads((killed_federation / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        for verb in ("resume", "verify"):
+            captured = self._assert_classified(
+                ["shard", verb, "--out", str(tmp_path)], capsys)
+            assert "manifest.json" in captured.err and field in captured.err
+
+    @pytest.mark.parametrize("field,value", [
+        ("shards", 0), ("shards", -1), ("workers", 0), ("digest_every", -5),
+        ("checkpoint_every", -1), ("lookahead", 0.0), ("lookahead", -0.375),
+        ("horizon", -1.0), ("horizon", 0), ("horizon", float("inf")),
+        ("horizon", float("nan")), ("checkpoint_window", -1),
+    ])
+    def test_out_of_range_manifest_field_exits_2(self, field, value,
+                                                 killed_federation, tmp_path,
+                                                 capsys):
         manifest = json.loads((killed_federation / "manifest.json").read_text())
         manifest[field] = value
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))

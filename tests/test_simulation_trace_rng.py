@@ -324,10 +324,22 @@ class TestStreamDrawsLikePlainRandom:
 _NAMES = ("a", "b", "c")
 _STEP = st.one_of(
     st.tuples(st.sampled_from(("random", "gauss", "choice", "shuffle",
-                               "expovariate", "randbytes")),
+                               "expovariate", "randbytes", "sample",
+                               "choices", "randint", "randrange",
+                               "getrandbits")),
               st.sampled_from(_NAMES)),
     st.tuples(st.just("words"), st.sampled_from(_NAMES),
               st.sampled_from((1, 5, 623, 624, 700, 1300))),
+    # Draw sizes around the 32-bit word boundary, and two that twist more
+    # than once in a single call (19937 bits is one whole state).
+    st.tuples(st.just("bits"), st.sampled_from(_NAMES),
+              st.sampled_from((0, 1, 31, 32, 33, 64, 65, 19937, 20000))),
+    st.tuples(st.just("bytes"), st.sampled_from(_NAMES),
+              st.sampled_from((0, 1, 4, 5, 2496, 2500))),
+    st.tuples(st.just("big-randrange"), st.sampled_from(_NAMES)),
+    # Stop exactly on the last word, one short of it, and one past a twist.
+    st.tuples(st.just("land-on"), st.sampled_from(_NAMES),
+              st.sampled_from((623, 624, 625))),
     st.tuples(st.just("drop-gauss"), st.sampled_from(_NAMES)),
     st.tuples(st.just("seed"), st.sampled_from(_NAMES), st.integers(0, 3)),
     st.tuples(st.just("setstate"), st.sampled_from(_NAMES),
@@ -361,6 +373,18 @@ def test_stream_digests_equal_the_reference_after_any_interleaving(
             rng = registry.stream(args[0])
             for _ in range(args[1]):
                 rng.getrandbits(32)
+        elif op == "bits":
+            registry.stream(args[0]).getrandbits(args[1])
+        elif op == "bytes":
+            registry.stream(args[0]).randbytes(args[1])
+        elif op == "big-randrange":
+            registry.stream(args[0]).randrange(2 ** 32 + 1, 2 ** 80)
+        elif op == "land-on":
+            rng = registry.stream(args[0])
+            position = rng.getstate()[1][-1]
+            for _ in range((args[1] - position) % 624):
+                rng.getrandbits(32)
+            assert rng.getstate()[1][-1] == (args[1] - 1) % 624 + 1
         elif op == "drop-gauss":
             rng = registry.stream(args[0])
             version, internal, _gauss_next = rng.getstate()
@@ -413,6 +437,124 @@ def test_twist_mid_sequence_rebuilds_the_prefix_once():
     # hashed the tail only.
     assert registry.prefix_rebuilds - rebuilds == 2
     assert registry.streams_reencoded == 701
+
+
+# --------------------------------------------------------------------------- #
+# The position comes from the words drawn; getstate() is read once per twist
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def state_reads(monkeypatch):
+    """Counts ``getstate()`` calls on registry streams: ``reads()``."""
+    from repro.simulation.rng import CountedRandom
+
+    calls = []
+    plain = CountedRandom.getstate
+
+    def counted(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(CountedRandom, "getstate", counted)
+    return lambda: len(calls)
+
+
+class TestDigestFromWordsDrawn:
+    def test_a_fresh_stream_twists_on_its_first_draw(self, state_reads):
+        registry = RngRegistry(seed=2)
+        rng = registry.stream("f")
+        assert rng.getstate()[1][-1] == 624
+        before = state_reads()
+        registry.stream_digests()                     # first sight
+        assert state_reads() - before == 1
+        registry.stream_digests()                     # idle
+        rng.getrandbits(0)                            # a call, zero words
+        registry.stream_digests()
+        assert state_reads() - before == 1
+        rng.random()                                  # 624 + 2: twists
+        digests = registry.stream_digests()
+        assert state_reads() - before == 2
+        assert digests == _reference(registry)
+        assert rng.getstate()[1][-1] == 2
+
+    @pytest.mark.parametrize("bad,error", [(-1, ValueError), (-40, ValueError),
+                                           ("x", TypeError), (2.0, TypeError)])
+    def test_a_raising_draw_counts_no_words(self, bad, error):
+        registry = RngRegistry(seed=2)
+        rng = registry.stream("r")
+        rng.getrandbits(32 * 600)
+        registry.stream_digests()
+        words = rng.words
+        with pytest.raises(error):
+            rng.getrandbits(bad)
+        assert rng.words == words
+        assert registry.stream_digests() == _reference(registry)
+        # Through the next twist, where the count is checked against the
+        # real position.
+        for _ in range(700):
+            rng.getrandbits(32)
+            assert registry.stream_digests() == _reference(registry)
+
+    def test_words_are_counted_per_draw(self):
+        rng = RngRegistry(seed=2).stream("w")
+        for draw, words in ((lambda: rng.random(), 2),
+                            (lambda: rng.getrandbits(0), 0),
+                            (lambda: rng.getrandbits(1), 1),
+                            (lambda: rng.getrandbits(32), 1),
+                            (lambda: rng.getrandbits(33), 2),
+                            (lambda: rng.getrandbits(19937), 624),
+                            (lambda: rng.randbytes(5), 2)):
+            before, position = rng.words, rng.getstate()[1][-1]
+            draw()
+            assert rng.words - before == words
+            assert rng.getstate()[1][-1] == (position + words - 1) % 624 + 1
+
+    @pytest.mark.parametrize("reset", ["seed", "setstate", "copy", "pickle"])
+    def test_a_reset_stream_is_read_not_counted(self, reset, state_reads):
+        registry = RngRegistry(seed=6)
+        rng = registry.stream("s")
+        rng.random()
+        other = random.Random(99)
+        other.getrandbits(32 * 100)
+        registry.stream_digests()
+        if reset == "seed":
+            rng.seed(99)
+        elif reset == "setstate":
+            rng.setstate(other.getstate())
+        elif reset == "copy":
+            rng = registry._streams["s"] = copy.copy(rng)
+        else:
+            rng = registry._streams["s"] = pickle.loads(pickle.dumps(rng))
+        rng.random()
+        before = state_reads()
+        digests = registry.stream_digests()
+        assert state_reads() - before == 1
+        assert digests == _reference(registry)
+
+    def test_a_draw_that_bypasses_the_counters_is_caught(self):
+        registry = RngRegistry(seed=8)
+        rng = registry.stream("b")
+        rng.random()
+        registry.stream_digests()
+        random.Random.random(rng)          # moves the state, counts nothing
+        with pytest.raises(RuntimeError, match="without going through"):
+            for _ in range(624):
+                rng.getrandbits(32)
+                registry.stream_digests()
+
+    def test_state_is_read_once_per_twist_not_once_per_digest(self,
+                                                              state_reads):
+        registry = RngRegistry(seed=9)
+        rng = registry.stream("t")
+        before = state_reads()
+        for _ in range(3000):
+            rng.getrandbits(32)
+            registry.stream_digests()
+        # First sight (which is also the fresh stream's first twist), then
+        # the twists at words 625, 1249, 1873 and 2497.
+        assert state_reads() - before == 5
+        assert registry.prefix_rebuilds == 5
+        assert registry.streams_reencoded == 3000
+        assert registry.stream_digests() == _reference(registry)
 
 
 # --------------------------------------------------------------------------- #
