@@ -73,6 +73,7 @@ TOLERANCES: List[Tuple[str, float, str]] = [
     # moved_us (the _us rule) are the tripwires.
     (r"digest\.moved_over_idle$", float("inf"), "both"),
     (r"journal\.append_over_reference$", 1.0, "higher"),  # as the legs' _us
+    (r"telemetry\.sampled_over_bare$", 1.0, "higher"),    # as wall_s
     (r".*_us$", 1.0, "higher"),             # per-message cost: as wall_s
     (r"startup\.import_s$", 1.0, "higher"),  # start-up imports: as wall_s
     (r"startup\.rss_mb$", 0.25, "higher"),   # one third-party import is +30%
@@ -386,6 +387,12 @@ def bench_observability(quick: bool) -> Dict[str, float]:
     accidentally de-optimizing the sampled drop path.  Span/sample
     counts are deterministic (the sampler hashes (seed, root ordinal)),
     so they double as a drift check on the sampling decision stream.
+
+    What it is not is the telemetry budget: one span per 16 events over a
+    bare kernel never reaches a span call site, where a sampled run pays
+    most of its cost.  ``bench_telemetry`` measures a registered scenario
+    through the real call sites; this bench stays as the recorder-only
+    drop-path tripwire.
     """
     from repro.observability.overhead import SpanSampler
     from repro.observability.spans import SpanRecorder
@@ -944,6 +951,100 @@ def bench_journal(quick: bool) -> Dict[str, float]:
     }
 
 
+def bench_telemetry(quick: bool) -> Dict[str, float]:
+    """Sampled-out telemetry on the real call sites: what 2 % spans cost a run.
+
+    Both legs run the registered ``traffic-overload`` scenario (its quick
+    params under ``--quick``) and measure only ``system.run``: *bare* with
+    nothing switched on, *sampled* after ``enable_observability(
+    instrument=False, sample_rate=0.02)`` -- the span call sites in
+    ``Network.send``/``_deliver``, ``TrafficClient.submit`` and
+    ``Server._complete`` as a run really reaches them, where
+    ``observability.sampled_budget_ok`` times a synthetic loop that never
+    leaves the recorder.  ``sampled_over_bare`` is the min over paired reps
+    of sampled/bare wall (noise only inflates a leg).  The two per-event
+    counts are the noise-free half of the tripwire: ``cProfile``'s
+    ``total_calls`` over the same region, exact on one interpreter version
+    -- ``bare_calls_per_event`` is the flat cost of the kernel -> transport
+    -> traffic chain, ``sampled_extra_calls_per_event`` what a run pays to
+    throw 98 % of its spans away, and a call site that builds a span's
+    arguments before asking ``admit`` shows there on any machine.
+    ``spans_identical`` requires every trace the sampled run kept to hold,
+    span for span (name, times, status, attrs, parent position), what the
+    same trace holds in a run that keeps everything; span ordinals are only
+    drawn by kept spans, so ids are compared by position.
+    """
+    import cProfile
+    import pstats
+
+    from repro.persistence import describe_scenario, prepare
+
+    spec = describe_scenario("traffic-overload").spec(quick=quick)
+    reps = 3
+
+    def one_run(mode: str, profiler: Optional[cProfile.Profile] = None
+                ) -> Tuple[float, Any]:
+        prepared = prepare(spec)
+        system = prepared.system
+        if mode != "bare":
+            system.enable_observability(
+                instrument=False,
+                sample_rate=0.02 if mode == "sampled" else None)
+        started = time.perf_counter()
+        if profiler is None:
+            system.run(until=prepared.horizon)
+        else:
+            profiler.runcall(system.run, until=prepared.horizon)
+        return time.perf_counter() - started, system
+
+    bare = sampled = ratio = float("inf")
+    for _ in range(reps):
+        b_wall, _system = one_run("bare")
+        s_wall, _system = one_run("sampled")
+        bare, sampled = min(bare, b_wall), min(sampled, s_wall)
+        if b_wall > 0:
+            ratio = min(ratio, s_wall / b_wall)
+
+    def profiled_calls(mode: str) -> Tuple[int, Any]:
+        profiler = cProfile.Profile()
+        _wall, system = one_run(mode, profiler)
+        return pstats.Stats(profiler).total_calls, system
+
+    # After the timed reps, so no first-call import is counted.
+    bare_calls, bare_system = profiled_calls("bare")
+    sampled_calls, sampled_system = profiled_calls("sampled")
+    events = bare_system.sim.fired_count
+
+    def traces(system: Any) -> Dict[str, List[Any]]:
+        by_trace: Dict[str, List[Any]] = {}
+        position: Dict[Optional[str], Optional[int]] = {None: None}
+        for span in system.spans:
+            members = by_trace.setdefault(span.trace_id, [])
+            position[span.span_id] = len(members)
+            members.append((span.name, span.category, span.start, span.end,
+                            span.status, position[span.parent_id],
+                            json.dumps(span.attrs, sort_keys=True,
+                                       default=repr)))
+        return by_trace
+
+    _wall, full_system = one_run("full")
+    full, kept = traces(full_system), traces(sampled_system)
+    identical = bool(kept) and all(
+        full.get(trace_id) == members for trace_id, members in kept.items())
+    return {
+        "wall_s": bare,
+        "sampled.wall_s": sampled,
+        "sampled_over_bare": ratio,
+        "events": float(events),
+        "bare_calls_per_event": bare_calls / events,
+        "sampled_extra_calls_per_event": (sampled_calls - bare_calls) / events,
+        "spans_kept": float(len(sampled_system.spans)),
+        "spans_sampled_out": float(sampled_system.spans.sampled_out),
+        "spans_identical": float(
+            identical and sampled_system.sim.fired_count == events),
+    }
+
+
 # What a process pays before it can run anything: the imports of the repo
 # benchmark's ``load_program()`` plus the CLI.  Modules the interpreter loads
 # for itself (site hooks, ``__main__``) are there before the probe starts.
@@ -1020,6 +1121,7 @@ SCENARIOS: Dict[str, Callable[[bool], Dict[str, float]]] = {
     "route": bench_route,
     "digest": bench_digest,
     "journal": bench_journal,
+    "telemetry": bench_telemetry,
     "startup": bench_startup,
 }
 

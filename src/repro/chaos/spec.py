@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 #: Workload archetypes the compiler can build (healthcare's bespoke
 #: hospital topology does not expose the edge/cloud landscape the
@@ -89,6 +89,32 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
+# Specs come back from files people edit (``chaos shrink spec.json``, a
+# corpus bundle, a hot-loaded ``chaos-spec`` payload), so ``from_dict``
+# turns every wrong shape into one ``ValueError`` naming the field -- never
+# the ``AttributeError``/``TypeError``/bare ``KeyError`` it would trip first.
+_REQUIRED = object()
+
+
+def _object(data: Any, where: str) -> Dict[str, Any]:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
+
+
+def _field(data: Dict[str, Any], where: str, key: str,
+           convert: Callable[[Any], Any], default: Any = _REQUIRED) -> Any:
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{where} is missing {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}.{key} must be {convert.__name__}-like, "
+                         f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TopologyAxis:
     """Size of the edge/cloud landscape under test."""
@@ -102,8 +128,10 @@ class TopologyAxis:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TopologyAxis":
-        return cls(sites=int(data.get("sites", 3)),
-                   devices_per_site=int(data.get("devices_per_site", 2)))
+        data = _object(data, "topology")
+        return cls(sites=_field(data, "topology", "sites", int, 3),
+                   devices_per_site=_field(data, "topology",
+                                           "devices_per_site", int, 2))
 
 
 @dataclass(frozen=True)
@@ -131,9 +159,11 @@ class TrafficAxis:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrafficAxis":
-        return cls(pattern=str(data.get("pattern", "none")),
-                   users=int(data.get("users", 0)),
-                   rate_per_user=float(data.get("rate_per_user", 0.04)))
+        data = _object(data, "traffic")
+        return cls(pattern=_field(data, "traffic", "pattern", str, "none"),
+                   users=_field(data, "traffic", "users", int, 0),
+                   rate_per_user=_field(data, "traffic", "rate_per_user",
+                                        float, 0.04))
 
 
 @dataclass(frozen=True)
@@ -154,10 +184,13 @@ class FaultEvent:
                 "duration": self.duration, "target": self.target}
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        return cls(kind=str(data["kind"]), at=float(data["at"]),
-                   duration=float(data["duration"]),
-                   target=str(data["target"]))
+    def from_dict(cls, data: Dict[str, Any],
+                  where: str = "fault") -> "FaultEvent":
+        data = _object(data, where)
+        return cls(kind=_field(data, where, "kind", str),
+                   at=_field(data, where, "at", float),
+                   duration=_field(data, where, "duration", float),
+                   target=_field(data, where, "target", str))
 
 
 @dataclass(frozen=True)
@@ -178,9 +211,10 @@ class AdversaryAxis:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AdversaryAxis":
-        return cls(attack=str(data.get("attack", "none")),
-                   at=float(data.get("at", 5.0)),
-                   rate=float(data.get("rate", 600.0)))
+        data = _object(data, "adversary")
+        return cls(attack=_field(data, "adversary", "attack", str, "none"),
+                   at=_field(data, "adversary", "at", float, 5.0),
+                   rate=_field(data, "adversary", "rate", float, 600.0))
 
 
 @dataclass(frozen=True)
@@ -254,16 +288,23 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosSpec":
+        """Inverse of :meth:`to_dict`; ``ValueError`` naming the field for
+        anything of the wrong shape (domains are :meth:`validate`'s)."""
+        data = _object(data, "chaos spec")
+        faults = data.get("faults", [])
+        if not isinstance(faults, list):
+            raise ValueError(f"faults must be a JSON list, "
+                             f"got {type(faults).__name__}")
         return cls(
-            workload=str(data.get("workload", "none")),
+            workload=_field(data, "chaos spec", "workload", str, "none"),
             topology=TopologyAxis.from_dict(data.get("topology", {})),
             traffic=TrafficAxis.from_dict(data.get("traffic", {})),
-            faults=tuple(FaultEvent.from_dict(f)
-                         for f in data.get("faults", [])),
+            faults=tuple(FaultEvent.from_dict(fault, f"faults[{index}]")
+                         for index, fault in enumerate(faults)),
             adversary=AdversaryAxis.from_dict(data.get("adversary", {})),
-            maturity=int(data.get("maturity", 1)),
-            horizon=float(data.get("horizon", 30.0)),
-            seed=int(data.get("seed", 1)),
+            maturity=_field(data, "chaos spec", "maturity", int, 1),
+            horizon=_field(data, "chaos spec", "horizon", float, 30.0),
+            seed=_field(data, "chaos spec", "seed", int, 1),
         )
 
     def to_json(self) -> str:

@@ -981,7 +981,8 @@ def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
     try:
         with open(spec_path, encoding="utf-8") as fh:
             spec = ChaosSpec.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+        spec.validate()
+    except (OSError, ValueError) as exc:
         return _fail(f"chaos shrink: cannot load a spec from {path!r} ({exc})")
     _progress(f"shrinking {spec.describe()} ({spec.axis_count()} axes)...")
     try:
@@ -1013,8 +1014,14 @@ def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
 
 def cmd_chaos_corpus(corpus: str = "corpus") -> int:
     """Replay every corpus bundle bit-for-bit; exit 1 on any divergence."""
-    from repro.chaos import replay_corpus
+    from repro.chaos import corpus_bundles, load_bundle_spec, replay_corpus
 
+    for bundle in corpus_bundles(corpus):
+        try:
+            load_bundle_spec(bundle).validate()
+        except (OSError, ValueError) as exc:
+            return _fail(f"chaos corpus: cannot load a spec from "
+                         f"{bundle!r} ({exc})")
     _progress(f"replaying failure corpus {corpus!r}...")
     verdicts, ok = replay_corpus(corpus)
     payload = {"bundles": [v.to_dict() for v in verdicts], "ok": ok}

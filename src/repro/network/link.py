@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,27 @@ class LatencyModel:
         # Multiplicative degradation applied by fault injection (latency
         # spikes): 1.0 is nominal.
         self.degradation = 1.0
+
+    def sample(self, size_bytes: int = 0) -> Optional[float]:
+        """One hop in one call: ``None`` if the message is lost, else its latency.
+
+        Draws what :meth:`sample_loss` then :meth:`sample_latency` draw, in
+        that order, and returns the same float; a lost hop draws no jitter.
+        The jitter is ``random.uniform(-j, j)`` written out as its defining
+        expression ``a + (b - a) * random()``, and the clamp is
+        ``max(0.0, latency)`` as a comparison.  The two methods below stay
+        as the reference the tests hold this one to.
+        """
+        profile = self.profile
+        rng = self._rng
+        loss_rate = profile.loss_rate
+        if loss_rate != 0.0 and rng.random() < loss_rate:
+            return None
+        jitter = profile.jitter
+        latency = ((profile.base_latency
+                    + (-jitter + (jitter - -jitter) * rng.random()))
+                   * self.degradation + size_bytes / profile.bandwidth)
+        return latency if latency > 0.0 else 0.0
 
     def sample_latency(self, size_bytes: int = 0) -> float:
         jitter = self._rng.uniform(-self.profile.jitter, self.profile.jitter)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.network.topology import Topology
 from repro.observability.histogram import StreamingHistogram
-from repro.observability.spans import SpanContext, SpanRecorder
+from repro.observability.spans import DROPPED_SPAN, SpanContext, SpanRecorder
 from repro.simulation.kernel import Simulator
 from repro.simulation.trace import TraceLog
 
@@ -89,21 +90,6 @@ class NetworkStats:
         """Mean delivery latency, or None when nothing was delivered."""
         return self.total_latency / self.delivered if self.delivered else None
 
-    def observe_source(self, src: str, size_bytes: int) -> None:
-        """Fold one send into the per-source [messages, bytes] totals."""
-        entry = self.per_source.get(src)
-        if entry is None:
-            entry = self.per_source[src] = [0, 0]
-        entry[0] += 1
-        entry[1] += size_bytes
-
-    def observe_latency(self, kind: str, latency: float) -> None:
-        """Fold one delivery latency into the per-kind histogram."""
-        hist = self.per_kind.get(kind)
-        if hist is None:
-            hist = self.per_kind[kind] = StreamingHistogram()
-        hist.observe(latency)
-
     def kind_latency(self, kind: str) -> Optional[StreamingHistogram]:
         return self.per_kind.get(kind)
 
@@ -130,6 +116,9 @@ class Network:
         self.stats = NetworkStats()
         self._handlers: Dict[str, Dict[str, MessageHandler]] = {}
         self._msg_ids = itertools.count()
+        # kind -> "deliver:<kind>": every delivery event of a kind carries
+        # the one label object, hashed once, instead of a fresh string.
+        self._deliver_labels: Dict[str, str] = {}
         # Nodes marked down drop all traffic addressed to or relayed
         # through them; device crash faults use this switch.
         self._down_nodes: set = set()
@@ -216,6 +205,7 @@ class Network:
         router = self.remote_router
         if router is not None and router.routes(src, dst):
             return router.send(src, dst, kind, payload, size_bytes)
+        now = self.sim.now
         message = Message(
             src=src,
             dst=dst,
@@ -223,20 +213,27 @@ class Network:
             payload=payload,
             size_bytes=size_bytes,
             msg_id=next(self._msg_ids),
-            sent_at=self.sim.now,
+            sent_at=now,
         )
-        self.stats.sent += 1
-        self.stats.observe_source(src, size_bytes)
+        stats = self.stats
+        stats.sent += 1
+        totals = stats.per_source.get(src)
+        if totals is None:
+            totals = stats.per_source[src] = [0, 0]
+        totals[0] += 1
+        totals[1] += size_bytes
         span = None
         spans = self.spans
         if spans is not None:
             # The send span inherits whatever the sender is doing (a MAPE
             # iteration, a gossip round, a delivering message) and closes
-            # at delivery or drop time.
-            span = spans.start(
-                f"msg:{kind}", "message", self.sim.now,
-                src=src, dst=dst, msg_id=message.msg_id,
-            )
+            # at delivery or drop time.  Its name and attrs are built only
+            # if it is kept; a sampled-out message still carries the
+            # dropped span, so its handler's spans are dropped with it.
+            context = spans.admit("message")
+            span = DROPPED_SPAN if context is None else spans.begin(
+                context, f"msg:{kind}", "message", now,
+                src=src, dst=dst, msg_id=message.msg_id)
             message.span = span.context
         extra_delay = 0.0
         for interceptor in self._interceptors:
@@ -251,45 +248,57 @@ class Network:
         return message
 
     def _dispatch(self, message: Message, span, extra_delay: float = 0.0) -> None:
-        if self._quarantined and (message.src in self._quarantined
-                                  or message.dst in self._quarantined):
+        src, dst = message.src, message.dst
+        if self._quarantined and (src in self._quarantined
+                                  or dst in self._quarantined):
             self._drop(message, "quarantined", span)
             return
-        if message.src in self._down_nodes or message.dst in self._down_nodes:
+        down = self._down_nodes
+        if down and (src in down or dst in down):
             self._drop(message, "unreachable", span)
             return
-        route = self.topology.route_links(message.src, message.dst)
+        route = self.topology.route_links(src, dst)
         if route is None:
             self._drop(message, "unreachable", span)
             return
         path, links = route
-        intermediate = path[1:-1]
-        if any(node in self._down_nodes for node in intermediate):
+        if down and any(node in down for node in path[1:-1]):
             # Down relays are invisible to shortest-path; model them as a
             # black hole, which is what a crashed gateway is.
             self._drop(message, "unreachable", span)
             return
+        size_bytes = message.size_bytes
         total_latency = 0.0
         for link in links:
-            if link.model.sample_loss():
+            hop = link.model.sample(size_bytes)
+            if hop is None:
                 self._drop(message, "loss", span)
                 return
-            total_latency += link.model.sample_latency(message.size_bytes)
+            total_latency += hop
         total_latency += extra_delay
+        kind = message.kind
+        try:
+            label = self._deliver_labels[kind]
+        except KeyError:
+            label = self._deliver_labels[kind] = f"deliver:{kind}"
+        # The kernel calls the record with the simulator, which lands in
+        # _deliver's last parameter.
         self.sim.schedule(
             total_latency,
-            lambda _s, m=message, lat=total_latency, sp=span: self._deliver(m, lat, sp),
-            label=f"deliver:{message.kind}",
+            partial(self._deliver, message, total_latency, span),
+            label=label,
         )
 
-    def _deliver(self, message: Message, latency: float, span=None) -> None:
+    def _deliver(self, message: Message, latency: float, span=None,
+                 _sim: Optional[Simulator] = None) -> None:
         # Re-check destination liveness at arrival time: the node may have
         # crashed while the message was in flight.
-        if message.dst in self._down_nodes:
+        dst = message.dst
+        if dst in self._down_nodes:
             self._drop(message, "unreachable", span)
             return
         if self._quarantined and (message.src in self._quarantined
-                                  or message.dst in self._quarantined):
+                                  or dst in self._quarantined):
             # In-flight messages to or from a node quarantined after the
             # send are still subject to the ACL.
             self._drop(message, "quarantined", span)
@@ -297,20 +306,26 @@ class Network:
         if self.verifier is not None and not self.verifier(message):
             self._drop(message, "auth", span)
             return
-        handlers = self._handlers.get(message.dst)
+        kind = message.kind
+        handlers = self._handlers.get(dst)
         handler = None
         if handlers:
-            handler = handlers.get(message.kind) or handlers.get("*")
+            handler = handlers.get(kind) or handlers.get("*")
         if handler is None:
             self._drop(message, "unreachable", span)
             return
-        self.stats.delivered += 1
-        self.stats.total_latency += latency
-        self.stats.observe_latency(message.kind, latency)
+        stats = self.stats
+        stats.delivered += 1
+        stats.total_latency += latency
+        hist = stats.per_kind.get(kind)
+        if hist is None:
+            hist = stats.per_kind[kind] = StreamingHistogram()
+        hist.observe(latency)
         spans = self.spans
         if spans is not None and span is not None:
-            spans.finish(span, self.sim.now, status="delivered",
-                         latency=latency)
+            if span is not DROPPED_SPAN:
+                spans.finish(span, self.sim.now, status="delivered",
+                             latency=latency)
             # Handler-side work (replies, state changes) is caused by this
             # message: keep its context current while the handler runs.
             with spans.use(span):

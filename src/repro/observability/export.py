@@ -47,14 +47,22 @@ def _default(obj: Any) -> str:
     return repr(obj)
 
 
+def _write_jsonl(records: List[Dict[str, Any]], path: PathLike) -> int:
+    """One JSON object per line; returns the number of lines written.
+
+    One encoder per file and one write: byte for byte what
+    ``json.dumps(record, default=_default) + "\n"`` per record gives,
+    without a ``JSONEncoder`` built and a ``write`` issued per record.
+    """
+    encode = json.JSONEncoder(default=_default).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join([encode(record) + "\n" for record in records]))
+    return len(records)
+
+
 def write_spans_jsonl(spans: Iterable[Span], path: PathLike) -> int:
     """One span per line; returns the number of spans written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span.to_dict(), default=_default) + "\n")
-            count += 1
-    return count
+    return _write_jsonl([span.to_dict() for span in spans], path)
 
 
 def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
@@ -69,12 +77,24 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
 
 def write_events_jsonl(events: Iterable[TraceEvent], path: PathLike) -> int:
     """One trace event per line; returns the number of events written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event_to_dict(event), default=_default) + "\n")
-            count += 1
-    return count
+    return _write_jsonl([event_to_dict(event) for event in events], path)
+
+
+#: What a Chrome-trace ``args`` value may be as it stands; anything else is
+#: shown by its ``repr``.  The exact-class set answers for every plain
+#: value without a call; ``isinstance`` still decides for subclasses.
+_SCALARS = (int, float, str, bool, type(None))
+_SCALAR_CLASSES = frozenset(_SCALARS)
+
+
+def _chrome_args(args: Dict[str, Any], attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """``args`` plus ``attrs``, non-scalar values replaced by their repr."""
+    args.update(attrs)
+    for key, value in attrs.items():
+        if (value.__class__ not in _SCALAR_CLASSES
+                and not isinstance(value, _SCALARS)):
+            args[key] = repr(value)
+    return args
 
 
 def chrome_trace_events(
@@ -108,8 +128,6 @@ def chrome_trace_events(
                 "status": span.status}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        args.update({k: repr(v) if not isinstance(v, (int, float, str, bool, type(None))) else v
-                     for k, v in span.attrs.items()})
         records.append({
             "ph": "X",
             "name": span.name,
@@ -118,12 +136,9 @@ def chrome_trace_events(
             "dur": max((end - span.start) * _US, 1.0),
             "pid": 1,
             "tid": tid_for(span.category),
-            "args": args,
+            "args": _chrome_args(args, span.attrs),
         })
     for event in events:
-        args = {"subject": event.subject}
-        args.update({k: repr(v) if not isinstance(v, (int, float, str, bool, type(None))) else v
-                     for k, v in event.attrs.items()})
         records.append({
             "ph": "i",
             "name": event.name,
@@ -132,7 +147,7 @@ def chrome_trace_events(
             "pid": 1,
             "tid": tid_for(f"events:{event.category}"),
             "s": "t",
-            "args": args,
+            "args": _chrome_args({"subject": event.subject}, event.attrs),
         })
     return records
 

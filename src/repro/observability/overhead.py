@@ -31,6 +31,7 @@ without perturbing its digest chain.
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
@@ -193,13 +194,14 @@ def _approx_span_bytes(spans: Any) -> int:
     """
     import json
 
-    all_spans = spans.spans
-    if not all_spans:
+    # The recorder's iterator and len(), not ``spans.spans``: that property
+    # copies the whole list, on every /metrics and dashboard scrape.
+    sample = list(islice(spans, 32))
+    if not sample:
         return 0
-    sample = all_spans[:32]
     sampled_bytes = sum(len(json.dumps(s.to_dict(), default=repr)) + 1
                        for s in sample)
-    return int(sampled_bytes / len(sample) * len(all_spans))
+    return int(sampled_bytes / len(sample) * len(spans))
 
 
 def telemetry_health(system: Any,
@@ -225,7 +227,7 @@ def telemetry_health(system: Any,
         sampler = getattr(spans, "sampler", None)
         health["spans"] = {
             "recorded": len(spans),
-            "open": len(spans.open_spans),
+            "open": spans.open_count,
             "sampled_out": getattr(spans, "sampled_out", 0),
             "approx_bytes": _approx_span_bytes(spans),
             "sampling": sampler.to_dict() if sampler is not None else None,

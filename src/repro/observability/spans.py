@@ -19,7 +19,6 @@ like the simulation itself.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Union
@@ -116,20 +115,40 @@ class Span:
 
 ParentLike = Union[Span, SpanContext, None]
 
-#: Shared context for unsampled spans.  One frozen instance suffices --
-#: nothing stores or indexes a dropped span, so identity never matters;
-#: children recognize the sentinel trace id and drop themselves.
-_DROPPED_CONTEXT = SpanContext(trace_id=DROPPED_TRACE_ID, span_id="s!")
+#: The one throwaway span every sampled-out ``start`` returns, carrying
+#: the one shared dropped context (children recognize its sentinel trace
+#: id and drop themselves).  It is pre-finished so ``finish`` no-ops on
+#: it, and shared so the drop fast path allocates nothing: the whole
+#: point of sampling is that eliding a span must cost far less than
+#: recording it, and a fresh Span + dict per drop was the dominant cost.
+#: Nothing stores or reads dropped spans (``sampled`` is False), so
+#: shared mutable state is harmless.  Public because a call site that
+#: asked :meth:`SpanRecorder.admit` and got ``None`` still has to hand
+#: *something* to whoever runs under it (a sampled-out message carries
+#: this span so its handler's spans are dropped with it).
+DROPPED_SPAN = Span(name="sampled-out", category="sampled-out",
+                    context=SpanContext(trace_id=DROPPED_TRACE_ID,
+                                        span_id="s!"),
+                    start=0.0, end=0.0, status="sampled-out")
 
-#: The one throwaway span every sampled-out ``start`` returns.  It is
-#: pre-finished so ``finish`` no-ops on it, and shared so the drop fast
-#: path allocates nothing: the whole point of sampling is that eliding a
-#: span must cost far less than recording it, and a fresh Span + dict
-#: per drop was the dominant cost.  Nothing stores or reads dropped
-#: spans (``sampled`` is False), so shared mutable state is harmless.
-_DROPPED_SPAN = Span(name="sampled-out", category="sampled-out",
-                     context=_DROPPED_CONTEXT, start=0.0, end=0.0,
-                     status="sampled-out")
+
+class _Scope:
+    """``with recorder.use(context):`` -- push on enter, pop on exit."""
+
+    __slots__ = ("_stack", "_context")
+
+    def __init__(self, stack: List[SpanContext],
+                 context: Optional[SpanContext]) -> None:
+        self._stack = stack
+        self._context = context
+
+    def __enter__(self) -> None:
+        if self._context is not None:
+            self._stack.append(self._context)
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        if self._context is not None:
+            self._stack.pop()
 
 
 class SpanRecorder:
@@ -168,25 +187,23 @@ class SpanRecorder:
         self.meter: Optional[Any] = None
 
     # -- creation --------------------------------------------------------- #
-    def start(
-        self,
-        name: str,
-        category: str,
-        time: float,
-        parent: ParentLike = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a span at simulated ``time``.
+    def admit(self, category: str,
+              parent: ParentLike = None) -> Optional[SpanContext]:
+        """Decide whether a span of ``category`` is kept, before it is built.
 
-        Without an explicit ``parent`` the span is parented to the current
-        context (if any); a parentless span roots a fresh trace.
+        The whole keep/drop decision, and nothing else: the parent is
+        resolved (explicit, else the current context), a parentless span
+        consumes a root trace ordinal and asks the sampler, and a dropped
+        one is counted in ``sampled_out`` and on the meter.  Returns the
+        context the span will carry -- hand it to :meth:`begin` -- or
+        ``None`` when it is sampled out, in which case the caller builds
+        no name, no attrs and nothing to finish.
 
         With a sampler attached, a parentless span may lose the keep/drop
-        coin flip: the returned span then carries the sentinel dropped
-        context and is not stored, and descendants (which inherit the
-        sentinel through propagation) are elided without re-consulting
-        the sampler.  Root trace ordinals are consumed either way, so the
-        kept traces keep the exact ids an unsampled run would give them.
+        coin flip; descendants (which inherit the sentinel dropped context
+        through propagation) are elided without re-consulting the sampler.
+        Root trace ordinals are consumed either way, so the kept traces
+        keep the exact ids an unsampled run would give them.
         """
         meter = self.meter
         started = perf_counter() if meter is not None else 0.0
@@ -194,7 +211,7 @@ class SpanRecorder:
         # factored into helpers: with sampling on this is the kernel hot
         # path, and eliding a span must cost a fraction of recording one
         # -- each avoided Python call is a measurable slice of that
-        # budget (see benchmarks/regress.py bench_observability).
+        # budget (see benchmarks/regress.py bench_telemetry).
         if parent is None:
             stack = self._stack
             parent_ctx = stack[-1] if stack else None
@@ -206,7 +223,7 @@ class SpanRecorder:
                 if meter is not None:
                     meter.spans_count += 1
                     meter.spans_wall_s += perf_counter() - started
-                return _DROPPED_SPAN
+                return None
             context = SpanContext(
                 trace_id=parent_ctx.trace_id,
                 span_id=f"s{next(self._span_ids):06d}",
@@ -221,20 +238,55 @@ class SpanRecorder:
                 if meter is not None:
                     meter.spans_count += 1
                     meter.spans_wall_s += perf_counter() - started
-                return _DROPPED_SPAN
+                return None
             context = SpanContext(
                 trace_id=f"t{trace_seq:04d}",
                 span_id=f"s{next(self._span_ids):06d}",
             )
+        if meter is not None:
+            # Timed here, counted by begin(): a kept span is one record.
+            meter.spans_wall_s += perf_counter() - started
+        return context
+
+    def begin(self, context: SpanContext, name: str, category: str,
+              time: float, /, **attrs: Any) -> Span:
+        """Record the span :meth:`admit` kept, open at simulated ``time``.
+
+        The one recording step.  Positional-only, so every keyword is an
+        attr -- ``start(..., context=...)`` keeps meaning what it meant.
+        """
+        meter = self.meter
+        started = perf_counter() if meter is not None else 0.0
         span = Span(name=name, category=category, context=context,
-                    start=float(time), attrs=dict(attrs))
+                    start=float(time), attrs=attrs)
         self._spans.append(span)
-        self._by_id[span.span_id] = span
-        self._open[span.span_id] = span
+        self._by_id[context.span_id] = span
+        self._open[context.span_id] = span
         if meter is not None:
             meter.spans_count += 1
             meter.spans_wall_s += perf_counter() - started
         return span
+
+    def start(
+        self,
+        name: str,
+        category: str,
+        time: float,
+        parent: ParentLike = None,
+        **attrs: Any,
+    ) -> Span:
+        """Open a span at simulated ``time``: :meth:`admit`, then :meth:`begin`.
+
+        Without an explicit ``parent`` the span is parented to the current
+        context (if any); a parentless span roots a fresh trace.  A
+        sampled-out span comes back as :data:`DROPPED_SPAN`, which carries
+        the sentinel dropped context and is not stored, so call sites that
+        build their arguments anyway stay branch-free.
+        """
+        context = self.admit(category, parent)
+        if context is None:
+            return DROPPED_SPAN
+        return self.begin(context, name, category, time, **attrs)
 
     def finish(self, span: Span, time: float, status: str = "ok", **attrs: Any) -> Span:
         """Close ``span`` at simulated ``time`` (idempotent).
@@ -243,7 +295,7 @@ class SpanRecorder:
         throwaway, recognized by identity and returned untouched (their
         recording cost was already accounted at ``start``).
         """
-        if span is _DROPPED_SPAN:
+        if span is DROPPED_SPAN:
             return span
         meter = self.meter
         started = perf_counter() if meter is not None else 0.0
@@ -276,22 +328,15 @@ class SpanRecorder:
     def current(self) -> Optional[SpanContext]:
         return self._stack[-1] if self._stack else None
 
-    @contextmanager
-    def use(self, context: ParentLike) -> Iterator[None]:
+    def use(self, context: ParentLike) -> _Scope:
         """Make ``context`` the implicit parent for the enclosed block.
 
         Accepts a span, a bare context, or None (no-op), so call sites can
-        pass through whatever they hold without case analysis.
+        pass through whatever they hold without case analysis.  The stack
+        is restored when the block exits, by return or by exception.
         """
-        if context is None:
-            yield
-            return
-        ctx = context.context if isinstance(context, Span) else context
-        self._stack.append(ctx)
-        try:
-            yield
-        finally:
-            self._stack.pop()
+        return _Scope(self._stack, context.context
+                      if isinstance(context, Span) else context)
 
     # -- fault index ------------------------------------------------------- #
     def open_fault(self, subject: str, span: Span) -> None:
@@ -319,6 +364,11 @@ class SpanRecorder:
     @property
     def open_spans(self) -> List[Span]:
         return list(self._open.values())
+
+    @property
+    def open_count(self) -> int:
+        """``len(open_spans)`` without copying them."""
+        return len(self._open)
 
     def select(
         self,

@@ -19,7 +19,7 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -154,7 +154,7 @@ class Simulator:
         event = Event(time, priority, self._next_seq, callback, label=label,
                       created=self._now)
         self._next_seq += 1
-        heapq.heappush(self._heap, (event.time, event.priority, event.seq, event))
+        heappush(self._heap, (time, priority, event.seq, event))
         self._pending += 1
         return event
 
@@ -171,33 +171,42 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
-        while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.fired = True
-            self._pending -= 1
-            self._fired += 1
-            instrument = self.instrument
-            if instrument is not None and instrument.enabled:
-                started = perf_counter()
-                event.callback(self)
-                instrument.record(event.label, perf_counter() - started,
-                                  self._pending, self._now,
-                                  self._now - event.created)
-            else:
-                event.callback(self)
-            observer = self.on_event
-            if observer is not None:
-                observer(event)
-            if self._fired_hooks:
-                hooks = self._fired_hooks.pop(self._fired, None)
-                if hooks is not None:
-                    for hook in hooks:
-                        hook(self)
-            return True
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
+            if not event.cancelled:
+                self._fire(event)
+                return True
         return False
+
+    def _fire(self, event: Event) -> None:
+        """Execute one popped, live event: the only copy of the fire sequence.
+
+        ``instrument``, ``on_event`` and ``_fired_hooks`` are read here, per
+        event, and not once when :meth:`run` starts: observability, the
+        flight recorder and barrier hooks all attach from callbacks mid-run.
+        """
+        self._now = event.time
+        event.fired = True
+        self._pending -= 1
+        self._fired += 1
+        instrument = self.instrument
+        if instrument is not None and instrument.enabled:
+            started = perf_counter()
+            event.callback(self)
+            instrument.record(event.label, perf_counter() - started,
+                              self._pending, self._now,
+                              self._now - event.created)
+        else:
+            event.callback(self)
+        observer = self.on_event
+        if observer is not None:
+            observer(event)
+        if self._fired_hooks:
+            hooks = self._fired_hooks.pop(self._fired, None)
+            if hooks is not None:
+                for hook in hooks:
+                    hook(self)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or ``until`` is reached.
@@ -205,18 +214,28 @@ class Simulator:
         If ``until`` is given, the clock is advanced to exactly ``until``
         even when the queue drains earlier, so that metric windows closed
         at the end of a run cover the whole horizon.
+
+        The loop peeks and pops the heap itself, so an event costs one
+        :meth:`_fire` call; it fires exactly what a ``next_event_time()`` +
+        :meth:`step` loop would, in the same order.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        heap = self._heap
+        fire = self._fire
         try:
-            while self._heap and not self._stopped:
-                next_time = self._peek_time()
-                if until is not None and next_time is not None and next_time > until:
+            while heap and not self._stopped:
+                head = heap[0]
+                event = head[3]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if until is not None and head[0] > until:
                     break
-                if not self.step():
-                    break
+                heappop(heap)
+                fire(event)
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
@@ -265,7 +284,7 @@ class Simulator:
         while self._heap:
             time, _, _, event = self._heap[0]
             if event.cancelled:
-                heapq.heappop(self._heap)
+                heappop(self._heap)
                 continue
             return time
         return None

@@ -120,9 +120,13 @@ class TrafficClient:
         }
         spans = self.network.spans
         if spans is not None:
-            call["span"] = spans.start(
-                f"request:{self.name}", "request", now,
-                req_id=req_id, weight=weight, target=self.target)
+            # Decide, then build: a sampled-out call keeps ``span`` None and
+            # _on_reply/_fail skip its segment arithmetic.
+            context = spans.admit("request")
+            if context is not None:
+                call["span"] = spans.begin(
+                    context, f"request:{self.name}", "request", now,
+                    req_id=req_id, weight=weight, target=self.target)
         self._open[req_id] = call
         self._send_attempt(call)
         return req_id

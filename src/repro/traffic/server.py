@@ -184,17 +184,20 @@ class Server:
         self.served += weight
         if self.metrics is not None:
             self.metrics.increment(f"traffic.server.served:{self.node}", weight)
+        now = self.sim.now
+        queued_for = entry["started"] - entry["enqueued_at"]
+        service_time = now - entry["started"]
         spans = self.network.spans
         if spans is not None:
-            spans.record(
-                f"serve:{self.node}", "traffic", self.sim.now,
-                client=payload.get("client"), req_id=payload.get("req_id"),
-                queued_for=entry["started"] - entry["enqueued_at"],
-                service_time=self.sim.now - entry["started"], weight=weight,
-            )
-        self._reply(payload, "ok",
-                    queued_for=entry["started"] - entry["enqueued_at"],
-                    service_time=self.sim.now - entry["started"])
+            context = spans.admit("traffic")
+            if context is not None:
+                spans.finish(spans.begin(
+                    context, f"serve:{self.node}", "traffic", now,
+                    client=payload.get("client"),
+                    req_id=payload.get("req_id"), queued_for=queued_for,
+                    service_time=service_time, weight=weight), now)
+        self._reply(payload, "ok", queued_for=queued_for,
+                    service_time=service_time)
         self._maybe_start()
 
     def _reply(self, payload: Dict[str, Any], status: str, **extra: Any) -> None:

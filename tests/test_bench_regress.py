@@ -51,6 +51,14 @@ class TestTolerances:
         tol, direction = regress.tolerance_for("smart_city.availability")
         assert tol < 1e-6 and direction == "both"
 
+    def test_telemetry_ratio_is_a_timing_and_its_counts_are_exact(self):
+        assert regress.tolerance_for("telemetry.sampled_over_bare") == (
+            1.0, "higher")
+        for metric in ("bare_calls_per_event", "spans_identical",
+                       "sampled_extra_calls_per_event"):
+            tol, direction = regress.tolerance_for(f"telemetry.{metric}")
+            assert tol < 1e-6 and direction == "both"
+
 
 class TestCompare:
     def test_identical_snapshots_are_clean(self, snapshot):
@@ -198,3 +206,13 @@ class TestTrajectory:
         assert first["ticks_counted"] == 6000.0
         assert first["spans_full"] == first["spans_sampled"] + \
             first["spans_sampled_out"]
+
+    def test_telemetry_bench_keeps_the_traces_a_full_run_keeps(self):
+        result = regress.bench_telemetry(quick=True)
+        assert result["spans_identical"] == 1.0
+        assert result["spans_kept"] > 0
+        assert result["spans_sampled_out"] > 10 * result["spans_kept"]
+        # The tripwire's point: throwing a span away costs a fraction of
+        # the message path it rides on (13.2 of 47.9 before admit()).
+        assert 0 < result["sampled_extra_calls_per_event"] < (
+            0.25 * result["bare_calls_per_event"])

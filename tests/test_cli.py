@@ -400,6 +400,42 @@ class TestBadRunDirectories:
         error = next(t for t in doc["tables"] if t.get("title") == "error")
         assert "share no profiled scenarios" in error["data"]["error"]
 
+    @pytest.mark.parametrize("document,problem", [
+        ([], "chaos spec must be a JSON object"),
+        ({"topology": 5}, "topology must be a JSON object"),
+        ({"traffic": "x"}, "traffic must be a JSON object"),
+        ({"adversary": [1]}, "adversary must be a JSON object"),
+        ({"faults": {"kind": "crash"}}, "faults must be a JSON list"),
+        ({"faults": [5]}, "faults[0] must be a JSON object"),
+        ({"faults": [{"kind": "crash"}]}, "faults[0] is missing 'at'"),
+        ({"topology": {"sites": None}}, "topology.sites must be int-like"),
+        ({"horizon": "soon"}, "chaos spec.horizon must be float-like"),
+        ({"horizon": -1}, "horizon must be positive"),
+    ], ids=["list", "axis-int", "axis-str", "axis-list", "faults-object",
+            "fault-int", "fault-key", "null-field", "str-field",
+            "out-of-domain"])
+    def test_wrong_shape_chaos_spec_exits_2(self, document, problem,
+                                            tmp_path, capsys):
+        """A ChaosSpec of the wrong shape names its field; one that loads
+        but is out of its domain is refused before shrinking starts."""
+        (tmp_path / "spec.json").write_text(json.dumps(document))
+        captured = self._assert_classified(
+            ["chaos", "shrink", str(tmp_path / "spec.json"),
+             "--out", str(tmp_path / "out")], capsys)
+        assert problem in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_shape_bundle_spec_fails_the_corpus_closed(self, tmp_path,
+                                                             capsys):
+        from repro.chaos import ChaosSpec, emit_bundle
+
+        bundle = emit_bundle(ChaosSpec(horizon=2.0), str(tmp_path))
+        with open(f"{bundle}/spec.json", "w") as fh:
+            fh.write("[]\n")
+        captured = self._assert_classified(
+            ["chaos", "corpus", "--corpus", str(tmp_path)], capsys)
+        assert "chaos spec must be a JSON object" in captured.err
+
     def test_shard_verbs_share_the_classification(self, tmp_path, capsys):
         for verb in ("resume", "verify"):
             self._assert_classified(

@@ -181,6 +181,36 @@ class TestTelemetryHealth:
         assert health["series"]["points"] >= 1
         assert health["overhead"]["records"] >= 1
 
+    def test_health_copies_no_span_list(self, system, monkeypatch):
+        """Every live ``/metrics`` scrape calls this: it samples 32 spans
+        and counts the open ones without copying either collection."""
+        import json
+
+        spans = system.spans
+        for index in range(50):
+            span = spans.start(f"op{index}", "injection", float(index),
+                               payload={"n": index})
+            if index % 3:
+                spans.finish(span, index + 0.5)
+        everything, still_open = spans.spans, spans.open_spans
+        assert len(everything) > 32 and still_open
+        sample = everything[:32]
+        expected_bytes = int(
+            sum(len(json.dumps(s.to_dict(), default=repr)) + 1
+                for s in sample) / len(sample) * len(everything))
+
+        copies = []
+        for name in ("spans", "open_spans"):
+            read = getattr(SpanRecorder, name).fget
+            monkeypatch.setattr(SpanRecorder, name, property(
+                lambda self, name=name, read=read:
+                copies.append(name) or read(self)))
+        health = telemetry_health(system)["spans"]
+        assert copies == []
+        assert health["recorded"] == len(everything)
+        assert health["open"] == len(still_open)
+        assert health["approx_bytes"] == expected_bytes
+
     def test_prom_lines_cover_budget_metrics(self, system):
         lines = telemetry_prom_lines(telemetry_health(system))
         text = "\n".join(lines)
