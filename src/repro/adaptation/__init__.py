@@ -13,72 +13,42 @@ actuation requires network reachability between the loop's host and the
 device -- the mechanism behind the Fig. 5 experiment.
 """
 
-from repro.adaptation.knowledge import DeviceSnapshot, Issue, KnowledgeBase
-from repro.adaptation.actions import (
-    Action,
-    ActionResult,
-    EvictMemberAction,
-    MigrateServiceAction,
-    NoopAction,
-    QuarantineAction,
-    RebootDeviceAction,
-    RerouteTrafficAction,
-    RestartServiceAction,
-    RotateKeysAction,
-    ShedLoadAction,
-)
-from repro.adaptation.analyzer import (
-    Analyzer,
-    BackpressureAnalyzer,
-    DeviceLivenessAnalyzer,
-    IntrusionAnalyzer,
-    ServiceHealthAnalyzer,
-    SloAlertAnalyzer,
-    StaleKnowledgeAnalyzer,
-)
-from repro.adaptation.planner import Plan, Planner, RuleBasedPlanner
-from repro.adaptation.executor import Executor
-from repro.adaptation.mape import MapeLoop
-from repro.adaptation.patterns import InformationSharing, RegionalPlanning
-from repro.adaptation.mdp_planner import MdpPlanner, RepairModel
-from repro.adaptation.uncertainty import (
-    ConfidenceGatedPlanner,
-    KnowledgeConfidence,
-    UncertaintyRegistry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Action",
-    "ActionResult",
-    "Analyzer",
-    "BackpressureAnalyzer",
-    "DeviceLivenessAnalyzer",
-    "DeviceSnapshot",
-    "EvictMemberAction",
-    "Executor",
-    "InformationSharing",
-    "IntrusionAnalyzer",
-    "Issue",
-    "KnowledgeBase",
-    "KnowledgeConfidence",
-    "MapeLoop",
-    "MdpPlanner",
-    "MigrateServiceAction",
-    "NoopAction",
-    "ConfidenceGatedPlanner",
-    "Plan",
-    "Planner",
-    "QuarantineAction",
-    "RebootDeviceAction",
-    "RegionalPlanning",
-    "RepairModel",
-    "RerouteTrafficAction",
-    "RestartServiceAction",
-    "RotateKeysAction",
-    "ShedLoadAction",
-    "RuleBasedPlanner",
-    "ServiceHealthAnalyzer",
-    "SloAlertAnalyzer",
-    "StaleKnowledgeAnalyzer",
-    "UncertaintyRegistry",
-]
+_EXPORTS = {
+    "DeviceSnapshot": "knowledge",
+    "Issue": "knowledge",
+    "KnowledgeBase": "knowledge",
+    "Action": "actions",
+    "ActionResult": "actions",
+    "EvictMemberAction": "actions",
+    "MigrateServiceAction": "actions",
+    "NoopAction": "actions",
+    "QuarantineAction": "actions",
+    "RebootDeviceAction": "actions",
+    "RerouteTrafficAction": "actions",
+    "RestartServiceAction": "actions",
+    "RotateKeysAction": "actions",
+    "ShedLoadAction": "actions",
+    "Analyzer": "analyzer",
+    "BackpressureAnalyzer": "analyzer",
+    "DeviceLivenessAnalyzer": "analyzer",
+    "IntrusionAnalyzer": "analyzer",
+    "ServiceHealthAnalyzer": "analyzer",
+    "SloAlertAnalyzer": "analyzer",
+    "StaleKnowledgeAnalyzer": "analyzer",
+    "Plan": "planner",
+    "Planner": "planner",
+    "RuleBasedPlanner": "planner",
+    "Executor": "executor",
+    "MapeLoop": "mape",
+    "InformationSharing": "patterns",
+    "RegionalPlanning": "patterns",
+    "MdpPlanner": "mdp_planner",
+    "RepairModel": "mdp_planner",
+    "ConfidenceGatedPlanner": "uncertainty",
+    "KnowledgeConfidence": "uncertainty",
+    "UncertaintyRegistry": "uncertainty",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,6 +19,10 @@ campaigns"; paper SSV-SSVI):
   ``corpus/``, regression scenarios forever.
 """
 
+# Eager on purpose (library packages export lazily, repro/_lazy.py):
+# whoever imports this package is about to run, and ``run_case`` executes
+# inside the benchmark's timed regions, so what it imports is compiled at
+# start-up (DESIGN.md §4, "Import what runs").
 from repro.chaos.campaign import (
     CampaignFinding,
     CampaignResult,

@@ -18,37 +18,25 @@ distributed-systems mechanisms §V.B says must be adopted:
   (:mod:`repro.coordination.registry`).
 """
 
-from repro.coordination.failure_detector import (
-    HeartbeatFailureDetector,
-    PhiAccrualFailureDetector,
-)
-from repro.coordination.membership import MemberState, MembershipProtocol
-from repro.coordination.gossip import GossipNode, GossipValue
-from repro.coordination.election import BullyElection
-from repro.coordination.raft import RaftNode, RaftRole, RaftCluster
-from repro.coordination.registry import ServiceRegistry, ServiceRecord
-from repro.coordination.lease import (
-    LeaseKeeper,
-    LeaseManager,
-    LeaseState,
-    start_lease_keeper,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BullyElection",
-    "GossipNode",
-    "GossipValue",
-    "HeartbeatFailureDetector",
-    "LeaseKeeper",
-    "LeaseManager",
-    "LeaseState",
-    "MemberState",
-    "MembershipProtocol",
-    "PhiAccrualFailureDetector",
-    "RaftCluster",
-    "RaftNode",
-    "RaftRole",
-    "ServiceRecord",
-    "ServiceRegistry",
-    "start_lease_keeper",
-]
+_EXPORTS = {
+    "HeartbeatFailureDetector": "failure_detector",
+    "PhiAccrualFailureDetector": "failure_detector",
+    "MemberState": "membership",
+    "MembershipProtocol": "membership",
+    "GossipNode": "gossip",
+    "GossipValue": "gossip",
+    "BullyElection": "election",
+    "RaftNode": "raft",
+    "RaftRole": "raft",
+    "RaftCluster": "raft",
+    "ServiceRegistry": "registry",
+    "ServiceRecord": "registry",
+    "LeaseKeeper": "lease",
+    "LeaseManager": "lease",
+    "LeaseState": "lease",
+    "start_lease_keeper": "lease",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

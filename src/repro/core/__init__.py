@@ -17,46 +17,27 @@ facing change" (§I).  Accordingly this package provides:
 * :mod:`repro.core.assessment` -- report construction and rendering.
 """
 
-from repro.core.system import IoTSystem
-from repro.core.requirements import (
-    AvailabilityRequirement,
-    ControlAvailabilityRequirement,
-    CoverageRequirement,
-    FreshnessRequirement,
-    LatencyRequirement,
-    PrivacyRequirement,
-    Requirement,
-)
-from repro.core.resilience import (
-    RequirementAssessment,
-    ResilienceAnalyzer,
-    ResilienceReport,
-)
-from repro.core.vectors import (
-    DISRUPTION_VECTORS,
-    MATURITY_TABLE,
-    DisruptionVector,
-    MaturityLevel,
-)
-from repro.core.maturity import MaturityScenario, ScenarioParams, run_maturity_comparison
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityRequirement",
-    "ControlAvailabilityRequirement",
-    "CoverageRequirement",
-    "DISRUPTION_VECTORS",
-    "DisruptionVector",
-    "FreshnessRequirement",
-    "IoTSystem",
-    "LatencyRequirement",
-    "MATURITY_TABLE",
-    "MaturityLevel",
-    "MaturityScenario",
-    "PrivacyRequirement",
-    "Requirement",
-    "RequirementAssessment",
-    "ResilienceAnalyzer",
-    "ResilienceReport",
-    "ScenarioParams",
-    "run_maturity_comparison",
-]
+_EXPORTS = {
+    "IoTSystem": "system",
+    "AvailabilityRequirement": "requirements",
+    "ControlAvailabilityRequirement": "requirements",
+    "CoverageRequirement": "requirements",
+    "FreshnessRequirement": "requirements",
+    "LatencyRequirement": "requirements",
+    "PrivacyRequirement": "requirements",
+    "Requirement": "requirements",
+    "RequirementAssessment": "resilience",
+    "ResilienceAnalyzer": "resilience",
+    "ResilienceReport": "resilience",
+    "DISRUPTION_VECTORS": "vectors",
+    "MATURITY_TABLE": "vectors",
+    "DisruptionVector": "vectors",
+    "MaturityLevel": "vectors",
+    "MaturityScenario": "maturity",
+    "ScenarioParams": "maturity",
+    "run_maturity_comparison": "maturity",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,42 +20,29 @@ Privacy -- the third Fig. 4 dimension -- is enforced by
 :mod:`repro.governance` policies hooked into the synchronizer.
 """
 
-from repro.data.item import DataItem, DataSensitivity
-from repro.data.lineage import LineageEvent, LineageTracker
-from repro.data.crdt import (
-    Crdt,
-    GCounter,
-    GSet,
-    LWWMap,
-    LWWRegister,
-    ORSet,
-    PNCounter,
-)
-from repro.data.sync import ReplicaStore, SyncProtocol
-from repro.data.pubsub import Broker, PubSubNode
-from repro.data.quality import DataQualityMonitor
-from repro.data.causal import CausalBroadcast, VectorClock
-from repro.data.quorum import QuorumClient, QuorumReplica
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Broker",
-    "CausalBroadcast",
-    "Crdt",
-    "DataItem",
-    "DataQualityMonitor",
-    "DataSensitivity",
-    "GCounter",
-    "GSet",
-    "LWWMap",
-    "LWWRegister",
-    "LineageEvent",
-    "LineageTracker",
-    "ORSet",
-    "PNCounter",
-    "PubSubNode",
-    "QuorumClient",
-    "QuorumReplica",
-    "ReplicaStore",
-    "SyncProtocol",
-    "VectorClock",
-]
+_EXPORTS = {
+    "DataItem": "item",
+    "DataSensitivity": "item",
+    "LineageEvent": "lineage",
+    "LineageTracker": "lineage",
+    "Crdt": "crdt",
+    "GCounter": "crdt",
+    "GSet": "crdt",
+    "LWWMap": "crdt",
+    "LWWRegister": "crdt",
+    "ORSet": "crdt",
+    "PNCounter": "crdt",
+    "ReplicaStore": "sync",
+    "SyncProtocol": "sync",
+    "Broker": "pubsub",
+    "PubSubNode": "pubsub",
+    "DataQualityMonitor": "quality",
+    "CausalBroadcast": "causal",
+    "VectorClock": "causal",
+    "QuorumClient": "quorum",
+    "QuorumReplica": "quorum",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

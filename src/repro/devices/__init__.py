@@ -8,23 +8,21 @@ the paper's observation that "IoT is increasingly made up of software" is
 the modeling premise.
 """
 
-from repro.devices.resources import Battery, ResourcePool, ResourceSpec
-from repro.devices.software import Service, ServiceState, SoftwareStack
-from repro.devices.base import Device, DeviceClass, DEVICE_CLASS_SPECS
-from repro.devices.fleet import DeviceFleet
-from repro.devices.sensor import Actuator, Sensor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Actuator",
-    "Battery",
-    "DEVICE_CLASS_SPECS",
-    "Device",
-    "DeviceClass",
-    "DeviceFleet",
-    "ResourcePool",
-    "ResourceSpec",
-    "Sensor",
-    "Service",
-    "ServiceState",
-    "SoftwareStack",
-]
+_EXPORTS = {
+    "Battery": "resources",
+    "ResourcePool": "resources",
+    "ResourceSpec": "resources",
+    "Service": "software",
+    "ServiceState": "software",
+    "SoftwareStack": "software",
+    "Device": "base",
+    "DeviceClass": "base",
+    "DEVICE_CLASS_SPECS": "base",
+    "DeviceFleet": "fleet",
+    "Actuator": "sensor",
+    "Sensor": "sensor",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,35 +19,23 @@ for reproducible experiment scripts, or drawn from a seeded stochastic
 generator (:class:`~repro.faults.schedule.RandomDisruptionGenerator`).
 """
 
-from repro.faults.models import (
-    AdversarialEnvironmentFault,
-    BatteryDepletionFault,
-    CrashFault,
-    CrashRecoveryFault,
-    DomainTransferFault,
-    Fault,
-    LatencySpikeFault,
-    LinkFailureFault,
-    NodeCompromiseFault,
-    PartitionFault,
-    ServiceFailureFault,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import DisruptionSchedule, RandomDisruptionGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdversarialEnvironmentFault",
-    "BatteryDepletionFault",
-    "CrashFault",
-    "CrashRecoveryFault",
-    "DisruptionSchedule",
-    "DomainTransferFault",
-    "Fault",
-    "FaultInjector",
-    "LatencySpikeFault",
-    "LinkFailureFault",
-    "NodeCompromiseFault",
-    "PartitionFault",
-    "RandomDisruptionGenerator",
-    "ServiceFailureFault",
-]
+_EXPORTS = {
+    "AdversarialEnvironmentFault": "models",
+    "BatteryDepletionFault": "models",
+    "CrashFault": "models",
+    "CrashRecoveryFault": "models",
+    "DomainTransferFault": "models",
+    "Fault": "models",
+    "LatencySpikeFault": "models",
+    "LinkFailureFault": "models",
+    "NodeCompromiseFault": "models",
+    "PartitionFault": "models",
+    "ServiceFailureFault": "models",
+    "FaultInjector": "injector",
+    "DisruptionSchedule": "schedule",
+    "RandomDisruptionGenerator": "schedule",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

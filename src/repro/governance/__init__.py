@@ -7,32 +7,21 @@ per-component in/out flow policies, and a policy engine that the sync and
 pub/sub layers consult before any datum crosses a boundary.
 """
 
-from repro.governance.domains import (
-    AdministrativeDomain,
-    DomainRegistry,
-    Jurisdiction,
-    TrustLevel,
-)
-from repro.governance.policy import (
-    FlowDecision,
-    FlowPolicy,
-    PolicyEngine,
-    PrivacyScope,
-)
-from repro.governance.transfer import DomainTransferProtocol
-from repro.governance.audit import ComplianceAuditor, FlowRecord, SubjectReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdministrativeDomain",
-    "ComplianceAuditor",
-    "FlowRecord",
-    "SubjectReport",
-    "DomainRegistry",
-    "DomainTransferProtocol",
-    "FlowDecision",
-    "FlowPolicy",
-    "Jurisdiction",
-    "PolicyEngine",
-    "PrivacyScope",
-    "TrustLevel",
-]
+_EXPORTS = {
+    "AdministrativeDomain": "domains",
+    "DomainRegistry": "domains",
+    "Jurisdiction": "domains",
+    "TrustLevel": "domains",
+    "FlowDecision": "policy",
+    "FlowPolicy": "policy",
+    "PolicyEngine": "policy",
+    "PrivacyScope": "policy",
+    "DomainTransferProtocol": "transfer",
+    "ComplianceAuditor": "audit",
+    "FlowRecord": "audit",
+    "SubjectReport": "audit",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

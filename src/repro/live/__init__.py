@@ -14,29 +14,21 @@ to fired-count barriers so resumed and replayed runs reproduce them
 exactly.
 """
 
-from repro.live.pacing import PacingStats, RealTimeExecutor
-from repro.live.reconfigure import (
-    LiveLoadError,
-    PAYLOAD_KINDS,
-    apply_payload,
-    register_live_loads,
-    validate_payload,
-)
-from repro.live.server import TelemetryServer
-from repro.live.status import health_snapshot, status_snapshot
-from repro.live.supervisor import CHECKPOINT_EVERY_S, LiveService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_EVERY_S",
-    "LiveLoadError",
-    "LiveService",
-    "PAYLOAD_KINDS",
-    "PacingStats",
-    "RealTimeExecutor",
-    "TelemetryServer",
-    "apply_payload",
-    "health_snapshot",
-    "register_live_loads",
-    "status_snapshot",
-    "validate_payload",
-]
+_EXPORTS = {
+    "PacingStats": "pacing",
+    "RealTimeExecutor": "pacing",
+    "LiveLoadError": "reconfigure",
+    "PAYLOAD_KINDS": "reconfigure",
+    "apply_payload": "reconfigure",
+    "register_live_loads": "reconfigure",
+    "validate_payload": "reconfigure",
+    "TelemetryServer": "server",
+    "health_snapshot": "status",
+    "status_snapshot": "status",
+    "CHECKPOINT_EVERY_S": "supervisor",
+    "LiveService": "supervisor",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,61 +23,39 @@ Runtime ("models@runtime", §VII)
       obstacles, linking requirements to the components that realize them.
 """
 
-from repro.modeling.lts import LabelledTransitionSystem, State
-from repro.modeling.properties import (
-    AtomicProposition,
-    Always,
-    And,
-    Eventually,
-    Implies,
-    LeadsTo,
-    Next,
-    Not,
-    Or,
-    Property,
-    Until,
-)
-from repro.modeling.checker import CheckResult, ModelChecker
-from repro.modeling.dtmc import Dtmc
-from repro.modeling.goals import Goal, GoalModel, GoalStatus, Obstacle
-from repro.modeling.runtime_monitor import MonitorVerdict, RuntimeMonitor, TraceStateAdapter
-from repro.modeling.mdp import Mdp, Transition
-from repro.modeling.mining import (
-    estimate_availability,
-    mine_action_success_rates,
-    mine_availability_dtmc,
-)
-from repro.modeling.space import SpatialModel, SpatialProposition
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Always",
-    "And",
-    "AtomicProposition",
-    "CheckResult",
-    "Dtmc",
-    "Eventually",
-    "Goal",
-    "GoalModel",
-    "GoalStatus",
-    "Implies",
-    "LabelledTransitionSystem",
-    "Mdp",
-    "LeadsTo",
-    "ModelChecker",
-    "MonitorVerdict",
-    "Next",
-    "Not",
-    "Obstacle",
-    "Or",
-    "Property",
-    "RuntimeMonitor",
-    "SpatialModel",
-    "SpatialProposition",
-    "State",
-    "Transition",
-    "TraceStateAdapter",
-    "Until",
-    "estimate_availability",
-    "mine_action_success_rates",
-    "mine_availability_dtmc",
-]
+_EXPORTS = {
+    "LabelledTransitionSystem": "lts",
+    "State": "lts",
+    "AtomicProposition": "properties",
+    "Always": "properties",
+    "And": "properties",
+    "Eventually": "properties",
+    "Implies": "properties",
+    "LeadsTo": "properties",
+    "Next": "properties",
+    "Not": "properties",
+    "Or": "properties",
+    "Property": "properties",
+    "Until": "properties",
+    "CheckResult": "checker",
+    "ModelChecker": "checker",
+    "Dtmc": "dtmc",
+    "Goal": "goals",
+    "GoalModel": "goals",
+    "GoalStatus": "goals",
+    "Obstacle": "goals",
+    "MonitorVerdict": "runtime_monitor",
+    "RuntimeMonitor": "runtime_monitor",
+    "TraceStateAdapter": "runtime_monitor",
+    "Mdp": "mdp",
+    "Transition": "mdp",
+    "estimate_availability": "mining",
+    "mine_action_success_rates": "mining",
+    "mine_availability_dtmc": "mining",
+    "SpatialModel": "space",
+    "SpatialProposition": "space",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,19 +7,18 @@ the paper's "connectivity to cloud control structures may not be
 persistent" -- are first-class (:class:`~repro.network.partition.PartitionManager`).
 """
 
-from repro.network.link import LatencyModel, Link, LinkProfile, LINK_PROFILES
-from repro.network.topology import Topology
-from repro.network.transport import Message, Network, NetworkStats
-from repro.network.partition import PartitionManager
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyModel",
-    "Link",
-    "LinkProfile",
-    "LINK_PROFILES",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "PartitionManager",
-    "Topology",
-]
+_EXPORTS = {
+    "LatencyModel": "link",
+    "Link": "link",
+    "LinkProfile": "link",
+    "LINK_PROFILES": "link",
+    "Topology": "topology",
+    "Message": "transport",
+    "Network": "transport",
+    "NetworkStats": "transport",
+    "PartitionManager": "partition",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

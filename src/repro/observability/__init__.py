@@ -44,127 +44,65 @@ or run ``python -m repro trace <scenario>`` / ``python -m repro monitor
 <scenario>`` for ready-made artifacts.
 """
 
-from repro.observability.export import (
-    chrome_trace_events,
-    prometheus_text,
-    write_chrome_trace,
-    write_events_jsonl,
-    write_html_report,
-    write_metrics_snapshot,
-    write_profile,
-    write_prometheus,
-    write_spans_jsonl,
-)
-from repro.observability.diagnosis import CausalLink, Diagnosis, diagnose
-from repro.observability.flight import (
-    FlightRecorder,
-    IncidentTrigger,
-    capture_divergence_incident,
-    capture_gate_incident,
-    load_manifest,
-    replay_incident,
-)
-from repro.observability.histogram import StreamingHistogram, log_bounds
-from repro.observability.instrument import (
-    Instrument,
-    InstrumentSnapshot,
-    LabelStats,
-)
-from repro.observability.profile import (
-    capture_profile,
-    collapsed_kernel_stacks,
-    collapsed_span_stacks,
-    diff_profiles,
-    load_profile,
-    plane_of_category,
-    plane_of_label,
-    profile_prom_lines,
-    render_profile_diff,
-    request_critical_paths,
-    save_profile,
-    write_flamegraph,
-    write_profile_chrome_trace,
-)
-from repro.observability.overhead import (
-    OverheadMeter,
-    SpanSampler,
-    attach_meter,
-    telemetry_health,
-    telemetry_prom_lines,
-)
-from repro.observability.kpis import (
-    DisruptionArc,
-    KpiReport,
-    VectorKpis,
-    classify_fault_vector,
-    compute_kpi_report,
-    disruption_arcs,
-    kpi_report_for_system,
-)
-from repro.observability.slo import (
-    ReachabilityProbe,
-    SloMonitor,
-    SloSpec,
-    SloStatus,
-    default_slos,
-)
-from repro.observability.spans import Span, SpanContext, SpanRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CausalLink",
-    "Diagnosis",
-    "DisruptionArc",
-    "FlightRecorder",
-    "IncidentTrigger",
-    "Instrument",
-    "KpiReport",
-    "LabelStats",
-    "OverheadMeter",
-    "ReachabilityProbe",
-    "SloMonitor",
-    "SloSpec",
-    "SloStatus",
-    "Span",
-    "SpanContext",
-    "SpanRecorder",
-    "SpanSampler",
-    "StreamingHistogram",
-    "VectorKpis",
-    "attach_meter",
-    "capture_divergence_incident",
-    "capture_gate_incident",
-    "chrome_trace_events",
-    "classify_fault_vector",
-    "compute_kpi_report",
-    "default_slos",
-    "diagnose",
-    "disruption_arcs",
-    "kpi_report_for_system",
-    "load_manifest",
-    "log_bounds",
-    "InstrumentSnapshot",
-    "capture_profile",
-    "collapsed_kernel_stacks",
-    "collapsed_span_stacks",
-    "diff_profiles",
-    "load_profile",
-    "plane_of_category",
-    "plane_of_label",
-    "profile_prom_lines",
-    "prometheus_text",
-    "render_profile_diff",
-    "replay_incident",
-    "request_critical_paths",
-    "save_profile",
-    "telemetry_health",
-    "telemetry_prom_lines",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "write_flamegraph",
-    "write_html_report",
-    "write_metrics_snapshot",
-    "write_profile",
-    "write_profile_chrome_trace",
-    "write_prometheus",
-    "write_spans_jsonl",
-]
+_EXPORTS = {
+    "chrome_trace_events": "export",
+    "prometheus_text": "export",
+    "write_chrome_trace": "export",
+    "write_events_jsonl": "export",
+    "write_html_report": "export",
+    "write_metrics_snapshot": "export",
+    "write_profile": "export",
+    "write_prometheus": "export",
+    "write_spans_jsonl": "export",
+    "CausalLink": "diagnosis",
+    "Diagnosis": "diagnosis",
+    "diagnose": "diagnosis",
+    "FlightRecorder": "flight",
+    "IncidentTrigger": "flight",
+    "capture_divergence_incident": "flight",
+    "capture_gate_incident": "flight",
+    "load_manifest": "flight",
+    "replay_incident": "flight",
+    "StreamingHistogram": "histogram",
+    "log_bounds": "histogram",
+    "Instrument": "instrument",
+    "InstrumentSnapshot": "instrument",
+    "LabelStats": "instrument",
+    "capture_profile": "profile",
+    "collapsed_kernel_stacks": "profile",
+    "collapsed_span_stacks": "profile",
+    "diff_profiles": "profile",
+    "load_profile": "profile",
+    "plane_of_category": "profile",
+    "plane_of_label": "profile",
+    "profile_prom_lines": "profile",
+    "render_profile_diff": "profile",
+    "request_critical_paths": "profile",
+    "save_profile": "profile",
+    "write_flamegraph": "profile",
+    "write_profile_chrome_trace": "profile",
+    "OverheadMeter": "overhead",
+    "SpanSampler": "overhead",
+    "attach_meter": "overhead",
+    "telemetry_health": "overhead",
+    "telemetry_prom_lines": "overhead",
+    "DisruptionArc": "kpis",
+    "KpiReport": "kpis",
+    "VectorKpis": "kpis",
+    "classify_fault_vector": "kpis",
+    "compute_kpi_report": "kpis",
+    "disruption_arcs": "kpis",
+    "kpi_report_for_system": "kpis",
+    "ReachabilityProbe": "slo",
+    "SloMonitor": "slo",
+    "SloSpec": "slo",
+    "SloStatus": "slo",
+    "default_slos": "slo",
+    "Span": "spans",
+    "SpanContext": "spans",
+    "SpanRecorder": "spans",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -31,6 +31,17 @@ from typing import IO, Any, Dict, Iterable, List, Optional, Union
 
 from repro.observability.histogram import StreamingHistogram
 from repro.observability.instrument import Instrument
+from repro.observability.kpis import availability_kpis
+from repro.observability.overhead import (
+    telemetry_health,
+    telemetry_prom_lines,
+)
+from repro.observability.profile import (
+    profile_plane_rows,
+    profile_prom_lines,
+    profile_segment_rows,
+    route_cache_line,
+)
 from repro.observability.spans import Span
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceEvent
@@ -205,9 +216,6 @@ def report_inputs(system: Any, scenario: Optional[str] = None,
     through verbatim for the ``repro_shard_*`` Prometheus families and
     the HTML "Shards" table.
     """
-    from repro.observability.kpis import availability_kpis
-    from repro.observability.overhead import telemetry_health
-
     report = kpi_report if kpi_report is not None else system.kpi_report()
     histograms: Dict[str, StreamingHistogram] = {}
     if report.repair_latency is not None and report.repair_latency.count:
@@ -318,12 +326,8 @@ def prometheus_text(
         lines.append(f"{metric}_sum {_prom_value(hist.total)}")
         lines.append(f"{metric}_count {hist.count}")
     if telemetry is not None:
-        from repro.observability.overhead import telemetry_prom_lines
-
         lines.extend(telemetry_prom_lines(telemetry, prefix=prefix))
     if profile is not None:
-        from repro.observability.profile import profile_prom_lines
-
         lines.extend(profile_prom_lines(profile, prefix=prefix))
     if shards is not None:
         lines.extend(shard_prom_lines(shards, prefix=prefix))
@@ -788,12 +792,6 @@ def render_html_report(
         parts.append(_html_table(["signal", "value"], rows))
 
     if profile:
-        from repro.observability.profile import (
-            profile_plane_rows,
-            profile_segment_rows,
-            route_cache_line,
-        )
-
         parts.append("<h2>Profile</h2>")
         plane_rows = profile_plane_rows(profile)
         if plane_rows:

@@ -17,24 +17,20 @@ the runs they describe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.core.vectors import DisruptionVector
 from repro.observability.histogram import StreamingHistogram
 from repro.observability.spans import Span, SpanRecorder
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.vectors import DisruptionVector
 
 #: Fault class name -> roadmap disruption vector value (Tables 1-2 rows).
 #: Infrastructure faults disrupt *pervasiveness*; software failures the
 #: *services* dimension; device lifecycle/energy faults are *operations*
 #: disruptions; domain transfer and trust changes hit the *data* vector.
 #: The *verification* vector has no injectable fault -- it is scored from
-#: runtime-monitor violation events instead.  (Values are the enum's
-#: strings; the enum itself is imported lazily to avoid the
-#: observability <-> core import cycle.)
+#: runtime-monitor violation events instead.
 VECTOR_BY_FAULT_TYPE: Dict[str, str] = {
     "PartitionFault": "pervasiveness",
     "LinkFailureFault": "pervasiveness",
@@ -49,16 +45,9 @@ VECTOR_BY_FAULT_TYPE: Dict[str, str] = {
 }
 
 
-def _vectors() -> type:
-    from repro.core.vectors import DisruptionVector
-
-    return DisruptionVector
-
-
-def classify_fault_vector(fault_type: str) -> "DisruptionVector":
+def classify_fault_vector(fault_type: str) -> DisruptionVector:
     """Map a fault class name to its disruption vector (OPERATIONS default)."""
-    enum_cls = _vectors()
-    return enum_cls(VECTOR_BY_FAULT_TYPE.get(fault_type, "operations"))
+    return DisruptionVector(VECTOR_BY_FAULT_TYPE.get(fault_type, "operations"))
 
 
 @dataclass
@@ -208,7 +197,7 @@ class KpiReport:
     def vector_rows(self) -> List[List[object]]:
         """Table rows for CLI output, one per disruption vector."""
         rows: List[List[object]] = []
-        for vector in _vectors():
+        for vector in DisruptionVector:
             kpis = self.vectors.get(vector)
             if kpis is None:
                 rows.append([vector.value, 0, 0, "-", "-", "-", "-"])

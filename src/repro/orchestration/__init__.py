@@ -7,23 +7,17 @@ orchestrator decides placement (latency-, resource- and locality-aware),
 deploys, and -- paired with a MAPE loop -- re-places on failure.
 """
 
-from repro.orchestration.placement import (
-    PlacementConstraints,
-    PlacementDecision,
-    PlacementError,
-    best_fit_placement,
-    first_fit_decreasing,
-    latency_aware_placement,
-)
-from repro.orchestration.scheduler import DevicelessScheduler, Deployment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Deployment",
-    "DevicelessScheduler",
-    "PlacementConstraints",
-    "PlacementDecision",
-    "PlacementError",
-    "best_fit_placement",
-    "first_fit_decreasing",
-    "latency_aware_placement",
-]
+_EXPORTS = {
+    "PlacementConstraints": "placement",
+    "PlacementDecision": "placement",
+    "PlacementError": "placement",
+    "best_fit_placement": "placement",
+    "first_fit_decreasing": "placement",
+    "latency_aware_placement": "placement",
+    "DevicelessScheduler": "scheduler",
+    "Deployment": "scheduler",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

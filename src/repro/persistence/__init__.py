@@ -18,6 +18,11 @@ The persistence subsystem makes experiments resumable and auditable:
   first divergence.
 """
 
+# Eager on purpose (library packages export lazily, repro/_lazy.py):
+# whoever imports this package is about to run, and ``run_to_checkpoint`` /
+# ``resume_run`` / ``replay_journal`` execute inside the benchmark's timed
+# regions, so what they import is compiled at start-up (DESIGN.md §4,
+# "Import what runs").
 from repro.persistence.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,

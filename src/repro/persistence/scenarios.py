@@ -183,7 +183,11 @@ def register_scenario(name: str, builder: Optional[ScenarioBuilder] = None, *,
 
 #: Every module that registers built-in scenarios next to the
 #: ``prepare_*`` functions they wrap.  Imported lazily: those modules
-#: import this one for :class:`PreparedRun`.
+#: import this one for :class:`PreparedRun`.  All six on the first
+#: registry read, not one per scenario built: the public drivers build
+#: inside the benchmark's timed regions, so a name -> ``module:builder``
+#: table would move these imports from start-up into the run (DESIGN.md
+#: §4, "Import what runs").
 _BUILTIN_MODULES = (
     "repro.experiments",
     "repro.observability.scenarios",

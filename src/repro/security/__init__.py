@@ -26,34 +26,24 @@ stack the machinery to survive them:
   defended configurations and resilience gates.
 """
 
-from repro.security.auth import KeyChain, MessageAuthenticator
-from repro.security.adversary import (
-    Adversary,
-    AttackBehavior,
-    DropDelayBehavior,
-    FloodBehavior,
-    GossipEquivocateBehavior,
-    SybilJoinBehavior,
-    TamperBehavior,
-    VoteEquivocateBehavior,
-)
-from repro.security.plane import SECURITY_CONTEXT_KEY, SecurityPlane
-from repro.security.trust import EVIDENCE_PENALTIES, FloodSentry, TrustRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Adversary",
-    "AttackBehavior",
-    "DropDelayBehavior",
-    "EVIDENCE_PENALTIES",
-    "FloodBehavior",
-    "FloodSentry",
-    "GossipEquivocateBehavior",
-    "KeyChain",
-    "MessageAuthenticator",
-    "SECURITY_CONTEXT_KEY",
-    "SecurityPlane",
-    "SybilJoinBehavior",
-    "TamperBehavior",
-    "TrustRegistry",
-    "VoteEquivocateBehavior",
-]
+_EXPORTS = {
+    "KeyChain": "auth",
+    "MessageAuthenticator": "auth",
+    "Adversary": "adversary",
+    "AttackBehavior": "adversary",
+    "DropDelayBehavior": "adversary",
+    "FloodBehavior": "adversary",
+    "GossipEquivocateBehavior": "adversary",
+    "SybilJoinBehavior": "adversary",
+    "TamperBehavior": "adversary",
+    "VoteEquivocateBehavior": "adversary",
+    "SECURITY_CONTEXT_KEY": "plane",
+    "SecurityPlane": "plane",
+    "EVIDENCE_PENALTIES": "trust",
+    "FloodSentry": "trust",
+    "TrustRegistry": "trust",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,6 +19,10 @@ Entry points:
 * CLI: ``python -m repro shard run|verify|resume``.
 """
 
+# Eager on purpose (library packages export lazily, repro/_lazy.py):
+# whoever imports this package is about to run, and ``ShardedSimulator.run``
+# executes inside the benchmark's timed regions, so what it imports is
+# compiled at start-up (DESIGN.md §4, "Import what runs").
 from .driver import (
     FederationResult,
     ShardedSimulator,

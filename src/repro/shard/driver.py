@@ -43,7 +43,8 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from ..persistence.checkpoint import Checkpoint, CheckpointError
 from ..persistence.scenarios import ScenarioSpec
@@ -81,9 +82,29 @@ _MANIFEST_FIELDS: Dict[str, Tuple[Tuple[type, ...], int, bool]] = {
 }
 
 
+#: The two fields that fix a run's barriers; an inbox header repeats them.
+_WINDOW_GRID = ("lookahead", "horizon")
+
+
 def _has_type(value: Any, kinds: Tuple[type, ...]) -> bool:
     # bool is an int to isinstance, and never a count or a time here.
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_fields(where: str, record: Dict[str, Any],
+                  names: Iterable[str]) -> None:
+    """Fail closed on a ``_MANIFEST_FIELDS`` value of a wrong type or range."""
+    for name in names:
+        kinds, low, inclusive = _MANIFEST_FIELDS[name]
+        value = record.get(name)
+        if not _has_type(value, kinds):
+            raise CheckpointError(f"{where}: {name!r} is {value!r}")
+        # NaN compares false both ways and an infinite horizon never ends.
+        if value is not None and not (low < value < float("inf")
+                                      or inclusive and value == low):
+            raise CheckpointError(
+                f"{where}: {name!r} is {value!r}, "
+                f"want {'>=' if inclusive else '>'} {low}")
 
 
 def load_manifest(out_dir: str) -> Dict[str, Any]:
@@ -97,17 +118,7 @@ def load_manifest(out_dir: str) -> Dict[str, Any]:
     if not isinstance(manifest, dict) or "shards" not in manifest \
             or "scenario" not in manifest:
         raise CheckpointError(f"{path}: not a federation manifest")
-    for name, (kinds, low, inclusive) in _MANIFEST_FIELDS.items():
-        value = manifest.get(name)
-        if not _has_type(value, kinds):
-            raise CheckpointError(
-                f"{path}: malformed manifest: {name!r} is {value!r}")
-        # NaN compares false both ways and an infinite horizon never ends.
-        if value is not None and not (low < value < float("inf")
-                                      or inclusive and value == low):
-            raise CheckpointError(
-                f"{path}: malformed manifest: {name!r} is {value!r}, "
-                f"want {'>=' if inclusive else '>'} {low}")
+    _check_fields(f"{path}: malformed manifest", manifest, _MANIFEST_FIELDS)
     return manifest
 
 
@@ -149,7 +160,8 @@ def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
 
     Stops at a line that does not parse: a crash mid-append tears at most
     the final one, and the valid prefix ends there.  A line that parses
-    but is not a record this module wrote fails closed.
+    but is not a record this module wrote fails closed, and so does a
+    header whose window grid is not a finite positive number.
     """
     if not os.path.exists(path):
         return
@@ -169,6 +181,9 @@ def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
             if not well_formed:
                 raise CheckpointError(
                     f"{path}: line {number}: not an inbox record")
+            if record.get("type") == "fed-header":
+                _check_fields(f"{path}: line {number}: malformed header",
+                              record, _WINDOW_GRID)
             yield line, record
 
 
@@ -183,6 +198,23 @@ def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
         elif record.get("type") == "inbox":
             inboxes[record["window"]] = record["envelopes"]
     return header, inboxes
+
+
+def check_inbox_header(path: str, header: Optional[Dict[str, Any]],
+                       manifest: Dict[str, Any]) -> None:
+    """Refuse an inbox header whose window grid is not the manifest's.
+
+    Both were written from the same two floats; ``load_manifest`` has
+    range-checked its copy, so a header that agrees with it cannot ask
+    :func:`lookahead_barriers` for a grid the run never had.
+    """
+    if header is None:
+        return
+    for name in _WINDOW_GRID:
+        if header[name] != manifest[name]:
+            raise CheckpointError(
+                f"{path}: header {name!r} is {header[name]!r}, "
+                f"the manifest says {manifest[name]!r}")
 
 
 def truncate_inbox(path: str, max_window: int) -> None:
@@ -659,7 +691,8 @@ class ShardedSimulator:
         for shard in range(self.shards):
             inbox_path = shard_paths(out_dir, shard)["inbox"]
             truncate_inbox(inbox_path, window + 1)
-            _header, recorded[shard] = read_inbox(inbox_path)
+            header, recorded[shard] = read_inbox(inbox_path)
+            check_inbox_header(inbox_path, header, manifest)
 
         self._start_workers()
         try:

@@ -26,6 +26,7 @@ from ..persistence.runner import Run
 from ..persistence.snapshot import system_digest
 from ..sweep import worker_pool
 from .driver import (
+    check_inbox_header,
     federation_digest,
     load_manifest,
     lookahead_barriers,
@@ -39,6 +40,8 @@ def replay_shard(out_dir: str, shard_id: int) -> Dict[str, Any]:
     paths = shard_paths(out_dir, shard_id)
     journal = read_journal(paths["journal"])
     header, inboxes = read_inbox(paths["inbox"])
+    if header is not None:
+        check_inbox_header(paths["inbox"], header, load_manifest(out_dir))
 
     def drive_windows(run: Run) -> None:
         lookahead = (float(header["lookahead"]) if header

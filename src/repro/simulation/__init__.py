@@ -20,24 +20,22 @@ The main entry points are:
   runtime monitors (:mod:`repro.modeling`) consume.
 """
 
-from repro.simulation.kernel import Event, Simulator, SimulationError
-from repro.simulation.process import Process, Timeout, Waiter, AllOf, AnyOf
-from repro.simulation.rng import RngRegistry
-from repro.simulation.metrics import MetricsRecorder, TimeSeries
-from repro.simulation.trace import TraceEvent, TraceLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Event",
-    "MetricsRecorder",
-    "Process",
-    "RngRegistry",
-    "SimulationError",
-    "Simulator",
-    "TimeSeries",
-    "Timeout",
-    "TraceEvent",
-    "TraceLog",
-    "Waiter",
-]
+_EXPORTS = {
+    "Event": "kernel",
+    "Simulator": "kernel",
+    "SimulationError": "kernel",
+    "Process": "process",
+    "Timeout": "process",
+    "Waiter": "process",
+    "AllOf": "process",
+    "AnyOf": "process",
+    "RngRegistry": "rng",
+    "MetricsRecorder": "metrics",
+    "TimeSeries": "metrics",
+    "TraceEvent": "trace",
+    "TraceLog": "trace",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

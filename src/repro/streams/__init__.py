@@ -15,25 +15,18 @@ reduces the volume shipped upstream by the windowing factor while keeping
 per-tuple latency edge-local.
 """
 
-from repro.streams.operators import (
-    FilterOperator,
-    MapOperator,
-    Operator,
-    SinkOperator,
-    SourceOperator,
-    StreamTuple,
-    WindowAggregateOperator,
-)
-from repro.streams.dataflow import Dataflow, OperatorPlacement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Dataflow",
-    "FilterOperator",
-    "MapOperator",
-    "Operator",
-    "OperatorPlacement",
-    "SinkOperator",
-    "SourceOperator",
-    "StreamTuple",
-    "WindowAggregateOperator",
-]
+_EXPORTS = {
+    "FilterOperator": "operators",
+    "MapOperator": "operators",
+    "Operator": "operators",
+    "SinkOperator": "operators",
+    "SourceOperator": "operators",
+    "StreamTuple": "operators",
+    "WindowAggregateOperator": "operators",
+    "Dataflow": "dataflow",
+    "OperatorPlacement": "dataflow",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

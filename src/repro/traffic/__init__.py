@@ -24,41 +24,27 @@ streams, so traffic runs are deterministic, checkpointable and
 bit-identical on resume.
 """
 
-from repro.traffic.admission import AdmissionPolicy, QueueLengthAdmission
-from repro.traffic.client import TrafficClient
-from repro.traffic.loadgen import (
-    ClientCohort,
-    ClosedLoopGenerator,
-    OpenLoopGenerator,
-    cohort_batching,
-)
-from repro.traffic.patterns import (
-    CircuitBreaker,
-    HedgePolicy,
-    RetryBudget,
-    RetryPolicy,
-)
-from repro.traffic.request import REQUEST_KIND, Request
-from repro.traffic.server import Server, ServiceModel
-from repro.traffic.stats import TrafficRegistry, TrafficStats, windowed_rate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionPolicy",
-    "QueueLengthAdmission",
-    "TrafficClient",
-    "ClientCohort",
-    "ClosedLoopGenerator",
-    "OpenLoopGenerator",
-    "cohort_batching",
-    "CircuitBreaker",
-    "HedgePolicy",
-    "RetryBudget",
-    "RetryPolicy",
-    "REQUEST_KIND",
-    "Request",
-    "Server",
-    "ServiceModel",
-    "TrafficRegistry",
-    "TrafficStats",
-    "windowed_rate",
-]
+_EXPORTS = {
+    "AdmissionPolicy": "admission",
+    "QueueLengthAdmission": "admission",
+    "TrafficClient": "client",
+    "ClientCohort": "loadgen",
+    "ClosedLoopGenerator": "loadgen",
+    "OpenLoopGenerator": "loadgen",
+    "cohort_batching": "loadgen",
+    "CircuitBreaker": "patterns",
+    "HedgePolicy": "patterns",
+    "RetryBudget": "patterns",
+    "RetryPolicy": "patterns",
+    "REQUEST_KIND": "request",
+    "Request": "request",
+    "Server": "server",
+    "ServiceModel": "server",
+    "TrafficRegistry": "stats",
+    "TrafficStats": "stats",
+    "windowed_rate": "stats",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

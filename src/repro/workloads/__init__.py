@@ -6,14 +6,13 @@ plus domain objects (services, policies, requirements) that examples and
 benchmarks drive.
 """
 
-from repro.workloads.smart_city import SmartCityWorkload
-from repro.workloads.healthcare import HealthcareWorkload
-from repro.workloads.energy import EnergyGridWorkload
-from repro.workloads.mobility import MobilityWorkload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyGridWorkload",
-    "HealthcareWorkload",
-    "MobilityWorkload",
-    "SmartCityWorkload",
-]
+_EXPORTS = {
+    "SmartCityWorkload": "smart_city",
+    "HealthcareWorkload": "healthcare",
+    "EnergyGridWorkload": "energy",
+    "MobilityWorkload": "mobility",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,14 +23,16 @@ LIBRARY_PACKAGES = (
 DRIVER_PACKAGES = ("chaos", "persistence", "shard")
 
 
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def lazy_table(package):
     """``{exported name: submodule}``: the ``_EXPORTS`` literal that
     ``src/repro/<package>/__init__.py`` hands to ``lazy_exports``;
     ``None`` if the package has none (it imports eagerly)."""
-    path = os.path.join(PACKAGE_ROOT, package, "__init__.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    for node in tree.body:
+    for node in parse(os.path.join(PACKAGE_ROOT, package, "__init__.py")).body:
         if (isinstance(node, ast.Assign)
                 and isinstance(node.targets[0], ast.Name)
                 and node.targets[0].id == "_EXPORTS"):

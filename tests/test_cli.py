@@ -480,6 +480,40 @@ class TestBadRunDirectories:
         assert main(["shard", "verify", "--out", str(out)]) == 0
         assert "SHARD VERIFY: MATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field,literal,problem", [
+        ("lookahead", '"x"', "malformed header"),
+        ("lookahead", "0", "malformed header"),
+        ("lookahead", "null", "malformed header"),
+        ("horizon", "-1", "malformed header"),
+        ("horizon", "true", "malformed header"),
+        ("horizon", "1e999", "malformed header"),      # parses as infinity
+        ("horizon", "NaN", "malformed header"),
+        # In range, but a grid the run never had: a billion barriers.
+        ("lookahead", "1e-9", "the manifest says"),
+        ("horizon", "1e12", "the manifest says"),
+    ], ids=["str", "zero", "null", "negative", "bool", "infinite", "nan",
+            "tiny-lookahead", "huge-horizon"])
+    def test_hostile_inbox_header_exits_2(self, field, literal, problem,
+                                          killed_federation, tmp_path,
+                                          capsys):
+        """The header's window grid is validated like the manifest's and
+        must agree with it, so no barrier list is built from its word."""
+        out = tmp_path / "run"
+        shutil.copytree(killed_federation, out)
+        inbox = out / "shard-0" / "inbox.jsonl"
+        header, _, records = inbox.read_text().partition("\n")
+        assert json.loads(header)["type"] == "fed-header"
+        hostile, edits = re.subn(rf'"{field}":[^,}}]+',
+                                 f'"{field}":{literal}', header)
+        assert edits == 1
+        inbox.write_text(hostile + "\n" + records)
+        capsys.readouterr()
+        for verb in ("resume", "verify"):
+            captured = self._assert_classified(
+                ["shard", verb, "--out", str(out)], capsys)
+            assert "inbox.jsonl" in captured.err and field in captured.err
+            assert problem in captured.err
+
     @pytest.mark.parametrize("field,value", [
         ("shards", "two"), ("workers", [1]), ("digest_every", "often"),
         ("checkpoint_every", None), ("lookahead", "0.375"),

@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from tests.lazy_tables import (DRIVER_PACKAGES, LIBRARY_PACKAGES, PACKAGE_ROOT,
-                               REPO_ROOT, lazy_table)
+                               REPO_ROOT, lazy_table, parse)
 
 ALL_PACKAGES = tuple(sorted(LIBRARY_PACKAGES + DRIVER_PACKAGES))
 
@@ -65,14 +65,9 @@ def test_driver_packages_have_no_lazy_table(name):
     assert lazy_table(name) is None
 
 
-def _parse(path):
-    with open(path, encoding="utf-8") as fh:
-        return ast.parse(fh.read(), filename=path)
-
-
 @pytest.mark.parametrize("name", LIBRARY_PACKAGES)
 def test_a_library_init_imports_the_helper_and_nothing_else(name):
-    tree = _parse(os.path.join(PACKAGE_ROOT, name, "__init__.py"))
+    tree = parse(os.path.join(PACKAGE_ROOT, name, "__init__.py"))
     imports = [ast.unparse(node) for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports == ["from repro._lazy import lazy_exports"]
@@ -84,7 +79,7 @@ def test_one_definition_of_the_lazy_getattr():
         os.path.relpath(os.path.join(dirpath, filename), PACKAGE_ROOT)
         for dirpath, _dirs, files in os.walk(PACKAGE_ROOT)
         for filename in files if filename.endswith(".py")
-        for node in ast.walk(_parse(os.path.join(dirpath, filename)))
+        for node in ast.walk(parse(os.path.join(dirpath, filename)))
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
     assert definitions == ["_lazy.py"]
 
