@@ -209,7 +209,3 @@ class Executor:
     @property
     def success_count(self) -> int:
         return sum(1 for r in self.results if r.success)
-
-    @property
-    def failure_count(self) -> int:
-        return sum(1 for r in self.results if not r.success)

@@ -20,6 +20,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import signal
 import sys
 import textwrap
@@ -465,25 +466,31 @@ def cmd_monitor(quick: bool = False, scenario: str = "smart-city-partition",
     return 0
 
 
+_BASELINE_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
+                             "benchmarks", "baselines")
+
+
 def _bench_trajectory_rows_if_available() -> Optional[List[List[object]]]:
     """Bench-trajectory rows from ``benchmarks/baselines``, if present.
 
     The report command may run from an installed package or another
     working directory; the trajectory section simply disappears when the
-    baselines directory isn't reachable.
+    baselines directory isn't reachable.  Oldest first by the integer in
+    ``BENCH_<n>.json``: by name, BENCH_9 would sort after BENCH_12.
     """
     from repro.observability.export import bench_trajectory_rows
 
-    baseline_dir = os.path.join(os.path.dirname(__file__), "..", "..",
-                                "benchmarks", "baselines")
-    if not os.path.isdir(baseline_dir):
+    if not os.path.isdir(_BASELINE_DIR):
         return None
+    numbered = []
+    for name in os.listdir(_BASELINE_DIR):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
+        if match:
+            numbered.append((int(match.group(1)), name))
     snapshots = []
-    for name in sorted(os.listdir(baseline_dir)):
-        if not (name.startswith("BENCH_") and name.endswith(".json")):
-            continue
+    for _, name in sorted(numbered):
         try:
-            with open(os.path.join(baseline_dir, name),
+            with open(os.path.join(_BASELINE_DIR, name),
                       encoding="utf-8") as fh:
                 snapshots.append(json.load(fh))
         except (OSError, json.JSONDecodeError):
@@ -825,7 +832,7 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
 
     try:
         before, after = load_profile(path_a), load_profile(path_b)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"profile: cannot load snapshot: {exc}")
     a_profiles, b_profiles = _profiles_in(before), _profiles_in(after)
     common = sorted(set(a_profiles) & set(b_profiles))

@@ -11,7 +11,6 @@ levels of trust".  This package provides:
 * conflict-free replicated data types (:mod:`repro.data.crdt`) -- the
   decentralized synchronization substrate (no coordinator needed to merge);
 * an anti-entropy replica synchronizer (:mod:`repro.data.sync`);
-* topic-based publish/subscribe messaging (:mod:`repro.data.pubsub`);
 * the three data-quality dimensions Fig. 4 highlights -- timeliness,
   availability, (and freshness as their operational proxy)
   (:mod:`repro.data.quality`).
@@ -36,11 +35,7 @@ _EXPORTS = {
     "PNCounter": "crdt",
     "ReplicaStore": "sync",
     "SyncProtocol": "sync",
-    "Broker": "pubsub",
-    "PubSubNode": "pubsub",
     "DataQualityMonitor": "quality",
-    "CausalBroadcast": "causal",
-    "VectorClock": "causal",
     "QuorumClient": "quorum",
     "QuorumReplica": "quorum",
 }

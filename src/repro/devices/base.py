@@ -9,7 +9,7 @@ software stack, an administrative domain, and a physical locality.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.devices.resources import Battery, ResourcePool, ResourceSpec
 from repro.devices.software import Service, SoftwareStack, make_stack
@@ -142,27 +142,6 @@ class Device:
 
     def hosts(self, service_name: str) -> bool:
         return self.stack.has_service(service_name)
-
-    # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-able device state for the checkpoint file."""
-        return {
-            "up": self._up,
-            "domain": self.domain,
-            "location": self.location,
-            "environment_trusted": self.environment_trusted,
-            "battery_level": self.battery.level,
-            "services": {
-                s.name: {
-                    "runtime": s.runtime, "cpu": s.cpu, "memory": s.memory,
-                    "storage": s.storage, "version": s.version,
-                    "provides": sorted(s.provides),
-                    "requires": sorted(s.requires),
-                    "state": s.state.value,
-                }
-                for s in self.stack.services
-            },
-        }
 
     # -- misc ---------------------------------------------------------------- #
     @property

@@ -113,12 +113,6 @@ class DeviceFleet:
         if self.trace is not None:
             self.trace.emit(self.sim.now, "recovery", "device-recover", subject=device_id)
 
-    # -- persistence -------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Dict]:
-        """Per-device snapshots for the checkpoint file, keyed by id."""
-        return {device_id: self._devices[device_id].snapshot_state()
-                for device_id in sorted(self._devices)}
-
     def transfer_domain(self, device_id: str, new_domain: str) -> str:
         """Administrative domain transfer (a named disruption class, §I)."""
         device = self.get(device_id)

@@ -3,8 +3,8 @@
 Implements the ML4 goal of Table 2's data vector: "Unconstrained data
 flows. Governance among administrative domains & trust levels", and
 Fig. 4's privacy scopes: jurisdictions (GDPR/CCPA-style), per-domain trust,
-per-component in/out flow policies, and a policy engine that the sync and
-pub/sub layers consult before any datum crosses a boundary.
+per-component in/out flow policies, and a policy engine that the sync
+layer consults before any datum crosses a boundary.
 """
 
 from repro._lazy import lazy_exports
@@ -19,9 +19,6 @@ _EXPORTS = {
     "PolicyEngine": "policy",
     "PrivacyScope": "policy",
     "DomainTransferProtocol": "transfer",
-    "ComplianceAuditor": "audit",
-    "FlowRecord": "audit",
-    "SubjectReport": "audit",
 }
 __all__ = sorted(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

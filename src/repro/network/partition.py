@@ -64,10 +64,6 @@ class PartitionManager:
         ]
         return self._cut(name or "cut", links)
 
-    def cut_links(self, links: List[Link], name: Optional[str] = None) -> str:
-        """Down an explicit set of links."""
-        return self._cut(name or "cut-links", [l for l in links if l.up])
-
     def disconnect_cloud(self, cloud_node: str, name: Optional[str] = None) -> str:
         """The canonical disruption: sever the cloud from everything."""
         return self.isolate_node(cloud_node, name=name or "cloud-outage")

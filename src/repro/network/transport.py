@@ -90,9 +90,6 @@ class NetworkStats:
         """Mean delivery latency, or None when nothing was delivered."""
         return self.total_latency / self.delivered if self.delivered else None
 
-    def kind_latency(self, kind: str) -> Optional[StreamingHistogram]:
-        return self.per_kind.get(kind)
-
 
 MessageHandler = Callable[[Message], None]
 

@@ -49,7 +49,7 @@ from repro.observability.overhead import telemetry_health
 from repro.persistence.checkpoint import Checkpoint
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec, prepare
-from repro.persistence.snapshot import system_digest, system_snapshot
+from repro.persistence.snapshot import state_digest, system_digest_state
 
 MANIFEST_NAME = "manifest.json"
 BUNDLE_VERSION = 1
@@ -252,14 +252,15 @@ class FlightRecorder:
         system = self.system
         sim = system.sim
         trigger = self.triggers[0]
+        fields = system_digest_state(system)
         barrier = {"time": sim.now, "fired": sim.fired_count,
-                   "digest": system_digest(system), "exact": bool(exact)}
+                   "digest": state_digest(fields), "exact": bool(exact)}
         checkpoint = None
         if self.spec is not None:
             checkpoint = Checkpoint(
                 scenario=self.spec.to_dict(), time=sim.now,
                 fired=sim.fired_count, digest=barrier["digest"],
-                state=system_snapshot(system))
+                state={"digest_fields": fields})
         events_tail = [event_to_dict(e)
                        for e in system.trace.events[-self.max_events:]]
         spans_tail = []

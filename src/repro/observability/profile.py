@@ -58,7 +58,6 @@ PLANES = (
 _LABEL_PLANES: Dict[str, str] = {
     # transport: message delivery and link-state churn
     "deliver": "transport", "partition": "transport", "heal": "transport",
-    "causal-retransmit": "transport",
     # coordination: membership, consensus, failure detection, leases
     "gossip": "coordination", "swim": "coordination",
     "swim-timeout": "coordination", "swim-suspicion": "coordination",
@@ -83,10 +82,6 @@ _LABEL_PLANES: Dict[str, str] = {
     "sample": "workload", "aggregate-push": "workload",
     "demand-surge": "workload", "stream-epoch": "workload",
     "technician": "workload", "traffic": "workload",
-    # kernel: process-layer plumbing (timeouts, joins, generator starts)
-    "timeout": "kernel", "waiter-immediate": "kernel",
-    "allof-empty": "kernel", "start": "kernel", "intr": "kernel",
-    "join-immediate": "kernel",
 }
 
 #: Span category -> plane (spans carry simulated-time cost; kernel labels
@@ -244,9 +239,43 @@ def save_profile(profile: Dict[str, Any], path: Any) -> None:
         fh.write("\n")
 
 
+def _check_profile(profile: Any, where: str) -> None:
+    """Raise ``ValueError`` unless ``profile`` has the shape
+    :func:`diff_profiles` reads."""
+    def expect(ok: bool, problem: str) -> None:
+        if not ok:
+            raise ValueError(f"{where}: {problem}")
+
+    expect(isinstance(profile, dict), "not a JSON object")
+    for key in ("meta", "kernel", "planes", "labels"):
+        expect(isinstance(profile.get(key, {}), dict),
+               f"'{key}' is not an object")
+    for key in ("planes", "labels"):
+        for name, row in profile.get(key, {}).items():
+            expect(isinstance(row, dict), f"{key}[{name!r}] is not an object")
+            for field in ("total_ms", "count"):
+                expect(isinstance(row.get(field, 0), (int, float)),
+                       f"{key}[{name!r}].{field} is not a number")
+    critical = profile.get("critical_path")
+    if critical is not None:
+        segments = critical.get("segments") if isinstance(critical, dict) else None
+        expect(isinstance(segments, dict) and all(
+            isinstance(value, (int, float)) for value in segments.values()),
+            "'critical_path.segments' is not an object of numbers")
+
+
 def load_profile(path: Any) -> Dict[str, Any]:
+    """Load a ``capture_profile`` snapshot or a BENCH snapshot (which holds
+    some under ``profiles``); ``OSError`` if unreadable, ``ValueError`` if
+    not JSON or not of the shape :func:`diff_profiles` reads."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if isinstance(data, dict) and "benches" in data:
+        for name, profile in profiles_from_bench(data).items():
+            _check_profile(profile, f"{path}: profiles[{name!r}]")
+    else:
+        _check_profile(data, str(path))
+    return data
 
 
 # --------------------------------------------------------------------------- #

@@ -42,9 +42,6 @@ class SpanContext:
     span_id: str
     parent_id: Optional[str] = None
 
-    def child_of(self) -> "SpanContext":  # pragma: no cover - debugging aid
-        return self
-
 
 @dataclass
 class Span:

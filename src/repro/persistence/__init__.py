@@ -2,8 +2,8 @@
 
 The persistence subsystem makes experiments resumable and auditable:
 
-* :mod:`~repro.persistence.snapshot` -- canonical-JSON digests,
-  whole-system fingerprints and the checkpoint file's state capture.
+* :mod:`~repro.persistence.snapshot` -- canonical-JSON digests and
+  whole-system fingerprints.
 * :mod:`~repro.persistence.journal` -- the append-only JSONL event
   journal (write-ahead log) with crash-tolerant reading and WAL-style
   truncation.
@@ -70,7 +70,6 @@ from repro.persistence.snapshot import (
     state_digest,
     system_digest,
     system_digest_state,
-    system_snapshot,
 )
 
 __all__ = [
@@ -108,7 +107,6 @@ __all__ = [
     "state_digest",
     "system_digest",
     "system_digest_state",
-    "system_snapshot",
     "truncate",
     "write_divergence_report",
 ]

@@ -1,12 +1,12 @@
 """Versioned, integrity-hashed checkpoint files.
 
-A checkpoint captures everything needed to resume a run: the scenario
-spec (how to rebuild the system), the barrier (simulated time + fired
-event count), the whole-system digest at the barrier (how to *verify* the
-rebuild), and kernel/RNG/fleet detail for offline audit (never read back:
-a resume rebuilds and re-executes to the barrier).  The file is JSON with
-a SHA-256 integrity hash over the canonical encoding of the payload, so
-bit rot, truncation and hand-editing are all detected at load time.
+A checkpoint is a bookmark, not a copy of the system: the scenario spec
+(how to rebuild it), the barrier (simulated time + fired event count), the
+whole-system digest there (how to *verify* the rebuild) and the fields the
+digest hashes (how to say *what* drifted); a resume rebuilds and
+re-executes to the barrier.  The file is JSON with a SHA-256 integrity
+hash over the canonical encoding of the payload, so bit rot, truncation
+and hand-editing are all detected at load time.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ class Checkpoint:
         Journal digest cadence the run was recorded with (a resumed run
         must keep the cadence or its digest chain would not line up).
     state:
-        Auditable detail for offline inspection: ``kernel``, ``rngs``,
-        ``fleet`` and ``digest_fields`` (``system_snapshot``), or a
-        federation shard's ``window``/``shard`` position.  A resume never
-        restores from it -- it rebuilds from ``scenario``, re-executes to
-        the barrier and checks ``digest``.
+        ``digest_fields`` (the ``system_digest_state`` that ``digest``
+        hashes; a mismatching resume compares it field by field) or a
+        federation shard's ``window``/``shard`` position.  Never restored
+        from: other keys (the ``kernel``/``rngs``/``fleet`` sections older
+        files carry) are ignored.
     """
 
     scenario: Dict[str, Any]

@@ -43,7 +43,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.persistence.checkpoint import Checkpoint, CheckpointError, default_paths
 from repro.persistence.journal import JournalWriter, truncate
 from repro.persistence.scenarios import PreparedRun, ScenarioSpec, prepare
-from repro.persistence.snapshot import system_digest, system_snapshot
+from repro.persistence.snapshot import (
+    canonical_json,
+    state_digest,
+    system_digest,
+    system_digest_state,
+)
 
 
 class RunRecorder:
@@ -118,21 +123,45 @@ def _record_restore_telemetry(system: Any, elapsed_s: float, events: int) -> Non
 
 def save_checkpoint(system: Any, spec: ScenarioSpec, path: str,
                     digest_every: int = 25) -> Checkpoint:
-    """Snapshot ``system`` at its current barrier and write ``path``."""
+    """Bookmark ``system`` at its current barrier and write ``path``."""
     started = perf_counter()
+    fields = system_digest_state(system)
     checkpoint = Checkpoint(
         scenario=spec.to_dict(),
         time=system.sim.now,
         fired=system.sim.fired_count,
-        digest=system_digest(system),
+        digest=state_digest(fields),
         digest_every=digest_every,
-        state=system_snapshot(system),
+        state={"digest_fields": fields},
     )
     size = checkpoint.save(path)
     _record_save_telemetry(system, perf_counter() - started, size)
     return checkpoint
 
 
+def _drifted_fields(checkpoint: Checkpoint, system: Any) -> str:
+    """The clause a digest mismatch adds to its error: which digest fields
+    of the rebuilt ``system`` differ from the checkpoint's
+    ``digest_fields``.  Empty when it has none (a shard's, a hand-built one).
+    """
+    recorded = checkpoint.state.get("digest_fields")
+    if not isinstance(recorded, dict):
+        return ""
+    rebuilt = system_digest_state(system)
+    drifted = []
+    for name in sorted(set(recorded) | set(rebuilt)):
+        was, now = recorded.get(name), rebuilt.get(name)
+        if canonical_json(was) == canonical_json(now):
+            continue
+        if isinstance(was, dict) and isinstance(now, dict):
+            keys = [key for key in sorted(set(was) | set(now))
+                    if canonical_json(was.get(key)) != canonical_json(now.get(key))]
+            name += ": " + ", ".join(keys[:5])
+        drifted.append(name)
+    if drifted:
+        return "; differing fields -- " + "; ".join(drifted)
+    return ("; the rebuilt fields equal the checkpoint's digest_fields, so "
+            "the recorded digest does not match its own fields")
 
 
 def fast_forward(system: Any, checkpoint: Checkpoint) -> float:
@@ -171,7 +200,8 @@ def fast_forward(system: Any, checkpoint: Checkpoint) -> float:
             f"digest mismatch at barrier (fired={checkpoint.fired}, "
             f"t={checkpoint.time:g}): checkpoint {checkpoint.digest[:12]}..., "
             f"rebuilt {digest[:12]}...; scenario code or seed has drifted "
-            f"since the checkpoint was taken")
+            f"since the checkpoint was taken"
+            + _drifted_fields(checkpoint, system))
     if sim.fired_count != checkpoint.fired:
         # Only reachable when the caller drove windows first: stepping
         # above stops exactly at the barrier count.

@@ -1,21 +1,19 @@
-"""State digests and the checkpoint file's state capture.
+"""State digests: the whole-system fingerprint and its canonical hash.
 
 There is one way to restore a run: :meth:`repro.persistence.runner.Run.resume`
 rebuilds the scenario from its spec, re-executes it to the checkpoint
 barrier and refuses to continue unless the digest there matches.  Nothing
-is restored *from* captured state, so this module only captures:
+is restored *from* captured state, so this module only fingerprints:
 
 * :func:`system_digest_state` / :func:`system_digest` -- the compact
   whole-system fingerprint the event journal records at a configurable
-  cadence and every checkpoint carries.  Digests are the ground truth of
-  the replay machinery: two runs are "the same run" exactly when their
+  cadence and every checkpoint carries (the hash as ``digest``, the fields
+  it was computed from as ``state["digest_fields"]``, which a mismatching
+  resume reads to say *which* part drifted).  Digests are the ground truth
+  of the replay machinery: two runs are "the same run" exactly when their
   digest chains match.
-* :func:`system_snapshot` -- the auditable detail written into the
-  checkpoint file (kernel clock and pending-event metadata, RNG stream
-  states, per-device state).  It is for offline inspection; no code reads
-  it back.
 * :func:`canonical_json` / :func:`state_digest` -- the canonical encoding
-  and hash both are built on.
+  and hash it is built on.
 """
 
 from __future__ import annotations
@@ -81,22 +79,6 @@ def system_digest_state(system) -> Dict[str, Any]:
         },
         "counters": dict(system.metrics._counters),
         "trace_len": len(system.trace),
-    }
-
-
-def system_snapshot(system) -> Dict[str, Any]:
-    """Full (auditable) system state for a checkpoint file.
-
-    Superset of :func:`system_digest_state`: adds the kernel's pending
-    event metadata, complete RNG stream states and per-device detail, so a
-    saved checkpoint can be inspected offline and verified field-by-field
-    against a replayed run.
-    """
-    return {
-        "kernel": system.sim.snapshot_state(),
-        "rngs": system.rngs.snapshot_state(),
-        "fleet": system.fleet.snapshot_state(),
-        "digest_fields": system_digest_state(system),
     }
 
 

@@ -337,9 +337,6 @@ class Adversary:
     def compromised_nodes(self) -> List[str]:
         return sorted(n for n in self._behaviors if self.is_compromised(n))
 
-    def behaviors_of(self, node: str) -> List[AttackBehavior]:
-        return list(self._behaviors.get(node, ()))
-
     def _outbound(self, message) -> Any:
         behaviors = self._behaviors.get(message.src)
         if not behaviors:

@@ -9,8 +9,6 @@ DESIGN.md, section 1).
 The main entry points are:
 
 * :class:`~repro.simulation.kernel.Simulator` -- the event loop and clock.
-* :class:`~repro.simulation.process.Process` -- generator-based processes
-  that ``yield`` timeouts and events.
 * :class:`~repro.simulation.rng.RngRegistry` -- named, independently seeded
   random streams so that adding randomness to one subsystem never perturbs
   another.
@@ -26,11 +24,6 @@ _EXPORTS = {
     "Event": "kernel",
     "Simulator": "kernel",
     "SimulationError": "kernel",
-    "Process": "process",
-    "Timeout": "process",
-    "Waiter": "process",
-    "AllOf": "process",
-    "AnyOf": "process",
     "RngRegistry": "rng",
     "MetricsRecorder": "metrics",
     "TimeSeries": "metrics",

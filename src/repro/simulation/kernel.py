@@ -11,8 +11,7 @@ Design notes
 * Time is a ``float`` of simulated seconds starting at ``0.0``.  Nothing in
   the kernel reads the wall clock.
 * Callbacks receive the :class:`Simulator` so they can schedule follow-up
-  work; generator-based processes (:mod:`repro.simulation.process`) are a
-  convenience layer on top of plain callbacks.
+  work.
 * Cancellation is lazy: cancelled events stay in the heap but are skipped
   when popped, which keeps :meth:`Simulator.cancel` O(1).
 """
@@ -329,10 +328,10 @@ class Simulator:
     def pending_events(self) -> List[Dict[str, Any]]:
         """Metadata of pending events, in firing order.
 
-        Lazily-cancelled events are excluded: they will never fire, so a
-        checkpoint must not record them.  Callbacks are deliberately not
-        captured (closures do not serialize): a resume rebuilds the
-        scenario and re-executes to the barrier, it never reads these back.
+        Lazily-cancelled events are excluded: they will never fire.
+        Callbacks are deliberately not captured (closures do not
+        serialize); this is an observation seam for the message-path
+        oracles, nothing restores from it.
         """
         out = []
         for time, priority, seq, event in sorted(self._heap, key=lambda e: e[:3]):
@@ -340,12 +339,3 @@ class Simulator:
                 out.append({"t": time, "priority": priority, "seq": seq,
                             "label": event.label})
         return out
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Serializable kernel state: clock, counters, pending-event metadata."""
-        return {
-            "now": self._now,
-            "next_seq": self._next_seq,
-            "fired": self._fired,
-            "pending": self.pending_events(),
-        }

@@ -110,20 +110,6 @@ class RngRegistry:
         return sorted(self._streams)
 
     # -- persistence --------------------------------------------------------- #
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Serializable per-stream ``Random.getstate()`` for every stream.
-
-        The Mersenne state tuple is converted to lists so the snapshot is
-        JSON-able.
-        """
-        return {
-            "seed": self.seed,
-            "streams": {
-                name: serialize_rng_state(rng)
-                for name, rng in sorted(self._streams.items())
-            },
-        }
-
     def stream_digests(self) -> Dict[str, str]:
         """``{name: rng_state_digest(stream)}``, name-sorted.
 

@@ -306,7 +306,3 @@ class TrafficClient:
     def _count(self, outcome: str, weight: int) -> None:
         if self.metrics is not None:
             self.metrics.increment(f"traffic.{outcome}:{self.name}", weight)
-
-    @property
-    def open_calls(self) -> int:
-        return len(self._open)

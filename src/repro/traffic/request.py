@@ -50,16 +50,3 @@ class Request:
             "attempt": self.attempt,
             "hedged": self.hedged,
         }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Request":
-        return cls(
-            req_id=int(payload["req_id"]),
-            client=str(payload["client"]),
-            origin=str(payload["origin"]),
-            created_at=float(payload["created_at"]),
-            weight=int(payload.get("weight", 1)),
-            priority=int(payload.get("priority", 0)),
-            attempt=int(payload.get("attempt", 1)),
-            hedged=bool(payload.get("hedged", False)),
-        )

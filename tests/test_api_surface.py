@@ -11,7 +11,6 @@ from repro.adaptation.actions import (
 from repro.adaptation.knowledge import Issue, KnowledgeBase
 from repro.coordination.gossip import GossipNode
 from repro.coordination.raft import RaftCluster
-from repro.data.pubsub import PubSubNode
 from repro.data.quorum import QuorumClient, QuorumReplica
 from repro.data.sync import ReplicaStore, SyncProtocol
 from repro.data.crdt import GCounter
@@ -114,15 +113,6 @@ class TestSyncNow:
         protocol_a.sync_now("n2")
         sim.run(until=1.0)
         assert b.get("c").value == 3
-
-
-class TestPubSubTopics:
-    def test_subscribed_topics_listed(self, sim, mesh5):
-        nodes, _, network = mesh5
-        node = PubSubNode(sim, network, "n1")
-        node.subscribe("b-topic", lambda *a: None)
-        node.subscribe("a-topic", lambda *a: None)
-        assert node.subscribed_topics() == ["a-topic", "b-topic"]
 
 
 class TestPartitionConvenience:

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.persistence import resume_run, state_digest
 
@@ -142,6 +143,18 @@ class TestReportCommand:
         assert "# TYPE" in prom
         kpis = json.loads((tmp_path / "kpis.json").read_text())
         assert "kpis" in kpis and "slos" in kpis
+
+
+    def test_trajectory_ends_at_the_highest_numbered_baseline(
+            self, tmp_path, monkeypatch):
+        # By name BENCH_10 sorts before BENCH_2; the newest is the highest.
+        for number in (2, 10):
+            (tmp_path / f"BENCH_{number}.json").write_text(json.dumps(
+                {"benches": {"kernel": {"events": float(number)}}}))
+        (tmp_path / "BENCH_old.json").write_text("{}")
+        monkeypatch.setattr(cli, "_BASELINE_DIR", str(tmp_path))
+        assert cli._bench_trajectory_rows_if_available() == [
+            ["kernel.events", 2.0, 10.0, 8.0, "+400.0%"]]
 
 
 class TestTrafficCommand:
@@ -399,6 +412,21 @@ class TestBadRunDirectories:
         doc = json.loads(capsys.readouterr().out)
         error = next(t for t in doc["tables"] if t.get("title") == "error")
         assert "share no profiled scenarios" in error["data"]["error"]
+
+    @pytest.mark.parametrize("document,problem", [
+        ([1, 2], "not a JSON object"),
+        ({"planes": 7, "kernel": {"events": "x"}}, "'planes' is not an object"),
+        ({"kernel": 3}, "'kernel' is not an object"),
+    ], ids=["list", "planes-int", "kernel-int"])
+    def test_wrong_shape_profile_exits_2(self, document, problem, tmp_path,
+                                         capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text("{}")
+        bad.write_text(json.dumps(document))
+        captured = self._assert_classified(
+            ["profile", "diff", str(good), str(bad)], capsys)
+        assert f"error: profile: cannot load snapshot: {bad}: {problem}" \
+            in captured.err
 
     @pytest.mark.parametrize("document,problem", [
         ([], "chaos spec must be a JSON object"),

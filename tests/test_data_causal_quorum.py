@@ -1,157 +1,10 @@
-"""Tests for vector clocks, causal broadcast and the quorum KV store."""
+"""Tests for the quorum KV store."""
 
 import pytest
 
-from repro.data.causal import (
-    CausalBroadcast,
-    VectorClock,
-    causally_consistent,
-)
 from repro.data.quorum import QuorumClient, QuorumReplica, Versioned
 from repro.network.partition import PartitionManager
 from repro.network.topology import build_mesh_topology
-from repro.network.transport import Network
-
-
-class TestVectorClock:
-    def test_increment_and_get(self):
-        clock = VectorClock()
-        clock.increment("a").increment("a").increment("b")
-        assert clock.get("a") == 2 and clock.get("b") == 1 and clock.get("c") == 0
-
-    def test_merge_pointwise_max(self):
-        a = VectorClock({"x": 3, "y": 1})
-        b = VectorClock({"y": 4, "z": 2})
-        a.merge(b)
-        assert a.as_dict() == {"x": 3, "y": 4, "z": 2}
-
-    def test_happens_before(self):
-        earlier = VectorClock({"a": 1})
-        later = VectorClock({"a": 2, "b": 1})
-        assert earlier.happens_before(later)
-        assert not later.happens_before(earlier)
-
-    def test_equal_clocks_not_before(self):
-        a = VectorClock({"a": 1})
-        b = VectorClock({"a": 1})
-        assert not a.happens_before(b)
-        assert not a.concurrent_with(b)
-        assert a == b
-
-    def test_concurrency(self):
-        a = VectorClock({"a": 1})
-        b = VectorClock({"b": 1})
-        assert a.concurrent_with(b) and b.concurrent_with(a)
-
-    def test_copy_independent(self):
-        a = VectorClock({"a": 1})
-        clone = a.copy()
-        a.increment("a")
-        assert clone.get("a") == 1
-
-
-@pytest.fixture
-def causal_cluster(sim, mesh5):
-    nodes, _, network = mesh5
-    logs = {n: [] for n in nodes}
-    broadcasts = {
-        n: CausalBroadcast(
-            sim, network, n, nodes,
-            on_deliver=lambda origin, payload, n=n: logs[n].append((origin, payload)),
-            retransmit_period=1.0,
-        )
-        for n in nodes
-    }
-    return broadcasts, logs, network
-
-
-class TestCausalBroadcast:
-    def test_all_deliver_everything(self, sim, causal_cluster):
-        broadcasts, logs, _ = causal_cluster
-        broadcasts["n1"].broadcast("hello")
-        broadcasts["n2"].broadcast("world")
-        sim.run(until=5.0)
-        for node, log in logs.items():
-            assert len(log) == 2, node
-
-    def test_local_delivery_immediate(self, sim, causal_cluster):
-        broadcasts, logs, _ = causal_cluster
-        broadcasts["n1"].broadcast("x")
-        assert logs["n1"] == [("n1", "x")]
-
-    def test_causal_chain_respected(self, sim, causal_cluster):
-        """n1 sends a; n2 (having seen a) sends b; everyone must deliver
-        a before b."""
-        broadcasts, logs, _ = causal_cluster
-        broadcasts["n1"].broadcast("a")
-        sim.run(until=2.0)
-        broadcasts["n2"].broadcast("b")   # causally after a
-        sim.run(until=10.0)
-        for node, log in logs.items():
-            payloads = [p for _, p in log]
-            assert payloads.index("a") < payloads.index("b"), node
-
-    def test_fifo_per_origin(self, sim, causal_cluster):
-        broadcasts, logs, _ = causal_cluster
-        for i in range(10):
-            broadcasts["n3"].broadcast(i)
-        sim.run(until=10.0)
-        for node, log in logs.items():
-            from_n3 = [p for origin, p in log if origin == "n3"]
-            assert from_n3 == list(range(10)), node
-        assert causally_consistent(list(logs.values()))
-
-    def test_buffered_until_dependency_arrives(self, sim, causal_cluster):
-        """Deliveries wait for causal predecessors even if transport
-        reorders (simulated by a partition delaying one path)."""
-        broadcasts, logs, network = causal_cluster
-        partitions = PartitionManager(sim, network.topology)
-        # Cut n1<->n5 only: n5 misses n1's message initially.
-        link = network.topology.link_between("n1", "n5")
-        partitions.cut_links([link])
-        broadcasts["n1"].broadcast("a")
-        sim.run(until=1.0)
-        broadcasts["n2"].broadcast("b")    # depends on a
-        sim.run(until=2.0)
-        # n5 may have b buffered but MUST not have delivered it before a.
-        payloads_n5 = [p for _, p in logs["n5"]]
-        if "b" in payloads_n5:
-            assert "a" in payloads_n5 and \
-                payloads_n5.index("a") < payloads_n5.index("b")
-        partitions.heal_all()
-        sim.run(until=15.0)
-        payloads_n5 = [p for _, p in logs["n5"]]
-        assert payloads_n5.index("a") < payloads_n5.index("b")
-        assert broadcasts["n5"].buffered_count == 0
-
-    def test_retransmission_recovers_losses(self, sim, rngs):
-        """With a lossy mesh, NACK-driven retransmission still delivers."""
-        from repro.network.link import LinkProfile
-        from repro.network.topology import Topology
-
-        lossy = LinkProfile("lossy", base_latency=0.002, jitter=0.001,
-                            loss_rate=0.3)
-        nodes = ["a", "b", "c"]
-        topology = Topology(rng=rngs.stream("net"))
-        for i, x in enumerate(nodes):
-            for y in nodes[i + 1:]:
-                topology.add_link_with_profile(x, y, lossy)
-        network = Network(sim, topology)
-        logs = {n: [] for n in nodes}
-        broadcasts = {
-            n: CausalBroadcast(
-                sim, network, n, nodes,
-                on_deliver=lambda o, p, n=n: logs[n].append((o, p)),
-                retransmit_period=0.5,
-            )
-            for n in nodes
-        }
-        for i in range(10):
-            broadcasts["a"].broadcast(i)
-            sim.run(until=sim.now + 0.5)
-        sim.run(until=sim.now + 20.0)
-        for node in nodes:
-            assert [p for o, p in logs[node] if o == "a"] == list(range(10)), node
 
 
 @pytest.fixture

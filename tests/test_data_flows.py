@@ -1,16 +1,13 @@
-"""Unit tests for data items, lineage, sync, pub/sub and data quality."""
+"""Unit tests for data items, lineage, sync and data quality."""
 
 import pytest
 
 from repro.data.item import DataItem, DataSensitivity
 from repro.data.lineage import LineageTracker
 from repro.data.crdt import GCounter, LWWMap
-from repro.data.pubsub import Broker, PubSubNode
 from repro.data.quality import DataQualityMonitor
 from repro.data.sync import ReplicaStore, SyncProtocol, converged
 from repro.network.partition import PartitionManager
-from repro.network.transport import Network
-from repro.network.topology import build_mesh_topology
 
 
 class TestDataItem:
@@ -175,64 +172,6 @@ class TestSync:
     def test_missing_crdt_raises(self):
         with pytest.raises(KeyError):
             ReplicaStore("n").get("ghost")
-
-
-class TestPubSub:
-    def test_brokered_delivery(self, sim, mesh5):
-        nodes, _, network = mesh5
-        broker = Broker(sim, network, "n3")
-        publisher = PubSubNode(sim, network, "n1", broker="n3")
-        subscriber = PubSubNode(sim, network, "n2", broker="n3")
-        got = []
-        subscriber.subscribe("alerts", lambda t, v, at: got.append(v))
-        sim.run(until=1.0)
-        publisher.publish("alerts", "fire")
-        sim.run(until=2.0)
-        assert got == ["fire"]
-        assert broker.forwarded == 1
-        assert subscriber.mean_latency > 0.0
-
-    def test_broker_outage_silences_topics(self, sim, mesh5):
-        nodes, _, network = mesh5
-        Broker(sim, network, "n3")
-        publisher = PubSubNode(sim, network, "n1", broker="n3")
-        subscriber = PubSubNode(sim, network, "n2", broker="n3")
-        got = []
-        subscriber.subscribe("alerts", lambda t, v, at: got.append(v))
-        sim.run(until=1.0)
-        network.set_node_up("n3", False)
-        publisher.publish("alerts", "lost")
-        sim.run(until=2.0)
-        assert got == []
-
-    def test_brokerless_survives_any_single_failure(self, sim, mesh5):
-        nodes, _, network = mesh5
-        publisher = PubSubNode(sim, network, "n1")
-        subscriber = PubSubNode(sim, network, "n2")
-        got = []
-        subscriber.subscribe("alerts", lambda t, v, at: got.append(v))
-        publisher.add_remote_subscription("alerts", "n2")
-        network.set_node_up("n3", False)   # some other node dies
-        publisher.publish("alerts", "direct")
-        sim.run(until=1.0)
-        assert got == ["direct"]
-
-    def test_local_subscriber_hears_own_publish(self, sim, mesh5):
-        nodes, _, network = mesh5
-        node = PubSubNode(sim, network, "n1")
-        got = []
-        node.subscribe("t", lambda t, v, at: got.append(v))
-        node.publish("t", 1)
-        assert got == [1]
-
-    def test_remove_remote_subscription(self, sim, mesh5):
-        nodes, _, network = mesh5
-        publisher = PubSubNode(sim, network, "n1")
-        publisher.add_remote_subscription("t", "n2")
-        publisher.remove_remote_subscription("t", "n2")
-        publisher.publish("t", 1)
-        sim.run(until=1.0)
-        assert publisher.published == 1
 
 
 class TestDataQuality:

@@ -9,7 +9,7 @@ submodule its table names (``repro/_lazy.py``), not the whole package.
 Whatever no root reaches is imported by tests alone.  That set is
 committed below with the ROADMAP item that will decide each module, so
 dead code cannot re-accumulate silently and the PR that deletes (or
-wires in) a module starts from a checked fact.  Nothing is deleted here.
+wires in) a module starts from a checked fact.
 """
 
 import ast
@@ -20,8 +20,9 @@ from tests.lazy_tables import (LIBRARY_PACKAGES, PACKAGE_ROOT, REPO_ROOT,
 
 #: Modules under ``src/repro`` that only tests import, and who decides.
 #: Item 5 ("the paper's own claims as CI gates") either makes a module
-#: reachable from a gated scenario or hands it to item 11 (iii), the
-#: deletion the map justifies.
+#: reachable from a gated scenario or deletes it, as item 11 (iii) did
+#: with the four that were no paper model (``data.causal``,
+#: ``data.pubsub``, ``governance.audit``, ``simulation.process``).
 ONLY_TESTS_IMPORT = {
     # MAPE-K variants no scenario wires in (Section VII): item 5.
     "repro.adaptation.mdp_planner": 5,
@@ -33,12 +34,6 @@ ONLY_TESTS_IMPORT = {
     "repro.modeling.mdp": 5,
     "repro.modeling.mining": 5,
     "repro.modeling.space": 5,
-    # Data-plane mechanisms no flow uses (Section VI): item 11 (iii).
-    "repro.data.causal": 11,
-    "repro.data.pubsub": 11,
-    "repro.governance.audit": 11,
-    # Generator processes: every plane schedules callbacks: item 11 (iii).
-    "repro.simulation.process": 11,
 }
 
 
@@ -132,9 +127,10 @@ def test_a_name_import_reaches_the_submodule_its_table_names(tmp_path):
     names = set(_imports(str(script)))
     assert {"repro.simulation", "repro.simulation.rng",
             "repro.persistence.scenarios"} <= names
+    # The name reaches its submodule and none of that package's others.
+    assert _reachable(["repro.simulation", "repro.simulation.rng"]) == {
+        "repro", "repro._lazy", "repro.simulation", "repro.simulation.rng"}
     reached = _reachable(names)
-    assert "repro.simulation.rng" in reached
-    assert "repro.simulation.process" not in reached
     # An eagerly importing package brings what its __init__ imports.
     assert "repro.persistence.replay" in reached
 

@@ -97,12 +97,12 @@ class TestFiredBarriers:
             sim.at_fired(0, lambda s: None)
 
     def test_hooks_are_not_snapshot_state(self, sim: Simulator):
-        before = sim.snapshot_state()
-        sim.schedule(1.0, lambda s: None)
+        first = sim.schedule(1.0, lambda s: None)
         sim.at_fired(1, lambda s: None)
+        assert [e["seq"] for e in sim.pending_events()] == [first.seq]
         sim.run(until=2.0)
-        after = sim.snapshot_state()
-        assert before["next_seq"] + 1 == after["next_seq"]
+        assert (sim.now, sim.fired_count, sim.pending_events()) == (2.0, 1, [])
+        assert sim.schedule(1.0, lambda s: None).seq == first.seq + 1
 
 
 # --------------------------------------------------------------------------- #

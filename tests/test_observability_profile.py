@@ -40,7 +40,6 @@ class TestPlaneClassification:
         assert plane_of_label("mape:edge0") == "mape"
         assert plane_of_label("inject:cloud-outage") == "faults"
         assert plane_of_label("meter:tick") == "telemetry"
-        assert plane_of_label("timeout:w1") == "kernel"
 
     def test_dotted_serving_and_security_labels(self):
         # Serving-plane labels are dotted (traffic.serve:edge0); the bare

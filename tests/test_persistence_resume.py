@@ -12,6 +12,7 @@ The headline guarantees:
 """
 
 import json
+import os
 
 import pytest
 
@@ -160,6 +161,42 @@ class TestFastForwardVerification:
         with pytest.raises(CheckpointError, match="digest"):
             fast_forward(prepared.system, drifted)
 
+    def test_digest_mismatch_names_what_drifted(self, tmp_path):
+        directory = str(tmp_path / "c")
+        run_to_checkpoint(ScenarioSpec(name="control-outage"), directory,
+                          at=45.0)
+        checkpoint = Checkpoint.load(default_paths(directory)["checkpoint"])
+
+        def refusal(**changes):
+            fields = dict(scenario=checkpoint.scenario, time=checkpoint.time,
+                          fired=checkpoint.fired, digest=checkpoint.digest,
+                          digest_every=checkpoint.digest_every,
+                          state=checkpoint.state)
+            drifted = Checkpoint(**{**fields, **changes})
+            prepared = prepare(ScenarioSpec.from_dict(drifted.scenario))
+            with pytest.raises(CheckpointError, match="digest mismatch") as err:
+                fast_forward(prepared.system, drifted)
+            return str(err.value)
+
+        # Another seed: the draws differ, and the message says so by stream.
+        reseeded = refusal(scenario={**checkpoint.scenario, "seed": 7})
+        assert reseeded.endswith(
+            "differing fields -- rngs: exec:edge0, exec:edge1, exec:edge2, "
+            "network")
+        # Dict-valued fields list their first five keys, scalars their name.
+        recorded = checkpoint.state["digest_fields"]
+        edited = refusal(digest="0" * 64, state={"digest_fields": {
+            **recorded, "trace_len": -1,
+            "fleet": {**recorded["fleet"], **{f"ghost{i}": True
+                                              for i in range(6)}}}})
+        assert edited.endswith("differing fields -- fleet: ghost0, ghost1, "
+                               "ghost2, ghost3, ghost4; trace_len")
+        # A tampered digest over fields the rebuild reproduces.
+        assert "does not match its own fields" in refusal(digest="0" * 64)
+        # No digest_fields (a shard's checkpoint, a hand-built one): as before.
+        bare = refusal(scenario={**checkpoint.scenario, "seed": 7}, state={})
+        assert bare.endswith("since the checkpoint was taken")
+
     def test_checkpoint_beyond_run_is_refused(self, tmp_path):
         spec = ScenarioSpec(name="control-outage")
         directory = str(tmp_path / "c")
@@ -172,6 +209,39 @@ class TestFastForwardVerification:
         prepared = prepare(ScenarioSpec.from_dict(checkpoint.scenario))
         with pytest.raises(CheckpointError):
             fast_forward(prepared.system, impossible)
+
+
+class TestCheckpointIsABookmark:
+    """What the file stores is what its reader uses: spec, barrier, digest
+    and the digest's fields."""
+
+    def test_a_checkpoint_holds_the_bookmark_and_nothing_else(self, tmp_path):
+        directory = str(tmp_path / "c")
+        spec = describe_scenario("control-outage").spec(quick=True)
+        run_to_checkpoint(spec, directory)
+        path = default_paths(directory)["checkpoint"]
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)["payload"]
+        assert sorted(payload) == ["digest", "digest_every", "fired",
+                                   "scenario", "state", "time", "version"]
+        assert sorted(payload["state"]) == ["digest_fields"]
+        assert os.path.getsize(path) < 4096
+
+    def test_a_checkpoint_with_audit_sections_still_resumes(self, tmp_path):
+        # Files written before the audit sections were dropped carry
+        # ``kernel`` / ``rngs`` / ``fleet`` in ``state``; nothing reads them.
+        spec = ScenarioSpec(name="control-outage")
+        reference, _ = _reference(tmp_path, spec)
+        directory = str(tmp_path / "old")
+        run_to_checkpoint(spec, directory, at=45.0)
+        path = default_paths(directory)["checkpoint"]
+        checkpoint = Checkpoint.load(path)
+        checkpoint.state.update(kernel={"now": -1.0, "pending": [{"t": 0}]},
+                                rngs={"seed": 99, "streams": {"x": [3, [1]]}},
+                                fleet={"ghost": {"up": False}})
+        checkpoint.save(path)
+        resumed = resume_run(directory)
+        assert resumed.final_digest == reference.final_digest
 
 
 class TestReplay:

@@ -58,7 +58,7 @@ class TestKernelSnapshot:
         keep = sim.schedule(1.0, lambda s: None, label="keep")
         drop = sim.schedule(2.0, lambda s: None, label="drop")
         sim.cancel(drop)
-        pending = sim.snapshot_state()["pending"]
+        pending = sim.pending_events()
         assert [e["label"] for e in pending] == ["keep"]
         assert pending[0]["seq"] == keep.seq
 

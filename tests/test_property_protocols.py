@@ -1,11 +1,10 @@
 """Property-based tests on protocol-level invariants: routing validity,
-vector-clock partial order, policy monotonicity, window accounting."""
+policy monotonicity, window accounting."""
 
 import random as random_module
 
 from hypothesis import given, settings, strategies as st
 
-from repro.data.causal import VectorClock
 from repro.data.item import DataItem, DataSensitivity
 from repro.governance.domains import (
     CCPA,
@@ -57,44 +56,6 @@ def test_routes_are_valid_up_paths(n_nodes, edge_seed, down_fraction):
         for a, b in zip(route, route[1:]):
             link = topology.link_between(a, b)
             assert link is not None and link.up
-
-
-# --------------------------------------------------------------------------- #
-# Vector clocks: strict partial order + merge is an upper bound
-# --------------------------------------------------------------------------- #
-clock_strategy = st.dictionaries(st.sampled_from("abcd"),
-                                 st.integers(0, 5), max_size=4)
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=clock_strategy, b=clock_strategy, c=clock_strategy)
-def test_happens_before_is_strict_partial_order(a, b, c):
-    ca, cb, cc = VectorClock(a), VectorClock(b), VectorClock(c)
-    # Irreflexive.
-    assert not ca.happens_before(ca)
-    # Asymmetric.
-    if ca.happens_before(cb):
-        assert not cb.happens_before(ca)
-    # Transitive.
-    if ca.happens_before(cb) and cb.happens_before(cc):
-        assert ca.happens_before(cc)
-    # Trichotomy-ish: exactly one of <, >, ==, || holds.
-    relations = [ca.happens_before(cb), cb.happens_before(ca),
-                 ca == cb, ca.concurrent_with(cb)]
-    assert sum(relations) == 1
-
-
-@settings(max_examples=80, deadline=None)
-@given(a=clock_strategy, b=clock_strategy)
-def test_merge_is_least_upper_bound_ish(a, b):
-    ca, cb = VectorClock(a), VectorClock(b)
-    merged = ca.copy().merge(cb)
-    # Upper bound: neither input is after the merge.
-    assert not merged.happens_before(ca)
-    assert not merged.happens_before(cb)
-    # Pointwise max, exactly.
-    for node in set(a) | set(b):
-        assert merged.get(node) == max(ca.get(node), cb.get(node))
 
 
 # --------------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.persistence import (
+    Checkpoint,
     CheckpointError,
     JournalError,
     ScenarioSpec,
@@ -239,6 +240,9 @@ class TestCrashResume:
                                   stop_after_window=5).run()
         assert not killed.complete
         assert killed.federation_digest is None
+        for shard in range(2):
+            checkpoint = Checkpoint.load(shard_paths(out, shard)["checkpoint"])
+            assert sorted(checkpoint.state) == ["shard", "window"]
 
         resumed = ShardedSimulator.resume(out)
         assert resumed.complete
