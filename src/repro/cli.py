@@ -1,9 +1,9 @@
 """Command-line runner for the reproduction experiments.
 
 ``python -m repro <command>`` runs a quick (or full) version of each
-experiment and prints its tables -- the zero-setup path for a reviewer to
-see the paper's shapes without touching pytest.  ``--json`` emits the same
-tables as machine-readable JSON on stdout.
+experiment, prints its tables and exits 1 if a paper claim on them breaks
+(:mod:`repro.paper`).  ``--json`` emits the same tables as machine-readable
+JSON on stdout.
 
 The commands live in one table (:func:`command_table`): name, handler and
 the arguments the handler takes, one row each; a command's help is its
@@ -147,164 +147,60 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Commands
+# The paper's artifacts: tables plus the claims they must show
 # --------------------------------------------------------------------------- #
-def cmd_maturity(quick: bool = False) -> None:
-    """Tables 1-2: the ML1-ML4 comparison."""
-    from repro.core.assessment import comparison_table
-    from repro.core.maturity import ScenarioParams, run_maturity_comparison
-
-    params = ScenarioParams(
-        n_sites=2 if quick else 3,
-        sensors_per_site=2 if quick else 4,
-        horizon=60.0 if quick else 120.0,
-        seed=42,
-    )
-    _progress(f"running ML1..ML4 ({params.n_sites} sites, "
-              f"{params.horizon:.0f}s horizon)...")
-    reports = run_maturity_comparison(params)
-    _progress("\nTables 1-2 (measured): satisfaction under disruption\n")
-    _print_block("Tables 1-2: satisfaction under disruption",
-                 comparison_table(list(reports.values())))
+#: Command name and help of each paper artifact, in EXPERIMENTS.md order.
+#: Each is the function of that name in :mod:`repro.paper`, imported when
+#: the command runs.
+PAPER_ARTIFACTS: Tuple[Tuple[str, str], ...] = (
+    ("maturity", "Tables 1-2: the ML1-ML4 comparison."),
+    ("landscape", "Fig. 1: edge vs cloud latency and outage continuity."),
+    ("verify", "Fig. 2: model checking and quantitative verification."),
+    ("control", "Fig. 3: centralized vs decentralized control availability."),
+    ("dataflows", "Fig. 4: privacy / freshness / availability of replication."),
+    ("mape", "Fig. 5: MAPE placement vs time-to-repair."),
+    ("ablations", "Ablations: remove one ML4 mechanism at a time."),
+    ("sweep", "Satisfaction of ML1-ML4 vs disruption intensity."),
+    ("mechanisms", "Coordination substrate: detection, SWIM, gossip, Raft."),
+)
 
 
-def cmd_landscape(quick: bool = False) -> None:
-    """Fig. 1: edge vs cloud latency and outage continuity."""
-    from repro.faults.models import PartitionFault
-    from repro.workloads.smart_city import SmartCityWorkload
+def run_paper(name: str, quick: bool = False) -> int:
+    """Print one paper artifact's tables; exit 1 unless its claims hold."""
+    from repro import paper
 
-    districts = 2 if quick else 5
-    sensors = 5 if quick else 20
-    workload = SmartCityWorkload(n_districts=districts,
-                                 sensors_per_district=sensors, seed=7)
-    rows = []
-    for d in range(districts):
-        device = workload.system.sites[f"edge{d}"][0]
-        edge = workload.system.topology.expected_latency(device, f"edge{d}")
-        cloud = workload.system.topology.expected_latency(device, "cloud")
-        rows.append([device, edge * 1000, cloud * 1000, cloud / edge])
-    _print_table("Fig. 1: edge vs cloud one-way latency",
-                 ["device", "edge (ms)", "cloud (ms)", "ratio"], rows)
-    workload.system.injector.inject_at(20.0, PartitionFault(
-        name="outage", duration=20.0, isolate_node="cloud"))
-    workload.run(60.0)
-    ingest = workload.system.metrics.series("city.ingest")
-    _print_table("Fig. 1: edge ingest through a cloud outage",
-                 ["phase", "readings/s"],
-                 [["before", len(ingest.window(0, 20)) / 20.0],
-                  ["during", len(ingest.window(20, 40)) / 20.0],
-                  ["after", len(ingest.window(40, 60)) / 20.0]])
+    tables, claims = getattr(paper, name)(quick)
+    for table in tables:
+        if "text" in table:
+            _progress(f"\n{table['title']}\n")
+            _print_block(**table)
+        else:
+            _print_table(**table)
+    verdict = paper.judge(claims)
+    _print_data(f"paper: {name}", {
+        "ok": verdict.ok, "summary": verdict.summary,
+        "failures": list(verdict.failures),
+        "claims": [{"claim": claim, "holds": holds}
+                   for claim, holds in claims]})
+    _progress(f"\nPAPER GATE: {'OK' if verdict.ok else 'FAIL'} "
+              f"({verdict.summary})")
+    for failure in verdict.failures:
+        _progress(f"  broken: {failure}")
+    return 0 if verdict.ok else 1
 
 
-def cmd_verify(quick: bool = False) -> None:
-    """Fig. 2: model checking and quantitative verification."""
-    from repro.modeling.checker import ModelChecker
-    from repro.modeling.dtmc import availability_dtmc
-    from repro.modeling.lts import build_device_lifecycle_lts, build_grid_lts
-    from repro.modeling.properties import Always, Eventually, LeadsTo, prop
+def _paper_command(name: str, summary: str) -> "Command":
+    def handler(quick: bool = False) -> int:
+        return run_paper(name, quick)
 
-    checker = ModelChecker(build_device_lifecycle_lts())
-    cases = [
-        ("G !(up & down)", Always(~(prop("up") & prop("down")))),
-        ("G (serving -> up)", Always(prop("serving") >> prop("up"))),
-        ("down ~> up", LeadsTo(prop("down"), prop("up"))),
-        ("G !down (false)", Always(~prop("down"))),
-    ]
-    rows = []
-    for label, formula in cases:
-        result = checker.check(formula)
-        rows.append([label, result.holds,
-                     "->".join(map(str, result.counterexample or [])) or "-"])
-    _print_table("Fig. 2: device lifecycle properties",
-                 ["property", "holds", "counterexample"], rows)
-    sizes = [10, 30] if quick else [10, 30, 60, 100]
-    rows = []
-    for size in sizes:
-        result = ModelChecker(build_grid_lts(size, size)).check(
-            Eventually(prop("goal")))
-        rows.append([size * size, result.states_explored, result.holds])
-    _print_table("Fig. 2: checker scaling", ["states", "explored", "holds"], rows)
-    chain, analytic = availability_dtmc(0.05, 0.4)
-    computed = chain.stationary_distribution()["up"]
-    _print_table("Fig. 2: quantitative verification",
-                 ["metric", "value"],
-                 [["analytic availability", analytic],
-                  ["computed availability", computed]])
+    handler.__doc__ = summary
+    return Command(name, handler)
 
 
-def cmd_control(quick: bool = False) -> None:
-    """Fig. 3: centralized vs decentralized control availability."""
-    from repro.experiments import (
-        FIG3_HORIZON,
-        FIG3_OUTAGE,
-        control_availability,
-        run_control_architecture,
-    )
-
-    rows = []
-    for architecture in ("centralized", "decentralized"):
-        system, _ = run_control_architecture(architecture)
-        rows.append([
-            architecture,
-            control_availability(system, 5.0, FIG3_OUTAGE[0]),
-            control_availability(system, FIG3_OUTAGE[0] + 2, FIG3_OUTAGE[1]),
-            control_availability(system, FIG3_OUTAGE[1] + 5, FIG3_HORIZON),
-        ])
-    _print_table("Fig. 3: control availability around a cloud outage",
-                 ["architecture", "before", "during", "after"], rows)
-
-
-def cmd_dataflows(quick: bool = False) -> None:
-    """Fig. 4: privacy / freshness / availability of replication."""
-    from repro.core.system import IoTSystem
-    from repro.data.crdt import PNCounter
-    from repro.data.quorum import QuorumClient, QuorumReplica
-    from repro.data.sync import ReplicaStore, SyncProtocol, converged
-
-    system = IoTSystem.with_edge_cloud_landscape(3, 1, seed=29)
-    edges = system.edge_nodes
-    for edge in edges:
-        QuorumReplica(system.sim, system.network, edge)
-    client = QuorumClient(system.sim, system.network, "d0.0", edges, 2, 2)
-    stores = {}
-    for edge in edges:
-        store = ReplicaStore(edge)
-        store.register("events", PNCounter(edge))
-        stores[edge] = store
-        SyncProtocol(system.sim, system.network, store,
-                     [e for e in edges if e != edge],
-                     system.rngs.stream(f"sync:{edge}"), period=0.5).start()
-
-    def write(s):
-        client.write("k", s.now)
-        stores["edge0"].get("events").increment(1)
-        if s.now < 45.0:
-            s.schedule(1.0, write)
-
-    system.sim.schedule(1.0, write)
-    system.partitions.schedule_outage(20.0, 20.0, "edge1")
-    system.partitions.schedule_outage(20.0, 20.0, "edge2")
-    system.run(until=60.0)
-    _print_table("Fig. 4: CP (quorum) vs AP (CRDT) under a 20s majority cut",
-                 ["metric", "value"],
-                 [["quorum write availability", client.write_availability],
-                  ["CRDT write availability", 1.0],
-                  ["CRDT converged after heal",
-                   converged(list(stores.values()), "events")]])
-
-
-def cmd_mape(quick: bool = False) -> None:
-    """Fig. 5: MAPE placement vs time-to-repair."""
-    from repro.experiments import mape_repair_delays, run_mape_placement
-
-    rows = []
-    for placement in ("cloud", "edge"):
-        system, loops = run_mape_placement(placement)
-        delays = mape_repair_delays(system, loops)
-        missed = sum(loop.missed_observations for loop in loops)
-        rows.append([placement, delays[0], delays[-1], missed])
-    _print_table("Fig. 5: MAPE placement vs time-to-repair",
-                 ["placement", "fastest (s)", "slowest (s)", "missed obs"], rows)
+def cmd_all(quick: bool = False) -> int:
+    """Every paper artifact (Tables 1-2, Figs. 1-5, ablations, sweep,
+    mechanisms), in order; exit 1 if any claim breaks."""
+    return max([run_paper(name, quick) for name, _ in PAPER_ARTIFACTS])
 
 
 # --------------------------------------------------------------------------- #
@@ -1232,13 +1128,6 @@ def cmd_live(quick: bool = False, scenario: str = "traffic-retry-storm",
     return 0
 
 
-def cmd_all(quick: bool = False) -> None:
-    """Every table command (Tables 1-2, Figs. 1-5), in order."""
-    for command in (cmd_maturity, cmd_landscape, cmd_verify, cmd_control,
-                    cmd_dataflows, cmd_mape):
-        command(quick)
-
-
 # --------------------------------------------------------------------------- #
 # The command table: one row per command; parser and dispatch come from it
 # --------------------------------------------------------------------------- #
@@ -1323,12 +1212,7 @@ def command_table() -> Tuple[Command, ...]:
     every = scenario([s.name for s in scenarios])
     observed = scenario([s.name for s in scenarios if s.monitored])
     return (
-        Command("maturity", cmd_maturity),
-        Command("landscape", cmd_landscape),
-        Command("verify", cmd_verify),
-        Command("control", cmd_control),
-        Command("dataflows", cmd_dataflows),
-        Command("mape", cmd_mape),
+        *(_paper_command(name, summary) for name, summary in PAPER_ARTIFACTS),
         Command("all", cmd_all),
         Command("trace", cmd_trace, (observed,)),
         Command("monitor", cmd_monitor, (observed, _STRICT)),

@@ -75,7 +75,7 @@ class ScenarioParams:
     sensor_period: float = 1.0
     latency_deadline: float = 0.15      # a realistic end-to-end SLA; the
     # *stringent* (<30ms) latency story -- where cloud paths structurally
-    # fail -- is measured separately in the Fig. 1 landscape benchmark.
+    # fail -- is measured separately in the Fig. 1 landscape artifact.
     freshness_max_age: float = 6.0
     probe_period: float = 0.5
     aggregate_push_period: float = 2.0
@@ -85,7 +85,7 @@ class ScenarioParams:
     disruption: bool = True
     # When set, replaces the scripted schedule with a seeded stochastic one
     # of this intensity (expected faults per second) -- used by the
-    # disruption-intensity sweep bench.
+    # disruption-intensity sweep artifact.
     disruption_rate: Optional[float] = None
     disruption_mean_duration: float = 15.0
 
@@ -123,12 +123,17 @@ class _ProcServiceFailure(Fault):
 
 
 class MaturityScenario:
-    """One maturity level running the common workload."""
+    """One maturity level running the common workload.
 
-    def __init__(self, level: MaturityLevel, params: Optional[ScenarioParams] = None) -> None:
+    ``features`` defaults to the level's row of the feature table; the
+    ablation passes a copy with one mechanism switched off.
+    """
+
+    def __init__(self, level: MaturityLevel, params: Optional[ScenarioParams] = None,
+                 features: Optional[MaturityFeatures] = None) -> None:
         self.level = level
         self.params = params or ScenarioParams()
-        self.features: MaturityFeatures = features_of(level)
+        self.features: MaturityFeatures = features or features_of(level)
         self.system = IoTSystem.with_edge_cloud_landscape(
             self.params.n_sites, self.params.sensors_per_site,
             seed=self.params.seed, device_class=DeviceClass.GATEWAY,
@@ -655,7 +660,7 @@ def run_maturity_comparison(
     params: Optional[ScenarioParams] = None,
     levels: Optional[List[MaturityLevel]] = None,
 ) -> Dict[MaturityLevel, ResilienceReport]:
-    """Run the common workload under each maturity level (the T1/T2 bench)."""
+    """Run the common workload under each maturity level (Tables 1-2)."""
     levels = levels or list(MaturityLevel)
     out: Dict[MaturityLevel, ResilienceReport] = {}
     for level in levels:

@@ -1,8 +1,9 @@
-"""Reusable experiment runners shared by benchmarks and the CLI.
+"""Reusable experiment runners shared by the paper artifacts and scenarios.
 
 Each function builds, disrupts and runs one of the Fig. 3 / Fig. 5
-comparisons and returns the live objects for measurement.  The benchmark
-files add timing and shape assertions; the CLI prints tables.
+comparisons and returns the live objects for measurement.
+:mod:`repro.paper` tabulates them and judges their claims; the registered
+scenarios below rebuild the same wiring for checkpoint, resume and replay.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ FIG3_OUTAGE = (30.0, 60.0)
 FIG3_STALENESS = 3.0
 
 
-def _make_loop(system: IoTSystem, host: str, scope: List[str],
-               extra_analyzers: Tuple = ()) -> MapeLoop:
+def make_loop(system: IoTSystem, host: str, scope: List[str],
+              extra_analyzers: Tuple = ()) -> MapeLoop:
+    """A 1 s service-health + liveness MAPE loop on ``host`` over ``scope``."""
     return MapeLoop(
         system.sim, system.network, system.fleet, host, scope,
         analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
@@ -66,10 +68,10 @@ def prepare_control_architecture(architecture: str, seed: int = 11
     loops: List[MapeLoop] = []
     if architecture == "centralized":
         scope = [d for ds in system.sites.values() for d in ds]
-        loops.append(_make_loop(system, "cloud", scope))
+        loops.append(make_loop(system, "cloud", scope))
     else:
         for edge, devices in sorted(system.sites.items()):
-            loops.append(_make_loop(system, edge, list(devices)))
+            loops.append(make_loop(system, edge, list(devices)))
     for loop in loops:
         loop.start()
     _probe_control(system, loops)
@@ -148,10 +150,10 @@ def prepare_mape_placement(placement: str, seed: int = 19,
     stale = (StaleKnowledgeAnalyzer(5.0),)
     if placement == "cloud":
         scope = [d for ds in system.sites.values() for d in ds]
-        loops.append(_make_loop(system, "cloud", scope, extra_analyzers=stale))
+        loops.append(make_loop(system, "cloud", scope, extra_analyzers=stale))
     else:
         for edge, devices in sorted(system.sites.items()):
-            loops.append(_make_loop(system, edge, list(devices),
+            loops.append(make_loop(system, edge, list(devices),
                                     extra_analyzers=stale))
     for loop in loops:
         loop.start()

@@ -4,7 +4,7 @@ Experiments need two styles of disruption:
 
 * :class:`DisruptionSchedule` -- an explicit, scripted list of
   ``(time, fault)`` pairs, identical across the architectures being
-  compared (the maturity-level benchmark relies on this).
+  compared (the maturity-level comparison relies on this).
 * :class:`RandomDisruptionGenerator` -- a seeded stochastic process
   (exponential inter-arrivals over a configurable fault mix), for
   experiments that sweep disruption *intensity*.

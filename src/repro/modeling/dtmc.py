@@ -208,7 +208,7 @@ def availability_dtmc(failure_rate: float, repair_rate: float,
     """The classic two-state up/down chain, plus its analytic availability.
 
     Returned analytic value ``repair / (failure + repair)`` is the check
-    oracle used by tests and the Fig. 2 benchmark.
+    oracle used by tests and the Fig. 2 artifact.
     """
     if not 0.0 < failure_rate < 1.0 or not 0.0 < repair_rate < 1.0:
         raise ValueError("rates must be in (0, 1)")

@@ -150,7 +150,7 @@ class LabelledTransitionSystem:
 def build_device_lifecycle_lts(device_id: str = "device") -> LabelledTransitionSystem:
     """The canonical per-device model: up / degraded / down / recovering.
 
-    Used in examples, the verification benchmark, and as the component
+    Used in examples, the Fig. 2 artifact, and as the component
     model in parallel compositions.
     """
     lts = LabelledTransitionSystem(name=f"lifecycle:{device_id}")
@@ -182,7 +182,7 @@ def build_chain_lts(length: int, name: str = "chain") -> LabelledTransitionSyste
 
 def build_grid_lts(width: int, height: int, name: str = "grid") -> LabelledTransitionSystem:
     """A width x height grid with right/down moves; O(w*h) states for
-    checker scaling benchmarks."""
+    checker scaling measurements."""
     lts = LabelledTransitionSystem(name=name)
     for x in range(width):
         for y in range(height):

@@ -2,8 +2,8 @@
 
 The scenario of Fig. 1 in miniature: per-district traffic sensors feed an
 edge analytics service which issues timing commands to signal actuators;
-a city dashboard aggregates district summaries.  Used by the quickstart
-bench (F1) and the smart-city example.
+a city dashboard aggregates district summaries.  Used by the Fig. 1
+artifact (``repro.paper.landscape``) and the smart-city example.
 """
 
 from __future__ import annotations

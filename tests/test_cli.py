@@ -30,6 +30,17 @@ class TestCli:
         assert "edge vs cloud" in out
         assert "during" in out
 
+    @pytest.mark.parametrize("command,title", [
+        ("ablations", "removing one ML4 mechanism at a time"),
+        ("sweep", "vs disruption intensity"),
+        ("mechanisms", "Gossip convergence time"),
+    ])
+    def test_paper_artifact_gated(self, command, title, capsys):
+        assert main([command]) == 0
+        out = capsys.readouterr().out
+        assert title in out
+        assert "PAPER GATE: OK" in out
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["warp-drive"])
