@@ -27,7 +27,6 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.trace import TraceLog
 
 
-@dataclass
 class Message:
     """A datagram between two endpoints.
 
@@ -36,20 +35,59 @@ class Message:
     ``span`` carries the causal context of the send (when the network has
     a :class:`~repro.observability.spans.SpanRecorder` attached), so work
     the handler triggers is attributed to the message that caused it.
+    ``auth`` is the message-authentication tag (set by a signing
+    interceptor, checked by the delivery verifier).  None means
+    "unauthenticated" -- whether that is acceptable is the verifier's
+    policy, not the transport's.
+
+    One is built per send, so this is a plain slotted class rather than a
+    dataclass; it keeps the dataclass's contract (same fields, order and
+    defaults, ``==`` ignoring ``span`` and ``auth``, unhashable), which
+    ``tests/test_message_path_oracles.py`` holds it to.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any = None
-    size_bytes: int = 256
-    msg_id: int = field(default=-1)
-    sent_at: float = field(default=0.0)
-    span: Optional[SpanContext] = field(default=None, compare=False)
-    # Message-authentication tag (set by a signing interceptor, checked by
-    # the delivery verifier).  None means "unauthenticated" -- whether that
-    # is acceptable is the verifier's policy, not the transport's.
-    auth: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id",
+                 "sent_at", "span", "auth")
+
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any = None,
+        size_bytes: int = 256,
+        msg_id: int = -1,
+        sent_at: float = 0.0,
+        span: Optional[SpanContext] = None,
+        auth: Optional[str] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.msg_id = msg_id
+        self.sent_at = sent_at
+        self.span = span
+        self.auth = auth
+
+    def _compared(self) -> tuple:
+        return (self.src, self.dst, self.kind, self.payload, self.size_bytes,
+                self.msg_id, self.sent_at)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, as the dataclass was
+
+    def __repr__(self) -> str:
+        return (f"Message(src={self.src!r}, dst={self.dst!r}, "
+                f"kind={self.kind!r}, payload={self.payload!r}, "
+                f"size_bytes={self.size_bytes!r}, msg_id={self.msg_id!r}, "
+                f"sent_at={self.sent_at!r}, span={self.span!r}, "
+                f"auth={self.auth!r})")
 
 
 @dataclass
@@ -198,20 +236,18 @@ class Network:
         payload: Any = None,
         size_bytes: int = 256,
     ) -> Message:
-        """Send a datagram; returns the message (delivery not guaranteed)."""
+        """Send a datagram; returns the message (delivery not guaranteed).
+
+        Everything a send decides -- interceptors, the ACL, liveness, the
+        route and each hop's loss/latency draw -- runs in this one frame;
+        a surviving message is scheduled for :meth:`_deliver`.
+        """
         router = self.remote_router
         if router is not None and router.routes(src, dst):
             return router.send(src, dst, kind, payload, size_bytes)
         now = self.sim.now
-        message = Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            msg_id=next(self._msg_ids),
-            sent_at=now,
-        )
+        message = Message(src, dst, kind, payload, size_bytes,
+                          next(self._msg_ids), now)
         stats = self.stats
         stats.sent += 1
         totals = stats.per_source.get(src)
@@ -232,6 +268,8 @@ class Network:
                 context, f"msg:{kind}", "message", now,
                 src=src, dst=dst, msg_id=message.msg_id)
             message.span = span.context
+        # Interceptors may replace ``payload`` and set ``auth``; src, dst,
+        # kind and size are theirs to read only, so the locals stay valid.
         extra_delay = 0.0
         for interceptor in self._interceptors:
             outcome = interceptor(message)
@@ -241,39 +279,32 @@ class Network:
                 self._drop(message, "intercepted", span)
                 return message
             extra_delay += float(outcome)
-        self._dispatch(message, span, extra_delay)
-        return message
-
-    def _dispatch(self, message: Message, span, extra_delay: float = 0.0) -> None:
-        src, dst = message.src, message.dst
-        if self._quarantined and (src in self._quarantined
-                                  or dst in self._quarantined):
+        quarantined = self._quarantined
+        if quarantined and (src in quarantined or dst in quarantined):
             self._drop(message, "quarantined", span)
-            return
+            return message
         down = self._down_nodes
         if down and (src in down or dst in down):
             self._drop(message, "unreachable", span)
-            return
+            return message
         route = self.topology.route_links(src, dst)
         if route is None:
             self._drop(message, "unreachable", span)
-            return
+            return message
         path, links = route
         if down and any(node in down for node in path[1:-1]):
             # Down relays are invisible to shortest-path; model them as a
             # black hole, which is what a crashed gateway is.
             self._drop(message, "unreachable", span)
-            return
-        size_bytes = message.size_bytes
+            return message
         total_latency = 0.0
         for link in links:
             hop = link.model.sample(size_bytes)
             if hop is None:
                 self._drop(message, "loss", span)
-                return
+                return message
             total_latency += hop
         total_latency += extra_delay
-        kind = message.kind
         try:
             label = self._deliver_labels[kind]
         except KeyError:
@@ -285,6 +316,7 @@ class Network:
             partial(self._deliver, message, total_latency, span),
             label=label,
         )
+        return message
 
     def _deliver(self, message: Message, latency: float, span=None,
                  _sim: Optional[Simulator] = None) -> None:

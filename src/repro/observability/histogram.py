@@ -75,8 +75,12 @@ class StreamingHistogram:
             self.overflow += weight
         self.count += weight
         self.total += value * weight
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        # min()/max() written out: the same winner (a NaN never replaces
+        # a bound, ties keep the incumbent) without two builtin calls.
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Fold ``other`` into self (bounds must match); returns self."""

@@ -191,16 +191,15 @@ class MetricsRecorder:
         """A bound fast-path incrementer for hot loops.
 
         The returned callable closes over the counter dict and key, so a
-        per-event increment costs one dict store instead of an attribute
-        lookup, a method call and a ``.get`` default.  Semantically
-        identical to :meth:`increment` (same counter, digest-visible the
-        same way).
+        per-event increment skips the attribute lookup and method call of
+        :meth:`increment`.  Semantically identical to it (same counter,
+        digest-visible the same way): the counter comes into being on the
+        first add, so an adder that is never called leaves no key behind.
         """
         counters = self._counters
-        counters.setdefault(name, 0.0)
 
         def add(amount: float = 1.0) -> None:
-            counters[name] = counters[name] + amount
+            counters[name] = counters.get(name, 0.0) + amount
 
         return add
 

@@ -11,13 +11,20 @@ simplest faithful form.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class _TraceEventFields(NamedTuple):
+    time: float
+    category: str
+    name: str
+    subject: str
+    attrs: Dict[str, Any]
+
+
+class TraceEvent(_TraceEventFields):
     """One structured occurrence.
 
     Attributes
@@ -33,13 +40,20 @@ class TraceEvent:
         The entity the event concerns (device id, link id, ...).
     attrs:
         Free-form details.
+
+    Immutable and tuple-backed: every emit builds one, and a tuple is
+    built in a single call where a frozen dataclass sets each field
+    through ``object.__setattr__``.  Construction keeps the frozen
+    dataclass's signature, and an omitted ``attrs`` is a fresh dict.
     """
 
-    time: float
-    category: str
-    name: str
-    subject: str = ""
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, time: float, category: str, name: str,
+                subject: str = "",
+                attrs: Optional[Dict[str, Any]] = None) -> "TraceEvent":
+        return tuple.__new__(cls, (time, category, name, subject,
+                                   {} if attrs is None else attrs))
 
     def matches(
         self,
@@ -100,7 +114,7 @@ class TraceLog:
             raise ValueError(
                 f"trace time went backwards: {time} < {self._events[-1].time}"
             )
-        event = TraceEvent(time=time, category=category, name=name, subject=subject, attrs=attrs)
+        event = TraceEvent(time, category, name, subject, attrs)
         if self.maxlen is not None and len(self._events) == self.maxlen:
             self.dropped += 1
         self._events.append(event)

@@ -78,6 +78,7 @@ class OpenLoopGenerator:
         self.priority = priority
         self.arrivals = 0          # arrival events fired
         self._event = None
+        self._label = f"traffic.arrival:{client.name}"
 
     def _gap(self) -> float:
         if self.process == "deterministic":
@@ -94,7 +95,7 @@ class OpenLoopGenerator:
             self._event = None
             return
         self._event = self.sim.schedule_at(
-            at, self._fire, label=f"traffic.arrival:{self.client.name}")
+            at, self._fire, label=self._label)
 
     def _fire(self, sim: Simulator) -> None:
         self.arrivals += 1
@@ -163,6 +164,7 @@ class ClosedLoopGenerator:
         self.cycles = 0            # completed submit->response cycles
         self._worker_of_call: Dict[int, int] = {} # req_id -> worker index
         self._submitting: Optional[int] = None    # worker inside submit()
+        self._label = f"traffic.think:{client.name}"
         client.on_complete = self._completed
 
     def start(self) -> None:
@@ -175,7 +177,7 @@ class ClosedLoopGenerator:
             return
         self.sim.schedule_at(
             at, lambda _s, w=worker: self._submit(w),
-            label=f"traffic.think:{self.client.name}")
+            label=self._label)
 
     def _submit(self, worker: int) -> None:
         # A breaker fast-fail completes synchronously inside submit();

@@ -16,6 +16,7 @@ the signal the planner's overload rule (shed / re-route) consumes.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Dict, List, Optional
 
@@ -54,7 +55,6 @@ class ServiceModel:
         if self.kind == "deterministic":
             unit = self.mean
         elif self.kind == "lognormal":
-            import math
             mu = math.log(self.mean) - self.sigma ** 2 / 2.0
             unit = rng.lognormvariate(mu, self.sigma)
         else:
@@ -116,6 +116,15 @@ class Server:
         self._above_since: Optional[float] = None
         self._last_signal: Optional[float] = None
         self._bp_event = None
+        # This node's counter keys, event labels and series names, formatted
+        # once instead of per request; reply kinds are cached per client.
+        self._rejected_key = f"traffic.server.rejected:{node}"
+        self._served_key = f"traffic.server.served:{node}"
+        self._serve_label = f"traffic.serve:{node}"
+        self._serve_span = f"serve:{node}"
+        self._qdepth_series = f"traffic.qdepth:{node}"
+        self._bp_label = f"traffic.backpressure:{node}"
+        self._reply_kinds: Dict[str, str] = {}
         network.register(node, REQUEST_KIND, self._on_request)
 
     # -- queue state ------------------------------------------------------- #
@@ -147,7 +156,7 @@ class Server:
     def _reject(self, payload: Dict[str, Any], weight: int, reason: str) -> None:
         self.rejected += weight
         if self.metrics is not None:
-            self.metrics.increment(f"traffic.server.rejected:{self.node}", weight)
+            self.metrics.increment(self._rejected_key, weight)
         if self.trace is not None:
             self.trace.emit(self.sim.now, "traffic", "reject",
                             subject=self.node, reason=reason,
@@ -169,7 +178,7 @@ class Server:
         self._serving_seq += 1
         self.sim.schedule(
             duration, lambda _s, t=token: self._complete(t),
-            label=f"traffic.serve:{self.node}",
+            label=self._serve_label,
         )
         self._in_service[token] = {
             "payload": payload,
@@ -183,7 +192,7 @@ class Server:
         weight = int(payload.get("weight", 1))
         self.served += weight
         if self.metrics is not None:
-            self.metrics.increment(f"traffic.server.served:{self.node}", weight)
+            self.metrics.increment(self._served_key, weight)
         now = self.sim.now
         queued_for = entry["started"] - entry["enqueued_at"]
         service_time = now - entry["started"]
@@ -192,7 +201,7 @@ class Server:
             context = spans.admit("traffic")
             if context is not None:
                 spans.finish(spans.begin(
-                    context, f"serve:{self.node}", "traffic", now,
+                    context, self._serve_span, "traffic", now,
                     client=payload.get("client"),
                     req_id=payload.get("req_id"), queued_for=queued_for,
                     service_time=service_time, weight=weight), now)
@@ -210,14 +219,17 @@ class Server:
             "server": self.node,
         }
         body.update(extra)
-        self.network.send(self.node, payload["origin"],
-                          reply_kind(payload["client"]), payload=body,
-                          size_bytes=128)
+        client = payload["client"]
+        try:
+            kind = self._reply_kinds[client]
+        except KeyError:
+            kind = self._reply_kinds[client] = reply_kind(client)
+        self.network.send(self.node, payload["origin"], kind, body, 128)
 
     def _record_depth(self) -> None:
         if self.metrics is not None:
-            self.metrics.set_level(f"traffic.qdepth:{self.node}",
-                                   self.sim.now, float(len(self._queue)))
+            self.metrics.set_level(self._qdepth_series, self.sim.now,
+                                   float(len(self._queue)))
 
     # -- load shedding / backpressure -------------------------------------- #
     def shed(self, factor: float = 0.5) -> None:
@@ -237,7 +249,7 @@ class Server:
         if self._bp_event is None:
             self._bp_event = self.sim.schedule(
                 self.backpressure_period, self._bp_tick,
-                label=f"traffic.backpressure:{self.node}")
+                label=self._bp_label)
 
     def _bp_tick(self, sim: Simulator) -> None:
         depth = len(self._queue)
@@ -264,7 +276,7 @@ class Server:
             self._above_since = None
         self._bp_event = sim.schedule(
             self.backpressure_period, self._bp_tick,
-            label=f"traffic.backpressure:{self.node}")
+            label=self._bp_label)
 
     # -- reporting ---------------------------------------------------------- #
     def summary(self) -> Dict[str, Any]:

@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Key under which the registry installs itself in ``sim.context``.
 CONTEXT_KEY = "traffic"
 
-_COUNTERS = ("offered", "completed", "failed", "rejected", "timed_out",
+#: The weighted outcome counters, in ``to_dict`` order.
+COUNTERS = ("offered", "completed", "failed", "rejected", "timed_out",
              "short_circuited", "retries", "hedges", "late")
 
 
@@ -59,13 +60,13 @@ class TrafficStats:
         return self.completed / self.offered if self.offered else None
 
     def merge(self, other: "TrafficStats") -> "TrafficStats":
-        for name in _COUNTERS:
+        for name in COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.latency.merge(other.latency)
         return self
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {name: getattr(self, name) for name in _COUNTERS}
+        out: Dict[str, Any] = {name: getattr(self, name) for name in COUNTERS}
         out["success_ratio"] = self.success_ratio
         out["latency"] = {
             "count": self.latency.count,

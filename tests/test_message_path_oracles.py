@@ -3,27 +3,36 @@
 ``SpanRecorder.admit`` + ``begin`` against the monolithic ``start`` they
 were cut from, ``LatencyModel.sample`` against ``sample_loss`` then
 ``sample_latency``, ``Simulator.run`` against a ``next_event_time()`` +
-``step()`` loop, and the one-encoder exporters against ``json.dumps`` per
-record.  Every digest in ``golden_runs.json`` depends on these four being
-exact, so each is checked over generated programs, not a few examples.
+``step()`` loop, the one-encoder exporters against ``json.dumps`` per
+record, the slotted ``Message`` and tuple-backed ``TraceEvent`` against
+the dataclasses they replaced, and ``StreamingHistogram.observe``'s
+comparisons against ``min()``/``max()``.  Every digest in ``golden_runs.json``
+depends on these seams being exact, so each is checked over generated
+inputs, not a few examples.
 """
 
+import dataclasses
 import enum
 import itertools
 import json
+import math
 import random
 from contextlib import contextmanager
 from time import perf_counter
+from typing import Any, Dict, Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.link import LatencyModel, LinkProfile
+from repro.network.transport import Message
 from repro.observability.export import (
     chrome_trace_events,
     write_chrome_trace,
     write_events_jsonl,
     write_spans_jsonl,
 )
+from repro.observability.histogram import StreamingHistogram
 from repro.observability.instrument import Instrument
 from repro.observability.overhead import (
     DROPPED_TRACE_ID,
@@ -538,3 +547,176 @@ def test_exporters_write_what_dumps_per_record_writes(
     assert read("trace.json") == json.dumps(
         {"traceEvents": records, "displayTimeUnit": "ms"},
         default=_reference_default)
+
+
+# --------------------------------------------------------------------------- #
+# (e) Message and TraceEvent keep the dataclass contract they replace
+# --------------------------------------------------------------------------- #
+@dataclasses.dataclass
+class _DataclassMessage:
+    """``Message`` as it was: a mutable dataclass, the reference."""
+
+    src: str
+    dst: str
+    kind: str
+    payload: Any = None
+    size_bytes: int = 256
+    msg_id: int = dataclasses.field(default=-1)
+    sent_at: float = dataclasses.field(default=0.0)
+    span: Optional[SpanContext] = dataclasses.field(default=None,
+                                                    compare=False)
+    auth: Optional[str] = dataclasses.field(default=None, compare=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassTraceEvent:
+    """``TraceEvent`` as it was: a frozen dataclass, the reference."""
+
+    time: float
+    category: str
+    name: str
+    subject: str = ""
+    attrs: Dict[str, Any] = dataclasses.field(default_factory=dict)
+
+
+_MESSAGE_FIELDS = [f.name for f in dataclasses.fields(_DataclassMessage)]
+_EVENT_FIELDS = [f.name for f in dataclasses.fields(_DataclassTraceEvent)]
+
+
+def _field_values(obj, names):
+    return tuple(getattr(obj, name) for name in names)
+
+
+def _split_args(draw, names, values):
+    """The same values as positional args, keywords, or left to default
+    (the first three fields of both classes have no default)."""
+    positional = draw(st.integers(3, len(names)))
+    kwargs = {name: value for name, value in zip(names[positional:],
+                                                  values[positional:])
+              if draw(st.booleans())}
+    return values[:positional], kwargs
+
+
+# Few distinct values per field, so generated pairs are often equal.
+_MESSAGE_VALUES = st.tuples(
+    st.sampled_from(["edge0", "cloud"]), st.sampled_from(["d0.0", "edge1"]),
+    st.sampled_from(["gossip", "traffic.request"]),
+    st.one_of(st.none(), st.sampled_from([{"v": 1}, [1, 2]]), _VALUES),
+    st.sampled_from([256, 128, 0]), st.integers(-1, 2),
+    st.sampled_from([0.0, 1.5, -0.0]),
+    st.one_of(st.none(), st.builds(SpanContext, st.sampled_from(["t0001"]),
+                                   st.sampled_from(["s000001", "s000002"]))),
+    st.one_of(st.none(), st.sampled_from(["tag-a", "tag-b"])))
+
+
+@st.composite
+def _message_pairs(draw):
+    """One set of field values, the same values split into positional /
+    keyword / default in two ways, and a second set sharing some fields."""
+    values = draw(_MESSAGE_VALUES)
+    other = draw(_MESSAGE_VALUES)
+    mixed = tuple(b if draw(st.booleans()) else a
+                  for a, b in zip(values, other))
+    return [_split_args(draw, _MESSAGE_FIELDS, list(v))
+            for v in (values, mixed)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_message_pairs())
+def test_message_is_built_and_compared_like_the_dataclass(pair):
+    made = [Message(*args, **kwargs) for args, kwargs in pair]
+    reference = [_DataclassMessage(*args, **kwargs) for args, kwargs in pair]
+    for new, old in zip(made, reference):
+        assert _field_values(new, _MESSAGE_FIELDS) == _field_values(
+            old, _MESSAGE_FIELDS)
+        assert repr(new) == repr(old).replace("_DataclassMessage", "Message")
+        # Mutable, and unhashable as the eq-without-frozen dataclass was.
+        with pytest.raises(TypeError):
+            hash(new)
+        new.payload, new.auth = {"replaced": True}, "signed"
+        assert (new.payload, new.auth) == ({"replaced": True}, "signed")
+        new.payload, new.auth = old.payload, old.auth
+        assert new != old and not new == old   # another class: not equal
+    a, b = made
+    ref_a, ref_b = reference
+    assert (a == b) is (ref_a == ref_b)
+    assert (a != b) is (ref_a != ref_b)
+    # span and auth never take part in equality.
+    twin = Message(a.src, a.dst, a.kind, a.payload, a.size_bytes, a.msg_id,
+                   a.sent_at, span=None if a.span else SpanContext("t", "s"),
+                   auth=None if a.auth else "other")
+    assert a == twin
+
+
+def test_message_slots_refuse_unknown_attributes():
+    message = Message("a", "b", "k")
+    with pytest.raises(AttributeError):
+        message.hops = 3
+    assert (message.payload, message.size_bytes, message.msg_id,
+            message.sent_at, message.span, message.auth) == (
+        None, 256, -1, 0.0, None, None)
+
+
+_EVENT_VALUES = st.tuples(
+    st.floats(0, 1e4, allow_nan=False),
+    st.sampled_from(["message", "traffic", "défaut"]),
+    st.text(max_size=8), st.text(max_size=8), _ATTRS)
+
+
+@st.composite
+def _event_builds(draw):
+    return [_split_args(draw, _EVENT_FIELDS, list(draw(_EVENT_VALUES)))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(builds=_event_builds(), value=st.one_of(st.none(), st.integers()))
+def test_trace_event_is_built_like_the_frozen_dataclass(
+        builds, value, tmp_path_factory):
+    made = [TraceEvent(*args, **kwargs) for args, kwargs in builds]
+    reference = [_DataclassTraceEvent(*args, **kwargs)
+                 for args, kwargs in builds]
+    for new, old in zip(made, reference):
+        assert _field_values(new, _EVENT_FIELDS) == _field_values(
+            old, _EVENT_FIELDS)
+        assert repr(new) == repr(old).replace("_DataclassTraceEvent",
+                                              "TraceEvent")
+        for name in _EVENT_FIELDS + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(new, name, value)
+            with pytest.raises(AttributeError):
+                setattr(old, name, value)
+        assert _field_values(new, _EVENT_FIELDS) == _field_values(
+            old, _EVENT_FIELDS)
+    out = tmp_path_factory.mktemp("events")
+    assert write_events_jsonl(made, str(out / "new.jsonl")) == len(made)
+    write_events_jsonl(reference, str(out / "old.jsonl"))
+    assert (out / "new.jsonl").read_bytes() == (out / "old.jsonl").read_bytes()
+
+
+def test_each_trace_event_gets_its_own_default_attrs():
+    first, second = TraceEvent(1.0, "c", "n"), TraceEvent(1.0, "c", "n",
+                                                          subject="s")
+    assert first.attrs == second.attrs == {} and first.attrs is not second.attrs
+    first.attrs["k"] = 1
+    assert second.attrs == {} and TraceEvent(2.0, "c", "n").attrs == {}
+    assert TraceEvent(time=0.0, category="c", name="n").subject == ""
+
+
+# --------------------------------------------------------------------------- #
+# (f) StreamingHistogram.observe's comparisons == folding min() / max()
+# --------------------------------------------------------------------------- #
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), math.inf, -math.inf, 1.0])),
+    max_size=12))
+def test_histogram_bounds_are_what_min_and_max_keep(values):
+    hist = StreamingHistogram()
+    low, high = math.inf, -math.inf
+    for value in values:
+        hist.observe(value)
+        low, high = min(low, value), max(high, value)
+        # repr tells -0.0 from 0.0 and shows a NaN: the same winner, ties
+        # and NaNs included, not just an equal number.
+        assert (repr(hist._min), repr(hist._max)) == (repr(low), repr(high))

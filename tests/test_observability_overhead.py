@@ -162,6 +162,18 @@ class TestOverheadMeter:
         system.metrics.increment("fast", 0.5)
         assert system.metrics.counter("fast") == 4.0
 
+    def test_unused_counter_adder_adds_no_counter(self):
+        system = IoTSystem.with_edge_cloud_landscape(1, 1, seed=3)
+        system.run(until=2.0)
+        names, digest = system.metrics.counter_names, system_digest(system)
+        system.metrics.counter_adder("never.called")
+        assert system.metrics.counter_names == names
+        assert system_digest(system) == digest
+        # ...and the first add creates it, as increment would.
+        system.metrics.counter_adder("never.called")(2.0)
+        assert system.metrics.counter_names == sorted(names + ["never.called"])
+        assert system.metrics.counter("never.called") == 2.0
+
 
 class TestTelemetryHealth:
     @pytest.fixture()
