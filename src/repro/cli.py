@@ -118,6 +118,11 @@ def _print_table(title: str, headers: List[str], rows: List[List[object]]) -> No
         print("  ".join(fmt(cell).ljust(widths[i]) for i, cell in enumerate(row)))
 
 
+def _print_section(title: str, section: Any) -> None:
+    """A report section (:class:`repro.observability.export.Section`)."""
+    _print_table(title, section.headers, section.rows)
+
+
 def _print_block(title: str, text: str) -> None:
     """Pre-formatted text output (e.g. the maturity comparison table)."""
     if _JSON_COLLECTOR is not None:
@@ -292,24 +297,18 @@ def _run_monitored(quick: bool, scenario: str, strict: bool,
     return run.system, monitor, flight, run.journal_path
 
 
-def _print_vector_kpis(title: str, report) -> None:
-    _print_table(title,
-                 ["vector", "faults", "resolved", "MTTD mean (s)",
-                  "MTTR mean (s)", "msgs/disruption", "disrupted (s)"],
-                 report.vector_rows())
-
-
-def _incident_rows(flight) -> List[List[object]]:
-    """Diagnosis table rows for a triggered flight recorder."""
-    diagnosis = flight.diagnosis
-    return diagnosis.table_rows() if diagnosis is not None else []
-
-
 def cmd_monitor(quick: bool = False, scenario: str = "smart-city-partition",
                 strict: bool = False, out: str = "trace-out") -> int:
     """Run under live SLO evaluation; print resilience KPIs per disruption
     vector; exit 1 on an SLO breach (CI-gateable)."""
     import shutil
+
+    from repro.observability.export import (
+        incident_section,
+        run_kpi_section,
+        slo_section,
+        vector_kpi_section,
+    )
 
     _progress(f"running monitored scenario {scenario!r}"
               f"{' (strict SLOs)' if strict else ''}...")
@@ -319,24 +318,11 @@ def cmd_monitor(quick: bool = False, scenario: str = "smart-city-partition",
     system.spans.finish_open(system.sim.now)
     report = system.kpi_report()
 
-    _print_vector_kpis(
+    _print_section(
         f"monitor: resilience KPIs by disruption vector ({scenario}, "
-        f"horizon {system.sim.now:.0f}s)", report)
-    global_rows = [
-        ["availability (fleet mean)", report.availability],
-        ["availability (worst device)", report.worst_availability],
-        ["degraded device-time (s)", report.degraded_time],
-        ["runtime-monitor violations", report.violations],
-        ["SLO breach alerts", report.alerts],
-    ]
-    for protocol, stats in sorted(report.convergence.items()):
-        global_rows.append([f"convergence: {protocol} mean (s)", stats["mean"]])
-        global_rows.append([f"convergence: {protocol} p95 (s)", stats["p95"]])
-    _print_table("monitor: run-level KPIs", ["KPI", "value"], global_rows)
-    _print_table(
-        "monitor: SLOs",
-        ["SLO", "kind", "objective", "measured", "burn rate", "status"],
-        monitor.table_rows())
+        f"horizon {system.sim.now:.0f}s)", vector_kpi_section(report))
+    _print_section("monitor: run-level KPIs", run_kpi_section(report))
+    _print_section("monitor: SLOs", slo_section(monitor))
     _print_data("monitor: kpis", report.to_dict())
     _print_data("monitor: slos", monitor.to_dict())
     if monitor.ever_breached:
@@ -344,15 +330,13 @@ def cmd_monitor(quick: bool = False, scenario: str = "smart-city-partition",
             flight.trigger("gate-failure", detail={
                 "gate": "slo", "breach_events": monitor.breach_events})
         bundle = flight.capture(bundle_dir, journal_path=journal_path)
-        rows = _incident_rows(flight)
-        if rows:
-            _print_table("monitor: incident causal chain",
-                         ["rank", "kind", "subject", "t (s)", "score",
-                          "summary"], rows)
+        chain = incident_section(flight.diagnosis)
+        if chain.rows:
+            _print_section("monitor: incident causal chain", chain)
         _print_data("monitor: incident", {
             "bundle": bundle,
             "trigger": flight.triggers[0].to_dict(),
-            "chain": rows,
+            "chain": chain.rows,
         })
         _progress(f"\nSLO GATE: FAIL ({monitor.breach_events} breach "
                   f"event(s); incident bundle: {bundle})")
@@ -416,19 +400,14 @@ def cmd_report(quick: bool = False, scenario: str = "smart-city-partition",
     # written artifacts and the served endpoints can never drift.
     inputs = report_inputs(system, scenario=scenario)
     report = inputs["kpi_report"]
-    incidents = None
-    if flight.triggered:
-        flight.finalize()
-        incidents = [{"reason": flight.triggers[0].reason,
-                      "time": flight.triggers[0].time,
-                      "rows": _incident_rows(flight)}]
+    flight.finalize()
     n_bytes = write_html_report(
         html_path, f"Resilience report — {scenario}", report,
         slo_monitor=monitor,
         availability_per_device=inputs["availability"]["per_device"],
         network_kinds=inputs["per_kind"],
         per_source=inputs["per_source"],
-        incidents=incidents,
+        flight=flight,
         telemetry=inputs["telemetry"],
         bench_trajectory=_bench_trajectory_rows_if_available(),
         profile=inputs["profile"])
@@ -501,6 +480,7 @@ def cmd_resume(out: str = "checkpoint-out",
                until: Optional[float] = None) -> int:
     """Load the checkpoint in --out, fast-forward to it, verify the state
     digest and run to the horizon; the journal continues where it left off."""
+    from repro.observability.export import vector_kpi_section
     from repro.persistence import resume_run
 
     _progress(f"resuming from checkpoint in {out!r}...")
@@ -515,7 +495,8 @@ def cmd_resume(out: str = "checkpoint-out",
          ["events fired (total)", system.sim.fired_count],
          ["final state digest", result.final_digest],
          ["journal", result.journal_path or "-"]])
-    _print_vector_kpis("resume: resilience KPIs by disruption vector", report)
+    _print_section("resume: resilience KPIs by disruption vector",
+                   vector_kpi_section(report))
     _print_data("resume: kpis", report.to_dict())
     return 0
 
@@ -639,11 +620,14 @@ def cmd_profile_run(quick: bool = False,
     stacks for flamegraph.pl / speedscope), and ``profile.chrome.json``
     (per-plane Perfetto track view).
     """
+    from repro.observability.export import (
+        critical_path_section,
+        profile_plane_section,
+    )
     from repro.observability.overhead import telemetry_health
     from repro.observability.profile import (
         collapsed_kernel_stacks,
         collapsed_span_stacks,
-        profile_plane_rows,
         route_cache_line,
         save_profile,
         write_flamegraph,
@@ -679,20 +663,12 @@ def cmd_profile_run(quick: bool = False,
          ["kernel flamegraph (collapsed)", kernel_folded, n_kernel],
          ["span flamegraph (collapsed)", span_folded, n_spans],
          ["Chrome trace (planes)", chrome_path, n_chrome]])
-    _print_table(
-        "profile: subsystem cost attribution",
-        ["plane", "events", "wall (ms)", "share", "mean (us)",
-         "queue lag (s)"],
-        profile_plane_rows(profile))
+    _print_section("profile: subsystem cost attribution",
+                   profile_plane_section(profile))
     _progress(f"\n{route_cache_line(profile)}")
-    critical = profile.get("critical_path")
-    if critical:
-        _print_table(
-            "profile: request critical path",
-            ["segment", "summed (s)", "dominant"],
-            [[segment, critical["segments"][segment],
-              "<-" if segment == critical["dominant_segment"] else ""]
-             for segment in ("queue", "service", "network", "retry")])
+    if profile.get("critical_path"):
+        _print_section("profile: request critical path",
+                       critical_path_section(profile))
     health = telemetry_health(system)
     overhead = (health.get("overhead") or {}).get("recording_fraction")
     if overhead is not None:
@@ -754,6 +730,7 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
 def cmd_incident_show(path: str) -> int:
     """Print a bundle's trigger, causal chain and evidence inventory."""
     from repro.observability.diagnosis import Diagnosis
+    from repro.observability.export import incident_section
     from repro.observability.flight import FlightError, load_manifest
 
     try:
@@ -782,10 +759,9 @@ def cmd_incident_show(path: str) -> int:
     _print_table("incident: summary", ["field", "value"], rows)
     diagnosis = Diagnosis.from_dict(manifest.get("diagnosis", {}))
     if diagnosis.chain:
-        _print_table(
+        _print_section(
             f"incident: ranked causal chain (window {diagnosis.window:g}s)",
-            ["rank", "kind", "subject", "t (s)", "score", "summary"],
-            diagnosis.table_rows())
+            incident_section(diagnosis))
     evidence = manifest.get("evidence", {})
     if evidence:
         _print_table("incident: evidence inventory", ["artifact", "records"],
@@ -841,7 +817,11 @@ def cmd_chaos_run(quick: bool = False, seed: int = CHAOS_DEMO_SEED,
     """Seeded chaos-search campaign over declarative specs; shrink every
     violation and emit replay bundles into --corpus."""
     from repro.chaos import ChaosCampaign
-    from repro.observability.export import write_chaos_report
+    from repro.observability.export import (
+        chaos_case_section,
+        chaos_finding_section,
+        write_chaos_report,
+    )
 
     if runs is None:
         runs = 3 if quick else CHAOS_DEMO_RUNS
@@ -851,24 +831,14 @@ def cmd_chaos_run(quick: bool = False, seed: int = CHAOS_DEMO_SEED,
                              corpus_dir=corpus, progress=_progress)
     result = campaign.run()
     payload = result.to_dict()
-    _print_table(
-        "chaos campaign: cases",
-        ["case", "spec", "digest", "events", "verdict"],
-        [[index, case.spec.describe(), case.spec.digest(), case.events,
-          ", ".join(case.violations) if case.violated else "ok"]
-         for index, case in enumerate(result.cases)])
+    _print_section("chaos campaign: cases", chaos_case_section(payload))
     if result.findings:
-        _print_table(
-            "chaos campaign: shrunk findings",
-            ["found", "shrunk to", "attempts", "violations", "bundle"],
-            [[f.case.spec.describe(), f.shrunk.describe(),
-              f.shrink_attempts, ", ".join(f.shrunk_violations),
-              f.bundle or "-"] for f in result.findings])
+        _print_section("chaos campaign: shrunk findings",
+                       chaos_finding_section(payload))
     _print_data("chaos campaign", payload)
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "chaos-report.html")
-    write_chaos_report(report_path, f"Chaos campaign (seed {seed})",
-                       campaign=payload)
+    write_chaos_report(report_path, payload)
     _progress(f"\nchaos: {result.violation_count}/{len(result.cases)} "
               f"specs violated in {result.wall_s:.1f}s; "
               f"report: {report_path}")
@@ -970,23 +940,20 @@ def cmd_scenarios_list() -> int:
 # --------------------------------------------------------------------------- #
 def _shard_report(title: str, result, out: str) -> int:
     """Print a federation result; write the metrics/report artifacts."""
-    from repro.observability.export import write_html_report, write_prometheus
+    from repro.observability.export import (
+        shard_section,
+        write_html_report,
+        write_prometheus,
+    )
     from repro.simulation.metrics import MetricsRecorder
 
-    _print_table(
-        f"{title}: per-shard statistics",
-        ["shard", "domains", "events", "wall (s)", "sync wait (s)",
-         "mailbox peak", "injected", "digest"],
-        [[row["shard"], ", ".join(row["domains"]), row["events"],
-          f"{row['wall_s']:.2f}", f"{row['sync_wait_s']:.2f}",
-          row["mailbox_peak"], row["injected"],
-          (row["digest"] or "-")[:16]] for row in result.shard_rows()])
+    summary = result.report_summary()
+    _print_section(f"{title}: per-shard statistics", shard_section(summary))
     _print_data(title, result.to_dict())
     if not result.complete:
         _progress(f"\n{title}: stopped mid-run (emulated kill); resume with "
                   f"'python -m repro shard resume --out {out}'")
         return 0
-    summary = result.report_summary()
     prom_path = os.path.join(out, "metrics.prom")
     html_path = os.path.join(out, "report.html")
     # A federation has no single-system recorder: the shard families

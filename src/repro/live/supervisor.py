@@ -353,11 +353,6 @@ class LiveService:
 
         with self._lock:
             inputs = report_inputs(self.system, scenario=self.spec.name)
-            incidents = None
-            if self.flight is not None and self.flight.triggered:
-                trigger = self.flight.triggers[0]
-                incidents = [{"reason": trigger.reason, "time": trigger.time,
-                              "rows": []}]
             return render_html_report(
                 f"Live — {self.spec.name} "
                 f"(t={self.system.sim.now:.1f}s of {self.horizon:g}s)",
@@ -366,7 +361,7 @@ class LiveService:
                 availability_per_device=inputs["availability"]["per_device"],
                 network_kinds=inputs["per_kind"],
                 per_source=inputs["per_source"],
-                incidents=incidents,
+                flight=self.flight,
                 telemetry=inputs["telemetry"],
                 profile=inputs["profile"],
                 refresh=DASHBOARD_REFRESH_S)

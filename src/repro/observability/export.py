@@ -13,8 +13,13 @@ them into artifacts standard tooling reads:
 * ``prometheus_text`` / ``write_prometheus`` -- Prometheus text
   exposition (format 0.0.4) of counters, series summaries and streaming
   histograms, so a run's final state scrapes into any Prometheus stack.
-* ``write_html_report`` -- a single self-contained HTML file with the
-  KPI tables, SLO statuses and availability bars of one observed run.
+* report sections (:class:`Section`) -- every report table (KPIs, SLOs,
+  incident chain, shards, chaos, profile, ...) defined once as plain
+  data, printed by the CLI as text or ``--json`` and rendered here as
+  HTML.
+* ``render_html_report`` / ``write_html_report`` / ``write_chaos_report``
+  -- self-contained HTML pages over those sections, sharing one document
+  shell.
 * ``write_metrics_snapshot`` / ``write_profile`` -- JSON dumps of the
   :meth:`MetricsRecorder.snapshot` and :meth:`Instrument.report` dicts.
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 import html as _html
 import json
 import re
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Union
 
 from repro.observability.histogram import StreamingHistogram
 from repro.observability.instrument import Instrument
@@ -37,9 +42,8 @@ from repro.observability.overhead import (
     telemetry_prom_lines,
 )
 from repro.observability.profile import (
-    profile_plane_rows,
+    SEGMENTS,
     profile_prom_lines,
-    profile_segment_rows,
     route_cache_line,
 )
 from repro.observability.spans import Span
@@ -198,7 +202,6 @@ def write_profile(instrument: Optional[Instrument], path: PathLike) -> Dict[str,
 # Shared render inputs (file exporters + live HTTP endpoints)
 # --------------------------------------------------------------------------- #
 def report_inputs(system: Any, scenario: Optional[str] = None,
-                  kpi_report: Optional[Any] = None,
                   shards: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Assemble everything the Prometheus and HTML renderers consume.
 
@@ -216,7 +219,7 @@ def report_inputs(system: Any, scenario: Optional[str] = None,
     through verbatim for the ``repro_shard_*`` Prometheus families and
     the HTML "Shards" table.
     """
-    report = kpi_report if kpi_report is not None else system.kpi_report()
+    report = system.kpi_report()
     histograms: Dict[str, StreamingHistogram] = {}
     if report.repair_latency is not None and report.repair_latency.count:
         histograms["repair_latency_seconds"] = report.repair_latency
@@ -243,12 +246,12 @@ def report_inputs(system: Any, scenario: Optional[str] = None,
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def _prom_name(name: str, prefix: str = "repro_") -> str:
+def _prom_name(name: str) -> str:
     """Sanitize a recorder metric name into a Prometheus metric name."""
     sanitized = _PROM_NAME_RE.sub("_", name)
     if sanitized and sanitized[0].isdigit():
         sanitized = "_" + sanitized
-    return prefix + sanitized
+    return "repro_" + sanitized
 
 
 def _prom_value(value: float) -> str:
@@ -262,7 +265,6 @@ def _prom_value(value: float) -> str:
 def prometheus_text(
     metrics: MetricsRecorder,
     histograms: Optional[Dict[str, StreamingHistogram]] = None,
-    prefix: str = "repro_",
     per_source: Optional[Dict[str, List[int]]] = None,
     telemetry: Optional[Dict[str, Any]] = None,
     profile: Optional[Dict[str, Any]] = None,
@@ -289,8 +291,8 @@ def prometheus_text(
     """
     lines: List[str] = []
     if per_source:
-        msg_metric = prefix + "network_source_messages_total"
-        byte_metric = prefix + "network_source_bytes_total"
+        msg_metric = "repro_network_source_messages_total"
+        byte_metric = "repro_network_source_bytes_total"
         lines.append(f"# TYPE {msg_metric} counter")
         for src in sorted(per_source):
             lines.append(f'{msg_metric}{{src="{src}"}} {per_source[src][0]}')
@@ -298,13 +300,13 @@ def prometheus_text(
         for src in sorted(per_source):
             lines.append(f'{byte_metric}{{src="{src}"}} {per_source[src][1]}')
     for name in metrics.counter_names:
-        metric = _prom_name(name, prefix)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_prom_value(metrics.counter(name))}")
     summaries = metrics.summary(include_counters=False)
     for name in sorted(summaries):
         entry = summaries[name]
-        metric = _prom_name(name, prefix)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} summary")
         for q_label, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
             if key in entry:
@@ -317,7 +319,7 @@ def prometheus_text(
                     f"{metric}_{suffix} {_prom_value(entry[suffix])}")
     for name in sorted(histograms or {}):
         hist = histograms[name]
-        metric = _prom_name(name, prefix)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} histogram")
         for bound, cumulative in zip(hist.bounds, hist.cumulative_counts()):
             lines.append(
@@ -326,15 +328,15 @@ def prometheus_text(
         lines.append(f"{metric}_sum {_prom_value(hist.total)}")
         lines.append(f"{metric}_count {hist.count}")
     if telemetry is not None:
-        lines.extend(telemetry_prom_lines(telemetry, prefix=prefix))
+        lines.extend(telemetry_prom_lines(telemetry))
     if profile is not None:
-        lines.extend(profile_prom_lines(profile, prefix=prefix))
+        lines.extend(profile_prom_lines(profile))
     if shards is not None:
-        lines.extend(shard_prom_lines(shards, prefix=prefix))
+        lines.extend(shard_prom_lines(shards))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def shard_prom_lines(shards: Dict[str, Any], prefix: str = "repro_") -> List[str]:
+def shard_prom_lines(shards: Dict[str, Any]) -> List[str]:
     """The ``repro_shard_*`` federation families.
 
     ``shards`` is the summary dict the shard CLI builds from a
@@ -353,7 +355,7 @@ def shard_prom_lines(shards: Dict[str, Any], prefix: str = "repro_") -> List[str
         ("devices", "shard_devices", "gauge"),
     ):
         if key in shards and shards[key] is not None:
-            metric = prefix + suffix
+            metric = "repro_" + suffix
             lines.append(f"# TYPE {metric} {kind}")
             lines.append(f"{metric} {_prom_value(shards[key])}")
     rows = shards.get("rows") or []
@@ -366,7 +368,7 @@ def shard_prom_lines(shards: Dict[str, Any], prefix: str = "repro_") -> List[str
     ):
         if not rows or key not in rows[0]:
             continue
-        metric = prefix + suffix
+        metric = "repro_" + suffix
         lines.append(f"# TYPE {metric} {kind}")
         for row in rows:
             lines.append(
@@ -374,68 +376,231 @@ def shard_prom_lines(shards: Dict[str, Any], prefix: str = "repro_") -> List[str
     return lines
 
 
-def write_prometheus(
-    metrics: MetricsRecorder,
-    path: PathLike,
-    histograms: Optional[Dict[str, StreamingHistogram]] = None,
-    prefix: str = "repro_",
-    per_source: Optional[Dict[str, List[int]]] = None,
-    telemetry: Optional[Dict[str, Any]] = None,
-    profile: Optional[Dict[str, Any]] = None,
-    shards: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write the Prometheus exposition; returns the number of lines."""
-    text = prometheus_text(metrics, histograms=histograms, prefix=prefix,
-                           per_source=per_source, telemetry=telemetry,
-                           profile=profile, shards=shards)
+def write_prometheus(metrics: MetricsRecorder, path: PathLike,
+                     **families: Any) -> int:
+    """Write :func:`prometheus_text`; returns the number of lines."""
+    text = prometheus_text(metrics, **families)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text.count("\n")
 
 
 # --------------------------------------------------------------------------- #
-# HTML resilience report
+# Report sections: each table defined once, rendered as text, --json and HTML
 # --------------------------------------------------------------------------- #
-_HTML_STYLE = """
-body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 60rem; color: #1a2332; }
-h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
-table { border-collapse: collapse; width: 100%; margin: 0.75rem 0; }
-th, td { text-align: left; padding: 0.35rem 0.6rem;
-         border-bottom: 1px solid #dde3ea; font-size: 0.9rem; }
-th { background: #f2f5f8; font-weight: 600; }
-.ok { color: #1b7f4d; font-weight: 600; }
-.breach { color: #b3261e; font-weight: 600; }
-.kpi-grid { display: flex; flex-wrap: wrap; gap: 0.75rem; margin: 1rem 0; }
-.kpi { border: 1px solid #dde3ea; border-radius: 0.5rem;
-       padding: 0.6rem 1rem; min-width: 9rem; }
-.kpi .value { font-size: 1.3rem; font-weight: 700; }
-.kpi .label { font-size: 0.75rem; color: #5b6776; text-transform: uppercase; }
-.bar { background: #eef1f5; border-radius: 3px; height: 0.7rem;
-       width: 12rem; display: inline-block; vertical-align: middle; }
-.bar > span { background: #2f6fd6; height: 100%; display: block;
-              border-radius: 3px; }
-footer { margin-top: 2.5rem; font-size: 0.75rem; color: #8a94a1; }
-"""
+class Section(NamedTuple):
+    """One report table as plain data.
+
+    Built here, once, from the object the section reads (a ``KpiReport``,
+    an ``SloMonitor``, a ``Diagnosis``, a federation or campaign summary,
+    a profile snapshot).  The CLI prints ``headers`` and ``rows`` as text
+    or ``--json`` under a title naming its command; the HTML renderers put
+    ``title`` in a heading over the same rows, ``classes`` (``"ok"`` /
+    ``"breach"`` per row, or ``None``) colouring them.
+    """
+
+    title: str
+    headers: List[str]
+    rows: List[List[Any]]
+    classes: Optional[List[str]] = None
 
 
-def _html_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return _html.escape(str(value))
+def vector_kpi_section(report: Any) -> Section:
+    """MTTD / MTTR / message cost per disruption vector of a ``KpiReport``."""
+    return Section(
+        "Resilience KPIs by disruption vector",
+        ["vector", "faults", "resolved", "MTTD mean (s)", "MTTR mean (s)",
+         "msgs/disruption", "disrupted (s)"],
+        report.vector_rows())
 
 
-def _html_table(headers: List[str], rows: List[List[Any]],
-                classes: Optional[List[Optional[str]]] = None) -> str:
-    head = "".join(f"<th>{_html.escape(str(h))}</th>" for h in headers)
-    body = []
-    for i, row in enumerate(rows):
-        cls = classes[i] if classes and i < len(classes) and classes[i] else None
-        attr = f' class="{cls}"' if cls else ""
-        cells = "".join(f"<td>{_html_cell(c)}</td>" for c in row)
-        body.append(f"<tr{attr}>{cells}</tr>")
-    return (f"<table><thead><tr>{head}</tr></thead>"
-            f"<tbody>{''.join(body)}</tbody></table>")
+def run_kpi_section(report: Any) -> Section:
+    """Fleet availability, degradation, alerts and convergence, one row each."""
+    rows: List[List[Any]] = [
+        ["availability (fleet mean)", report.availability],
+        ["availability (worst device)", report.worst_availability],
+        ["degraded device-time (s)", report.degraded_time],
+        ["runtime-monitor violations", report.violations],
+        ["SLO breach alerts", report.alerts],
+    ]
+    for protocol, stats in sorted(report.convergence.items()):
+        rows.append([f"convergence: {protocol} mean (s)", stats["mean"]])
+        rows.append([f"convergence: {protocol} p95 (s)", stats["p95"]])
+    return Section("Run-level KPIs", ["KPI", "value"], rows)
+
+
+def arc_section(report: Any) -> Section:
+    return Section(
+        "Disruption arcs",
+        ["fault", "vector", "injected at (s)", "MTTD (s)", "MTTR (s)",
+         "messages", "resolved"],
+        [[arc.fault, arc.vector.value, arc.injected_at,
+          "-" if arc.mttd is None else arc.mttd,
+          "-" if arc.mttr is None else arc.mttr,
+          arc.messages, "yes" if arc.resolved else "no"]
+         for arc in report.arcs])
+
+
+def security_section(security: Dict[str, Any]) -> Section:
+    """The ``KpiReport.security`` summary: who is out, and why."""
+
+    def nodes(key: str) -> str:
+        return ", ".join(security.get(key, [])) or "-"
+
+    return Section("Security", ["signal", "value"], [
+        ["compromised nodes", nodes("compromised")],
+        ["quarantined nodes", nodes("quarantined")],
+        ["distrusted nodes", nodes("distrusted")],
+        ["key rotations", security.get("key_rotations", 0)],
+        ["auth drops", security.get("dropped_auth", 0)],
+        ["quarantine drops", security.get("dropped_quarantined", 0)]])
+
+
+def trust_section(security: Dict[str, Any]) -> Section:
+    return Section("Trust", ["node", "aggregate trust"],
+                   [[node, f"{score:.3f}"] for node, score
+                    in sorted((security.get("trust") or {}).items())])
+
+
+def slo_section(monitor: Any) -> Section:
+    """Latest status of every objective on an ``SloMonitor``."""
+    rows = [[status.spec.name, status.spec.kind, status.spec.objective,
+             "-" if status.measured is None else round(status.measured, 4),
+             "-" if status.burn_rate is None else round(status.burn_rate, 3),
+             "BREACH" if status.breached else "ok"]
+            for status in monitor.latest()]
+    return Section(
+        "SLOs", ["SLO", "kind", "objective", "measured", "burn rate", "status"],
+        rows, ["breach" if row[-1] == "BREACH" else "ok" for row in rows])
+
+
+def incident_section(diagnosis: Optional[Any]) -> Section:
+    """The ranked causal chain of a ``Diagnosis`` (empty before one exists)."""
+    return Section(
+        "Incident causal chain",
+        ["rank", "kind", "subject", "t (s)", "score", "summary"],
+        diagnosis.table_rows() if diagnosis is not None else [])
+
+
+def shard_section(shards: Dict[str, Any]) -> Section:
+    """Per-shard rows of a federation summary
+    (:meth:`~repro.shard.driver.FederationResult.report_summary`)."""
+
+    def seconds(value: Optional[float]) -> str:
+        return "-" if value is None else f"{value:.2f}"
+
+    return Section(
+        "Shards",
+        ["shard", "domains", "events", "wall (s)", "sync wait (s)",
+         "mailbox peak", "injected", "digest"],
+        [[row.get("shard"), ", ".join(row.get("domains") or []),
+          row.get("events"), seconds(row.get("wall_s")),
+          seconds(row.get("sync_wait_s")), row.get("mailbox_peak"),
+          row.get("injected"), (row.get("digest") or "-")[:16]]
+         for row in shards.get("rows") or []])
+
+
+def chaos_case_section(campaign: Dict[str, Any]) -> Section:
+    """One row per sampled spec of a ``CampaignResult.to_dict()``."""
+    rows = [[index, case.get("describe", "?"), case.get("spec_digest", "?"),
+             case.get("events", 0),
+             ", ".join(case.get("violations") or []) or "ok"]
+            for index, case in enumerate(campaign.get("cases", []))]
+    return Section("Chaos campaign",
+                   ["case", "spec", "digest", "events", "verdict"], rows,
+                   ["ok" if row[-1] == "ok" else "breach" for row in rows])
+
+
+def chaos_finding_section(campaign: Dict[str, Any]) -> Section:
+    return Section(
+        "Shrunk findings",
+        ["found", "shrunk to", "attempts", "violations", "bundle"],
+        [[f.get("found", {}).get("describe", "?"),
+          f.get("shrunk_describe", "?"), f.get("shrink_attempts", 0),
+          ", ".join(f.get("shrunk_violations") or []), f.get("bundle") or "-"]
+         for f in campaign.get("findings") or []])
+
+
+def latency_section(per_kind: Dict[str, StreamingHistogram]) -> Section:
+    return Section(
+        "Message latency by kind",
+        ["kind", "delivered", "mean (s)", "p50 (s)", "p99 (s)", "max (s)"],
+        [[kind, hist.count, hist.mean, hist.quantile(0.5),
+          hist.quantile(0.99), hist.max]
+         for kind, hist in sorted(per_kind.items()) if hist.count])
+
+
+def source_section(per_source: Dict[str, List[int]]) -> Section:
+    total = sum(entry[0] for entry in per_source.values()) or 1
+    return Section(
+        "Messages by source", ["source", "messages", "bytes", "share"],
+        [[src, entry[0], entry[1], f"{entry[0] / total:.1%}"]
+         for src, entry in sorted(per_source.items(),
+                                  key=lambda kv: -kv[1][0])])
+
+
+def telemetry_section(telemetry: Dict[str, Any]) -> Section:
+    """A :func:`~repro.observability.overhead.telemetry_health` dict."""
+    trace = telemetry.get("trace", {})
+    spans = telemetry.get("spans", {})
+    series = telemetry.get("series", {})
+    rows: List[List[Any]] = [
+        ["trace events buffered", trace.get("events", 0)],
+        ["trace ring-buffer drops", trace.get("dropped", 0)],
+        ["trace subscriber errors", trace.get("subscriber_errors", 0)],
+        ["spans retained", spans.get("recorded", 0)],
+        ["spans retained (approx bytes)", spans.get("approx_bytes", 0)],
+        ["spans sampled out", spans.get("sampled_out", 0)],
+        ["metric series", series.get("count", 0)],
+        ["metric points retained", series.get("points", 0)],
+    ]
+    sampling = spans.get("sampling")
+    if sampling:
+        rows.append(["span sampling rate", sampling.get("rate")])
+    overhead = telemetry.get("overhead")
+    if overhead:
+        rows.append(["telemetry records", overhead.get("records", 0)])
+        rows.append(["recording wall time (s)",
+                     overhead.get("recording_wall_s", 0.0)])
+        fraction = overhead.get("recording_fraction")
+        if fraction is not None:
+            rows.append(["recording fraction of run", f"{fraction:.2%}"])
+    return Section("Telemetry budget", ["signal", "value"], rows)
+
+
+def profile_plane_section(profile: Dict[str, Any]) -> Section:
+    """Per-plane cost attribution of a
+    :func:`~repro.observability.profile.capture_profile` snapshot."""
+    planes = profile.get("planes", {})
+    total_ms = sum(stats["total_ms"] for stats in planes.values()) or 1.0
+    return Section(
+        "Profile",
+        ["plane", "events", "wall (ms)", "share", "mean (us)",
+         "queue lag (s)"],
+        [[plane, stats["count"], stats["total_ms"],
+          f"{stats['total_ms'] / total_ms:.1%}", stats.get("mean_us", 0.0),
+          stats.get("queue_s", 0.0)] for plane, stats in planes.items()])
+
+
+def critical_path_section(profile: Dict[str, Any]) -> Section:
+    """Summed request time per segment; the dominant one marked."""
+    critical = profile.get("critical_path") or {}
+    return Section(
+        "Request critical path", ["segment", "summed (s)", "dominant"],
+        [[segment, critical["segments"][segment],
+          "<-" if segment == critical["dominant_segment"] else ""]
+         for segment in (SEGMENTS if critical else ())])
+
+
+def slowest_request_section(profile: Dict[str, Any]) -> Section:
+    top = (profile.get("critical_path") or {}).get("top") or []
+    return Section(
+        "Slowest requests",
+        ["trace", "request", "status", "latency (ms)", "queue (ms)",
+         "service (ms)", "network (ms)", "retry (ms)", "attempts"],
+        [[row["trace_id"], row["name"], row["status"], row["latency_s"] * 1e3,
+          *(row["segments"][segment] * 1e3 for segment in SEGMENTS),
+          row["attempts"]] for row in top])
 
 
 def bench_trajectory_rows(
@@ -472,129 +637,157 @@ def bench_trajectory_rows(
     return rows
 
 
-def chaos_campaign_rows(campaign: Dict[str, Any]) -> List[List[Any]]:
-    """Case rows for a campaign dict (``CampaignResult.to_dict()``)."""
-    rows: List[List[Any]] = []
-    for index, case in enumerate(campaign.get("cases", [])):
-        violations = case.get("violations") or []
-        rows.append([
-            index,
-            case.get("describe", "?"),
-            case.get("spec_digest", "?"),
-            case.get("events", 0),
-            ", ".join(violations) if violations else "ok",
-        ])
-    return rows
+def bench_trajectory_section(rows: List[List[Any]]) -> Section:
+    """:func:`bench_trajectory_rows` of the committed BENCH baselines."""
+    return Section("Bench trajectory",
+                   ["metric", "first", "last", "drift", "drift %"], rows)
 
 
-def _render_chaos_section(chaos: Dict[str, Any]) -> str:
-    """The "Chaos campaign" report section.
-
-    ``chaos`` carries ``campaign`` (a ``CampaignResult.to_dict()``) and
-    optionally ``corpus`` (a list of ``BundleVerdict.to_dict()``).
-    """
-    parts: List[str] = []
-    campaign = chaos.get("campaign")
-    if campaign:
-        parts.append("<h2>Chaos campaign</h2>")
-        parts.append(
-            f"<p>Seed <code>{campaign.get('seed')}</code>: "
-            f"{campaign.get('runs', 0)} sampled specs, "
-            f"{campaign.get('violations', 0)} violation(s), "
-            f"{campaign.get('wall_s', 0.0):.1f}s wall.</p>")
-        rows = chaos_campaign_rows(campaign)
-        classes = ["ok" if row[-1] == "ok" else "breach" for row in rows]
-        parts.append(_html_table(
-            ["case", "spec", "digest", "events", "verdict"], rows,
-            classes=classes))
-        findings = campaign.get("findings") or []
-        if findings:
-            parts.append("<h3>Shrunk findings</h3>")
-            parts.append(_html_table(
-                ["found", "shrunk to", "attempts", "violations", "bundle"],
-                [[f.get("found", {}).get("describe", "?"),
-                  f.get("shrunk_describe", "?"),
-                  f.get("shrink_attempts", 0),
-                  ", ".join(f.get("shrunk_violations") or []),
-                  f.get("bundle") or "-"] for f in findings]))
-    corpus = chaos.get("corpus")
-    if corpus:
-        parts.append("<h2>Failure corpus</h2>")
-        classes = ["ok" if v.get("ok") else "breach" for v in corpus]
-        parts.append(_html_table(
-            ["bundle", "barrier (s)", "events", "verdict"],
-            [[v.get("bundle", "?"),
-              "-" if v.get("barrier_time") is None else v["barrier_time"],
-              "-" if v.get("barrier_fired") is None else v["barrier_fired"],
-              "replayed (digest match)" if v.get("ok")
-              else (v.get("error") or "failed")] for v in corpus],
-            classes=classes))
-    return "".join(parts)
+# --------------------------------------------------------------------------- #
+# HTML rendering: one document shell, sections as heading + table + notes
+# --------------------------------------------------------------------------- #
+_HTML_STYLE = """
+body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
+       margin: 2rem auto; max-width: 60rem; color: #1a2332; }
+h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
+table { border-collapse: collapse; width: 100%; margin: 0.75rem 0; }
+th, td { text-align: left; padding: 0.35rem 0.6rem;
+         border-bottom: 1px solid #dde3ea; font-size: 0.9rem; }
+th { background: #f2f5f8; font-weight: 600; }
+.ok { color: #1b7f4d; font-weight: 600; }
+.breach { color: #b3261e; font-weight: 600; }
+.kpi-grid { display: flex; flex-wrap: wrap; gap: 0.75rem; margin: 1rem 0; }
+.kpi { border: 1px solid #dde3ea; border-radius: 0.5rem;
+       padding: 0.6rem 1rem; min-width: 9rem; }
+.kpi .value { font-size: 1.3rem; font-weight: 700; }
+.kpi .label { font-size: 0.75rem; color: #5b6776; text-transform: uppercase; }
+.bar { background: #eef1f5; border-radius: 3px; height: 0.7rem;
+       width: 12rem; display: inline-block; vertical-align: middle; }
+.bar > span { background: #2f6fd6; height: 100%; display: block;
+              border-radius: 3px; }
+footer { margin-top: 2.5rem; font-size: 0.75rem; color: #8a94a1; }
+"""
 
 
-def _render_shards_section(shards: Dict[str, Any]) -> str:
-    """The "Shards" report section (federation summary + per-shard rows).
-
-    ``shards`` is the summary dict built from a
-    :class:`~repro.shard.driver.FederationResult`: scalar run facts plus
-    per-shard ``rows``.
-    """
-    parts: List[str] = ["<h2>Shards</h2>"]
-    facts: List[str] = []
-    if shards.get("shards") is not None:
-        facts.append(f"{shards['shards']} shard(s)")
-    if shards.get("workers") is not None:
-        facts.append(f"{shards['workers']} worker(s)")
-    if shards.get("windows") is not None:
-        facts.append(f"{shards['windows']} lookahead window(s)")
-    if shards.get("lookahead") is not None:
-        facts.append(f"W={shards['lookahead']:g}s")
-    if shards.get("devices"):
-        facts.append(f"{shards['devices']:,} devices")
-    if shards.get("wall_s") is not None:
-        facts.append(f"{shards['wall_s']:.1f}s wall")
-    if facts:
-        parts.append(f"<p>{_html.escape(', '.join(facts))}.</p>")
-    rows = shards.get("rows") or []
-    if rows:
-        parts.append(_html_table(
-            ["shard", "domains", "events", "wall (s)", "sync wait (s)",
-             "mailbox peak", "injected", "digest"],
-            [[row.get("shard"),
-              ", ".join(row.get("domains") or []),
-              row.get("events"),
-              "-" if row.get("wall_s") is None else f"{row['wall_s']:.2f}",
-              ("-" if row.get("sync_wait_s") is None
-               else f"{row['sync_wait_s']:.2f}"),
-              row.get("mailbox_peak"),
-              row.get("injected"),
-              (row.get("digest") or "-")[:16]] for row in rows]))
-    digest = shards.get("federation_digest")
-    if digest:
-        parts.append(
-            f"<p>Federation digest: <code>{_html.escape(str(digest))}</code> "
-            "(verify with <code>python -m repro shard verify</code>).</p>")
-    return "".join(parts)
+def _html_cell(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return _html.escape(str(value))
 
 
-def write_chaos_report(path: PathLike, title: str,
-                       campaign: Optional[Dict[str, Any]] = None,
-                       corpus: Optional[List[Dict[str, Any]]] = None) -> int:
-    """Standalone self-contained HTML page for a chaos campaign/corpus."""
-    body = _render_chaos_section({"campaign": campaign, "corpus": corpus})
-    document = (
+def _html_table(headers: List[str], rows: List[List[Any]],
+                classes: Optional[List[str]] = None) -> str:
+    head = "".join(f"<th>{_html.escape(str(h))}</th>" for h in headers)
+    body = []
+    for i, row in enumerate(rows):
+        attr = f' class="{classes[i]}"' if classes else ""
+        cells = "".join(f"<td>{_html_cell(c)}</td>" for c in row)
+        body.append(f"<tr{attr}>{cells}</tr>")
+    return (f"<table><thead><tr>{head}</tr></thead>"
+            f"<tbody>{''.join(body)}</tbody></table>")
+
+
+def _html_section(section: Section, *notes: str) -> str:
+    """The section's heading and table, then its (HTML) note paragraphs."""
+    return (f"<h2>{_html.escape(section.title)}</h2>"
+            + _html_table(section.headers, section.rows, section.classes)
+            + "".join(notes))
+
+
+def _html_document(title: str, body: str,
+                   refresh: Optional[float] = None) -> str:
+    """The self-contained page every HTML artifact shares: inline style,
+    no external assets, a footer that names no particular command."""
+    meta_refresh = (f'<meta http-equiv="refresh" content="{refresh:g}">'
+                    if refresh else "")
+    return (
         "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
+        f"{meta_refresh}"
         f"<title>{_html.escape(title)}</title>"
         f"<style>{_HTML_STYLE}</style></head><body>"
         f"<h1>{_html.escape(title)}</h1>"
         f"{body}"
-        "<footer>Generated by <code>python -m repro chaos</code> — all data "
-        "derives deterministically from the campaign seed.</footer>"
+        "<footer>Generated by <code>python -m repro</code> — all data "
+        "derives deterministically from the run's seed.</footer>"
         "</body></html>"
     )
+
+
+def _write_html(path: PathLike, document: str) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(document)
     return len(document.encode("utf-8"))
+
+
+def _kpi_tiles(report: Any) -> str:
+    headline = [
+        ("availability", report.availability, "{:.4f}"),
+        ("worst device", report.worst_availability, "{:.4f}"),
+        ("degraded time (s)", report.degraded_time, "{:.1f}"),
+        ("disruptions", len(report.arcs), "{}"),
+        ("SLO alerts", report.alerts, "{}"),
+        ("violations", report.violations, "{}"),
+    ]
+    tiles = "".join(
+        f'<div class="kpi"><div class="value">'
+        f'{"-" if value is None else fmt.format(value)}</div>'
+        f'<div class="label">{_html.escape(label)}</div></div>'
+        for label, value, fmt in headline)
+    return f'<div class="kpi-grid">{tiles}</div>'
+
+
+def _availability_bars(per_device: Dict[str, float]) -> str:
+    rows = []
+    for device, value in sorted(per_device.items()):
+        width = max(0.0, min(1.0, value)) * 100.0
+        rows.append(f"<tr><td>{_html.escape(device)}</td><td>"
+                    f'<div class="bar"><span style="width:{width:.1f}%">'
+                    f"</span></div> {value:.4f}</td></tr>")
+    return ("<h2>Per-device availability</h2>"
+            "<table><thead><tr><th>device</th><th>availability</th>"
+            f"</tr></thead><tbody>{''.join(rows)}</tbody></table>")
+
+
+def _shard_notes(shards: Dict[str, Any]) -> List[str]:
+    facts: List[str] = []
+    for key, fmt in (("shards", "{} shard(s)"), ("workers", "{} worker(s)"),
+                     ("windows", "{} lookahead window(s)"),
+                     ("lookahead", "W={:g}s"), ("devices", "{:,} devices"),
+                     ("wall_s", "{:.1f}s wall")):
+        if shards.get(key) is not None and (key != "devices" or shards[key]):
+            facts.append(fmt.format(shards[key]))
+    notes = [f"<p>{_html.escape(', '.join(facts))}.</p>"] if facts else []
+    digest = shards.get("federation_digest")
+    if digest:
+        notes.append(
+            f"<p>Federation digest: <code>{_html.escape(str(digest))}</code> "
+            "(verify with <code>python -m repro shard verify</code>).</p>")
+    return notes
+
+
+def _profile_sections(profile: Dict[str, Any]) -> str:
+    notes = []
+    kernel = profile.get("kernel")
+    if kernel:
+        notes.append(
+            f"<p>{kernel['events']} kernel events, "
+            f"{kernel['busy_ms']:.1f} ms busy, mean queue depth "
+            f"{kernel['mean_queue_depth']:.1f} "
+            f"(max {kernel['max_queue_depth']}).</p>")
+    routes = route_cache_line(profile)
+    if routes:
+        notes.append(f"<p>{routes}.</p>")
+    parts = [_html_section(profile_plane_section(profile), *notes)]
+    critical = profile.get("critical_path")
+    if critical:
+        parts.append(_html_section(
+            critical_path_section(profile),
+            f"<p>{critical['requests']} requests "
+            f"({critical['failed']} failed), mean latency "
+            f"{critical['mean_latency_s'] * 1e3:.2f} ms.</p>"))
+        if critical.get("top"):
+            parts.append(_html_section(slowest_request_section(profile)))
+    return "".join(parts)
 
 
 def render_html_report(
@@ -604,292 +797,89 @@ def render_html_report(
     availability_per_device: Optional[Dict[str, float]] = None,
     network_kinds: Optional[Dict[str, StreamingHistogram]] = None,
     per_source: Optional[Dict[str, List[int]]] = None,
-    incidents: Optional[List[Dict[str, Any]]] = None,
+    flight: Any = None,
     telemetry: Optional[Dict[str, Any]] = None,
     bench_trajectory: Optional[List[List[Any]]] = None,
     profile: Optional[Dict[str, Any]] = None,
-    chaos: Optional[Dict[str, Any]] = None,
     shards: Optional[Dict[str, Any]] = None,
     refresh: Optional[float] = None,
 ) -> str:
     """Build the self-contained HTML resilience report.
 
-    ``refresh`` (seconds) adds a ``<meta http-equiv="refresh">`` tag --
-    the live telemetry server serves an auto-refreshing dashboard from
-    the same renderer the file exporter uses.
+    Each argument feeds the report sections defined above:
+    ``kpi_report`` (a :class:`~repro.observability.kpis.KpiReport`) the
+    headline tiles, per-vector and run-level KPIs, security and disruption
+    arcs; ``slo_monitor`` the SLOs; ``flight`` (a triggered
+    :class:`~repro.observability.flight.FlightRecorder`) the incident
+    trigger and causal chain; ``telemetry`` the telemetry budget;
+    ``profile`` the per-plane cost attribution and request critical path;
+    ``bench_trajectory`` (:func:`bench_trajectory_rows`) the BENCH drift.
 
-    ``kpi_report`` is a :class:`~repro.observability.kpis.KpiReport`;
-    ``slo_monitor`` (optional) a :class:`~repro.observability.slo.SloMonitor`.
-    Everything (style included) is inlined: the file opens anywhere, no
-    network access, no external assets.
-
-    ``incidents`` entries are dicts with ``reason``, ``time`` and the
-    diagnosis ``rows`` (:meth:`~repro.observability.diagnosis.Diagnosis.table_rows`),
-    plus an optional ``bundle`` path.  ``telemetry`` is a
-    :func:`~repro.observability.overhead.telemetry_health` dict;
-    ``bench_trajectory`` rows come from :func:`bench_trajectory_rows`;
-    ``profile`` is a :func:`~repro.observability.profile.capture_profile`
-    snapshot rendered as the "Profile" section (per-plane cost
-    attribution + request critical-path breakdown).
-
-    ``kpi_report`` may be ``None`` for federation-level reports (a
-    sharded run has per-shard systems but no single-system KPI report);
-    ``shards`` (the federation summary dict) then renders the "Shards"
-    table standalone.
+    ``kpi_report`` is ``None`` for a federation (a sharded run has
+    per-shard systems but no single-system KPI report): ``shards`` (the
+    federation summary dict) then renders the "Shards" table standalone.
+    ``refresh`` (seconds) adds a ``<meta http-equiv="refresh">`` tag for
+    the live service's auto-refreshing dashboard.
     """
     parts: List[str] = []
     if kpi_report is not None:
-        headline = [
-            ("availability", kpi_report.availability, "{:.4f}"),
-            ("worst device", kpi_report.worst_availability, "{:.4f}"),
-            ("degraded time (s)", kpi_report.degraded_time, "{:.1f}"),
-            ("disruptions", len(kpi_report.arcs), "{}"),
-            ("SLO alerts", kpi_report.alerts, "{}"),
-            ("violations", kpi_report.violations, "{}"),
-        ]
-        tiles = []
-        for label, value, fmt in headline:
-            rendered = "-" if value is None else fmt.format(value)
-            tiles.append(
-                f'<div class="kpi"><div class="value">{rendered}</div>'
-                f'<div class="label">{_html.escape(label)}</div></div>')
-        parts.append(f'<div class="kpi-grid">{"".join(tiles)}</div>')
-
-        parts.append("<h2>Resilience KPIs by disruption vector</h2>")
-        parts.append(_html_table(
-            ["vector", "faults", "resolved", "MTTD mean (s)", "MTTR mean (s)",
-             "msgs/disruption", "disrupted time (s)"],
-            kpi_report.vector_rows()))
-
+        parts.append(f"<p>Simulated horizon: {kpi_report.horizon:.1f}s.</p>")
+        parts.append(_kpi_tiles(kpi_report))
+        parts.append(_html_section(vector_kpi_section(kpi_report)))
+    elif shards and shards.get("horizon") is not None:
+        parts.append(f"<p>Simulated horizon: {shards['horizon']:.1f}s "
+                     f"across {shards.get('shards', '?')} shard(s).</p>")
     if shards:
-        parts.append(_render_shards_section(shards))
-
+        parts.append(_html_section(shard_section(shards), *_shard_notes(shards)))
     if slo_monitor is not None:
-        parts.append("<h2>SLOs</h2>")
-        rows = slo_monitor.table_rows()
-        classes = ["breach" if row[-1] == "BREACH" else "ok" for row in rows]
-        parts.append(_html_table(
-            ["SLO", "kind", "objective", "measured", "burn rate", "status"],
-            rows, classes=classes))
-        parts.append(
+        parts.append(_html_section(
+            slo_section(slo_monitor),
             f"<p>{slo_monitor.evaluations} evaluations, "
-            f"{slo_monitor.breach_events} breach event(s).</p>")
-
+            f"{slo_monitor.breach_events} breach event(s).</p>"))
     if network_kinds:
-        parts.append("<h2>Message latency by kind</h2>")
-        parts.append(_html_table(
-            ["kind", "delivered", "mean (s)", "p50 (s)", "p99 (s)", "max (s)"],
-            [[kind, hist.count, hist.mean, hist.quantile(0.5),
-              hist.quantile(0.99), hist.max]
-             for kind, hist in sorted(network_kinds.items())
-             if hist.count]))
-
+        parts.append(_html_section(latency_section(network_kinds)))
     if per_source:
-        total_msgs = sum(entry[0] for entry in per_source.values()) or 1
-        parts.append("<h2>Messages by source</h2>")
-        parts.append(_html_table(
-            ["source", "messages", "bytes", "share"],
-            [[src, entry[0], entry[1], f"{entry[0] / total_msgs:.1%}"]
-             for src, entry in sorted(per_source.items(),
-                                      key=lambda kv: -kv[1][0])]))
-
+        parts.append(_html_section(source_section(per_source)))
     security = getattr(kpi_report, "security", None)
     if security:
-        parts.append("<h2>Security</h2>")
-        parts.append(_html_table(
-            ["signal", "value"],
-            [["compromised nodes", ", ".join(security.get("compromised", [])) or "-"],
-             ["quarantined nodes", ", ".join(security.get("quarantined", [])) or "-"],
-             ["distrusted nodes", ", ".join(security.get("distrusted", [])) or "-"],
-             ["key rotations", security.get("key_rotations", 0)],
-             ["auth drops", security.get("dropped_auth", 0)],
-             ["quarantine drops", security.get("dropped_quarantined", 0)]]))
-        trust = security.get("trust") or {}
-        if trust:
-            parts.append(_html_table(
-                ["node", "aggregate trust"],
-                [[node, f"{score:.3f}"] for node, score in sorted(trust.items())]))
-
-    if kpi_report is not None and kpi_report.convergence:
-        parts.append("<h2>Protocol convergence</h2>")
-        parts.append(_html_table(
-            ["protocol", "rounds", "mean (s)", "p95 (s)", "max (s)"],
-            [[name, int(stats["rounds"]), stats["mean"], stats["p95"],
-              stats["max"]]
-             for name, stats in sorted(kpi_report.convergence.items())]))
-
-    if availability_per_device:
-        parts.append("<h2>Per-device availability</h2>")
-        bar_rows = []
-        for device, value in sorted(availability_per_device.items()):
-            width = max(0.0, min(1.0, value)) * 100.0
-            bar = (f'<div class="bar"><span style="width:{width:.1f}%">'
-                   f"</span></div> {value:.4f}")
-            bar_rows.append(f"<tr><td>{_html.escape(device)}</td>"
-                            f"<td>{bar}</td></tr>")
-        parts.append("<table><thead><tr><th>device</th><th>availability</th>"
-                     f"</tr></thead><tbody>{''.join(bar_rows)}</tbody></table>")
-
-    if kpi_report is not None and kpi_report.arcs:
-        parts.append("<h2>Disruption arcs</h2>")
-        parts.append(_html_table(
-            ["fault", "vector", "injected at (s)", "MTTD (s)", "MTTR (s)",
-             "messages", "resolved"],
-            [[arc.fault, arc.vector.value, arc.injected_at,
-              "-" if arc.mttd is None else arc.mttd,
-              "-" if arc.mttr is None else arc.mttr,
-              arc.messages, "yes" if arc.resolved else "no"]
-             for arc in kpi_report.arcs]))
-
-    if incidents:
-        parts.append("<h2>Incidents</h2>")
-        for incident in incidents:
-            reason = incident.get("reason", "?")
-            time = incident.get("time", 0.0)
-            parts.append(
-                f'<p class="breach">Trigger: {_html.escape(str(reason))} '
-                f"at t={time:g}s.</p>")
-            rows = incident.get("rows") or []
-            if rows:
-                parts.append(_html_table(
-                    ["rank", "kind", "subject", "t (s)", "score", "summary"],
-                    rows))
-            bundle = incident.get("bundle")
-            if bundle:
-                parts.append(
-                    f"<p>Bundle: <code>{_html.escape(str(bundle))}</code> "
-                    "(replay with <code>python -m repro incident replay"
-                    "</code>).</p>")
-
-    if telemetry:
-        parts.append("<h2>Telemetry budget</h2>")
-        trace_h = telemetry.get("trace", {})
-        spans_h = telemetry.get("spans", {})
-        series_h = telemetry.get("series", {})
-        rows = [
-            ["trace events buffered", trace_h.get("events", 0)],
-            ["trace ring-buffer drops", trace_h.get("dropped", 0)],
-            ["trace subscriber errors", trace_h.get("subscriber_errors", 0)],
-            ["spans retained", spans_h.get("recorded", 0)],
-            ["spans retained (approx bytes)", spans_h.get("approx_bytes", 0)],
-            ["spans sampled out", spans_h.get("sampled_out", 0)],
-            ["metric series", series_h.get("count", 0)],
-            ["metric points retained", series_h.get("points", 0)],
-        ]
-        sampling = spans_h.get("sampling")
-        if sampling:
-            rows.append(["span sampling rate", sampling.get("rate")])
-        overhead = telemetry.get("overhead")
-        if overhead:
-            rows.extend([
-                ["telemetry records", overhead.get("records", 0)],
-                ["recording wall time (s)",
-                 overhead.get("recording_wall_s", 0.0)],
-            ])
-            fraction = overhead.get("recording_fraction")
-            if fraction is not None:
-                rows.append(["recording fraction of run", f"{fraction:.2%}"])
-        parts.append(_html_table(["signal", "value"], rows))
-
-    if profile:
-        parts.append("<h2>Profile</h2>")
-        plane_rows = profile_plane_rows(profile)
-        if plane_rows:
-            parts.append(_html_table(
-                ["plane", "events", "wall (ms)", "share", "mean (µs)",
-                 "queue lag (s)"],
-                plane_rows))
-        kernel = profile.get("kernel")
-        if kernel:
-            parts.append(
-                f"<p>{kernel['events']} kernel events, "
-                f"{kernel['busy_ms']:.1f} ms busy, mean queue depth "
-                f"{kernel['mean_queue_depth']:.1f} "
-                f"(max {kernel['max_queue_depth']}).</p>")
-        routes = route_cache_line(profile)
-        if routes:
-            parts.append(f"<p>{routes}.</p>")
-        segment_rows = profile_segment_rows(profile)
-        if segment_rows:
-            parts.append("<h2>Request critical path</h2>")
-            parts.append(_html_table(
-                ["segment", "summed time (s)", "share"], segment_rows))
-            critical = profile["critical_path"]
-            parts.append(
-                f"<p>{critical['requests']} requests "
-                f"({critical['failed']} failed), mean latency "
-                f"{critical['mean_latency_s'] * 1e3:.2f} ms; dominant "
-                f"segment: <strong>{_html.escape(str(critical['dominant_segment']))}"
-                "</strong>.</p>")
-            top = critical.get("top") or []
-            if top:
-                parts.append(_html_table(
-                    ["trace", "request", "status", "latency (ms)", "queue (ms)",
-                     "service (ms)", "network (ms)", "retry (ms)", "attempts"],
-                    [[row["trace_id"], row["name"], row["status"],
-                      row["latency_s"] * 1e3,
-                      row["segments"]["queue"] * 1e3,
-                      row["segments"]["service"] * 1e3,
-                      row["segments"]["network"] * 1e3,
-                      row["segments"]["retry"] * 1e3,
-                      row["attempts"]] for row in top]))
-
-    if chaos:
-        parts.append(_render_chaos_section(chaos))
-
-    if bench_trajectory:
-        parts.append("<h2>Bench trajectory</h2>")
-        parts.append(_html_table(
-            ["metric", "first", "last", "drift", "drift %"],
-            bench_trajectory))
-
-    body = "".join(parts)
-    meta_refresh = (f'<meta http-equiv="refresh" content="{refresh:g}">'
-                    if refresh else "")
+        parts.append(_html_section(security_section(security)))
+        if security.get("trust"):
+            parts.append(_html_section(trust_section(security)))
     if kpi_report is not None:
-        horizon_line = f"<p>Simulated horizon: {kpi_report.horizon:.1f}s.</p>"
-    elif shards and shards.get("horizon") is not None:
-        horizon_line = (f"<p>Simulated horizon: {shards['horizon']:.1f}s "
-                        f"across {shards.get('shards', '?')} shard(s).</p>")
-    else:
-        horizon_line = ""
-    return (
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-        f"{meta_refresh}"
-        f"<title>{_html.escape(title)}</title>"
-        f"<style>{_HTML_STYLE}</style></head><body>"
-        f"<h1>{_html.escape(title)}</h1>"
-        f"{horizon_line}"
-        f"{body}"
-        "<footer>Generated by <code>python -m repro report</code> — all data "
-        "derives deterministically from the run's seed.</footer>"
-        "</body></html>"
-    )
+        parts.append(_html_section(run_kpi_section(kpi_report)))
+    if availability_per_device:
+        parts.append(_availability_bars(availability_per_device))
+    if kpi_report is not None and kpi_report.arcs:
+        parts.append(_html_section(arc_section(kpi_report)))
+    if flight is not None and flight.triggered:
+        trigger = flight.triggers[0]
+        parts.append(_html_section(
+            incident_section(flight.diagnosis),
+            f'<p class="breach">Trigger: {_html.escape(str(trigger.reason))} '
+            f"at t={trigger.time:g}s.</p>"))
+    if telemetry:
+        parts.append(_html_section(telemetry_section(telemetry)))
+    if profile:
+        parts.append(_profile_sections(profile))
+    if bench_trajectory:
+        parts.append(_html_section(bench_trajectory_section(bench_trajectory)))
+    return _html_document(title, "".join(parts), refresh=refresh)
 
 
-def write_html_report(
-    path: PathLike,
-    title: str,
-    kpi_report: Any,
-    slo_monitor: Any = None,
-    availability_per_device: Optional[Dict[str, float]] = None,
-    network_kinds: Optional[Dict[str, StreamingHistogram]] = None,
-    per_source: Optional[Dict[str, List[int]]] = None,
-    incidents: Optional[List[Dict[str, Any]]] = None,
-    telemetry: Optional[Dict[str, Any]] = None,
-    bench_trajectory: Optional[List[List[Any]]] = None,
-    profile: Optional[Dict[str, Any]] = None,
-    chaos: Optional[Dict[str, Any]] = None,
-    shards: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write the HTML resilience report; returns bytes written."""
-    document = render_html_report(
-        title, kpi_report, slo_monitor=slo_monitor,
-        availability_per_device=availability_per_device,
-        network_kinds=network_kinds, per_source=per_source,
-        incidents=incidents, telemetry=telemetry,
-        bench_trajectory=bench_trajectory, profile=profile, chaos=chaos,
-        shards=shards)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document)
-    return len(document.encode("utf-8"))
+def write_html_report(path: PathLike, *args: Any, **kwargs: Any) -> int:
+    """Write :func:`render_html_report`'s document; returns bytes written."""
+    return _write_html(path, render_html_report(*args, **kwargs))
+
+
+def write_chaos_report(path: PathLike, campaign: Dict[str, Any]) -> int:
+    """The HTML page of one chaos campaign (``CampaignResult.to_dict()``)."""
+    body = _html_section(
+        chaos_case_section(campaign),
+        f"<p>Seed <code>{campaign.get('seed')}</code>: "
+        f"{campaign.get('runs', 0)} sampled specs, "
+        f"{campaign.get('violations', 0)} violation(s), "
+        f"{campaign.get('wall_s', 0.0):.1f}s wall.</p>")
+    if campaign.get("findings"):
+        body += _html_section(chaos_finding_section(campaign))
+    return _write_html(path, _html_document(
+        f"Chaos campaign (seed {campaign.get('seed')})", body))

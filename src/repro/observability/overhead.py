@@ -249,8 +249,7 @@ def telemetry_health(system: Any,
     return health
 
 
-def telemetry_prom_lines(health: Dict[str, Any],
-                         prefix: str = "repro_") -> List[str]:
+def telemetry_prom_lines(health: Dict[str, Any]) -> List[str]:
     """Prometheus exposition lines for a :func:`telemetry_health` dict.
 
     Telemetry-loss signals (``trace_dropped_events_total``, span
@@ -260,12 +259,12 @@ def telemetry_prom_lines(health: Dict[str, Any],
     lines: List[str] = []
 
     def gauge(name: str, value: float) -> None:
-        metric = prefix + name
+        metric = "repro_" + name
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {float(value)!r}")
 
     def counter(name: str, value: float) -> None:
-        metric = prefix + name
+        metric = "repro_" + name
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {float(value)!r}")
 

@@ -622,15 +622,14 @@ def attribute_regressions(
 # --------------------------------------------------------------------------- #
 # Prometheus / HTML surfaces
 # --------------------------------------------------------------------------- #
-def profile_prom_lines(profile: Dict[str, Any],
-                       prefix: str = "repro_") -> List[str]:
+def profile_prom_lines(profile: Dict[str, Any]) -> List[str]:
     """``repro_profile_*`` families from a profile snapshot."""
     lines: List[str] = []
     planes = profile.get("planes", {})
     if planes:
-        busy = prefix + "profile_plane_busy_seconds"
-        events = prefix + "profile_plane_events_total"
-        queue = prefix + "profile_plane_queue_seconds"
+        busy = "repro_profile_plane_busy_seconds"
+        events = "repro_profile_plane_events_total"
+        queue = "repro_profile_plane_queue_seconds"
         lines.append(f"# TYPE {busy} gauge")
         for plane in sorted(planes):
             lines.append(
@@ -644,43 +643,30 @@ def profile_prom_lines(profile: Dict[str, Any],
                 f'{queue}{{plane="{plane}"}} {planes[plane]["queue_s"]!r}')
     kernel = profile.get("kernel")
     if kernel:
-        metric = prefix + "profile_kernel_events_total"
+        metric = "repro_profile_kernel_events_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {kernel['events']}")
-        metric = prefix + "profile_kernel_busy_seconds"
+        metric = "repro_profile_kernel_busy_seconds"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {kernel['busy_ms'] / 1e3!r}")
     routes = profile.get("route_cache")
     if routes:
         for key in ("hits", "misses", "invalidations"):
-            metric = prefix + f"profile_route_cache_{key}_total"
+            metric = f"repro_profile_route_cache_{key}_total"
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {routes[key]}")
     critical = profile.get("critical_path")
     if critical:
-        metric = prefix + "profile_request_segment_seconds"
+        metric = "repro_profile_request_segment_seconds"
         lines.append(f"# TYPE {metric} gauge")
         for segment in SEGMENTS:
             lines.append(
                 f'{metric}{{segment="{segment}"}} '
                 f'{float(critical["segments"].get(segment, 0.0))!r}')
-        metric = prefix + "profile_request_mean_latency_seconds"
+        metric = "repro_profile_request_mean_latency_seconds"
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {float(critical['mean_latency_s'])!r}")
     return lines
-
-
-def profile_plane_rows(profile: Dict[str, Any]) -> List[List[Any]]:
-    """HTML "Profile" table rows: per-plane cost attribution."""
-    total_ms = sum(p["total_ms"] for p in profile.get("planes", {}).values()) or 1.0
-    rows: List[List[Any]] = []
-    for plane, stats in profile.get("planes", {}).items():
-        rows.append([
-            plane, stats["count"], stats["total_ms"],
-            f"{stats['total_ms'] / total_ms:.1%}",
-            stats.get("mean_us", 0.0), stats.get("queue_s", 0.0),
-        ])
-    return rows
 
 
 def route_cache_line(profile: Dict[str, Any]) -> Optional[str]:
@@ -692,13 +678,3 @@ def route_cache_line(profile: Dict[str, Any]) -> Optional[str]:
             f"({routes['hits']} hits, {routes['misses']} misses, "
             f"{routes['invalidations']} invalidations)")
 
-
-def profile_segment_rows(profile: Dict[str, Any]) -> List[List[Any]]:
-    """HTML rows for the request critical-path segment breakdown."""
-    critical = profile.get("critical_path")
-    if not critical:
-        return []
-    total = sum(critical["segments"].values()) or 1.0
-    return [[segment, critical["segments"][segment],
-             f"{critical['segments'][segment] / total:.1%}"]
-            for segment in SEGMENTS]

@@ -274,19 +274,6 @@ class SloMonitor:
         return [self._latest[spec.name] for spec in self.specs
                 if spec.name in self._latest]
 
-    def table_rows(self) -> List[List[object]]:
-        rows: List[List[object]] = []
-        for status in self.latest():
-            rows.append([
-                status.spec.name,
-                status.spec.kind,
-                status.spec.objective,
-                "-" if status.measured is None else round(status.measured, 4),
-                "-" if status.burn_rate is None else round(status.burn_rate, 3),
-                "BREACH" if status.breached else "ok",
-            ])
-        return rows
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "period": self.period,

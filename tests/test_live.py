@@ -245,6 +245,44 @@ class TestTelemetryServer:
         assert _live_journal(str(out)) == reference
 
 
+    def test_dashboard_shows_the_causal_chain(self, tmp_path):
+        # The dashboard's incident entry is the report's incident section:
+        # from the first event boundary after a strict SLO breach the
+        # flight recorder has a diagnosis, and its chain rows render.
+        # Rendering mid-run is a pure read: digest and journal unchanged.
+        from repro.persistence import describe_scenario
+        from repro.persistence.snapshot import system_digest
+
+        spec = describe_scenario("smart-city-partition").spec(
+            True, monitored=True, strict=True)
+
+        def run(out, render):
+            service = LiveService(spec, str(out), speed=0.0, port=None,
+                                  checkpoint_every=3600.0)
+            service.start()
+            dashboards = []
+            should_stop = service._should_stop
+
+            def boundary():
+                if (render and len(dashboards) < 3
+                        and service.flight.diagnosis is not None):
+                    dashboards.append(service.render_dashboard())
+                return should_stop()
+
+            service._should_stop = boundary
+            assert service.run() == "completed"
+            return (system_digest(service.system), _live_journal(str(out)),
+                    dashboards)
+
+        digest, journal, dashboards = run(tmp_path / "rendered", True)
+        assert (digest, journal) == run(tmp_path / "plain", False)[:2]
+        assert len(dashboards) == 3
+        for dashboard in dashboards:
+            assert "<h2>Incident causal chain</h2>" in dashboard
+            assert "<td>fault:cloud-outage</td>" in dashboard
+            assert "Trigger: slo-breach" in dashboard
+
+
 # --------------------------------------------------------------------------- #
 # Hot reconfiguration
 # --------------------------------------------------------------------------- #

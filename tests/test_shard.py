@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.persistence import (
     Checkpoint,
     CheckpointError,
@@ -358,6 +359,15 @@ class TestShardObservability:
         assert "<h2>Shards</h2>" in html
         assert result.federation_digest in html
         assert "dom0" in html and "dom1" in html
+        # 'shard run' and 'shard resume' write this page through one
+        # document shell: its footer names neither them nor 'report'.
+        for verb in ("shard run", "shard resume"):
+            assert cli._shard_report(verb, result, out) == 0
+            with open(os.path.join(out, "report.html"), encoding="utf-8") as fh:
+                written = fh.read()
+            assert "<h2>Shards</h2>" in written and written.endswith("</html>")
+            assert "python -m repro report" not in written
+            assert "Generated by <code>python -m repro</code>" in written
 
     def test_report_inputs_passthrough(self, tmp_path):
         from repro.observability.export import report_inputs
