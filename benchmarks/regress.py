@@ -78,6 +78,9 @@ TOLERANCES: List[Tuple[str, float, str]] = [
     (r"startup\.import_s$", 1.0, "higher"),  # start-up imports: as wall_s
     (r"startup\.rss_mb$", 0.25, "higher"),   # one third-party import is +30%
     (r"startup\.modules$", 0.10, "higher"),  # drifts with the Python version
+    # Reader memory: tracemalloc bytes, exact run to run on one interpreter;
+    # flag growth past a version wobble (list-building readers read 2-200x).
+    (r".*_peak_kib$", 0.25, "higher"),
     (r".*", _EPS, "both"),                  # everything else: deterministic
 ]
 
@@ -96,6 +99,23 @@ def tolerance_for(metric: str) -> Tuple[float, str]:
 # bench runs; take_snapshot() clears this and folds it into the
 # ``profiles`` section of the written BENCH_<n>.json.
 _RUN_PROFILES: Dict[str, Dict[str, Any]] = {}
+
+
+def _traced_peak_kib(call: Callable[[], Any]) -> float:
+    """Peak bytes ``call`` allocates above what was live when it started,
+    in KiB, as ``tracemalloc`` counts them: requested bytes, not pages, so
+    the reading repeats exactly on one interpreter."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        call()
+        return round((tracemalloc.get_traced_memory()[1] - live) / 1024, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def bench_smart_city(quick: bool) -> Dict[str, float]:
@@ -196,6 +216,8 @@ def bench_persistence(quick: bool) -> Dict[str, float]:
     mid-horizon + resumed, and replays the resumed journal.  Timings and
     checkpoint size come from the persistence telemetry series; the
     digest/replay metrics are deterministic and must stay bit-identical.
+    ``replay_peak_kib`` replays the journal once more, untimed, under
+    ``tracemalloc``: the whole replay, whose reader holds no record list.
     """
     import shutil
     import tempfile
@@ -219,9 +241,13 @@ def bench_persistence(quick: bool) -> Dict[str, float]:
         save_s = metrics.series("persistence.checkpoint.save_s").values[-1]
         size_b = metrics.series("persistence.checkpoint.bytes").values[-1]
         resumed = resume_run(directory=tmp)
-        replay = replay_journal(os.path.join(tmp, "journal.jsonl"))
+        journal = os.path.join(tmp, "journal.jsonl")
+        replay = replay_journal(journal)
+        wall = time.perf_counter() - started
         return {
-            "wall_s": time.perf_counter() - started,
+            "wall_s": wall,
+            "replay_peak_kib": _traced_peak_kib(
+                lambda: replay_journal(journal)),
             "save.wall_s": float(save_s),
             "restore.wall_s": float(resumed.fast_forward_s),
             "checkpoint_bytes": float(size_b),
@@ -888,12 +914,18 @@ def bench_journal(quick: bool) -> Dict[str, float]:
     append/reference (noise only inflates a leg): a writer that builds and
     serialises a dict per record again shows as the ratio rising towards 1.
     ``bytes_identical`` is the noise-free half of the tripwire and requires
-    the two files to be equal byte for byte.
+    the two files to be equal byte for byte.  ``truncate_peak_kib`` cuts
+    the appended journal at its midpoint under ``tracemalloc``: a streaming
+    ``truncate`` holds a line, not the journal.
     """
     import shutil
     import tempfile
 
-    from repro.persistence.journal import JOURNAL_VERSION, JournalWriter
+    from repro.persistence.journal import (
+        JOURNAL_VERSION,
+        JournalWriter,
+        truncate,
+    )
 
     count = 20_000 if quick else 100_000
     reps = 3
@@ -939,6 +971,8 @@ def bench_journal(quick: bool) -> Dict[str, float]:
                 ratio = min(ratio, a_wall / r_wall)
         with open(paths[0], "rb") as a_fh, open(paths[1], "rb") as r_fh:
             identical = a_fh.read() == r_fh.read()
+        truncate_peak = _traced_peak_kib(
+            lambda: truncate(paths[0], count // 2))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return {
@@ -948,6 +982,7 @@ def bench_journal(quick: bool) -> Dict[str, float]:
         "reference_us": reference / count * 1e6,
         "append_over_reference": ratio,
         "bytes_identical": float(identical),
+        "truncate_peak_kib": truncate_peak,
     }
 
 

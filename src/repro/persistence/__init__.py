@@ -41,7 +41,6 @@ from repro.persistence.replay import (
     Divergence,
     ReplayReport,
     replay_journal,
-    replay_records,
     replay_run,
     write_divergence_report,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "read_journal",
     "register_scenario",
     "replay_journal",
-    "replay_records",
     "replay_run",
     "resume_run",
     "run_scenario",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Dict, Optional
 
 from repro.persistence.scenarios import ScenarioSpec
@@ -109,21 +110,34 @@ class Checkpoint:
             digest, state = payload["digest"], payload.get("state", {})
             if not isinstance(digest, str) or not isinstance(state, dict):
                 raise ValueError("digest must be a string, state an object")
+            time = payload["time"]
+            if type(time) not in (int, float) or not isfinite(time):
+                raise ValueError(f"'time' is not a finite number: {time!r}")
             return cls(
                 scenario=payload["scenario"],
-                time=float(payload["time"]),
-                fired=int(payload["fired"]),
+                time=float(time),
+                fired=_count(payload["fired"], "fired"),
                 digest=digest,
-                digest_every=int(payload.get("digest_every", 25)),
+                digest_every=_count(payload.get("digest_every", 25),
+                                    "digest_every"),
                 state=state,
                 version=payload["version"],
             )
         except KeyError as exc:
             raise CheckpointError(
                 f"{path}: checkpoint payload lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an integer 'time' too large for a float.
             raise CheckpointError(
                 f"{path}: malformed checkpoint payload: {exc}") from exc
+
+
+def _count(value: Any, name: str) -> int:
+    """``value`` if it is an ``int`` >= 0: a bool, a float (``2.7``,
+    ``1e999``) or a string is no event count."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name!r} is not a non-negative integer: {value!r}")
+    return value
 
 
 def _normalize(payload: Any) -> Any:

@@ -19,16 +19,17 @@ prefix on disk.  Record shapes:
 The journal is both the recovery log (``truncate`` drops records past a
 checkpoint barrier so a resumed run appends from exactly there) and the
 replay oracle (:mod:`repro.persistence.replay` re-runs the scenario and
-compares record-by-record).
+compares record-by-record); both stream it through :func:`scan_journal`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 JOURNAL_VERSION = 1
 
@@ -67,7 +68,7 @@ class JournalRecords:
 
     @property
     def digest_every(self) -> int:
-        return int(self.header.get("digest_every", 0))
+        return self.header.get("digest_every", 0)
 
     def digests(self) -> List[Dict[str, Any]]:
         return [r for r in self.records if r.get("type") in ("digest", "end")]
@@ -87,16 +88,22 @@ class JournalWriter:
     :func:`truncate` has just cut back to the checkpoint barrier.  It does
     not parse the file again: ``digest_every`` is the checkpoint's and
     ``records_written`` the count ``truncate`` returned.
+
+    ``sink`` takes the lines instead of a file, with no header: each record
+    is one ``write`` of one line, which replay compares with the recorded.
     """
 
-    def __init__(self, path: str, scenario: Optional[Dict[str, Any]] = None,
+    def __init__(self, path: Optional[str],
+                 scenario: Optional[Dict[str, Any]] = None,
                  digest_every: int = 25, append: bool = False,
-                 records_written: int = 0) -> None:
+                 records_written: int = 0, sink: Any = None) -> None:
         self.path = path
         self.digest_every = digest_every
         self.records_written = records_written
         self._labels: Dict[str, str] = {}
-        if append:
+        if sink is not None:
+            self._fh = sink
+        elif append:
             self._fh = open(path, "a", encoding="utf-8")
         else:
             self._fh = open(path, "w", encoding="utf-8")
@@ -183,42 +190,58 @@ def _mistyped(record: Dict[str, Any]) -> Optional[str]:
     return None
 
 
-def read_journal(path: str) -> JournalRecords:
-    """Parse a journal file; tolerates a torn final line (crash artifact)."""
-    header: Optional[Dict[str, Any]] = None
-    records: List[Dict[str, Any]] = []
+def journal_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, stripped line)`` of each non-blank line: the raw
+    layer under :func:`scan_journal`, which replay walks again unparsed."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
+            if line:
+                yield lineno, line
+
+
+def scan_journal(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
+    """Stream a journal as ``(line number, line, record)``, header first.
+
+    The one parser, holding one line at a time.  A torn line ends the
+    journal: a mid-write crash leaves a valid prefix before it.
+    """
+    headed = False
+    with closing(journal_lines(path)) as lines:
+        for lineno, line in lines:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                # A torn trailing line is the signature of a mid-write
-                # crash: everything before it is a valid prefix.
                 break
             if not isinstance(record, dict):
                 # The writer only emits objects, and no prefix of one is
                 # valid JSON: this is a foreign or edited file, not a tear.
                 raise JournalError(
-                    f"{path}: line {lineno + 1} is not a journal record")
-            if lineno == 0:
+                    f"{path}: line {lineno} is not a journal record")
+            if lineno == 1:
                 if record.get("type") != "header":
                     raise JournalError(f"{path}: first record is not a header")
                 if record.get("version") != JOURNAL_VERSION:
                     raise JournalError(
                         f"{path}: unsupported journal version "
                         f"{record.get('version')!r} (want {JOURNAL_VERSION})")
-                header = record
+                every = record.get("digest_every", 0)
+                if type(every) is not int or every < 0:
+                    raise JournalError(f"{path}: header 'digest_every' is not "
+                                       f"a non-negative integer: {every!r}")
+                headed = True
             else:
                 problem = _mistyped(record)
                 if problem:
-                    raise JournalError(
-                        f"{path}: line {lineno + 1}: {problem}")
-                records.append(record)
-    if header is None:
+                    raise JournalError(f"{path}: line {lineno}: {problem}")
+            yield lineno, line, record
+    if not headed:
         raise JournalError(f"{path}: empty or headerless journal")
+
+
+def read_journal(path: str) -> JournalRecords:
+    """Parse a whole journal into memory (see :func:`scan_journal`)."""
+    header, *records = [record for _, _, record in scan_journal(path)]
     return JournalRecords(header=header, records=records)
 
 
@@ -228,15 +251,20 @@ def truncate(path: str, fired: int) -> int:
     Classic WAL recovery: a crashed run may have journaled events beyond
     the last durable checkpoint, and the resumed run will re-produce them.
     Also drops any ``end`` record -- a truncated run is by definition not
-    cleanly closed.
+    cleanly closed.  Kept lines are copied byte for byte; a refused
+    journal is left as it was.
     """
-    journal = read_journal(path)
-    kept = [r for r in journal.records
-            if r["type"] != "end" and r["i"] <= fired]
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_encode(journal.header) + "\n")
-        for record in kept:
-            fh.write(_encode(record) + "\n")
+    tmp, kept = path + ".tmp", 0
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            for lineno, line, record in scan_journal(path):
+                if lineno == 1 or (record["type"] != "end"
+                                   and record["i"] <= fired):
+                    fh.write(line + "\n")
+                    kept += 1
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
-    return len(kept)
+    return kept - 1   # the header is no record

@@ -1,8 +1,8 @@
 """Deterministic replay: re-run a journaled scenario and diff the records.
 
 The journal is the ground truth of a run.  Replay rebuilds the scenario
-from the journal header's embedded spec, re-runs it while collecting the
-same record stream in memory, and compares record-by-record.  The first
+from the journal header's embedded spec, re-runs it while formatting the
+same record stream, and compares record-by-record.  The first
 mismatch -- an event fired at a different time, under a different label,
 or a digest that no longer matches -- is reported as a
 :class:`Divergence` with both sides of the disagreement, which localizes
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Optional, Tuple
 
-from repro.persistence.journal import JournalError, JournalRecords, read_journal
+from repro.persistence.journal import JournalError, journal_lines, scan_journal
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec
 
@@ -79,59 +79,72 @@ class ReplayReport:
         }
 
 
-class _MemoryJournal:
-    """A JournalWriter look-alike that keeps records in memory."""
+def _record_divergence(index: int, want: Dict[str, Any],
+                       got: Dict[str, Any]) -> Optional[Divergence]:
+    """Where recorded ``want`` and replayed ``got`` first disagree: ``type``,
+    then its compared fields (``scan_journal`` has typed ``want``)."""
+    kind = want["type"]
+    if got.get("type") != kind:
+        return Divergence(index=index, fired=want["i"], time=want.get("t"),
+                          field="type", recorded=kind,
+                          replayed=got.get("type"))
+    for fld in _COMPARED_FIELDS.get(kind, ()):
+        if want.get(fld) != got.get(fld):
+            return Divergence(index=index, fired=want["i"],
+                              time=want.get("t"), field=fld,
+                              recorded=want.get(fld), replayed=got.get(fld))
+    return None
 
-    def __init__(self, digest_every: int) -> None:
-        self.digest_every = digest_every
-        self.records: List[Dict[str, Any]] = []
 
-    def append_event(self, index: int, time: float, label: str) -> None:
-        self.records.append({"type": "event", "i": index, "t": time,
-                             "label": label})
+class _ComparingSink:
+    """Where a replay's :class:`JournalWriter` writes instead of a file.
 
-    def append_digest(self, index: int, time: float, digest: str) -> None:
-        self.records.append({"type": "digest", "i": index, "t": time,
-                             "digest": digest})
+    Each line is held against the next compared recorded line, read
+    lazily.  A byte-equal line matches; any other pair is parsed and
+    judged per record, so ``5`` for ``5.0``, key order or whitespace still
+    match.  The first divergence is kept.
+    """
 
-    def close(self, index: int, time: float, digest: str) -> None:
-        self.records.append({"type": "end", "i": index, "t": time,
-                             "digest": digest})
+    def __init__(self, path: str, skip: Collection[int], count: int,
+                 complete: bool) -> None:
+        self._lines = journal_lines(path)
+        self._recorded = (line for lineno, line in self._lines
+                          if lineno not in skip)
+        self._count = count
+        self._complete = complete
+        self._written = 0
+        self.divergence: Optional[Divergence] = None
+        self.closed = False
 
-    def abandon(self) -> None:
+    def write(self, text: str) -> None:
+        index = self._written
+        self._written += 1
+        if self.divergence is not None:
+            return
+        if index < self._count:
+            recorded = next(self._recorded)
+            if recorded != text[:-1]:
+                self.divergence = _record_divergence(
+                    index, json.loads(recorded), json.loads(text))
+        elif self._complete and index == self._count:
+            extra = json.loads(text)
+            self.divergence = Divergence(
+                index=index, fired=extra["i"], time=extra.get("t"),
+                field="type", recorded="<journal ends>",
+                replayed=extra.get("type"))
+
+    def flush(self) -> None:
         pass
 
-
-def _first_divergence(recorded: List[Dict[str, Any]],
-                      replayed: List[Dict[str, Any]],
-                      complete: bool) -> Optional[Divergence]:
-    """Record-by-record diff; an incomplete journal is a valid prefix.
-
-    :func:`read_journal` has checked that every recorded ``i`` is an int.
-    """
-    for index, want in enumerate(recorded):
-        kind = want.get("type", "?")
-        if index >= len(replayed):
-            return Divergence(index=index, fired=want["i"],
-                              time=want.get("t"), field="type",
-                              recorded=kind, replayed="<journal longer than replay>")
-        got = replayed[index]
-        if got.get("type") != kind:
-            return Divergence(index=index, fired=want["i"],
-                              time=want.get("t"), field="type",
-                              recorded=kind, replayed=got.get("type"))
-        for fld in _COMPARED_FIELDS.get(kind, ()):
-            if want.get(fld) != got.get(fld):
-                return Divergence(index=index, fired=want["i"],
-                                  time=want.get("t"), field=fld,
-                                  recorded=want.get(fld),
-                                  replayed=got.get(fld))
-    if complete and len(replayed) > len(recorded):
-        extra = replayed[len(recorded)]
-        return Divergence(index=len(recorded), fired=extra["i"],
-                          time=extra.get("t"), field="type",
-                          recorded="<journal ends>", replayed=extra.get("type"))
-    return None
+    def close(self) -> None:
+        if self.divergence is None and self._written < self._count:
+            want = json.loads(next(self._recorded))
+            self.divergence = Divergence(
+                index=self._written, fired=want["i"], time=want.get("t"),
+                field="type", recorded=want["type"],
+                replayed="<journal longer than replay>")
+        self._lines.close()
+        self.closed = True
 
 
 def replay_journal(journal_path: str,
@@ -141,17 +154,10 @@ def replay_journal(journal_path: str,
     Raises :class:`JournalError` if the journal cannot express a
     rebuildable run (no scenario spec in the header).
     """
-    journal = read_journal(journal_path)
-    return replay_records(journal, until=until)
+    return replay_run(journal_path, lambda run: run.drive(until))[0]
 
 
-def replay_records(journal: JournalRecords,
-                   until: Optional[float] = None) -> ReplayReport:
-    """Replay from already-parsed records (see :func:`replay_journal`)."""
-    return replay_run(journal, lambda run: run.drive(until))[0]
-
-
-def replay_run(journal: JournalRecords,
+def replay_run(journal_path: str,
                drive: Callable[[Run], None]) -> Tuple[ReplayReport, Run]:
     """Rebuild the journaled scenario, ``drive`` it, diff the records.
 
@@ -159,44 +165,57 @@ def replay_run(journal: JournalRecords,
     advanced (straight to a horizon, or window by window for a federation
     shard).  Returns the report and the finished run, whose system callers
     may inspect.
+
+    Neither pass holds the file: the first validates every line before
+    anything is built and keeps the header, the record count and the
+    ``reconfig`` records; in the second the re-run writes into a sink.
     """
-    scenario = journal.scenario
+    header: Dict[str, Any] = {}
+    reconfigs: Dict[int, Dict[str, Any]] = {}
+    compared, complete = 0, False
+    for lineno, _line, record in scan_journal(journal_path):
+        if lineno == 1:
+            header = record
+        elif record["type"] == "reconfig":
+            reconfigs[lineno] = record
+        else:
+            compared += 1
+        complete = record["type"] == "end"
+    scenario = header.get("scenario", {})
     try:
         spec = ScenarioSpec.from_dict(scenario)
     except ValueError as exc:
         raise JournalError("journal header has no scenario spec; "
                            "this journal cannot be replayed") from exc
-    memory = _MemoryJournal(journal.digest_every or 25)
-    run = Run.start(spec, journal=memory)
+    sink = _ComparingSink(journal_path, {1, *reconfigs}, compared, complete)
+    run = Run.start(spec, sink=sink,
+                    digest_every=header.get("digest_every") or 25)
 
     # Reconfigurations hot-loaded into the original run re-apply at their
     # fired-count barriers; the records themselves are instructions, not
     # part of the compared stream (the replay side never emits them).
-    reconfigs = journal.reconfigs()
     if reconfigs:
         from repro.live.reconfigure import register_live_loads
 
         register_live_loads(run.system,
                             [{"fired": r.get("i", 0), "time": r.get("t", 0.0),
                               "payload": r.get("payload", {})}
-                             for r in reconfigs])
-    compared = [r for r in journal.records if r.get("type") != "reconfig"]
+                             for r in reconfigs.values()])
 
     try:
         drive(run)
     finally:
-        if journal.complete:
+        if complete:
             run.finish()
         else:
             run.abandon()
 
     report = ReplayReport(
         scenario=scenario,
-        records_checked=len(compared),
+        records_checked=compared,
         events_replayed=run.system.sim.fired_count,
-        journal_complete=journal.complete,
-        divergence=_first_divergence(compared, memory.records,
-                                     journal.complete),
+        journal_complete=complete,
+        divergence=sink.divergence,
         extra={"reconfigs_applied": len(reconfigs)} if reconfigs else {},
     )
     return report, run

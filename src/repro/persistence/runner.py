@@ -49,6 +49,7 @@ from repro.persistence.snapshot import (
     system_digest,
     system_digest_state,
 )
+from repro.simulation.kernel import SimulationError
 
 
 class RunRecorder:
@@ -192,7 +193,15 @@ def fast_forward(system: Any, checkpoint: Checkpoint) -> float:
                 f"checkpoint barrier is at {checkpoint.fired}; the scenario "
                 f"no longer reproduces the checkpointed run")
     if checkpoint.time > sim.now:
-        sim.advance_to(checkpoint.time)
+        try:
+            sim.advance_to(checkpoint.time)
+        except SimulationError as exc:
+            # The checkpoint undercounts its events: stepping stopped
+            # short of events that fire before the barrier time.
+            raise CheckpointError(
+                f"cannot reach the barrier t={checkpoint.time:g} after "
+                f"fired={checkpoint.fired} events ({exc}); the scenario no "
+                f"longer reproduces the checkpointed run") from exc
     elapsed = perf_counter() - started
     digest = system_digest(system)
     if digest != checkpoint.digest:
@@ -258,15 +267,17 @@ class Run:
 
     @classmethod
     def start(cls, spec: ScenarioSpec, journal_path: Optional[str] = None,
-              journal: Any = None, digest_every: int = 25) -> "Run":
+              sink: Any = None, digest_every: int = 25) -> "Run":
         """Build ``spec`` at t=0 and start recording.
 
-        ``journal_path`` opens a fresh on-disk journal; ``journal`` takes
-        an in-memory :class:`JournalWriter` look-alike instead (replay).
+        ``journal_path`` opens a fresh on-disk journal; ``sink`` takes the
+        journal's lines instead, with no header (replay's comparing sink).
         """
         run = cls(spec, prepare(spec))
-        if journal_path:
-            journal = JournalWriter(journal_path, spec.to_dict(), digest_every)
+        journal = None
+        if journal_path or sink is not None:
+            journal = JournalWriter(journal_path, spec.to_dict(), digest_every,
+                                    sink=sink)
         return run._record(journal, digest_every, journal_path)
 
     @classmethod

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-from ..persistence.journal import read_journal
 from ..persistence.replay import replay_run
 from ..persistence.runner import Run
 from ..persistence.snapshot import system_digest
@@ -38,7 +37,6 @@ from .worker import shard_paths
 def replay_shard(out_dir: str, shard_id: int) -> Dict[str, Any]:
     """Replay one shard's journal against its recorded inboxes."""
     paths = shard_paths(out_dir, shard_id)
-    journal = read_journal(paths["journal"])
     header, inboxes = read_inbox(paths["inbox"])
     if header is not None:
         check_inbox_header(paths["inbox"], header, load_manifest(out_dir))
@@ -51,7 +49,7 @@ def replay_shard(out_dir: str, shard_id: int) -> Dict[str, Any]:
                 lookahead_barriers(lookahead, horizon), start=1):
             run.window(barrier, inboxes.get(window, []))
 
-    report, run = replay_run(journal, drive_windows)
+    report, run = replay_run(paths["journal"], drive_windows)
     return {
         "shard": shard_id,
         "ok": report.ok,

@@ -311,8 +311,11 @@ class TestBadRunDirectories:
         [_HEADER % "7", '{"type":"event","i":1,"t":0.5,"label":"x"}', "7",
          '{"type":"event","i":2,"t":0.6,"label":"y"}'],
         [_HEADER % '"abc"'],
+        *([_HEADER.replace(":25,", f":{every},") % "7"]
+          for every in ('"x"', "1e999", "true", "-1", "null", "2.5")),
     ], ids=["header-list", "header-int", "record-list", "record-int",
-            "bad-seed"])
+            "bad-seed", "every-str", "every-inf", "every-bool",
+            "every-negative", "every-null", "every-float"])
     def test_wrong_shape_journal_exits_2(self, lines, tmp_path, capsys):
         (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
         captured = self._assert_classified(
@@ -367,6 +370,37 @@ class TestBadRunDirectories:
             captured = self._assert_classified(
                 [verb, "--out", str(out)], capsys)
             assert f"journal.jsonl: line 6: {problem}" in captured.err
+
+    @pytest.mark.parametrize("edit,problem", [
+        ({"fired": float("inf")}, "'fired' is not a non-negative integer: inf"),
+        ({"fired": True}, "'fired' is not a non-negative integer: True"),
+        ({"fired": 2.7}, "'fired' is not a non-negative integer: 2.7"),
+        ({"fired": -1}, "'fired' is not a non-negative integer: -1"),
+        ({"digest_every": float("inf")}, "'digest_every' is not a"),
+        ({"digest_every": True}, "'digest_every' is not a"),
+        ({"time": float("nan")}, "'time' is not a finite number: nan"),
+        ({"time": float("-inf")}, "'time' is not a finite number: -inf"),
+        ({"time": 10 ** 400}, "malformed checkpoint payload"),
+        ("undercount", "cannot reach the barrier t=45 after fired="),
+    ], ids=["fired-inf", "fired-bool", "fired-float", "fired-negative",
+            "every-inf", "every-bool", "time-nan", "time-inf", "time-huge",
+            "fired-undercount"])
+    def test_resealed_checkpoint_with_a_bad_barrier_exits_2(
+            self, edit, problem, checkpointed_run, tmp_path, capsys):
+        """An integrity-resealed checkpoint whose barrier is not a count
+        and a finite time, or undercounts the events before its time, is
+        refused at load or at fast-forward -- no traceback."""
+        out = tmp_path / "run"
+        shutil.copytree(checkpointed_run, out)
+        path = out / "checkpoint.json"
+        payload = json.loads(path.read_text())["payload"]
+        if edit == "undercount":
+            edit = {"fired": payload["fired"] - 5}
+        path.write_text(json.dumps(_sealed({**payload, **edit})))
+        capsys.readouterr()
+        captured = self._assert_classified(["resume", "--out", str(out)],
+                                           capsys)
+        assert problem in captured.err
 
     def test_wrong_valued_journal_field_is_a_divergence(
             self, checkpointed_run, tmp_path, capsys):

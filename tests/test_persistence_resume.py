@@ -96,9 +96,9 @@ class TestResumeBitwiseIdentity:
         on_disk = read_journal(paths["journal"])
 
         parses = []
-        real = journal.read_journal
+        real = journal.scan_journal
         monkeypatch.setattr(
-            journal, "read_journal",
+            journal, "scan_journal",
             lambda path: parses.append(path) or real(path))
         run = Run.resume(Checkpoint.load(paths["checkpoint"]),
                          paths["journal"])

@@ -292,7 +292,7 @@ class TestCrashResume:
         assert report["reports"][0]["ok"]
 
     def test_replay_of_specless_journal_is_a_journal_error(self, tmp_path):
-        # Shard replay shares replay_records' path, classification included.
+        # Shard replay shares replay_run's path, classification included.
         paths = shard_paths(str(tmp_path), 0)
         os.makedirs(paths["dir"])
         with open(paths["journal"], "w", encoding="utf-8") as fh:
