@@ -15,7 +15,6 @@ regression scenarios.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -122,12 +121,10 @@ def replay_bundle(bundle: str) -> BundleVerdict:
     a byte-identical reproduction of the failing run.
     """
     from repro.observability.flight import FlightError, replay_incident
-    from repro.persistence.checkpoint import CheckpointError
 
     try:
         outcome = replay_incident(bundle)
-    except (CheckpointError, FlightError, KeyError, OSError,
-            ValueError, json.JSONDecodeError) as exc:
+    except (FlightError, KeyError, OSError, ValueError) as exc:
         return BundleVerdict(bundle=bundle, ok=False,
                              error=f"{type(exc).__name__}: {exc}")
     return BundleVerdict(

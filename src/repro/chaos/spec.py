@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, Optional, Sequence, Tuple
+
+from repro.schema import Field, check
 
 #: Workload archetypes the compiler can build (healthcare's bespoke
 #: hospital topology does not expose the edge/cloud landscape the
@@ -89,30 +91,58 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
+def _pair_target(fault: Dict[str, Any]) -> Optional[str]:
+    if fault["kind"] in ("latency", "link") and ":" not in fault["target"]:
+        return (f"is a {fault['kind']} fault, whose target must be an 'a:b' "
+                f"node pair, got {fault['target']!r}")
+    return None
+
+
+def _loaded(traffic: Dict[str, Any]) -> Optional[str]:
+    if traffic.get("pattern", "none") != "none" and not traffic.get("users"):
+        return "needs users > 0 for a traffic pattern"
+    return None
+
+
+#: One scheduled fault, in a spec or in a live ``fault-schedule`` payload
+#: (where ``at`` is an offset from the moment the payload lands).
+FAULT = Field("object", fields={
+    "kind": Field("string", choices=FAULT_KINDS, label="fault kind"),
+    "at": Field("number", low=0),
+    "duration": Field("number", above=0),
+    "target": Field("string"),
+}, rule=_pair_target)
+
 # Specs come back from files people edit (``chaos shrink spec.json``, a
-# corpus bundle, a hot-loaded ``chaos-spec`` payload), so ``from_dict``
-# turns every wrong shape into one ``ValueError`` naming the field -- never
-# the ``AttributeError``/``TypeError``/bare ``KeyError`` it would trip first.
-_REQUIRED = object()
-
-
-def _object(data: Any, where: str) -> Dict[str, Any]:
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, "
-                         f"got {type(data).__name__}")
-    return data
-
-
-def _field(data: Dict[str, Any], where: str, key: str,
-           convert: Callable[[Any], Any], default: Any = _REQUIRED) -> Any:
-    value = data.get(key, default)
-    if value is _REQUIRED:
-        raise ValueError(f"{where} is missing {key!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}.{key} must be {convert.__name__}-like, "
-                         f"got {value!r}") from None
+# corpus bundle, a hot-loaded ``chaos-spec`` payload), so the shape and the
+# domain of every axis are declared once; an absent field takes the
+# dataclass default.
+SPEC = Field("object", fields={
+    "workload": Field("string", required=False, choices=WORKLOADS,
+                      label="workload"),
+    "topology": Field("object", required=False, fields={
+        # edge0 serves, edge1 is the adversary slot
+        "sites": Field("integer", required=False, low=2),
+        "devices_per_site": Field("integer", required=False, low=1),
+    }),
+    "traffic": Field("object", required=False, rule=_loaded, fields={
+        "pattern": Field("string", required=False, choices=TRAFFIC_PATTERNS,
+                         label="traffic pattern"),
+        "users": Field("integer", required=False, low=0),
+        "rate_per_user": Field("number", required=False, above=0),
+    }),
+    "faults": Field("list", required=False, items=FAULT),
+    "adversary": Field("object", required=False, fields={
+        "attack": Field("string", required=False, choices=ADVERSARIES,
+                        label="adversary"),
+        "at": Field("number", required=False, low=0),
+        "rate": Field("number", required=False, above=0),
+    }),
+    "maturity": Field("integer", required=False, choices=MATURITY_LEVELS,
+                      label="maturity"),
+    "horizon": Field("number", required=False, above=0),
+    "seed": Field("integer", required=False),
+})
 
 
 @dataclass(frozen=True)
@@ -121,17 +151,6 @@ class TopologyAxis:
 
     sites: int = 3
     devices_per_site: int = 2
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"sites": self.sites,
-                "devices_per_site": self.devices_per_site}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopologyAxis":
-        data = _object(data, "topology")
-        return cls(sites=_field(data, "topology", "sites", int, 3),
-                   devices_per_site=_field(data, "topology",
-                                           "devices_per_site", int, 2))
 
 
 @dataclass(frozen=True)
@@ -153,18 +172,6 @@ class TrafficAxis:
     def offered_rate(self) -> float:
         return self.users * self.rate_per_user
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"pattern": self.pattern, "users": self.users,
-                "rate_per_user": self.rate_per_user}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrafficAxis":
-        data = _object(data, "traffic")
-        return cls(pattern=_field(data, "traffic", "pattern", str, "none"),
-                   users=_field(data, "traffic", "users", int, 0),
-                   rate_per_user=_field(data, "traffic", "rate_per_user",
-                                        float, 0.04))
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -179,19 +186,6 @@ class FaultEvent:
     duration: float
     target: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "at": self.at,
-                "duration": self.duration, "target": self.target}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any],
-                  where: str = "fault") -> "FaultEvent":
-        data = _object(data, where)
-        return cls(kind=_field(data, where, "kind", str),
-                   at=_field(data, where, "at", float),
-                   duration=_field(data, where, "duration", float),
-                   target=_field(data, where, "target", str))
-
 
 @dataclass(frozen=True)
 class AdversaryAxis:
@@ -205,16 +199,6 @@ class AdversaryAxis:
     attack: str = "none"
     at: float = 5.0
     rate: float = 600.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"attack": self.attack, "at": self.at, "rate": self.rate}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AdversaryAxis":
-        data = _object(data, "adversary")
-        return cls(attack=_field(data, "adversary", "attack", str, "none"),
-                   at=_field(data, "adversary", "at", float, 5.0),
-                   rate=_field(data, "adversary", "rate", float, 600.0))
 
 
 @dataclass(frozen=True)
@@ -239,73 +223,25 @@ class ChaosSpec:
 
     # -- validation --------------------------------------------------------- #
     def validate(self) -> None:
-        """Raise ``ValueError`` on any out-of-domain axis."""
-        if self.workload not in WORKLOADS:
-            raise ValueError(f"unknown workload {self.workload!r}; "
-                             f"expected one of {WORKLOADS}")
-        if self.topology.sites < 2:
-            raise ValueError("topology needs at least two sites "
-                             "(edge0 serves, edge1 is the adversary slot)")
-        if self.topology.devices_per_site < 1:
-            raise ValueError("topology needs at least one device per site")
-        if self.traffic.pattern not in TRAFFIC_PATTERNS:
-            raise ValueError(f"unknown traffic pattern "
-                             f"{self.traffic.pattern!r}; expected one of "
-                             f"{TRAFFIC_PATTERNS}")
-        if self.traffic.pattern != "none" and self.traffic.users <= 0:
-            raise ValueError("traffic pattern needs users > 0")
-        for fault in self.faults:
-            if fault.kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {fault.kind!r}; "
-                                 f"expected one of {FAULT_KINDS}")
-            if fault.duration <= 0 or fault.at < 0:
-                raise ValueError(f"fault {fault} needs at >= 0 and "
-                                 "duration > 0")
-            if fault.kind in ("latency", "link") and ":" not in fault.target:
-                raise ValueError(f"{fault.kind} fault target must be an "
-                                 f"'a:b' node pair, got {fault.target!r}")
-        if self.adversary.attack not in ADVERSARIES:
-            raise ValueError(f"unknown adversary {self.adversary.attack!r}; "
-                             f"expected one of {ADVERSARIES}")
-        if self.maturity not in MATURITY_LEVELS:
-            raise ValueError(f"maturity must be one of {MATURITY_LEVELS}, "
-                             f"got {self.maturity!r}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        """Raise ``ValueError`` on any out-of-domain axis (:data:`SPEC`)."""
+        check(self.to_dict(), SPEC)
 
     # -- round trip --------------------------------------------------------- #
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "topology": self.topology.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "faults": [fault.to_dict() for fault in self.faults],
-            "adversary": self.adversary.to_dict(),
-            "maturity": self.maturity,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        """Every axis as plain JSON values, in field order."""
+        return {**asdict(self), "faults": [asdict(f) for f in self.faults]}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosSpec":
-        """Inverse of :meth:`to_dict`; ``ValueError`` naming the field for
-        anything of the wrong shape (domains are :meth:`validate`'s)."""
-        data = _object(data, "chaos spec")
-        faults = data.get("faults", [])
-        if not isinstance(faults, list):
-            raise ValueError(f"faults must be a JSON list, "
-                             f"got {type(faults).__name__}")
-        return cls(
-            workload=_field(data, "chaos spec", "workload", str, "none"),
-            topology=TopologyAxis.from_dict(data.get("topology", {})),
-            traffic=TrafficAxis.from_dict(data.get("traffic", {})),
-            faults=tuple(FaultEvent.from_dict(fault, f"faults[{index}]")
-                         for index, fault in enumerate(faults)),
-            adversary=AdversaryAxis.from_dict(data.get("adversary", {})),
-            maturity=_field(data, "chaos spec", "maturity", int, 1),
-            horizon=_field(data, "chaos spec", "horizon", float, 30.0),
-            seed=_field(data, "chaos spec", "seed", int, 1),
-        )
+        """Inverse of :meth:`to_dict`; a ``ValueError`` naming the field for
+        anything not of :data:`SPEC`'s shape and domain."""
+        fields = check(data, SPEC)
+        for name, axis in (("topology", TopologyAxis), ("traffic", TrafficAxis),
+                           ("adversary", AdversaryAxis)):
+            if name in fields:
+                fields[name] = axis(**fields[name])
+        fields["faults"] = tuple(FaultEvent(**f) for f in fields.get("faults", ()))
+        return cls(**fields)
 
     def to_json(self) -> str:
         """Canonical JSON form (sorted keys, compact separators)."""

@@ -854,7 +854,6 @@ def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
     try:
         with open(spec_path, encoding="utf-8") as fh:
             spec = ChaosSpec.from_json(fh.read())
-        spec.validate()
     except (OSError, ValueError) as exc:
         return _fail(f"chaos shrink: cannot load a spec from {path!r} ({exc})")
     _progress(f"shrinking {spec.describe()} ({spec.axis_count()} axes)...")
@@ -891,7 +890,7 @@ def cmd_chaos_corpus(corpus: str = "corpus") -> int:
 
     for bundle in corpus_bundles(corpus):
         try:
-            load_bundle_spec(bundle).validate()
+            load_bundle_spec(bundle)
         except (OSError, ValueError) as exc:
             return _fail(f"chaos corpus: cannot load a spec from "
                          f"{bundle!r} ({exc})")
@@ -1322,6 +1321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         JournalError,
         UnknownScenarioError,
     )
+    from repro.schema import SchemaError
 
     handler, json_mode, kwargs = _parse(argv)
     if json_mode:
@@ -1354,9 +1354,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             _progress(f"  {name}")
         _print_data("error", {"error": f"unknown scenario {exc.name!r}",
                               "available": list(exc.available)})
-    except (CheckpointError, JournalError, OSError) as exc:
+    except (CheckpointError, JournalError, OSError, SchemaError) as exc:
         # A missing, truncated or garbled run directory (checkpoint,
-        # journal, manifest) fails closed: one line, never a traceback.
+        # journal, manifest, the chaos spec in a checkpoint's params)
+        # fails closed: one line, never a traceback.
         exit_code = _fail(str(exc))
     finally:
         tables, _JSON_COLLECTOR = _JSON_COLLECTOR, None

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.chaos.spec import FAULT_KINDS, ChaosSpec, FaultEvent
+from repro.chaos.spec import FAULT, SPEC, ChaosSpec, FaultEvent
+from repro.schema import Field, check
 
 
 class LiveLoadError(ValueError):
@@ -41,6 +42,15 @@ class LiveLoadError(ValueError):
 
 
 PAYLOAD_KINDS = ("fault-schedule", "chaos-spec")
+
+_KIND = Field("object", fields={
+    "kind": Field("string", choices=PAYLOAD_KINDS, label="payload kind")})
+#: Each kind's body; fault ``at`` is an offset from load time.
+_PAYLOADS = {
+    "fault-schedule": Field("object", fields={"faults": Field(
+        "list", items=FAULT, rule=lambda faults: None if faults else "is empty")}),
+    "chaos-spec": Field("object", fields={"spec": SPEC}),
+}
 
 
 def validate_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -50,45 +60,16 @@ def validate_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     journal).  Raises :class:`LiveLoadError` on anything malformed, so a
     bad file in the reload directory is reported instead of half-applied.
     """
-    if not isinstance(payload, dict):
-        raise LiveLoadError(f"payload must be a JSON object, got "
-                            f"{type(payload).__name__}")
-    kind = payload.get("kind")
+    kind = check(payload, _KIND, "payload", LiveLoadError)["kind"]
+    body = check(payload, _PAYLOADS[kind], "payload", LiveLoadError)
     if kind == "fault-schedule":
-        faults = payload.get("faults")
-        if not isinstance(faults, list) or not faults:
-            raise LiveLoadError("fault-schedule payload needs a non-empty "
-                                "'faults' list")
-        normalized = []
-        for index, entry in enumerate(faults):
-            try:
-                event = FaultEvent.from_dict(entry)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LiveLoadError(
-                    f"faults[{index}] is not a fault event: {exc}") from exc
-            if event.kind not in FAULT_KINDS:
-                raise LiveLoadError(
-                    f"faults[{index}]: unknown kind {event.kind!r} "
-                    f"(expected one of {FAULT_KINDS})")
-            if event.at < 0:
-                raise LiveLoadError(
-                    f"faults[{index}]: offset at={event.at} is negative "
-                    "(payload times are offsets from load time)")
-            normalized.append(event.to_dict())
-        return {"kind": "fault-schedule", "faults": normalized}
-    if kind == "chaos-spec":
-        try:
-            spec = ChaosSpec.from_dict(payload.get("spec") or {})
-            spec.validate()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LiveLoadError(f"chaos-spec payload invalid: {exc}") from exc
-        if not spec.faults and spec.adversary.attack == "none":
-            raise LiveLoadError(
-                "chaos-spec payload has no disruption program (no faults, "
-                "no adversary); only disruptions can be hot-loaded")
-        return {"kind": "chaos-spec", "spec": spec.to_dict()}
-    raise LiveLoadError(f"unknown payload kind {kind!r} "
-                        f"(expected one of {PAYLOAD_KINDS})")
+        return {"kind": kind, "faults": body["faults"]}
+    spec = ChaosSpec.from_dict(body["spec"])
+    if not spec.faults and spec.adversary.attack == "none":
+        raise LiveLoadError(
+            "chaos-spec payload has no disruption program (no faults, "
+            "no adversary); only disruptions can be hot-loaded")
+    return {"kind": kind, "spec": spec.to_dict()}
 
 
 # --------------------------------------------------------------------------- #
@@ -178,7 +159,7 @@ def apply_payload(system: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     payload = validate_payload(payload)
     if payload["kind"] == "fault-schedule":
-        events = [FaultEvent.from_dict(f) for f in payload["faults"]]
+        events = [FaultEvent(**fault) for fault in payload["faults"]]
         names = _apply_fault_events(system, events, tag="live")
         return {"kind": "fault-schedule", "scheduled": names}
     spec = ChaosSpec.from_dict(payload["spec"])
@@ -199,9 +180,14 @@ def register_live_loads(system: Any,
     exact event-sequence point where the live run applied it.
     """
     for load in loads:
-        payload = dict(load.get("payload") or {})
+        payload = load.get("payload")
 
-        def _apply(_sim: Any, _payload: Dict[str, Any] = payload) -> None:
-            apply_payload(system, _payload)
+        def _apply(_sim: Any, _payload: Any = payload) -> None:
+            # A live service journals a load before it applies it; one it
+            # then refused is refused the same way here, not fatal.
+            try:
+                apply_payload(system, _payload)
+            except LiveLoadError:
+                pass
 
         system.sim.at_fired(int(load.get("fired", 0)), _apply)

@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.schema import Field, check
+
 #: Padding added to the trigger time when selecting trace events, so an
 #: event emitted *at* the trigger instant (the breach that fired it) is
 #: included despite the trace's half-open window convention.
@@ -57,13 +59,18 @@ class CausalLink:
             "detail": dict(self.detail),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CausalLink":
-        return cls(kind=data["kind"], subject=data["subject"],
-                   time=float(data["time"]), summary=data["summary"],
-                   score=float(data["score"]),
-                   trace_id=data.get("trace_id"),
-                   detail=dict(data.get("detail", {})))
+
+_TEXT, _NUMBER = Field("string"), Field("number")
+_OPTIONAL_NUMBER = Field("number", required=False)
+
+#: A diagnosis as an incident bundle's manifest carries it.
+DIAGNOSIS = Field("object", required=False, fields={
+    "trigger_reason": Field("string", required=False),
+    "trigger_time": _OPTIONAL_NUMBER, "window": _OPTIONAL_NUMBER,
+    "chain": Field("list", required=False, items=Field("object", fields={
+        "kind": _TEXT, "subject": _TEXT, "time": _NUMBER, "summary": _TEXT,
+        "score": _NUMBER, "trace_id": Field("string", required=False, null=True),
+        "detail": Field("object", required=False)}))})
 
 
 @dataclass
@@ -85,11 +92,10 @@ class Diagnosis:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Diagnosis":
-        return cls(trigger_reason=data.get("trigger_reason", ""),
-                   trigger_time=float(data.get("trigger_time", 0.0)),
-                   window=float(data.get("window", 0.0)),
-                   chain=[CausalLink.from_dict(link)
-                          for link in data.get("chain", [])])
+        fields = check(data, DIAGNOSIS)
+        return cls(**{"trigger_reason": "", "trigger_time": 0.0, "window": 0.0,
+                      **fields, "chain": [CausalLink(**link)
+                                          for link in fields.get("chain", [])]})
 
     def table_rows(self) -> List[List[Any]]:
         """``[rank, kind, subject, t, score, summary]`` rows for CLI/HTML."""

@@ -43,13 +43,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.observability.diagnosis import Diagnosis, diagnose
+from repro.observability.diagnosis import DIAGNOSIS, Diagnosis, diagnose
 from repro.observability.export import event_to_dict
 from repro.observability.overhead import telemetry_health
 from repro.persistence.checkpoint import Checkpoint
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec, prepare
 from repro.persistence.snapshot import state_digest, system_digest_state
+from repro.schema import Field, check
 
 MANIFEST_NAME = "manifest.json"
 BUNDLE_VERSION = 1
@@ -388,16 +389,32 @@ class FlightRecorder:
 # --------------------------------------------------------------------------- #
 # Bundle reading / replay
 # --------------------------------------------------------------------------- #
+_TRIGGER = Field("object", fields={
+    "reason": Field("string", choices=TRIGGER_REASONS, label="trigger reason"),
+    "time": Field("number")})
+
+#: What ``incident show`` and ``incident replay`` read of a manifest.
+_MANIFEST = Field("object", fields={
+    "trigger": _TRIGGER,
+    "barrier": Field("object", fields={"time": Field("number"),
+                                       "fired": Field("integer", low=0),
+                                       "digest": Field("string")}),
+    "scenario": Field("object", required=False, null=True),
+    "additional_triggers": Field("list", required=False, items=_TRIGGER),
+    "diagnosis": DIAGNOSIS,
+    "evidence": Field("object", required=False),
+})
+
+
 def load_manifest(bundle: str) -> Dict[str, Any]:
-    """Read and minimally validate a bundle's manifest."""
+    """Read a bundle's manifest; anything not of its shape fails closed."""
     path = os.path.join(bundle, MANIFEST_NAME)
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:        # not JSON, or not UTF-8
         raise FlightError(f"{bundle}: not an incident bundle: {exc}") from exc
-    if "trigger" not in manifest or "barrier" not in manifest:
-        raise FlightError(f"{bundle}: manifest has no trigger/barrier")
+    check(manifest, _MANIFEST, f"{bundle}: malformed manifest", FlightError)
     return manifest
 
 
@@ -522,8 +539,10 @@ def capture_divergence_incident(journal_path: str, report: Any,
     flight = FlightRecorder(system, spec=spec,
                             loops=prepared.aux.get("loops"))
     flight.arm()
+    # A damaged journal's ``i`` may lie past the horizon: stop there.
     target = max(0, divergence.fired)
-    while system.sim.fired_count < target:
+    while (system.sim.fired_count < target
+           and system.sim.now <= prepared.horizon):
         if not system.sim.step():
             break
     flight.trigger("replay-divergence", detail=divergence.to_dict())

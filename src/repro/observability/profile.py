@@ -42,6 +42,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.observability.instrument import Instrument, InstrumentSnapshot
+from repro.schema import Field, check
 
 PROFILE_SCHEMA = 1
 
@@ -239,29 +240,22 @@ def save_profile(profile: Dict[str, Any], path: Any) -> None:
         fh.write("\n")
 
 
-def _check_profile(profile: Any, where: str) -> None:
-    """Raise ``ValueError`` unless ``profile`` has the shape
-    :func:`diff_profiles` reads."""
-    def expect(ok: bool, problem: str) -> None:
-        if not ok:
-            raise ValueError(f"{where}: {problem}")
+_ROWS = Field("object", required=False, items=Field("object", fields={
+    "total_ms": Field("number", required=False),
+    "count": Field("number", required=False),
+}))
 
-    expect(isinstance(profile, dict), "not a JSON object")
-    for key in ("meta", "kernel", "planes", "labels"):
-        expect(isinstance(profile.get(key, {}), dict),
-               f"'{key}' is not an object")
-    for key in ("planes", "labels"):
-        for name, row in profile.get(key, {}).items():
-            expect(isinstance(row, dict), f"{key}[{name!r}] is not an object")
-            for field in ("total_ms", "count"):
-                expect(isinstance(row.get(field, 0), (int, float)),
-                       f"{key}[{name!r}].{field} is not a number")
-    critical = profile.get("critical_path")
-    if critical is not None:
-        segments = critical.get("segments") if isinstance(critical, dict) else None
-        expect(isinstance(segments, dict) and all(
-            isinstance(value, (int, float)) for value in segments.values()),
-            "'critical_path.segments' is not an object of numbers")
+#: What :func:`diff_profiles` reads of a profile.
+_PROFILE = Field("object", fields={
+    "meta": Field("object", required=False),
+    "kernel": Field("object", required=False),
+    "planes": _ROWS,
+    "labels": _ROWS,
+    "critical_path": Field("object", required=False, null=True, fields={
+        "segments": Field("object", items=Field("number"))}),
+})
+_BENCH = Field("object", fields={
+    "profiles": Field("object", required=False, items=_PROFILE)})
 
 
 def load_profile(path: Any) -> Dict[str, Any]:
@@ -270,11 +264,8 @@ def load_profile(path: Any) -> Dict[str, Any]:
     not JSON or not of the shape :func:`diff_profiles` reads."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "benches" in data:
-        for name, profile in profiles_from_bench(data).items():
-            _check_profile(profile, f"{path}: profiles[{name!r}]")
-    else:
-        _check_profile(data, str(path))
+    bench = isinstance(data, dict) and "benches" in data
+    check(data, _BENCH if bench else _PROFILE, str(path))
     return data
 
 

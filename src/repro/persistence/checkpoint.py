@@ -13,14 +13,27 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from math import isfinite
-from typing import Any, Dict, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict
 
-from repro.persistence.scenarios import ScenarioSpec
+from repro.persistence.scenarios import SCENARIO_SPEC
 from repro.persistence.snapshot import canonical_json, state_digest
+from repro.schema import Field, check
 
 CHECKPOINT_VERSION = 1
+
+_DOCUMENT = Field("object", fields={"payload": Field("object"),
+                                    "integrity": Field("string")})
+
+#: What a resume computes with; ``state`` is read, never restored from.
+_PAYLOAD = Field("object", fields={
+    "scenario": SCENARIO_SPEC,
+    "time": Field("number"),
+    "fired": Field("integer", low=0),
+    "digest": Field("string"),
+    "digest_every": Field("integer", required=False, low=0),
+    "state": Field("object", required=False),
+})
 
 
 class CheckpointError(ValueError):
@@ -59,20 +72,9 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
     # -- persistence -------------------------------------------------------- #
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "scenario": self.scenario,
-            "time": self.time,
-            "fired": self.fired,
-            "digest": self.digest,
-            "digest_every": self.digest_every,
-            "state": self.state,
-        }
-
     def save(self, path: str) -> int:
         """Write atomically; returns the file size in bytes."""
-        payload = self.to_payload()
+        payload = asdict(self)
         document = {"payload": payload,
                     "integrity": state_digest(payload)}
         tmp = path + ".tmp"
@@ -87,11 +89,10 @@ class Checkpoint:
         try:
             with open(path, encoding="utf-8") as fh:
                 document = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # not JSON, or not UTF-8
             raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-        if (not isinstance(document, dict) or "integrity" not in document
-                or not isinstance(document.get("payload"), dict)):
-            raise CheckpointError(f"{path}: not a checkpoint file")
+        check(document, _DOCUMENT, f"{path}: not a checkpoint file",
+              CheckpointError)
         payload = document["payload"]
         expected = document["integrity"]
         actual = state_digest(_normalize(payload))
@@ -105,39 +106,9 @@ class Checkpoint:
                 f"{payload.get('version')!r} (want {CHECKPOINT_VERSION})")
         # The integrity hash only proves the payload is what was written;
         # a well-formed file of the wrong shape must still fail closed.
-        try:
-            ScenarioSpec.from_dict(payload["scenario"])
-            digest, state = payload["digest"], payload.get("state", {})
-            if not isinstance(digest, str) or not isinstance(state, dict):
-                raise ValueError("digest must be a string, state an object")
-            time = payload["time"]
-            if type(time) not in (int, float) or not isfinite(time):
-                raise ValueError(f"'time' is not a finite number: {time!r}")
-            return cls(
-                scenario=payload["scenario"],
-                time=float(time),
-                fired=_count(payload["fired"], "fired"),
-                digest=digest,
-                digest_every=_count(payload.get("digest_every", 25),
-                                    "digest_every"),
-                state=state,
-                version=payload["version"],
-            )
-        except KeyError as exc:
-            raise CheckpointError(
-                f"{path}: checkpoint payload lacks {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: an integer 'time' too large for a float.
-            raise CheckpointError(
-                f"{path}: malformed checkpoint payload: {exc}") from exc
-
-
-def _count(value: Any, name: str) -> int:
-    """``value`` if it is an ``int`` >= 0: a bool, a float (``2.7``,
-    ``1e999``) or a string is no event count."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name!r} is not a non-negative integer: {value!r}")
-    return value
+        fields = check(payload, _PAYLOAD, f"{path}: malformed checkpoint "
+                       "payload", CheckpointError)
+        return cls(version=payload["version"], **fields)
 
 
 def _normalize(payload: Any) -> Any:

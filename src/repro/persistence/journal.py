@@ -31,10 +31,21 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.schema import Field, check, flat_problem, flat_table
+
 JOURNAL_VERSION = 1
 
-#: Every record after the header is one of these and carries ``i`` and ``t``.
-_RECORD_TYPES = frozenset({"event", "digest", "reconfig", "end"})
+_HEADER = Field("object", fields={
+    "digest_every": Field("integer", required=False, low=0),
+    "scenario": Field("object", required=False),
+})
+
+#: Every record after the header; a wrong value of the right kind is a
+#: replay divergence, not a malformed file.
+_RECORD = flat_table(Field("object", fields={
+    "i": Field("integer"), "t": Field("number"),
+    "type": Field("string", choices=("event", "digest", "reconfig", "end"),
+                  label="record type")}))
 
 #: Encoded event labels kept per writer.  A run has a few dozen distinct
 #: labels; a run that mints one per event starts over at this many.
@@ -173,27 +184,15 @@ class JournalWriter:
 # --------------------------------------------------------------------------- #
 # Reading and recovery
 # --------------------------------------------------------------------------- #
-def _mistyped(record: Dict[str, Any]) -> Optional[str]:
-    """What is wrong with the types of a non-header record, if anything.
-
-    ``json.loads`` yields exact types, so ``type() is`` keeps a bool from
-    passing as a count.  Values are not judged: a wrong one is a replay
-    divergence, not a malformed file.
-    """
-    if type(record.get("i")) is not int:
-        return "'i' is not an integer"
-    if type(record.get("t")) not in (int, float):
-        return "'t' is not a number"
-    kind = record.get("type")
-    if type(kind) is not str or kind not in _RECORD_TYPES:
-        return f"unknown record type {kind!r}"
-    return None
-
-
 def journal_lines(path: str) -> Iterator[Tuple[int, str]]:
     """``(line number, stripped line)`` of each non-blank line: the raw
-    layer under :func:`scan_journal`, which replay walks again unparsed."""
-    with open(path, encoding="utf-8") as fh:
+    layer under :func:`scan_journal`, which replay walks again unparsed.
+
+    The writer emits ASCII, so a byte that is not UTF-8 is damage: it
+    reads as U+FFFD, and the line it is in parses (a wrong value) or tears
+    like any other.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
@@ -225,13 +224,10 @@ def scan_journal(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
                     raise JournalError(
                         f"{path}: unsupported journal version "
                         f"{record.get('version')!r} (want {JOURNAL_VERSION})")
-                every = record.get("digest_every", 0)
-                if type(every) is not int or every < 0:
-                    raise JournalError(f"{path}: header 'digest_every' is not "
-                                       f"a non-negative integer: {every!r}")
+                check(record, _HEADER, f"{path}: header", JournalError)
                 headed = True
             else:
-                problem = _mistyped(record)
+                problem = flat_problem(record, _RECORD)
                 if problem:
                     raise JournalError(f"{path}: line {lineno}: {problem}")
             yield lineno, line, record

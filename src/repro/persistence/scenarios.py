@@ -28,6 +28,15 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.schema import Field, check
+
+#: A spec on disk: checkpoints, journal headers, federation manifests.
+SCENARIO_SPEC = Field("object", fields={
+    "name": Field("string"),
+    "seed": Field("integer", required=False, null=True),
+    "params": Field("object", required=False),
+})
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -43,19 +52,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`; ``ValueError`` for anything else.
-
-        Specs come back from checkpoints, journals and manifests on disk,
-        so a wrong shape must be one classifiable error, not whichever of
-        ``AttributeError``/``KeyError``/``TypeError`` it trips first.
-        """
-        try:
-            seed = data.get("seed")
-            return cls(name=data["name"],
-                       seed=None if seed is None else int(seed),
-                       params=dict(data.get("params", {})))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed scenario spec {data!r}") from exc
+        """Inverse of :meth:`to_dict`; a :class:`~repro.schema.SchemaError`
+        (a ``ValueError``) for anything not of :data:`SCENARIO_SPEC`'s shape."""
+        fields = check(data, SCENARIO_SPEC)
+        return cls(name=fields["name"], seed=fields.get("seed"),
+                   params=dict(fields.get("params", {})))
 
 
 @dataclass

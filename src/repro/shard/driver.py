@@ -43,12 +43,13 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..persistence.checkpoint import Checkpoint, CheckpointError
-from ..persistence.scenarios import ScenarioSpec
+from ..persistence.scenarios import SCENARIO_SPEC, ScenarioSpec
 from ..persistence.snapshot import state_digest
+from ..schema import Field, check
+from .mailbox import ENVELOPE
 from .worker import ShardHost, _worker_main, dispatch, shard_paths
 
 MANIFEST_VERSION = 1
@@ -72,39 +73,32 @@ def manifest_path(out_dir: str) -> str:
     return os.path.join(out_dir, "manifest.json")
 
 
-#: Manifest fields its readers compute with: the JSON types each may have,
-#: its lower bound, and whether the bound itself is a legal value.
-_MANIFEST_FIELDS: Dict[str, Tuple[Tuple[type, ...], int, bool]] = {
-    "shards": ((int,), 1, True), "workers": ((int,), 1, True),
-    "digest_every": ((int,), 0, True), "checkpoint_every": ((int,), 0, True),
-    "lookahead": ((int, float), 0, False), "horizon": ((int, float), 0, False),
-    "checkpoint_window": ((int, type(None)), 0, True),
-}
+_COUNT = Field("integer", low=0)
+#: A window grid: a finite positive number (an infinite horizon never ends).
+_GRID = Field("number", above=0)
 
+#: What a resume or a verify computes with.
+_MANIFEST = Field("object", fields={
+    "scenario": SCENARIO_SPEC,
+    "shards": Field("integer", low=1), "workers": Field("integer", low=1),
+    "digest_every": _COUNT, "checkpoint_every": _COUNT,
+    "lookahead": _GRID, "horizon": _GRID,
+    "checkpoint_window": Field("integer", required=False, null=True, low=0),
+})
 
 #: The two fields that fix a run's barriers; an inbox header repeats them.
 _WINDOW_GRID = ("lookahead", "horizon")
 
-
-def _has_type(value: Any, kinds: Tuple[type, ...]) -> bool:
-    # bool is an int to isinstance, and never a count or a time here.
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _check_fields(where: str, record: Dict[str, Any],
-                  names: Iterable[str]) -> None:
-    """Fail closed on a ``_MANIFEST_FIELDS`` value of a wrong type or range."""
-    for name in names:
-        kinds, low, inclusive = _MANIFEST_FIELDS[name]
-        value = record.get(name)
-        if not _has_type(value, kinds):
-            raise CheckpointError(f"{where}: {name!r} is {value!r}")
-        # NaN compares false both ways and an infinite horizon never ends.
-        if value is not None and not (low < value < float("inf")
-                                      or inclusive and value == low):
-            raise CheckpointError(
-                f"{where}: {name!r} is {value!r}, "
-                f"want {'>=' if inclusive else '>'} {low}")
+#: Inbox journal lines by ``type``: the header, then one record per window.
+_INBOX_LINE = Field("object", fields={
+    "type": Field("string", choices=("fed-header", "inbox"),
+                  label="inbox line type")})
+_INBOX = {
+    "fed-header": Field("object", fields={name: _GRID for name in _WINDOW_GRID}),
+    "inbox": Field("object", fields={
+        "window": Field("integer"), "envelopes": Field("list", items=ENVELOPE)}),
+}
+_INBOX_NOUN = {"fed-header": "header", "inbox": "record"}
 
 
 def load_manifest(out_dir: str) -> Dict[str, Any]:
@@ -113,12 +107,9 @@ def load_manifest(out_dir: str) -> Dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:        # not JSON, or not UTF-8
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or "shards" not in manifest \
-            or "scenario" not in manifest:
-        raise CheckpointError(f"{path}: not a federation manifest")
-    _check_fields(f"{path}: malformed manifest", manifest, _MANIFEST_FIELDS)
+    check(manifest, _MANIFEST, f"{path}: malformed manifest", CheckpointError)
     return manifest
 
 
@@ -160,12 +151,12 @@ def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
 
     Stops at a line that does not parse: a crash mid-append tears at most
     the final one, and the valid prefix ends there.  A line that parses
-    but is not a record this module wrote fails closed, and so does a
-    header whose window grid is not a finite positive number.
+    but is not of :data:`_INBOX`'s shape fails closed.  A byte that is not
+    UTF-8 reads as U+FFFD, as in a journal.
     """
     if not os.path.exists(path):
         return
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -174,16 +165,11 @@ def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 return
-            well_formed = isinstance(record, dict)
-            if well_formed and record.get("type") == "inbox":
-                well_formed = (_has_type(record.get("window"), (int,))
-                               and isinstance(record.get("envelopes"), list))
-            if not well_formed:
-                raise CheckpointError(
-                    f"{path}: line {number}: not an inbox record")
-            if record.get("type") == "fed-header":
-                _check_fields(f"{path}: line {number}: malformed header",
-                              record, _WINDOW_GRID)
+            where = f"{path}: line {number}: malformed"
+            kind = check(record, _INBOX_LINE, f"{where} record",
+                         CheckpointError)["type"]
+            check(record, _INBOX[kind], f"{where} {_INBOX_NOUN[kind]}",
+                  CheckpointError)
             yield line, record
 
 
@@ -193,9 +179,9 @@ def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
     header: Optional[Dict[str, Any]] = None
     inboxes: Dict[int, List[dict]] = {}
     for _line, record in _inbox_lines(path):
-        if record.get("type") == "fed-header":
+        if record["type"] == "fed-header":
             header = record
-        elif record.get("type") == "inbox":
+        else:
             inboxes[record["window"]] = record["envelopes"]
     return header, inboxes
 
@@ -226,7 +212,7 @@ def truncate_inbox(path: str, max_window: int) -> None:
     if not os.path.exists(path):
         return
     kept = [line + "\n" for line, record in _inbox_lines(path)
-            if not (record.get("type") == "inbox"
+            if not (record["type"] == "inbox"
                     and record["window"] > max_window)]
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

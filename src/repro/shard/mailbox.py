@@ -18,11 +18,20 @@ never reorder two envelopes that share a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
-#: Bump when the wire shape changes; persisted in inbox journals.
-ENVELOPE_VERSION = 1
+from ..schema import Field, check
+
+_TEXT, _TIME = Field("string"), Field("number")
+
+#: The wire shape; absent ``auth`` / ``personal`` take the defaults.
+ENVELOPE = Field("object", fields={
+    "src": _TEXT, "dst": _TEXT, "kind": _TEXT, "payload": Field("any"),
+    "size_bytes": Field("integer", low=0), "src_domain": _TEXT,
+    "dst_domain": _TEXT, "sent_at": _TIME, "arrival": _TIME,
+    "seq": Field("integer"), "auth": Field("string", required=False, null=True),
+    "personal": Field("boolean", required=False)})
 
 
 @dataclass(frozen=True)
@@ -48,37 +57,11 @@ class Envelope:
         return (self.arrival, self.src_domain, self.seq)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "payload": self.payload,
-            "size_bytes": self.size_bytes,
-            "src_domain": self.src_domain,
-            "dst_domain": self.dst_domain,
-            "sent_at": self.sent_at,
-            "arrival": self.arrival,
-            "seq": self.seq,
-            "auth": self.auth,
-            "personal": self.personal,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Envelope":
-        return cls(
-            src=data["src"],
-            dst=data["dst"],
-            kind=data["kind"],
-            payload=data["payload"],
-            size_bytes=int(data["size_bytes"]),
-            src_domain=data["src_domain"],
-            dst_domain=data["dst_domain"],
-            sent_at=float(data["sent_at"]),
-            arrival=float(data["arrival"]),
-            seq=int(data["seq"]),
-            auth=data.get("auth"),
-            personal=bool(data.get("personal", False)),
-        )
+        return cls(**check(data, ENVELOPE))
 
     def body_tuple(self) -> Tuple[Any, ...]:
         """The signed portion: everything except the tag itself."""

@@ -291,11 +291,16 @@ class TestBadRunDirectories:
         [],                                       # not an object at all
         _sealed([]),                              # payload not an object
         _sealed({"version": 1}),                  # no barrier, no spec
-        _sealed({"version": 1, "time": 1.0, "fired": 1, "digest": "d",
-                 "scenario": {"name": "control-outage", "seed": "abc"}}),
+        *(_sealed({"version": 1, "time": 1.0, "fired": 1, "digest": "d",
+                   "scenario": scenario})
+          for scenario in ({"name": "control-outage", "seed": "abc"},
+                           {"name": "control-outage", "seed": 2.9},
+                           {"name": "control-outage", "seed": True},
+                           {"name": 5})),
         _sealed({"version": 1, "time": 1.0, "fired": "many", "digest": "d",
                  "scenario": {"name": "control-outage"}}),
-    ], ids=["list", "payload-list", "no-barrier", "bad-seed", "bad-fired"])
+    ], ids=["list", "payload-list", "no-barrier", "bad-seed", "seed-float",
+            "seed-bool", "name-int", "bad-fired"])
     def test_wrong_shape_checkpoint_exits_2(self, document, tmp_path, capsys):
         """Well-formed JSON of the wrong shape -- valid integrity hash
         included -- is a classified error, like a truncated file."""
@@ -303,6 +308,7 @@ class TestBadRunDirectories:
         captured = self._assert_classified(
             ["resume", "--out", str(tmp_path)], capsys)
         assert "checkpoint" in captured.err
+        assert "digest mismatch" not in captured.err    # refused at load
 
     @pytest.mark.parametrize("lines", [
         ["[]"],                                                # header
@@ -310,12 +316,12 @@ class TestBadRunDirectories:
         [_HEADER % "7", "[]"],                                 # a record
         [_HEADER % "7", '{"type":"event","i":1,"t":0.5,"label":"x"}', "7",
          '{"type":"event","i":2,"t":0.6,"label":"y"}'],
-        [_HEADER % '"abc"'],
+        *([_HEADER % seed] for seed in ('"abc"', "2.9", "true")),
         *([_HEADER.replace(":25,", f":{every},") % "7"]
           for every in ('"x"', "1e999", "true", "-1", "null", "2.5")),
     ], ids=["header-list", "header-int", "record-list", "record-int",
-            "bad-seed", "every-str", "every-inf", "every-bool",
-            "every-negative", "every-null", "every-float"])
+            "bad-seed", "seed-float", "seed-bool", "every-str", "every-inf",
+            "every-bool", "every-negative", "every-null", "every-float"])
     def test_wrong_shape_journal_exits_2(self, lines, tmp_path, capsys):
         (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
         captured = self._assert_classified(
@@ -446,6 +452,20 @@ class TestBadRunDirectories:
         assert reason in error["data"]["error"]
         assert captured.err == f"error: {error['data']['error']}\n"
 
+    @pytest.mark.parametrize("verb", ["show", "replay"])
+    @pytest.mark.parametrize("manifest", [
+        5, "trigger barrier", {"trigger": 1, "barrier": {}},
+        {"trigger": {"reason": "gate-failure", "time": 1.0},
+         "barrier": {"time": 1.0, "fired": 3, "digest": 7}},
+    ], ids=["int", "str", "trigger-int", "digest-int"])
+    def test_wrong_shape_incident_manifest_exits_2(self, verb, manifest,
+                                                   tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        captured = self._assert_classified(
+            ["incident", verb, str(tmp_path)], capsys)
+        assert "incident: " in captured.err
+        assert "malformed manifest" in captured.err
+
     def test_json_mode_reports_disjoint_profile_snapshots(self, tmp_path,
                                                           capsys):
         for name, scenario in (("a", "one"), ("b", "two")):
@@ -474,19 +494,30 @@ class TestBadRunDirectories:
             in captured.err
 
     @pytest.mark.parametrize("document,problem", [
-        ([], "chaos spec must be a JSON object"),
-        ({"topology": 5}, "topology must be a JSON object"),
-        ({"traffic": "x"}, "traffic must be a JSON object"),
-        ({"adversary": [1]}, "adversary must be a JSON object"),
-        ({"faults": {"kind": "crash"}}, "faults must be a JSON list"),
-        ({"faults": [5]}, "faults[0] must be a JSON object"),
-        ({"faults": [{"kind": "crash"}]}, "faults[0] is missing 'at'"),
-        ({"topology": {"sites": None}}, "topology.sites must be int-like"),
-        ({"horizon": "soon"}, "chaos spec.horizon must be float-like"),
-        ({"horizon": -1}, "horizon must be positive"),
+        ([], "(not a JSON object)"),
+        ({"topology": 5}, "'topology' is not an object: 5"),
+        ({"traffic": "x"}, "'traffic' is not an object: 'x'"),
+        ({"adversary": [1]}, "'adversary' is not an object: [1]"),
+        ({"faults": {"kind": "crash"}}, "'faults' is not a list"),
+        ({"faults": [5]}, "'faults[0]' is not an object: 5"),
+        ({"faults": [{"kind": "crash"}]}, "'faults[0].at' is missing"),
+        ({"topology": {"sites": None}},
+         "'topology.sites' is not an integer >= 2: None"),
+        ({"horizon": "soon"}, "'horizon' is not a finite number > 0: 'soon'"),
+        ({"horizon": -1}, "'horizon' is not a finite number > 0: -1"),
+        ({"horizon": float("nan")}, "'horizon' is not a finite number"),
+        ({"maturity": True, "seed": 2.9}, "unknown maturity True"),
+        ({"seed": 2.9}, "'seed' is not an integer: 2.9"),
+        ({"traffic": {"pattern": "steady", "users": "5"}},
+         "'traffic.users' is not a non-negative integer: '5'"),
+        ({"faults": [{"kind": "crash", "at": float("nan"), "duration": 1.0,
+                      "target": "edge0"}]}, "'faults[0].at' is not"),
+        ({"faults": [{"kind": "crash", "at": 1.0, "duration": float("nan"),
+                      "target": "edge0"}]}, "'faults[0].duration' is not"),
     ], ids=["list", "axis-int", "axis-str", "axis-list", "faults-object",
             "fault-int", "fault-key", "null-field", "str-field",
-            "out-of-domain"])
+            "out-of-domain", "horizon-nan", "maturity-bool", "seed-float",
+            "users-str", "fault-at-nan", "fault-duration-nan"])
     def test_wrong_shape_chaos_spec_exits_2(self, document, problem,
                                             tmp_path, capsys):
         """A ChaosSpec of the wrong shape names its field; one that loads
@@ -507,7 +538,7 @@ class TestBadRunDirectories:
             fh.write("[]\n")
         captured = self._assert_classified(
             ["chaos", "corpus", "--corpus", str(tmp_path)], capsys)
-        assert "chaos spec must be a JSON object" in captured.err
+        assert "(not a JSON object)" in captured.err
 
     def test_shard_verbs_share_the_classification(self, tmp_path, capsys):
         for verb in ("resume", "verify"):
@@ -542,6 +573,32 @@ class TestBadRunDirectories:
             captured = self._assert_classified(
                 ["shard", verb, "--out", str(out)], capsys)
             assert "inbox.jsonl" in captured.err
+
+    @pytest.mark.parametrize("edit", [
+        lambda env: {k: v for k, v in env.items() if k != "dst"},
+        lambda env: {**env, "arrival": "soon"},
+        lambda env: 7,
+        lambda env: {**env, "seq": 2.5},
+    ], ids=["no-dst", "arrival-str", "int", "seq-float"])
+    def test_malformed_inbox_envelope_exits_2(self, edit, killed_federation,
+                                              tmp_path, capsys):
+        """An envelope a driver would inject is held to the wire shape
+        when its inbox is read, not at ``Envelope.from_dict``."""
+        out = tmp_path / "run"
+        shutil.copytree(killed_federation, out)
+        inbox = out / "shard-0" / "inbox.jsonl"
+        envelope = next(record["envelopes"][0] for record in map(
+            json.loads, inbox.read_text().splitlines())
+            if record.get("envelopes"))
+        with open(inbox, "a") as fh:
+            fh.write(json.dumps({"type": "inbox", "window": 5, "barrier": 1.0,
+                                 "envelopes": [edit(envelope)]}) + "\n")
+        capsys.readouterr()
+        for verb in ("resume", "verify"):
+            captured = self._assert_classified(
+                ["shard", verb, "--out", str(out)], capsys)
+            assert "inbox.jsonl: line" in captured.err
+            assert "'envelopes[0]" in captured.err
 
     def test_torn_final_inbox_line_is_tolerated(self, killed_federation,
                                                 tmp_path, capsys):

@@ -38,13 +38,10 @@ from repro.persistence import (
     run_to_checkpoint,
     truncate,
 )
-from repro.persistence.journal import (
-    JOURNAL_VERSION,
-    _encode,
-    _mistyped,
-    read_journal,
-)
+from repro.persistence.journal import _RECORD as RECORD_SHAPE
+from repro.persistence.journal import JOURNAL_VERSION, _encode, read_journal
 from repro.persistence.replay import _COMPARED_FIELDS
+from repro.schema import flat_problem
 
 
 # --------------------------------------------------------------------------- #
@@ -74,7 +71,7 @@ def oracle_read_journal(path: str) -> JournalRecords:
                         f"{record.get('version')!r} (want {JOURNAL_VERSION})")
                 header = record
             else:
-                problem = _mistyped(record)
+                problem = flat_problem(record, RECORD_SHAPE)
                 if problem:
                     raise JournalError(
                         f"{path}: line {lineno + 1}: {problem}")

@@ -16,6 +16,7 @@ The headline guarantees:
 
 import json
 import os
+import re
 import signal
 import threading
 import urllib.error
@@ -305,6 +306,22 @@ class TestHotReload:
                                          "target": "edge0"}]})
         normalized = validate_payload(FAULT_PAYLOAD)
         assert normalized["kind"] == "fault-schedule"
+
+    @pytest.mark.parametrize("fault,problem", [
+        ({"duration": -5.0}, "'faults[0].duration' is not"),
+        ({"at": float("nan")}, "'faults[0].at' is not"),
+        ({"target": "edge0"}, "'a:b' node pair"),
+    ], ids=["negative-duration", "nan-at", "unpaired-latency-target"])
+    def test_payload_fault_domain_is_the_specs(self, fault, problem):
+        """A hot-loaded fault is refused wherever the same fault in a spec
+        would be: both read :data:`repro.chaos.spec.FAULT`."""
+        from repro.chaos import ChaosSpec
+
+        entry = {**FAULT_PAYLOAD["faults"][0], **fault}
+        with pytest.raises(LiveLoadError, match=re.escape(problem)):
+            validate_payload({"kind": "fault-schedule", "faults": [entry]})
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ChaosSpec.from_dict({"faults": [entry]})
 
     def test_hot_load_journaled_and_replayable(self, tmp_path):
         out = tmp_path / "live"
