@@ -7,7 +7,9 @@ moved, one tie broken the other way -- passes them all.  This table is
 the other half: for every registered scenario x declared variant, at its
 descriptor's quick params, the final ``system_digest``, the SHA-256 of
 the journal ``run_scenario`` wrote and the number of events it fired are
-compared with ``golden_runs.json``.  CI asserts it on every supported
+compared with ``golden_runs.json``.  The ``chaos[...]`` grid adds every
+maturity level x traffic x adversary over one crash, so the defences each
+level wires are pinned too.  CI asserts it on every supported
 Python and under two ``PYTHONHASHSEED`` values (environment equivalence,
 ROADMAP item 3).
 
@@ -27,14 +29,36 @@ import tempfile
 
 import pytest
 
+from repro.chaos import AdversaryAxis, ChaosSpec, FaultEvent, TrafficAxis
 from repro.persistence import describe_scenario, run_scenario, scenario_names
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_runs.json")
 
 
+def _chaos_grid():
+    """``chaos[...]`` rows: every maturity level x traffic x adversary
+    over one edge crash, so each level's defence wiring is pinned."""
+    rows = []
+    for maturity in (1, 2, 3, 4):
+        for pattern in ("none", "steady", "retry-storm"):
+            for attack in ("none", "flood", "sybil-flood"):
+                spec = ChaosSpec(
+                    traffic=TrafficAxis(
+                        pattern=pattern,
+                        users=0 if pattern == "none" else 1500),
+                    faults=(FaultEvent("crash", 2.0, 2.0, "edge0"),),
+                    adversary=AdversaryAxis(attack=attack, at=4.0, rate=400.0),
+                    maturity=maturity, horizon=8.0, seed=5)
+                rows.append((f"chaos[ML{maturity},{pattern},{attack}]",
+                             describe_scenario("chaos").spec(
+                                 spec=spec.to_dict())))
+    return rows
+
+
 def _rows():
-    """``(row id, spec)`` for every scenario x variant, in registry order."""
+    """``(row id, spec)`` for every scenario x variant, in registry order,
+    then the chaos grid."""
     rows = []
     for name in scenario_names():
         scenario = describe_scenario(name)
@@ -43,7 +67,7 @@ def _rows():
         for variant in scenario.variants:
             rows.append((f"{name}[{variant}]", scenario.spec(
                 quick=True, **{scenario.variant_param: variant})))
-    return rows
+    return rows + _chaos_grid()
 
 
 def _measure(spec, directory):
