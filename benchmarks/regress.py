@@ -269,11 +269,8 @@ def bench_traffic(quick: bool) -> Dict[str, float]:
     magnitude of kernel events as the 10k-client run.  The overload and
     retry-storm KPIs are deterministic headline numbers.
     """
-    from repro.traffic.scenarios import (
-        prepare_overload,
-        run_overload,
-        run_retry_storm,
-    )
+    from repro.scenarios import ScenarioSpec, gated_run
+    from repro.traffic.scenarios import prepare_overload
 
     horizon = 10.0 if quick else 30.0
 
@@ -291,11 +288,12 @@ def bench_traffic(quick: bool) -> Dict[str, float]:
     wall_10k, eps_10k, events_10k = cohort_run(10_000)
     _, _, events_100k = cohort_run(100_000)
 
-    overload = run_overload("naive", horizon=horizon)
+    _, overload = gated_run(ScenarioSpec("traffic-overload", params={
+        "variant": "naive", "horizon": horizon}))
     # The recovery window opens at t=21 (heal + grace), so even the
     # quick variant must run past it.
-    storm = run_retry_storm("resilient",
-                            horizon=30.0 if quick else 45.0)
+    _, storm = gated_run(ScenarioSpec("traffic-retry-storm", params={
+        "variant": "resilient", "horizon": 30.0 if quick else 45.0}))
     return {
         "wall_s": wall_10k,
         "events_per_s": eps_10k,
@@ -338,12 +336,8 @@ def bench_security(quick: bool) -> Dict[str, float]:
     gross-regression tripwire (e.g. an accidentally quadratic
     encoding), not a profiler.
     """
-    from repro.security.scenarios import (
-        prepare_byzantine_gossip,
-        run_byzantine_gossip,
-        run_raft_equivocation,
-        run_sybil_flood,
-    )
+    from repro.scenarios import ScenarioSpec, gated_run
+    from repro.security.scenarios import prepare_byzantine_gossip
 
     horizon = 8.0 if quick else 24.0
     reps = 3 if quick else 5
@@ -373,9 +367,12 @@ def bench_security(quick: bool) -> Dict[str, float]:
     auth_overhead_us = (max(0.0, auth_on_wall - attack_off_wall)
                         / auth_sent * 1e6 if auth_sent else 0.0)
 
-    gossip = run_byzantine_gossip("defended", horizon=horizon)
-    raft = run_raft_equivocation("defended")
-    flood = run_sybil_flood("defended")
+    _, gossip = gated_run(ScenarioSpec("security-byzantine-gossip", params={
+        "variant": "defended", "horizon": horizon}))
+    _, raft = gated_run(ScenarioSpec("security-raft-equivocation",
+                                     params={"variant": "defended"}))
+    _, flood = gated_run(ScenarioSpec("security-sybil-flood",
+                                      params={"variant": "defended"}))
     return {
         "wall_s": attack_off_wall,
         "auth_on.wall_s": auth_on_wall,

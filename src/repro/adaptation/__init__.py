@@ -42,6 +42,7 @@ _EXPORTS = {
     "RuleBasedPlanner": "planner",
     "Executor": "executor",
     "MapeLoop": "mape",
+    "mape_loop": "mape",
     "InformationSharing": "patterns",
     "RegionalPlanning": "patterns",
     "MdpPlanner": "mdp_planner",

@@ -12,7 +12,7 @@ event in scope with the first successful adaptation action that fixes it.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.adaptation.analyzer import Analyzer
 from repro.adaptation.executor import Executor
@@ -211,6 +211,26 @@ class MapeLoop:
                     delays.append(repair.time - fault.time)
                     break
         return delays
+
+
+def mape_loop(system: Any, host: str, scope: List[str],
+              analyzers: List[Analyzer], period: float = 1.0,
+              stream: str = "exec") -> MapeLoop:
+    """The one way a loop is wired onto an :class:`~repro.core.system.IoTSystem`.
+
+    A rule-based planner and an executor on ``host`` drawing from the RNG
+    stream ``<stream>:<host>``; not started, so each caller keeps its own
+    start order.
+    """
+    return MapeLoop(
+        system.sim, system.network, system.fleet, host, scope,
+        analyzers=analyzers,
+        planner=RuleBasedPlanner(),
+        executor=Executor(system.sim, system.network, system.fleet, host,
+                          system.rngs.stream(f"{stream}:{host}"),
+                          trace=system.trace),
+        period=period, metrics=system.metrics, trace=system.trace,
+    )
 
 
 def _is_noop(result) -> bool:

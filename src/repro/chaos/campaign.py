@@ -23,10 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.compiler import (
-    EDGE_CAPACITY,
-    ScenarioCompiler,
-)
+from repro.chaos.compiler import ScenarioCompiler
 from repro.chaos.spec import (
     AdversaryAxis,
     ChaosSpec,
@@ -36,6 +33,7 @@ from repro.chaos.spec import (
     TrafficAxis,
 )
 from repro.persistence.scenarios import PreparedRun
+from repro.traffic.scenarios import EDGE_CAPACITY
 
 #: Post-heal grace before goodput is measured: breaker re-close plus
 #: queue drain time (mirrors the retry-storm scenario's window).

@@ -1,25 +1,19 @@
 """Compile a :class:`~repro.chaos.spec.ChaosSpec` onto the plane builders.
 
 The compiler is the bridge between the declarative cross-product and the
-imperative wiring the per-plane scenarios do by hand: one
+builders the per-plane scenarios wire by hand: one
 :meth:`ScenarioCompiler.compile` call builds the workload's landscape,
 attaches the traffic plane, schedules the fault and adversary timeline,
-applies the maturity level's defense stack and wires the SLO monitor --
+applies the maturity level's defence stack and wires the SLO monitor --
 returning the same :class:`~repro.persistence.scenarios.PreparedRun`
 shape every registered scenario returns, so journaling, checkpointing,
 deterministic replay and flight-recorder capture all work unchanged.
 
-Maturity levels map onto cumulative defense wiring (paper SSIV):
-
-==== ==============================================================
-ML1  naive: no countermeasures at all
-ML2  + bounded admission (``QueueLengthAdmission``) at the edge
-ML3  + retry budget, circuit breaker, backpressure MAPE loop with a
-     cloud offload target
-ML4  + security defenses when an adversary is present: authenticated
-     transport, trust scoring, flood sentry, membership identity
-     filter, intrusion-response MAPE loop
-==== ==============================================================
+A level's defences are its row of
+:data:`~repro.core.vectors.MATURITY_FEATURES` (``admission_control``,
+``retry_containment``, ``backpressure_offload``, ``intrusion_response``);
+each flag arms the same builder the hand-written traffic and security
+scenarios call.
 
 The SLO monitor is part of the *spec*, not of the campaign that happens
 to run it: it is always wired, so a spec found failing by a campaign and
@@ -33,6 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.chaos.spec import ChaosSpec
 from repro.core.system import IoTSystem
+from repro.core.vectors import MaturityFeatures
 from repro.faults.models import (
     CrashRecoveryFault,
     Fault,
@@ -42,14 +37,22 @@ from repro.faults.models import (
     PartitionFault,
 )
 from repro.persistence.scenarios import PreparedRun, register_scenario
-
-#: Edge serving capacity mirrors the canonical traffic scenarios:
-#: 4 slots x 50 req/s = 200 req/s.
-EDGE_CONCURRENCY = 4
-EDGE_QUEUE = 64
-SERVICE_MEAN = 0.02
-CLIENT_TIMEOUT = 0.25
-EDGE_CAPACITY = EDGE_CONCURRENCY / SERVICE_MEAN
+from repro.schema import Field
+from repro.security.plane import SecurityPlane
+from repro.security.scenarios import (
+    FLOOD_RATE,
+    identity_gate,
+    intrusion_response,
+    swim_mesh,
+)
+from repro.traffic.scenarios import (
+    EDGE_CAPACITY,
+    STORM_RETRY,
+    backpressure_offload,
+    bound_admission,
+    retry_containment,
+    serving_stack,
+)
 
 #: SLO evaluation period (sim seconds) and goodput objective window.
 SLO_PERIOD = 2.0
@@ -70,13 +73,18 @@ class ScenarioCompiler:
 
     def compile(self, spec: ChaosSpec) -> PreparedRun:
         spec.validate()
+        features = spec.features
         system, workload = self._build_landscape(spec)
+        plane = (None if spec.adversary.attack == "none"
+                 else SecurityPlane(system))
         aux: Dict[str, Any] = {"chaos_spec": spec, "workload": workload,
-                               "horizon": spec.horizon}
-        plane = self._build_security_plane(spec, system, aux)
-        self._wire_traffic(spec, system, aux)
-        self._wire_membership(spec, system, plane, aux)
-        self._wire_defenses(spec, system, plane, aux)
+                               "horizon": spec.horizon, "plane": plane}
+        self._wire_traffic(spec, features, system, aux)
+        # The membership mesh is the sybil attack's substrate.
+        aux["members"] = None if plane is None else swim_mesh(
+            system, plane, "chaos-swim",
+            identity_gate if features.intrusion_response else None)
+        self._wire_defenses(features, system, plane, aux)
         self._schedule_faults(spec, system)
         self._schedule_adversary(spec, system, aux)
         self._wire_monitor(spec, system, aux)
@@ -110,177 +118,37 @@ class ScenarioCompiler:
             topo.sites, topo.devices_per_site, seed=spec.seed)
         return system, None
 
-    # -- security plane ----------------------------------------------------- #
-    def _build_security_plane(self, spec: ChaosSpec, system: IoTSystem,
-                              aux: Dict[str, Any]):
-        if spec.adversary.attack == "none":
-            aux["plane"] = None
-            return None
-        from repro.security.plane import SecurityPlane
-
-        plane = SecurityPlane(system)
-        aux["plane"] = plane
-        return plane
-
     # -- traffic ------------------------------------------------------------ #
-    def _wire_traffic(self, spec: ChaosSpec, system: IoTSystem,
-                      aux: Dict[str, Any]) -> None:
+    def _wire_traffic(self, spec: ChaosSpec, features: MaturityFeatures,
+                      system: IoTSystem, aux: Dict[str, Any]) -> None:
         if spec.traffic.pattern == "none":
             aux["registry"] = None
             return
-        from repro.traffic.client import TrafficClient
-        from repro.traffic.loadgen import ClientCohort
-        from repro.traffic.patterns import (
-            CircuitBreaker,
-            RetryBudget,
-            RetryPolicy,
-        )
-        from repro.traffic.server import Server, ServiceModel
-        from repro.traffic.stats import TrafficRegistry
-
-        registry = TrafficRegistry(system)
-        edge = registry.add_server(Server(
-            system.sim, system.network, "edge0",
-            rng=system.rngs.stream("traffic:server:edge0"),
-            concurrency=EDGE_CONCURRENCY, queue_capacity=EDGE_QUEUE,
-            service=ServiceModel(mean=SERVICE_MEAN),
-            metrics=system.metrics, trace=system.trace,
-        ))
-        cloud = registry.add_server(Server(
-            system.sim, system.network, "cloud",
-            rng=system.rngs.stream("traffic:server:cloud"),
-            concurrency=32, queue_capacity=512,
-            service=ServiceModel(mean=SERVICE_MEAN),
-            metrics=system.metrics, trace=system.trace,
-        ))
-        retry: Optional[RetryPolicy] = None
-        if spec.traffic.pattern == "retry-storm":
-            # The aggressive policy that makes outages metastable when
-            # no budget bounds the amplification (ML < 3).
-            retry = RetryPolicy(max_attempts=4, base_delay=0.05,
-                                multiplier=2.0, max_delay=1.0, jitter=0.3)
-        budget: Optional[RetryBudget] = None
-        breaker: Optional[CircuitBreaker] = None
-        if spec.maturity >= 3 and retry is not None:
-            budget = RetryBudget(ratio=0.1, cap=50.0, initial=10.0)
-            breaker = CircuitBreaker(failure_threshold=5, recovery_time=1.0,
-                                     half_open_probes=1, success_threshold=3)
-        client = registry.add_client(TrafficClient(
-            system.sim, system.network, "cohort", "d0.0", "edge0",
-            rng=system.rngs.stream("traffic:client"),
-            timeout=CLIENT_TIMEOUT, retry=retry, budget=budget,
-            breaker=breaker, metrics=system.metrics, trace=system.trace,
-        ))
-        cohort = registry.add_generator(ClientCohort(
-            system.sim, client, users=spec.traffic.users,
-            rate_per_user=spec.traffic.rate_per_user,
-            rng=system.rngs.stream("traffic:arrivals"),
-            stop=spec.horizon,
-        ))
-        cohort.start()
-        aux.update(registry=registry, edge=edge, cloud=cloud,
-                   client=client, cohort=cohort)
-
-    # -- membership mesh (the sybil attack's substrate) ---------------------- #
-    def _wire_membership(self, spec: ChaosSpec, system: IoTSystem,
-                         plane, aux: Dict[str, Any]) -> None:
-        if spec.adversary.attack == "none":
-            aux["members"] = None
-            return
-        from repro.coordination.membership import MembershipProtocol
-
-        defended = spec.maturity >= 4
-        edges = list(system.edge_nodes)
-        members: Dict[str, MembershipProtocol] = {}
-        for edge in edges:
-            update_filter = None
-            evidence = None
-            if defended:
-                def evidence(subject: str, kind: str, _obs=edge) -> None:
-                    plane.trust.record(_obs, subject, kind)
-
-                def update_filter(src: Optional[str], node: str, state: str,
-                                  incarnation: int, _obs=edge) -> bool:
-                    # Identity gate: only keyed (enrolled) nodes may join.
-                    if plane.keychain.known(node):
-                        return True
-                    if src is not None:
-                        plane.trust.record(_obs, src, "sybil-join",
-                                           detail=node)
-                    return False
-            protocol = MembershipProtocol(
-                system.sim, system.network, edge,
-                [e for e in edges if e != edge],
-                system.rngs.stream(f"chaos-swim:{edge}"),
-                probe_period=1.0,
-                update_filter=update_filter, evidence=evidence,
-                max_incarnation_jump=8 if defended else None,
-            )
-            members[edge] = protocol
-            plane.attach_membership(protocol)
-        for edge in edges:
-            members[edge].start()
-        aux["members"] = members
+        storm = spec.traffic.pattern == "retry-storm"
+        stack = serving_stack(
+            system, spec.traffic.users, spec.traffic.rate_per_user,
+            spec.horizon, retry=STORM_RETRY if storm else None,
+            **(retry_containment() if storm and features.retry_containment
+               else {}))
+        stack.cohort.start()
+        aux.update(registry=stack.registry, edge=stack.edge,
+                   cloud=stack.servers["cloud"], client=stack.client,
+                   cohort=stack.cohort)
 
     # -- maturity defenses --------------------------------------------------- #
-    def _wire_defenses(self, spec: ChaosSpec, system: IoTSystem,
+    def _wire_defenses(self, features: MaturityFeatures, system: IoTSystem,
                        plane, aux: Dict[str, Any]) -> None:
         edge = aux.get("edge")
-        if spec.maturity >= 2 and edge is not None:
-            from repro.traffic.admission import QueueLengthAdmission
-
-            # 8 entries / 200 req/s = 40ms worst-case wait against the
-            # 250ms deadline.
-            edge.admission = QueueLengthAdmission(8)
-        if spec.maturity >= 3 and edge is not None:
-            from repro.adaptation import (
-                BackpressureAnalyzer,
-                Executor,
-                MapeLoop,
-                RuleBasedPlanner,
-            )
-
-            loop = MapeLoop(
-                system.sim, system.network, system.fleet, "edge0", ["d0.0"],
-                analyzers=[BackpressureAnalyzer()],
-                planner=RuleBasedPlanner(),
-                executor=Executor(system.sim, system.network, system.fleet,
-                                  "edge0", system.rngs.stream("exec:edge0"),
-                                  trace=system.trace),
-                period=1.0, metrics=system.metrics, trace=system.trace,
-            )
-            loop.knowledge.facts["offload_target"] = "cloud"
-            edge.attach_backpressure(loop.knowledge)
-            loop.start()
-            aux["backpressure_loop"] = loop
-        if spec.maturity >= 4 and plane is not None:
-            from repro.adaptation import (
-                Executor,
-                IntrusionAnalyzer,
-                MapeLoop,
-                RuleBasedPlanner,
-            )
-            from repro.security.trust import FloodSentry
-
+        if features.admission_control and edge is not None:
+            bound_admission(edge)
+        if features.backpressure_offload and edge is not None:
+            aux["backpressure_loop"] = backpressure_offload(system, edge)
+        if features.intrusion_response and plane is not None:
             edges = list(system.edge_nodes)
             plane.enable_auth(edges + ["d0.0"], protected_kinds=("swim.",))
-            sentry = FloodSentry(system, plane.trust, observer="edge0",
-                                 period=0.5, rate_threshold=300.0,
-                                 exempt=["edge0"])
-            sentry.start()
-            loop = MapeLoop(
-                system.sim, system.network, system.fleet, "edge0", edges,
-                analyzers=[IntrusionAnalyzer()],
-                planner=RuleBasedPlanner(),
-                executor=Executor(system.sim, system.network, system.fleet,
-                                  "edge0", system.rngs.stream("exec:edge0"),
-                                  trace=system.trace),
-                period=0.5, metrics=system.metrics, trace=system.trace,
-            )
-            plane.trust.attach(loop.knowledge)
-            loop.start()
-            aux["sentry"] = sentry
-            aux["intrusion_loop"] = loop
+            aux["sentry"], aux["intrusion_loop"] = intrusion_response(
+                system, plane, "edge0", edges, period=0.5,
+                flood_rate=FLOOD_RATE)
 
     # -- fault schedule ------------------------------------------------------ #
     def _schedule_faults(self, spec: ChaosSpec, system: IoTSystem) -> None:
@@ -368,7 +236,8 @@ def compile_spec(spec: ChaosSpec) -> PreparedRun:
     return ScenarioCompiler().compile(spec)
 
 
-@register_scenario("chaos", plane="chaos")
+@register_scenario("chaos", plane="chaos",
+                   params={"spec": Field("object", required=False)})
 def _chaos(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """A compiled chaos spec (params carry its full dict form).
 

@@ -27,6 +27,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core.vectors import MaturityFeatures, MaturityLevel, features_of
 from repro.schema import Field, check
 
 #: Workload archetypes the compiler can build (healthcare's bespoke
@@ -44,10 +45,9 @@ FAULT_KINDS = ("crash", "partition", "latency", "link")
 #: Adversary attacks ("sybil-flood" = flood + forged SWIM joins).
 ADVERSARIES = ("none", "flood", "sybil-flood")
 
-#: Maturity levels ML1-ML4 (paper SSIV): how much of the resilience
-#: stack the compiled system gets.  ML1 naive, ML2 +admission control,
-#: ML3 +retry budget/breaker/backpressure MAPE, ML4 +security defenses.
-MATURITY_LEVELS = (1, 2, 3, 4)
+#: Maturity levels ML1-ML4 (paper SSIV); which defences each one arms is
+#: its row of :data:`repro.core.vectors.MATURITY_FEATURES`.
+MATURITY_LEVELS = tuple(int(level) for level in MaturityLevel)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -220,6 +220,11 @@ class ChaosSpec:
     maturity: int = 1
     horizon: float = 30.0
     seed: int = 1
+
+    @property
+    def features(self) -> MaturityFeatures:
+        """The defences and mechanisms this spec's maturity level grants."""
+        return features_of(MaturityLevel(self.maturity))
 
     # -- validation --------------------------------------------------------- #
     def validate(self) -> None:

@@ -562,17 +562,15 @@ def run_gated(family: str, scenario: str, quick: bool = False,
     replayable even though the gate aggregates several runs.
     """
     from repro.observability.flight import capture_gate_incident
-    from repro.scenarios import describe_scenario, prepare
+    from repro.scenarios import describe_scenario, gated_run
 
     descriptor = describe_scenario(f"{family}-{scenario}")
     gate = descriptor.gate
     results = {}
     for variant in gate.variants:
         _progress(f"running {scenario} variant {variant!r}...")
-        prepared = prepare(descriptor.spec(
+        prepared, results[variant] = gated_run(descriptor.spec(
             quick, **{descriptor.variant_param: variant}))
-        prepared.system.run(until=prepared.horizon)
-        results[variant] = gate.result(prepared)
     _print_table(
         gate.title.format(horizon=prepared.horizon), list(gate.headers),
         [[round(cell, 4) if isinstance(cell, float) else cell

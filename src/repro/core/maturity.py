@@ -37,11 +37,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.adaptation import (
     DeviceLivenessAnalyzer,
-    Executor,
     MapeLoop,
-    RuleBasedPlanner,
     ServiceHealthAnalyzer,
     StaleKnowledgeAnalyzer,
+    mape_loop,
 )
 from repro.coordination.election import BullyElection
 from repro.core.requirements import (
@@ -294,11 +293,6 @@ class MaturityScenario:
         scope = set(self.site_devices(site)) | {self.site_edge(site)}
         if host in scope:
             return
-        if self.features.governance_enforced:
-            # Enforced levels never send raw sensitive readings out of
-            # scope (see _start_sensor routing); reaching here would be a
-            # real leak, so still record it -- honesty over flattery.
-            pass
         self.system.trace.emit(
             now, "governance", "privacy-violation", subject=payload["device"],
             host=host, site=site,
@@ -322,21 +316,11 @@ class MaturityScenario:
             self._wire_orchestrator()
 
     def _add_loop(self, host: str, scope: List[str]) -> None:
-        system = self.system
-        loop = MapeLoop(
-            system.sim, system.network, system.fleet, host, scope,
-            analyzers=[
-                ServiceHealthAnalyzer(),
-                DeviceLivenessAnalyzer(),
-                StaleKnowledgeAnalyzer(self.params.control_staleness * 2),
-            ],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet, host,
-                              system.rngs.stream(f"executor:{host}"),
-                              trace=system.trace),
-            period=self.params.mape_period,
-            metrics=system.metrics, trace=system.trace,
-        )
+        loop = mape_loop(self.system, host, scope, [
+            ServiceHealthAnalyzer(),
+            DeviceLivenessAnalyzer(),
+            StaleKnowledgeAnalyzer(self.params.control_staleness * 2),
+        ], period=self.params.mape_period, stream="executor")
         self._loops[host] = loop
         loop.start()
 

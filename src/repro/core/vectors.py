@@ -3,9 +3,14 @@
 The paper's roadmap is a 5x4 matrix: five *disruption vectors* (the rows
 implicit in Tables 1-2) by four *maturity levels* ML1-ML4.  This module
 encodes the matrix verbatim (cell texts condensed from the paper) plus the
-feature flags each level grants -- the flags are what the archetype
-builders in :mod:`repro.core.maturity` consume, so the taxonomy and the
-runnable systems cannot drift apart.
+feature flags each level grants.  :data:`MATURITY_FEATURES` is the only
+definition of a level.  Its readers: ``MaturityScenario``
+(:mod:`repro.core.maturity`) wires its archetype from
+``service_placement``, ``failover_replacement``, ``self_healing``,
+``data_flows`` and ``data_replication``; :mod:`repro.chaos.compiler` arms its defence stack
+from the four defence flags; the ``ablations`` artifact in
+:mod:`repro.paper` varies ML4's row.  The other flags have no reader yet
+(ROADMAP item 13(a)).
 """
 
 from __future__ import annotations
@@ -85,9 +90,8 @@ DISRUPTION_VECTORS: List[DisruptionVector] = list(DisruptionVector)
 class MaturityFeatures:
     """The mechanism flags a maturity level grants.
 
-    These are the *operational semantics* of each table row: archetype
-    builders consult only this object, so each cell of the table maps to
-    observable system behaviour.
+    The *operational semantics* of each table row (readers in the module
+    docstring); each defence flag arms one builder, wired once.
     """
 
     level: MaturityLevel
@@ -108,6 +112,11 @@ class MaturityFeatures:
     data_replication: bool          # CRDT replication among edge peers
     governance_enforced: bool
     edge_anonymization: bool
+    # defences (Table 2's mechanisms, as the chaos compiler wires them)
+    admission_control: bool         # bounded edge queue
+    retry_containment: bool         # retry budget + circuit breaker
+    backpressure_offload: bool      # backpressure MAPE loop, cloud offload
+    intrusion_response: bool        # auth, identity gate, flood sentry, intrusion loop
 
 
 MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
@@ -119,6 +128,8 @@ MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
         self_healing="none", peer_coordination=False,
         data_flows="isolated", data_replication=False,
         governance_enforced=False, edge_anonymization=False,
+        admission_control=False, retry_containment=False,
+        backpressure_offload=False, intrusion_response=False,
     ),
     MaturityLevel.ML2: MaturityFeatures(
         level=MaturityLevel.ML2,
@@ -128,6 +139,8 @@ MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
         self_healing="cloud", peer_coordination=False,
         data_flows="unidirectional", data_replication=False,
         governance_enforced=False, edge_anonymization=False,
+        admission_control=True, retry_containment=False,
+        backpressure_offload=False, intrusion_response=False,
     ),
     MaturityLevel.ML3: MaturityFeatures(
         level=MaturityLevel.ML3,
@@ -137,6 +150,8 @@ MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
         self_healing="edge", peer_coordination=False,
         data_flows="bidirectional", data_replication=False,
         governance_enforced=True, edge_anonymization=False,
+        admission_control=True, retry_containment=True,
+        backpressure_offload=True, intrusion_response=False,
     ),
     MaturityLevel.ML4: MaturityFeatures(
         level=MaturityLevel.ML4,
@@ -146,6 +161,8 @@ MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
         self_healing="edge", peer_coordination=True,
         data_flows="governed", data_replication=True,
         governance_enforced=True, edge_anonymization=True,
+        admission_control=True, retry_containment=True,
+        backpressure_offload=True, intrusion_response=True,
     ),
 }
 

@@ -12,11 +12,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adaptation import (
     DeviceLivenessAnalyzer,
-    Executor,
     MapeLoop,
-    RuleBasedPlanner,
     ServiceHealthAnalyzer,
     StaleKnowledgeAnalyzer,
+    mape_loop,
 )
 from repro.core.system import IoTSystem
 from repro.devices.software import Service
@@ -26,6 +25,7 @@ from repro.faults.models import (
     ServiceFailureFault,
 )
 from repro.persistence.scenarios import PreparedRun, register_scenario
+from repro.schema import Field
 
 # ------------------------------------------------------------------------- #
 # Fig. 3: centralized vs decentralized control
@@ -40,16 +40,8 @@ FIG3_STALENESS = 3.0
 def make_loop(system: IoTSystem, host: str, scope: List[str],
               extra_analyzers: Tuple = ()) -> MapeLoop:
     """A 1 s service-health + liveness MAPE loop on ``host`` over ``scope``."""
-    return MapeLoop(
-        system.sim, system.network, system.fleet, host, scope,
-        analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
-                   *extra_analyzers],
-        planner=RuleBasedPlanner(),
-        executor=Executor(system.sim, system.network, system.fleet, host,
-                          system.rngs.stream(f"exec:{host}"),
-                          trace=system.trace),
-        period=1.0, metrics=system.metrics, trace=system.trace,
-    )
+    return mape_loop(system, host, scope, [
+        ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(), *extra_analyzers])
 
 
 def prepare_control_architecture(architecture: str, seed: int = 11
@@ -189,9 +181,16 @@ def mape_repair_delays(system: IoTSystem, loops: List[MapeLoop]) -> List[float]:
 # ------------------------------------------------------------------------- #
 # Registered scenarios: the Fig. 3 / Fig. 5 runs as rebuildable specs
 # ------------------------------------------------------------------------- #
+_HORIZON = Field("number", required=False, above=0)
+_FLAG = Field("boolean", required=False)
+
+
 @register_scenario("mape-outage", plane="adaptation",
                    variants=("edge", "cloud"), variant_param="placement",
-                   monitored=True)
+                   monitored=True, params={"horizon": _HORIZON,
+                                           "observe": _FLAG,
+                                           "monitored": _FLAG,
+                                           "strict": _FLAG})
 def _mape_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """Fig. 5's MAPE placement run (default: edge placement).
 
@@ -199,8 +198,8 @@ def _mape_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     SLOs, gossip liveness mesh) exactly as the CLI's ``monitor``
     command does; ``strict`` adds the cloud-availability SLO.
     """
-    monitored = bool(params.get("monitored"))
-    strict = bool(params.get("strict"))
+    monitored = params.get("monitored", False)
+    strict = params.get("strict", False)
     aux: Dict[str, Any] = {}
 
     def setup(system, loops) -> None:
@@ -211,27 +210,31 @@ def _mape_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
 
     system, loops = prepare_mape_placement(
         params.get("placement", "edge"), seed=seed or 19,
-        observe=bool(params.get("observe")) or monitored,
+        observe=params.get("observe", False) or monitored,
         setup=setup if monitored else None)
     aux["loops"] = loops
     return PreparedRun(system=system,
-                       horizon=float(params.get("horizon", FIG5_HORIZON)),
+                       horizon=params.get("horizon", FIG5_HORIZON),
                        aux=aux)
 
 
 @register_scenario("control-outage", plane="adaptation",
                    variants=("centralized", "decentralized"),
-                   variant_param="architecture")
+                   variant_param="architecture", params={"horizon": _HORIZON})
 def _control_outage(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """Fig. 3's control-architecture run (default: decentralized)."""
     system, loops = prepare_control_architecture(
         params.get("architecture", "decentralized"), seed=seed or 11)
     return PreparedRun(system=system,
-                       horizon=float(params.get("horizon", FIG3_HORIZON)),
+                       horizon=params.get("horizon", FIG3_HORIZON),
                        aux={"loops": loops})
 
 
-@register_scenario("harness-crash", plane="persistence")
+@register_scenario("harness-crash", plane="persistence", params={
+    "horizon": _HORIZON, "crash_at": Field("number", required=False, low=0),
+    "architecture": Field("string", required=False,
+                          choices=("centralized", "decentralized"),
+                          label="architecture")})
 def _harness_crash(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """The fault engine's end-to-end recovery proof.
 
@@ -244,7 +247,7 @@ def _harness_crash(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     path end to end.
     """
     prepared = _control_outage(seed, params)
-    crash_at = float(params.get("crash_at", 45.0))
+    crash_at = params.get("crash_at", 45.0)
     prepared.system.injector.inject_at(crash_at, HarnessCrashFault(
         name=f"harness-crash@{crash_at:g}"))
     prepared.aux["crash_at"] = crash_at

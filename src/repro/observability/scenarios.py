@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.persistence.scenarios import PreparedRun, register_scenario
+from repro.schema import Field
 
 SMART_CITY_HORIZON = 60.0
 
@@ -88,11 +89,9 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
     """
     from repro.adaptation import (
         DeviceLivenessAnalyzer,
-        Executor,
-        MapeLoop,
-        RuleBasedPlanner,
         ServiceHealthAnalyzer,
         SloAlertAnalyzer,
+        mape_loop,
     )
     from repro.faults.models import PartitionFault, ServiceFailureFault
     from repro.workloads.smart_city import SmartCityWorkload
@@ -107,16 +106,9 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
     for district in range(districts):
         edge = f"edge{district}"
         scope = [edge] + list(system.sites[edge])
-        loop = MapeLoop(
-            system.sim, system.network, system.fleet, edge, scope,
-            analyzers=[ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
-                       SloAlertAnalyzer()],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet, edge,
-                              system.rngs.stream(f"exec:{edge}"),
-                              trace=system.trace),
-            period=1.0, metrics=system.metrics, trace=system.trace,
-        )
+        loop = mape_loop(system, edge, scope, [
+            ServiceHealthAnalyzer(), DeviceLivenessAnalyzer(),
+            SloAlertAnalyzer()])
         loop.start()
         loops.append(loop)
     system.injector.inject_at(10.0, ServiceFailureFault(
@@ -132,12 +124,14 @@ def prepare_smart_city_partition(seed: Optional[int] = None,
 
 
 @register_scenario("smart-city-partition", plane="observability",
-                   quick={"quick": True}, monitored=True)
+                   quick={"quick": True}, monitored=True,
+                   params={key: Field("boolean", required=False)
+                           for key in ("quick", "monitored", "strict")})
 def _smart_city_partition(seed: Optional[int],
                           params: Dict[str, Any]) -> PreparedRun:
     """The canonical observed run: a smart city losing its cloud."""
     return prepare_smart_city_partition(
         seed=seed,
-        quick=bool(params.get("quick")),
-        monitored=bool(params.get("monitored")),
-        strict=bool(params.get("strict")))
+        quick=params.get("quick", False),
+        monitored=params.get("monitored", False),
+        strict=params.get("strict", False))

@@ -11,8 +11,10 @@ replays it.
 The registry record is the single owner of everything else the repo
 knows about a scenario: :func:`register_scenario` stores one frozen
 :class:`Scenario` (builder, plane, variants, quick params, monitored,
-gate) and the catalog, the CLI's choices and ``--quick``, and the
-traffic/security gates all read it.  Each plane's scenario module
+gate, declared params) and the catalog, the CLI's choices and
+``--quick``, and the traffic/security gates all read it.  :func:`prepare`
+checks a spec's params against the declaration once, so builders read
+typed values.  Each plane's scenario module
 registers its own next to the ``prepare_*`` functions they wrap.
 
 Builders must be deterministic functions of ``(seed, params)``: two
@@ -124,6 +126,9 @@ class Scenario:
     #: when monitored, puts the SLO ``monitor`` in ``aux``.
     monitored: bool = False
     gate: Optional[Gate] = None
+    #: The builder's params as one :mod:`repro.schema` object declaration;
+    #: undeclared params reach the builder unchecked.
+    params: Field = Field("object")
 
     @property
     def description(self) -> str:
@@ -167,14 +172,25 @@ def register_scenario(name: str, builder: Optional[ScenarioBuilder] = None, *,
                       plane: str, variants: Tuple[str, ...] = (),
                       variant_param: str = "variant",
                       quick: Optional[Dict[str, Any]] = None,
-                      monitored: bool = False, gate: Optional[Gate] = None):
-    """Register ``name``'s descriptor (usable as a decorator on the builder)."""
+                      monitored: bool = False, gate: Optional[Gate] = None,
+                      params: Optional[Dict[str, Field]] = None):
+    """Register ``name``'s descriptor (usable as a decorator on the builder).
+
+    ``params`` declares the builder's optional params; the variant param,
+    if any, is declared from ``variants``.
+    """
+    fields = dict(params or {})
+    if variants:
+        fields[variant_param] = Field("string", required=False,
+                                      choices=tuple(variants),
+                                      label=variant_param)
 
     def _register(fn: ScenarioBuilder) -> ScenarioBuilder:
         _REGISTRY[name] = Scenario(
             name=name, builder=fn, plane=plane, variants=tuple(variants),
             variant_param=variant_param, quick=dict(quick or {}),
-            monitored=monitored, gate=gate)
+            monitored=monitored, gate=gate,
+            params=Field("object", fields=fields))
         return fn
 
     if builder is not None:
@@ -230,13 +246,26 @@ def prepare(spec: ScenarioSpec) -> PreparedRun:
     -- is applied generically: every load re-registers at its original
     fired-count barrier, so a rebuilt run (fast-forward, resume, replay)
     reproduces the mutation at the identical point in the event sequence
-    and every kernel sequence number matches the live run's.
+    and every kernel sequence number matches the live run's.  A param
+    that is not of its declared kind or domain raises
+    :class:`~repro.schema.SchemaError` (a ``ValueError``) naming it.
     """
     params = dict(spec.params)
     live_loads = params.pop("live_loads", None)
-    prepared = describe_scenario(spec.name).builder(spec.seed, params)
+    scenario = describe_scenario(spec.name)
+    params.update(check(params, scenario.params, f"{spec.name} params"))
+    prepared = scenario.builder(spec.seed, params)
     if live_loads:
         from repro.live.reconfigure import register_live_loads
 
         register_live_loads(prepared.system, live_loads)
     return prepared
+
+
+def gated_run(spec: ScenarioSpec) -> Tuple[PreparedRun, Dict[str, Any]]:
+    """Build ``spec``, run it to its horizon and tabulate it with its
+    scenario's :class:`Gate`: the one path from a gated variant to its
+    result, shared by the CLI gates, the benches and the tests."""
+    prepared = prepare(spec)
+    prepared.system.run(until=prepared.horizon)
+    return prepared, describe_scenario(spec.name).gate.result(prepared)

@@ -24,6 +24,7 @@ from repro.persistence.scenarios import (
     ScenarioSpec,
     UnknownScenarioError,
     describe_scenario,
+    gated_run,
     prepare,
     register_scenario,
     scenario_names,
@@ -38,6 +39,7 @@ __all__ = [
     "UnknownScenarioError",
     "catalog",
     "describe_scenario",
+    "gated_run",
     "prepare",
     "register_scenario",
     "scenario_names",

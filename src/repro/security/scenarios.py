@@ -44,14 +44,9 @@ registered for checkpoint/resume/replay like any other scenario.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.adaptation import (
-    Executor,
-    IntrusionAnalyzer,
-    MapeLoop,
-    RuleBasedPlanner,
-)
+from repro.adaptation import IntrusionAnalyzer, MapeLoop, mape_loop
 from repro.coordination.gossip import GossipNode
 from repro.coordination.membership import MembershipProtocol
 from repro.coordination.raft import RaftNode
@@ -69,13 +64,12 @@ from repro.security.adversary import (
     SybilJoinBehavior,
     VoteEquivocateBehavior,
 )
+from repro.schema import Field
 from repro.security.plane import SecurityPlane
 from repro.security.trust import FloodSentry
-from repro.traffic.admission import QueueLengthAdmission
-from repro.traffic.client import COMPLETIONS_SERIES, TrafficClient
-from repro.traffic.loadgen import ClientCohort
-from repro.traffic.server import Server, ServiceModel
-from repro.traffic.stats import TrafficRegistry, windowed_rate
+from repro.traffic.client import COMPLETIONS_SERIES
+from repro.traffic.scenarios import bound_admission, serving_stack
+from repro.traffic.stats import windowed_rate
 
 BYZANTINE_GOSSIP_HORIZON = 24.0
 BYZANTINE_GOSSIP_VARIANTS = ("clean", "naive", "defended")
@@ -101,21 +95,70 @@ AGREEMENT_SERIES = "security.gossip.agreement"
 _AGREEMENT_PERIOD = 0.5
 
 
-def _security_mape(system: Any, plane: SecurityPlane, host: str,
-                   scope: List[str], period: float = 1.0) -> MapeLoop:
-    """The intrusion-response loop: trust facts in, quarantine out."""
-    loop = MapeLoop(
-        system.sim, system.network, system.fleet, host, scope,
-        analyzers=[IntrusionAnalyzer()],
-        planner=RuleBasedPlanner(),
-        executor=Executor(system.sim, system.network, system.fleet, host,
-                          system.rngs.stream(f"exec:{host}"),
-                          trace=system.trace),
-        period=period, metrics=system.metrics, trace=system.trace,
-    )
+#: Per-source request rate (req/s) above which the flood sentry charges
+#: ``flood-rate`` evidence.
+FLOOD_RATE = 300.0
+
+
+def intrusion_response(system: Any, plane: SecurityPlane, host: str,
+                       scope: List[str], period: float = 1.0,
+                       flood_rate: Optional[float] = None
+                       ) -> Tuple[Optional[FloodSentry], MapeLoop]:
+    """Trust facts in, quarantine out: a started intrusion loop on
+    ``host``, after (with ``flood_rate``) a started flood sentry there
+    reading the transport's per-source counters every ``period``."""
+    sentry = None
+    if flood_rate is not None:
+        sentry = FloodSentry(system, plane.trust, observer=host,
+                             period=period, rate_threshold=flood_rate,
+                             exempt=[host])
+        sentry.start()
+    loop = mape_loop(system, host, scope, [IntrusionAnalyzer()],
+                     period=period)
     plane.trust.attach(loop.knowledge)
     loop.start()
-    return loop
+    return sentry, loop
+
+
+def identity_gate(plane: SecurityPlane, observer: str) -> Dict[str, Any]:
+    """``observer``'s SWIM defence, as protocol keyword arguments: only
+    keyed (enrolled) nodes may join, and a peer relaying an unknown one
+    or jumping incarnations is charged evidence."""
+
+    def evidence(subject: str, kind: str) -> None:
+        plane.trust.record(observer, subject, kind)
+
+    def update_filter(src: Optional[str], node: str, state: str,
+                      incarnation: int) -> bool:
+        if plane.keychain.known(node):
+            return True
+        if src is not None:
+            plane.trust.record(observer, src, "sybil-join", detail=node)
+        return False
+
+    return {"update_filter": update_filter, "evidence": evidence,
+            "max_incarnation_jump": 8}
+
+
+def swim_mesh(system: Any, plane: SecurityPlane, stream: str,
+              gate: Optional[Callable[[SecurityPlane, str], Dict[str, Any]]]
+              = None) -> Dict[str, MembershipProtocol]:
+    """A started SWIM member on every edge site, attached to ``plane``,
+    each drawing from ``<stream>:<edge>`` and, given ``gate``, defended
+    by ``gate(plane, edge)`` (:func:`identity_gate`)."""
+    edges = list(system.edge_nodes)
+    members: Dict[str, MembershipProtocol] = {}
+    for edge in edges:
+        protocol = MembershipProtocol(
+            system.sim, system.network, edge,
+            [e for e in edges if e != edge],
+            system.rngs.stream(f"{stream}:{edge}"), probe_period=1.0,
+            **(gate(plane, edge) if gate is not None else {}))
+        members[edge] = protocol
+        plane.attach_membership(protocol)
+    for edge in edges:
+        members[edge].start()
+    return members
 
 
 # --------------------------------------------------------------------------- #
@@ -123,21 +166,15 @@ def _security_mape(system: Any, plane: SecurityPlane, host: str,
 # --------------------------------------------------------------------------- #
 def prepare_byzantine_gossip(seed: int = 37, variant: str = "defended",
                              horizon: float = BYZANTINE_GOSSIP_HORIZON,
-                             attack: bool = True,
                              authed: bool = False) -> PreparedRun:
     """Wire (but do not run) one byzantine-gossip variant.
 
     Five edge sites gossip ``cfg`` (written once by edge0); ``edge4``
     equivocates on it from t=1 in the naive and defended variants.
-    Two bench-oriented knobs isolate costs: ``attack=False`` keeps the
-    variant's full wiring but skips the compromise (the peacetime cost
-    of the whole defense), and ``authed=True`` adds just the
-    signer/verifier pair to a non-defended variant (the price of the
-    interceptor+auth path alone, without trust hooks or the MAPE loop).
+    ``authed=True`` adds just the signer/verifier pair to a non-defended
+    variant: the bench's price of the interceptor+auth path alone,
+    without trust hooks or the MAPE loop.
     """
-    if variant not in BYZANTINE_GOSSIP_VARIANTS:
-        raise ValueError(f"unknown byzantine-gossip variant {variant!r}; "
-                         f"expected one of {BYZANTINE_GOSSIP_VARIANTS}")
     system = IoTSystem.with_edge_cloud_landscape(5, 1, seed=seed)
     plane = SecurityPlane(system)
     edges = list(system.edge_nodes)
@@ -164,11 +201,10 @@ def prepare_byzantine_gossip(seed: int = 37, variant: str = "defended",
     for edge in edges:
         nodes[edge].start()
 
-    loop: Optional[MapeLoop] = None
-    if defended:
-        loop = _security_mape(system, plane, edges[0], list(edges))
+    loop = (intrusion_response(system, plane, edges[0], list(edges))[1]
+            if defended else None)
 
-    if variant != "clean" and attack:
+    if variant != "clean":
         system.injector.inject_at(_GOSSIP_COMPROMISE_AT, NodeCompromiseFault(
             name=f"compromise:{attacker}", device_id=attacker,
             behaviors=[GossipEquivocateBehavior(key=_GOSSIP_KEY)]))
@@ -221,13 +257,6 @@ def byzantine_gossip_result(prepared: PreparedRun) -> Dict[str, Any]:
     }
 
 
-def run_byzantine_gossip(variant: str, seed: int = 37,
-                         **params: Any) -> Dict[str, Any]:
-    prepared = prepare_byzantine_gossip(seed=seed, variant=variant, **params)
-    prepared.system.run(until=prepared.horizon)
-    return byzantine_gossip_result(prepared)
-
-
 # --------------------------------------------------------------------------- #
 # raft-equivocation
 # --------------------------------------------------------------------------- #
@@ -241,9 +270,6 @@ def prepare_raft_equivocation(seed: int = 41, variant: str = "defended",
     vote RTTs) so same-term honest candidacies actually collide -- the
     collision is what the forged quorum turns into a double leader.
     """
-    if variant not in RAFT_EQUIVOCATION_VARIANTS:
-        raise ValueError(f"unknown raft-equivocation variant {variant!r}; "
-                         f"expected one of {RAFT_EQUIVOCATION_VARIANTS}")
     system = IoTSystem.with_edge_cloud_landscape(5, 1, seed=seed)
     plane = SecurityPlane(system)
     edges = list(system.edge_nodes)
@@ -265,9 +291,8 @@ def prepare_raft_equivocation(seed: int = 41, variant: str = "defended",
         )
     for edge in edges:
         nodes[edge].start()
-    loop: Optional[MapeLoop] = None
-    if defended:
-        loop = _security_mape(system, plane, edges[0], list(edges))
+    loop = (intrusion_response(system, plane, edges[0], list(edges))[1]
+            if defended else None)
     for attacker in attackers:
         system.injector.inject_at(_RAFT_COMPROMISE_AT, NodeCompromiseFault(
             name=f"compromise:{attacker}", device_id=attacker,
@@ -307,13 +332,6 @@ def raft_equivocation_result(prepared: PreparedRun) -> Dict[str, Any]:
     }
 
 
-def run_raft_equivocation(variant: str, seed: int = 41,
-                          **params: Any) -> Dict[str, Any]:
-    prepared = prepare_raft_equivocation(seed=seed, variant=variant, **params)
-    prepared.system.run(until=prepared.horizon)
-    return raft_equivocation_result(prepared)
-
-
 # --------------------------------------------------------------------------- #
 # sybil-flood
 # --------------------------------------------------------------------------- #
@@ -325,9 +343,6 @@ def prepare_sybil_flood(seed: int = 43, variant: str = "defended",
     compromised ``edge1`` floods 600/s of signed requests and pushes
     fabricated SWIM identities at ``edge0``/``edge2``.
     """
-    if variant not in SYBIL_FLOOD_VARIANTS:
-        raise ValueError(f"unknown sybil-flood variant {variant!r}; "
-                         f"expected one of {SYBIL_FLOOD_VARIANTS}")
     system = IoTSystem.with_edge_cloud_landscape(3, 2, seed=seed)
     plane = SecurityPlane(system)
     edges = list(system.edge_nodes)
@@ -335,66 +350,15 @@ def prepare_sybil_flood(seed: int = 43, variant: str = "defended",
     defended = variant == "defended"
     if defended:
         plane.enable_auth(edges + ["d0.0"], protected_kinds=("swim.",))
-    registry = TrafficRegistry(system)
-    server = registry.add_server(Server(
-        system.sim, system.network, "edge0",
-        rng=system.rngs.stream("traffic:server:edge0"),
-        concurrency=4, queue_capacity=64,
-        service=ServiceModel(mean=0.02),
-        metrics=system.metrics, trace=system.trace,
-    ))
+    stack = serving_stack(system, 3500, 0.04, horizon, pools=("edge0",))
     if defended:
-        server.admission = QueueLengthAdmission(8)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=0.25, metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=3500, rate_per_user=0.04,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    cohort.start()
-
-    members: Dict[str, MembershipProtocol] = {}
-    for edge in edges:
-        update_filter = None
-        evidence = None
-        if defended:
-            def evidence(subject: str, kind: str, _obs=edge) -> None:
-                plane.trust.record(_obs, subject, kind)
-
-            def update_filter(src: Optional[str], node: str, state: str,
-                              incarnation: int, _obs=edge) -> bool:
-                # Identity gate: only keyed (enrolled) nodes may join.
-                if plane.keychain.known(node):
-                    return True
-                if src is not None:
-                    plane.trust.record(_obs, src, "sybil-join", detail=node)
-                return False
-        protocol = MembershipProtocol(
-            system.sim, system.network, edge,
-            [e for e in edges if e != edge],
-            system.rngs.stream(f"security-swim:{edge}"),
-            probe_period=1.0,
-            update_filter=update_filter, evidence=evidence,
-            max_incarnation_jump=8 if defended else None,
-        )
-        members[edge] = protocol
-        plane.attach_membership(protocol)
-    for edge in edges:
-        members[edge].start()
-
-    sentry: Optional[FloodSentry] = None
-    loop: Optional[MapeLoop] = None
-    if defended:
-        sentry = FloodSentry(system, plane.trust, observer="edge0",
-                             period=0.5, rate_threshold=300.0,
-                             exempt=["edge0"])
-        sentry.start()
-        loop = _security_mape(system, plane, "edge0", list(edges),
-                              period=0.5)
+        bound_admission(stack.edge)
+    stack.cohort.start()
+    members = swim_mesh(system, plane, "security-swim",
+                        identity_gate if defended else None)
+    sentry, loop = intrusion_response(
+        system, plane, "edge0", list(edges), period=0.5,
+        flood_rate=FLOOD_RATE) if defended else (None, None)
 
     if variant != "clean":
         system.injector.inject_at(_FLOOD_COMPROMISE_AT, NodeCompromiseFault(
@@ -404,9 +368,9 @@ def prepare_sybil_flood(seed: int = 43, variant: str = "defended",
                 SybilJoinBehavior(targets=["edge0", "edge2"]),
             ]))
 
-    aux: Dict[str, Any] = {"plane": plane, "registry": registry,
-                           "server": server, "client": client,
-                           "cohort": cohort, "members": members,
+    aux: Dict[str, Any] = {"plane": plane, "registry": stack.registry,
+                           "server": stack.edge, "client": stack.client,
+                           "cohort": stack.cohort, "members": members,
                            "attacker": attacker, "variant": variant,
                            "horizon": horizon, "sentry": sentry,
                            "loop": loop}
@@ -442,13 +406,6 @@ def sybil_flood_result(prepared: PreparedRun) -> Dict[str, Any]:
         "security": plane.kpis(aux["horizon"]),
         "events": system.sim.fired_count,
     }
-
-
-def run_sybil_flood(variant: str, seed: int = 43,
-                    **params: Any) -> Dict[str, Any]:
-    prepared = prepare_sybil_flood(seed=seed, variant=variant, **params)
-    prepared.system.run(until=prepared.horizon)
-    return sybil_flood_result(prepared)
 
 
 # --------------------------------------------------------------------------- #
@@ -568,34 +525,40 @@ RAFT_EQUIVOCATION_GATE = Gate(
     judge=_judge_raft_equivocation)
 
 
+#: Every security builder's one numeric param (the variant's is its gate's).
+_PARAMS = {"horizon": Field("number", required=False, above=0)}
+
+
 @register_scenario("security-byzantine-gossip", plane="security",
                    variants=BYZANTINE_GOSSIP_VARIANTS,
-                   quick={"horizon": 12.0}, gate=BYZANTINE_GOSSIP_GATE)
+                   quick={"horizon": 12.0}, gate=BYZANTINE_GOSSIP_GATE,
+                   params=_PARAMS)
 def _security_byzantine(seed: Optional[int],
                         params: Dict[str, Any]) -> PreparedRun:
     """A gossiping site equivocates (default: defended mesh)."""
     return prepare_byzantine_gossip(
         seed=seed or 37,
         variant=params.get("variant", "defended"),
-        horizon=float(params.get("horizon", BYZANTINE_GOSSIP_HORIZON)))
+        horizon=params.get("horizon", BYZANTINE_GOSSIP_HORIZON))
 
 
 @register_scenario("security-raft-equivocation", plane="security",
                    variants=RAFT_EQUIVOCATION_VARIANTS,
-                   gate=RAFT_EQUIVOCATION_GATE)
+                   gate=RAFT_EQUIVOCATION_GATE, params=_PARAMS)
 def _security_raft(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """Two Raft voters grant every candidate (default: defended)."""
     return prepare_raft_equivocation(
         seed=seed or 41,
         variant=params.get("variant", "defended"),
-        horizon=float(params.get("horizon", RAFT_EQUIVOCATION_HORIZON)))
+        horizon=params.get("horizon", RAFT_EQUIVOCATION_HORIZON))
 
 
 @register_scenario("security-sybil-flood", plane="security",
-                   variants=SYBIL_FLOOD_VARIANTS, gate=SYBIL_FLOOD_GATE)
+                   variants=SYBIL_FLOOD_VARIANTS, gate=SYBIL_FLOOD_GATE,
+                   params=_PARAMS)
 def _security_sybil(seed: Optional[int], params: Dict[str, Any]) -> PreparedRun:
     """A compromised peer floods and forges joins (default: defended)."""
     return prepare_sybil_flood(
         seed=seed or 43,
         variant=params.get("variant", "defended"),
-        horizon=float(params.get("horizon", SYBIL_FLOOD_HORIZON)))
+        horizon=params.get("horizon", SYBIL_FLOOD_HORIZON))

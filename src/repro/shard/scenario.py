@@ -49,6 +49,7 @@ from ..governance.domains import (
 )
 from ..observability.slo import SloMonitor, SloSpec
 from ..persistence.scenarios import PreparedRun, register_scenario
+from ..schema import Field
 from ..security.plane import SecurityPlane
 from ..traffic.client import TrafficClient
 from ..traffic.loadgen import ClientCohort
@@ -87,20 +88,19 @@ def prepare_smart_city_federated(
     """Federated smart city: K administrative domains x N devices."""
     seed = FEDERATED_SEED if seed is None else seed
     params = dict(params or {})
-    quick = bool(params.pop("quick", False))
-    domains = int(params.pop("domains", 8))
-    devices_per_domain = int(params.pop(
-        "devices_per_domain", 20_000 if quick else 125_000))
-    sites_per_domain = int(params.pop("sites_per_domain", 2))
-    gateways_per_site = int(params.pop("gateways_per_site", 2))
-    horizon = float(params.pop("horizon", 9.0 if quick else 30.0))
-    exchange_period = float(params.pop("exchange_period", 0.75))
-    rate_per_user = float(params.pop("rate_per_user", 0.02))
-    max_event_rate = float(params.pop(
-        "max_event_rate", 150.0 if quick else 2000.0))
-    base_latency = float(params.pop("base_latency", 0.25))
-    latency_step = float(params.pop("latency_step", 0.125))
-    service_mean = float(params.pop("service_mean", 0.02))
+    quick = params.pop("quick", False)
+    domains = params.pop("domains", 8)
+    devices_per_domain = params.pop(
+        "devices_per_domain", 20_000 if quick else 125_000)
+    sites_per_domain = params.pop("sites_per_domain", 2)
+    gateways_per_site = params.pop("gateways_per_site", 2)
+    horizon = params.pop("horizon", 9.0 if quick else 30.0)
+    exchange_period = params.pop("exchange_period", 0.75)
+    rate_per_user = params.pop("rate_per_user", 0.02)
+    max_event_rate = params.pop("max_event_rate", 150.0 if quick else 2000.0)
+    base_latency = params.pop("base_latency", 0.25)
+    latency_step = params.pop("latency_step", 0.125)
+    service_mean = params.pop("service_mean", 0.02)
     shard = params.pop("shard", None)
     shards = params.pop("shards", None)
     if params:
@@ -111,8 +111,7 @@ def prepare_smart_city_federated(
 
     names = [f"dom{i}" for i in range(domains)]
     if shards is not None:
-        shard = int(shard or 0)
-        shards = int(shards)
+        shard = shard or 0
         local = [names[i] for i in range(domains) if i % shards == shard]
     else:
         local = list(names)
@@ -267,5 +266,21 @@ def prepare_smart_city_federated(
     return PreparedRun(system=system, horizon=horizon, aux=aux)
 
 
+_COUNT = Field("integer", required=False, low=1)
+_POSITIVE = Field("number", required=False, above=0)
+
+# Checked once by prepare(); the builder's pops resolve the defaults
+# against ``quick`` and refuse unknown keys from direct callers.
 register_scenario("smart-city-federated", prepare_smart_city_federated,
-                  plane="shard", quick={"quick": True})
+                  plane="shard", quick={"quick": True}, params={
+                      "quick": Field("boolean", required=False),
+                      "domains": Field("integer", required=False, low=2),
+                      **{key: _COUNT for key in (
+                          "devices_per_domain", "sites_per_domain",
+                          "gateways_per_site", "shards")},
+                      "shard": Field("integer", required=False, low=0),
+                      **{key: _POSITIVE for key in (
+                          "horizon", "exchange_period", "rate_per_user",
+                          "max_event_rate", "service_mean")},
+                      **{key: Field("number", required=False, low=0)
+                         for key in ("base_latency", "latency_step")}})

@@ -33,14 +33,9 @@ other registered scenario.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
-from repro.adaptation import (
-    BackpressureAnalyzer,
-    Executor,
-    MapeLoop,
-    RuleBasedPlanner,
-)
+from repro.adaptation import BackpressureAnalyzer, MapeLoop, mape_loop
 from repro.core.system import IoTSystem
 from repro.faults.models import CrashRecoveryFault
 from repro.persistence.scenarios import (
@@ -49,6 +44,7 @@ from repro.persistence.scenarios import (
     PreparedRun,
     register_scenario,
 )
+from repro.schema import Field
 from repro.traffic.admission import QueueLengthAdmission
 from repro.traffic.client import COMPLETIONS_SERIES, TrafficClient
 from repro.traffic.loadgen import ClientCohort
@@ -63,32 +59,88 @@ RETRY_STORM_HORIZON = 45.0
 RETRY_STORM_VARIANTS = ("naive", "resilient")
 RETRY_STORM_OUTAGE = (10.0, 8.0)     # (start, duration) of the edge crash
 
-#: Edge serving capacity: 4 slots x 50 req/s each = 200 req/s.
-_EDGE_CONCURRENCY = 4
-_EDGE_QUEUE = 64
-_SERVICE_MEAN = 0.02
-_CLIENT_TIMEOUT = 0.25
+#: Server pools by node, ``(concurrency, queue capacity)``: the edge site
+#: under test serves 4 slots x 50 req/s = 200 req/s; the cloud is the
+#: elastic escape hatch the backpressure loop offloads to.
+POOLS = {"edge0": (4, 64), "cloud": (32, 512)}
+SERVICE_MEAN = 0.02
+CLIENT_TIMEOUT = 0.25
+EDGE_CAPACITY = POOLS["edge0"][0] / SERVICE_MEAN
+
+#: The aggressive client posture that turns a transient outage metastable
+#: when no budget bounds the amplification.
+STORM_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
+                          max_delay=1.0, jitter=0.3)
 
 
-def _serving_system(seed: int) -> tuple:
-    """One edge site under test plus an elastic cloud pool."""
-    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
+class ServingStack(NamedTuple):
+    """The edge serving plane: servers by node, one client, its cohort."""
+
+    registry: TrafficRegistry
+    servers: Dict[str, Server]
+    client: TrafficClient
+    cohort: ClientCohort
+
+    @property
+    def edge(self) -> Server:
+        return self.servers["edge0"]
+
+
+def serving_stack(system: IoTSystem, users: int, rate_per_user: float,
+                  stop: float, pools: Tuple[str, ...] = ("edge0", "cloud"),
+                  retry: Optional[RetryPolicy] = None,
+                  budget: Optional[RetryBudget] = None,
+                  breaker: Optional[CircuitBreaker] = None) -> ServingStack:
+    """The servers in ``pools``, then a cohort of ``users`` on ``d0.0``
+    calling ``edge0`` until ``stop``; not started."""
     registry = TrafficRegistry(system)
-    edge = registry.add_server(Server(
-        system.sim, system.network, "edge0",
-        rng=system.rngs.stream("traffic:server:edge0"),
-        concurrency=_EDGE_CONCURRENCY, queue_capacity=_EDGE_QUEUE,
-        service=ServiceModel(mean=_SERVICE_MEAN),
+    servers = {}
+    for node in pools:
+        concurrency, queue = POOLS[node]
+        servers[node] = registry.add_server(Server(
+            system.sim, system.network, node,
+            rng=system.rngs.stream(f"traffic:server:{node}"),
+            concurrency=concurrency, queue_capacity=queue,
+            service=ServiceModel(mean=SERVICE_MEAN),
+            metrics=system.metrics, trace=system.trace,
+        ))
+    client = registry.add_client(TrafficClient(
+        system.sim, system.network, "cohort", "d0.0", "edge0",
+        rng=system.rngs.stream("traffic:client"),
+        timeout=CLIENT_TIMEOUT, retry=retry, budget=budget, breaker=breaker,
         metrics=system.metrics, trace=system.trace,
     ))
-    cloud = registry.add_server(Server(
-        system.sim, system.network, "cloud",
-        rng=system.rngs.stream("traffic:server:cloud"),
-        concurrency=32, queue_capacity=512,
-        service=ServiceModel(mean=_SERVICE_MEAN),
-        metrics=system.metrics, trace=system.trace,
+    cohort = registry.add_generator(ClientCohort(
+        system.sim, client, users=users, rate_per_user=rate_per_user,
+        rng=system.rngs.stream("traffic:arrivals"),
+        stop=stop,
     ))
-    return system, registry, edge, cloud
+    return ServingStack(registry, servers, client, cohort)
+
+
+def bound_admission(server: Server) -> None:
+    """Admission control: 8 queued entries / 200 req/s = 40ms worst-case
+    wait against the 250ms client timeout."""
+    server.admission = QueueLengthAdmission(8)
+
+
+def retry_containment() -> Dict[str, Any]:
+    """A retry budget and a circuit breaker, as client keyword arguments:
+    the breaker fast-fails an outage, the budget caps amplification."""
+    return {"budget": RetryBudget(ratio=0.1, cap=50.0, initial=10.0),
+            "breaker": CircuitBreaker(failure_threshold=5, recovery_time=1.0,
+                                      half_open_probes=1, success_threshold=3)}
+
+
+def backpressure_offload(system: IoTSystem, edge: Server) -> MapeLoop:
+    """A started 1 s loop on ``edge0`` that re-routes ``d0.0``'s cohort to
+    the cloud pool when the edge signals sustained backpressure."""
+    loop = mape_loop(system, "edge0", ["d0.0"], [BackpressureAnalyzer()])
+    # The elasticity escape hatch the overload rule consults.
+    loop.knowledge.facts["offload_target"] = "cloud"
+    edge.attach_backpressure(loop.knowledge)
+    loop.start()
+    return loop
 
 
 def prepare_overload(seed: int = 23, variant: str = "admission",
@@ -100,44 +152,16 @@ def prepare_overload(seed: int = 23, variant: str = "admission",
     against a 200 req/s edge server; variants differ only in the
     overload countermeasure.
     """
-    if variant not in OVERLOAD_VARIANTS:
-        raise ValueError(f"unknown overload variant {variant!r}; "
-                         f"expected one of {OVERLOAD_VARIANTS}")
-    system, registry, edge, _cloud = _serving_system(seed)
+    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
+    stack = serving_stack(system, users, rate_per_user, horizon)
     if variant == "admission":
-        # Bound waiting below the client timeout: 8 entries / 200 req/s
-        # = 40ms worst-case wait against a 250ms deadline.
-        edge.admission = QueueLengthAdmission(8)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=_CLIENT_TIMEOUT,
-        metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=users, rate_per_user=rate_per_user,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    aux: Dict[str, Any] = {"registry": registry, "client": client,
-                           "cohort": cohort, "edge": edge,
+        bound_admission(stack.edge)
+    aux: Dict[str, Any] = {"registry": stack.registry, "client": stack.client,
+                           "cohort": stack.cohort, "edge": stack.edge,
                            "variant": variant, "horizon": horizon}
     if variant == "adaptive":
-        loop = MapeLoop(
-            system.sim, system.network, system.fleet, "edge0", ["d0.0"],
-            analyzers=[BackpressureAnalyzer()],
-            planner=RuleBasedPlanner(),
-            executor=Executor(system.sim, system.network, system.fleet,
-                              "edge0", system.rngs.stream("exec:edge0"),
-                              trace=system.trace),
-            period=1.0, metrics=system.metrics, trace=system.trace,
-        )
-        # The elasticity escape hatch the overload rule consults.
-        loop.knowledge.facts["offload_target"] = "cloud"
-        edge.attach_backpressure(loop.knowledge)
-        loop.start()
-        aux["loop"] = loop
-    cohort.start()
+        aux["loop"] = backpressure_offload(system, stack.edge)
+    stack.cohort.start()
     return PreparedRun(system=system, horizon=horizon, aux=aux)
 
 
@@ -150,36 +174,17 @@ def prepare_retry_storm(seed: int = 29, variant: str = "resilient",
     8s crash of the edge server plus aggressive retries is what makes
     the naive variant metastable.
     """
-    if variant not in RETRY_STORM_VARIANTS:
-        raise ValueError(f"unknown retry-storm variant {variant!r}; "
-                         f"expected one of {RETRY_STORM_VARIANTS}")
-    system, registry, edge, _cloud = _serving_system(seed)
-    retry = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0,
-                        max_delay=1.0, jitter=0.3)
-    budget: Optional[RetryBudget] = None
-    breaker: Optional[CircuitBreaker] = None
-    if variant == "resilient":
-        budget = RetryBudget(ratio=0.1, cap=50.0, initial=10.0)
-        breaker = CircuitBreaker(failure_threshold=5, recovery_time=1.0,
-                                 half_open_probes=1, success_threshold=3)
-    client = registry.add_client(TrafficClient(
-        system.sim, system.network, "cohort", "d0.0", "edge0",
-        rng=system.rngs.stream("traffic:client"),
-        timeout=_CLIENT_TIMEOUT, retry=retry, budget=budget, breaker=breaker,
-        metrics=system.metrics, trace=system.trace,
-    ))
-    cohort = registry.add_generator(ClientCohort(
-        system.sim, client, users=users, rate_per_user=rate_per_user,
-        rng=system.rngs.stream("traffic:arrivals"),
-        stop=horizon,
-    ))
-    cohort.start()
+    system = IoTSystem.with_edge_cloud_landscape(2, 2, seed=seed)
+    stack = serving_stack(
+        system, users, rate_per_user, horizon, retry=STORM_RETRY,
+        **(retry_containment() if variant == "resilient" else {}))
+    stack.cohort.start()
     outage_at, outage_for = RETRY_STORM_OUTAGE
     system.injector.inject_at(outage_at, CrashRecoveryFault(
         name="edge0-crash", device_id="edge0", duration=outage_for))
-    aux = {"registry": registry, "client": client, "cohort": cohort,
-           "edge": edge, "variant": variant, "horizon": horizon,
-           "outage": RETRY_STORM_OUTAGE}
+    aux = {"registry": stack.registry, "client": stack.client,
+           "cohort": stack.cohort, "edge": stack.edge, "variant": variant,
+           "horizon": horizon, "outage": RETRY_STORM_OUTAGE}
     return PreparedRun(system=system, horizon=horizon, aux=aux)
 
 
@@ -203,15 +208,14 @@ def overload_result(prepared: PreparedRun) -> Dict[str, Any]:
     horizon = aux["horizon"]
     cohort = aux["cohort"]
     client = aux["client"]
-    capacity = _EDGE_CONCURRENCY / _SERVICE_MEAN
     stats = client.stats
     goodput = stats.completed / horizon
     return {
         "variant": aux["variant"],
         "offered_rate": cohort.aggregate_rate,
-        "capacity": capacity,
+        "capacity": EDGE_CAPACITY,
         "goodput": goodput,
-        "goodput_vs_capacity": goodput / capacity,
+        "goodput_vs_capacity": goodput / EDGE_CAPACITY,
         "success_ratio": stats.success_ratio,
         "p99_latency": stats.latency.quantile(0.99),
         "timed_out": stats.timed_out,
@@ -252,18 +256,6 @@ def retry_storm_result(prepared: PreparedRun) -> Dict[str, Any]:
     if breaker is not None:
         out["breaker"] = {"state": breaker.state, "trips": breaker.trips}
     return out
-
-
-def run_overload(variant: str, seed: int = 23, **params: Any) -> Dict[str, Any]:
-    prepared = prepare_overload(seed=seed, variant=variant, **params)
-    prepared.system.run(until=prepared.horizon)
-    return overload_result(prepared)
-
-
-def run_retry_storm(variant: str, seed: int = 29, **params: Any) -> Dict[str, Any]:
-    prepared = prepare_retry_storm(seed=seed, variant=variant, **params)
-    prepared.system.run(until=prepared.horizon)
-    return retry_storm_result(prepared)
 
 
 # --------------------------------------------------------------------------- #
@@ -318,29 +310,33 @@ RETRY_STORM_GATE = Gate(
     judge=_judge_retry_storm)
 
 
+#: Params both traffic builders take (the variant's are its gate's).
+_PARAMS = {"users": Field("integer", required=False, low=1),
+           "rate_per_user": Field("number", required=False, above=0),
+           "horizon": Field("number", required=False, above=0)}
+
+
 @register_scenario("traffic-overload", plane="traffic",
                    variants=OVERLOAD_VARIANTS, quick={"horizon": 15.0},
-                   gate=OVERLOAD_GATE)
+                   gate=OVERLOAD_GATE, params=_PARAMS)
 def _traffic_overload(seed: Optional[int],
                       params: Dict[str, Any]) -> PreparedRun:
     """Edge server under 1.6x capacity (default: admission control)."""
     return prepare_overload(
-        seed=seed or 23,
-        variant=params.get("variant", "admission"),
-        users=int(params.get("users", 8000)),
-        rate_per_user=float(params.get("rate_per_user", 0.04)),
-        horizon=float(params.get("horizon", OVERLOAD_HORIZON)))
+        seed=seed or 23, variant=params.get("variant", "admission"),
+        users=params.get("users", 8000),
+        rate_per_user=params.get("rate_per_user", 0.04),
+        horizon=params.get("horizon", OVERLOAD_HORIZON))
 
 
 @register_scenario("traffic-retry-storm", plane="traffic",
                    variants=RETRY_STORM_VARIANTS, quick={"horizon": 35.0},
-                   gate=RETRY_STORM_GATE)
+                   gate=RETRY_STORM_GATE, params=_PARAMS)
 def _traffic_retry_storm(seed: Optional[int],
                          params: Dict[str, Any]) -> PreparedRun:
     """Retry amplification across an edge crash (default: resilient)."""
     return prepare_retry_storm(
-        seed=seed or 29,
-        variant=params.get("variant", "resilient"),
-        users=int(params.get("users", 3500)),
-        rate_per_user=float(params.get("rate_per_user", 0.04)),
-        horizon=float(params.get("horizon", RETRY_STORM_HORIZON)))
+        seed=seed or 29, variant=params.get("variant", "resilient"),
+        users=params.get("users", 3500),
+        rate_per_user=params.get("rate_per_user", 0.04),
+        horizon=params.get("horizon", RETRY_STORM_HORIZON))

@@ -1,5 +1,6 @@
 """The chaos plane: specs, compiler, campaigns, shrinking and the corpus."""
 
+import dataclasses
 import json
 import os
 
@@ -24,6 +25,7 @@ from repro.chaos import (
     shrink_spec,
 )
 from repro.chaos.shrink import ShrinkReport
+from repro.core.vectors import MaturityFeatures, MaturityLevel, features_of
 
 #: The canonical rediscovery target: a naive edge under aggressive
 #: retries loses its server mid-storm and never recovers (EXPERIMENTS
@@ -145,6 +147,40 @@ class TestCompiler:
             {**COLLAPSE.to_dict(), "maturity": 3}))
         assert "slo:chaos-goodput" not in hardened.violations
         assert "gate:goodput-recovery" not in hardened.violations
+
+
+class TestMaturityFlags:
+    """A level's defences are its row of ``MATURITY_FEATURES``: the
+    compiler wires each one exactly when that row's flag is set."""
+
+    @pytest.mark.parametrize("level", list(MaturityLevel))
+    def test_each_defence_is_wired_exactly_when_its_flag_is_set(self, level):
+        features = features_of(level)
+        aux = compile_spec(ChaosSpec(
+            traffic=TrafficAxis(pattern="retry-storm", users=500),
+            adversary=AdversaryAxis(attack="sybil-flood"),
+            maturity=int(level), horizon=8.0)).aux
+        assert (aux["edge"].admission is not None) == \
+            features.admission_control
+        assert (aux["client"].breaker is not None) == \
+            features.retry_containment
+        assert (aux["client"].budget is not None) == \
+            features.retry_containment
+        assert ("backpressure_loop" in aux) == features.backpressure_offload
+        assert ("sentry" in aux) == features.intrusion_response
+        assert ("intrusion_loop" in aux) == features.intrusion_response
+        gated = aux["members"]["edge0"].update_filter is not None
+        assert gated == features.intrusion_response
+
+    def test_every_defence_flag_is_monotone_in_level(self):
+        rows = [features_of(level) for level in MaturityLevel]
+        flags = [f.name for f in dataclasses.fields(MaturityFeatures)
+                 if isinstance(getattr(rows[0], f.name), bool)]
+        assert {"admission_control", "retry_containment",
+                "backpressure_offload", "intrusion_response"} <= set(flags)
+        for flag in flags:
+            values = [getattr(row, flag) for row in rows]
+            assert values == sorted(values), flag
 
 
 class TestShrinker:

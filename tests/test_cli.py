@@ -328,6 +328,31 @@ class TestBadRunDirectories:
             ["replay", "--out", str(tmp_path)], capsys)
         assert "journal" in captured.err
 
+    @pytest.mark.parametrize("params,problem", [
+        ({"horizon": "x"}, "'horizon' is not a finite number > 0: 'x'"),
+        ({"variant": "bogus"}, "unknown variant 'bogus'"),
+        ({"users": 2.5}, "'users' is not an integer >= 1: 2.5"),
+    ], ids=["horizon-str", "variant-unknown", "users-float"])
+    @pytest.mark.parametrize("verb", ["resume", "replay"])
+    def test_undeclared_scenario_params_exit_2(self, verb, params, problem,
+                                               tmp_path, capsys):
+        """A spec's params are checked against the scenario's declaration
+        once, before anything is built: never a builder's traceback or a
+        silent ``int()`` truncation reported as a divergence."""
+        scenario = {"name": "traffic-overload", "seed": None,
+                    "params": params}
+        if verb == "replay":
+            (tmp_path / "journal.jsonl").write_text(json.dumps(
+                {"type": "header", "version": 1, "digest_every": 0,
+                 "scenario": scenario}) + "\n")
+        else:
+            (tmp_path / "checkpoint.json").write_text(json.dumps(_sealed(
+                {"version": 1, "time": 1.0, "fired": 1, "digest": "d",
+                 "scenario": scenario})))
+        captured = self._assert_classified([verb, "--out", str(tmp_path)],
+                                           capsys)
+        assert f"traffic-overload params: {problem}" in captured.err
+
     def test_wrong_shape_journal_fails_resume_closed(self, tmp_path, capsys):
         assert main(["checkpoint", "control-outage", "--at", "10",
                      "--out", str(tmp_path)]) == 0

@@ -219,7 +219,9 @@ class TestRaftQuorumIntersection:
     def test_defended_scenario_safe_across_seeds(self, seed):
         """The defended raft-equivocation run never double-elects, at the
         canonical seed and off-canonical ones."""
-        from repro.security.scenarios import run_raft_equivocation
+        from repro.scenarios import ScenarioSpec, gated_run
 
-        result = run_raft_equivocation("defended", seed=seed)
+        _, result = gated_run(ScenarioSpec("security-raft-equivocation",
+                                           seed=seed,
+                                           params={"variant": "defended"}))
         assert not result["safety_violated"]

@@ -160,6 +160,23 @@ def test_one_way_to_restore_a_run():
         f"restore a run'); do not grow it back: {offenders}")
 
 
+def test_a_level_is_a_feature_row_and_a_defence_is_wired_once():
+    """``MATURITY_FEATURES`` is the only definition of a maturity level,
+    ``repro.adaptation.mape_loop`` the only place a MAPE loop is built,
+    and the edge's bounded admission is declared once (the CI hygiene
+    step greps the same three)."""
+    texts = {os.path.relpath(path, REPO_ROOT): open(path, encoding="utf-8")
+             .read() for path, _parts in _repro_sources()}
+    assert not [path for path, text in texts.items()
+                if "spec.maturity >=" in text]
+    assert not [path for path, text in texts.items()
+                if "MapeLoop(" in text
+                and not path.startswith(os.path.join("src", "repro",
+                                                     "adaptation"))]
+    assert sum(text.count("QueueLengthAdmission(8)")
+               for text in texts.values()) == 1
+
+
 def test_third_party_imports_stay_out_of_the_run_path():
     """``src/`` routes on its own adjacency map (no networkx at all) and
     loads numpy only inside the ``modeling/dtmc.py`` methods that solve."""

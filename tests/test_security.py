@@ -485,12 +485,16 @@ class TestSecurityObservability:
 class TestScenarioGates:
     """The naive variant must demonstrably fail; the defended one holds."""
 
-    def test_byzantine_gossip_gate(self):
-        from repro.security.scenarios import run_byzantine_gossip
+    @staticmethod
+    def _results(name, variants):
+        from repro.scenarios import ScenarioSpec, gated_run
 
-        clean = run_byzantine_gossip("clean")
-        naive = run_byzantine_gossip("naive")
-        defended = run_byzantine_gossip("defended")
+        return [gated_run(ScenarioSpec(name, params={"variant": v}))[1]
+                for v in variants]
+
+    def test_byzantine_gossip_gate(self):
+        clean, naive, defended = self._results(
+            "security-byzantine-gossip", ("clean", "naive", "defended"))
         assert clean["converged"]
         assert not naive["converged"]
         assert len(naive["honest_values"]) > 1      # split-brain
@@ -500,10 +504,8 @@ class TestScenarioGates:
         assert defended["security"]["dropped_auth"] > 0
 
     def test_raft_equivocation_gate(self):
-        from repro.security.scenarios import run_raft_equivocation
-
-        naive = run_raft_equivocation("naive")
-        defended = run_raft_equivocation("defended")
+        naive, defended = self._results(
+            "security-raft-equivocation", ("naive", "defended"))
         assert naive["safety_violated"]
         assert naive["double_wins"]
         assert not defended["safety_violated"]
@@ -511,11 +513,8 @@ class TestScenarioGates:
         assert set(defended["quarantined"]) == set(defended["attackers"])
 
     def test_sybil_flood_gate(self):
-        from repro.security.scenarios import run_sybil_flood
-
-        clean = run_sybil_flood("clean")
-        naive = run_sybil_flood("naive")
-        defended = run_sybil_flood("defended")
+        clean, naive, defended = self._results(
+            "security-sybil-flood", ("clean", "naive", "defended"))
         assert naive["goodput"] < 0.5 * clean["goodput"]
         assert naive["sybil_count"] > 0
         assert defended["goodput"] >= 0.9 * clean["goodput"]
@@ -523,16 +522,12 @@ class TestScenarioGates:
         assert naive["attacker"] in defended["quarantined"]
 
     def test_unknown_variant_rejected(self):
-        from repro.security.scenarios import (
-            prepare_byzantine_gossip,
-            prepare_raft_equivocation,
-            prepare_sybil_flood,
-        )
+        from repro.scenarios import ScenarioSpec, prepare
 
-        for prepare in (prepare_byzantine_gossip, prepare_raft_equivocation,
-                        prepare_sybil_flood):
-            with pytest.raises(ValueError):
-                prepare(variant="bogus")
+        for name in ("security-byzantine-gossip",
+                     "security-raft-equivocation", "security-sybil-flood"):
+            with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+                prepare(ScenarioSpec(name, params={"variant": "bogus"}))
 
 
 class TestScenarioResume:

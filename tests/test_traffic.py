@@ -46,8 +46,8 @@ from repro.traffic.scenarios import (
     prepare_retry_storm,
     recovery_window,
     retry_storm_result,
-    run_overload,
 )
+from repro.scenarios import ScenarioSpec, gated_run, prepare
 
 
 def _small_system(seed=5):
@@ -410,8 +410,9 @@ class TestClientResilience:
 # --------------------------------------------------------------------------- #
 class TestOverloadScenario:
     def test_naive_collapses_admission_holds(self):
-        naive = run_overload("naive", horizon=12.0)
-        held = run_overload("admission", horizon=12.0)
+        naive, held = (gated_run(ScenarioSpec("traffic-overload", params={
+            "variant": variant, "horizon": 12.0}))[1]
+            for variant in ("naive", "admission"))
         assert naive["goodput_vs_capacity"] < 0.2
         assert held["goodput_vs_capacity"] > 0.8
         assert held["p99_latency"] < 0.25
@@ -427,8 +428,9 @@ class TestOverloadScenario:
         assert client.stats.completed / 15.0 > 200.0
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            prepare_overload(variant="nope")
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            prepare(ScenarioSpec("traffic-overload",
+                                 params={"variant": "nope"}))
 
 
 class TestRetryStormScenario:
