@@ -58,13 +58,13 @@ from repro.persistence.scenarios import (
     PreparedRun,
     register_scenario,
 )
+from repro.schema import Field
 from repro.security.adversary import (
     FloodBehavior,
     GossipEquivocateBehavior,
     SybilJoinBehavior,
     VoteEquivocateBehavior,
 )
-from repro.schema import Field
 from repro.security.plane import SecurityPlane
 from repro.security.trust import FloodSentry
 from repro.traffic.client import COMPLETIONS_SERIES
