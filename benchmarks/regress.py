@@ -415,12 +415,22 @@ def bench_observability(quick: bool) -> Dict[str, float]:
     bare kernel never reaches a span call site, where a sampled run pays
     most of its cost.  ``bench_telemetry`` measures a registered scenario
     through the real call sites; this bench stays as the recorder-only
-    drop-path tripwire.
+    drop-path tripwire.  ``export_peak_kib`` writes a 20k-event trace as
+    JSONL and as a Chrome trace under ``tracemalloc``: a streaming writer
+    holds one chunk of encoded records, not the trace's records.
     """
+    import shutil
+    import tempfile
+
+    from repro.observability.export import (
+        write_chrome_trace,
+        write_events_jsonl,
+    )
     from repro.observability.overhead import SpanSampler
     from repro.observability.spans import SpanRecorder
     from repro.simulation.kernel import Simulator
     from repro.simulation.metrics import MetricsRecorder
+    from repro.simulation.trace import TraceLog
 
     n = 6_000 if quick else 24_000
     reps = 5 if quick else 7
@@ -486,6 +496,17 @@ def bench_observability(quick: bool) -> Dict[str, float]:
             best_sampled_ratio = min(best_sampled_ratio, s_wall / b_wall)
 
     sampled_overhead = max(0.0, best_sampled_ratio - 1.0)
+    trace = TraceLog()
+    for index in range(20_000):
+        trace.emit(index * 0.001, "message", "deliver",
+                   subject=f"dev{index % 64}", kind="telemetry")
+    tmp = tempfile.mkdtemp(prefix="bench-export-")
+    try:
+        export_peak = _traced_peak_kib(lambda: (
+            write_events_jsonl(trace, os.path.join(tmp, "events.jsonl")),
+            write_chrome_trace(os.path.join(tmp, "trace.json"), events=trace)))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return {
         "wall_s": bare_wall,
         "full.wall_s": full_wall,
@@ -497,6 +518,7 @@ def bench_observability(quick: bool) -> Dict[str, float]:
         "metric_points_full": float(full_metrics.total_points()),
         "metric_points_sampled": float(sampled_metrics.total_points()),
         "ticks_counted": float(sampled_metrics.counter("obs.ticks")),
+        "export_peak_kib": export_peak,
     }
 
 

@@ -621,6 +621,7 @@ def cmd_profile_run(quick: bool = False,
     from repro.observability.export import (
         critical_path_section,
         profile_plane_section,
+        write_profile_chrome_trace,
     )
     from repro.observability.overhead import telemetry_health
     from repro.observability.profile import (
@@ -629,7 +630,6 @@ def cmd_profile_run(quick: bool = False,
         route_cache_line,
         save_profile,
         write_flamegraph,
-        write_profile_chrome_trace,
     )
     from repro.scenarios import describe_scenario, prepare
 

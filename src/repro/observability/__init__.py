@@ -54,6 +54,7 @@ _EXPORTS = {
     "write_html_report": "export",
     "write_metrics_snapshot": "export",
     "write_profile": "export",
+    "write_profile_chrome_trace": "export",
     "write_prometheus": "export",
     "write_spans_jsonl": "export",
     "CausalLink": "diagnosis",
@@ -82,7 +83,6 @@ _EXPORTS = {
     "request_critical_paths": "profile",
     "save_profile": "profile",
     "write_flamegraph": "profile",
-    "write_profile_chrome_trace": "profile",
     "OverheadMeter": "overhead",
     "SpanSampler": "overhead",
     "attach_meter": "overhead",

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.observability.diagnosis import DIAGNOSIS, Diagnosis, diagnose
-from repro.observability.export import event_to_dict
+from repro.observability.export import _default, _write_jsonl, event_to_dict
 from repro.observability.overhead import telemetry_health
 from repro.persistence.checkpoint import Checkpoint
 from repro.persistence.runner import Run
@@ -78,16 +78,10 @@ class IncidentTrigger:
                 "fired": self.fired, "detail": dict(self.detail)}
 
 
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    return repr(obj)
-
-
 def _write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=_json_default)
+                  default=_default)
         fh.write("\n")
 
 
@@ -263,11 +257,11 @@ class FlightRecorder:
                 fired=sim.fired_count, digest=barrier["digest"],
                 state={"digest_fields": fields})
         events_tail = [event_to_dict(e)
-                       for e in system.trace.events[-self.max_events:]]
+                       for e in system.trace.tail(self.max_events)]
         spans_tail = []
         if system.spans is not None:
             spans_tail = [s.to_dict()
-                          for s in system.spans.spans[-self.max_spans:]]
+                          for s in system.spans.tail(self.max_spans)]
         series: Dict[str, Any] = {}
         for name in system.metrics.series_names:
             ts = system.metrics.series(name)
@@ -346,14 +340,9 @@ class FlightRecorder:
         checkpoint = evidence["checkpoint"]
         if checkpoint is not None:
             checkpoint.save(os.path.join(directory, "checkpoint.json"))
-        with open(os.path.join(directory, "events.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            for event in evidence["events"]:
-                fh.write(json.dumps(event, default=_json_default) + "\n")
-        with open(os.path.join(directory, "spans.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            for span in evidence["spans"]:
-                fh.write(json.dumps(span, default=_json_default) + "\n")
+        for tail in ("events", "spans"):
+            _write_jsonl(evidence[tail],
+                         os.path.join(directory, f"{tail}.jsonl"))
         _write_json(os.path.join(directory, "metrics.json"),
                     evidence["metrics"])
         _write_json(os.path.join(directory, "queue_depth.json"),

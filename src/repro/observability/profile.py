@@ -23,8 +23,9 @@ speed campaign and regression triage actually ask:
 Export surfaces: collapsed-stack flamegraphs in Brendan Gregg's
 ``frame;frame value`` format (:func:`collapsed_kernel_stacks`,
 :func:`collapsed_span_stacks` -- feed to ``flamegraph.pl`` or
-https://www.speedscope.app), a per-plane Chrome-trace view
-(:func:`write_profile_chrome_trace`), Prometheus ``repro_profile_*``
+https://www.speedscope.app), a per-plane Chrome-trace view (written by
+:func:`repro.observability.export.write_profile_chrome_trace` over
+:func:`plane_of_category`), Prometheus ``repro_profile_*``
 families (:func:`profile_prom_lines`), and the HTML report's "Profile"
 section (rendered by :mod:`repro.observability.export`).
 
@@ -205,7 +206,7 @@ def capture_profile(
         }
 
     if spans is not None:
-        clock = float(now) if now is not None else _latest_span_time(spans)
+        clock = float(now) if now is not None else latest_span_time(spans)
         span_planes: Dict[str, Dict[str, float]] = {}
         for span, self_s in _span_self_times(spans, clock):
             plane = plane_of_category(span.category)
@@ -224,7 +225,8 @@ def capture_profile(
     return profile
 
 
-def _latest_span_time(recorder: Any) -> float:
+def latest_span_time(recorder: Any) -> float:
+    """The latest start or end among ``recorder``'s spans (0.0 if none)."""
     latest = 0.0
     for span in recorder:
         if span.end is not None and span.end > latest:
@@ -292,7 +294,7 @@ def request_critical_paths(
     span's end-to-end duration by construction.  Returns totals per
     segment, the dominant segment, and the ``top_k`` slowest traces.
     """
-    clock = float(now) if now is not None else _latest_span_time(spans)
+    clock = float(now) if now is not None else latest_span_time(spans)
     # Truncated spans (in flight when the run ended) have no e2e latency
     # to decompose; only completed requests (ok or failed) count.
     requests = [s for s in spans if s.category == "request"
@@ -365,7 +367,7 @@ def collapsed_span_stacks(recorder: Any, now: Optional[float] = None) -> List[st
     flamegraph shows where simulated time (not wall time) went -- the view
     that explains request latency rather than host CPU.
     """
-    clock = float(now) if now is not None else _latest_span_time(recorder)
+    clock = float(now) if now is not None else latest_span_time(recorder)
     merged: Dict[str, int] = {}
     for span, self_s in _span_self_times(recorder, clock):
         value = int(round(self_s * 1e6))
@@ -388,48 +390,12 @@ def collapsed_span_stacks(recorder: Any, now: Optional[float] = None) -> List[st
 
 
 def write_flamegraph(path: Any, lines: Iterable[str]) -> int:
-    """Write collapsed stacks; returns the number of lines written."""
-    rows = list(lines)
+    """Write collapsed stacks as they come; returns the lines written."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
+        for count, row in enumerate(lines, 1):
             fh.write(row + "\n")
-    return len(rows)
-
-
-def write_profile_chrome_trace(path: Any, recorder: Any,
-                               now: Optional[float] = None) -> int:
-    """Chrome-trace view with one thread per *plane* (not per category).
-
-    Complements :func:`repro.observability.export.write_chrome_trace`
-    (one thread per span category): here the track list *is* the
-    subsystem cost attribution, so Perfetto's per-track duration
-    aggregates read directly as per-plane simulated-time cost.
-    """
-    clock = float(now) if now is not None else _latest_span_time(recorder)
-    records: List[Dict[str, Any]] = [
-        {"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
-         "args": {"name": "repro profile (planes)"}},
-    ]
-    tids: Dict[str, int] = {}
-    for span in recorder:
-        plane = plane_of_category(span.category)
-        tid = tids.get(plane)
-        if tid is None:
-            tid = tids[plane] = len(tids) + 1
-            records.append({"ph": "M", "name": "thread_name", "pid": 1,
-                            "tid": tid, "args": {"name": plane}})
-        end = span.end if span.end is not None else clock
-        records.append({
-            "ph": "X", "name": span.name, "cat": plane,
-            "ts": span.start * 1e6,
-            "dur": max((end - span.start) * 1e6, 1.0),
-            "pid": 1, "tid": tid,
-            "args": {"trace_id": span.trace_id, "status": span.status,
-                     "category": span.category},
-        })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"traceEvents": records, "displayTimeUnit": "ms"}, fh)
-    return len(records)
+    return count
 
 
 # --------------------------------------------------------------------------- #

@@ -358,6 +358,10 @@ class SpanRecorder:
     def spans(self) -> List[Span]:
         return list(self._spans)
 
+    def tail(self, count: int) -> List[Span]:
+        """The newest ``count`` spans, oldest first, copying only those."""
+        return self._spans[-count:] if count > 0 else []
+
     @property
     def open_spans(self) -> List[Span]:
         return list(self._open.values())

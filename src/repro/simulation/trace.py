@@ -11,6 +11,7 @@ simplest faithful form.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from time import perf_counter
 from typing import (Any, Callable, Deque, Dict, Iterator, List, NamedTuple,
                     Optional)
@@ -153,6 +154,12 @@ class TraceLog:
     @property
     def events(self) -> List[TraceEvent]:
         return list(self._events)
+
+    def tail(self, count: int) -> List[TraceEvent]:
+        """The newest ``count`` events, oldest first, copying only those."""
+        newest = list(islice(reversed(self._events), max(0, count)))
+        newest.reverse()
+        return newest
 
     def select(
         self,

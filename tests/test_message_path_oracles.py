@@ -27,9 +27,11 @@ from hypothesis import given, settings, strategies as st
 from repro.network.link import LatencyModel, LinkProfile
 from repro.network.transport import Message
 from repro.observability.export import (
+    _CHUNK,
     chrome_trace_events,
     write_chrome_trace,
     write_events_jsonl,
+    write_profile_chrome_trace,
     write_spans_jsonl,
 )
 from repro.observability.histogram import StreamingHistogram
@@ -524,7 +526,7 @@ def test_exporters_write_what_dumps_per_record_writes(
                     "attrs": event.attrs}, default=_reference_default) + "\n"
         for event in events)
 
-    records = chrome_trace_events(spans=spans, events=events)
+    records = list(chrome_trace_events(spans=spans, events=events))
     slices = [record for record in records if record["ph"] == "X"]
     instants = [record for record in records if record["ph"] == "i"]
     assert len(slices) == len(spans) and len(instants) == len(events)
@@ -547,6 +549,72 @@ def test_exporters_write_what_dumps_per_record_writes(
     assert read("trace.json") == json.dumps(
         {"traceEvents": records, "displayTimeUnit": "ms"},
         default=_reference_default)
+
+
+def _reference_plane_trace(recorder, clock):
+    """The per-plane Chrome document as it was built: the whole record
+    list, then one ``json.dumps``."""
+    records = [{"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
+                "args": {"name": "repro profile (planes)"}}]
+    tids = {}
+    for span in recorder:
+        plane = "transport" if span.category == "message" else "workload"
+        if plane not in tids:
+            tids[plane] = len(tids) + 1
+            records.append({"ph": "M", "name": "thread_name", "pid": 1,
+                            "tid": tids[plane], "args": {"name": plane}})
+        end = span.end if span.end is not None else clock
+        records.append({
+            "ph": "X", "name": span.name, "cat": plane,
+            "ts": span.start * 1e6,
+            "dur": max((end - span.start) * 1e6, 1.0),
+            "pid": 1, "tid": tids[plane],
+            "args": {"trace_id": span.trace_id, "status": span.status,
+                     "category": span.category}})
+    return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK + 1])
+def test_exporters_join_chunks_as_dumps_joins_records(count, tmp_path):
+    """Record counts on each side of a chunk boundary: the JSONL files
+    have ``count`` lines and the Chrome documents ``count`` records
+    (``count - 2`` spans on one thread, after the process and thread
+    names; ``count == 1`` is the process name alone)."""
+    spans = [Span(name=f"send{index}", category="message",
+                  context=SpanContext(f"t{index:04d}", f"s{index + 1:06d}"),
+                  start=index * 0.5,
+                  end=None if index % 3 else index * 0.5 + 0.1,
+                  attrs={"n": index, "tags": {index % 2}})
+             for index in range(count)]
+    events = [TraceEvent(index * 0.5, "message", "drop", f"d{index}",
+                         {"why": "loss", "ids": frozenset({"a"})})
+              for index in range(count)]
+
+    assert write_spans_jsonl(spans, tmp_path / "spans.jsonl") == count
+    assert (tmp_path / "spans.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(span.to_dict(), default=_reference_default) + "\n"
+        for span in spans)
+    assert write_events_jsonl(events, tmp_path / "events.jsonl") == count
+    assert (tmp_path / "events.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"time": event.time, "category": event.category,
+                    "name": event.name, "subject": event.subject,
+                    "attrs": event.attrs}, default=_reference_default) + "\n"
+        for event in events)
+
+    if not count:
+        return      # every Chrome document names its process
+    slices = spans[:max(0, count - 2)]
+    records = list(chrome_trace_events(spans=slices))
+    assert len(records) == count
+    assert write_chrome_trace(tmp_path / "trace.json", spans=slices) == count
+    assert (tmp_path / "trace.json").read_text(encoding="utf-8") == json.dumps(
+        {"traceEvents": records, "displayTimeUnit": "ms"},
+        default=_reference_default)
+    assert write_profile_chrome_trace(tmp_path / "planes.json", slices,
+                                      now=1e4) == count
+    assert ((tmp_path / "planes.json").read_text(encoding="utf-8")
+            == _reference_plane_trace(slices, 1e4))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,9 @@
 """Tests for the observability subsystem: spans, instrument, exporters,
 and end-to-end causal propagation through the resilience stack."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,8 +18,10 @@ from repro.observability import (
     write_events_jsonl,
     write_metrics_snapshot,
     write_profile,
+    write_profile_chrome_trace,
     write_spans_jsonl,
 )
+from repro.observability.flight import FlightRecorder
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
@@ -381,7 +385,7 @@ class TestExporters:
 
     def test_chrome_trace_events_standalone(self):
         recorder, _ = self._sample_data()
-        records = chrome_trace_events(spans=recorder)
+        records = list(chrome_trace_events(spans=recorder))
         assert any(r["ph"] == "X" for r in records)
 
     def test_metrics_snapshot_includes_counters(self, tmp_path):
@@ -470,3 +474,83 @@ class TestSpanIndexAndDuration:
         assert index[root.span_id] == kids
         assert index[kids[0].span_id] == [grandkid]
         assert root.span_id not in index.get(grandkid.span_id, [])
+
+
+# --------------------------------------------------------------------------- #
+# constant memory
+# --------------------------------------------------------------------------- #
+def _extra_peak_kib(call, *args, **kwargs) -> float:
+    """Peak traced allocation above what was live when ``call`` started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        call(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - live) / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def _observed_system(records: int) -> IoTSystem:
+    """A system holding ``records`` finished spans and trace events."""
+    system = IoTSystem(seed=3)
+    spans = system.enable_observability(instrument=False)
+    for index in range(records):
+        span = spans.start(f"send{index % 13}", "message", index * 0.01,
+                           size=index, route=("a", "b"))
+        spans.finish(span, index * 0.01 + 0.002, status="delivered")
+        system.trace.emit(index * 0.01, "message", "deliver",
+                          subject=f"dev{index % 50}", kind="telemetry")
+    return system
+
+
+class TestExportConstantMemory:
+    """An exporter's extra peak does not grow with what it writes: N vs 4N
+    records.  List-building writers grow by megabytes over
+    these sizes; a streaming writer holds one chunk of encoded records,
+    and a flight capture the bounded tails."""
+
+    SLACK_KIB = 32
+
+    def _peaks(self, tmp_path, export, sizes=(1_000, 4_000)):
+        peaks = []
+        for records in sizes:
+            system = _observed_system(records)
+            path = str(tmp_path / f"{records}")
+            peaks.append(_extra_peak_kib(export, system, path))
+        return peaks
+
+    def _assert_flat(self, peaks):
+        assert peaks[1] <= peaks[0] + self.SLACK_KIB, peaks
+
+    def test_spans_jsonl(self, tmp_path):
+        self._assert_flat(self._peaks(
+            tmp_path,
+            lambda system, path: write_spans_jsonl(system.spans, path)))
+
+    def test_events_jsonl(self, tmp_path):
+        self._assert_flat(self._peaks(
+            tmp_path,
+            lambda system, path: write_events_jsonl(system.trace, path)))
+
+    def test_chrome_trace(self, tmp_path):
+        self._assert_flat(self._peaks(
+            tmp_path, lambda system, path: write_chrome_trace(
+                path, spans=system.spans, events=system.trace)))
+
+    def test_profile_chrome_trace(self, tmp_path):
+        self._assert_flat(self._peaks(
+            tmp_path, lambda system, path: write_profile_chrome_trace(
+                path, system.spans, now=system.sim.now)))
+
+    def test_flight_capture(self, tmp_path):
+        def capture(system, path):
+            # Short tails, so what the bundle holds by design stays small
+            # beside what a full copy of the trace or the spans would be.
+            flight = FlightRecorder(system, max_events=16, max_spans=16)
+            flight.trigger("gate-failure")
+            flight.capture(path)
+
+        # Larger: a full copy costs 8 bytes a record, and must outgrow the
+        # peak the bundle's own JSON writing reaches.
+        self._assert_flat(self._peaks(tmp_path, capture, (4_000, 16_000)))

@@ -177,6 +177,16 @@ def test_a_level_is_a_feature_row_and_a_defence_is_wired_once():
                for text in texts.values()) == 1
 
 
+def test_every_export_streams():
+    """One Chrome-trace document writer, and no exporter that joins a
+    whole file of encoded records before writing (the CI hygiene step
+    greps the same two)."""
+    texts = [open(path, encoding="utf-8").read()
+             for path, _parts in _repro_sources()]
+    assert sum(text.count('"traceEvents"') for text in texts) <= 1
+    assert not [text for text in texts if '"".join([encode(' in text]
+
+
 def test_third_party_imports_stay_out_of_the_run_path():
     """``src/`` routes on its own adjacency map (no networkx at all) and
     loads numpy only inside the ``modeling/dtmc.py`` methods that solve."""
