@@ -1,17 +1,33 @@
 """Tests for the benchmark regression harness (benchmarks/regress.py):
 snapshot round-trip, tolerance-aware comparison, and regression
-detection."""
+detection.
+
+``bench_regress_golden.json`` pins what the harness says about the
+committed baselines: ``tolerance_for``'s answer for every metric name in
+``BENCH_1`` ... ``BENCH_<n>``, and the SHA-256 and record count of
+``compare_snapshots``' output for each consecutive pair.  A refactor of
+the rules leaves it green unedited; a change that means to alter a rule
+regenerates it and says so::
+
+    PYTHONPATH=src python tests/test_bench_regress.py --regen
+"""
 
 import copy
+import glob
+import hashlib
 import importlib.util
 import json
 import os
+import re
 import sys
 
 import pytest
 
 _REGRESS_PATH = os.path.join(os.path.dirname(__file__), "..",
                              "benchmarks", "regress.py")
+_BASELINES = os.path.join(os.path.dirname(_REGRESS_PATH), "baselines")
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "bench_regress_golden.json")
 
 
 def _load_regress():
@@ -216,3 +232,67 @@ class TestTrajectory:
         # the message path it rides on (13.2 of 47.9 before admit()).
         assert 0 < result["sampled_extra_calls_per_event"] < (
             0.25 * result["bare_calls_per_event"])
+
+
+def _baseline_paths():
+    numbered = {int(re.fullmatch(r"BENCH_(\d+)\.json",
+                                 os.path.basename(path)).group(1)): path
+                for path in glob.glob(os.path.join(_BASELINES,
+                                                   "BENCH_*.json"))}
+    return [numbered[number] for number in sorted(numbered)]
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def collect():
+    """``{"tolerances": {metric: [tol, direction]}, "compares": {pair:
+    {"sha256", "records"}}}`` over the committed baselines."""
+    snapshots = [(os.path.basename(path)[:-5], _read(path))
+                 for path in _baseline_paths()]
+    metrics = {f"{bench}.{metric}"
+               for _name, snapshot in snapshots
+               for bench, values in snapshot["benches"].items()
+               for metric in values}
+    compares = {}
+    for (old, base), (new, current) in zip(snapshots, snapshots[1:]):
+        found = regress.compare_snapshots(base, current)
+        encoded = json.dumps(found, sort_keys=True).encode("utf-8")
+        compares[f"{old}->{new}"] = {
+            "sha256": hashlib.sha256(encoded).hexdigest(),
+            "records": len(found)}
+    return {"tolerances": {metric: list(regress.tolerance_for(metric))
+                           for metric in sorted(metrics)},
+            "compares": compares}
+
+
+class TestPinnedRules:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_every_baseline_metric_keeps_its_tolerance(self, pinned):
+        assert collect()["tolerances"] == pinned["tolerances"]
+
+    def test_every_consecutive_compare_keeps_its_output(self, pinned):
+        assert collect()["compares"] == pinned["compares"]
+
+
+def _regen():
+    table = collect()
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for pair, entry in table["compares"].items():
+        print(f"{pair}: {entry['sha256'][:12]} {entry['records']} records")
+    print(f"wrote {len(table['tolerances'])} tolerances and "
+          f"{len(table['compares'])} compares to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit(f"usage: python {sys.argv[0]} --regen")
+    _regen()
