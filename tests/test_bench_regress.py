@@ -167,15 +167,7 @@ class TestHarness:
         # Older snapshots may predate newer benches (that is what the
         # trajectory view exists to show); the NEWEST baseline must
         # cover the full scenario set.
-        import glob
-        import re
-
-        baselines_dir = os.path.join(os.path.dirname(_REGRESS_PATH),
-                                     "baselines")
-        paths = sorted(
-            glob.glob(os.path.join(baselines_dir, "BENCH_*.json")),
-            key=lambda p: int(re.fullmatch(
-                r"BENCH_(\d+)\.json", os.path.basename(p)).group(1)))
+        paths = [path for _n, path in regress.numbered_snapshots(_BASELINES)]
         assert paths
         for path in paths:
             snapshot = regress.load_snapshot(path)
@@ -232,6 +224,131 @@ class TestTrajectory:
         # the message path it rides on (13.2 of 47.9 before admit()).
         assert 0 < result["sampled_extra_calls_per_event"] < (
             0.25 * result["bare_calls_per_event"])
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_GATES = [rule for rule in regress.RULES if rule.kind == "gate"]
+
+
+def _rule_id(rule):
+    return rule.pattern.replace("\\", "")
+
+
+def _newest_baseline():
+    return regress.load_snapshot(_baseline_paths()[-1])
+
+
+def _breaking(bound):
+    """A reading the bound ``(op, value)`` refuses."""
+    op, limit = bound
+    return limit - 1 if op == ">=" else limit + 1
+
+
+def _why_flagged(snapshot, capsys):
+    status = regress.print_breaches(regress.judge(snapshot))
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  - ")]
+    return status, lines
+
+
+class TestBenchRules:
+    def test_the_newest_baseline_judges_clean(self, capsys):
+        assert _why_flagged(_newest_baseline(), capsys) == (0, [])
+
+    @pytest.mark.parametrize("rule", _GATES, ids=_rule_id)
+    def test_each_broken_gate_is_one_line_naming_it(self, rule, capsys):
+        snapshot = _newest_baseline()
+        name = next(f"{bench}.{metric}"
+                    for bench, metrics in snapshot["benches"].items()
+                    for metric in metrics
+                    if re.fullmatch(rule.pattern, f"{bench}.{metric}"))
+        bench, metric = name.split(".", 1)
+        snapshot["benches"][bench][metric] = _breaking(rule.bound)
+        status, lines = _why_flagged(snapshot, capsys)
+        assert status == 1 and len(lines) == 1, lines
+        assert name in lines[0] and f"(why: {rule.anchor})" in lines[0]
+
+    def test_the_dataclass_path_breaks_the_call_ceiling(self):
+        snapshot = regress.load_snapshot(os.path.join(_BASELINES,
+                                                      "BENCH_14.json"))
+        (breach,) = regress.judge(snapshot)
+        assert breach[:2] == ("telemetry.bare_calls_per_event",
+                              snapshot["benches"]["telemetry"][
+                                  "bare_calls_per_event"])
+        assert breach[1] == pytest.approx(42.95, abs=0.01)
+
+    def test_a_snapshot_run_exits_1_on_a_broken_gate(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(regress, "SCENARIOS", {"startup": lambda quick: {
+            "wall_s": 0.2, "third_party_modules": 1.0}})
+        assert regress.main(["--quick", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "startup.third_party_modules = 1, want == 0" in out
+        assert (tmp_path / "BENCH_1.json").exists()
+
+    def test_every_anchor_names_a_heading(self):
+        headings = {}
+        for doc in ("EXPERIMENTS", "DESIGN"):
+            with open(os.path.join(_REPO, f"{doc}.md"),
+                      encoding="utf-8") as fh:
+                headings[doc] = [
+                    re.sub(r"^(#+ |- \*\*)", "", line) for line in fh
+                    if re.match(r"#+ |- \*\*", line)]
+        for rule in regress.RULES:
+            assert rule.bound is None or rule.anchor, rule
+            if rule.anchor:
+                doc, _, title = rule.anchor.partition(" ")
+                assert any(heading.startswith(title)
+                           for heading in headings[doc]), rule
+
+    @pytest.mark.parametrize("rule", [
+        rule for rule in regress.RULES
+        if rule.bound is not None and rule.kind != "gate"],
+        ids=_rule_id)
+    def test_a_budget_is_read_from_its_row(self, rule):
+        metric = rule.pattern.replace("\\.", ".")
+        assert regress.rule_for(metric) is rule
+        assert regress.within(metric, rule.bound[1])
+        assert not regress.within(metric, _breaking(rule.bound))
+
+
+class TestSnapshotReadersFailClosed:
+    @pytest.mark.parametrize("flag", ("--compare", "--trajectory",
+                                      "--baseline"))
+    def test_a_wrong_shaped_snapshot_is_one_error_line(self, flag, snapshot,
+                                                       tmp_path, capsys):
+        regress.write_snapshot(snapshot, str(tmp_path), number=1)
+        bad = tmp_path / "BENCH_2.json"
+        bad.write_text("[]\n")
+        args = {"--compare": [str(tmp_path / "BENCH_1.json"), str(bad)],
+                "--trajectory": [str(tmp_path)],
+                "--baseline": [str(bad), "--only", "kernel"]}[flag]
+        assert regress.main([flag] + args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "BENCH_2.json" in err[0]
+
+    @pytest.mark.parametrize("text", ("{", '{"schema": 1}',
+                                      '{"schema": 1, "quick": true, '
+                                      '"label": "", "benches": {"k": '
+                                      '{"wall_s": "fast"}}}'))
+    def test_a_garbled_snapshot_is_refused(self, text, tmp_path):
+        path = tmp_path / "BENCH_1.json"
+        path.write_text(text)
+        with pytest.raises(regress.SnapshotError, match="BENCH_1.json"):
+            regress.load_snapshot(str(path))
+
+    def test_a_missing_snapshot_is_one_error_line(self, tmp_path, capsys):
+        missing = str(tmp_path / "BENCH_9.json")
+        assert regress.main(["--compare", missing, missing]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stray_names_are_not_snapshots(self, snapshot, tmp_path, capsys):
+        regress.write_snapshot(snapshot, str(tmp_path), number=2)
+        (tmp_path / "BENCH_old.json").write_text("[]\n")
+        assert regress.next_snapshot_number(str(tmp_path)) == 3
+        assert regress.main(["--trajectory", str(tmp_path)]) == 0
+        assert "trajectory over 1 snapshot(s)" in capsys.readouterr().out
 
 
 def _baseline_paths():

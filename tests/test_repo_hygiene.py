@@ -245,3 +245,40 @@ def test_a_run_loads_no_third_party_module():
     assert int(modules) <= 300, (
         f"{modules} modules loaded at start-up (693 before the owned "
         "adjacency map; see EXPERIMENTS.md, 'Start-up')")
+
+
+def _numeric_literals(node):
+    return [sub.value for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant)
+            and type(sub.value) in (int, float)]
+
+
+def test_a_bench_rule_is_declared_once():
+    """Every bench budget and gate is a row of ``RULES`` in
+    ``benchmarks/regress.py``: no ``*_ok`` flag folds a numeric literal, and
+    no CI step reads a snapshot's benches to assert a bound of its own (the
+    CI hygiene step greps the same)."""
+    path = os.path.join(REPO_ROOT, "benchmarks", "regress.py")
+    tree = _parse(path)
+    flags = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            flags += [(key.value, value)
+                      for key, value in zip(node.keys, node.values)
+                      if isinstance(key, ast.Constant)]
+        elif isinstance(node, ast.Assign):
+            flags += [(target.slice.value, node.value)
+                      for target in node.targets
+                      if isinstance(target, ast.Subscript)
+                      and isinstance(target.slice, ast.Constant)]
+    offenders = [f"{key}: {_numeric_literals(value)}"
+                 for key, value in flags
+                 if isinstance(key, str) and key.endswith("_ok")
+                 and _numeric_literals(value)]
+    assert not offenders, f"a *_ok flag folds a literal budget: {offenders}"
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "AUTH_BUDGET_US"]
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml"),
+              encoding="utf-8") as fh:
+        assert not re.search(r"\[.benches.\]", fh.read()), (
+            "CI reads a BENCH snapshot: declare the bound as a RULES gate")
