@@ -185,15 +185,12 @@ def judge(snapshot: Dict[str, Any]) -> List[Tuple[str, float, Rule]]:
 
 def print_breaches(breaches: List[Tuple[str, float, Rule]]) -> int:
     """One "why flagged" line per broken gate; 1 if there is any."""
-    if not breaches:
-        print("[regress] gates: OK")
-        return 0
-    print(f"[regress] gates: FAIL, {len(breaches)} broken")
+    print(f"[regress] gates: {'FAIL' if breaches else 'OK'}")
     for metric, value, rule in breaches:
         op, bound = rule.bound
         print(f"  - {metric} = {value:g}, want {op} {bound:g} "
               f"(why: {rule.anchor})")
-    return 1
+    return 1 if breaches else 0
 
 
 # --------------------------------------------------------------------------- #
@@ -484,18 +481,23 @@ def bench_security(quick: bool) -> Dict[str, float]:
 
 
 def bench_observability(quick: bool) -> Dict[str, float]:
-    """Telemetry recording cost on a synthetic kernel loop: the recorder's
-    drop path, not the telemetry budget (``bench_telemetry`` is that).
+    """Telemetry recording cost on the kernel hot loop, full vs sampled.
 
-    Every event aggregates a batch of readings; every 16th rolls the
-    poll-round span and batches the tick counter (``counter_adder``), and
-    a kept round records a metric sample per event.  Per rep it runs
-    *bare*, *full* and *sampled* (2 % head-based, seeded) back to back;
-    walls are the min over reps, and ``sampled_budget_ok`` folds the best
-    paired sampled/bare overhead into its row's budget.  Span/sample
-    counts are deterministic (the sampler hashes (seed, root ordinal)).
-    ``export_peak_kib`` writes a 20k-event trace as JSONL and as a Chrome
-    trace under ``tracemalloc``: a streaming writer holds one chunk.
+    A synthetic gateway poll loop: every event aggregates a batch of
+    readings, every 16th rolls the poll-round span and batches the tick
+    counter (``counter_adder``), and a kept round records a metric sample
+    per event.  Per rep *bare*, *full* and *sampled* (2 % head-based,
+    seeded) run back to back; walls are the min over reps, since noise
+    only inflates a leg.  ``sampled_budget_ok`` trips when even the best
+    paired rep is over the ``observability.sampled_overhead`` budget: the
+    tripwire for de-optimizing the sampled drop path.  Span/sample counts
+    are deterministic (the sampler hashes (seed, root ordinal)), so they
+    check the sampling decision stream too.  This is not the telemetry
+    budget: one span per 16 events never reaches a span call site, where
+    a sampled run pays most of its cost (``bench_telemetry`` measures
+    those).  ``export_peak_kib`` writes a 20k-event trace as JSONL and as
+    a Chrome trace under ``tracemalloc``: a streaming writer holds one
+    chunk of encoded records, not the trace's records.
     """
     import shutil
     import tempfile
@@ -605,10 +607,12 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
     """Chaos-plane cost: spec-compile throughput and campaign wall per run.
 
     ``compile.specs_per_s`` compiles sampled specs (full system wiring)
-    without running them; a small seeded campaign (``shrink=False``, no
-    corpus) gives the wall per case.  Event and violation counts are
-    deterministic functions of the campaign seed: a change to the sampling
-    stream or the compiled wiring shows as an exact-metric diff.
+    without running them: what a campaign pays per case before any
+    simulation.  A small seeded campaign (``shrink=False``, no corpus)
+    gives the wall per case.  Event and violation counts are deterministic
+    functions of the campaign seed, so a change to the sampling stream or
+    the compiled wiring shows as an exact-metric diff before it can
+    silently re-name every corpus bundle.
     """
     from repro.chaos import ChaosCampaign, SpecSampler, compile_spec
 
@@ -644,9 +648,11 @@ def bench_live(quick: bool) -> Dict[str, float]:
 
     Per rep a batch ``run_scenario`` and an unpaced (``speed=0``) live
     drive of the same journaled spec drain the same events, so their wall
-    ratio isolates the real-time executor; ``paced_budget_ok`` folds the
-    best paired overhead into its row's budget.  ``digest_identical``
-    requires the live journal to equal the batch one byte for byte.
+    ratio isolates the real-time executor's per-event machinery.  Walls
+    are the min over paired reps (noise only inflates a leg), and
+    ``paced_budget_ok`` trips when even the best rep is over the
+    ``live.paced_overhead`` budget.  ``digest_identical`` is the
+    determinism headline: the live journal equals the batch one.
     """
     import shutil
     import tempfile
@@ -790,13 +796,15 @@ def bench_route(quick: bool) -> Dict[str, float]:
     """Route-on-change tripwire: steady sends vs a link flap before each.
 
     Both legs send the same seeded messages over one edge-cloud topology
-    and time only the send loop: *steady* never touches the topology,
-    *flap* downs and re-ups a metro link before every send (a rebuild per
-    send).  ``speedup`` is the min over paired reps of flap/steady.  The
-    miss counts are exact: a change that invalidates per send shows as
-    ``steady_misses == sends``.  ``paths_identical`` requires every cached
-    path over a seeded flap/add/remove schedule to equal
-    :func:`_uncached_route`'s, ties included.
+    and time only the send loop: *steady* never touches the topology, so
+    a pair's later sends hit the memo; *flap* downs and re-ups a metro
+    link before every send, the worst case.  ``speedup`` is the min over
+    paired reps of flap/steady (noise only inflates a leg).  The miss
+    counts are exact, the noise-free half of the tripwire: a change that
+    invalidates per send shows as ``steady_misses == sends``.
+    ``paths_identical`` requires every cached path over a seeded
+    flap/add/remove schedule to equal :func:`_uncached_route`'s, ties
+    included.
     """
     from repro.core.system import IoTSystem
     from repro.network.link import LINK_PROFILES
@@ -881,15 +889,19 @@ def bench_digest(quick: bool) -> Dict[str, float]:
     """Digest-on-move tripwire: ``system_digest`` with idle vs moved streams.
 
     Both legs time ``system_digest`` on one quick federated system (26 RNG
-    streams): *idle* draws nothing between calls, *moved* draws once from
-    every stream first.  ``moved_over_idle`` is the min over paired reps.
-    The counts are exact, over a seeded draw schedule: ``streams_reencoded``
-    stream digests recomputed, ``prefix_rebuilds`` of them re-encoding the
-    624 state words (equal counts: the tail hash is gone), and
-    ``state_reads`` the ``getstate()`` calls ``stream_digests()`` made
-    (back at ``streams_reencoded``: every moved stream reads its state
-    again).  ``digests_identical`` requires every digest to equal the
-    memo-free ``rng_state_digest``.
+    streams): *idle* draws nothing between calls, so every stream answers
+    from its ``(moves, gauss_next)`` key; *moved* draws once from every
+    stream first, the worst case.  ``moved_over_idle`` is the min over
+    paired reps: a check that reads every stream's state again collapses
+    it towards 1.  The counts are exact, over a seeded draw schedule (1-40
+    words from a random subset of streams between digests):
+    ``streams_reencoded`` stream digests recomputed, ``prefix_rebuilds``
+    of them re-encoding the 624 state words (equal counts: the tail hash
+    is gone), and ``state_reads`` the ``getstate()`` calls
+    ``stream_digests()`` made (a moved stream's position comes from the
+    words it drew, so reads track ``prefix_rebuilds``).
+    ``digests_identical`` requires every digest to equal
+    ``rng_state_digest``'s, the memo-free reference.
     """
     from repro.persistence import ScenarioSpec, prepare, system_digest
     from repro.simulation.rng import CountedRandom, rng_state_digest
@@ -968,13 +980,14 @@ def bench_digest(quick: bool) -> Dict[str, float]:
 def bench_journal(quick: bool) -> Dict[str, float]:
     """Format-the-record tripwire: ``append_event`` vs serialising the record.
 
-    Both legs write the same seeded event records, one ``write`` + ``flush``
-    each, and time that loop: *append* through ``JournalWriter.append_event``,
-    *reference* as ``json.dumps`` of the record with sorted keys (the
-    oracle).  ``append_over_reference`` is the min over paired reps;
-    ``bytes_identical`` requires the two files to be equal.
-    ``truncate_peak_kib`` cuts the journal at its midpoint under
-    ``tracemalloc``: a streaming ``truncate`` holds a line, not the journal.
+    Both legs write the same seeded event records (two dozen labels, as a
+    run has), one ``write`` + ``flush`` each, and time that loop: *append*
+    through ``JournalWriter.append_event``, *reference* as ``json.dumps``
+    of the record with sorted keys, the oracle.  ``append_over_reference``
+    is the min over paired reps: a writer that serialises a dict per
+    record again pushes it towards 1.  ``bytes_identical`` requires the
+    two files to be equal.  ``truncate_peak_kib`` cuts the journal at its
+    midpoint under ``tracemalloc``: a streaming ``truncate`` holds a line.
     """
     import shutil
     import tempfile
@@ -1047,16 +1060,19 @@ def bench_journal(quick: bool) -> Dict[str, float]:
 def bench_telemetry(quick: bool) -> Dict[str, float]:
     """Sampled-out telemetry on the real call sites: what 2 % spans cost a run.
 
-    Both legs run the registered ``traffic-overload`` scenario and measure
-    only ``system.run``: *bare*, and *sampled* after ``enable_observability(
-    instrument=False, sample_rate=0.02)``.  ``sampled_over_bare`` is the min
-    over paired reps.  The per-event counts are ``cProfile``'s
-    ``total_calls`` over the same region, exact on one interpreter:
+    Both legs run the registered ``traffic-overload`` scenario (quick
+    params under ``--quick``) and measure only ``system.run``: *bare*, and
+    *sampled* after ``enable_observability(instrument=False,
+    sample_rate=0.02)``, so the span call sites of ``Network``,
+    ``TrafficClient`` and ``Server`` run as a real run reaches them.
+    ``sampled_over_bare`` is the min over paired reps.  The per-event
+    counts are ``cProfile``'s ``total_calls``, exact on one interpreter:
     ``bare_calls_per_event`` is the kernel -> transport -> traffic chain,
-    ``sampled_extra_calls_per_event`` what throwing 98 % of the spans away
+    ``sampled_extra_calls_per_event`` what dropping 98 % of the spans
     costs.  ``spans_identical`` requires every trace the sampled run kept
-    to equal, span for span (ids by position), the same trace of a run
-    that keeps everything.
+    to equal, span for span, the same trace of a run that keeps
+    everything; span ordinals are only drawn by kept spans, so ids are
+    compared by position.
     """
     import cProfile
     import pstats
@@ -1155,11 +1171,15 @@ print(import_s, rss_mb, len(sys.modules), len(third_party), repro_modules)
 def bench_startup(quick: bool) -> Dict[str, float]:
     """Start-up tripwire: what importing ``repro`` costs a fresh process.
 
-    Each rep is a fresh interpreter running :data:`_STARTUP_PROBE`;
-    ``import_s`` and ``rss_mb`` (``/proc/self/statm``) are the fastest
-    rep's readings inside it, ``wall_s`` the fastest from outside.  The
-    module counts are exact: ``repro_modules`` moves when a module the
-    registry, the CLI or the three driver packages import grows an import.
+    Every CLI command, test subprocess and pool worker pays it.  Each rep
+    is a fresh interpreter running :data:`_STARTUP_PROBE`; ``import_s``
+    and ``rss_mb`` (``/proc/self/statm``) are the fastest rep's readings
+    inside it, ``wall_s`` the fastest from outside -- noise only adds.
+    The module counts are exact on any machine: ``third_party_modules`` is
+    gated (routing owns its graph, numpy loads on first solve), and
+    ``repro_modules`` moves when a module the registry, the CLI or the
+    three driver packages import grows an import, or an ``__init__``
+    imports its submodules again.
     """
     reps = 5 if quick else 15
     # The probe imports the checkout this script sits in, as this script does.
