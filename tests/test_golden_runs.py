@@ -9,7 +9,10 @@ descriptor's quick params, the final ``system_digest``, the SHA-256 of
 the journal ``run_scenario`` wrote and the number of events it fired are
 compared with ``golden_runs.json``.  The ``chaos[...]`` grid adds every
 maturity level x traffic x adversary over one crash, so the defences each
-level wires are pinned too.  CI asserts it on every supported
+level wires are pinned too.  The ``federation[K=k]`` rows pin the
+in-memory federation path (``ShardedSimulator`` of the quick
+``smart-city-federated`` spec over k shards, no journal, no out
+directory): its federation digest and total event count.  CI asserts it on every supported
 Python and under two ``PYTHONHASHSEED`` values (environment equivalence,
 ROADMAP item 3).
 
@@ -31,6 +34,7 @@ import pytest
 
 from repro.chaos import AdversaryAxis, ChaosSpec, FaultEvent, TrafficAxis
 from repro.persistence import describe_scenario, run_scenario, scenario_names
+from repro.shard import ShardedSimulator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_runs.json")
@@ -85,18 +89,35 @@ def _load_golden():
         return json.load(fh)
 
 
+def _measure_federation(shards):
+    """One in-memory federation run, in-process (the digest does not
+    depend on the worker count)."""
+    spec = describe_scenario("smart-city-federated").spec(quick=True)
+    result = ShardedSimulator(spec, shards=shards, workers=1).run()
+    return {"federation_digest": result.federation_digest,
+            "events": result.events}
+
+
 ROWS = _rows()
+FEDERATION_ROWS = [(f"federation[K={k}]", k) for k in (1, 2, 4)]
 
 
 def test_golden_table_covers_every_registered_row():
     """A new scenario or variant lands with its golden row (``--regen``),
     and a deleted one takes its row with it."""
-    assert sorted(_load_golden()) == sorted(row_id for row_id, _ in ROWS)
+    assert sorted(_load_golden()) == sorted(
+        row_id for row_id, _ in ROWS + FEDERATION_ROWS)
 
 
 @pytest.mark.parametrize("row_id,spec", ROWS, ids=[r for r, _ in ROWS])
 def test_run_matches_golden(tmp_path, row_id, spec):
     assert _measure(spec, str(tmp_path)) == _load_golden()[row_id]
+
+
+@pytest.mark.parametrize("row_id,shards", FEDERATION_ROWS,
+                         ids=[r for r, _ in FEDERATION_ROWS])
+def test_federation_matches_golden(row_id, shards):
+    assert _measure_federation(shards) == _load_golden()[row_id]
 
 
 def _regen():
@@ -106,6 +127,10 @@ def _regen():
             table[row_id] = _measure(spec, directory)
         print(f"{row_id}: {table[row_id]['digest'][:12]} "
               f"{table[row_id]['fired']} events")
+    for row_id, shards in FEDERATION_ROWS:
+        table[row_id] = _measure_federation(shards)
+        print(f"{row_id}: {table[row_id]['federation_digest'][:12]} "
+              f"{table[row_id]['events']} events")
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
