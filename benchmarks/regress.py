@@ -113,6 +113,7 @@ RULES: Tuple[Rule, ...] = (
     _gate(r"telemetry\.bare_calls_per_event", "<=", 40.70 * 1.02,
           "EXPERIMENTS OBS-5"),
     _gate(r"startup\.third_party_modules", "==", 0, "EXPERIMENTS START"),
+    Rule(r"shard\.k1\.digests", "exact", anchor="EXPERIMENTS Recording cost"),
     Rule(r"journal\.truncate_peak_kib", "gate", 0.25, "higher",
          ("<=", 128), "EXPERIMENTS Reading cost"),
     # Budgets a bench folds into a 0/1 flag, and the flags.  The two
@@ -719,9 +720,11 @@ def bench_shard(quick: bool) -> Dict[str, float]:
     headline for the parallel driver.  ``speedup_ok`` is the scaling
     tripwire: on runners with >= 4 cores ``speedup_k4`` must meet its
     row's floor; on smaller machines it records a pass, so a small-box
-    baseline stays comparable to a 4-core CI check.
+    baseline stays comparable to a 4-core CI check.  ``k1.digests`` counts
+    the ``system_digest`` calls of one in-process K=1 run, from outside:
+    with no journal, only the final digest.
     """
-    from repro.persistence import ScenarioSpec
+    from repro.persistence import ScenarioSpec, runner
     from repro.shard import ShardedSimulator
 
     reps = 2 if quick else 3
@@ -736,9 +739,20 @@ def bench_shard(quick: bool) -> Dict[str, float]:
                                4: float("inf")}
     events: Dict[int, float] = {}
     digests: Dict[int, set] = {1: set(), 2: set(), 4: set()}
+    real_digest, k1_digests = runner.system_digest, []
+
+    def counted_digest(system: Any) -> str:
+        k1_digests.append(system)
+        return real_digest(system)
+
     for _rep in range(reps):
         for shards in (1, 2, 4):
-            result = ShardedSimulator(spec, shards=shards).run()
+            if shards == 1:
+                runner.system_digest = counted_digest
+            try:
+                result = ShardedSimulator(spec, shards=shards).run()
+            finally:
+                runner.system_digest = real_digest
             walls[shards] = min(walls[shards], result.wall_s)
             events[shards] = float(result.events)
             digests[shards].add(result.federation_digest)
@@ -750,6 +764,7 @@ def bench_shard(quick: bool) -> Dict[str, float]:
         "wall_s": walls[1],
         "events": events[1],
         "digest_stable": float(stable),
+        "k1.digests": len(k1_digests) / reps,
         "speedup_ok": float(small_host
                             or within("shard.speedup_k4", speedup_k4)),
     }

@@ -462,9 +462,7 @@ def flight_armed_run(spec: ScenarioSpec, directory: Optional[str] = None,
     if directory is not None:
         os.makedirs(directory, exist_ok=True)
         journal_path = os.path.join(directory, "journal.jsonl")
-    # An unjournaled run has no use for the periodic digest chain.
-    run = Run.start(spec, journal_path,
-                    digest_every=25 if journal_path else 0)
+    run = Run.start(spec, journal_path)
     flight = FlightRecorder(run.system, spec=spec,
                             loops=run.prepared.aux.get("loops"))
     flight.arm()   # chains after the journaling observer

@@ -189,7 +189,7 @@ def replay_run(journal_path: str,
                            "this journal cannot be replayed") from exc
     sink = _ComparingSink(journal_path, {1, *reconfigs}, compared, complete)
     run = Run.start(spec, sink=sink,
-                    digest_every=header.get("digest_every") or 25)
+                    digest_every=header.get("digest_every", 25))
 
     # Reconfigurations hot-loaded into the original run re-apply at their
     # fired-count barriers; the records themselves are instructions, not

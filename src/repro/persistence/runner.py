@@ -56,8 +56,10 @@ class RunRecorder:
     """Observes a live system and journals its event stream.
 
     Attaches to ``sim.on_event`` (called after each event's callback
-    returns, so digests see the post-event state).  Detach with
-    :meth:`finish` (clean close, writes the ``end`` record) or
+    returns, so digests see the post-event state).  The digest taken every
+    ``digest_every`` events (the journal's cadence, if it has one) is
+    journal content; with no journal it is computed and dropped.  Detach
+    with :meth:`finish` (clean close, writes the ``end`` record) or
     :meth:`abandon` (interrupted run, leaves the journal open-ended).
     """
 
@@ -67,7 +69,6 @@ class RunRecorder:
         self.journal = journal
         self.digest_every = (journal.digest_every if journal is not None
                              else digest_every)
-        self.last_digest: Optional[Dict[str, Any]] = None
         self._prev_observer = system.sim.on_event
         system.sim.on_event = self._on_event
 
@@ -78,7 +79,6 @@ class RunRecorder:
             self.journal.append_event(index, sim.now, event.label)
         if self.digest_every and index % self.digest_every == 0:
             digest = system_digest(self.system)
-            self.last_digest = {"i": index, "t": sim.now, "digest": digest}
             if self.journal is not None:
                 self.journal.append_digest(index, sim.now, digest)
 
@@ -245,6 +245,10 @@ class Run:
     Build one with :meth:`start` or :meth:`resume`; both return a session
     whose recorder is attached and whose journal (if any) is open.  The
     session keeps no parsed journal records and no checkpoint state.
+
+    ``digest_every`` is the cadence checkpoints and manifests carry.  The
+    digest chain is journal content: a session with no journal (nor
+    replay's sink) takes only the final digest, in :meth:`finish`.
     """
 
     def __init__(self, spec: ScenarioSpec, prepared: PreparedRun) -> None:
@@ -262,7 +266,8 @@ class Run:
                 journal_path: Optional[str]) -> "Run":
         self.journal = journal
         self.journal_path = journal_path
-        self.recorder = RunRecorder(self.system, journal, digest_every)
+        self.digest_every = digest_every
+        self.recorder = RunRecorder(self.system, journal, digest_every=0)
         return self
 
     @classmethod
@@ -313,10 +318,6 @@ class Run:
                                     append=True, records_written=kept)
         return run._record(journal, checkpoint.digest_every,
                            journal_path if journal is not None else None)
-
-    @property
-    def digest_every(self) -> int:
-        return self.recorder.digest_every
 
     def drive(self, until: Optional[float] = None) -> None:
         """Run to ``until`` (default: the horizon), ignoring kernel stops."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from typing import Any, List
+
 import pytest
 
 from repro.network.topology import Topology, build_edge_cloud_topology, build_mesh_topology
@@ -30,6 +33,29 @@ def trace() -> TraceLog:
 @pytest.fixture
 def metrics() -> MetricsRecorder:
     return MetricsRecorder()
+
+
+@pytest.fixture
+def digest_calls(monkeypatch) -> List[Any]:
+    """The systems ``system_digest`` is called on during the test, in order.
+
+    ``from x import f`` copies the binding, so every ``repro`` module's
+    binding of the function is wrapped, not only the defining one.
+    """
+    from repro.persistence import snapshot
+
+    original = snapshot.system_digest
+    calls: List[Any] = []
+
+    def counted(system: Any) -> str:
+        calls.append(system)
+        return original(system)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "repro" or name.startswith("repro."))
+                and vars(module).get("system_digest") is original):
+            monkeypatch.setattr(module, "system_digest", counted)
+    return calls
 
 
 @pytest.fixture

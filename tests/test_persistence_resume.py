@@ -21,6 +21,7 @@ from repro.persistence import (
     CheckpointError,
     Checkpoint,
     JournalError,
+    Run,
     ScenarioSpec,
     default_paths,
     describe_scenario,
@@ -303,6 +304,45 @@ class TestReplay:
         writer.abandon()
         with pytest.raises(JournalError):
             replay_journal(path)
+
+
+class TestDigestChainIsJournalContent:
+    """The digest every ``digest_every`` events is what journals record and
+    replay compares; a session with nothing to record it skips it."""
+
+    def test_an_unjournaled_session_digests_once(self, digest_calls):
+        run = Run.start(ScenarioSpec(name="control-outage"))
+        run.drive()
+        final = run.finish()
+        assert run.system.sim.fired_count > 25
+        assert digest_calls == [run.system]
+        assert final
+        # The nominal cadence checkpoints carry is unchanged.
+        assert run.digest_every == 25
+
+    def test_a_journal_and_a_replay_sink_digest_every_25_events(
+            self, tmp_path, digest_calls):
+        spec = ScenarioSpec(name="control-outage")
+        result, journal_path = _reference(tmp_path, spec)
+        chain = [record["i"] for record in read_journal(journal_path).records
+                 if record["type"] == "digest"]
+        fired = result.system.sim.fired_count
+        assert chain == list(range(25, fired + 1, 25))
+        assert len(digest_calls) == len(chain) + 1   # + the end record
+        del digest_calls[:]
+        assert replay_journal(journal_path).ok
+        assert len(digest_calls) == len(chain) + 1
+
+    def test_a_journal_without_a_digest_chain_replays_clean(self, tmp_path):
+        spec = ScenarioSpec(name="control-outage", seed=11)
+        journal_path = str(tmp_path / "journal.jsonl")
+        run_scenario(spec, journal_path=journal_path, digest_every=0)
+        journal = read_journal(journal_path)
+        assert journal.header["digest_every"] == 0
+        assert all(r["type"] != "digest" for r in journal.records)
+        report = replay_journal(journal_path)
+        assert report.ok, report.divergence
+        assert report.journal_complete
 
 
 class TestCli:

@@ -210,6 +210,16 @@ class TestShardIdentity:
         assert merged["shard.fed.dropped_residency"] > 0
         assert "shard.fed.dropped_auth" not in merged
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_in_memory_run_digests_each_shard_once(self, digest_calls,
+                                                   shards):
+        """No journal records a periodic chain, so each shard takes only
+        the final digest the federation digest chains."""
+        result = ShardedSimulator(_tiny_spec(), shards=shards,
+                                  workers=1).run()
+        assert result.complete
+        assert len(digest_calls) == len(set(map(id, digest_calls))) == shards
+
     def test_federation_digest_chains_shard_digests(self, tmp_path):
         out = str(tmp_path / "fed")
         result = ShardedSimulator(_tiny_spec(), shards=2, workers=1,
