@@ -486,6 +486,72 @@ def test_records_past_the_replay_are_a_divergence(journals, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
+# lines one step away from the writer's templates
+# --------------------------------------------------------------------------- #
+def _raw(record: Dict[str, Any], **raw: str) -> str:
+    """``record`` in the writer's key order, some values as raw JSON text."""
+    return "{" + ",".join(f'"{key}":{raw.get(key, json.dumps(record[key]))}'
+                          for key in sorted(record)) + "}"
+
+
+#: (name, kind of the recorded line edited, its edit): each a valid record,
+#: a refusal or a tear that a template-aware reader must read as JSON does.
+_NEAR_TEMPLATE = [
+    *((f"i={text}", kind, lambda r, text=text: _raw(r, i=text))
+      for text in ("-0", "01", "1e3") for kind in ("event", "digest")),
+    *((f"t={text}", kind, lambda r, text=text: _raw(r, t=text))
+      for text in ("5", "1E5", "1e5", "NaN", "Infinity", "-0.0")
+      for kind in ("event", "digest")),
+    ("label-quote", "event", lambda r: _raw(r, label=r'"say \"hi\""')),
+    ("label-escaped-e-acute", "event", lambda r: _raw(r, label=r'"\u00e9"')),
+    ("label-raw-e-acute", "event", lambda r: _raw(r, label='"é"')),
+    ("label-control", "event", lambda r: _raw(r, label='"a\tb"')),
+    ("digest-uppercase", "digest",
+     lambda r: _raw(r, digest=json.dumps(r["digest"].upper()))),
+    ("digest-63", "digest",
+     lambda r: _raw(r, digest=json.dumps(r["digest"][:63]))),
+    ("digest-number", "digest", lambda r: _raw(r, digest="7")),
+    *((name, kind, edit) for kind in ("event", "digest") for name, edit in (
+        ("keys-swapped", lambda r: _reencoded(r, sorted(r, reverse=True))),
+        ("duplicate-i", lambda r: '{"i":0,' + _raw(r)[1:]),
+        ("duplicate-type", lambda r: _raw(r)[:-1] + ',"type":"end"}'),
+        ("inner-space", lambda r: _raw(r).replace(",", ", ", 1)),
+        ("space-before-brace", lambda r: _raw(r)[:-1] + " }"),
+        ("torn-last-byte", lambda r: _raw(r)[:-1]),
+        ("torn-mid-value", lambda r: _raw(r)[:_raw(r).index(',"t"') + 6]),
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,edit", [case[1:] for case in _NEAR_TEMPLATE],
+    ids=[f"{kind}-{name}" for name, kind, _ in _NEAR_TEMPLATE])
+def test_a_near_template_line_reads_as_the_oracles_read_it(journals,
+                                                            tmp_path, kind,
+                                                            edit):
+    """One recorded line replaced by a near-template one: the same record,
+    refusal or tear through every reader as through its oracle."""
+    lines = list(journals["complete"])
+    at = next(k for k in range(20, len(lines))
+              if json.loads(lines[k])["type"] == kind)
+    record = json.loads(lines[at])
+    lines[at] = edit(record)
+    path = str(tmp_path / "journal.jsonl")
+    _write_lines(path, lines)
+    assert _outcome(read_journal, path) == _outcome(oracle_read_journal, path)
+    assert (_outcome(replay_journal, path)
+            == _outcome(oracle_replay_journal, path))
+    for fired in (record["i"] - 1, record["i"]):
+        streamed, encoded = (str(tmp_path / name) for name in ("a", "b"))
+        for copy in (streamed, encoded):
+            _write_lines(copy, lines)
+        assert (_outcome(truncate, streamed, fired)
+                == _outcome(oracle_truncate, encoded, fired))
+        assert (_outcome(read_journal, streamed)
+                == _outcome(oracle_read_journal, encoded))
+
+
+# --------------------------------------------------------------------------- #
 # constant memory
 # --------------------------------------------------------------------------- #
 def _extra_peak_kib(call, *args) -> float:
