@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import closing
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -47,6 +49,30 @@ _RECORD = flat_table(Field("object", fields={
     "type": Field("string", choices=("event", "digest", "reconfig", "end"),
                   label="record type")}))
 
+#: The writer's event and digest lines: sorted keys, no whitespace, and
+#: each value's own JSON text in its slot.
+_EVENT_LINE = '{"i":%s,"label":%s,"t":%s,"type":"event"}\n'
+_DIGEST_LINE = '{"digest":%s,"i":%s,"t":%s,"type":"digest"}\n'
+
+#: Each slot's value as the writer prints it: an ``int`` (its group named
+#: after the record type), a finite ``float`` by its ``repr``, a label that
+#: needs no escape, a SHA-256 hex digest.
+_INT = r"(?P<%s>0|-?[1-9][0-9]*)"
+_FLOAT = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[-+][0-9]+)"
+_PLAIN_STRING = r'"[ !#-\[\]-~]*"'
+_SHA256 = r'"[0-9a-f]{64}"'
+
+
+def _line_pattern(template: str, *values: str) -> str:
+    """A regular expression for ``template``'s lines, ``values`` per slot."""
+    return re.escape(template[:-1]) % values
+
+
+#: A whole line formatted from a template: a valid record by construction.
+_TEMPLATE_LINE = re.compile(
+    _line_pattern(_EVENT_LINE, _INT % "event", _PLAIN_STRING, _FLOAT) + "|"
+    + _line_pattern(_DIGEST_LINE, _SHA256, _INT % "digest", _FLOAT)).fullmatch
+
 #: Encoded event labels kept per writer.  A run has a few dozen distinct
 #: labels; a run that mints one per event starts over at this many.
 _LABEL_MEMO_SIZE = 1024
@@ -55,6 +81,14 @@ _LABEL_MEMO_SIZE = 1024
 def _encode(value: Any) -> str:
     """The journal's JSON: sorted keys, no whitespace."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _position(index: Any, time: Any) -> Tuple[Any, Any]:
+    """``index`` and ``time`` for a template slot: an ``int`` and a finite
+    ``float`` print as their ``repr``, as ``json`` prints them; any other
+    value is encoded on its own."""
+    return (index if type(index) is int else _encode(index),
+            time if type(time) is float and isfinite(time) else _encode(time))
 
 
 class JournalError(ValueError):
@@ -145,17 +179,20 @@ class JournalWriter:
             label = encoded
         else:
             label = _encode(label)
-        if type(index) is not int:
-            index = _encode(index)
-        if type(time) is not float or not isfinite(time):
-            time = _encode(time)
-        self._fh.write(
-            f'{{"i":{index},"label":{label},"t":{time},"type":"event"}}\n')
+        index, time = _position(index, time)
+        self._fh.write(_EVENT_LINE % (index, label, time))
         self._fh.flush()
         self.records_written += 1
 
     def append_digest(self, index: int, time: float, digest: str) -> None:
-        self._write({"type": "digest", "i": index, "t": time, "digest": digest})
+        """Write one digest record from its template, as
+        :meth:`append_event` writes an event; a non-``str`` digest is
+        encoded on its own."""
+        index, time = _position(index, time)
+        digest = (encode_basestring_ascii(digest) if type(digest) is str
+                  else _encode(digest))
+        self._fh.write(_DIGEST_LINE % (digest, index, time))
+        self._fh.flush()
         self.records_written += 1
 
     def append_reconfig(self, index: int, time: float,
@@ -199,15 +236,25 @@ def journal_lines(path: str) -> Iterator[Tuple[int, str]]:
                 yield lineno, line
 
 
-def scan_journal(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
-    """Stream a journal as ``(line number, line, record)``, header first.
+def scan_journal(path: str) -> Iterator[
+        Tuple[int, str, str, Optional[int], Optional[Dict[str, Any]]]]:
+    """Stream a journal as ``(line number, line, type, i, record)``, header
+    first (its ``i`` is ``None``).
 
-    The one parser, holding one line at a time.  A torn line ends the
-    journal: a mid-write crash leaves a valid prefix before it.
+    The one parser, holding one line at a time.  A line after the header
+    that the writer formatted from its event or digest template is valid by
+    construction, so it is not decoded: its ``record`` is ``None``.  Every
+    other line is decoded and checked.  A torn line ends the journal: a
+    mid-write crash leaves a valid prefix before it.
     """
     headed = False
     with closing(journal_lines(path)) as lines:
         for lineno, line in lines:
+            written = lineno > 1 and _TEMPLATE_LINE(line)
+            if written:
+                kind = written.lastgroup
+                yield lineno, line, kind, int(written[kind]), None
+                continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
@@ -230,14 +277,15 @@ def scan_journal(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
                 problem = flat_problem(record, _RECORD)
                 if problem:
                     raise JournalError(f"{path}: line {lineno}: {problem}")
-            yield lineno, line, record
+            yield lineno, line, record["type"], record.get("i"), record
     if not headed:
         raise JournalError(f"{path}: empty or headerless journal")
 
 
 def read_journal(path: str) -> JournalRecords:
     """Parse a whole journal into memory (see :func:`scan_journal`)."""
-    header, *records = [record for _, _, record in scan_journal(path)]
+    header, *records = [json.loads(line) if record is None else record
+                        for _, line, _, _, record in scan_journal(path)]
     return JournalRecords(header=header, records=records)
 
 
@@ -247,16 +295,16 @@ def truncate(path: str, fired: int) -> int:
     Classic WAL recovery: a crashed run may have journaled events beyond
     the last durable checkpoint, and the resumed run will re-produce them.
     Also drops any ``end`` record -- a truncated run is by definition not
-    cleanly closed.  Kept lines are copied byte for byte; a refused
+    cleanly closed.  Kept lines are copied as :func:`journal_lines` reads
+    them: stripped, with any byte that is not UTF-8 as U+FFFD.  A refused
     journal is left as it was.
     """
     tmp, kept = path + ".tmp", 0
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            for lineno, line, record in scan_journal(path):
-                if lineno == 1 or (record["type"] != "end"
-                                   and record["i"] <= fired):
+            for lineno, line, kind, index, _ in scan_journal(path):
+                if lineno == 1 or (kind != "end" and index <= fired):
                     fh.write(line + "\n")
                     kept += 1
     except BaseException:

@@ -173,14 +173,14 @@ def replay_run(journal_path: str,
     header: Dict[str, Any] = {}
     reconfigs: Dict[int, Dict[str, Any]] = {}
     compared, complete = 0, False
-    for lineno, _line, record in scan_journal(journal_path):
+    for lineno, _line, kind, _index, record in scan_journal(journal_path):
         if lineno == 1:
             header = record
-        elif record["type"] == "reconfig":
+        elif kind == "reconfig":
             reconfigs[lineno] = record
         else:
             compared += 1
-        complete = record["type"] == "end"
+        complete = kind == "end"
     scenario = header.get("scenario", {})
     try:
         spec = ScenarioSpec.from_dict(scenario)

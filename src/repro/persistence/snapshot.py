@@ -23,22 +23,26 @@ import json
 from typing import Any, Dict
 
 
-def canonical_json(state: Any) -> str:
-    """Deterministic JSON encoding: sorted keys, no whitespace drift.
-
-    Floats use Python's shortest-round-trip repr, which is bit-stable for
-    equal doubles -- the property the digest chain relies on.
-    """
-    return json.dumps(state, sort_keys=True, separators=(",", ":"),
-                      default=_fallback)
-
-
 def _fallback(value: Any) -> Any:
     # Sets/frozensets and tuples appear in component state; encode
     # deterministically rather than failing.
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"not JSON-serializable for snapshot: {value!r}")
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=_fallback)
+
+
+def canonical_json(state: Any) -> str:
+    """Deterministic JSON encoding: sorted keys, no whitespace drift.
+
+    Floats use Python's shortest-round-trip repr, which is bit-stable for
+    equal doubles -- the property the digest chain relies on.  One encoder
+    serves every call: ``json.dumps`` would build one per call.
+    """
+    return _CANONICAL.encode(state)
 
 
 def state_digest(state: Any) -> str:
