@@ -100,10 +100,11 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: integrity hash mismatch (file corrupted or edited): "
                 f"recorded {expected[:12]}..., computed {actual[:12]}...")
-        if payload.get("version") != CHECKPOINT_VERSION:
+        version = payload.get("version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version "
-                f"{payload.get('version')!r} (want {CHECKPOINT_VERSION})")
+                f"{version!r} (want {CHECKPOINT_VERSION})")
         # The integrity hash only proves the payload is what was written;
         # a well-formed file of the wrong shape must still fail closed.
         fields = check(payload, _PAYLOAD, f"{path}: malformed checkpoint "

@@ -267,10 +267,11 @@ def scan_journal(path: str) -> Iterator[
             if lineno == 1:
                 if record.get("type") != "header":
                     raise JournalError(f"{path}: first record is not a header")
-                if record.get("version") != JOURNAL_VERSION:
+                version = record.get("version")
+                if type(version) is not int or version != JOURNAL_VERSION:
                     raise JournalError(
                         f"{path}: unsupported journal version "
-                        f"{record.get('version')!r} (want {JOURNAL_VERSION})")
+                        f"{version!r} (want {JOURNAL_VERSION})")
                 check(record, _HEADER, f"{path}: header", JournalError)
                 headed = True
             else:

@@ -121,9 +121,10 @@ def _load_checkpoint(path: str, fingerprint: str) -> Dict[str, List[float]]:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("version") != SWEEP_CHECKPOINT_VERSION:
+    version = payload.get("version")
+    if type(version) is not int or version != SWEEP_CHECKPOINT_VERSION:
         raise ValueError(
-            f"sweep checkpoint version {payload.get('version')} "
+            f"sweep checkpoint version {version} "
             f"not supported (expected {SWEEP_CHECKPOINT_VERSION})"
         )
     if payload.get("fingerprint") != fingerprint:

@@ -106,6 +106,16 @@ class TestJournal:
         assert len(journal.events()) == 1
         assert not journal.complete
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_a_header_version_that_is_not_an_integer_is_rejected(
+            self, tmp_path, version):
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"type":"header","version":{version}}}\n')
+        with pytest.raises(JournalError,
+                           match="unsupported journal version"):
+            read_journal(path)
+
     def test_headerless_journal_is_rejected(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
@@ -278,6 +288,19 @@ class TestCheckpointFile:
         checkpoint.version = 99
         checkpoint.save(path)
         with pytest.raises(CheckpointError, match="version"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_that_is_not_an_integer_is_rejected(self, tmp_path,
+                                                          version):
+        """A bool is never a number, and a version is an integer: a
+        resealed payload with ``version`` ``true`` or ``1.0`` is refused."""
+        path = str(tmp_path / "checkpoint.json")
+        checkpoint = self._checkpoint()
+        checkpoint.version = version
+        checkpoint.save(path)
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version"):
             Checkpoint.load(path)
 
     def test_non_checkpoint_file_is_rejected(self, tmp_path):

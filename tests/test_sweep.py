@@ -147,6 +147,19 @@ class TestSweepCheckpoint:
             run_sweep(_module_metric, grid={"x": [1]}, seeds=[2],
                       checkpoint_path=path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_that_is_not_an_integer_is_refused(self, tmp_path,
+                                                         version):
+        path = str(tmp_path / "sweep.json")
+        run_sweep(_module_metric, grid={"x": [1]}, seeds=[1],
+                  checkpoint_path=path)
+        saved = json.load(open(path))
+        saved["version"] = version
+        json.dump(saved, open(path, "w"))
+        with pytest.raises(ValueError, match="version .* not supported"):
+            run_sweep(_module_metric, grid={"x": [1]}, seeds=[1],
+                      checkpoint_path=path)
+
 
 class TestStochasticMaturityMode:
     def test_random_schedule_generated(self):
