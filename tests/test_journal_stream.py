@@ -13,6 +13,7 @@ constant memory.
 """
 
 import gc
+import io
 import json
 import os
 import shutil
@@ -594,3 +595,60 @@ class TestConstantMemory:
                 - _extra_peak_kib(run_scenario, _SPEC, None, 25, until))
         assert records[1] >= 3.5 * records[0] > 1_000, records
         assert extras[1] <= extras[0] + self.SLACK_KIB, extras
+
+
+# --------------------------------------------------------------------------- #
+# the writer's templates
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("index,time,digest", [
+    (25, 5.0, "7d" * 32), (0, -0.0, "0" * 64), (10 ** 30, 5e-324, "f" * 64),
+    (25, 5, "7d" * 32),                      # an int time
+    (25, float("nan"), "7d" * 32), (25, float("inf"), "7d" * 32),
+    (25, 5.0, "x"), (25, 5.0, 'say "hi"é'), (25, 5.0, None),
+    (True, 5.0, "7d" * 32), (-1, 1e22, "7D" * 32),
+])
+def test_a_digest_line_is_the_encoded_record(index, time, digest):
+    """``append_digest`` formats what encoding the whole record writes,
+    falling back per value for a ``bool`` index, an ``int`` or non-finite
+    time and a digest that is not plain hex."""
+    sink = io.StringIO()
+    JournalWriter(None, sink=sink).append_digest(index, time, digest)
+    assert sink.getvalue() == _encode({"type": "digest", "i": index,
+                                       "t": time, "digest": digest}) + "\n"
+
+
+def _decoded(monkeypatch) -> List[str]:
+    """The texts ``json.loads`` is called with from here on."""
+    texts: List[str] = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda text, **kw: texts.append(text) or real(text,
+                                                                      **kw))
+    return texts
+
+
+def test_truncate_decodes_only_what_no_template_wrote(tmp_path, monkeypatch):
+    path = str(tmp_path / "journal.jsonl")
+    writer = JournalWriter(path, scenario={"name": "t"}, digest_every=2)
+    for index in range(1, 9):
+        writer.append_event(index, index * 0.5, f"e{index % 3}")
+        if index % 2 == 0:
+            writer.append_digest(index, index * 0.5, "ab" * 32)
+    writer.append_event(9, 4.5, 'deliver "quoted"')
+    writer.append_reconfig(9, 4.5, _FAULT)
+    writer.close(9, 4.5, "cd" * 32)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    decoded = _decoded(monkeypatch)
+    assert truncate(path, 9) == len(lines) - 2
+    assert decoded == [lines[0], *lines[-3:]]
+
+
+def test_replay_decodes_only_the_header_and_the_end(journals, tmp_path,
+                                                    monkeypatch):
+    path = str(tmp_path / "journal.jsonl")
+    lines = journals["complete"]
+    _write_lines(path, lines)
+    decoded = _decoded(monkeypatch)
+    assert replay_journal(path).ok
+    assert decoded == [lines[0], lines[-1]]
