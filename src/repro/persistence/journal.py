@@ -253,7 +253,9 @@ def scan_journal(path: str) -> Iterator[
             written = lineno > 1 and _TEMPLATE_LINE(line)
             if written:
                 kind = written.lastgroup
-                yield lineno, line, kind, int(written[kind]), None
+                # Let the match go before yielding: the scan holds a line.
+                index, written = int(written[kind]), None
+                yield lineno, line, kind, index, None
                 continue
             try:
                 record = json.loads(line)
