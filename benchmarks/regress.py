@@ -114,6 +114,8 @@ RULES: Tuple[Rule, ...] = (
           "EXPERIMENTS OBS-5"),
     _gate(r"startup\.third_party_modules", "==", 0, "EXPERIMENTS START"),
     Rule(r"shard\.k1\.digests", "exact", anchor="EXPERIMENTS Recording cost"),
+    Rule(r"persistence\.json_decodes", "exact",
+         anchor="EXPERIMENTS Reading cost"),
     Rule(r"journal\.truncate_peak_kib", "gate", 0.25, "higher",
          ("<=", 128), "EXPERIMENTS Reading cost"),
     # Budgets a bench folds into a 0/1 flag, and the flags.  The two
@@ -320,9 +322,12 @@ def bench_persistence(quick: bool) -> Dict[str, float]:
     digest/replay metrics are deterministic and must stay bit-identical.
     ``replay_peak_kib`` replays the journal once more, untimed, under
     ``tracemalloc``: the whole replay, whose reader holds no record list.
+    ``json_decodes`` counts ``json.loads`` calls of the resume and the
+    replay, from outside: the lines no writer's template formatted.
     """
     import shutil
     import tempfile
+    from unittest import mock
 
     from repro.persistence import (
         ScenarioSpec,
@@ -342,9 +347,10 @@ def bench_persistence(quick: bool) -> Dict[str, float]:
         metrics = interrupted.system.metrics
         save_s = metrics.series("persistence.checkpoint.save_s").values[-1]
         size_b = metrics.series("persistence.checkpoint.bytes").values[-1]
-        resumed = resume_run(directory=tmp)
-        journal = os.path.join(tmp, "journal.jsonl")
-        replay = replay_journal(journal)
+        with mock.patch("json.loads", wraps=json.loads) as decodes:
+            resumed = resume_run(directory=tmp)
+            journal = os.path.join(tmp, "journal.jsonl")
+            replay = replay_journal(journal)
         wall = time.perf_counter() - started
         return {
             "wall_s": wall,
@@ -358,6 +364,7 @@ def bench_persistence(quick: bool) -> Dict[str, float]:
             "digest_match": float(
                 resumed.final_digest == reference.final_digest),
             "replay_ok": float(replay.ok),
+            "json_decodes": float(decodes.call_count),
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
