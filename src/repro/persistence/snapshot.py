@@ -23,6 +23,16 @@ import json
 from typing import Any, Dict
 
 
+def canonical_json(state: Any) -> str:
+    """Deterministic JSON encoding: sorted keys, no whitespace drift.
+
+    Floats use Python's shortest-round-trip repr, which is bit-stable for
+    equal doubles -- the property the digest chain relies on.  One encoder
+    serves every call, where ``json.dumps`` would build one per call.
+    """
+    return _CANONICAL.encode(state)
+
+
 def _fallback(value: Any) -> Any:
     # Sets/frozensets and tuples appear in component state; encode
     # deterministically rather than failing.
@@ -33,16 +43,6 @@ def _fallback(value: Any) -> Any:
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                               default=_fallback)
-
-
-def canonical_json(state: Any) -> str:
-    """Deterministic JSON encoding: sorted keys, no whitespace drift.
-
-    Floats use Python's shortest-round-trip repr, which is bit-stable for
-    equal doubles -- the property the digest chain relies on.  One encoder
-    serves every call: ``json.dumps`` would build one per call.
-    """
-    return _CANONICAL.encode(state)
 
 
 def state_digest(state: Any) -> str:
