@@ -19,7 +19,9 @@ prefix on disk.  Record shapes:
 The journal is both the recovery log (``truncate`` drops records past a
 checkpoint barrier so a resumed run appends from exactly there) and the
 replay oracle (:mod:`repro.persistence.replay` re-runs the scenario and
-compares record-by-record); both stream it through :func:`scan_journal`.
+compares record-by-record); both stream it through :func:`scan_journal`,
+which reads an event or digest line in the writer's own template without
+decoding it.
 """
 
 from __future__ import annotations
