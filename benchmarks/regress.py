@@ -38,7 +38,6 @@ regression or the self-test fails, 2 when a snapshot file cannot be read.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import operator
 import os
@@ -54,9 +53,13 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.schema import Field, check  # noqa: E402
-
-SCHEMA = 1
+from repro.observability.profile import (  # noqa: E402
+    BENCH_SCHEMA as SCHEMA,
+    SnapshotError,
+    load_snapshot,
+    numbered_snapshots,
+)
+from repro.schema import write_document  # noqa: E402
 
 # --------------------------------------------------------------------------- #
 # bench rules: every tolerance, budget and gate, declared once
@@ -1303,17 +1306,6 @@ def take_snapshot(quick: bool, label: str = "",
     return snapshot
 
 
-def numbered_snapshots(directory: str) -> List[Tuple[int, str]]:
-    """``(n, path)`` of every ``BENCH_<n>.json`` in ``directory``, oldest
-    first; any other name (``BENCH_old.json``) is not a snapshot."""
-    numbered = []
-    for path in glob.glob(os.path.join(directory, "BENCH_*.json")):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
-        if match:
-            numbered.append((int(match.group(1)), path))
-    return sorted(numbered)
-
-
 def next_snapshot_number(out_dir: str) -> int:
     return max([0] + [n for n, _path in numbered_snapshots(out_dir)]) + 1
 
@@ -1324,34 +1316,8 @@ def write_snapshot(snapshot: Dict[str, Any], out_dir: str,
     if number is None:
         number = next_snapshot_number(out_dir)
     path = os.path.join(out_dir, f"BENCH_{number}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(snapshot, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_document(path, snapshot)
     return path
-
-
-class SnapshotError(ValueError):
-    """A snapshot file that cannot be read or does not have its shape."""
-
-
-_SNAPSHOT = Field("object", fields={
-    "schema": Field("integer", choices=(SCHEMA,), label="snapshot schema"),
-    "quick": Field("boolean"),
-    "label": Field("string"),
-    "benches": Field("object", items=Field("object", items=Field("number"))),
-    "profiles": Field("object", required=False),
-})
-
-
-def load_snapshot(path: str) -> Dict[str, Any]:
-    """The parsed ``BENCH_<n>.json``, or :class:`SnapshotError` naming it."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(f"{path}: {exc}") from None
-    check(snapshot, _SNAPSHOT, path, SnapshotError)
-    return snapshot
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.spec import ChaosSpec
 from repro.persistence.scenarios import ScenarioSpec
+from repro.schema import Field, load_document
 
 SPEC_FILENAME = "spec.json"
 MANIFEST_FILENAME = "manifest.json"
@@ -82,10 +83,13 @@ def corpus_bundles(corpus_dir: str) -> List[str]:
     return bundles
 
 
-def load_bundle_spec(bundle: str) -> ChaosSpec:
-    """The chaos spec a bundle was emitted for."""
-    with open(os.path.join(bundle, SPEC_FILENAME), encoding="utf-8") as fh:
-        return ChaosSpec.from_json(fh.read())
+def load_bundle_spec(path: str) -> ChaosSpec:
+    """The chaos spec a bundle directory was emitted for, or the one in the
+    spec file ``path``; a ``ValueError`` if it is unreadable or not of
+    :data:`~repro.chaos.spec.SPEC`'s shape."""
+    if os.path.isdir(path):
+        path = os.path.join(path, SPEC_FILENAME)
+    return ChaosSpec.from_dict(load_document(path, Field("any")))
 
 
 @dataclass

@@ -20,7 +20,6 @@ import argparse
 import inspect
 import json
 import os
-import re
 import signal
 import sys
 import textwrap
@@ -355,25 +354,18 @@ def _bench_trajectory_rows_if_available() -> Optional[List[List[object]]]:
 
     The report command may run from an installed package or another
     working directory; the trajectory section simply disappears when the
-    baselines directory isn't reachable.  Oldest first by the integer in
-    ``BENCH_<n>.json``: by name, BENCH_9 would sort after BENCH_12.
+    baselines directory isn't reachable.  A baseline that cannot be read
+    or holds no ``benches`` table is skipped.
     """
+    from repro.observability import profile
     from repro.observability.export import bench_trajectory_rows
+    from repro.schema import load_document
 
-    if not os.path.isdir(_BASELINE_DIR):
-        return None
-    numbered = []
-    for name in os.listdir(_BASELINE_DIR):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if match:
-            numbered.append((int(match.group(1)), name))
     snapshots = []
-    for _, name in sorted(numbered):
+    for _n, path in profile.numbered_snapshots(_BASELINE_DIR):
         try:
-            with open(os.path.join(_BASELINE_DIR, name),
-                      encoding="utf-8") as fh:
-                snapshots.append(json.load(fh))
-        except (OSError, json.JSONDecodeError):
+            snapshots.append(load_document(path, profile.BENCH_TRAJECTORY))
+        except ValueError:
             continue
     return bench_trajectory_rows(snapshots) if snapshots else None
 
@@ -702,7 +694,7 @@ def cmd_profile_diff(path_a: str, path_b: str) -> int:
 
     try:
         before, after = load_profile(path_a), load_profile(path_b)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"profile: cannot load snapshot: {exc}")
     a_profiles, b_profiles = _profiles_in(before), _profiles_in(after)
     common = sorted(set(a_profiles) & set(b_profiles))
@@ -845,14 +837,11 @@ def cmd_chaos_run(quick: bool = False, seed: int = CHAOS_DEMO_SEED,
 
 def cmd_chaos_shrink(path: str, out: str = "chaos-out") -> int:
     """Minimize one failing spec (a spec.json file or a bundle dir)."""
-    from repro.chaos import ChaosSpec, shrink_spec
+    from repro.chaos import load_bundle_spec, shrink_spec
 
-    spec_path = (os.path.join(path, "spec.json")
-                 if os.path.isdir(path) else path)
     try:
-        with open(spec_path, encoding="utf-8") as fh:
-            spec = ChaosSpec.from_json(fh.read())
-    except (OSError, ValueError) as exc:
+        spec = load_bundle_spec(path)
+    except ValueError as exc:
         return _fail(f"chaos shrink: cannot load a spec from {path!r} ({exc})")
     _progress(f"shrinking {spec.describe()} ({spec.axis_count()} axes)...")
     try:
@@ -889,7 +878,7 @@ def cmd_chaos_corpus(corpus: str = "corpus") -> int:
     for bundle in corpus_bundles(corpus):
         try:
             load_bundle_spec(bundle)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(f"chaos corpus: cannot load a spec from "
                          f"{bundle!r} ({exc})")
     _progress(f"replaying failure corpus {corpus!r}...")

@@ -44,6 +44,7 @@ from repro.live.status import health_snapshot, status_snapshot
 from repro.persistence.checkpoint import Checkpoint, CheckpointError, default_paths
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec
+from repro.schema import Field, load_document
 
 #: Default wall seconds between periodic checkpoints.
 CHECKPOINT_EVERY_S = 10.0
@@ -298,8 +299,6 @@ class LiveService:
         (or ``*.rejected`` with an adjacent ``.error`` file) so each
         payload applies exactly once.
         """
-        import json as _json
-
         applied = []
         try:
             names = sorted(os.listdir(self.reload_dir))
@@ -311,8 +310,7 @@ class LiveService:
             self._seen_reloads.add(name)
             path = os.path.join(self.reload_dir, name)
             try:
-                with open(path, encoding="utf-8") as fh:
-                    payload = _json.load(fh)
+                payload = load_document(path, Field("any"), LiveLoadError)
                 applied.append(self.hot_load(payload))
             except (OSError, ValueError, LiveLoadError) as exc:
                 os.replace(path, path + ".rejected")

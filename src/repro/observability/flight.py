@@ -50,7 +50,7 @@ from repro.persistence.checkpoint import Checkpoint
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec, prepare
 from repro.persistence.snapshot import state_digest, system_digest_state
-from repro.schema import Field, check
+from repro.schema import Field, check_version, load_document
 
 MANIFEST_NAME = "manifest.json"
 BUNDLE_VERSION = 1
@@ -398,12 +398,11 @@ _MANIFEST = Field("object", fields={
 def load_manifest(bundle: str) -> Dict[str, Any]:
     """Read a bundle's manifest; anything not of its shape fails closed."""
     path = os.path.join(bundle, MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:        # not JSON, or not UTF-8
-        raise FlightError(f"{bundle}: not an incident bundle: {exc}") from exc
-    check(manifest, _MANIFEST, f"{bundle}: malformed manifest", FlightError)
+    manifest = load_document(path, _MANIFEST, FlightError,
+                             f"{bundle}: not an incident bundle",
+                             f"{bundle}: malformed manifest")
+    check_version(manifest, BUNDLE_VERSION, path, "incident bundle",
+                  FlightError)
     return manifest
 
 

@@ -39,11 +39,12 @@ PR-6 telemetry budget (the instrument's own recording is metered by the
 
 from __future__ import annotations
 
-import json
+import os
+import re
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.observability.instrument import Instrument, InstrumentSnapshot
-from repro.schema import Field, check
+from repro.schema import Field, check, load_document, write_document
 
 PROFILE_SCHEMA = 1
 
@@ -237,9 +238,7 @@ def latest_span_time(recorder: Any) -> float:
 
 
 def save_profile(profile: Dict[str, Any], path: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, profile)
 
 
 _ROWS = Field("object", required=False, items=Field("object", fields={
@@ -262,13 +261,56 @@ _BENCH = Field("object", fields={
 
 def load_profile(path: Any) -> Dict[str, Any]:
     """Load a ``capture_profile`` snapshot or a BENCH snapshot (which holds
-    some under ``profiles``); ``OSError`` if unreadable, ``ValueError`` if
-    not JSON or not of the shape :func:`diff_profiles` reads."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    some under ``profiles``); a ``ValueError`` naming ``path`` if it is
+    unreadable, not JSON or not of the shape :func:`diff_profiles` reads.
+    A BENCH snapshot may be partial here: only its profiles are read."""
+    data = load_document(path, Field("any"))
     bench = isinstance(data, dict) and "benches" in data
     check(data, _BENCH if bench else _PROFILE, str(path))
     return data
+
+
+#: The ``schema`` a BENCH snapshot carries.
+BENCH_SCHEMA = 1
+
+_BENCHES = Field("object", items=Field("object", items=Field("number")))
+
+#: A ``BENCH_<n>.json`` snapshot as ``benchmarks/regress.py`` writes it.
+BENCH_SNAPSHOT = Field("object", fields={
+    "schema": Field("integer", choices=(BENCH_SCHEMA,),
+                    label="snapshot schema"),
+    "quick": Field("boolean"),
+    "label": Field("string"),
+    "benches": _BENCHES,
+    "profiles": Field("object", required=False),
+})
+
+#: What the report's bench-trajectory rows read of a snapshot.
+BENCH_TRAJECTORY = Field("object", fields={"benches": _BENCHES})
+
+_BENCH_NAME = re.compile(r"BENCH_(\d+)\.json").fullmatch
+
+
+class SnapshotError(ValueError):
+    """A snapshot file that cannot be read or does not have its shape."""
+
+
+def numbered_snapshots(directory: str) -> List[Tuple[int, str]]:
+    """``(n, path)`` of every ``BENCH_<n>.json`` in ``directory``, oldest
+    first (by name, BENCH_9 would sort after BENCH_12); any other name
+    (``BENCH_old.json``) is not a snapshot, and a missing directory holds
+    none."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted((int(match[1]), os.path.join(directory, match[0]))
+                  for match in map(_BENCH_NAME, names) if match)
+
+
+def load_snapshot(path: str) -> Dict[str, Any]:
+    """The parsed ``BENCH_<n>.json``, or :class:`SnapshotError` naming it."""
+    return load_document(path, BENCH_SNAPSHOT, SnapshotError)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,8 @@ from typing import Any, Dict
 
 from repro.persistence.scenarios import SCENARIO_SPEC
 from repro.persistence.snapshot import canonical_json, state_digest
-from repro.schema import Field, check
+from repro.schema import (Field, check, check_version, load_document,
+                          write_document)
 
 CHECKPOINT_VERSION = 1
 
@@ -75,24 +76,15 @@ class Checkpoint:
     def save(self, path: str) -> int:
         """Write atomically; returns the file size in bytes."""
         payload = asdict(self)
-        document = {"payload": payload,
-                    "integrity": state_digest(payload)}
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_document(path, {"payload": payload,
+                              "integrity": state_digest(payload)})
         return os.path.getsize(path)
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                document = json.load(fh)
-        except (OSError, ValueError) as exc:    # not JSON, or not UTF-8
-            raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-        check(document, _DOCUMENT, f"{path}: not a checkpoint file",
-              CheckpointError)
+        document = load_document(path, _DOCUMENT, CheckpointError,
+                                 f"{path}: unreadable checkpoint",
+                                 f"{path}: not a checkpoint file")
         payload = document["payload"]
         expected = document["integrity"]
         actual = state_digest(_normalize(payload))
@@ -100,11 +92,8 @@ class Checkpoint:
             raise CheckpointError(
                 f"{path}: integrity hash mismatch (file corrupted or edited): "
                 f"recorded {expected[:12]}..., computed {actual[:12]}...")
-        version = payload.get("version")
-        if type(version) is not int or version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version "
-                f"{version!r} (want {CHECKPOINT_VERSION})")
+        check_version(payload, CHECKPOINT_VERSION, path, "checkpoint",
+                      CheckpointError)
         # The integrity hash only proves the payload is what was written;
         # a well-formed file of the wrong shape must still fail closed.
         fields = check(payload, _PAYLOAD, f"{path}: malformed checkpoint "

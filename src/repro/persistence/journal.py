@@ -27,15 +27,16 @@ decoding it.
 from __future__ import annotations
 
 import json
-import os
 import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
-from repro.schema import Field, check, flat_problem, flat_table
+from repro.schema import (Field, atomic_file, check, check_version,
+                          flat_problem, flat_table)
 
 JOURNAL_VERSION = 1
 
@@ -83,6 +84,11 @@ _LABEL_MEMO_SIZE = 1024
 def _encode(value: Any) -> str:
     """The journal's JSON: sorted keys, no whitespace."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def journal_line(record: Dict[str, Any]) -> str:
+    """``record`` as one line of a line log (a journal or an inbox)."""
+    return _encode(record) + "\n"
 
 
 def _position(index: Any, time: Any) -> Tuple[Any, Any]:
@@ -159,7 +165,7 @@ class JournalWriter:
                          "digest_every": digest_every})
 
     def _write(self, record: Dict[str, Any]) -> None:
-        self._fh.write(_encode(record) + "\n")
+        self._fh.write(journal_line(record))
         self._fh.flush()
 
     # -- records ------------------------------------------------------------ #
@@ -271,11 +277,8 @@ def scan_journal(path: str) -> Iterator[
             if lineno == 1:
                 if record.get("type") != "header":
                     raise JournalError(f"{path}: first record is not a header")
-                version = record.get("version")
-                if type(version) is not int or version != JOURNAL_VERSION:
-                    raise JournalError(
-                        f"{path}: unsupported journal version "
-                        f"{version!r} (want {JOURNAL_VERSION})")
+                check_version(record, JOURNAL_VERSION, path, "journal",
+                              JournalError)
                 check(record, _HEADER, f"{path}: header", JournalError)
                 headed = True
             else:
@@ -294,6 +297,27 @@ def read_journal(path: str) -> JournalRecords:
     return JournalRecords(header=header, records=records)
 
 
+def rewrite(path: str, rows: Iterable[Tuple[Any, ...]],
+            keep: Callable[[Tuple[Any, ...], int], bool], barrier: int) -> int:
+    """Replace the line log at ``path`` by the line of each of a reader's
+    ``rows`` (its second item) that ``keep(row, barrier)`` accepts, holding
+    one line at a time; returns how many were kept.  An exception from
+    ``rows`` leaves the file as it was."""
+    written = 0
+    with atomic_file(path) as fh:
+        for row in rows:
+            if keep(row, barrier):
+                fh.write(row[1] + "\n")
+                written += 1
+    return written
+
+
+def _before(row: Tuple[Any, ...], fired: int) -> bool:
+    """Whether a :func:`scan_journal` row survives a cut at ``fired``."""
+    lineno, _line, kind, index, _record = row
+    return lineno == 1 or (kind != "end" and index <= fired)
+
+
 def truncate(path: str, fired: int) -> int:
     """Drop records past the checkpoint barrier ``fired``; returns kept count.
 
@@ -304,16 +328,5 @@ def truncate(path: str, fired: int) -> int:
     them: stripped, with any byte that is not UTF-8 as U+FFFD.  A refused
     journal is left as it was.
     """
-    tmp, kept = path + ".tmp", 0
-    fh = open(tmp, "w", encoding="utf-8")
-    try:
-        with fh:
-            for lineno, line, kind, index, _ in scan_journal(path):
-                if lineno == 1 or (kind != "end" and index <= fired):
-                    fh.write(line + "\n")
-                    kept += 1
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    kept = rewrite(path, scan_journal(path), _before, fired)
     return kept - 1   # the header is no record

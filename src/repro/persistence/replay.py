@@ -21,6 +21,7 @@ from typing import Any, Callable, Collection, Dict, Optional, Tuple
 from repro.persistence.journal import JournalError, journal_lines, scan_journal
 from repro.persistence.runner import Run
 from repro.persistence.scenarios import ScenarioSpec
+from repro.schema import write_document
 
 _COMPARED_FIELDS = {
     "event": ("i", "t", "label"),
@@ -223,6 +224,4 @@ def replay_run(journal_path: str,
 
 def write_divergence_report(report: ReplayReport, path: str) -> None:
     """Write the replay outcome (for CI artifacts and ``repro replay``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, report.to_dict())

@@ -1,4 +1,5 @@
-"""Declared shapes for the files and payloads the command line reads.
+"""Declared shapes for the files and payloads the command line reads, and
+the one way a file is read (:func:`load_document`) and replaced whole.
 
 A reader declares per value a :class:`Field`: its exact JSON kind (a bool
 is never a number, and a number is finite, as JSON defines it), whether it
@@ -11,8 +12,11 @@ message and exit code.
 
 from __future__ import annotations
 
+import json
+import os
 from math import isfinite
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Dict, NamedTuple, Optional, Sequence,
+                    TextIO)
 
 #: The exact types ``json.loads`` yields per kind ("any": not checked).
 _TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
@@ -118,3 +122,62 @@ def flat_problem(record: Dict[str, Any], table: Sequence[Any]) -> Optional[str]:
                                         and value not in choices):
             return _problem(field, key, value, finite=False)
     return None
+
+
+def load_document(path: str, field: Field, error: type = SchemaError,
+                  unreadable: Optional[str] = None,
+                  malformed: Optional[str] = None) -> Any:
+    """The JSON document at ``path`` as decoded, once checked against
+    ``field``: ``error("<unreadable>: <reason>")`` if it cannot be read, is
+    not UTF-8 or not JSON, ``error("<malformed>: <problem>")`` if it is not
+    of ``field``'s shape.  Both prefixes default to ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+    except (OSError, ValueError) as exc:        # not JSON, or not UTF-8
+        raise error(f"{path if unreadable is None else unreadable}: "
+                    f"{exc}") from exc
+    check(document, field, path if malformed is None else malformed, error)
+    return document
+
+
+def check_version(document: Dict[str, Any], want: int, path: str,
+                  noun: str, error: type = SchemaError) -> None:
+    """Refuse a file whose ``version`` is not the integer ``want``: a bool
+    or a float equal to it is no version either."""
+    version = document.get("version")
+    if type(version) is not int or version != want:
+        raise error(f"{path}: unsupported {noun} version "
+                    f"{version!r} (want {want})")
+
+
+class atomic_file:
+    """A text file that replaces ``path`` when its ``with`` block ends; an
+    exception in the block leaves ``path`` as it was.  (A slotted class,
+    not a generator: a streaming rewrite holds it for its whole run.)"""
+
+    __slots__ = ("path", "fh")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __enter__(self) -> TextIO:
+        self.fh = open(f"{self.path}.tmp", "w", encoding="utf-8")
+        return self.fh
+
+    def __exit__(self, kind: Any, *_: Any) -> None:
+        try:
+            self.fh.close()
+            if kind is None:
+                os.replace(self.fh.name, self.path)
+        finally:
+            if os.path.exists(self.fh.name):
+                os.remove(self.fh.name)
+
+
+def write_document(path: str, document: Any) -> None:
+    """Write ``document`` atomically: two-space indent, sorted keys, and a
+    final newline."""
+    with atomic_file(path) as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -41,14 +41,17 @@ import json
 import multiprocessing
 import os
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..persistence.checkpoint import Checkpoint, CheckpointError
+from ..persistence.journal import journal_line, journal_lines, rewrite
 from ..persistence.scenarios import SCENARIO_SPEC, ScenarioSpec
 from ..persistence.snapshot import state_digest
-from ..schema import Field, check
+from ..schema import (Field, check, check_version, load_document,
+                      write_document)
 from .mailbox import ENVELOPE
 from .worker import ShardHost, _worker_main, dispatch, shard_paths
 
@@ -104,12 +107,11 @@ _INBOX_NOUN = {"fed-header": "header", "inbox": "record"}
 def load_manifest(out_dir: str) -> Dict[str, Any]:
     """Read a federation manifest; a bad run directory fails closed."""
     path = manifest_path(out_dir)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:        # not JSON, or not UTF-8
-        raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
-    check(manifest, _MANIFEST, f"{path}: malformed manifest", CheckpointError)
+    manifest = load_document(path, _MANIFEST, CheckpointError,
+                             f"{path}: unreadable manifest",
+                             f"{path}: malformed manifest")
+    check_version(manifest, MANIFEST_VERSION, path, "manifest",
+                  CheckpointError)
     return manifest
 
 
@@ -120,47 +122,41 @@ def federation_digest(spec_dict: Dict[str, Any], shards: int,
                          "digests": list(digests)})
 
 
-def _write_json_line(fh, record: Dict[str, Any]) -> None:
-    fh.write(json.dumps(record, sort_keys=True,
-                        separators=(",", ":")) + "\n")
-
-
 def write_inbox_header(path: str, spec_dict: Dict[str, Any], shard: int,
                        shards: int, lookahead: float,
                        horizon: float) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json_line(fh, {
+        fh.write(journal_line({
             "type": "fed-header", "version": MANIFEST_VERSION,
             "scenario": spec_dict, "shard": shard, "shards": shards,
             "lookahead": lookahead, "horizon": horizon,
-        })
+        }))
 
 
 def append_inbox_record(path: str, window: int, barrier: float,
                         envelopes: List[dict]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        _write_json_line(fh, {"type": "inbox", "window": window,
-                              "barrier": barrier, "envelopes": envelopes})
+        fh.write(journal_line({"type": "inbox", "window": window,
+                               "barrier": barrier, "envelopes": envelopes}))
         fh.flush()
         os.fsync(fh.fileno())
 
 
-def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """``(line, record)`` for each readable line of an inbox journal.
+def _inbox_lines(path: str) -> Iterator[Tuple[int, str, Dict[str, Any]]]:
+    """``(line number, line, record)`` for each readable line of an inbox
+    journal.
 
-    Stops at a line that does not parse: a crash mid-append tears at most
-    the final one, and the valid prefix ends there.  A line that parses
-    but is not of :data:`_INBOX`'s shape fails closed.  A byte that is not
-    UTF-8 reads as U+FFFD, as in a journal.
+    The lines are a journal's (:func:`journal_lines`), and so is the tear
+    rule: a line that does not parse ends the log, since a crash
+    mid-append tears at most the final one.  A line that parses but is
+    not of :data:`_INBOX`'s shape, or a header of another version, fails
+    closed.
     """
     if not os.path.exists(path):
         return
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with closing(journal_lines(path)) as lines:
+        for number, line in lines:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
@@ -170,7 +166,10 @@ def _inbox_lines(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
                          CheckpointError)["type"]
             check(record, _INBOX[kind], f"{where} {_INBOX_NOUN[kind]}",
                   CheckpointError)
-            yield line, record
+            if kind == "fed-header":
+                check_version(record, MANIFEST_VERSION, path, "inbox",
+                              CheckpointError)
+            yield number, line, record
 
 
 def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
@@ -178,7 +177,7 @@ def read_inbox(path: str) -> Tuple[Optional[Dict[str, Any]],
     """Parse an inbox journal; returns (header, {window: envelopes})."""
     header: Optional[Dict[str, Any]] = None
     inboxes: Dict[int, List[dict]] = {}
-    for _line, record in _inbox_lines(path):
+    for _number, _line, record in _inbox_lines(path):
         if record["type"] == "fed-header":
             header = record
         else:
@@ -204,20 +203,20 @@ def check_inbox_header(path: str, header: Optional[Dict[str, Any]],
 
 
 def truncate_inbox(path: str, max_window: int) -> None:
-    """Drop inbox records beyond ``max_window`` (WAL recovery).
+    """Drop inbox records beyond ``max_window`` (WAL recovery), by the
+    journal's streaming :func:`rewrite`.
 
-    Surviving lines are kept verbatim, so a resumed run's inbox journal
+    Surviving lines are kept as read, so a resumed run's inbox journal
     is byte-identical to an uninterrupted run's.
     """
-    if not os.path.exists(path):
-        return
-    kept = [line + "\n" for line, record in _inbox_lines(path)
-            if not (record["type"] == "inbox"
-                    and record["window"] > max_window)]
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
-    os.replace(tmp, path)
+    if os.path.exists(path):
+        rewrite(path, _inbox_lines(path), _within, max_window)
+
+
+def _within(row: Tuple[int, str, Dict[str, Any]], max_window: int) -> bool:
+    """Whether an inbox line survives a cut after window ``max_window``."""
+    record = row[2]
+    return record["type"] != "inbox" or record["window"] <= max_window
 
 
 def lookahead_barriers(lookahead: float, horizon: float) -> List[float]:
@@ -541,12 +540,7 @@ class ShardedSimulator:
                 federation_digest(self.spec.to_dict(), self.shards, digests)
                 if digests else None),
         }
-        path = manifest_path(self.out_dir)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_document(manifest_path(self.out_dir), document)
 
     # -- the window loop ---------------------------------------------------- #
     def _route(self, replies: List[Dict[str, Any]]) -> Dict[int, List[dict]]:

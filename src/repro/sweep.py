@@ -5,13 +5,6 @@ module provides the small harness: a grid of named parameters, N seeds
 per cell, a run function producing a scalar metric, and per-cell
 mean/min/max aggregation.
 
-The harness is crash-resilient: pass ``checkpoint_path`` and completed
-cells are journaled to disk every ``checkpoint_every`` cells, so a
-killed sweep resumes where it left off (cells already on disk are not
-re-run).  The checkpoint embeds a fingerprint of the grid, seed list and
-seed parameter; resuming against a different sweep definition is
-refused rather than silently mixing results.
-
 Seed replication can be parallelized with ``workers=N`` (a
 ``ProcessPoolExecutor``; the ``run`` callable must then be picklable,
 i.e. a module-level function).  Results are collected in submission
@@ -27,15 +20,10 @@ order, so the output is bit-identical to a serial run.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-SWEEP_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -102,59 +90,6 @@ class SweepResult:
         ]
 
 
-def _cell_key(params: Dict[str, Any]) -> str:
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
-
-
-def _fingerprint(grid: Dict[str, Sequence[Any]], seeds: Sequence[int],
-                 seed_param: str) -> str:
-    payload = json.dumps(
-        {"grid": {k: list(v) for k, v in grid.items()},
-         "seeds": list(seeds), "seed_param": seed_param},
-        sort_keys=True, separators=(",", ":"), default=str,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _load_checkpoint(path: str, fingerprint: str) -> Dict[str, List[float]]:
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if type(version) is not int or version != SWEEP_CHECKPOINT_VERSION:
-        raise ValueError(
-            f"sweep checkpoint version {version} "
-            f"not supported (expected {SWEEP_CHECKPOINT_VERSION})"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise ValueError(
-            "sweep checkpoint does not match this sweep definition "
-            "(grid, seeds or seed parameter changed); refusing to resume "
-            f"from {path}"
-        )
-    return {k: [float(v) for v in vals]
-            for k, vals in payload.get("cells", {}).items()}
-
-
-def _save_checkpoint(path: str, fingerprint: str,
-                     done: Dict[str, List[float]]) -> None:
-    payload = {
-        "version": SWEEP_CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "cells": done,
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _run_cell_serial(run: Callable[..., float], params: Dict[str, Any],
-                     seeds: Sequence[int], seed_param: str) -> List[float]:
-    return [float(run(**params, **{seed_param: seed})) for seed in seeds]
-
-
 def worker_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     """Validated process-pool construction shared across parallel runners.
 
@@ -175,10 +110,7 @@ def run_sweep(
     run: Callable[..., float],
     grid: Dict[str, Sequence[Any]],
     seeds: Sequence[int],
-    seed_param: str = "seed",
     workers: int = 1,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 1,
 ) -> SweepResult:
     """Run ``run(**params, seed=s)`` for every grid cell x seed.
 
@@ -187,53 +119,27 @@ def run_sweep(
     given key order) regardless of ``workers``; with ``workers > 1`` the
     per-seed replications are dispatched to a process pool and collected
     in submission order, so the result is identical to the serial one.
-
-    With ``checkpoint_path``, completed cells are persisted every
-    ``checkpoint_every`` cells and skipped on a later invocation with
-    the same grid/seeds -- a crashed sweep resumes instead of starting
-    over.
     """
     if not grid:
         raise ValueError("grid must name at least one parameter")
     if not seeds:
         raise ValueError("need at least one seed")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     keys = tuple(grid.keys())
     combos = [dict(zip(keys, combo))
               for combo in itertools.product(*(grid[k] for k in keys))]
 
-    fingerprint = _fingerprint(grid, seeds, seed_param)
-    done: Dict[str, List[float]] = {}
-    if checkpoint_path is not None:
-        done = _load_checkpoint(checkpoint_path, fingerprint)
-
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    pending = [params for params in combos if _cell_key(params) not in done]
-    executor = worker_pool(workers) if pending else None
+    executor = worker_pool(workers)
+    cells = []
     try:
-        since_save = 0
-        for params in pending:
+        for params in combos:
             if executor is not None:
-                futures = [
-                    executor.submit(run, **params, **{seed_param: seed})
-                    for seed in seeds
-                ]
+                futures = [executor.submit(run, **params, seed=seed)
+                           for seed in seeds]
                 values = [float(f.result()) for f in futures]
             else:
-                values = _run_cell_serial(run, params, seeds, seed_param)
-            done[_cell_key(params)] = values
-            since_save += 1
-            if checkpoint_path is not None and since_save >= checkpoint_every:
-                _save_checkpoint(checkpoint_path, fingerprint, done)
-                since_save = 0
-        if checkpoint_path is not None and since_save:
-            _save_checkpoint(checkpoint_path, fingerprint, done)
+                values = [float(run(**params, seed=seed)) for seed in seeds]
+            cells.append(SweepCell(params=dict(params), values=values))
     finally:
         if executor is not None:
             executor.shutdown()
-
-    cells = [SweepCell(params=dict(params), values=list(done[_cell_key(params)]))
-             for params in combos]
     return SweepResult(grid_keys=keys, cells=cells)

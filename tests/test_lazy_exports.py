@@ -176,6 +176,15 @@ def test_importing_a_library_package_loads_no_submodule(name):
         "__init__ holds its docstring, __all__ and the lazy table only")
 
 
+def test_importing_three_library_packages_loads_only_them():
+    """The tier-1 packages a scenario builds on load themselves, the root
+    and the lazy helper: nothing else, so no count can creep up."""
+    loaded = _loaded_after(
+        "import repro.simulation, repro.network, repro.traffic")
+    assert loaded == ["repro", "repro._lazy", "repro.network",
+                      "repro.simulation", "repro.traffic"]
+
+
 def test_reaching_a_name_loads_only_its_submodule():
     loaded = _loaded_after("from repro.simulation import RngRegistry")
     assert [m for m in loaded if m.startswith("repro.simulation.")] == [

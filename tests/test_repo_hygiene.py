@@ -187,6 +187,27 @@ def test_every_export_streams():
     assert not [text for text in texts if '"".join([encode(' in text]
 
 
+def test_one_reader_and_one_writer_per_run_file():
+    """Every JSON document is decoded by ``repro.schema.load_document`` and
+    every file replaced whole by ``repro.schema.atomic_file``; the live
+    reload directory's ``.applied``/``.rejected`` renames are the only
+    other rename (the CI hygiene step greps the same two)."""
+    schema = os.path.join(REPO_ROOT, "src", "repro", "schema.py")
+    reload_rename = re.compile(r'os\.replace\(path, path \+ "\.(applied|rejected)"\)')
+    decodes, renames = [], []
+    for path, _parts in _repro_sources():
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                where = f"{os.path.relpath(path, REPO_ROOT)}:{lineno}"
+                if "json.load(" in line:
+                    decodes.append(where)
+                if "os.replace(" in line and not reload_rename.search(line):
+                    renames.append(where)
+    here = os.path.relpath(schema, REPO_ROOT)
+    assert [where.rpartition(":")[0] for where in decodes] == [here], decodes
+    assert [where.rpartition(":")[0] for where in renames] == [here], renames
+
+
 def test_third_party_imports_stay_out_of_the_run_path():
     """``src/`` routes on its own adjacency map (no networkx at all) and
     loads numpy only inside the ``modeling/dtmc.py`` methods that solve."""

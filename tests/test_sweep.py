@@ -1,7 +1,5 @@
 """Tests for the parameter-sweep harness and stochastic maturity mode."""
 
-import json
-
 import pytest
 
 from repro.core.maturity import MaturityScenario, ScenarioParams
@@ -60,9 +58,6 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(lambda x, seed: 0.0, grid={"x": [1]}, seeds=[0],
                       workers=0)
-        with pytest.raises(ValueError):
-            run_sweep(lambda x, seed: 0.0, grid={"x": [1]}, seeds=[0],
-                      checkpoint_every=0)
 
 
 class TestEmptyCellStatistics:
@@ -96,69 +91,6 @@ class TestParallelSweep:
             [c.values for c in serial.cells]
         assert [c.params for c in parallel.cells] == \
             [c.params for c in serial.cells]
-
-
-class TestSweepCheckpoint:
-    def test_crash_resume_skips_completed_cells(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        calls = []
-
-        def flaky(x, seed):
-            calls.append((x, seed))
-            if len(calls) > 4:       # 2 cells x 2 seeds, then crash
-                raise RuntimeError("harness crash")
-            return _module_metric(x, seed)
-
-        with pytest.raises(RuntimeError):
-            run_sweep(flaky, grid={"x": [1, 2, 3]}, seeds=[1, 2],
-                      checkpoint_path=path)
-        saved = json.load(open(path))
-        assert len(saved["cells"]) == 2
-
-        reran = []
-
-        def tracking(x, seed):
-            reran.append((x, seed))
-            return _module_metric(x, seed)
-
-        resumed = run_sweep(tracking, grid={"x": [1, 2, 3]},
-                            seeds=[1, 2], checkpoint_path=path)
-        assert reran == [(3, 1), (3, 2)]   # only the missing cell ran
-        reference = run_sweep(_module_metric, grid={"x": [1, 2, 3]},
-                              seeds=[1, 2])
-        assert [c.values for c in resumed.cells] == \
-            [c.values for c in reference.cells]
-
-    def test_checkpoint_every_batches_saves(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        run_sweep(_module_metric, grid={"x": [1, 2, 3]}, seeds=[1],
-                  checkpoint_path=path, checkpoint_every=2)
-        saved = json.load(open(path))
-        assert len(saved["cells"]) == 3    # final flush covers the tail
-
-    def test_mismatched_fingerprint_is_refused(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        run_sweep(_module_metric, grid={"x": [1]}, seeds=[1],
-                  checkpoint_path=path)
-        with pytest.raises(ValueError, match="refusing to resume"):
-            run_sweep(_module_metric, grid={"x": [1, 2]}, seeds=[1],
-                      checkpoint_path=path)
-        with pytest.raises(ValueError, match="refusing to resume"):
-            run_sweep(_module_metric, grid={"x": [1]}, seeds=[2],
-                      checkpoint_path=path)
-
-    @pytest.mark.parametrize("version", [True, 1.0])
-    def test_a_version_that_is_not_an_integer_is_refused(self, tmp_path,
-                                                         version):
-        path = str(tmp_path / "sweep.json")
-        run_sweep(_module_metric, grid={"x": [1]}, seeds=[1],
-                  checkpoint_path=path)
-        saved = json.load(open(path))
-        saved["version"] = version
-        json.dump(saved, open(path, "w"))
-        with pytest.raises(ValueError, match="version .* not supported"):
-            run_sweep(_module_metric, grid={"x": [1]}, seeds=[1],
-                      checkpoint_path=path)
 
 
 class TestStochasticMaturityMode:
