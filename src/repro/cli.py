@@ -354,8 +354,8 @@ def _bench_trajectory_rows_if_available() -> Optional[List[List[object]]]:
 
     The report command may run from an installed package or another
     working directory; the trajectory section simply disappears when the
-    baselines directory isn't reachable.  A baseline that cannot be read
-    or holds no ``benches`` table is skipped.
+    baselines directory isn't reachable.  A baseline that cannot be read,
+    or whose ``benches`` are not tables of numbers, is skipped.
     """
     from repro.observability import profile
     from repro.observability.export import bench_trajectory_rows
