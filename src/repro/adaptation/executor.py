@@ -205,7 +205,3 @@ class Executor:
             )
         return result
 
-    # -- stats -------------------------------------------------------------------#
-    @property
-    def success_count(self) -> int:
-        return sum(1 for r in self.results if r.success)

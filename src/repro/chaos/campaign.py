@@ -33,11 +33,7 @@ from repro.chaos.spec import (
     TrafficAxis,
 )
 from repro.persistence.scenarios import PreparedRun
-from repro.traffic.scenarios import EDGE_CAPACITY
-
-#: Post-heal grace before goodput is measured: breaker re-close plus
-#: queue drain time (mirrors the retry-storm scenario's window).
-RECOVERY_GRACE = 3.0
+from repro.traffic.scenarios import EDGE_CAPACITY, RECOVERY_GRACE
 
 #: The recovered-goodput bar: the system must sustain at least this
 #: fraction of min(offered, capacity) once every fault has healed.

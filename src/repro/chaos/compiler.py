@@ -23,9 +23,9 @@ streams.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.chaos.spec import ChaosSpec
+from repro.chaos.spec import ChaosSpec, FaultEvent
 from repro.core.system import IoTSystem
 from repro.core.vectors import MaturityFeatures
 from repro.faults.models import (
@@ -85,8 +85,9 @@ class ScenarioCompiler:
             system, plane, "chaos-swim",
             identity_gate if features.intrusion_response else None)
         self._wire_defenses(features, system, plane, aux)
-        self._schedule_faults(spec, system)
-        self._schedule_adversary(spec, system, aux)
+        schedule_faults(system, spec.faults)
+        if schedule_adversary(spec, system) is not None:
+            aux["attacker"] = ATTACKER
         self._wire_monitor(spec, system, aux)
         return PreparedRun(system=system, horizon=spec.horizon, aux=aux)
 
@@ -150,62 +151,6 @@ class ScenarioCompiler:
                 system, plane, "edge0", edges, period=0.5,
                 flood_rate=FLOOD_RATE)
 
-    # -- fault schedule ------------------------------------------------------ #
-    def _schedule_faults(self, spec: ChaosSpec, system: IoTSystem) -> None:
-        for index, event in enumerate(spec.faults):
-            fault = self._build_fault(index, event, system)
-            system.injector.inject_at(event.at, fault)
-
-    def _build_fault(self, index: int, event, system: IoTSystem) -> Fault:
-        name = f"chaos-{event.kind}-{index}@{event.at:g}"
-        if event.kind == "crash":
-            self._require_device(event.target, system)
-            return CrashRecoveryFault(name=name, device_id=event.target,
-                                      duration=event.duration)
-        if event.kind == "partition":
-            self._require_device(event.target, system)
-            return PartitionFault(name=name, isolate_node=event.target,
-                                  duration=event.duration)
-        node_a, _, node_b = event.target.partition(":")
-        if system.topology.link_between(node_a, node_b) is None:
-            raise CompileError(
-                f"fault {name}: no link {node_a!r}-{node_b!r} in the "
-                f"compiled topology")
-        if event.kind == "latency":
-            return LatencySpikeFault(name=name, node_a=node_a, node_b=node_b,
-                                     factor=8.0, duration=event.duration)
-        return LinkFailureFault(name=name, node_a=node_a, node_b=node_b,
-                                duration=event.duration)
-
-    @staticmethod
-    def _require_device(device_id: str, system: IoTSystem) -> None:
-        try:
-            system.fleet.get(device_id)
-        except KeyError:
-            raise CompileError(
-                f"fault target {device_id!r} not in the compiled fleet "
-                f"(devices: cloud, edge0..edge{len(system.sites) - 1}, "
-                f"d<site>.<i>)") from None
-
-    # -- adversary ----------------------------------------------------------- #
-    def _schedule_adversary(self, spec: ChaosSpec, system: IoTSystem,
-                            aux: Dict[str, Any]) -> None:
-        if spec.adversary.attack == "none":
-            return
-        from repro.security.adversary import FloodBehavior, SybilJoinBehavior
-
-        attacker = "edge1"
-        behaviors: List[Any] = [
-            FloodBehavior(target="edge0", rate=spec.adversary.rate)]
-        if spec.adversary.attack == "sybil-flood":
-            edges = list(system.edge_nodes)
-            targets = [e for e in edges if e != attacker][:2]
-            behaviors.append(SybilJoinBehavior(targets=targets))
-        system.injector.inject_at(spec.adversary.at, NodeCompromiseFault(
-            name=f"compromise:{attacker}", device_id=attacker,
-            behaviors=behaviors))
-        aux["attacker"] = attacker
-
     # -- SLO monitor --------------------------------------------------------- #
     def _wire_monitor(self, spec: ChaosSpec, system: IoTSystem,
                       aux: Dict[str, Any]) -> None:
@@ -229,6 +174,92 @@ class ScenarioCompiler:
                              trace=system.trace, period=SLO_PERIOD)
         monitor.start()
         aux["monitor"] = monitor
+
+
+#: The node a spec's adversary compromises; it floods ``edge0``.
+ATTACKER = "edge1"
+
+
+# --------------------------------------------------------------------------- #
+# The disruption program: the one fault-kind mapping (live hot-loads use it)
+# --------------------------------------------------------------------------- #
+def schedule_faults(system: IoTSystem, events: Sequence[FaultEvent],
+                    tag: str = "chaos", offset: float = 0.0) -> List[Fault]:
+    """Build every schedule entry, then inject each at ``offset + at``.
+
+    Fault names are ``<tag>-<kind>-<index>@<at>``.  An entry whose target
+    is not in ``system`` raises :class:`CompileError` before anything is
+    injected.
+    """
+    faults = [_build_fault(f"{tag}-{event.kind}-{index}@{event.at:g}",
+                           event, system)
+              for index, event in enumerate(events)]
+    for event, fault in zip(events, faults):
+        # Without an offset a time passes as is: 0.0 + an int time
+        # would journal as a float.
+        system.injector.inject_at(
+            offset + event.at if offset else event.at, fault)
+    return faults
+
+
+def _build_fault(name: str, event: FaultEvent, system: IoTSystem) -> Fault:
+    if event.kind == "crash":
+        _require_device(event.target, system)
+        return CrashRecoveryFault(name=name, device_id=event.target,
+                                  duration=event.duration)
+    if event.kind == "partition":
+        _require_device(event.target, system)
+        return PartitionFault(name=name, isolate_node=event.target,
+                              duration=event.duration)
+    node_a, _, node_b = event.target.partition(":")
+    if system.topology.link_between(node_a, node_b) is None:
+        raise CompileError(
+            f"fault {name}: no link {node_a!r}-{node_b!r} in the topology")
+    if event.kind == "latency":
+        return LatencySpikeFault(name=name, node_a=node_a, node_b=node_b,
+                                 factor=8.0, duration=event.duration)
+    return LinkFailureFault(name=name, node_a=node_a, node_b=node_b,
+                            duration=event.duration)
+
+
+def _require_device(device_id: str, system: IoTSystem) -> None:
+    try:
+        system.fleet.get(device_id)
+    except KeyError:
+        raise CompileError(
+            f"fault target {device_id!r} not in the fleet "
+            f"(devices: cloud, edge0..edge{len(system.sites) - 1}, "
+            f"d<site>.<i>)") from None
+
+
+def schedule_adversary(spec: ChaosSpec, system: IoTSystem,
+                       prefix: str = "",
+                       offset: float = 0.0) -> Optional[str]:
+    """Compromise :data:`ATTACKER` at ``offset + adversary.at``.
+
+    It floods ``edge0`` and, under ``sybil-flood``, forges members toward
+    two other edges.  Returns the fault's name,
+    ``<prefix>compromise:edge1``; ``None`` when the spec has no attack.
+    """
+    if spec.adversary.attack == "none":
+        return None
+    from repro.security.adversary import FloodBehavior, SybilJoinBehavior
+
+    for node in (ATTACKER, "edge0"):
+        _require_device(node, system)
+    behaviors: List[Any] = [
+        FloodBehavior(target="edge0", rate=spec.adversary.rate)]
+    if spec.adversary.attack == "sybil-flood":
+        edges = list(system.edge_nodes)
+        targets = [e for e in edges if e != ATTACKER][:2]
+        behaviors.append(SybilJoinBehavior(targets=targets))
+    name = f"{prefix}compromise:{ATTACKER}"
+    at = spec.adversary.at
+    system.injector.inject_at(offset + at if offset else at,
+                              NodeCompromiseFault(name=name,
+                                                  device_id=ATTACKER,
+                                                  behaviors=behaviors))
+    return name
 
 
 def compile_spec(spec: ChaosSpec) -> PreparedRun:

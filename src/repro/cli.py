@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import signal
 import sys
@@ -1092,18 +1093,24 @@ def _arg(*names: str, **kwargs: Any) -> Arg:
     return names, kwargs
 
 
-def _at_least(minimum: float, cast: type = int,
-              exclusive: bool = False) -> Callable[[str], Any]:
-    """argparse ``type=`` accepting ``cast`` values >= (or >) ``minimum``."""
+def _at_least(minimum: float, cast: type = int, exclusive: bool = False,
+              maximum: Optional[float] = None) -> Callable[[str], Any]:
+    """argparse ``type=`` accepting finite ``cast`` values >= (or >)
+    ``minimum`` and, if given, <= ``maximum``."""
 
     def parse(text: str) -> Any:
         value = cast(text)
-        if value < minimum or (exclusive and value == minimum):
+        if ((cast is float and not math.isfinite(value)) or value < minimum
+                or (exclusive and value == minimum)
+                or (maximum is not None and value > maximum)):
             raise ValueError(text)
         return value
 
     # argparse words the error as "invalid <type name> value: '<text>'".
-    parse.__name__ = f"{cast.__name__} {'>' if exclusive else '>='} {minimum}"
+    bound = f"{'>' if exclusive else '>='} {minimum}"
+    if maximum is not None:
+        bound += f" and <= {maximum}"
+    parse.__name__ = f"{cast.__name__} {bound}"
     return parse
 
 
@@ -1139,7 +1146,7 @@ _STRICT = _arg("--strict", action="store_true",
                help="add strict SLOs (cloud availability) that sustained "
                     "outages breach")
 _SEED = _arg("--seed", type=int, help="override the scenario seed")
-_UNTIL = _arg("--until", type=float,
+_UNTIL = _arg("--until", type=_at_least(0, float),
               help="stop at this simulated time instead of the horizon")
 _WORKERS = _arg("--workers", type=_at_least(1),
                 help="worker processes (default: one per shard for "
@@ -1172,7 +1179,7 @@ def command_table() -> Tuple[Command, ...]:
         Command("report", cmd_report, (observed, _STRICT)),
         Command("checkpoint", cmd_checkpoint, (
             every, _SEED,
-            _arg("--at", type=float,
+            _arg("--at", type=_at_least(0, float),
                  help="simulated time to checkpoint at (default: the "
                       "scenario's crash point or mid-horizon)"))),
         Command("resume", cmd_resume, (_UNTIL,)),
@@ -1202,7 +1209,7 @@ def command_table() -> Tuple[Command, ...]:
             _arg("--checkpoint-every", type=_at_least(0),
                  help="lookahead windows between barrier checkpoints; "
                       "0 = never"),
-            _arg("--stop-after", type=_at_least(0),
+            _arg("--stop-after", type=_at_least(1),
                  help="abort after this window (emulated mid-run kill; "
                       "continue with 'shard resume')")), default_verb=True),
         Command("shard resume", cmd_shard_resume, (_WORKERS,)),
@@ -1211,7 +1218,7 @@ def command_table() -> Tuple[Command, ...]:
             every, _UNTIL, _SEED,
             _arg("--speed", type=_at_least(0, float),
                  help="simulated seconds per wall second; 0 = unpaced"),
-            _arg("--port", type=int,
+            _arg("--port", type=_at_least(0, maximum=65535),
                  help="telemetry server port; 0 = ephemeral"),
             _arg("--checkpoint-every",
                  type=_at_least(0, float, exclusive=True),

@@ -68,23 +68,6 @@ class ServiceRegistry:
         instances = self.instances(service_name)
         return instances[0] if instances else None
 
-    def by_capability(self, capability: str) -> List[ServiceRecord]:
-        """All healthy instances advertising ``capability``."""
-        out = []
-        for key in self.gossip.keys:
-            if key.startswith("svc/"):
-                record = _decode(self.gossip.get(key))
-                if record is not None and record.healthy and capability in record.capabilities:
-                    out.append(record)
-        return sorted(out, key=lambda r: (r.service_name, r.device_id))
-
-    def known_services(self) -> List[str]:
-        names = set()
-        for key in self.gossip.keys:
-            if key.startswith("svc/"):
-                names.add(key[len("svc/"):].split("@", 1)[0])
-        return sorted(names)
-
 
 def _encode(record: ServiceRecord) -> dict:
     return {

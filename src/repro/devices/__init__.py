@@ -22,7 +22,6 @@ _EXPORTS = {
     "DEVICE_CLASS_SPECS": "base",
     "DeviceFleet": "fleet",
     "Actuator": "sensor",
-    "Sensor": "sensor",
 }
 __all__ = sorted(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

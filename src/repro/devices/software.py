@@ -106,9 +106,6 @@ class SoftwareStack:
     def mark_failed(self, name: str) -> None:
         self._require(name).state = ServiceState.FAILED
 
-    def mark_degraded(self, name: str) -> None:
-        self._require(name).state = ServiceState.DEGRADED
-
     def stop(self, name: str) -> None:
         self._require(name).state = ServiceState.STOPPED
 

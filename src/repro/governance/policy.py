@@ -131,9 +131,6 @@ class PolicyEngine:
     def set_policy(self, policy: FlowPolicy) -> None:
         self._policies[policy.device_id] = policy
 
-    def policy_of(self, device_id: str) -> Optional[FlowPolicy]:
-        return self._policies.get(device_id)
-
     def add_scope(self, scope: PrivacyScope) -> PrivacyScope:
         if scope.name in self._scopes:
             raise ValueError(f"scope {scope.name!r} already exists")

@@ -33,6 +33,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.chaos.compiler import (
+    CompileError,
+    schedule_adversary,
+    schedule_faults,
+)
 from repro.chaos.spec import FAULT, SPEC, ChaosSpec, FaultEvent
 from repro.schema import Field, check
 
@@ -73,83 +78,9 @@ def validate_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------------- #
-# Application
+# Application: the chaos compiler's fault and adversary builders, offset
+# from load time
 # --------------------------------------------------------------------------- #
-def _build_fault(name: str, event: FaultEvent, system: Any):
-    """A concrete fault model for one schedule entry (compiler's mapping)."""
-    from repro.faults.models import (
-        CrashRecoveryFault,
-        LatencySpikeFault,
-        LinkFailureFault,
-        PartitionFault,
-    )
-
-    if event.kind in ("crash", "partition"):
-        try:
-            system.fleet.get(event.target)
-        except KeyError:
-            raise LiveLoadError(
-                f"fault {name}: target {event.target!r} not in the running "
-                "fleet") from None
-        if event.kind == "crash":
-            return CrashRecoveryFault(name=name, device_id=event.target,
-                                      duration=event.duration)
-        return PartitionFault(name=name, isolate_node=event.target,
-                              duration=event.duration)
-    node_a, _, node_b = event.target.partition(":")
-    if system.topology.link_between(node_a, node_b) is None:
-        raise LiveLoadError(
-            f"fault {name}: no link {node_a!r}-{node_b!r} in the running "
-            "topology")
-    if event.kind == "latency":
-        return LatencySpikeFault(name=name, node_a=node_a, node_b=node_b,
-                                 factor=8.0, duration=event.duration)
-    return LinkFailureFault(name=name, node_a=node_a, node_b=node_b,
-                            duration=event.duration)
-
-
-def _apply_fault_events(system: Any, events: List[FaultEvent],
-                        tag: str) -> List[str]:
-    """Validate every entry, then schedule all (no partial application)."""
-    now = system.sim.now
-    built = []
-    for index, event in enumerate(events):
-        name = f"{tag}-{event.kind}-{index}@{event.at:g}"
-        built.append((now + event.at, _build_fault(name, event, system)))
-    for at, fault in built:
-        system.injector.inject_at(at, fault)
-    return [fault.name for _, fault in built]
-
-
-def _apply_adversary(system: Any, spec: ChaosSpec) -> List[str]:
-    """The chaos compiler's adversary wiring, offset from load time."""
-    if spec.adversary.attack == "none":
-        return []
-    from repro.faults.models import NodeCompromiseFault
-    from repro.security.adversary import FloodBehavior, SybilJoinBehavior
-
-    attacker = "edge1"
-    for node in (attacker, "edge0"):
-        try:
-            system.fleet.get(node)
-        except KeyError:
-            raise LiveLoadError(
-                f"chaos-spec adversary needs node {node!r} in the running "
-                "fleet") from None
-    behaviors: List[Any] = [
-        FloodBehavior(target="edge0", rate=spec.adversary.rate)]
-    if spec.adversary.attack == "sybil-flood":
-        edges = list(system.edge_nodes)
-        targets = [e for e in edges if e != attacker][:2]
-        behaviors.append(SybilJoinBehavior(targets=targets))
-    name = f"live-compromise:{attacker}"
-    system.injector.inject_at(
-        system.sim.now + spec.adversary.at,
-        NodeCompromiseFault(name=name, device_id=attacker,
-                            behaviors=behaviors))
-    return [name]
-
-
 def apply_payload(system: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
     """Apply a validated payload to ``system`` at the current instant.
 
@@ -158,15 +89,21 @@ def apply_payload(system: Any, payload: Dict[str, Any]) -> Dict[str, Any]:
     was scheduled, for logging and the ``/status`` endpoint.
     """
     payload = validate_payload(payload)
-    if payload["kind"] == "fault-schedule":
-        events = [FaultEvent(**fault) for fault in payload["faults"]]
-        names = _apply_fault_events(system, events, tag="live")
-        return {"kind": "fault-schedule", "scheduled": names}
-    spec = ChaosSpec.from_dict(payload["spec"])
-    events = list(spec.faults)
-    names = _apply_fault_events(system, events, tag="live-chaos")
-    names += _apply_adversary(system, spec)
-    return {"kind": "chaos-spec", "scheduled": names,
+    now = system.sim.now
+    try:
+        if payload["kind"] == "fault-schedule":
+            events = [FaultEvent(**fault) for fault in payload["faults"]]
+            faults = schedule_faults(system, events, "live", now)
+            return {"kind": "fault-schedule",
+                    "scheduled": [fault.name for fault in faults]}
+        spec = ChaosSpec.from_dict(payload["spec"])
+        names = [fault.name for fault in
+                 schedule_faults(system, spec.faults, "live-chaos", now)]
+        adversary = schedule_adversary(spec, system, "live-", now)
+    except CompileError as exc:
+        raise LiveLoadError(str(exc)) from None
+    return {"kind": "chaos-spec",
+            "scheduled": names + ([adversary] if adversary else []),
             "describe": spec.describe()}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.network.link import LINK_PROFILES, Link, LinkProfile
 
@@ -331,21 +331,6 @@ def build_edge_cloud_topology(
             if i != j and topo.link_between(edge_nodes[i], edge_nodes[j]) is None:
                 topo.add_link(edge_nodes[i], edge_nodes[j], profile=inter_site_profile)
     return topo, site_devices
-
-
-def build_star_topology(
-    center: str,
-    leaves: Iterable[str],
-    profile: str = "lan",
-    rng: Optional[random.Random] = None,
-) -> Topology:
-    """A star: every leaf linked to ``center`` (the ML1/ML2 archetype)."""
-    topo = Topology(rng=rng)
-    topo.add_node(center, tier="hub")
-    for leaf in leaves:
-        topo.add_node(leaf, tier="leaf")
-        topo.add_link(leaf, center, profile=profile)
-    return topo
 
 
 def build_mesh_topology(

@@ -209,16 +209,9 @@ class Network:
         """
         self._interceptors.append(interceptor)
 
-    def remove_interceptor(self, interceptor: Callable[[Message], Any]) -> None:
-        if interceptor in self._interceptors:
-            self._interceptors.remove(interceptor)
-
     def quarantine(self, node: str) -> None:
         """Drop all traffic from or to ``node`` (transport-level ACL)."""
         self._quarantined.add(node)
-
-    def unquarantine(self, node: str) -> None:
-        self._quarantined.discard(node)
 
     def is_quarantined(self, node: str) -> bool:
         return node in self._quarantined

@@ -34,7 +34,7 @@ ratio of measured to allowed.  ``burn >= 1`` is a breach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
@@ -126,7 +126,6 @@ class SloMonitor:
         self._breached: Dict[str, bool] = {spec.name: False for spec in specs}
         self._latest: Dict[str, SloStatus] = {}
         self._sinks: List[Any] = []     # KnowledgeBase-like alert sinks
-        self._listeners: List[Callable[[SloStatus], None]] = []
         self._running = False
 
     # -- wiring ------------------------------------------------------------ #
@@ -142,10 +141,6 @@ class SloMonitor:
         if not hasattr(knowledge, "facts"):
             raise TypeError(f"cannot attach {sink!r}: no knowledge base")
         self._sinks.append(knowledge)
-
-    def on_breach(self, listener: Callable[[SloStatus], None]) -> None:
-        """Register a callback fired on every breach transition."""
-        self._listeners.append(listener)
 
     # -- lifecycle --------------------------------------------------------- #
     def start(self) -> None:
@@ -240,8 +235,6 @@ class SloMonitor:
             }
             for knowledge in self._sinks:
                 knowledge.facts.setdefault("slo_alerts", []).append(dict(alert))
-            for listener in self._listeners:
-                listener(status)
         if status.breached and not was_breached:
             self.breach_events += 1
             self.metrics.increment("slo.breaches")

@@ -14,7 +14,6 @@ _EXPORTS = {
     "PlacementDecision": "placement",
     "PlacementError": "placement",
     "best_fit_placement": "placement",
-    "first_fit_decreasing": "placement",
     "latency_aware_placement": "placement",
     "DevicelessScheduler": "scheduler",
     "Deployment": "scheduler",

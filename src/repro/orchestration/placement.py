@@ -1,20 +1,18 @@
 """Service placement solvers.
 
 Placement is where "novel (resource) features ... such as device location
-and IoT cloud resources' heterogeneity" (§III.A) become decisions.  Three
-solvers, all deterministic:
+and IoT cloud resources' heterogeneity" (§III.A) become decisions.  Two
+solvers, both deterministic:
 
 * :func:`best_fit_placement` -- minimize leftover capacity (consolidation);
 * :func:`latency_aware_placement` -- minimize expected latency to a set of
-  client devices, subject to fit (the edge-vs-cloud tradeoff quantified);
-* :func:`first_fit_decreasing` -- batch placement of many services, FFD
-  bin-packing by CPU demand.
+  client devices, subject to fit (the edge-vs-cloud tradeoff quantified).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.devices.base import Device
 from repro.devices.software import Service
@@ -121,34 +119,3 @@ def latency_aware_placement(
     return PlacementDecision(service.name, best[1], score=best[0],
                              detail="latency-aware placement")
 
-
-def first_fit_decreasing(
-    services: Sequence[Service],
-    candidates: Sequence[Device],
-    constraints: Optional[Dict[str, PlacementConstraints]] = None,
-) -> List[PlacementDecision]:
-    """Batch-place by FFD on CPU demand; actually deploys onto devices.
-
-    Raises :class:`PlacementError` (after rolling back nothing -- services
-    placed so far stay placed, mirroring real orchestrators' partial
-    progress) if any service cannot fit.
-    """
-    constraints = constraints or {}
-    decisions = []
-    ordered = sorted(services, key=lambda s: (-s.cpu, s.name))
-    for service in ordered:
-        service_constraints = constraints.get(service.name, PlacementConstraints())
-        placed = False
-        for device in candidates:
-            if _admissible(device, service, service_constraints):
-                device.host(service)
-                decisions.append(PlacementDecision(
-                    service.name, device.device_id,
-                    score=device.resources.utilization("cpu"),
-                    detail="first-fit-decreasing",
-                ))
-                placed = True
-                break
-        if not placed:
-            raise PlacementError(f"FFD could not place service {service.name!r}")
-    return decisions

@@ -108,9 +108,6 @@ class DevicelessScheduler:
         deployment = self._deployments.get(service_name)
         return deployment.device_id if deployment else None
 
-    def deployments(self) -> List[Deployment]:
-        return [self._deployments[k] for k in sorted(self._deployments)]
-
     def healthy(self, service_name: str) -> bool:
         """Is the service deployed on an up device and running?"""
         deployment = self._deployments.get(service_name)

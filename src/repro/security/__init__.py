@@ -10,8 +10,8 @@ stack the machinery to survive them:
   authentication over the deterministic payload encoding, installed as a
   transport interceptor/verifier pair so tampering is *detectable*.
 * :mod:`repro.security.adversary` -- the :class:`Adversary` controller
-  and per-node :class:`AttackBehavior`\\ s (tampering, equivocation,
-  selective drop/delay, flooding, sybil joins) installed as send-side
+  and per-node :class:`AttackBehavior`\\ s (equivocation, flooding,
+  sybil joins) installed as send-side
   transport interceptors *after* the signer, modeling a compromise of
   the node's network stack below its signing layer.
 * :mod:`repro.security.trust` -- deterministic per-observer reputation
@@ -33,11 +33,9 @@ _EXPORTS = {
     "MessageAuthenticator": "auth",
     "Adversary": "adversary",
     "AttackBehavior": "adversary",
-    "DropDelayBehavior": "adversary",
     "FloodBehavior": "adversary",
     "GossipEquivocateBehavior": "adversary",
     "SybilJoinBehavior": "adversary",
-    "TamperBehavior": "adversary",
     "VoteEquivocateBehavior": "adversary",
     "SECURITY_CONTEXT_KEY": "plane",
     "SecurityPlane": "plane",

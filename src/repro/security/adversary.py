@@ -69,32 +69,6 @@ class AttackBehavior:
         """Stop generated traffic."""
 
 
-class TamperBehavior(AttackBehavior):
-    """Garble payloads wholesale.
-
-    The replacement payload is protocol-*invalid*, so this behavior is
-    only safe against authenticated receivers (the tag check drops the
-    message before any handler sees it) -- which is the point: it is the
-    plainest way to exercise the detection path.
-    """
-
-    slug = "tamper"
-
-    def __init__(self, kinds: Optional[Tuple[str, ...]] = None,
-                 probability: float = 1.0) -> None:
-        super().__init__()
-        self.kinds = kinds
-        self.probability = probability
-
-    def outbound(self, message) -> Any:
-        if self.probability < 1.0 and self.rng.random() >= self.probability:
-            return None
-        message.payload = {"tampered-by": self.node,
-                           "original-kind": message.kind}
-        self.tampered += 1
-        return None
-
-
 class GossipEquivocateBehavior(AttackBehavior):
     """Tell every peer a different, ever-newer story about one gossip key.
 
@@ -149,29 +123,6 @@ class VoteEquivocateBehavior(AttackBehavior):
             payload["success"] = True
         message.payload = payload
         self.tampered += 1
-        return None
-
-
-class DropDelayBehavior(AttackBehavior):
-    """Selectively drop or delay outbound messages."""
-
-    slug = "drop-delay"
-
-    def __init__(self, kinds: Optional[Tuple[str, ...]] = None,
-                 drop_probability: float = 0.0,
-                 delay: float = 0.0) -> None:
-        super().__init__()
-        self.kinds = kinds
-        self.drop_probability = drop_probability
-        self.delay = delay
-
-    def outbound(self, message) -> Any:
-        if self.drop_probability and self.rng.random() < self.drop_probability:
-            self.tampered += 1
-            return "drop"
-        if self.delay:
-            self.tampered += 1
-            return self.delay
         return None
 
 

@@ -4,7 +4,7 @@
 storage" is one of the paper's named manifestations of the edge paradigm.
 This package provides a small distributed stream-processing substrate:
 
-* :mod:`repro.streams.operators` -- typed operators: map, filter,
+* :mod:`repro.streams.operators` -- typed operators: sources,
   tumbling-window aggregates, and sinks;
 * :mod:`repro.streams.dataflow` -- a dataflow graph of operators placed
   on devices, tuples flowing between hosts over the simulated network,
@@ -18,8 +18,6 @@ per-tuple latency edge-local.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "FilterOperator": "operators",
-    "MapOperator": "operators",
     "Operator": "operators",
     "SinkOperator": "operators",
     "SourceOperator": "operators",

@@ -53,35 +53,6 @@ class SourceOperator(Operator):
         return [item]
 
 
-class MapOperator(Operator):
-    """Stateless 1->1 transformation of tuple values."""
-
-    def __init__(self, name: str, fn: Callable[[Any], Any]) -> None:
-        super().__init__(name)
-        self.fn = fn
-
-    def process(self, item: StreamTuple, now: float) -> List[StreamTuple]:
-        self.processed += 1
-        self.emitted += 1
-        return [StreamTuple(self.fn(item.value), item.event_time,
-                            key=item.key, origin=item.origin)]
-
-
-class FilterOperator(Operator):
-    """Drops tuples whose value fails the predicate."""
-
-    def __init__(self, name: str, predicate: Callable[[Any], bool]) -> None:
-        super().__init__(name)
-        self.predicate = predicate
-
-    def process(self, item: StreamTuple, now: float) -> List[StreamTuple]:
-        self.processed += 1
-        if self.predicate(item.value):
-            self.emitted += 1
-            return [item]
-        return []
-
-
 class WindowAggregateOperator(Operator):
     """Tumbling event-time window with a fold-style aggregate.
 

@@ -3,8 +3,8 @@
 The paper's vision is systems that keep *delivering service to users*
 under disruption (§II-§IV); this package adds the missing serving layer:
 
-* :mod:`~repro.traffic.loadgen` -- open-loop (Poisson/deterministic) and
-  closed-loop (think-time) generators, plus :class:`ClientCohort`, which
+* :mod:`~repro.traffic.loadgen` -- open-loop (Poisson/deterministic)
+  generators, plus :class:`ClientCohort`, which
   represents thousands-to-millions of users as weighted batched arrivals
   so kernel event counts scale with aggregate rate, not population.
 * :mod:`~repro.traffic.server` -- bounded-queue servers on devices,
@@ -31,7 +31,6 @@ _EXPORTS = {
     "QueueLengthAdmission": "admission",
     "TrafficClient": "client",
     "ClientCohort": "loadgen",
-    "ClosedLoopGenerator": "loadgen",
     "OpenLoopGenerator": "loadgen",
     "cohort_batching": "loadgen",
     "CircuitBreaker": "patterns",

@@ -1,9 +1,8 @@
-"""Load generation: open-loop, closed-loop, and cohorts at scale.
+"""Load generation: open-loop generators and cohorts at scale.
 
 Open-loop generators model an outside population that does not slow
 down when the system does -- the demand regime where overload and
-metastable failures live.  Closed-loop generators model a fixed worker
-pool with think time (demand self-limits, classic benchmark shape).
+metastable failures live.
 
 :class:`ClientCohort` is the scale mechanism: a population of ``users``
 each issuing ``rate_per_user`` req/s is represented as batched arrivals
@@ -129,74 +128,3 @@ class ClientCohort(OpenLoopGenerator):
         self.rate_per_user = rate_per_user
         self.aggregate_rate = batching["aggregate"]
 
-
-class ClosedLoopGenerator:
-    """A fixed worker pool: each worker submits, thinks, submits again.
-
-    Workers take over the client's ``on_complete`` hook; a completed (or
-    failed) call schedules the next submission after an exponential
-    think time.  Demand self-limits: a slow system slows its own load.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        client: TrafficClient,
-        workers: int,
-        think_time: float,
-        rng: random.Random,
-        start: float = 0.0,
-        stop: Optional[float] = None,
-        weight: int = 1,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if think_time <= 0:
-            raise ValueError("think_time must be positive")
-        self.sim = sim
-        self.client = client
-        self.workers = workers
-        self.think_time = think_time
-        self.rng = rng
-        self.start_at = start
-        self.stop_at = stop
-        self.weight = weight
-        self.cycles = 0            # completed submit->response cycles
-        self._worker_of_call: Dict[int, int] = {} # req_id -> worker index
-        self._submitting: Optional[int] = None    # worker inside submit()
-        self._label = f"traffic.think:{client.name}"
-        client.on_complete = self._completed
-
-    def start(self) -> None:
-        for worker in range(self.workers):
-            self._think(worker, self.start_at + self.rng.expovariate(
-                1.0 / self.think_time))
-
-    def _think(self, worker: int, at: float) -> None:
-        if self.stop_at is not None and at > self.stop_at:
-            return
-        self.sim.schedule_at(
-            at, lambda _s, w=worker: self._submit(w),
-            label=self._label)
-
-    def _submit(self, worker: int) -> None:
-        # A breaker fast-fail completes synchronously inside submit();
-        # the handshake via _submitting lets _completed attribute that
-        # completion to this worker without a recorded call mapping.
-        self._submitting = worker
-        req_id = self.client.submit(weight=self.weight)
-        if self._submitting is None:
-            return  # completed synchronously; worker already rescheduled
-        self._submitting = None
-        self._worker_of_call[req_id] = worker
-
-    def _completed(self, req_id: int, ok: bool) -> None:
-        worker = self._worker_of_call.pop(req_id, None)
-        if worker is None:
-            worker = self._submitting
-            self._submitting = None
-        if worker is None:
-            return  # not a call this generator issued
-        self.cycles += 1
-        self._think(worker, self.sim.now + self.rng.expovariate(
-            1.0 / self.think_time))

@@ -58,6 +58,9 @@ OVERLOAD_VARIANTS = ("naive", "admission", "adaptive")
 RETRY_STORM_HORIZON = 45.0
 RETRY_STORM_VARIANTS = ("naive", "resilient")
 RETRY_STORM_OUTAGE = (10.0, 8.0)     # (start, duration) of the edge crash
+#: Post-heal grace before recovered goodput is measured: breaker re-close
+#: plus queue drain time.  The chaos campaign's recovery gate reads it too.
+RECOVERY_GRACE = 3.0
 
 #: Server pools by node, ``(concurrency, queue capacity)``: the edge site
 #: under test serves 4 slots x 50 req/s = 200 req/s; the cloud is the
@@ -198,7 +201,7 @@ def recovery_window(horizon: float) -> tuple:
     queue drain time), ends at the horizon.
     """
     heal = RETRY_STORM_OUTAGE[0] + RETRY_STORM_OUTAGE[1]
-    return (heal + 3.0, horizon)
+    return (heal + RECOVERY_GRACE, horizon)
 
 
 def overload_result(prepared: PreparedRun) -> Dict[str, Any]:

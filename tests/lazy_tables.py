@@ -1,8 +1,6 @@
 """Read a package's lazy-export table without importing the package.
 
-Shared by ``test_lazy_exports.py`` (the table must match ``__all__``) and
-``test_import_reachability.py`` (``from repro.pkg import Name`` reaches the
-submodule the table names).
+Used by ``test_lazy_exports.py``: the table must match ``__all__``.
 """
 
 import ast

@@ -262,7 +262,7 @@ class TestExecutor:
         _, _, executor, _ = exec_rig
         results = executor.execute([NoopAction(target="d1", reason="observe")])
         assert results[0].success
-        assert executor.success_count == 1
+        assert [r.success for r in executor.results] == [True]
 
 
 class TestMapeLoop:

@@ -757,6 +757,13 @@ class TestCommandTable:
         ["shard", "run", "--checkpoint-every", "0.5"],
         ["shard", "verify", "--workers", "0", "--out", "x"],
         ["chaos", "run", "--runs", "0"],
+        ["checkpoint", "control-outage", "--at", "nan"],
+        ["resume", "--until", "nan"],
+        ["resume", "--until", "inf"],
+        ["live", "--speed", "nan"],
+        ["live", "--checkpoint-every", "nan"],
+        ["live", "--port", "70000"],
+        ["shard", "run", "--stop-after", "0"],
     ])
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         assert "invalid" in _usage_error(argv, capsys)

@@ -240,13 +240,3 @@ class TestRegistry:
         sim.run(until=20.0)
         assert registries["n5"].lookup("db") is None
         assert len(registries["n5"].instances("db", healthy_only=False)) == 1
-
-    def test_capability_search(self, sim, gossip_cluster):
-        cluster, _ = gossip_cluster
-        registries = {n: ServiceRegistry(g) for n, g in cluster.items()}
-        registries["n1"].advertise(ServiceRecord("ml", "n1", capabilities=("inference",)))
-        registries["n2"].advertise(ServiceRecord("db", "n2", capabilities=("sql",)))
-        sim.run(until=10.0)
-        records = registries["n3"].by_capability("inference")
-        assert [r.service_name for r in records] == ["ml"]
-        assert registries["n3"].known_services() == ["db", "ml"]

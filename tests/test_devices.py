@@ -1,15 +1,11 @@
 """Unit tests for resources, software stacks, devices and fleets."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.devices.base import DEVICE_CLASS_SPECS, Device, DeviceClass
 from repro.devices.fleet import DeviceFleet
 from repro.devices.resources import Battery, InsufficientResources, ResourcePool, ResourceSpec
-from repro.devices.sensor import Actuator, Sensor
+from repro.devices.sensor import Actuator
 from repro.devices.software import (
     STACK_PRESETS,
     Service,
@@ -17,7 +13,7 @@ from repro.devices.software import (
     SoftwareStack,
     make_stack,
 )
-from repro.network.topology import build_star_topology
+from repro.network.topology import Topology
 from repro.network.transport import Network
 
 
@@ -203,9 +199,18 @@ class TestDevice:
         assert Device("s", DeviceClass.SENSOR).is_constrained
 
 
+def _star(center, leaves, rng):
+    """Every leaf linked to ``center`` over a LAN link."""
+    topo = Topology(rng=rng)
+    topo.add_node(center)
+    for leaf in leaves:
+        topo.add_link(leaf, center, profile="lan")
+    return topo
+
+
 class TestFleet:
     def _fleet(self, sim, rngs, metrics, trace):
-        topo = build_star_topology("hub", ["d1", "d2"], rng=rngs.stream("net"))
+        topo = _star("hub", ["d1", "d2"], rng=rngs.stream("net"))
         network = Network(sim, topo, trace=trace)
         fleet = DeviceFleet(sim, network=network, metrics=metrics, trace=trace)
         fleet.add(Device("hub", DeviceClass.EDGE))
@@ -268,63 +273,8 @@ class TestFleet:
 
 
 class TestSensorActuator:
-    def test_sensor_samples_arrive_at_sink(self, sim, rngs, metrics):
-        topo = build_star_topology("sink", ["s1"], profile="wireless",
-                                   rng=rngs.stream("net"))
-        network = Network(sim, topo)
-        sensor = Sensor("s1", period=1.0, rng=rngs.stream("sensor"))
-        got = []
-        network.register("sink", "sensor.reading", lambda m: got.append(m.payload))
-        sensor.start_sampling(sim, network, "sink", metrics=metrics)
-        sim.run(until=10.0)
-        assert 8 <= len(got) <= 11
-        assert metrics.counter("sensor.samples") == sensor.samples_sent
-
-    def test_down_sensor_stops_sampling_and_resumes(self, sim, rngs, metrics):
-        topo = build_star_topology("sink", ["s1"], rng=rngs.stream("net"))
-        network = Network(sim, topo)
-        sensor = Sensor("s1", period=1.0, rng=rngs.stream("sensor"))
-        got = []
-        network.register("sink", "sensor.reading", lambda m: got.append(m))
-        sensor.start_sampling(sim, network, "sink")
-        sim.run(until=3.5)
-        sensor.crash()
-        count_at_crash = len(got)
-        sim.run(until=6.5)
-        assert len(got) == count_at_crash
-        sensor.recover()
-        sim.run(until=10.0)
-        assert len(got) > count_at_crash
-
-    def test_sampling_drains_battery(self, sim, rngs):
-        topo = build_star_topology("sink", ["s1"], rng=rngs.stream("net"))
-        network = Network(sim, topo)
-        sensor = Sensor("s1", period=1.0, rng=rngs.stream("sensor"))
-        sensor.start_sampling(sim, network, "sink")
-        level_before = sensor.battery.level
-        sim.run(until=10.0)
-        assert sensor.battery.level < level_before
-
-    def test_invalid_period_raises(self):
-        with pytest.raises(ValueError):
-            Sensor("s1", period=0.0)
-
-    def test_fallback_rng_ignores_pythonhashseed(self):
-        # A sensor built without an rng seeds its own from the device id;
-        # str hashes differ between processes, SHA-256 does not.
-        code = ("from repro.devices.sensor import Sensor; "
-                "s = Sensor('s1'); print([s.signal(0.0) for _ in range(5)])")
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        samples = set()
-        for hashseed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
-            samples.add(subprocess.run(
-                [sys.executable, "-c", code], env=env, check=True,
-                capture_output=True, text=True, timeout=60).stdout)
-        assert len(samples) == 1 and "[" in samples.pop()
-
     def test_actuator_applies_commands_and_records_latency(self, sim, rngs, metrics, trace):
-        topo = build_star_topology("ctl", ["a1"], rng=rngs.stream("net"))
+        topo = _star("ctl", ["a1"], rng=rngs.stream("net"))
         network = Network(sim, topo)
         applied = []
         actuator = Actuator("a1", apply=applied.append)
@@ -338,7 +288,7 @@ class TestSensorActuator:
         assert trace.count(category="actuation") == 1
 
     def test_down_actuator_ignores_commands(self, sim, rngs):
-        topo = build_star_topology("ctl", ["a1"], rng=rngs.stream("net"))
+        topo = _star("ctl", ["a1"], rng=rngs.stream("net"))
         network = Network(sim, topo)
         actuator = Actuator("a1")
         actuator.attach(sim, network)

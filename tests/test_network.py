@@ -10,7 +10,6 @@ from repro.network.topology import (
     Topology,
     build_edge_cloud_topology,
     build_mesh_topology,
-    build_star_topology,
 )
 from repro.network.transport import Network, NetworkStats
 
@@ -127,7 +126,9 @@ class TestTopology:
         assert topo.expected_latency("a", "c") == pytest.approx(expected)
 
     def test_remove_node_cleans_links(self):
-        topo = build_star_topology("hub", ["l1", "l2"], rng=random.Random(1))
+        topo = Topology(rng=random.Random(1))
+        topo.add_link("l1", "hub", profile="lan")
+        topo.add_link("l2", "hub", profile="lan")
         topo.remove_node("hub")
         assert not topo.has_node("hub")
         assert all(link.key() != "hub--l1" for link in topo.links)

@@ -13,7 +13,6 @@ from repro.orchestration.placement import (
     PlacementConstraints,
     PlacementError,
     best_fit_placement,
-    first_fit_decreasing,
     latency_aware_placement,
 )
 from repro.orchestration.scheduler import DevicelessScheduler
@@ -86,21 +85,6 @@ class TestLatencyAware:
             Service("svc"), devices, topology, ["ghost-client"]
         )
         assert decision.device_id in ("edge0", "edge1")
-
-
-class TestFirstFitDecreasing:
-    def test_places_large_first(self):
-        devices = make_devices()
-        services = [Service("tiny", cpu=10.0), Service("large", cpu=900.0)]
-        decisions = first_fit_decreasing(services, devices)
-        placed = {d.service_name: d.device_id for d in decisions}
-        assert placed["large"] == "small"   # first candidate that fits
-        assert devices[0].hosts("large")
-
-    def test_raises_when_cannot_place(self):
-        devices = make_devices()
-        with pytest.raises(PlacementError):
-            first_fit_decreasing([Service("huge", cpu=1e9)], devices)
 
 
 @pytest.fixture

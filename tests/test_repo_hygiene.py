@@ -8,6 +8,7 @@ step) fails the moment one is staged again.
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -303,3 +304,44 @@ def test_a_bench_rule_is_declared_once():
               encoding="utf-8") as fh:
         assert not re.search(r"\[.benches.\]", fh.read()), (
             "CI reads a BENCH snapshot: declare the bound as a RULES gate")
+
+
+_SHELL_STOPS = ("||", "&&", ";", "|", "&", ">", "2>", "<", "2>&1")
+
+
+def _ci_commands(program):
+    """Every ``<program> <args>`` command line in ``ci.yml``: continuation
+    lines joined, redirections and shell operators dropped, ``/tmp/``
+    stripped from paths."""
+    with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml"),
+              encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    lines = []
+    for match in re.finditer(re.escape(program) + r" (.*)", text):
+        tokens = []
+        for token in shlex.split(match.group(1)):
+            if token in _SHELL_STOPS or token == "--label":
+                break
+            tokens.append(token[len("/tmp/"):] if token.startswith("/tmp/")
+                          else token)
+        lines.append(" ".join(tokens))
+    return text, lines
+
+
+def test_ci_and_the_executed_map_run_the_same_commands():
+    """The executed map (``tests/executed_map.py``) runs what CI runs: its
+    ``python -m repro`` lines, the CLI contract's usage errors, the bench
+    step's ``regress.py`` runs and every file in ``examples/``."""
+    from tests.executed_map import CI_COMMANDS, EXAMPLES, REGRESS, USAGE_ERRORS
+
+    text, verbs = _ci_commands("python -m repro")
+    assert set(verbs) == {line for line, _code in CI_COMMANDS}, (
+        "ci.yml and tests/executed_map.py CI_COMMANDS differ: "
+        f"{sorted(set(verbs) ^ {line for line, _code in CI_COMMANDS})}")
+    _, regress = _ci_commands("python benchmarks/regress.py")
+    assert set(regress) == {" ".join(argv) for argv in REGRESS}
+    contract = re.search(r"for argv in (\(.*?\)):\n", text, re.S).group(1)
+    assert [list(argv) for argv in ast.literal_eval(contract)] == [
+        list(argv) for argv in USAGE_ERRORS]
+    assert os.path.relpath(EXAMPLES, REPO_ROOT) == "examples/*.py"
+    assert "for example in examples/*.py; do" in text

@@ -28,7 +28,6 @@ from repro.simulation.kernel import Simulator
 from repro.traffic import (
     CircuitBreaker,
     ClientCohort,
-    ClosedLoopGenerator,
     HedgePolicy,
     OpenLoopGenerator,
     QueueLengthAdmission,
@@ -247,18 +246,6 @@ class TestLoadGeneration:
         gen.start()
         system.run(until=2.5)
         assert gen.arrivals == 20
-
-    def test_closed_loop_workers_cycle(self):
-        system, registry = _small_system()
-        _, client = _wire(system, registry, concurrency=4)
-        gen = registry.add_generator(ClosedLoopGenerator(
-            system.sim, client, workers=4, think_time=0.1,
-            rng=system.rngs.stream("traffic:think"), stop=10.0))
-        gen.start()
-        system.run(until=10.0)
-        assert gen.cycles > 100
-        # Closed loop: in-flight never exceeds the worker count.
-        assert client.stats.offered <= gen.cycles + 4
 
 
 # --------------------------------------------------------------------------- #

@@ -29,7 +29,6 @@ from repro.core.system import IoTSystem
 from repro.persistence.snapshot import system_digest
 from repro.traffic import (
     CircuitBreaker,
-    ClosedLoopGenerator,
     HedgePolicy,
     OpenLoopGenerator,
     QueueLengthAdmission,
@@ -45,6 +44,47 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "traffic_client_golden.json")
 SEEDS = (0, 3)
 HORIZON = 24.0
+
+
+class ClosedLoopGenerator:
+    """The ``breaker`` case's load: a fixed worker pool that submits,
+    thinks an exponential time after each completion, submits again."""
+
+    def __init__(self, sim, client, workers, think_time, rng, stop):
+        self.sim, self.client, self.rng = sim, client, rng
+        self.workers, self.think_time, self.stop_at = workers, think_time, stop
+        self._worker_of_call = {}      # req_id -> worker index
+        self._submitting = None        # worker inside submit()
+        self._label = f"traffic.think:{client.name}"
+        client.on_complete = self._completed
+
+    def start(self):
+        for worker in range(self.workers):
+            self._think(worker, self.rng.expovariate(1.0 / self.think_time))
+
+    def _think(self, worker, at):
+        if at > self.stop_at:
+            return
+        self.sim.schedule_at(
+            at, lambda _s, w=worker: self._submit(w), label=self._label)
+
+    def _submit(self, worker):
+        # A breaker fast-fail completes synchronously inside submit();
+        # _submitting lets _completed attribute it to this worker.
+        self._submitting = worker
+        req_id = self.client.submit(weight=1)
+        if self._submitting is None:
+            return
+        self._submitting = None
+        self._worker_of_call[req_id] = worker
+
+    def _completed(self, req_id, ok):
+        worker = self._worker_of_call.pop(req_id, None)
+        if worker is None:
+            worker, self._submitting = self._submitting, None
+        if worker is not None:
+            self._think(worker, self.sim.now + self.rng.expovariate(
+                1.0 / self.think_time))
 
 
 def _server(system, registry, node, **kwargs):
