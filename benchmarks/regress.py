@@ -624,8 +624,14 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
     functions of the campaign seed, so a change to the sampling stream or
     the compiled wiring shows as an exact-metric diff before it can
     silently re-name every corpus bundle.
+
+    ``campaign_peak_kib`` runs ``run_case`` over the first twelve specs of
+    campaign 84 at horizon 12 (the repo benchmark's ``chaos_mix``) under
+    ``tracemalloc``: a finished system that is not closed stays behind as
+    cyclic garbage until a full collection, so the peak grows with every
+    case that leaves its event queue and trace alive.
     """
-    from repro.chaos import ChaosCampaign, SpecSampler, compile_spec
+    from repro.chaos import ChaosCampaign, SpecSampler, compile_spec, run_case
 
     n_compile = 20 if quick else 50
     sampler = SpecSampler(84)
@@ -642,6 +648,10 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
     runs = 2 if quick else 3
     campaign = ChaosCampaign(seed=84, runs=runs, horizon=10.0, shrink=False)
     result = campaign.run()
+    mix = SpecSampler(84, horizon=12.0)
+    mix_specs = [mix.sample(index) for index in range(12)]
+    campaign_peak = _traced_peak_kib(
+        lambda: [run_case(spec) for spec in mix_specs])
     return {
         "wall_s": compile_wall + result.wall_s,
         "compile.wall_s": compile_wall,
@@ -651,6 +661,7 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
         "campaign.run_wall_s": result.wall_s / runs,
         "campaign.events": float(sum(case.events for case in result.cases)),
         "campaign.violations": float(result.violation_count),
+        "campaign_peak_kib": campaign_peak,
     }
 
 
