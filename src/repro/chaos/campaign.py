@@ -148,17 +148,26 @@ class CaseResult:
 
 def run_case(spec: ChaosSpec,
              compiler: Optional[ScenarioCompiler] = None) -> CaseResult:
-    """Compile, run and judge one spec (no journaling, read-only gates)."""
+    """Compile, run and judge one spec (no journaling, read-only gates).
+
+    The system is closed once its digest and gates are read: only the
+    :class:`CaseResult` leaves, so a campaign does not carry every
+    finished case's event queue and trace until a full collection.
+    """
     from repro.persistence.runner import drive
     from repro.persistence.snapshot import system_digest
 
     started = time.perf_counter()
     prepared = (compiler or ScenarioCompiler()).compile(spec)
-    drive(prepared.system, prepared.horizon)
-    digest = system_digest(prepared.system)
-    violations, gates = judge_case(spec, prepared)
+    system = prepared.system
+    try:
+        drive(system, prepared.horizon)
+        digest = system_digest(system)
+        violations, gates = judge_case(spec, prepared)
+    finally:
+        system.close()
     return CaseResult(spec=spec, violations=tuple(violations), gates=gates,
-                      digest=digest, events=prepared.system.sim.fired_count,
+                      digest=digest, events=system.sim.fired_count,
                       wall_s=time.perf_counter() - started)
 
 

@@ -1049,34 +1049,36 @@ def cmd_live(quick: bool = False, scenario: str = "traffic-retry-storm",
         received["signum"] = signum
         service.request_drain()
 
+    # The drain handler stays until the command returns: a signal that
+    # lands while a completed run's tables print changes nothing, where
+    # the batch handler would turn it into an exit 128 + signum.
     previous = _install_signal_handlers(_drain_handler)
     try:
         outcome = service.run()
+        stats = service.executor.stats
+        _print_table(
+            f"live: {scenario} ({outcome})",
+            ["signal", "value"],
+            [["outcome", outcome],
+             ["resumed from checkpoint", "yes" if service.resumed else "no"],
+             ["simulated time (s)", service.system.sim.now],
+             ["events fired", service.system.sim.fired_count],
+             ["speed factor", speed],
+             ["wall time (s)", stats.wall_s],
+             ["pacing sleep (s)", stats.slept_s],
+             ["max pacing lag (s)", stats.max_lag_s],
+             ["checkpoints written", service.checkpoints_written],
+             ["hot loads applied", len(service.hot_loads_applied)]])
+        _print_data("live", {
+            "outcome": outcome,
+            "resumed": service.resumed,
+            "checkpoints": service.checkpoints_written,
+            "hot_loads": service.hot_loads_applied,
+            "pacing": stats.to_dict(),
+        })
     finally:
         for signum, handler in previous:
             signal.signal(signum, handler)
-
-    stats = service.executor.stats
-    _print_table(
-        f"live: {scenario} ({outcome})",
-        ["signal", "value"],
-        [["outcome", outcome],
-         ["resumed from checkpoint", "yes" if service.resumed else "no"],
-         ["simulated time (s)", service.system.sim.now],
-         ["events fired", service.system.sim.fired_count],
-         ["speed factor", speed],
-         ["wall time (s)", stats.wall_s],
-         ["pacing sleep (s)", stats.slept_s],
-         ["max pacing lag (s)", stats.max_lag_s],
-         ["checkpoints written", service.checkpoints_written],
-         ["hot loads applied", len(service.hot_loads_applied)]])
-    _print_data("live", {
-        "outcome": outcome,
-        "resumed": service.resumed,
-        "checkpoints": service.checkpoints_written,
-        "hot_loads": service.hot_loads_applied,
-        "pacing": stats.to_dict(),
-    })
     if outcome == "drained" and "signum" in received:
         return 128 + received["signum"]
     return 0

@@ -203,5 +203,17 @@ class IoTSystem:
     def run(self, until: float) -> None:
         self.sim.run(until=until)
 
+    def close(self) -> None:
+        """Free a finished system's event queue and stored trace.
+
+        Call it once every digest, gate and report has been read.  The
+        queued events (and the closures they hold) and the trace's events
+        and subscribers go; metric series, counters, spans, the kernel
+        ``Instrument``, ``network.stats`` and every component stay
+        readable.  The simulator refuses to run afterwards.
+        """
+        self.sim.close()
+        self.trace.clear()
+
     def device(self, device_id: str) -> Device:
         return self.fleet.get(device_id)

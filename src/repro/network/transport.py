@@ -106,6 +106,8 @@ class NetworkStats:
     dropped_unreachable: int = 0
     dropped_quarantined: int = 0
     dropped_auth: int = 0
+    # Always 0: no interceptor drops a message any more.  Kept because the
+    # digest state lists it, so digests keep their bytes.
     dropped_intercepted: int = 0
     total_latency: float = 0.0
     per_kind: Dict[str, StreamingHistogram] = field(default_factory=dict)
@@ -161,7 +163,7 @@ class Network:
         # security plane installs its signer first and attack behaviors
         # after it, so a compromised node's tampering happens *below* the
         # legitimate signing layer and breaks the signature.
-        self._interceptors: List[Callable[[Message], Any]] = []
+        self._interceptors: List[Callable[[Message], None]] = []
         # Delivery-side authenticity check: ``verifier(message) -> bool``.
         # False drops the message with reason ``"auth"``.
         self.verifier: Optional[Callable[[Message], bool]] = None
@@ -196,15 +198,13 @@ class Network:
         return node not in self._down_nodes
 
     # -- security hooks ---------------------------------------------------- #
-    def add_interceptor(self, interceptor: Callable[[Message], Any]) -> None:
+    def add_interceptor(self, interceptor: Callable[[Message], None]) -> None:
         """Append a send-side interceptor.
 
         Interceptors run in installation order on every :meth:`send`,
         before routing.  Each receives the :class:`Message` and may mutate
-        it (replace ``payload``, set ``auth``).  Return values: ``None``
-        passes the message on, the string ``"drop"`` discards it (counted
-        as ``dropped_intercepted``), and a float adds that much extra
-        delivery delay.  With no interceptors installed the send path is
+        it (replace ``payload``, set ``auth``); its return value is
+        ignored.  With no interceptors installed the send path is
         byte-identical to the pre-security transport.
         """
         self._interceptors.append(interceptor)
@@ -263,15 +263,8 @@ class Network:
             message.span = span.context
         # Interceptors may replace ``payload`` and set ``auth``; src, dst,
         # kind and size are theirs to read only, so the locals stay valid.
-        extra_delay = 0.0
         for interceptor in self._interceptors:
-            outcome = interceptor(message)
-            if outcome is None:
-                continue
-            if outcome == "drop":
-                self._drop(message, "intercepted", span)
-                return message
-            extra_delay += float(outcome)
+            interceptor(message)
         quarantined = self._quarantined
         if quarantined and (src in quarantined or dst in quarantined):
             self._drop(message, "quarantined", span)
@@ -297,7 +290,6 @@ class Network:
                 self._drop(message, "loss", span)
                 return message
             total_latency += hop
-        total_latency += extra_delay
         try:
             label = self._deliver_labels[kind]
         except KeyError:
@@ -362,8 +354,6 @@ class Network:
             self.stats.dropped_quarantined += 1
         elif reason == "auth":
             self.stats.dropped_auth += 1
-        elif reason == "intercepted":
-            self.stats.dropped_intercepted += 1
         else:
             self.stats.dropped_unreachable += 1
         if span is not None and self.spans is not None:

@@ -153,9 +153,12 @@ def replay_journal(journal_path: str,
     """Re-run the journaled scenario and verify every record.
 
     Raises :class:`JournalError` if the journal cannot express a
-    rebuildable run (no scenario spec in the header).
+    rebuildable run (no scenario spec in the header).  Only the report
+    leaves: the rebuilt system is closed before it returns.
     """
-    return replay_run(journal_path, lambda run: run.drive(until))[0]
+    report, run = replay_run(journal_path, lambda run: run.drive(until))
+    run.system.close()
+    return report
 
 
 def replay_run(journal_path: str,

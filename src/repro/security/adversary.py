@@ -2,12 +2,13 @@
 
 A compromised node keeps running its legitimate protocol stack; the
 :class:`Adversary` installs one shared send-side transport interceptor
-that gives the node's :class:`AttackBehavior`\\ s a chance to rewrite,
-drop, delay or amplify every outbound message.  Because the security
-plane installs its signing interceptor *first*, anything a behavior
-rewrites afterwards no longer matches its HMAC tag -- tampering models a
-compromise of the network stack *below* the node's signing layer, which
-is exactly what makes it detectable by authenticated receivers.
+that gives the node's :class:`AttackBehavior`\\ s a chance to rewrite
+every outbound message (active behaviors add traffic of their own).
+Because the security plane installs its signing interceptor *first*,
+anything a behavior rewrites afterwards no longer matches its HMAC tag
+-- tampering models a compromise of the network stack *below* the
+node's signing layer, which is exactly what makes it detectable by
+authenticated receivers.
 
 Behaviors that rewrite payloads must **replace** ``message.payload``
 rather than mutate it: protocol senders share payload sub-structures
@@ -58,9 +59,8 @@ class AttackBehavior:
     def matches(self, message) -> bool:
         return self.kinds is None or message.kind in self.kinds
 
-    def outbound(self, message) -> Any:
-        """Rewrite/drop/delay one outbound message (interceptor contract)."""
-        return None
+    def outbound(self, message) -> None:
+        """Rewrite one outbound message in place (interceptor contract)."""
 
     def on_activate(self) -> None:
         """Start generating traffic (flooders, sybil announcers)."""
@@ -89,7 +89,7 @@ class GossipEquivocateBehavior(AttackBehavior):
         self.key = key
         self.version = version
 
-    def outbound(self, message) -> Any:
+    def outbound(self, message) -> None:
         payload = message.payload or {}
         state = [entry for entry in payload.get("state", ())
                  if entry[0] != self.key]
@@ -99,7 +99,6 @@ class GossipEquivocateBehavior(AttackBehavior):
         message.payload = {"from": payload.get("from", self.node),
                            "state": sorted(state)}
         self.tampered += 1
-        return None
 
 
 class VoteEquivocateBehavior(AttackBehavior):
@@ -115,7 +114,7 @@ class VoteEquivocateBehavior(AttackBehavior):
     slug = "vote-equivocate"
     kinds = ("raft.vote_reply", "raft.append_reply")
 
-    def outbound(self, message) -> Any:
+    def outbound(self, message) -> None:
         payload = dict(message.payload or {})
         if message.kind == "raft.vote_reply":
             payload["granted"] = True
@@ -123,7 +122,6 @@ class VoteEquivocateBehavior(AttackBehavior):
             payload["success"] = True
         message.payload = payload
         self.tampered += 1
-        return None
 
 
 class FloodBehavior(AttackBehavior):
@@ -252,8 +250,7 @@ class Adversary:
 
     Installs a single shared transport interceptor (lazily, on the first
     compromise) that dispatches outbound messages to the sending node's
-    active behaviors.  Behavior order matters: the first behavior that
-    returns a verdict ("drop" / delay) wins; payload rewrites compose.
+    active behaviors, in installation order; payload rewrites compose.
     """
 
     def __init__(self, system: Any) -> None:
@@ -288,14 +285,7 @@ class Adversary:
     def compromised_nodes(self) -> List[str]:
         return sorted(n for n in self._behaviors if self.is_compromised(n))
 
-    def _outbound(self, message) -> Any:
-        behaviors = self._behaviors.get(message.src)
-        if not behaviors:
-            return None
-        for behavior in behaviors:
-            if not behavior.active or not behavior.matches(message):
-                continue
-            verdict = behavior.outbound(message)
-            if verdict is not None:
-                return verdict
-        return None
+    def _outbound(self, message) -> None:
+        for behavior in self._behaviors.get(message.src, ()):
+            if behavior.active and behavior.matches(message):
+                behavior.outbound(message)

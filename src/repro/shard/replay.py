@@ -50,13 +50,17 @@ def replay_shard(out_dir: str, shard_id: int) -> Dict[str, Any]:
             run.window(barrier, inboxes.get(window, []))
 
     report, run = replay_run(paths["journal"], drive_windows)
+    try:
+        digest = system_digest(run.system)
+    finally:
+        run.system.close()
     return {
         "shard": shard_id,
         "ok": report.ok,
         "divergence": asdict(report.divergence) if report.divergence else None,
         "records_checked": report.records_checked,
         "events": report.events_replayed,
-        "digest": system_digest(run.system),
+        "digest": digest,
         "complete": report.journal_complete,
     }
 

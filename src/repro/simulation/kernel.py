@@ -98,6 +98,7 @@ class Simulator:
         self._stopped = False
         self._pending = 0
         self._fired = 0
+        self._closed = False
         # Optional kernel profiler (repro.observability.Instrument).  The
         # hot path pays one attribute check per event when detached.
         self.instrument: Optional["Instrument"] = None
@@ -176,6 +177,8 @@ class Simulator:
             if not event.cancelled:
                 self._fire(event)
                 return True
+        if self._closed:
+            raise SimulationError("simulator is closed")
         return False
 
     def _fire(self, event: Event) -> None:
@@ -220,6 +223,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._running = True
         self._stopped = False
         heap = self._heap
@@ -243,6 +248,25 @@ class Simulator:
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""
         self._stopped = True
+
+    def close(self) -> None:
+        """End this simulator's life: drop every queued event and callback.
+
+        A pending event's callback is usually a closure over the component
+        that scheduled it, and that component holds the simulator: each
+        queued event closes a reference cycle.  Clearing ``callback`` on
+        every queued event and emptying the queue breaks those cycles, so
+        a finished system is freed by reference counting instead of
+        waiting for a full garbage collection.  Barrier hooks go too.
+        The clock and the counters stay readable; :meth:`run` and
+        :meth:`step` raise :class:`SimulationError` afterwards.
+        """
+        for entry in self._heap:
+            entry[3].callback = None
+        self._heap.clear()
+        self._pending = 0
+        self._fired_hooks.clear()
+        self._closed = True
 
     def next_event_time(self) -> Optional[float]:
         """Absolute time of the next pending event, or None when drained.

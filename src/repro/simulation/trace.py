@@ -144,6 +144,17 @@ class TraceLog:
 
         return unsubscribe
 
+    def clear(self) -> None:
+        """Drop every stored event and every subscriber.
+
+        The dropped events are counted in :attr:`dropped`, as ring-buffer
+        eviction counts them, so a cleared log still says how much history
+        it once held.
+        """
+        self.dropped += len(self._events)
+        self._events.clear()
+        self._subscribers.clear()
+
     # -- queries ---------------------------------------------------------- #
     def __len__(self) -> int:
         return len(self._events)

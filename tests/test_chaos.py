@@ -225,6 +225,77 @@ class TestShrinker:
         assert report.spec.horizon == BIG.horizon
 
 
+def _mix_specs(count=12):
+    """The repo benchmark's chaos mix: campaign 84's specs at horizon 12."""
+    sampler = SpecSampler(84, horizon=12.0)
+    return [sampler.sample(index) for index in range(count)]
+
+
+class TestCaseLifecycle:
+    def test_finished_cases_leave_no_trace_events_as_garbage(self):
+        """Each case closes its system, so nothing it traced waits for a
+        full collection (30,885 TraceEvents did over these twelve)."""
+        import gc
+
+        from repro.simulation.trace import TraceEvent
+
+        specs = _mix_specs()
+        gc.collect()
+        gc.disable()
+        try:
+            for spec in specs:
+                run_case(spec)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = sum(1 for obj in gc.garbage if type(obj) is TraceEvent)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == 0
+
+    @pytest.mark.parametrize("index", [3, 7, 8])
+    def test_closing_changes_no_result(self, index):
+        """Closing comes after the digest and the gates: a case equals one
+        driven and judged by hand without a close."""
+        from repro.chaos import ScenarioCompiler, judge_case
+        from repro.persistence.runner import drive
+        from repro.persistence.snapshot import system_digest
+
+        spec = _mix_specs()[index]
+        prepared = ScenarioCompiler().compile(spec)
+        drive(prepared.system, prepared.horizon)
+        digest = system_digest(prepared.system)
+        violations, gates = judge_case(spec, prepared)
+        case = run_case(spec)
+        assert (case.digest, case.events, case.violations, case.gates) == (
+            digest, prepared.system.sim.fired_count, tuple(violations),
+            gates)
+        assert gates
+        assert prepared.system.sim.pending_count > 0
+
+    def test_a_case_closes_its_system(self, monkeypatch):
+        from repro.chaos import ScenarioCompiler
+
+        built = []
+        compile_one = ScenarioCompiler.compile
+
+        def keep(self, spec):
+            prepared = compile_one(self, spec)
+            built.append(prepared.system)
+            return prepared
+
+        monkeypatch.setattr(ScenarioCompiler, "compile", keep)
+        case = run_case(SMALL)
+        (system,) = built
+        assert system.sim.pending_count == 0 and len(system.trace) == 0
+        assert system.trace.dropped > 0
+        # What the benchmark and reports read after a case stays.
+        assert system.sim.fired_count == case.events
+        assert system.metrics.total_points() > 0
+        assert system.network.stats.sent > 0
+
+
 class TestCorpus:
     def test_emit_and_replay_bitwise_identity(self, tmp_path):
         corpus = str(tmp_path / "corpus")

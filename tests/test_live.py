@@ -431,6 +431,56 @@ class TestSignals:
         assert replay_journal(os.path.join(out, "journal.jsonl"),
                               until=UNTIL).ok
 
+    def test_sigterm_after_completion_keeps_exit_zero(self, tmp_path):
+        """A signal landing while a completed run's tables print is
+        drained, not fatal: outcome ``completed``, exit 0."""
+        import subprocess
+        import sys
+        import textwrap
+
+        program = textwrap.dedent("""
+            import os, signal, sys
+            from types import SimpleNamespace
+            import repro.live
+            from repro.cli import cmd_live
+
+            class _Stats:
+                wall_s = slept_s = max_lag_s = 0.0
+                def to_dict(self):
+                    return {}
+
+            class _Completed:
+                horizon = 1.0
+                resumed = False
+                checkpoints_written = 0
+                def __init__(self, spec, out, **kwargs):
+                    self.executor = SimpleNamespace(stats=_Stats())
+                    self.system = SimpleNamespace(
+                        sim=SimpleNamespace(now=1.0, fired_count=0))
+                def start(self, log):
+                    pass
+                def run(self):
+                    return "completed"
+                def request_drain(self):
+                    pass
+                @property
+                def hot_loads_applied(self):
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    return []
+
+            repro.live.LiveService = _Completed
+            sys.exit(cmd_live(scenario="traffic-retry-storm",
+                              out=sys.argv[1], port=None))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", program, str(tmp_path / "live")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "completed" in done.stdout
+
     def test_batch_signal_flushes_harness_crash_incident(self, tmp_path,
                                                          monkeypatch):
         import repro.cli as cli

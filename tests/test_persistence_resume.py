@@ -295,6 +295,20 @@ class TestReplay:
         assert not report.journal_complete
         assert report.records_checked == len(journal.records)
 
+    def test_replay_closes_the_run_it_rebuilt(self, tmp_path, digest_calls):
+        from repro.simulation.kernel import SimulationError
+
+        spec = ScenarioSpec(name="control-outage")
+        _, journal_path = _reference(tmp_path, spec)
+        del digest_calls[:]
+        report = replay_journal(journal_path)
+        assert report.ok
+        system = digest_calls[-1]
+        assert system.sim.fired_count == report.events_replayed
+        assert system.sim.pending_count == 0 and len(system.trace) == 0
+        with pytest.raises(SimulationError, match="closed"):
+            system.sim.run()
+
     def test_journal_without_scenario_is_rejected(self, tmp_path):
         from repro.persistence import JournalWriter
 

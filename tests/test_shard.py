@@ -282,6 +282,18 @@ class TestCrashResume:
         assert report["federation_digest"] == result.federation_digest
         assert all(r["ok"] for r in report["reports"])
 
+    def test_replay_shard_closes_after_its_digest(self, tmp_path,
+                                                  digest_calls):
+        out = str(tmp_path / "fed")
+        result = ShardedSimulator(_tiny_spec(), shards=2, workers=1,
+                                  out_dir=out).run()
+        del digest_calls[:]
+        report = replay_shard(out, 1)
+        assert report["ok"]
+        assert report["digest"] == result.shard_stats[1].digest
+        system = digest_calls[-1]
+        assert system.sim.pending_count == 0 and len(system.trace) == 0
+
     def test_verify_federation_flags_tampered_journal(self, tmp_path):
         out = str(tmp_path / "fed")
         ShardedSimulator(_tiny_spec(), shards=2, workers=1,

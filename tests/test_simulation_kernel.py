@@ -159,3 +159,32 @@ class TestStep:
         assert event.pending
         sim.run()
         assert event.fired and not event.pending
+
+
+class TestClose:
+    def test_close_empties_the_queue_and_drops_callbacks(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda s: fired.append("a"))
+        sim.run(until=1.5)
+        queued = [sim.schedule(1.0, lambda s: fired.append("b")),
+                  sim.schedule(2.0, lambda s: fired.append("c"))]
+        sim.cancel(queued[1])
+        sim.at_fired(5, lambda s: fired.append("hook"))
+        sim.close()
+        assert sim.pending_count == 0
+        assert sim.pending_events() == []
+        assert sim.next_event_time() is None
+        assert all(event.callback is None for event in queued)
+        # The clock and the counters stay readable.
+        assert (sim.now, sim.fired_count, fired) == (1.5, 1, ["a"])
+
+    def test_closed_simulator_refuses_run_and_step(self, sim):
+        sim.schedule(1.0, lambda s: None)
+        sim.close()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="closed"):
+            sim.step()
+        assert sim.now == 0.0

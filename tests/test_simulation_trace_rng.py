@@ -99,6 +99,22 @@ class TestTraceLogRingBuffer:
         assert trace.count(category="fault") == 1
 
 
+class TestTraceLogClear:
+    def test_clear_drops_events_and_subscribers_and_counts_them(self):
+        trace = TraceLog(maxlen=3)
+        seen = []
+        trace.subscribe(seen.append)
+        for t in range(5):
+            trace.emit(float(t), "c", f"e{t}")
+        trace.clear()
+        assert len(trace) == 0 and trace.events == []
+        # Two evicted by the ring, three by the clear.
+        assert trace.dropped == 5
+        trace.emit(9.0, "c", "after")
+        assert [e.name for e in seen] == ["e0", "e1", "e2", "e3", "e4"]
+        assert [e.name for e in trace] == ["after"]
+
+
 class TestTraceLogSubscriberHardening:
     def test_raising_subscriber_does_not_hide_event(self, trace):
         first_got, second_got = [], []
