@@ -106,8 +106,8 @@ class NetworkStats:
     dropped_unreachable: int = 0
     dropped_quarantined: int = 0
     dropped_auth: int = 0
-    # Always 0: no interceptor drops a message any more.  Kept because the
-    # digest state lists it, so digests keep their bytes.
+    # Always 0 (interceptors only mutate); system_digest_state lists it,
+    # so it stays and digests keep their bytes.
     dropped_intercepted: int = 0
     total_latency: float = 0.0
     per_kind: Dict[str, StreamingHistogram] = field(default_factory=dict)
