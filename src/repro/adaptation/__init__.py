@@ -29,7 +29,6 @@ _EXPORTS = {
     "RerouteTrafficAction": "actions",
     "RestartServiceAction": "actions",
     "RotateKeysAction": "actions",
-    "ShedLoadAction": "actions",
     "Analyzer": "analyzer",
     "BackpressureAnalyzer": "analyzer",
     "DeviceLivenessAnalyzer": "analyzer",

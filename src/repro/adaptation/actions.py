@@ -65,20 +65,6 @@ class RebootDeviceAction(Action):
 
 
 @dataclass(frozen=True)
-class ShedLoadAction(Action):
-    """Tighten admission control on ``target``'s traffic server.
-
-    The cheapest overload countermeasure: refuse more requests at the
-    door so the ones admitted still finish within their deadlines.
-    """
-
-    factor: float = 0.5
-
-    def describe(self) -> str:
-        return f"shed load on {self.target!r} (factor {self.factor:g})"
-
-
-@dataclass(frozen=True)
 class RerouteTrafficAction(Action):
     """Re-point clients targeting ``target`` at ``destination``.
 

@@ -136,7 +136,7 @@ class BackpressureAnalyzer(Analyzer):
     occupancy stays above its watermark; this analyzer drains them --
     the same attach pattern as :class:`SloAlertAnalyzer` -- and opens
     one ``overload`` issue per saturated node, which the planner's
-    overload rule answers with load shedding or re-routing.
+    overload rule answers by re-routing to the loop's offload target.
     """
 
     def analyze(self, knowledge: KnowledgeBase, now: float) -> List[Issue]:

@@ -23,7 +23,6 @@ from repro.adaptation.actions import (
     RerouteTrafficAction,
     RestartServiceAction,
     RotateKeysAction,
-    ShedLoadAction,
 )
 from repro.devices.fleet import DeviceFleet
 from repro.devices.software import ServiceState
@@ -74,8 +73,6 @@ class Executor:
             return self._migrate(action)
         if isinstance(action, RebootDeviceAction):
             return self._reboot(action)
-        if isinstance(action, ShedLoadAction):
-            return self._shed(action)
         if isinstance(action, RerouteTrafficAction):
             return self._reroute(action)
         if isinstance(action, QuarantineAction):
@@ -143,15 +140,6 @@ class Executor:
             return self._done(action, True, "rebooted")
         return self._done(action, False, "reboot attempt failed")
 
-    def _shed(self, action: ShedLoadAction) -> ActionResult:
-        registry = self.sim.context.get("traffic")
-        if registry is None:
-            return self._done(action, False, "no traffic registry in context")
-        if not registry.shed(action.target, action.factor):
-            return self._done(action, False,
-                              f"no traffic server on {action.target!r}")
-        return self._done(action, True, f"admission tightened x{action.factor:g}")
-
     def _reroute(self, action: RerouteTrafficAction) -> ActionResult:
         registry = self.sim.context.get("traffic")
         if registry is None:
@@ -204,4 +192,3 @@ class Executor:
                 action=action.describe(), detail=detail, host=self.host,
             )
         return result
-

@@ -70,9 +70,6 @@ class KnowledgeBase:
             return None
         return now - snapshot.observed_at
 
-    def unobserved(self) -> List[str]:
-        return [d for d in self.scope if d not in self._snapshots]
-
     # -- issue ledger ----------------------------------------------------------#
     def open_issue(self, issue: Issue) -> bool:
         """Record an issue; returns False if an identical one is open."""
@@ -94,9 +91,6 @@ class KnowledgeBase:
             self._open_issues.values(),
             key=lambda i: (-i.severity, i.detected_at, i.subject),
         )
-
-    def has_issue(self, kind: str, subject: str, service: Optional[str] = None) -> bool:
-        return f"{kind}|{subject}|{service or ''}" in self._open_issues
 
     @staticmethod
     def _issue_key(issue: Issue) -> str:

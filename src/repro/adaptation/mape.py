@@ -78,12 +78,7 @@ class MapeLoop:
         self._running = True
         self._iterate(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _iterate(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.network.node_up(self.host):
             self.iterations += 1
             spans = self.network.spans

@@ -22,7 +22,6 @@ from repro.adaptation.actions import (
     RerouteTrafficAction,
     RestartServiceAction,
     RotateKeysAction,
-    ShedLoadAction,
 )
 from repro.adaptation.knowledge import Issue, KnowledgeBase
 
@@ -58,6 +57,8 @@ class RuleBasedPlanner(Planner):
       services);
     * ``device-down`` -> reboot, and migrate its known services away;
     * ``battery-low`` -> migrate services off the device pre-emptively;
+    * ``overload`` -> re-route the server's traffic to the loop's
+      ``offload_target`` fact, or nothing when none is set;
     * ``knowledge-stale`` -> no actuation (acting on stale knowledge
       violates the "accordance with constraints" principle) -- the issue
       stays open as a visibility alarm.
@@ -120,15 +121,13 @@ class RuleBasedPlanner(Planner):
                 for service in sorted(snapshot.running_services)
             ]
         if issue.kind == "overload":
-            # Sustained backpressure from a traffic server: offload to a
-            # configured elastic target when one is known (the edge->cloud
-            # elasticity of §IV), otherwise shed load in place so admitted
-            # requests still meet their deadlines.
+            # Sustained backpressure from a traffic server: offload to the
+            # configured elastic target (the edge->cloud elasticity of §IV).
             offload = knowledge.facts.get("offload_target")
             if offload and offload != issue.subject:
                 return [RerouteTrafficAction(target=issue.subject,
                                              destination=str(offload))]
-            return [ShedLoadAction(target=issue.subject)]
+            return []
         if issue.kind == "compromised-node":
             # Intrusion response ladder, all three rungs at once: cut the
             # node off at the transport, purge it from coordination

@@ -83,9 +83,6 @@ class SplitMix64:
     def choice(self, items: Sequence[Any]) -> Any:
         return items[self.next_u64() % len(items)]
 
-    def chance(self, probability: float) -> bool:
-        return self.uniform(0.0, 1.0) < probability
-
     def split(self) -> "SplitMix64":
         """An independent child stream (new seed drawn from this one)."""
         return SplitMix64(self.next_u64())
@@ -252,10 +249,6 @@ class ChaosSpec:
         """Canonical JSON form (sorted keys, compact separators)."""
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosSpec":
-        return cls.from_dict(json.loads(text))
 
     # -- identity ----------------------------------------------------------- #
     def digest(self) -> str:

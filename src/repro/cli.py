@@ -221,12 +221,13 @@ def cmd_trace(quick: bool = False, scenario: str = "smart-city-partition",
         write_profile,
         write_spans_jsonl,
     )
+    from repro.persistence import drive
     from repro.scenarios import describe_scenario, prepare
 
     _progress(f"running observed scenario {scenario!r}...")
     prepared = prepare(describe_scenario(scenario).spec(quick, observe=True))
     system = prepared.system
-    system.run(until=prepared.horizon)
+    drive(system, prepared.horizon)
     spans = system.spans
     spans.finish_open(system.sim.now)
     if system.trace.dropped:
@@ -624,13 +625,14 @@ def cmd_profile_run(quick: bool = False,
         save_profile,
         write_flamegraph,
     )
+    from repro.persistence import drive
     from repro.scenarios import describe_scenario, prepare
 
     _progress(f"profiling scenario {scenario!r}...")
     prepared = prepare(describe_scenario(scenario).spec(quick, seed=seed))
     system = prepared.system
     system.enable_observability(meter=True)
-    system.run(until=prepared.horizon)
+    drive(system, prepared.horizon)
     system.spans.finish_open(system.sim.now)
     profile = system.profile_snapshot(meta={
         "scenario": scenario, "horizon": prepared.horizon,

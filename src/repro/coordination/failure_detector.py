@@ -65,12 +65,7 @@ class HeartbeatFailureDetector:
             self._last_heard.setdefault(peer, now)
         self._tick(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.network.node_up(self.node_id):
             spans = self.network.spans
             if spans is not None:
@@ -110,13 +105,6 @@ class HeartbeatFailureDetector:
                 self._suspected[peer] = True
                 if self.on_suspect is not None:
                     self.on_suspect(peer)
-
-    def suspects(self, peer: str) -> bool:
-        return bool(self._suspected.get(peer))
-
-    @property
-    def alive_peers(self) -> List[str]:
-        return [p for p in self.peers if not self._suspected.get(p)]
 
 
 class PhiAccrualFailureDetector:
@@ -164,12 +152,7 @@ class PhiAccrualFailureDetector:
         self._running = True
         self._tick(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.network.node_up(self.node_id):
             spans = self.network.spans
             if spans is not None:
@@ -230,10 +213,3 @@ class PhiAccrualFailureDetector:
                 self._suspected[peer] = True
                 if self.on_suspect is not None:
                     self.on_suspect(peer)
-
-    def suspects(self, peer: str) -> bool:
-        return bool(self._suspected.get(peer))
-
-    @property
-    def alive_peers(self) -> List[str]:
-        return [p for p in self.peers if not self._suspected.get(p)]

@@ -102,20 +102,11 @@ class GossipNode:
         self._running = True
         self._round(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
-    def add_peer(self, peer: str) -> None:
-        if peer != self.node_id and peer not in self.peers:
-            self.peers.append(peer)
-
     def remove_peer(self, peer: str) -> None:
         if peer in self.peers:
             self.peers.remove(peer)
 
     def _round(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.peers and self.network.node_up(self.node_id):
             self.rounds += 1
             targets = self.rng.sample(sorted(self.peers), min(self.fanout, len(self.peers)))

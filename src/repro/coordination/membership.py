@@ -103,9 +103,6 @@ class MembershipProtocol:
         self._running = True
         self._probe_round(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     def evict(self, node: str) -> bool:
         """Administratively declare ``node`` dead (intrusion response).
 
@@ -130,13 +127,8 @@ class MembershipProtocol:
         info = self._members.get(node)
         return info.state if info else None
 
-    def considers_alive(self, node: str) -> bool:
-        return self.state_of(node) == MemberState.ALIVE
-
     # -- probe rounds -------------------------------------------------------- #
     def _probe_round(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.network.node_up(self.node_id):
             target = self._pick_probe_target()
             if target is not None:

@@ -119,17 +119,12 @@ class RaftNode:
         self._reset_election_timer()
         self._timer_loop(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _timer_loop(self, sim: Simulator) -> None:
         """Single periodic driver for both election and heartbeat timers.
 
         Polling at heartbeat_interval/2 keeps the event count linear in
         simulated time regardless of how many elections occur.
         """
-        if not self._running:
-            return
         if self.network.node_up(self.node_id):
             if self.role == RaftRole.LEADER:
                 self._broadcast_append_entries()
@@ -395,9 +390,6 @@ class RaftNode:
     @property
     def is_leader(self) -> bool:
         return self.role == RaftRole.LEADER
-
-    def committed_commands(self) -> List[Any]:
-        return [e.command for e in self.log[: self.commit_index]]
 
 
 class RaftCluster:

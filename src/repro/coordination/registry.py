@@ -21,7 +21,6 @@ class ServiceRecord:
 
     service_name: str
     device_id: str
-    capabilities: tuple = ()
     healthy: bool = True
     version: str = "1.0.0"
 
@@ -73,7 +72,6 @@ def _encode(record: ServiceRecord) -> dict:
     return {
         "service_name": record.service_name,
         "device_id": record.device_id,
-        "capabilities": list(record.capabilities),
         "healthy": record.healthy,
         "version": record.version,
     }
@@ -85,7 +83,6 @@ def _decode(value: object) -> Optional[ServiceRecord]:
     return ServiceRecord(
         service_name=value["service_name"],
         device_id=value["device_id"],
-        capabilities=tuple(value.get("capabilities", ())),
         healthy=bool(value.get("healthy", True)),
         version=value.get("version", "1.0.0"),
     )

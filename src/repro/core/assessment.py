@@ -8,7 +8,7 @@ column per system under comparison, plus the aggregate resilience score.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.resilience import ResilienceReport
 
@@ -52,15 +52,3 @@ def comparison_table(reports: Sequence[ResilienceReport],
 def recovery_table(reports: Sequence[ResilienceReport]) -> str:
     """Mean recovery time (s) per requirement per system."""
     return comparison_table(reports, metric="mean_recovery_time")
-
-
-def report_dict(report: ResilienceReport) -> Dict[str, object]:
-    """A JSON-serializable dump of one report (for bench output files)."""
-    return {
-        "label": report.label,
-        "horizon": report.horizon,
-        "resilience_score": report.resilience_score,
-        "baseline_score": report.baseline_score,
-        "disruption_windows": [list(w) for w in report.disruption_windows],
-        "requirements": report.summary_rows(),
-    }

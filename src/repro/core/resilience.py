@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.requirements import EvaluationContext, Requirement
 from repro.faults.schedule import merge_windows
@@ -96,33 +96,11 @@ class ResilienceReport:
             total += assessment.weight
         return weighted / total if total else 0.0
 
-    @property
-    def baseline_score(self) -> float:
-        weighted, total = 0.0, 0.0
-        for assessment in self.assessments:
-            if assessment.baseline is None:
-                continue
-            weighted += assessment.weight * assessment.baseline
-            total += assessment.weight
-        return weighted / total if total else 0.0
-
     def assessment(self, name: str) -> RequirementAssessment:
         for candidate in self.assessments:
             if candidate.name == name:
                 return candidate
         raise KeyError(f"no assessment {name!r}")
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        rows = []
-        for a in self.assessments:
-            rows.append({
-                "requirement": a.name,
-                "baseline": a.baseline,
-                "under_disruption": a.under_disruption,
-                "mean_recovery_s": a.mean_recovery_time,
-                "unrecovered": a.unrecovered,
-            })
-        return rows
 
 
 class ResilienceAnalyzer:

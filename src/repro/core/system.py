@@ -194,12 +194,6 @@ class IoTSystem:
     def edge_nodes(self) -> List[str]:
         return sorted(self.sites)
 
-    def site_of(self, device_id: str) -> Optional[str]:
-        for edge, members in self.sites.items():
-            if device_id in members or device_id == edge:
-                return edge
-        return None
-
     def run(self, until: float) -> None:
         self.sim.run(until=until)
 

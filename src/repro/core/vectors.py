@@ -169,8 +169,3 @@ MATURITY_FEATURES: Dict[MaturityLevel, MaturityFeatures] = {
 
 def features_of(level: MaturityLevel) -> MaturityFeatures:
     return MATURITY_FEATURES[level]
-
-
-def table_row(vector: DisruptionVector) -> Dict[MaturityLevel, str]:
-    """One row of the combined Tables 1-2."""
-    return {ml: MATURITY_TABLE[(vector, ml)] for ml in MaturityLevel}

@@ -29,15 +29,6 @@ class DataQualityMonitor:
         self._last_update: Dict[str, float] = {}
 
     # -- timeliness ----------------------------------------------------------- #
-    def record_transfer(self, key: str, sent_at: float, received_at: float) -> float:
-        """Record one end-to-end transfer; returns its delay."""
-        if received_at < sent_at:
-            raise ValueError("received before sent")
-        delay = received_at - sent_at
-        self.metrics.record(f"data.delay:{key}", received_at, delay)
-        self.metrics.record("data.delay", received_at, delay)
-        return delay
-
     def timeliness(self, key: str, deadline: float) -> Optional[float]:
         """Fraction of transfers of ``key`` that met ``deadline``."""
         name = f"data.delay:{key}"
@@ -74,10 +65,6 @@ class DataQualityMonitor:
         return self.metrics.series(name).mean()
 
     # -- availability --------------------------------------------------------- #
-    def set_available(self, key: str, now: float, available: bool) -> None:
-        """Flip the availability level signal of ``key``."""
-        self.metrics.set_level(f"data.available:{key}", now, 1.0 if available else 0.0)
-
     def availability(self, key: str, start: float, end: float) -> Optional[float]:
         name = f"data.available:{key}"
         if not self.metrics.has_series(name):

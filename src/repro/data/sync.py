@@ -102,21 +102,12 @@ class SyncProtocol:
         self._running = True
         self._round(self.sim)
 
-    def stop(self) -> None:
-        self._running = False
-
     # -- rounds ------------------------------------------------------------ #
     def _round(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         if self.peers and self.network.node_up(self.device_id):
             peer = self.rng.choice(sorted(self.peers))
             self._send_state(peer, "sync.push")
         sim.schedule(self.period, self._round, label=f"sync:{self.device_id}")
-
-    def sync_now(self, peer: str) -> None:
-        """Trigger an immediate exchange with a specific peer."""
-        self._send_state(peer, "sync.push")
 
     def _send_state(self, peer: str, kind: str) -> None:
         allowed_state: Dict[str, Crdt] = {}

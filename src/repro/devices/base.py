@@ -144,16 +144,6 @@ class Device:
         return self.stack.has_service(service_name)
 
     # -- misc ---------------------------------------------------------------- #
-    @property
-    def is_edge(self) -> bool:
-        """Edge components per §I: entities hosting compute/control/data
-        facilities near end-devices."""
-        return self.device_class in (DeviceClass.EDGE, DeviceClass.GATEWAY)
-
-    @property
-    def is_constrained(self) -> bool:
-        return self.device_class in (DeviceClass.SENSOR, DeviceClass.ACTUATOR)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
         return (

@@ -7,9 +7,9 @@ with the network layer, so fault injection only needs one call.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.devices.base import Device, DeviceClass
+from repro.devices.base import Device
 from repro.network.transport import Network
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
@@ -61,31 +61,11 @@ class DeviceFleet:
 
     # -- queries ------------------------------------------------------------- #
     @property
-    def device_ids(self) -> List[str]:
-        return sorted(self._devices)
-
-    @property
     def devices(self) -> List[Device]:
         return [self._devices[k] for k in sorted(self._devices)]
 
-    def by_class(self, device_class: DeviceClass) -> List[Device]:
-        return [d for d in self.devices if d.device_class == device_class]
-
-    def by_domain(self, domain: str) -> List[Device]:
-        return [d for d in self.devices if d.domain == domain]
-
-    def by_location(self, location: str) -> List[Device]:
-        return [d for d in self.devices if d.location == location]
-
     def select(self, predicate: Callable[[Device], bool]) -> List[Device]:
         return [d for d in self.devices if predicate(d)]
-
-    def up_fraction(self, device_ids: Optional[Iterable[str]] = None) -> float:
-        """Fraction of (selected) devices currently up."""
-        ids = list(device_ids) if device_ids is not None else self.device_ids
-        if not ids:
-            return 1.0
-        return sum(1 for i in ids if self._devices[i].up) / len(ids)
 
     # -- liveness transitions (fault-injection entry points) --------------- #
     def crash(self, device_id: str, reason: str = "crash") -> None:

@@ -58,10 +58,6 @@ class ResourcePool:
         capacity = getattr(self.spec, resource)
         return capacity - self.used(resource)
 
-    def utilization(self, resource: str) -> float:
-        capacity = getattr(self.spec, resource)
-        return self.used(resource) / capacity if capacity else 0.0
-
     def can_fit(self, cpu: float = 0.0, memory: float = 0.0, storage: float = 0.0) -> bool:
         return (
             self.available("cpu") >= cpu
@@ -92,10 +88,6 @@ class ResourcePool:
 
     def holds(self, name: str) -> bool:
         return name in self._allocations
-
-    @property
-    def allocation_names(self) -> list:
-        return sorted(self._allocations)
 
 
 class Battery:

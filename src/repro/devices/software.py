@@ -106,9 +106,6 @@ class SoftwareStack:
     def mark_failed(self, name: str) -> None:
         self._require(name).state = ServiceState.FAILED
 
-    def stop(self, name: str) -> None:
-        self._require(name).state = ServiceState.STOPPED
-
     def undeploy(self, name: str) -> Service:
         service = self._require(name)
         service.state = ServiceState.STOPPED
@@ -135,13 +132,6 @@ class SoftwareStack:
     @property
     def running_services(self) -> List[Service]:
         return [s for s in self.services if s.state == ServiceState.RUNNING]
-
-    def capabilities(self) -> Set[str]:
-        """Union of capabilities provided by running services."""
-        caps: Set[str] = set()
-        for service in self.running_services:
-            caps |= service.provides
-        return caps
 
 
 #: Stack presets matching the device spectrum of §I.

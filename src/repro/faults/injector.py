@@ -115,10 +115,6 @@ class FaultInjector:
         """Manually revert a (possibly permanent) active fault."""
         self._revert(fault)
 
-    def revert_all(self) -> None:
-        for fault in list(self._active):
-            self._revert(fault)
-
     # -- deferred injection -------------------------------------------------- #
     def inject_at(self, time: float, fault: Fault) -> None:
         """Schedule injection at absolute simulated time."""

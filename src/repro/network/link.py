@@ -87,12 +87,12 @@ class LatencyModel:
     def sample(self, size_bytes: int = 0) -> Optional[float]:
         """One hop in one call: ``None`` if the message is lost, else its latency.
 
-        Draws what :meth:`sample_loss` then :meth:`sample_latency` draw, in
-        that order, and returns the same float; a lost hop draws no jitter.
-        The jitter is ``random.uniform(-j, j)`` written out as its defining
-        expression ``a + (b - a) * random()``, and the clamp is
-        ``max(0.0, latency)`` as a comparison.  The two methods below stay
-        as the reference the tests hold this one to.
+        Draws the loss then the jitter, in that order; a lost hop draws no
+        jitter.  The jitter is ``random.uniform(-j, j)`` written out as its
+        defining expression ``a + (b - a) * random()``, and the clamp is
+        ``max(0.0, latency)`` as a comparison.
+        ``tests/test_message_path_oracles.py`` holds it to a two-call
+        loss-then-``uniform`` reference, draw for draw.
         """
         profile = self.profile
         rng = self._rng
@@ -104,16 +104,6 @@ class LatencyModel:
                     + (-jitter + (jitter - -jitter) * rng.random()))
                    * self.degradation + size_bytes / profile.bandwidth)
         return latency if latency > 0.0 else 0.0
-
-    def sample_latency(self, size_bytes: int = 0) -> float:
-        jitter = self._rng.uniform(-self.profile.jitter, self.profile.jitter)
-        serialization = size_bytes / self.profile.bandwidth
-        return max(0.0, (self.profile.base_latency + jitter) * self.degradation + serialization)
-
-    def sample_loss(self) -> bool:
-        if self.profile.loss_rate == 0.0:
-            return False
-        return self._rng.random() < self.profile.loss_rate
 
 
 class Link:
@@ -138,10 +128,6 @@ class Link:
         self._up = True
         # Set by Topology.add_link_with_profile; None for a free-standing link.
         self._topology = None
-
-    @property
-    def endpoints(self) -> frozenset:
-        return frozenset((self.a, self.b))
 
     def other(self, node: str) -> str:
         if node == self.a:

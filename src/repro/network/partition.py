@@ -35,10 +35,6 @@ class PartitionManager:
         self._active: Dict[str, List[Link]] = {}
         self._spans_by_name: Dict[str, Span] = {}
 
-    @property
-    def active_partitions(self) -> List[str]:
-        return sorted(self._active)
-
     def is_active(self, name: str) -> bool:
         return name in self._active
 
@@ -63,10 +59,6 @@ class PartitionManager:
             and ((link.a in group_a and link.b in group_b) or (link.a in group_b and link.b in group_a))
         ]
         return self._cut(name or "cut", links)
-
-    def disconnect_cloud(self, cloud_node: str, name: Optional[str] = None) -> str:
-        """The canonical disruption: sever the cloud from everything."""
-        return self.isolate_node(cloud_node, name=name or "cloud-outage")
 
     def _cut(self, name: str, links: List[Link]) -> str:
         if name in self._active:
@@ -113,10 +105,6 @@ class PartitionManager:
                 subject=name,
                 links=[l.key() for l in links],
             )
-
-    def heal_all(self) -> None:
-        for name in list(self._active):
-            self.heal(name)
 
     # -- scheduled windows ----------------------------------------------- #
     def schedule_outage(

@@ -190,9 +190,6 @@ class Topology:
     def neighbors(self, node: str) -> List[str]:
         return list(self._adjacency.get(node, ()))
 
-    def node_attr(self, node: str, key: str, default: object = None) -> object:
-        return self._attrs[node].get(key, default)
-
     # -- routing ---------------------------------------------------------- #
     def _invalidate(self) -> None:
         """Drop everything derived from topology state.

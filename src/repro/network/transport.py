@@ -41,9 +41,9 @@ class Message:
     policy, not the transport's.
 
     One is built per send, so this is a plain slotted class rather than a
-    dataclass; it keeps the dataclass's contract (same fields, order and
-    defaults, ``==`` ignoring ``span`` and ``auth``, unhashable), which
-    ``tests/test_message_path_oracles.py`` holds it to.
+    dataclass; it keeps the dataclass's fields, order, defaults and repr,
+    which ``tests/test_message_path_oracles.py`` holds it to.  Nothing
+    compares two messages, so equality is identity.
     """
 
     __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id",
@@ -71,17 +71,6 @@ class Message:
         self.span = span
         self.auth = auth
 
-    def _compared(self) -> tuple:
-        return (self.src, self.dst, self.kind, self.payload, self.size_bytes,
-                self.msg_id, self.sent_at)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()  # type: ignore[attr-defined]
-
-    __hash__ = None  # type: ignore[assignment]  # mutable, as the dataclass was
-
     def __repr__(self) -> str:
         return (f"Message(src={self.src!r}, dst={self.dst!r}, "
                 f"kind={self.kind!r}, payload={self.payload!r}, "
@@ -97,7 +86,7 @@ class NetworkStats:
     Beyond the aggregate counters, ``per_kind`` keeps one streaming
     latency histogram per message kind, so protocol chatter (gossip,
     raft) and user-facing traffic (``traffic.request``) are separable in
-    exports instead of blurring into one ``mean_latency``.
+    exports instead of blurring into one mean.
     """
 
     sent: int = 0
@@ -114,21 +103,6 @@ class NetworkStats:
     # Per-sender [messages, bytes] totals: the observable substrate for
     # flooding detection (and a useful traffic-attribution export).
     per_source: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def delivery_ratio(self) -> Optional[float]:
-        """Delivered fraction, or None when nothing was ever sent.
-
-        None (not a fabricated 0.0) matches the empty-stats convention of
-        :class:`~repro.sweep.SweepCell`: an unused transport is *unknown*,
-        not perfectly lossy.
-        """
-        return self.delivered / self.sent if self.sent else None
-
-    @property
-    def mean_latency(self) -> Optional[float]:
-        """Mean delivery latency, or None when nothing was delivered."""
-        return self.total_latency / self.delivered if self.delivered else None
 
 
 MessageHandler = Callable[[Message], None]
@@ -215,10 +189,6 @@ class Network:
 
     def is_quarantined(self, node: str) -> bool:
         return node in self._quarantined
-
-    @property
-    def quarantined_nodes(self) -> List[str]:
-        return sorted(self._quarantined)
 
     # -- sending ---------------------------------------------------------- #
     def send(

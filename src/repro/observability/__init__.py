@@ -69,7 +69,6 @@ _EXPORTS = {
     "StreamingHistogram": "histogram",
     "log_bounds": "histogram",
     "Instrument": "instrument",
-    "InstrumentSnapshot": "instrument",
     "LabelStats": "instrument",
     "capture_profile": "profile",
     "collapsed_kernel_stacks": "profile",

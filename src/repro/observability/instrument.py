@@ -18,11 +18,6 @@ Distribution tracking is deliberately coarse: each label keeps a
 hot path pays one ``bit_length`` and one list increment per event and
 p50/p99 still land within a factor of ~1.4 of the truth -- plenty to
 tell a 3us timer tick from a 300us MAPE iteration.
-
-:meth:`Instrument.snapshot` captures a frozen copy of all counters;
-two snapshots subtract (:meth:`InstrumentSnapshot.delta`) so a profiling
-window can be bracketed mid-run -- e.g. "cost during the outage only" --
-without resetting (and thereby losing) the cumulative run stats.
 """
 
 from __future__ import annotations
@@ -102,30 +97,6 @@ class LabelStats:
             if bucket:
                 self.buckets[index] += bucket
 
-    def copy(self) -> "LabelStats":
-        clone = LabelStats()
-        clone.count = self.count
-        clone.total_s = self.total_s
-        clone.max_s = self.max_s
-        clone.queue_s = self.queue_s
-        clone.buckets = list(self.buckets)
-        return clone
-
-    def minus(self, earlier: "LabelStats") -> "LabelStats":
-        """Counter-wise difference (for window bracketing).
-
-        ``max_s`` cannot be un-merged and is reported as the cumulative
-        max -- an upper bound for the window, exact whenever the maximum
-        fell inside it.
-        """
-        diff = LabelStats()
-        diff.count = self.count - earlier.count
-        diff.total_s = self.total_s - earlier.total_s
-        diff.queue_s = self.queue_s - earlier.queue_s
-        diff.max_s = self.max_s
-        diff.buckets = [a - b for a, b in zip(self.buckets, earlier.buckets)]
-        return diff
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "count": self.count,
@@ -136,61 +107,6 @@ class LabelStats:
             "max_us": self.max_s * 1e6,
             "queue_s": self.queue_s,
         }
-
-
-class InstrumentSnapshot:
-    """A frozen copy of an :class:`Instrument`'s counters.
-
-    Two snapshots bracket a profiling window: ``end.delta(start)`` is a
-    new snapshot holding only the in-window costs, while the live
-    instrument keeps accumulating -- nothing is reset, so whole-run and
-    windowed views coexist.
-    """
-
-    __slots__ = ("events", "total_busy_s", "max_queue_depth",
-                 "queue_depth_sum", "first_event_time", "last_event_time",
-                 "labels")
-
-    def __init__(self, events: int, total_busy_s: float,
-                 max_queue_depth: int, queue_depth_sum: int,
-                 first_event_time: Optional[float],
-                 last_event_time: Optional[float],
-                 labels: Dict[str, LabelStats]) -> None:
-        self.events = events
-        self.total_busy_s = total_busy_s
-        self.max_queue_depth = max_queue_depth
-        self.queue_depth_sum = queue_depth_sum
-        self.first_event_time = first_event_time
-        self.last_event_time = last_event_time
-        self.labels = labels
-
-    def delta(self, earlier: "InstrumentSnapshot") -> "InstrumentSnapshot":
-        """Costs accrued between ``earlier`` and this snapshot."""
-        labels: Dict[str, LabelStats] = {}
-        for label, stats in self.labels.items():
-            before = earlier.labels.get(label)
-            window = stats.minus(before) if before is not None else stats.copy()
-            if window.count:
-                labels[label] = window
-        return InstrumentSnapshot(
-            events=self.events - earlier.events,
-            total_busy_s=self.total_busy_s - earlier.total_busy_s,
-            max_queue_depth=self.max_queue_depth,
-            queue_depth_sum=self.queue_depth_sum - earlier.queue_depth_sum,
-            first_event_time=earlier.last_event_time,
-            last_event_time=self.last_event_time,
-            labels=labels,
-        )
-
-    @property
-    def mean_queue_depth(self) -> float:
-        return self.queue_depth_sum / self.events if self.events else 0.0
-
-    @property
-    def sim_time_span(self) -> float:
-        if self.first_event_time is None or self.last_event_time is None:
-            return 0.0
-        return self.last_event_time - self.first_event_time
 
 
 class Instrument:
@@ -240,9 +156,6 @@ class Instrument:
     def mean_queue_depth(self) -> float:
         return self._queue_depth_sum / self.events if self.events else 0.0
 
-    def label_stats(self, label: str) -> Optional[LabelStats]:
-        return self._labels.get(label)
-
     @property
     def labels(self) -> Dict[str, LabelStats]:
         return dict(self._labels)
@@ -257,19 +170,6 @@ class Instrument:
                 agg = rolled[key] = LabelStats()
             agg.merge(stats)
         return rolled
-
-    def snapshot(self) -> InstrumentSnapshot:
-        """Frozen copy of every counter; see :class:`InstrumentSnapshot`."""
-        return InstrumentSnapshot(
-            events=self.events,
-            total_busy_s=self.total_busy_s,
-            max_queue_depth=self.max_queue_depth,
-            queue_depth_sum=self._queue_depth_sum,
-            first_event_time=self.first_event_time,
-            last_event_time=self.last_event_time,
-            labels={label: stats.copy()
-                    for label, stats in self._labels.items()},
-        )
 
     def report(self, top: int = 20) -> Dict[str, Any]:
         """A JSON-ready profile: totals, queue stats, hottest subsystems."""
@@ -295,14 +195,3 @@ class Instrument:
             "subsystems": {name: stats.to_dict() for name, stats in subsystems},
             "hottest_labels": {label: stats.to_dict() for label, stats in hottest_labels},
         }
-
-    def reset(self) -> None:
-        """Zero every counter (prefer :meth:`snapshot` + ``delta`` for
-        windows -- reset discards the cumulative run stats)."""
-        self.events = 0
-        self.total_busy_s = 0.0
-        self.max_queue_depth = 0
-        self._labels.clear()
-        self._queue_depth_sum = 0
-        self.first_event_time = None
-        self.last_event_time = None

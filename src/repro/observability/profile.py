@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.observability.instrument import Instrument, InstrumentSnapshot
+from repro.observability.instrument import Instrument
 from repro.schema import Field, check, load_document, write_document
 
 PROFILE_SCHEMA = 1
@@ -147,7 +147,7 @@ def _span_self_times(recorder: Any, now: float) -> List[Tuple[Any, float]]:
 
 
 def capture_profile(
-    instrument: Optional[Union[Instrument, InstrumentSnapshot]] = None,
+    instrument: Optional[Instrument] = None,
     spans: Optional[Any] = None,
     meta: Optional[Dict[str, Any]] = None,
     now: Optional[float] = None,
@@ -156,10 +156,9 @@ def capture_profile(
 ) -> Dict[str, Any]:
     """Build a JSON-ready profile snapshot.
 
-    ``instrument`` may be a live :class:`Instrument`, an
-    :class:`InstrumentSnapshot` (e.g. a ``delta`` bracketing one window),
-    or None.  ``spans`` is a :class:`~repro.observability.spans.SpanRecorder`
-    (or None); ``now`` the simulated clock used to value still-open spans.
+    ``instrument`` is the kernel :class:`Instrument` (or None), ``spans``
+    a :class:`~repro.observability.spans.SpanRecorder` (or None) and
+    ``now`` the simulated clock used to value still-open spans.
     Pure function of telemetry already collected -- calling it perturbs
     nothing the digest or journal sees.
     """
@@ -171,7 +170,7 @@ def capture_profile(
     }
 
     if instrument is not None:
-        labels = instrument.labels  # dict on both Instrument and snapshot
+        labels = instrument.labels
         plane_stats: Dict[str, Dict[str, float]] = {}
         label_rows: Dict[str, Dict[str, Any]] = {}
         for label, stats in labels.items():
@@ -676,4 +675,3 @@ def route_cache_line(profile: Dict[str, Any]) -> Optional[str]:
     return (f"route cache: {routes['hit_rate']:.1%} hit rate "
             f"({routes['hits']} hits, {routes['misses']} misses, "
             f"{routes['invalidations']} invalidations)")
-

@@ -149,12 +149,7 @@ class SloMonitor:
         self._running = True
         self.sim.schedule(self.period, self._tick, label="slo-monitor")
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         self.evaluate_now()
         sim.schedule(self.period, self._tick, label="slo-monitor")
 
@@ -332,12 +327,7 @@ class ReachabilityProbe:
         self.metrics.set_level(self.series, self.sim.now, 1.0)
         self.sim.schedule(0.0, self._probe, label=f"probe:{self.target}")
 
-    def stop(self) -> None:
-        self._running = False
-
     def _probe(self, sim: Simulator) -> None:
-        if not self._running:
-            return
         self.sent += 1
         seq = self.sent
         self._pending[seq] = True

@@ -68,10 +68,6 @@ class Span:
         return self.context.parent_id
 
     @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
     def sampled(self) -> bool:
         """False for spans elided by head-based sampling.
 
@@ -363,10 +359,6 @@ class SpanRecorder:
         return self._spans[-count:] if count > 0 else []
 
     @property
-    def open_spans(self) -> List[Span]:
-        return list(self._open.values())
-
-    @property
     def open_count(self) -> int:
         """``len(open_spans)`` without copying them."""
         return len(self._open)
@@ -387,16 +379,6 @@ class SpanRecorder:
 
     def get(self, span_id: str) -> Optional[Span]:
         return self._by_id.get(span_id)
-
-    def is_descendant(self, span: Span, ancestor: Span) -> bool:
-        """True if ``ancestor`` is on ``span``'s parent chain."""
-        current: Optional[str] = span.parent_id
-        while current is not None:
-            if current == ancestor.span_id:
-                return True
-            parent = self._by_id.get(current)
-            current = parent.parent_id if parent is not None else None
-        return False
 
     def children_index(self) -> Dict[str, List[Span]]:
         """``parent span_id -> direct children``, in recording order.

@@ -96,7 +96,6 @@ class DevicelessScheduler:
         if self.registry is not None:
             self.registry.advertise(ServiceRecord(
                 service_name=service.name, device_id=device_id,
-                capabilities=tuple(sorted(service.provides)),
                 version=service.version,
             ))
         if self.trace is not None:

@@ -77,9 +77,6 @@ class KeyChain:
         self._keys.pop(node, None)
         self._key_bytes.pop(node, None)
 
-    def key_of(self, node: str) -> Optional[str]:
-        return self._keys.get(node)
-
     def key_bytes_of(self, node: str) -> Optional[bytes]:
         """Pre-encoded key for the hot auth path (one encode per issue)."""
         return self._key_bytes.get(node)

@@ -58,8 +58,7 @@ class Event:
         self.fired = False
         self.label = label
         # Simulated time the event was scheduled; time - created is its
-        # queue lag.  Telemetry-only: not serialized in pending_events(),
-        # so checkpoints and digests are unaffected.
+        # queue lag.  Telemetry-only: no checkpoint or digest reads it.
         self.created = created
 
     @property
@@ -348,18 +347,3 @@ class Simulator:
                 f"cannot advance to t={time} past pending event at t={next_time}"
             )
         self._now = float(time)
-
-    def pending_events(self) -> List[Dict[str, Any]]:
-        """Metadata of pending events, in firing order.
-
-        Lazily-cancelled events are excluded: they will never fire.
-        Callbacks are deliberately not captured (closures do not
-        serialize); this is an observation seam for the message-path
-        oracles, nothing restores from it.
-        """
-        out = []
-        for time, priority, seq, event in sorted(self._heap, key=lambda e: e[:3]):
-            if not event.cancelled:
-                out.append({"t": time, "priority": priority, "seq": seq,
-                            "label": event.label})
-        return out

@@ -101,10 +101,6 @@ class RngRegistry:
     def _derive(self, name: str) -> int:
         return derive_seed(f"{self.seed}:{name}")
 
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of the parent's."""
-        return RngRegistry(seed=self._derive(f"fork:{name}"))
-
     @property
     def stream_names(self) -> List[str]:
         return sorted(self._streams)

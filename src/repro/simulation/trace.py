@@ -189,50 +189,3 @@ class TraceLog:
 
     def count(self, category: Optional[str] = None, name: Optional[str] = None) -> int:
         return len(self.select(category=category, name=name))
-
-    def first(
-        self, category: Optional[str] = None, name: Optional[str] = None
-    ) -> Optional[TraceEvent]:
-        for event in self._events:
-            if event.matches(category, name):
-                return event
-        return None
-
-    def last(
-        self, category: Optional[str] = None, name: Optional[str] = None
-    ) -> Optional[TraceEvent]:
-        for event in reversed(self._events):
-            if event.matches(category, name):
-                return event
-        return None
-
-    def intervals(
-        self,
-        open_name: str,
-        close_name: str,
-        category: Optional[str] = None,
-        subject: Optional[str] = None,
-        horizon: Optional[float] = None,
-    ) -> List[tuple]:
-        """Pair open/close events into ``(start, end)`` intervals.
-
-        Used e.g. to turn ``partition-start`` / ``partition-heal`` events
-        into disruption windows.  An unclosed interval extends to
-        ``horizon`` (or the last event time if horizon is None).
-        """
-        end_default = horizon if horizon is not None else (
-            self._events[-1].time if self._events else 0.0
-        )
-        out = []
-        open_time: Optional[float] = None
-        for event in self._events:
-            if not event.matches(category=category, subject=subject):
-                continue
-            if event.name == open_name and open_time is None:
-                open_time = event.time
-            elif event.name == close_name and open_time is not None:
-                out.append((open_time, event.time))
-                open_time = None
-        if open_time is not None:
-            out.append((open_time, end_default))
-        return out

@@ -160,17 +160,6 @@ class Dataflow:
     def operator(self, operator_name: str) -> Operator:
         return self._require(operator_name).operator
 
-    def reduction_ratio(self) -> float:
-        """Shipped-tuple reduction achieved by edge-side operators:
-        network tuples per source tuple (lower is better)."""
-        source_ingest = sum(
-            p.operator.processed for p in self._placements.values()
-            if not any(p.operator.name in d for d in self._downstream.values())
-        )
-        if source_ingest == 0:
-            return 0.0
-        return self.tuples_shipped / source_ingest
-
     def _require(self, operator_name: str) -> OperatorPlacement:
         placement = self._placements.get(operator_name)
         if placement is None:

@@ -10,7 +10,7 @@ work its users represent -- capacity math is invariant under batching.
 Overload behaviour is explicit: a full queue (or a refusing admission
 policy) rejects at the door with a cheap reply, and sustained high
 occupancy raises backpressure facts on attached MAPE knowledge bases --
-the signal the planner's overload rule (shed / re-route) consumes.
+the signal the planner's overload rule (re-route) consumes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.network.transport import Network
 from repro.simulation.kernel import Simulator
 from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.trace import TraceLog
-from repro.traffic.admission import AdmissionPolicy, QueueLengthAdmission
+from repro.traffic.admission import AdmissionPolicy
 from repro.traffic.request import REQUEST_KIND, reply_kind
 
 
@@ -231,18 +231,7 @@ class Server:
             self.metrics.set_level(self._qdepth_series, self.sim.now,
                                    float(len(self._queue)))
 
-    # -- load shedding / backpressure -------------------------------------- #
-    def shed(self, factor: float = 0.5) -> None:
-        """Tighten admission (installing queue-length admission if absent)."""
-        if self.admission is None:
-            self.admission = QueueLengthAdmission(
-                max(1, int(self.queue_capacity * factor)))
-        else:
-            self.admission.tighten(factor)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "traffic", "shed",
-                            subject=self.node, factor=factor)
-
+    # -- backpressure ------------------------------------------------------ #
     def attach_backpressure(self, knowledge: Any) -> None:
         """Raise ``facts["backpressure"]`` on ``knowledge`` under sustained load."""
         self._sinks.append(knowledge)

@@ -98,8 +98,8 @@ def windowed_rate(metrics: "MetricsRecorder", name: str,
 class TrafficRegistry:
     """Directory of the traffic plane, reachable via ``sim.context``.
 
-    MAPE executors use :meth:`shed` and :meth:`reroute` to actuate
-    overload countermeasures; :func:`~repro.observability.kpis.kpi_report_for_system`
+    MAPE executors use :meth:`reroute` to actuate the overload
+    countermeasure; :func:`~repro.observability.kpis.kpi_report_for_system`
     uses :meth:`kpis` to fold traffic outcomes into the KPI report.
     """
 
@@ -128,14 +128,6 @@ class TrafficRegistry:
         return generator
 
     # -- actuation (MAPE executor hooks) ------------------------------------ #
-    def shed(self, node: str, factor: float = 0.5) -> bool:
-        """Tighten admission on ``node``'s server; False if none exists."""
-        server = self.servers.get(node)
-        if server is None:
-            return False
-        server.shed(factor)
-        return True
-
     def reroute(self, node: str, destination: str) -> int:
         """Point clients targeting ``node`` at ``destination``; returns count."""
         moved = 0

@@ -103,6 +103,7 @@ CI_COMMANDS = (
     ("shard verify --out shard-cr --workers 2", 0),
     ("profile run smart-city-partition --quick --out prof-out", 0),
     ("profile run traffic-overload --quick --out prof-traffic", 0),
+    ("profile run harness-crash --quick --out prof-crash", 0),
     ("profile run smart-city-partition --quick --seed 5 --out prof-seed5", 0),
     ("profile diff prof-out/profile.json prof-seed5/profile.json", 0),
     ("profile diff $newest_baseline $newest_current", 0),

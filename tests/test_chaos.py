@@ -73,7 +73,7 @@ class TestSpecRoundTrip:
 
     @pytest.mark.parametrize("spec", [ChaosSpec(), SMALL, COLLAPSE, BIG])
     def test_json_round_trip_is_identity(self, spec):
-        assert ChaosSpec.from_json(spec.to_json()) == spec
+        assert ChaosSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_json_is_canonical(self):
         # Same value -> same bytes -> same digest, regardless of how the

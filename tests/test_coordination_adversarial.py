@@ -51,7 +51,7 @@ class TestSwimRefutation:
         # n2 refuted with incarnation > 0; every view returns to ALIVE.
         assert cluster["n2"].incarnation > 0
         for node in nodes:
-            assert cluster[node].considers_alive("n2")
+            assert cluster[node].state_of("n2") == MemberState.ALIVE
 
     def test_refutation_charges_the_carrier(self, sim, swim_cluster):
         build, nodes, network = swim_cluster
@@ -81,7 +81,7 @@ class TestSwimRefutation:
         sim.schedule(2.0, spam)
         sim.run(until=30.0)
         for node in nodes:
-            assert cluster[node].considers_alive("n2")
+            assert cluster[node].state_of("n2") == MemberState.ALIVE
 
 
 class TestSwimUpdateFilter:
@@ -125,7 +125,7 @@ class TestSwimUpdateFilter:
         _forge(network, "n5", "n1", [("n3", MemberState.DEAD.value, 1000)])
         sim.run(until=4.0)
         assert ("n5", "impossible-incarnation") in evidence
-        assert cluster["n1"].considers_alive("n3")
+        assert cluster["n1"].state_of("n3") == MemberState.ALIVE
 
     def test_plausible_incarnation_still_accepted(self, sim, mesh5, rngs):
         """A small (legitimate) incarnation advance passes the jump guard.

@@ -224,8 +224,8 @@ class TestRegistry:
     def test_advertise_and_lookup_across_nodes(self, sim, gossip_cluster):
         cluster, _ = gossip_cluster
         registries = {n: ServiceRegistry(g) for n, g in cluster.items()}
-        registries["n1"].advertise(ServiceRecord("db", "n1", capabilities=("sql",)))
-        registries["n2"].advertise(ServiceRecord("db", "n2", capabilities=("sql",)))
+        registries["n1"].advertise(ServiceRecord("db", "n1"))
+        registries["n2"].advertise(ServiceRecord("db", "n2"))
         sim.run(until=10.0)
         instances = registries["n5"].instances("db")
         assert [r.device_id for r in instances] == ["n1", "n2"]

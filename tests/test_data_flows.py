@@ -177,15 +177,10 @@ class TestSync:
 class TestDataQuality:
     def test_timeliness_fraction(self, metrics):
         monitor = DataQualityMonitor(metrics)
-        monitor.record_transfer("k", 0.0, 0.05)
-        monitor.record_transfer("k", 1.0, 1.30)
+        metrics.record("data.delay:k", 0.05, 0.05)
+        metrics.record("data.delay:k", 1.30, 0.30)
         assert monitor.timeliness("k", deadline=0.1) == 0.5
         assert monitor.timeliness("ghost", deadline=0.1) is None
-
-    def test_transfer_before_send_raises(self, metrics):
-        monitor = DataQualityMonitor(metrics)
-        with pytest.raises(ValueError):
-            monitor.record_transfer("k", 2.0, 1.0)
 
     def test_freshness_tracks_newest_production(self, metrics):
         monitor = DataQualityMonitor(metrics)
@@ -197,15 +192,15 @@ class TestDataQuality:
 
     def test_availability_window(self, metrics):
         monitor = DataQualityMonitor(metrics)
-        monitor.set_available("k", 0.0, True)
-        monitor.set_available("k", 5.0, False)
-        monitor.set_available("k", 8.0, True)
+        metrics.set_level("data.available:k", 0.0, 1.0)
+        metrics.set_level("data.available:k", 5.0, 0.0)
+        metrics.set_level("data.available:k", 8.0, 1.0)
         assert monitor.availability("k", 0.0, 10.0) == pytest.approx(0.7)
 
     def test_summary(self, metrics):
         monitor = DataQualityMonitor(metrics)
-        monitor.record_transfer("k", 0.0, 0.01)
-        monitor.set_available("k", 0.0, True)
+        metrics.record("data.delay:k", 0.01, 0.01)
+        metrics.set_level("data.available:k", 0.0, 1.0)
         monitor.record_update("k", 0.0, 0.0)
         monitor.sample_freshness("k", 1.0)
         summary = monitor.summary(["k"], deadline=0.1, start=0.0, end=1.0)

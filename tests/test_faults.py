@@ -152,7 +152,8 @@ class TestInjector:
         sim, topology, _, fleet, injector = rig
         injector.inject(CrashFault(name="c", device_id="a"))
         injector.inject(LinkFailureFault(name="l", node_a="b", node_b="c"))
-        injector.revert_all()
+        for fault in injector.active_faults:
+            injector.revert(fault)
         assert fleet.get("a").up
         assert topology.link_between("b", "c").up
         assert injector.active_faults == []

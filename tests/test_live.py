@@ -100,9 +100,9 @@ class TestFiredBarriers:
     def test_hooks_are_not_snapshot_state(self, sim: Simulator):
         first = sim.schedule(1.0, lambda s: None)
         sim.at_fired(1, lambda s: None)
-        assert [e["seq"] for e in sim.pending_events()] == [first.seq]
+        assert [entry[2] for entry in sim._heap] == [first.seq]
         sim.run(until=2.0)
-        assert (sim.now, sim.fired_count, sim.pending_events()) == (2.0, 1, [])
+        assert (sim.now, sim.fired_count, sim._heap) == (2.0, 1, [])
         assert sim.schedule(1.0, lambda s: None).seq == first.seq + 1
 
 

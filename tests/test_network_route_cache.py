@@ -128,8 +128,8 @@ class TestRouteCacheProperty:
                                     name=f"isolate{step}")
 
         def heal():
-            if partitions.active_partitions:
-                partitions.heal(rng.choice(partitions.active_partitions))
+            if partitions._active:
+                partitions.heal(rng.choice(sorted(partitions._active)))
 
         def handover():
             workload._handover(rng.choice(vehicles))

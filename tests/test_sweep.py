@@ -116,5 +116,8 @@ class TestStochasticMaturityMode:
         params = ScenarioParams(n_sites=2, sensors_per_site=2, horizon=40.0,
                                 seed=7, disruption=False)
         report = MaturityScenario(MaturityLevel.ML4, params).run()
-        assert report.overall_score == pytest.approx(report.baseline_score)
+        baseline = [(a.weight, a.baseline) for a in report.assessments
+                    if a.baseline is not None]
+        assert report.overall_score == pytest.approx(
+            sum(w * b for w, b in baseline) / sum(w for w, _ in baseline))
         assert report.resilience_score == 0.0   # no disruption windows

@@ -5,7 +5,7 @@ Covers the acceptance criteria of the serving story:
 * retry backoff is deterministic per seed and bounded by the policy;
 * the circuit breaker walks its three-state transition table exactly;
 * cohort batching keeps kernel events O(aggregate rate), not O(users);
-* servers queue, reject and shed as configured;
+* servers queue and reject as configured;
 * the overload and retry-storm scenarios separate naive from resilient
   configurations by a wide, asserted margin.
 """
@@ -21,7 +21,6 @@ from repro.adaptation import (
     KnowledgeBase,
     RerouteTrafficAction,
     RuleBasedPlanner,
-    ShedLoadAction,
 )
 from repro.core.system import IoTSystem
 from repro.simulation.kernel import Simulator
@@ -249,7 +248,7 @@ class TestLoadGeneration:
 
 
 # --------------------------------------------------------------------------- #
-# Serving: queueing, rejection, admission, shedding
+# Serving: queueing, rejection, admission
 # --------------------------------------------------------------------------- #
 class TestServer:
     def test_completions_flow_back(self):
@@ -291,14 +290,6 @@ class TestServer:
         assert server.queue_depth == 1
         assert server.accepted == 2          # 1 in service + 1 admitted
         assert server.rejected >= 3
-
-    def test_shed_tightens_admission(self):
-        system, registry = _small_system()
-        server, _ = _wire(system, registry, queue_capacity=64)
-        assert registry.shed("edge0", factor=0.25)
-        assert isinstance(server.admission, QueueLengthAdmission)
-        assert server.admission.limit == 16
-        assert not registry.shed("nowhere")
 
     def test_priority_queue_serves_low_priority_value_first(self):
         system, registry = _small_system()
@@ -444,7 +435,7 @@ class TestRetryStormScenario:
 
 
 # --------------------------------------------------------------------------- #
-# MAPE integration: backpressure -> overload issue -> shed / reroute
+# MAPE integration: backpressure -> overload issue -> reroute
 # --------------------------------------------------------------------------- #
 class TestMapeIntegration:
     def test_backpressure_analyzer_opens_overload_issue(self):
@@ -460,29 +451,25 @@ class TestMapeIntegration:
             {"node": "edge0", "depth": 61, "capacity": 64, "since": 3.0}]
         assert BackpressureAnalyzer().analyze(knowledge, now=5.0) == []
 
-    def test_planner_prefers_reroute_over_shed(self):
+    def test_planner_reroutes_to_the_offload_target(self):
         planner = RuleBasedPlanner()
         knowledge = KnowledgeBase(["edge0"])
         issue = Issue(kind="overload", subject="edge0", detected_at=1.0,
                       severity=3)
-        shed_plan = planner.plan([issue], knowledge, now=1.0)
-        assert [type(a) for a in shed_plan.actions] == [ShedLoadAction]
+        # No elastic target: the overload rule plans nothing.
+        assert planner.plan([issue], knowledge, now=1.0).actions == []
         knowledge.facts["offload_target"] = "cloud"
         route_plan = planner.plan([issue], knowledge, now=2.0)
         assert [type(a) for a in route_plan.actions] == [RerouteTrafficAction]
         assert route_plan.actions[0].destination == "cloud"
 
-    def test_executor_sheds_and_reroutes_via_registry(self):
+    def test_executor_reroutes_via_registry(self):
         system, registry = _small_system()
-        server, client = _wire(system, registry, queue_capacity=64)
+        _, client = _wire(system, registry)
         executor = Executor(system.sim, system.network, system.fleet,
                             "edge0", system.rngs.stream("exec:edge0"))
-        shed, reroute = executor.execute([
-            ShedLoadAction(target="edge0", factor=0.5),
-            RerouteTrafficAction(target="edge0", destination="cloud"),
-        ])
-        assert shed.success
-        assert server.admission.limit == 32
+        reroute, = executor.execute([
+            RerouteTrafficAction(target="edge0", destination="cloud")])
         assert reroute.success
         assert client.target == "cloud"
 
