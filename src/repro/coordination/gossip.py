@@ -85,9 +85,6 @@ class GossipNode:
         entry = self._state.get(key)
         return entry.value if entry else None
 
-    def entry(self, key: str) -> Optional[GossipValue]:
-        return self._state.get(key)
-
     @property
     def keys(self) -> List[str]:
         return sorted(self._state)

@@ -129,10 +129,6 @@ class SoftwareStack:
     def services(self) -> List[Service]:
         return [self._services[k] for k in sorted(self._services)]
 
-    @property
-    def running_services(self) -> List[Service]:
-        return [s for s in self.services if s.state == ServiceState.RUNNING]
-
 
 #: Stack presets matching the device spectrum of §I.
 STACK_PRESETS: Dict[str, Dict] = {

@@ -182,11 +182,14 @@ def _defs(body, prefix):
 class Recorder:
     def __init__(self, directory):
         self.directory = directory
-        self.codes = set()
-        add = self.codes.add
+        # Keyed by identity, not held in a set: code objects compare equal
+        # across files when name, first line and body match (two one-line
+        # ``start`` methods at line 99 of two modules), and a set keeps one.
+        self.codes = codes = {}
 
         def trace(frame, _event, _arg):
-            add(frame.f_code)
+            code = frame.f_code
+            codes[id(code)] = code
 
         self.trace = trace
         multiprocessing.util.register_after_fork(self, Recorder._forked)
@@ -204,7 +207,8 @@ class Recorder:
 
     @staticmethod
     def positions(codes):
-        return {(code.co_filename, code.co_firstlineno) for code in codes}
+        return {(code.co_filename, code.co_firstlineno)
+                for code in codes.values()}
 
     def __enter__(self):
         threading.settrace(self.trace)
