@@ -115,6 +115,8 @@ RULES: Tuple[Rule, ...] = (
     # Tripwires on exact counts and on memory.
     _gate(r"telemetry\.bare_calls_per_event", "<=", 40.70 * 1.02,
           "EXPERIMENTS OBS-5"),
+    Rule(r"telemetry\.observed_extra_calls_per_event", "exact",
+         anchor="EXPERIMENTS OBS-7"),
     _gate(r"startup\.third_party_modules", "==", 0, "EXPERIMENTS START"),
     Rule(r"shard\.k1\.digests", "exact", anchor="EXPERIMENTS Recording cost"),
     Rule(r"persistence\.json_decodes", "exact",
@@ -1106,7 +1108,10 @@ def bench_telemetry(quick: bool) -> Dict[str, float]:
     counts are ``cProfile``'s ``total_calls``, exact on one interpreter:
     ``bare_calls_per_event`` is the kernel -> transport -> traffic chain,
     ``sampled_extra_calls_per_event`` what dropping 98 % of the spans
-    costs.  ``spans_identical`` requires every trace the sampled run kept
+    costs, and ``observed_extra_calls_per_event`` what the repo
+    benchmark's ``traffic_observed`` telemetry costs (2 % spans, the
+    kernel ``Instrument``, the overhead meter and an armed flight
+    recorder).  ``spans_identical`` requires every trace the sampled run kept
     to equal, span for span, the same trace of a run that keeps
     everything; span ordinals are only drawn by kept spans, so ids are
     compared by position.
@@ -1125,8 +1130,11 @@ def bench_telemetry(quick: bool) -> Dict[str, float]:
         system = prepared.system
         if mode != "bare":
             system.enable_observability(
-                instrument=False,
-                sample_rate=0.02 if mode == "sampled" else None)
+                instrument=mode == "observed",
+                sample_rate=None if mode == "full" else 0.02,
+                meter=mode == "observed")
+        if mode == "observed":
+            system.enable_flight_recorder(spec)
         started = time.perf_counter()
         if profiler is None:
             system.run(until=prepared.horizon)
@@ -1150,6 +1158,7 @@ def bench_telemetry(quick: bool) -> Dict[str, float]:
     # After the timed reps, so no first-call import is counted.
     bare_calls, bare_system = profiled_calls("bare")
     sampled_calls, sampled_system = profiled_calls("sampled")
+    observed_calls, _system = profiled_calls("observed")
     events = bare_system.sim.fired_count
 
     def traces(system: Any) -> Dict[str, List[Any]]:
@@ -1175,6 +1184,8 @@ def bench_telemetry(quick: bool) -> Dict[str, float]:
         "events": float(events),
         "bare_calls_per_event": bare_calls / events,
         "sampled_extra_calls_per_event": (sampled_calls - bare_calls) / events,
+        "observed_extra_calls_per_event": (
+            (observed_calls - bare_calls) / events),
         "spans_kept": float(len(sampled_system.spans)),
         "spans_sampled_out": float(sampled_system.spans.sampled_out),
         "spans_identical": float(

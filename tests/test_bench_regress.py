@@ -71,7 +71,8 @@ class TestTolerances:
         assert regress.tolerance_for("telemetry.sampled_over_bare") == (
             1.0, "higher")
         for metric in ("bare_calls_per_event", "spans_identical",
-                       "sampled_extra_calls_per_event"):
+                       "sampled_extra_calls_per_event",
+                       "observed_extra_calls_per_event"):
             tol, direction = regress.tolerance_for(f"telemetry.{metric}")
             assert tol < 1e-6 and direction == "both"
 
