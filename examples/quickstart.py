@@ -39,7 +39,7 @@ def main() -> None:
     #    are; the scheduler picks where (latency-aware -> an edge).
     scheduler = DevicelessScheduler(system.sim, system.fleet, system.topology)
     decision = scheduler.submit(
-        Service("telemetry-processor", cpu=200.0, provides={"processing"}),
+        Service("telemetry-processor", cpu=200.0),
         clients=system.sites["edge0"],
     )
     print(f"scheduler placed 'telemetry-processor' on {decision.device_id!r} "

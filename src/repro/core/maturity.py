@@ -188,8 +188,7 @@ class MaturityScenario:
 
     def _make_proc_service(self, site: int) -> Service:
         return Service(self.proc_name(site), runtime="python",
-                       cpu=200.0, memory=128.0, storage=32.0,
-                       provides={f"processing:site{site}"})
+                       cpu=200.0, memory=128.0, storage=32.0)
 
     def _place_services(self) -> None:
         placement = self.features.service_placement

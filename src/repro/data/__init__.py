@@ -11,9 +11,8 @@ levels of trust".  This package provides:
 * conflict-free replicated data types (:mod:`repro.data.crdt`) -- the
   decentralized synchronization substrate (no coordinator needed to merge);
 * an anti-entropy replica synchronizer (:mod:`repro.data.sync`);
-* the three data-quality dimensions Fig. 4 highlights -- timeliness,
-  availability, (and freshness as their operational proxy)
-  (:mod:`repro.data.quality`).
+* data freshness, the operational proxy for the timeliness and
+  availability Fig. 4 highlights (:mod:`repro.data.quality`).
 
 Privacy -- the third Fig. 4 dimension -- is enforced by
 :mod:`repro.governance` policies hooked into the synchronizer.

@@ -1,44 +1,26 @@
-"""Data-quality monitoring: timeliness, availability, freshness.
+"""Data-quality monitoring: freshness.
 
-Fig. 4 highlights three qualities of inter-IoT data exchange.  This module
-operationalizes them on top of the metrics recorder:
-
-* **timeliness** -- fraction of observed transfers whose end-to-end delay
-  met a deadline;
-* **availability** -- time-weighted fraction of a window during which a
-  datum (or its source) was obtainable;
-* **freshness** -- age of the newest locally-available value of a key,
-  sampled on read.
-
-These feed :class:`~repro.core.requirements.FreshnessRequirement` and
-friends, closing the loop from §VI's prose to measurable satisfaction.
+Fig. 4 highlights timeliness and availability of inter-IoT data exchange.
+This module measures their operational proxy on top of the metrics
+recorder: **freshness**, the age of the newest locally-available value of
+a key, sampled on read.  It feeds
+:class:`~repro.core.requirements.FreshnessRequirement`, closing the loop
+from §VI's prose to measurable satisfaction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.simulation.metrics import MetricsRecorder
 
 
 class DataQualityMonitor:
-    """Records and summarizes the Fig. 4 data-quality dimensions."""
+    """Records and reads data freshness, per key."""
 
     def __init__(self, metrics: MetricsRecorder) -> None:
         self.metrics = metrics
         self._last_update: Dict[str, float] = {}
-
-    # -- timeliness ----------------------------------------------------------- #
-    def timeliness(self, key: str, deadline: float) -> Optional[float]:
-        """Fraction of transfers of ``key`` that met ``deadline``."""
-        name = f"data.delay:{key}"
-        if not self.metrics.has_series(name):
-            return None
-        series = self.metrics.series(name)
-        delays = [v for _, v in series]
-        if not delays:
-            return None
-        return sum(1 for d in delays if d <= deadline) / len(delays)
 
     # -- freshness ------------------------------------------------------------ #
     def record_update(self, key: str, produced_at: float, observed_at: float) -> None:
@@ -63,22 +45,3 @@ class DataQualityMonitor:
         if not self.metrics.has_series(name):
             return None
         return self.metrics.series(name).mean()
-
-    # -- availability --------------------------------------------------------- #
-    def availability(self, key: str, start: float, end: float) -> Optional[float]:
-        name = f"data.available:{key}"
-        if not self.metrics.has_series(name):
-            return None
-        return self.metrics.series(name).time_weighted_mean(start, end)
-
-    # -- reporting -------------------------------------------------------------- #
-    def summary(self, keys: List[str], deadline: float, start: float, end: float) -> Dict[str, Dict[str, Optional[float]]]:
-        """Per-key quality triple over a window."""
-        out: Dict[str, Dict[str, Optional[float]]] = {}
-        for key in keys:
-            out[key] = {
-                "timeliness": self.timeliness(key, deadline),
-                "availability": self.availability(key, start, end),
-                "mean_freshness": self.mean_freshness(key),
-            }
-        return out

@@ -41,7 +41,7 @@ class Service:
         units.
     version:
         Semantic-ish version string; vendors update independently (§IV.B).
-    provides / requires:
+    requires:
         Capability names for dependency wiring in orchestration.
     """
 
@@ -51,7 +51,6 @@ class Service:
     memory: float = 32.0
     storage: float = 8.0
     version: str = "1.0.0"
-    provides: Set[str] = field(default_factory=set)
     requires: Set[str] = field(default_factory=set)
     state: ServiceState = ServiceState.STOPPED
 

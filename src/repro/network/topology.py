@@ -123,7 +123,6 @@ class Topology:
         # re-adding a pair replaces its Link in place, removing a node drops
         # its entry in every neighbour, and anything re-added goes last.
         self._adjacency: Dict[str, Dict[str, Link]] = {}
-        self._attrs: Dict[str, Dict[str, object]] = {}
         self._links: Dict[str, Link] = {}
         # Derived from topology state, dropped together by _invalidate().
         self._up_graph: Optional[UpGraph] = None
@@ -135,16 +134,13 @@ class Topology:
         self.invalidations = 0
 
     # -- construction ----------------------------------------------------- #
-    def add_node(self, node: str, **attrs: object) -> None:
-        self._insert_node(node).update(attrs)
+    def add_node(self, node: str) -> None:
+        self._insert_node(node)
         self._invalidate()
 
-    def _insert_node(self, node: str) -> Dict[str, object]:
-        attrs = self._attrs.get(node)
-        if attrs is None:
-            attrs = self._attrs[node] = {}
+    def _insert_node(self, node: str) -> None:
+        if node not in self._adjacency:
             self._adjacency[node] = {}
-        return attrs
 
     def add_link(self, a: str, b: str, profile: str = "lan") -> Link:
         """Add a bidirectional link with a named profile (see LINK_PROFILES)."""
@@ -169,7 +165,6 @@ class Topology:
             for neighbor, link in self._adjacency.pop(node).items():
                 del self._adjacency[neighbor][node]
                 self._links.pop(link.key(), None)
-            del self._attrs[node]
             self._invalidate()
 
     # -- access --------------------------------------------------------- #
@@ -307,18 +302,18 @@ def build_edge_cloud_topology(
     if n_sites < 1:
         raise ValueError("need at least one edge site")
     topo = Topology(rng=rng)
-    topo.add_node(cloud_node, tier="cloud")
+    topo.add_node(cloud_node)
     site_devices: Dict[str, List[str]] = {}
     edge_nodes = []
     for s in range(n_sites):
         edge = f"edge{s}"
         edge_nodes.append(edge)
-        topo.add_node(edge, tier="edge", site=s)
+        topo.add_node(edge)
         topo.add_link(edge, cloud_node, profile=site_uplink_profile)
         members = []
         for d in range(devices_per_site):
             device = f"d{s}.{d}"
-            topo.add_node(device, tier="device", site=s)
+            topo.add_node(device)
             topo.add_link(device, edge, profile=device_profile)
             members.append(device)
         site_devices[edge] = members

@@ -132,12 +132,12 @@ def prepare_smart_city_federated(
     # Per-domain edge/cloud subgraphs, mutually disconnected.
     for dom in local:
         cloud = f"{dom}:cloud"
-        system.topology.add_node(cloud, kind="cloud")
+        system.topology.add_node(cloud)
         system.fleet.add(Device(cloud, DeviceClass.CLOUD, domain=dom,
                                 location=dom))
         for s in range(sites_per_domain):
             edge = f"{dom}:edge{s}"
-            system.topology.add_node(edge, kind="edge")
+            system.topology.add_node(edge)
             system.topology.add_link(cloud, edge, profile="wan")
             system.fleet.add(Device(edge, DeviceClass.EDGE, domain=dom,
                                     location=f"{dom}/site{s}"))

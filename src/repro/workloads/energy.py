@@ -62,9 +62,7 @@ class EnergyGridWorkload:
         for feeder in range(self.n_feeders):
             edge = f"edge{feeder}"
             self.system.fleet.get(edge).host(Service(
-                f"balancer{feeder}", runtime="python", cpu=200.0,
-                provides={"feeder-balancing"},
-            ))
+                f"balancer{feeder}", runtime="python", cpu=200.0))
             self._register_balancer(feeder, edge)
             for meter_id in self.system.sites[edge]:
                 base = self._rng.uniform(

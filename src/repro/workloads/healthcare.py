@@ -50,8 +50,8 @@ class HealthcareWorkload:
     # -- construction ----------------------------------------------------------- #
     def _build_topology(self) -> None:
         topo = self.system.topology
-        topo.add_node("hospital-server", tier="edge")
-        topo.add_node("lab-server", tier="cloud")
+        topo.add_node("hospital-server")
+        topo.add_node("lab-server")
         topo.add_link("hospital-server", "lab-server", profile="wan")
         self.system.fleet.add(Device("hospital-server", DeviceClass.EDGE,
                                      domain="hospital", location="hospital"))
@@ -60,8 +60,8 @@ class HealthcareWorkload:
         for patient in range(self.n_patients):
             phone = f"phone{patient}"
             wearable = f"wearable{patient}"
-            topo.add_node(phone, tier="edge")
-            topo.add_node(wearable, tier="device")
+            topo.add_node(phone)
+            topo.add_node(wearable)
             topo.add_link(wearable, phone, profile="wireless")
             topo.add_link(phone, "hospital-server", profile="cellular")
             self.system.fleet.add(Device(phone, DeviceClass.MOBILE,

@@ -55,8 +55,7 @@ class SmartCityWorkload:
         for district in range(self.n_districts):
             edge = f"edge{district}"
             analytics = Service(f"traffic-analytics{district}", runtime="python",
-                                cpu=300.0, memory=256.0,
-                                provides={"traffic-analytics"})
+                                cpu=300.0, memory=256.0)
             self.system.fleet.get(edge).host(analytics)
             # One signal actuator per district, attached to the edge LAN.
             actuator_id = f"signal{district}"

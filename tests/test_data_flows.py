@@ -175,13 +175,6 @@ class TestSync:
 
 
 class TestDataQuality:
-    def test_timeliness_fraction(self, metrics):
-        monitor = DataQualityMonitor(metrics)
-        metrics.record("data.delay:k", 0.05, 0.05)
-        metrics.record("data.delay:k", 1.30, 0.30)
-        assert monitor.timeliness("k", deadline=0.1) == 0.5
-        assert monitor.timeliness("ghost", deadline=0.1) is None
-
     def test_freshness_tracks_newest_production(self, metrics):
         monitor = DataQualityMonitor(metrics)
         monitor.record_update("k", produced_at=1.0, observed_at=2.0)
@@ -190,19 +183,3 @@ class TestDataQuality:
         assert monitor.mean_freshness("k") == pytest.approx(3.0)
         assert monitor.sample_freshness("ghost", now=4.0) is None
 
-    def test_availability_window(self, metrics):
-        monitor = DataQualityMonitor(metrics)
-        metrics.set_level("data.available:k", 0.0, 1.0)
-        metrics.set_level("data.available:k", 5.0, 0.0)
-        metrics.set_level("data.available:k", 8.0, 1.0)
-        assert monitor.availability("k", 0.0, 10.0) == pytest.approx(0.7)
-
-    def test_summary(self, metrics):
-        monitor = DataQualityMonitor(metrics)
-        metrics.record("data.delay:k", 0.01, 0.01)
-        metrics.set_level("data.available:k", 0.0, 1.0)
-        monitor.record_update("k", 0.0, 0.0)
-        monitor.sample_freshness("k", 1.0)
-        summary = monitor.summary(["k"], deadline=0.1, start=0.0, end=1.0)
-        assert summary["k"]["timeliness"] == 1.0
-        assert summary["k"]["availability"] == 1.0

@@ -30,8 +30,8 @@ class Shadow:
     def __init__(self):
         self.graph = nx.Graph()
 
-    def add_node(self, node, **attrs):
-        self.graph.add_node(node, **attrs)
+    def add_node(self, node):
+        self.graph.add_node(node)
 
     def add_link(self, a, b, profile):
         for node in (a, b):
@@ -72,9 +72,9 @@ def apply(topology, shadow, op):
     """Apply one mutation to both sides; both must accept or refuse it."""
     kind = op[0]
     if kind == "node":
-        _, node, attrs = op
-        topology.add_node(node, **attrs)
-        shadow.add_node(node, **attrs)
+        _, node = op
+        topology.add_node(node)
+        shadow.add_node(node)
     elif kind == "link":
         _, a, b, profile = op
         if a == b:
@@ -104,8 +104,6 @@ def assert_same_graph(topology, shadow, pairs):
     assert topology.nodes == list(graph.nodes)
     for node in graph.nodes:
         assert topology.neighbors(node) == list(graph.neighbors(node)), node
-        for key, value in graph.nodes[node].items():
-            assert topology._attrs[node].get(key) == value
     assert {link.key() for link in topology.links} == \
         {"--".join(sorted(edge)) for edge in graph.edges}
     sub = shadow.up_subgraph()
@@ -125,9 +123,7 @@ ALL_PAIRS = [(s, d) for s in POOL + ("nowhere",) for d in POOL + ("nowhere",)]
 
 names = st.sampled_from(POOL)
 operations = st.one_of(
-    st.tuples(st.just("node"), names,
-              st.dictionaries(st.sampled_from(("tier", "site")),
-                              st.integers(0, 3), max_size=2)),
+    st.tuples(st.just("node"), names),
     st.tuples(st.just("link"), names, names, st.sampled_from(PROFILES)),
     st.tuples(st.just("link"), names, names, st.sampled_from(PROFILES)),
     st.tuples(st.just("remove"), names),
@@ -162,7 +158,7 @@ class TestRouterAgainstOracle:
             roll = rng.random()
             nodes = topology.nodes
             if roll < 0.15:
-                op = ("node", rng.choice(extras), {"tier": rng.randrange(3)})
+                op = ("node", rng.choice(extras))
             elif roll < 0.50:
                 # Mostly three tie-prone profiles; sometimes any of them.
                 profile = (rng.choice(PROFILES) if rng.random() < 0.8
@@ -211,13 +207,14 @@ class TestOrderingRules:
         assert topology.nodes == ["b", "c", "a"]
         assert topology.neighbors("b") == ["c", "a"]
 
-    def test_add_node_merges_attrs_and_keeps_position(self):
+    def test_re_adding_a_node_keeps_its_position(self):
         topology = Topology()
-        topology.add_node("a", tier="edge")
+        topology.add_node("a")
         topology.add_node("b")
-        topology.add_node("a", site=2)
+        topology.add_link("a", "b")
+        topology.add_node("a")
         assert topology.nodes == ["a", "b"]
-        assert topology._attrs == {"a": {"tier": "edge", "site": 2}, "b": {}}
+        assert topology.neighbors("a") == ["b"]
 
     def test_self_link_raises_after_adding_the_node(self):
         topology = Topology()
