@@ -47,7 +47,6 @@ or run ``python -m repro trace <scenario>`` / ``python -m repro monitor
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "chrome_trace_events": "export",
     "prometheus_text": "export",
     "write_chrome_trace": "export",
     "write_events_jsonl": "export",

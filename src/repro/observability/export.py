@@ -28,7 +28,9 @@ All writers take a path and return the number of records written so CLIs
 can report artifact sizes.  The JSONL and Chrome-trace writers stream:
 they encode records as their generators yield them and write
 :data:`_CHUNK` records at a time, so an export holds one chunk, never the
-record list or the whole document.
+record list or the whole document.  A trace event's line is formatted,
+not serialised: its fixed keys come from a template and only its
+``attrs`` (or Chrome ``args``) go through the encoder.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ import html as _html
 import json
 import re
 from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import isfinite
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -82,30 +87,69 @@ def _default(obj: Any) -> str:
 _CHUNK = 512
 
 
-def _encoded_chunks(records: Iterable[Any]) -> Iterator[List[str]]:
-    """``records`` JSON-encoded, :data:`_CHUNK` at a time.
+def _value_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, default=_default)``, from one C encoder.
 
-    One C encoder per file, called once per record: each string is byte
-    for byte what ``json.dumps(record, default=_default)`` gives.  One
-    call per chunk (the chunk encoded as a list) holds the fragments of
-    all its records until the final join: 1.4 MiB more peak RSS on the
-    repo benchmark's ``traffic_observed``.
+    ``JSONEncoder.encode`` builds a C encoder on every call, through two
+    Python frames; an export encodes thousands of small values, so it
+    builds one and calls it.  Made per export: the circular-reference
+    markers an aborted encode leaves behind die with it.
     """
-    encoded = map(json.JSONEncoder(default=_default).encode, records)
-    chunk = list(islice(encoded, _CHUNK))
+    if c_make_encoder is None:  # pragma: no cover - CPython has _json
+        return json.JSONEncoder(default=_default).encode
+    iterencode = c_make_encoder({}, _default, encode_basestring_ascii, None,
+                                ": ", ", ", False, False, True)
+
+    def encode(value: Any) -> str:
+        return "".join(iterencode(value, 0))
+    return encode
+
+
+#: Encoded strings one export keeps (:class:`_Quoted`).  A trace holds a
+#: few dozen distinct categories, names and subjects; an export that
+#: meets more starts over at this many.
+_QUOTED_MEMO_SIZE = 256
+
+
+class _Quoted(dict):
+    """``str`` -> its JSON text, encoded on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        if len(self) >= _QUOTED_MEMO_SIZE:
+            self.clear()
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+def _chunks(lines: Iterator[str]) -> Iterator[List[str]]:
+    """``lines``, :data:`_CHUNK` at a time.
+
+    One encode per record, not per chunk: encoding a chunk as one list
+    holds the fragments of all its records until the final join (1.4 MiB
+    more peak RSS on the repo benchmark's ``traffic_observed``).
+    """
+    chunk = list(islice(lines, _CHUNK))
     while chunk:
         yield chunk
-        chunk = list(islice(encoded, _CHUNK))
+        chunk = list(islice(lines, _CHUNK))
 
 
-def _write_jsonl(records: Iterable[Dict[str, Any]], path: PathLike) -> int:
-    """One JSON object per line; returns the number of lines written."""
+def _write_lines(lines: Iterator[str], path: PathLike) -> int:
+    """One JSON text per line; returns the number of lines written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in _encoded_chunks(records):
+        for chunk in _chunks(lines):
             fh.write("\n".join(chunk) + "\n")
             count += len(chunk)
     return count
+
+
+def _write_jsonl(records: Iterable[Dict[str, Any]], path: PathLike) -> int:
+    """One JSON object per line, each byte for byte ``json.dumps(record,
+    default=_default)``; returns the number of lines written."""
+    return _write_lines(map(_value_encoder(), records), path)
 
 
 def write_spans_jsonl(spans: Iterable[Span], path: PathLike) -> int:
@@ -123,9 +167,35 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
     }
 
 
+#: :func:`event_to_dict`'s record as ``json.dumps`` prints it.  A finite
+#: ``float`` prints as its ``repr`` and a ``str`` as
+#: ``encode_basestring_ascii`` gives it, so those slots are formatted;
+#: ``attrs`` is encoded.
+_EVENT_LINE = ('{"time": %r, "category": %s, "name": %s, "subject": %s, '
+               '"attrs": %s}')
+
+
+def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Each event's JSON text: formatted, or encoded whole when a slot
+    holds what the template cannot print (a non-``float`` or non-finite
+    time, a non-``str`` category, name or subject)."""
+    encode = _value_encoder()
+    quoted = _Quoted()
+    for event in events:
+        time, category = event.time, event.category
+        name, subject = event.name, event.subject
+        if (time.__class__ is float and isfinite(time)
+                and category.__class__ is str and name.__class__ is str
+                and subject.__class__ is str):
+            yield _EVENT_LINE % (time, quoted[category], quoted[name],
+                                 quoted[subject], encode(event.attrs))
+        else:
+            yield encode(event_to_dict(event))
+
+
 def write_events_jsonl(events: Iterable[TraceEvent], path: PathLike) -> int:
     """One trace event per line; returns the number of events written."""
-    return _write_jsonl(map(event_to_dict, events), path)
+    return _write_lines(_event_lines(events), path)
 
 
 #: What a Chrome-trace ``args`` value may be as it stands; anything else is
@@ -151,29 +221,37 @@ def _metadata(name: str, tid: int, value: str) -> Dict[str, Any]:
             "args": {"name": value}}
 
 
-def chrome_trace_events(
-    spans: Iterable[Span] = (),
-    events: Iterable[TraceEvent] = (),
-) -> Iterator[Dict[str, Any]]:
-    """Yield the Trace Event Format records for spans + trace events.
+#: A trace event's Chrome instant as ``json.dumps`` prints the record
+#: (see :data:`_EVENT_LINE`); ``args`` is encoded.
+_INSTANT_LINE = ('{"ph": "i", "name": %s, "cat": %s, "ts": %r, "pid": 1, '
+                 '"tid": %d, "s": "t", "args": %s}')
+
+
+def _chrome_trace_lines(spans: Iterable[Span],
+                        events: Iterable[TraceEvent]) -> Iterator[str]:
+    """The Trace Event Format records for spans + trace events, as JSON text.
 
     Each span/event category gets its own named thread so Perfetto's track
     view groups the stack layer by layer (messages, mape, faults, ...);
     a thread's ``thread_name`` record comes just before its first record.
+    Span slices are encoded; a trace event's instant is formatted from
+    :data:`_INSTANT_LINE`, or encoded whole when its name or category is
+    not a ``str`` or its timestamp not a finite ``float``.
     """
-    yield _metadata("process_name", 0, "repro simulation")
+    encode = _value_encoder()
+    yield encode(_metadata("process_name", 0, "repro simulation"))
     tids: Dict[str, int] = {}
     for span in spans:
         tid = tids.get(span.category)
         if tid is None:
             tid = tids[span.category] = len(tids) + 1
-            yield _metadata("thread_name", tid, span.category)
+            yield encode(_metadata("thread_name", tid, span.category))
         end = span.end if span.end is not None else span.start
         args = {"trace_id": span.trace_id, "span_id": span.span_id,
                 "status": span.status}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
-        yield {
+        yield encode({
             "ph": "X",
             "name": span.name,
             "cat": span.category,
@@ -182,37 +260,39 @@ def chrome_trace_events(
             "pid": 1,
             "tid": tid,
             "args": _chrome_args(args, span.attrs),
-        }
+        })
+    quoted = _Quoted()
     for event in events:
-        thread = f"events:{event.category}"
+        category, name = event.category, event.name
+        thread = f"events:{category}"
         tid = tids.get(thread)
         if tid is None:
             tid = tids[thread] = len(tids) + 1
-            yield _metadata("thread_name", tid, thread)
-        yield {
-            "ph": "i",
-            "name": event.name,
-            "cat": event.category,
-            "ts": event.time * _US,
-            "pid": 1,
-            "tid": tid,
-            "s": "t",
-            "args": _chrome_args({"subject": event.subject}, event.attrs),
-        }
+            yield encode(_metadata("thread_name", tid, thread))
+        ts = event.time * _US
+        args = _chrome_args({"subject": event.subject}, event.attrs)
+        if (ts.__class__ is float and isfinite(ts)
+                and name.__class__ is str and category.__class__ is str):
+            yield _INSTANT_LINE % (quoted[name], quoted[category], ts, tid,
+                                   encode(args))
+        else:
+            yield encode({"ph": "i", "name": name, "cat": category,
+                          "ts": ts, "pid": 1, "tid": tid, "s": "t",
+                          "args": args})
 
 
-def _write_chrome_document(path: PathLike,
-                           records: Iterable[Dict[str, Any]]) -> int:
+def _write_chrome_document(path: PathLike, lines: Iterator[str]) -> int:
     """The one Chrome-trace document writer; returns the records written.
 
     Byte for byte what ``json.dumps(..., default=_default)`` gives for
-    the whole document with ``records`` listed: ``dumps`` joins list
-    items with ``", "``, within a chunk and between chunks alike.
+    the whole document with the records of ``lines`` listed: ``dumps``
+    joins list items with ``", "``, within a chunk and between chunks
+    alike.
     """
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"traceEvents": [')
-        for chunk in _encoded_chunks(records):
+        for chunk in _chunks(lines):
             if count:
                 fh.write(", ")
             fh.write(", ".join(chunk))
@@ -227,8 +307,7 @@ def write_chrome_trace(
     events: Iterable[TraceEvent] = (),
 ) -> int:
     """Write a chrome://tracing / Perfetto-loadable JSON file."""
-    return _write_chrome_document(
-        path, chrome_trace_events(spans=spans, events=events))
+    return _write_chrome_document(path, _chrome_trace_lines(spans, events))
 
 
 def _plane_trace_events(recorder: Any,
@@ -265,7 +344,8 @@ def write_profile_chrome_trace(path: PathLike, recorder: Any,
     simulated-time cost.
     """
     clock = float(now) if now is not None else latest_span_time(recorder)
-    return _write_chrome_document(path, _plane_trace_events(recorder, clock))
+    return _write_chrome_document(
+        path, map(_value_encoder(), _plane_trace_events(recorder, clock)))
 
 
 def write_metrics_snapshot(metrics: MetricsRecorder, path: PathLike) -> Dict[str, Any]:

@@ -4,10 +4,11 @@ When a CLI gate, SLO monitor or determinism check fails, the boolean
 exit code used to be all that survived -- the spans, series and journal
 tail that explain the failure died with the process.  A
 :class:`FlightRecorder` fixes that: armed on a live system, it watches
-the trace for trigger events (SLO breaches, harness crashes), chains
-into the kernel's ``on_event`` observer to sample queue depths and to
-pin evidence to an exact inter-event barrier, and on demand dumps a
-self-contained *incident bundle*:
+the trace for trigger events (SLO breaches, harness crashes), samples queue
+depth from the kernel's fired-count barriers, chains into the kernel's
+``on_event`` observer while a trigger waits, to pin evidence to an
+exact inter-event barrier, and on demand dumps a self-contained
+*incident bundle*:
 
 ``manifest.json``
     Trigger(s), barrier (time / fired / digest), scenario spec, the
@@ -104,8 +105,8 @@ class FlightRecorder:
         Evidence bounds: recent trace events, recent spans, and trailing
         points per metric series kept in the bundle.
     queue_sample_every / queue_samples:
-        Kernel queue depth is sampled every Nth fired event into a ring
-        of the given size.
+        Kernel queue depth is sampled every Nth fired event, counted from
+        the fired count at :meth:`arm`, into a ring of the given size.
     """
 
     def __init__(self, system: Any, spec: Optional[ScenarioSpec] = None,
@@ -126,7 +127,8 @@ class FlightRecorder:
         self.armed = False
         self._pending = False
         self._evidence: Optional[Dict[str, Any]] = None
-        self._events_seen = 0
+        # Fired count of the next queue-depth sample (see _sample_queue).
+        self._next_sample = 0
         self._queue_ring: List[List[float]] = []
         self._prev_observer: Optional[Callable[[Any], None]] = None
         self._unsubscribe: Optional[Callable[[], None]] = None
@@ -135,32 +137,34 @@ class FlightRecorder:
     # Arming and trigger detection
     # ------------------------------------------------------------------ #
     def arm(self) -> "FlightRecorder":
-        """Hook the trace log and the kernel observer chain.
+        """Hook the trace log and start sampling queue depth.
 
-        The previous ``on_event`` observer (typically a journaling
-        :class:`~repro.persistence.runner.RunRecorder`) keeps running
-        first, so the journal sees exactly the stream it would without a
-        flight recorder attached.
+        A run with no incident costs the kernel nothing per event: the
+        queue-depth samples are fired-count barriers
+        (:meth:`~repro.simulation.kernel.Simulator.at_fired`), and the
+        recorder joins the ``on_event`` observer chain only while a
+        trigger waits for its evidence barrier (:meth:`_observe`).
         """
         if self.armed:
             return self
         self.armed = True
         self._unsubscribe = self.system.trace.subscribe(self._on_trace)
-        self._prev_observer = self.system.sim.on_event
-        self.system.sim.on_event = self._on_event
+        sim = self.system.sim
+        self._next_sample = sim.fired_count + self.queue_sample_every
+        sim.at_fired(self._next_sample, self._sample_queue, first=True)
+        if self._pending and self._evidence is None:
+            self._observe()
         return self
 
     def disarm(self) -> None:
-        """Restore the observer chain and trace subscription."""
+        """Stop sampling; restore the observer chain and trace subscription."""
         if not self.armed:
             return
         self.armed = False
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
-        if self.system.sim.on_event == self._on_event:
-            self.system.sim.on_event = self._prev_observer
-        self._prev_observer = None
+        self._unobserve()
 
     def _on_trace(self, event: Any) -> None:
         if event.category == "alert" and event.name == "slo-breach":
@@ -174,22 +178,49 @@ class FlightRecorder:
             self.trigger("harness-crash",
                          detail={"subject": event.subject}, time=event.time)
 
+    def _sample_queue(self, sim: Any) -> None:
+        """Record queue depth at this barrier and book the next sample.
+
+        Runs first among the barrier's callbacks, so it reads the state
+        right after the event, as the ``on_event`` observer does.  A
+        barrier that is not the next sample does nothing: the chain of a
+        disarmed recorder, or one the evidence observer already took.
+        """
+        if not self.armed or sim.fired_count != self._next_sample:
+            return
+        if len(self._queue_ring) >= self.queue_samples:
+            self._queue_ring.pop(0)
+        self._queue_ring.append(
+            [sim.now, float(sim.fired_count), float(sim.pending_count)])
+        self._next_sample += self.queue_sample_every
+        sim.at_fired(self._next_sample, self._sample_queue, first=True)
+
+    def _observe(self) -> None:
+        """Chain into ``on_event`` until the evidence barrier is pinned."""
+        sim = self.system.sim
+        self._prev_observer = sim.on_event
+        sim.on_event = self._on_event
+
+    def _unobserve(self) -> None:
+        sim = self.system.sim
+        if sim.on_event == self._on_event:
+            sim.on_event = self._prev_observer
+            self._prev_observer = None
+
     def _on_event(self, event: Any) -> None:
+        # The previous observer (typically a journaling RunRecorder) runs
+        # first, so the journal sees exactly the stream it would without a
+        # flight recorder attached.
         prev = self._prev_observer
         if prev is not None:
             prev(event)
-        self._events_seen += 1
-        if self._events_seen % self.queue_sample_every == 0:
-            sim = self.system.sim
-            if len(self._queue_ring) >= self.queue_samples:
-                self._queue_ring.pop(0)
-            self._queue_ring.append(
-                [sim.now, float(sim.fired_count), float(sim.pending_count)])
         if self._pending and self._evidence is None:
             # First post-event boundary after the trigger: the exact
             # barrier fast_forward can reproduce (between events, digest
-            # over post-event state).
+            # over post-event state).  A sample due here is in the ring.
+            self._sample_queue(self.system.sim)
             self._capture_evidence(exact=True)
+            self._unobserve()
 
     def trigger(self, reason: str, detail: Optional[Dict[str, Any]] = None,
                 time: Optional[float] = None) -> IncidentTrigger:
@@ -203,6 +234,8 @@ class FlightRecorder:
         self.triggers.append(trig)
         if len(self.triggers) == 1:
             self._pending = True
+            if self.armed:
+                self._observe()
         return trig
 
     @property
@@ -242,6 +275,7 @@ class FlightRecorder:
         """
         if self._pending and self._evidence is None:
             self._capture_evidence(exact=not self.system.sim._running)
+            self._unobserve()
 
     def _capture_evidence(self, exact: bool) -> None:
         system = self.system

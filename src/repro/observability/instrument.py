@@ -45,15 +45,6 @@ class LabelStats:
         self.queue_s = 0.0
         self.buckets: List[int] = [0] * _N_BUCKETS
 
-    def add(self, seconds: float, queue_s: float = 0.0) -> None:
-        self.count += 1
-        self.total_s += seconds
-        self.queue_s += queue_s
-        if seconds > self.max_s:
-            self.max_s = seconds
-        index = int(seconds * 1e6).bit_length()
-        self.buckets[index if index < _N_BUCKETS else _N_BUCKETS - 1] += 1
-
     @property
     def mean_us(self) -> float:
         return (self.total_s / self.count) * 1e6 if self.count else 0.0
@@ -143,7 +134,15 @@ class Instrument:
         stats = self._labels.get(label)
         if stats is None:
             stats = self._labels[label] = LabelStats()
-        stats.add(wall_seconds, queue_lag_s)
+        # The label's aggregate, updated here rather than by a LabelStats
+        # method: this runs once per fired event.
+        stats.count += 1
+        stats.total_s += wall_seconds
+        stats.queue_s += queue_lag_s
+        if wall_seconds > stats.max_s:
+            stats.max_s = wall_seconds
+        index = int(wall_seconds * 1e6).bit_length()
+        stats.buckets[index if index < _N_BUCKETS else _N_BUCKETS - 1] += 1
         if self.first_event_time is None:
             self.first_event_time = sim_time
         self.last_event_time = sim_time

@@ -67,10 +67,15 @@ def _mix64(value: int) -> int:
 class SpanSampler:
     """Deterministic head-based sampling decisions for root spans.
 
-    ``keep(index)`` hashes the run seed with the root's trace ordinal
-    and keeps the trace when the hash falls below ``rate`` of the 64-bit
-    space.  Decisions are independent per trace and reproducible across
-    processes -- the property replay and resume rely on.
+    A root span with trace ordinal ``index`` is kept when
+    ``_mix64(base ^ index)`` falls below ``threshold``, ``rate`` of the
+    64-bit space; ``base`` is the mixed run seed.  Decisions are
+    independent per trace and reproducible across processes -- the
+    property replay and resume rely on.  The decision is made inline in
+    :meth:`~repro.observability.spans.SpanRecorder.admit`, once per root
+    span on the kernel hot path where one Python call frame is
+    comparable to the whole hash; it counts ``decisions`` and ``kept``
+    here.
     """
 
     def __init__(self, rate: float, seed: int = 0) -> None:
@@ -78,27 +83,10 @@ class SpanSampler:
             raise ValueError(f"sampling rate {rate} outside [0, 1]")
         self.rate = float(rate)
         self.seed = int(seed)
-        self._threshold = int(self.rate * float(1 << 64))
-        self._base = _mix64(self.seed & _MASK64)
+        self.threshold = int(self.rate * float(1 << 64))
+        self.base = _mix64(self.seed & _MASK64)
         self.decisions = 0
         self.kept = 0
-
-    def keep(self, index: int) -> bool:
-        """Deterministic keep/drop for the root span with ordinal ``index``.
-
-        The SplitMix64 finalizer is inlined (not a ``_mix64`` call): this
-        runs once per root span on the kernel hot path, where one Python
-        call frame is comparable to the whole hash.
-        """
-        self.decisions += 1
-        value = ((self._base ^ (index & _MASK64))
-                 + 0x9E3779B97F4A7C15) & _MASK64
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-        if (value ^ (value >> 31)) < self._threshold:
-            self.kept += 1
-            return True
-        return False
 
     @property
     def dropped(self) -> int:

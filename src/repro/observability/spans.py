@@ -24,6 +24,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.observability.overhead import (
+    _MASK64,
     ALWAYS_SAMPLE_CATEGORIES,
     DROPPED_TRACE_ID,
 )
@@ -147,11 +148,14 @@ class _Scope:
 class SpanRecorder:
     """Creates, finishes and indexes spans.
 
-    The recorder keeps a *current-context stack*: components push the span
-    they are working under (an executing MAPE iteration, a delivering
-    message), and any span started without an explicit parent inherits the
-    top of the stack.  The simulation is single-threaded, so a plain stack
-    gives correct causal attribution across arbitrarily nested callbacks.
+    The recorder keeps a *current-context stack* (``stack``): components
+    push the span they are working under (an executing MAPE iteration, a
+    delivering message), and any span started without an explicit parent
+    inherits the top of the stack.  The simulation is single-threaded, so
+    a plain stack gives correct causal attribution across arbitrarily
+    nested callbacks.  :meth:`use` pushes for a ``with`` block; the
+    transport pushes a delivering message's context on ``stack`` itself,
+    in a ``try``/``finally``, because it does so once per delivery.
 
     A small *fault index* maps subjects (device ids, fault names) to their
     currently-active injection span, so that a repair performed far from
@@ -166,7 +170,7 @@ class SpanRecorder:
         self._spans: List[Span] = []
         self._by_id: Dict[str, Span] = {}
         self._open: Dict[str, Span] = {}
-        self._stack: List[SpanContext] = []
+        self.stack: List[SpanContext] = []
         self._fault_index: Dict[str, Span] = {}
         # Head-based sampling (repro.observability.overhead.SpanSampler):
         # the keep/drop decision is made once at the trace root and
@@ -196,7 +200,9 @@ class SpanRecorder:
         coin flip; descendants (which inherit the sentinel dropped context
         through propagation) are elided without re-consulting the sampler.
         Root trace ordinals are consumed either way, so the kept traces
-        keep the exact ids an unsampled run would give them.
+        keep the exact ids an unsampled run would give them.  The
+        sampler's decision is made here, from its seeded base and the
+        root's ordinal (see :class:`~repro.observability.overhead.SpanSampler`).
         """
         meter = self.meter
         started = perf_counter() if meter is not None else 0.0
@@ -206,7 +212,7 @@ class SpanRecorder:
         # -- each avoided Python call is a measurable slice of that
         # budget (see benchmarks/regress.py bench_telemetry).
         if parent is None:
-            stack = self._stack
+            stack = self.stack
             parent_ctx = stack[-1] if stack else None
         else:
             parent_ctx = parent.context if isinstance(parent, Span) else parent
@@ -225,13 +231,23 @@ class SpanRecorder:
         else:
             trace_seq = next(self._trace_ids)
             sampler = self.sampler
-            if (sampler is not None and category not in self.always_sample
-                    and not sampler.keep(trace_seq)):
-                self.sampled_out += 1
-                if meter is not None:
-                    meter.spans_count += 1
-                    meter.spans_wall_s += perf_counter() - started
-                return None
+            if sampler is not None and category not in self.always_sample:
+                # The SplitMix64 finalizer of the sampler's base XOR the
+                # root ordinal, kept when below the rate's threshold.
+                sampler.decisions += 1
+                value = ((sampler.base ^ (trace_seq & _MASK64))
+                         + 0x9E3779B97F4A7C15) & _MASK64
+                value = ((value ^ (value >> 30))
+                         * 0xBF58476D1CE4E5B9) & _MASK64
+                value = ((value ^ (value >> 27))
+                         * 0x94D049BB133111EB) & _MASK64
+                if (value ^ (value >> 31)) >= sampler.threshold:
+                    self.sampled_out += 1
+                    if meter is not None:
+                        meter.spans_count += 1
+                        meter.spans_wall_s += perf_counter() - started
+                    return None
+                sampler.kept += 1
             context = SpanContext(
                 trace_id=f"t{trace_seq:04d}",
                 span_id=f"s{next(self._span_ids):06d}",
@@ -319,7 +335,7 @@ class SpanRecorder:
     # -- current-context stack -------------------------------------------- #
     @property
     def current(self) -> Optional[SpanContext]:
-        return self._stack[-1] if self._stack else None
+        return self.stack[-1] if self.stack else None
 
     def use(self, context: ParentLike) -> _Scope:
         """Make ``context`` the implicit parent for the enclosed block.
@@ -328,7 +344,7 @@ class SpanRecorder:
         pass through whatever they hold without case analysis.  The stack
         is restored when the block exits, by return or by exception.
         """
-        return _Scope(self._stack, context.context
+        return _Scope(self.stack, context.context
                       if isinstance(context, Span) else context)
 
     # -- fault index ------------------------------------------------------- #

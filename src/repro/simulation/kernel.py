@@ -276,8 +276,8 @@ class Simulator:
         """
         return self._peek_time()
 
-    def at_fired(self, index: int,
-                 callback: Callable[["Simulator"], None]) -> None:
+    def at_fired(self, index: int, callback: Callable[["Simulator"], None],
+                 first: bool = False) -> None:
         """Run ``callback`` at the fired-count barrier ``index``.
 
         The callback fires at a deterministic point in the event
@@ -292,6 +292,11 @@ class Simulator:
         same barrier, so every kernel sequence number assigned by the
         load matches the original run's.  Hooks are driver state --
         never checkpointed, never digested.
+
+        A barrier's callbacks run in registration order; ``first`` puts
+        ``callback`` ahead of those already registered, for an observer
+        that must read the state the event left (the flight recorder's
+        queue-depth sample) before any driver action at that barrier.
         """
         index = int(index)
         if index < self._fired:
@@ -300,7 +305,11 @@ class Simulator:
         if index == self._fired:
             callback(self)
             return
-        self._fired_hooks.setdefault(index, []).append(callback)
+        hooks = self._fired_hooks.setdefault(index, [])
+        if first:
+            hooks.insert(0, callback)
+        else:
+            hooks.append(callback)
 
     def _peek_time(self) -> Optional[float]:
         while self._heap:

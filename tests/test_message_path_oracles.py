@@ -25,10 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.link import LatencyModel, LinkProfile
-from repro.network.transport import Message
+from repro.network.topology import Topology
+from repro.network.transport import Message, Network
 from repro.observability.export import (
     _CHUNK,
-    chrome_trace_events,
     write_chrome_trace,
     write_events_jsonl,
     write_profile_chrome_trace,
@@ -37,9 +37,11 @@ from repro.observability.export import (
 from repro.observability.histogram import StreamingHistogram
 from repro.observability.instrument import Instrument
 from repro.observability.overhead import (
+    _MASK64,
     DROPPED_TRACE_ID,
     OverheadMeter,
     SpanSampler,
+    _mix64,
 )
 from repro.observability.spans import (
     DROPPED_SPAN,
@@ -55,6 +57,16 @@ from repro.simulation.trace import TraceEvent
 # --------------------------------------------------------------------------- #
 # (a) admit() + begin() == the start() they were cut from
 # --------------------------------------------------------------------------- #
+def _reference_keep(sampler, index):
+    """The sampler's decision as one ``_mix64`` call, the way it was made
+    before ``admit`` wrote the finalizer out inline."""
+    sampler.decisions += 1
+    if _mix64(sampler.base ^ (index & _MASK64)) < sampler.threshold:
+        sampler.kept += 1
+        return True
+    return False
+
+
 class _MonolithicRecorder(SpanRecorder):
     """``start`` and ``use`` as they were before the decision was split out:
     one body that decides, builds and records, and a generator context
@@ -64,7 +76,7 @@ class _MonolithicRecorder(SpanRecorder):
         meter = self.meter
         started = perf_counter() if meter is not None else 0.0
         if parent is None:
-            stack = self._stack
+            stack = self.stack
             parent_ctx = stack[-1] if stack else None
         else:
             parent_ctx = parent.context if isinstance(parent, Span) else parent
@@ -84,7 +96,7 @@ class _MonolithicRecorder(SpanRecorder):
             trace_seq = next(self._trace_ids)
             sampler = self.sampler
             if (sampler is not None and category not in self.always_sample
-                    and not sampler.keep(trace_seq)):
+                    and not _reference_keep(sampler, trace_seq)):
                 self.sampled_out += 1
                 if meter is not None:
                     meter.spans_count += 1
@@ -110,11 +122,11 @@ class _MonolithicRecorder(SpanRecorder):
             yield
             return
         ctx = context.context if isinstance(context, Span) else context
-        self._stack.append(ctx)
+        self.stack.append(ctx)
         try:
             yield
         finally:
-            self._stack.pop()
+            self.stack.pop()
 
 
 def _start_site(recorder, name, category, time, parent, **attrs):
@@ -266,6 +278,103 @@ def test_begin_keeps_every_keyword_as_an_attr():
     recorder = SpanRecorder()
     span = recorder.start("op", "test", 0.0, context="c", name_="n")
     assert span.attrs == {"context": "c", "name_": "n"}
+
+
+class _ScopedNetwork(Network):
+    """Delivery as it kept a message's context current before: through
+    ``SpanRecorder.use``.  The reference, kept here only."""
+
+    def _deliver(self, message, latency, span=None, _sim=None):
+        handler = self._handlers[message.dst][message.kind]
+        spans = self.spans
+        if span is not DROPPED_SPAN:
+            spans.finish(span, self.sim.now, status="delivered",
+                         latency=latency)
+        with spans.use(span):
+            handler(message)
+
+
+def _delivery_program(network_cls, carried):
+    """Deliver messages whose handlers open spans every way a component
+    does -- inherited, with an explicit kept parent, as an always-sampled
+    root, under a kept context pushed with ``use``, from a nested dropped
+    delivery, and from a handler that raises -- and report the span tree,
+    the counters and the context each handler ran under.  Each message
+    carries the dropped span, or (``carried == "kept"``) a kept one."""
+    sim = Simulator()
+    topology = Topology()
+    topology.add_link("a", "b")
+    recorder = SpanRecorder(sampler=SpanSampler(0.0, seed=3))
+    network = network_cls(sim, topology, spans=recorder)
+    anchor = recorder.start("anchor", "injection", 0.0, subject="b")
+    seen = []
+
+    def carry():
+        if carried == "dropped":
+            return DROPPED_SPAN
+        # An always-sampled root, so a rate-0 sampler keeps it.
+        return recorder.start("msg", "injection", sim.now)
+
+    def record_current(tag):
+        current = recorder.current
+        seen.append((tag, None if current is None else
+                     (current.trace_id, current.span_id)))
+
+    def inherited(message):
+        record_current("inherited")
+        recorder.record("work", "handler", sim.now, step=1)
+        network.send("b", "a", "reply")
+
+    def explicit(message):
+        record_current("explicit")
+        child = recorder.start("child", "handler", sim.now, parent=anchor)
+        recorder.record("grandchild", "handler", sim.now)
+        recorder.finish(child, sim.now + 1.0)
+
+    def injection(message):
+        record_current("injection")
+        fault = recorder.start("crash", "injection", sim.now, subject="b")
+        with recorder.use(anchor):
+            record_current("injection:use")
+            recorder.record("repair", "recovery", sim.now)
+        recorder.finish(fault, sim.now)
+
+    def nested(message):
+        record_current("nested:outer")
+        network._deliver(Message("a", "b", "inherited"), 0.01, DROPPED_SPAN)
+        record_current("nested:between")
+        network._deliver(Message("a", "b", "explicit"), 0.01, carry())
+        record_current("nested:after")
+
+    def raising(message):
+        record_current("raising")
+        recorder.record("doomed", "handler", sim.now)
+        raise _Boom()
+
+    for kind, handler in (("inherited", inherited), ("explicit", explicit),
+                          ("injection", injection), ("nested", nested),
+                          ("raising", raising)):
+        network.register("b", kind, handler)
+    for kind in ("inherited", "explicit", "injection", "nested", "raising",
+                 "inherited"):
+        try:
+            network._deliver(Message("a", "b", kind), 0.02, carry())
+        except _Boom:
+            pass
+        # Restored by return and by exception alike.
+        assert recorder.stack == []
+    return {"spans": [span.to_dict() for span in recorder],
+            "sampled_out": recorder.sampled_out,
+            "open": recorder.open_count,
+            "sampler": recorder.sampler.to_dict(),
+            "seen": seen}
+
+
+@pytest.mark.parametrize("carried", ["dropped", "kept"])
+def test_inline_delivery_context_is_what_use_gave(carried):
+    reference = _delivery_program(_ScopedNetwork, carried)
+    assert _delivery_program(Network, carried) == reference
+    assert reference["spans"]       # the program keeps spans either way
 
 
 # --------------------------------------------------------------------------- #
@@ -517,6 +626,43 @@ _TRACE_EVENTS = st.lists(st.builds(
 _PLAIN = (int, float, str, bool, type(None))
 
 
+def _reference_chrome_records(spans=(), events=()):
+    """The Chrome document's records as the generator before the formatted
+    writer built them: one dict per record, ``args`` by comprehension."""
+    records = [{"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
+                "args": {"name": "repro simulation"}}]
+    tids = {}
+
+    def thread(name):
+        if name not in tids:
+            tids[name] = len(tids) + 1
+            records.append({"ph": "M", "name": "thread_name", "pid": 1,
+                            "tid": tids[name], "args": {"name": name}})
+        return tids[name]
+
+    for span in spans:
+        tid = thread(span.category)
+        end = span.end if span.end is not None else span.start
+        base = {"trace_id": span.trace_id, "span_id": span.span_id,
+                "status": span.status}
+        if span.parent_id is not None:
+            base["parent_id"] = span.parent_id
+        records.append({
+            "ph": "X", "name": span.name, "cat": span.category,
+            "ts": span.start * 1e6,
+            "dur": max((end - span.start) * 1e6, 1.0),
+            "pid": 1, "tid": tid,
+            "args": _reference_chrome_args(base, span.attrs)})
+    for event in events:
+        tid = thread(f"events:{event.category}")
+        records.append({
+            "ph": "i", "name": event.name, "cat": event.category,
+            "ts": event.time * 1e6, "pid": 1, "tid": tid, "s": "t",
+            "args": _reference_chrome_args({"subject": event.subject},
+                                           event.attrs)})
+    return records
+
+
 def _reference_chrome_args(base, attrs):
     """The builder's ``args`` as one comprehension of ``isinstance`` calls."""
     base.update({k: repr(v) if not isinstance(v, _PLAIN) else v
@@ -545,24 +691,7 @@ def test_exporters_write_what_dumps_per_record_writes(
                     "attrs": event.attrs}, default=_reference_default) + "\n"
         for event in events)
 
-    records = list(chrome_trace_events(spans=spans, events=events))
-    slices = [record for record in records if record["ph"] == "X"]
-    instants = [record for record in records if record["ph"] == "i"]
-    assert len(slices) == len(spans) and len(instants) == len(events)
-    for span, record in zip(spans, slices):
-        base = {"trace_id": span.trace_id, "span_id": span.span_id,
-                "status": span.status}
-        if span.parent_id is not None:
-            base["parent_id"] = span.parent_id
-        expected = _reference_chrome_args(base, span.attrs)
-        assert record["args"] == expected
-        assert list(record["args"]) == list(expected)
-    for event, record in zip(events, instants):
-        expected = _reference_chrome_args({"subject": event.subject},
-                                          event.attrs)
-        assert record["args"] == expected
-        assert list(record["args"]) == list(expected)
-
+    records = _reference_chrome_records(spans, events)
     assert write_chrome_trace(str(out / "trace.json"), spans=spans,
                               events=events) == len(records)
     assert read("trace.json") == json.dumps(
@@ -591,6 +720,63 @@ def _reference_plane_trace(recorder, clock):
             "args": {"trace_id": span.trace_id, "status": span.status,
                      "category": span.category}})
     return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})
+
+
+class _Opaque:
+    def __repr__(self):
+        return "<opaque \u2603>"
+
+
+#: Every slot the formatted trace-event lines print, and every value that
+#: sends a line to the encoder instead.
+_AWKWARD_EVENTS = [
+    TraceEvent(float("nan"), "message", "drop", "d1", {"why": "loss"}),
+    TraceEvent(float("inf"), "message", "drop", "d1", {}),
+    TraceEvent(float("-inf"), "message", "drop", "d1", {}),
+    TraceEvent(3, "message", "drop", "d2", {"ok": True, "n": 0}),
+    TraceEvent(True, "message", "drop", "d2", {"ok": False}),
+    TraceEvent(1e308, "message", "drop", "d2", {}),   # ts overflows to inf
+    TraceEvent(1.5, 7, "drop", "d3", {}),
+    TraceEvent(1.5, "message", None, "d3", {}),
+    TraceEvent(1.5, "message", "drop", 42, {}),
+    TraceEvent(1.5, "message", "drop", ("d", 4), {}),
+    TraceEvent(2.0, "réseau", "défaut \u2603", 'dev\x00\n\t"\\',
+               {"é": "ü\x1f", "\u2603": "\ud83d"}),
+    TraceEvent(2.5, "message", "drop", "d5", {
+        "set": {3, 1, 2}, "frozen": frozenset({"b", "a"}), "obj": _Opaque(),
+        "nested": {"a": [1, {"b": (2, 3.5)}], "c": None, "d": [[], {}]},
+        "big": 10 ** 30, "neg": -0.0, "tiny": 5e-324}),
+    TraceEvent(3.0, "message", "drop", "d6", {"subject": "override"}),
+    TraceEvent(3.5, "message", "drop", "d6", {}),
+    TraceEvent(4.0, "message", "drop", "d6"),
+]
+
+
+@pytest.mark.parametrize("with_spans", [False, True])
+def test_formatted_event_lines_are_what_dumps_writes(with_spans, tmp_path):
+    """The formatted exporters against ``json.dumps`` of the dict records,
+    on every value the templates print and every one they hand back to
+    the encoder; 600 distinct subjects run the string memo past its size."""
+    events = _AWKWARD_EVENTS + [
+        TraceEvent(5.0 + index, "traffic", "timeout", f"client{index}",
+                   {"req_id": index}) for index in range(600)]
+    spans = [Span(name="send", category="message",
+                  context=SpanContext("t0001", "s000001"), start=0.5,
+                  end=0.75, attrs={"tags": {"x"}})] if with_spans else []
+
+    assert write_events_jsonl(events, tmp_path / "events.jsonl") == len(events)
+    assert (tmp_path / "events.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"time": event.time, "category": event.category,
+                    "name": event.name, "subject": event.subject,
+                    "attrs": event.attrs}, default=_reference_default) + "\n"
+        for event in events)
+
+    records = _reference_chrome_records(spans, events)
+    assert write_chrome_trace(tmp_path / "trace.json", spans=spans,
+                              events=events) == len(records)
+    assert (tmp_path / "trace.json").read_text(encoding="utf-8") == json.dumps(
+        {"traceEvents": records, "displayTimeUnit": "ms"},
+        default=_reference_default)
 
 
 @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
@@ -624,7 +810,7 @@ def test_exporters_join_chunks_as_dumps_joins_records(count, tmp_path):
     if not count:
         return      # every Chrome document names its process
     slices = spans[:max(0, count - 2)]
-    records = list(chrome_trace_events(spans=slices))
+    records = _reference_chrome_records(slices)
     assert len(records) == count
     assert write_chrome_trace(tmp_path / "trace.json", spans=slices) == count
     assert (tmp_path / "trace.json").read_text(encoding="utf-8") == json.dumps(

@@ -13,7 +13,6 @@ from repro.faults.models import PartitionFault, ServiceFailureFault
 from repro.observability import (
     Instrument,
     SpanRecorder,
-    chrome_trace_events,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_snapshot,
@@ -386,10 +385,14 @@ class TestExporters:
         named = [e for e in events if e["ph"] == "M" and e["name"] == "thread_name"]
         assert len(named) == len({e["tid"] for e in events if e["ph"] != "M"})
 
-    def test_chrome_trace_events_standalone(self):
+    def test_chrome_trace_events_standalone(self, tmp_path):
         recorder, _ = self._sample_data()
-        records = list(chrome_trace_events(spans=recorder))
+        path = tmp_path / "trace.json"
+        count = write_chrome_trace(path, spans=recorder)
+        records = json.loads(path.read_text())["traceEvents"]
+        assert len(records) == count
         assert any(r["ph"] == "X" for r in records)
+        assert not any(r["ph"] == "i" for r in records)
 
     def test_metrics_snapshot_includes_counters(self, tmp_path):
         metrics = MetricsRecorder()

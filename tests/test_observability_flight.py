@@ -221,6 +221,10 @@ class TestFlightNeutrality:
         sim = prepared.system.sim
         before = sim.on_event
         flight = FlightRecorder(prepared.system).arm()
+        # Armed and idle, the recorder is not on the per-event path; a
+        # trigger chains it in until its evidence barrier is pinned.
+        assert sim.on_event is before
+        flight.trigger("gate-failure")
         assert sim.on_event is not before
         flight.disarm()
         assert sim.on_event is before
@@ -262,3 +266,156 @@ class TestIncidentCli:
                      "--out", str(tmp_path)]) == 0
         assert not os.path.exists(
             os.path.join(str(tmp_path), "incidents", "smart-city-partition"))
+
+
+class _PerEventFlightRecorder(FlightRecorder):
+    """The recorder as it sampled before: a kernel ``on_event`` observer
+    for every event from arm to disarm, counting events since arm.  The
+    reference, kept here only."""
+
+    def arm(self):
+        if self.armed:
+            return self
+        self.armed = True
+        self._events_seen = 0
+        self._unsubscribe = self.system.trace.subscribe(self._on_trace)
+        self._prev_observer = self.system.sim.on_event
+        self.system.sim.on_event = self._on_event
+        return self
+
+    def disarm(self):
+        if not self.armed:
+            return
+        self.armed = False
+        self._unsubscribe()
+        self._unsubscribe = None
+        if self.system.sim.on_event == self._on_event:
+            self.system.sim.on_event = self._prev_observer
+        self._prev_observer = None
+
+    def _observe(self):
+        pass
+
+    def _on_event(self, event):
+        prev = self._prev_observer
+        if prev is not None:
+            prev(event)
+        self._events_seen += 1
+        if self._events_seen % self.queue_sample_every == 0:
+            sim = self.system.sim
+            if len(self._queue_ring) >= self.queue_samples:
+                self._queue_ring.pop(0)
+            self._queue_ring.append(
+                [sim.now, float(sim.fired_count), float(sim.pending_count)])
+        if self._pending and self._evidence is None:
+            self._capture_evidence(exact=True)
+
+
+class TestBarrierSampling:
+    """Queue depth sampled from fired-count barriers, and the observer
+    chained in only while a trigger waits, against the per-event
+    observer: same ring, same evidence barrier."""
+
+    SPEC = ScenarioSpec(name="mape-outage")
+
+    def _drive(self, cls, before_arm=0, breach_at=None, trigger_at=None,
+               queue_samples=256):
+        prepared = prepare(self.SPEC)
+        system, sim = prepared.system, prepared.system.sim
+        for _ in range(before_arm):
+            sim.step()
+        if breach_at is not None:
+            # An SLO breach emitted from inside an event's callback.
+            sim.schedule_at(breach_at, lambda s: system.trace.emit(
+                s.now, "alert", "slo-breach", subject="svc", slo="p99"))
+        flight = cls(system, queue_samples=queue_samples).arm()
+        if trigger_at is not None:
+            sim.run(until=trigger_at)
+            # Between events: the next event's boundary pins the barrier.
+            flight.trigger("gate-failure")
+        sim.run(until=prepared.horizon)
+        flight.finalize()
+        evidence = flight._evidence
+        return {
+            "fired": sim.fired_count,
+            "ring": list(flight._queue_ring),
+            "barrier": None if evidence is None else evidence["barrier"],
+            "evidence_ring": None if evidence is None
+            else evidence["queue_depth"],
+            "observer_left": sim.on_event is not None,
+        }
+
+    @pytest.mark.parametrize("case", [
+        {"breach_at": 20.0},
+        {"trigger_at": 20.0},
+        {"before_arm": 5, "breach_at": 20.0},
+        {"before_arm": 37, "trigger_at": 12.5, "queue_samples": 8},
+        {"before_arm": 3},
+    ])
+    def test_ring_and_barrier_match_the_per_event_observer(self, case):
+        reference = self._drive(_PerEventFlightRecorder, **case)
+        barriers = self._drive(FlightRecorder, **case)
+        assert barriers["fired"] == reference["fired"]
+        assert barriers["ring"] == reference["ring"]
+        assert barriers["barrier"] == reference["barrier"]
+        assert barriers["evidence_ring"] == reference["evidence_ring"]
+        assert barriers["ring"], "the run is long enough to sample"
+        # Once the barrier is pinned the recorder leaves the kernel's
+        # per-event path again.
+        assert not barriers["observer_left"]
+        if case.get("breach_at") or case.get("trigger_at"):
+            assert barriers["barrier"]["exact"] is True
+
+    def test_samples_count_from_the_arm_point(self):
+        prepared = prepare(self.SPEC)
+        sim = prepared.system.sim
+        for _ in range(5):
+            sim.step()
+        flight = FlightRecorder(prepared.system).arm()
+        sim.run(until=prepared.horizon)
+        fired = [int(sample[1]) for sample in flight._queue_ring]
+        assert fired and all((n - 5) % 16 == 0 for n in fired)
+
+    def test_disarm_stops_sampling(self):
+        prepared = prepare(self.SPEC)
+        sim = prepared.system.sim
+        flight = FlightRecorder(prepared.system).arm()
+        sim.run(until=prepared.horizon / 4)
+        flight.disarm()
+        ring = list(flight._queue_ring)
+        assert ring
+        sim.run(until=prepared.horizon / 2)
+        assert flight._queue_ring == ring
+        # Re-armed, it samples again from the new arm point.
+        flight.arm()
+        armed_at = sim.fired_count
+        sim.run(until=prepared.horizon)
+        assert len(flight._queue_ring) > len(ring)
+        assert (int(flight._queue_ring[-1][1]) - armed_at) % 16 == 0
+
+    def test_close_drops_the_sampling_hooks(self):
+        prepared = prepare(self.SPEC)
+        sim = prepared.system.sim
+        FlightRecorder(prepared.system).arm()
+        sim.run(until=prepared.horizon / 2)
+        assert sim._fired_hooks
+        prepared.system.close()
+        assert not sim._fired_hooks
+
+    def test_a_sample_runs_before_other_callbacks_at_its_barrier(self):
+        prepared = prepare(self.SPEC)
+        sim = prepared.system.sim
+        barrier = sim.fired_count + 16
+        # A driver action at the same barrier, registered before the
+        # recorder armed, must not show in the sample.
+        sim.at_fired(barrier, lambda s: s.schedule(1.0, lambda _s: None))
+        flight = FlightRecorder(prepared.system).arm()
+        sim.run(until=prepared.horizon)
+        first = flight._queue_ring[0]
+        assert int(first[1]) == barrier
+        reference = _PerEventFlightRecorder(prepare(self.SPEC).system)
+        ref_sim = reference.system.sim
+        ref_sim.at_fired(barrier, lambda s: s.schedule(1.0, lambda _s: None))
+        reference.arm()
+        ref_sim.run(until=prepared.horizon)
+        assert flight._queue_ring == reference._queue_ring

@@ -21,38 +21,37 @@ from repro.persistence import ScenarioSpec, run_scenario
 from repro.persistence.snapshot import system_digest
 
 
+def _decisions(sampler, roots):
+    """Keep/drop for ``roots`` parentless spans, decided by ``admit``."""
+    recorder = SpanRecorder(sampler=sampler)
+    return [recorder.admit("bench") is not None for _ in range(roots)]
+
+
 class TestSpanSampler:
     def test_same_seed_and_rate_give_identical_decisions(self):
-        a = SpanSampler(0.25, seed=42)
-        b = SpanSampler(0.25, seed=42)
-        assert [a.keep(i) for i in range(2000)] == \
-            [b.keep(i) for i in range(2000)]
+        assert _decisions(SpanSampler(0.25, seed=42), 2000) == \
+            _decisions(SpanSampler(0.25, seed=42), 2000)
 
     def test_different_seeds_give_different_streams(self):
-        a = SpanSampler(0.25, seed=1)
-        b = SpanSampler(0.25, seed=2)
-        assert [a.keep(i) for i in range(2000)] != \
-            [b.keep(i) for i in range(2000)]
+        assert _decisions(SpanSampler(0.25, seed=1), 2000) != \
+            _decisions(SpanSampler(0.25, seed=2), 2000)
 
     def test_kept_fraction_approximates_rate(self):
         sampler = SpanSampler(0.1, seed=7)
-        for i in range(5000):
-            sampler.keep(i)
+        _decisions(sampler, 5000)
         assert sampler.decisions == 5000
         assert sampler.kept == pytest.approx(500, abs=150)
         assert sampler.dropped == sampler.decisions - sampler.kept
 
     def test_edge_rates(self):
-        zero = SpanSampler(0.0, seed=3)
-        assert not any(zero.keep(i) for i in range(100))
-        one = SpanSampler(1.0, seed=3)
-        assert all(one.keep(i) for i in range(100))
+        assert not any(_decisions(SpanSampler(0.0, seed=3), 100))
+        assert all(_decisions(SpanSampler(1.0, seed=3), 100))
         with pytest.raises(ValueError):
             SpanSampler(1.5)
 
     def test_to_dict_carries_counters(self):
         sampler = SpanSampler(0.5, seed=9)
-        sampler.keep(1)
+        _decisions(sampler, 1)
         doc = sampler.to_dict()
         assert doc["rate"] == 0.5 and doc["seed"] == 9
         assert doc["decisions"] == 1

@@ -70,13 +70,20 @@ class TestPlaneClassification:
 # --------------------------------------------------------------------------- #
 # cost quantiles + kernel queue lag
 # --------------------------------------------------------------------------- #
+def _label_stats(*costs):
+    """The one label's ``LabelStats`` after ``Instrument.record`` of each
+    per-event cost, as the kernel reports fired events."""
+    instrument = Instrument()
+    for seconds in costs:
+        instrument.record("op", seconds, 0, 0.0)
+    return instrument.labels["op"]
+
+
 class TestLabelStatsQuantiles:
     def test_quantiles_bracket_recorded_costs(self):
-        stats = LabelStats()
-        for _ in range(90):
-            stats.add(3e-6)     # 3us bulk
-        for _ in range(10):
-            stats.add(300e-6)   # 300us tail
+        # 3us bulk, 300us tail.
+        stats = _label_stats(*[3e-6] * 90, *[300e-6] * 10)
+        assert isinstance(stats, LabelStats) and stats.count == 100
         # Power-of-two buckets resolve within a factor of sqrt(2).
         assert stats.p50_us == pytest.approx(3.0, rel=0.45)
         assert stats.p99_us == pytest.approx(300.0, rel=0.45)
@@ -84,9 +91,7 @@ class TestLabelStatsQuantiles:
         assert stats.p50_us <= stats.p99_us <= stats.max_s * 1e6 * 2 ** 0.5
 
     def test_to_dict_carries_quantiles(self):
-        stats = LabelStats()
-        stats.add(5e-6)
-        doc = stats.to_dict()
+        doc = _label_stats(5e-6).to_dict()
         assert set(doc) == {"count", "total_ms", "mean_us", "p50_us",
                             "p99_us", "max_us", "queue_s"}
         assert doc["count"] == 1
