@@ -167,18 +167,18 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
     }
 
 
-#: :func:`event_to_dict`'s record as ``json.dumps`` prints it.  A finite
-#: ``float`` prints as its ``repr`` and a ``str`` as
-#: ``encode_basestring_ascii`` gives it, so those slots are formatted;
-#: ``attrs`` is encoded.
-_EVENT_LINE = ('{"time": %r, "category": %s, "name": %s, "subject": %s, '
-               '"attrs": %s}')
-
-
 def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """Each event's JSON text: formatted, or encoded whole when a slot
-    holds what the template cannot print (a non-``float`` or non-finite
-    time, a non-``str`` category, name or subject)."""
+    """Each event's JSON text, :func:`event_to_dict`'s record as
+    ``json.dumps`` prints it.
+
+    A finite ``float`` prints as its ``repr`` and a ``str`` as
+    ``encode_basestring_ascii`` gives it, so those slots are formatted and
+    only ``attrs`` is encoded.  An event with a slot the line cannot print
+    (a non-``float`` or non-finite time, a non-``str`` category, name or
+    subject) is encoded whole.  The line is an f-string, not a ``%``
+    template: an f-string allocates the line at its length, ``%`` up to a
+    quarter over it, and a writer holds a chunk of lines.
+    """
     encode = _value_encoder()
     quoted = _Quoted()
     for event in events:
@@ -187,8 +187,9 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
         if (time.__class__ is float and isfinite(time)
                 and category.__class__ is str and name.__class__ is str
                 and subject.__class__ is str):
-            yield _EVENT_LINE % (time, quoted[category], quoted[name],
-                                 quoted[subject], encode(event.attrs))
+            yield (f'{{"time": {time!r}, "category": {quoted[category]}, '
+                   f'"name": {quoted[name]}, "subject": {quoted[subject]}, '
+                   f'"attrs": {encode(event.attrs)}}}')
         else:
             yield encode(event_to_dict(event))
 
@@ -221,12 +222,6 @@ def _metadata(name: str, tid: int, value: str) -> Dict[str, Any]:
             "args": {"name": value}}
 
 
-#: A trace event's Chrome instant as ``json.dumps`` prints the record
-#: (see :data:`_EVENT_LINE`); ``args`` is encoded.
-_INSTANT_LINE = ('{"ph": "i", "name": %s, "cat": %s, "ts": %r, "pid": 1, '
-                 '"tid": %d, "s": "t", "args": %s}')
-
-
 def _chrome_trace_lines(spans: Iterable[Span],
                         events: Iterable[TraceEvent]) -> Iterator[str]:
     """The Trace Event Format records for spans + trace events, as JSON text.
@@ -234,9 +229,9 @@ def _chrome_trace_lines(spans: Iterable[Span],
     Each span/event category gets its own named thread so Perfetto's track
     view groups the stack layer by layer (messages, mape, faults, ...);
     a thread's ``thread_name`` record comes just before its first record.
-    Span slices are encoded; a trace event's instant is formatted from
-    :data:`_INSTANT_LINE`, or encoded whole when its name or category is
-    not a ``str`` or its timestamp not a finite ``float``.
+    Span slices are encoded; a trace event's instant is formatted as
+    :func:`_event_lines` formats its line, or encoded whole when its name
+    or category is not a ``str`` or its timestamp not a finite ``float``.
     """
     encode = _value_encoder()
     yield encode(_metadata("process_name", 0, "repro simulation"))
@@ -273,8 +268,9 @@ def _chrome_trace_lines(spans: Iterable[Span],
         args = _chrome_args({"subject": event.subject}, event.attrs)
         if (ts.__class__ is float and isfinite(ts)
                 and name.__class__ is str and category.__class__ is str):
-            yield _INSTANT_LINE % (quoted[name], quoted[category], ts, tid,
-                                   encode(args))
+            yield (f'{{"ph": "i", "name": {quoted[name]}, '
+                   f'"cat": {quoted[category]}, "ts": {ts!r}, "pid": 1, '
+                   f'"tid": {tid}, "s": "t", "args": {encode(args)}}}')
         else:
             yield encode({"ph": "i", "name": name, "cat": category,
                           "ts": ts, "pid": 1, "tid": tid, "s": "t",
