@@ -121,6 +121,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(r"shard\.k1\.digests", "exact", anchor="EXPERIMENTS Recording cost"),
     Rule(r"persistence\.json_decodes", "exact",
          anchor="EXPERIMENTS Reading cost"),
+    Rule(r"chaos\.closed_cyclic_objects", "exact", anchor="EXPERIMENTS CHAOS-2"),
     Rule(r"journal\.truncate_peak_kib", "gate", 0.25, "higher",
          ("<=", 128), "EXPERIMENTS Reading cost"),
     # Budgets a bench folds into a 0/1 flag, and the flags.  The two
@@ -225,6 +226,30 @@ def _traced_peak_kib(call: Callable[[], Any]) -> float:
         return round((tracemalloc.get_traced_memory()[1] - live) / 1024, 1)
     finally:
         tracemalloc.stop()
+
+
+def _cyclic_repro_objects(call: Callable[[], Any]) -> float:
+    """``repro.*`` objects that only a full collection would free after
+    ``call``: run with the collector off, then counted among what a
+    ``gc.DEBUG_SAVEALL`` collection finds.  Reference counts decide it,
+    so the count repeats exactly."""
+    import gc
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = sum(1 for obj in gc.garbage
+                    if type(obj).__module__.startswith("repro."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    return float(found)
 
 
 def bench_smart_city(quick: bool) -> Dict[str, float]:
@@ -632,6 +657,9 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
     ``tracemalloc``: a finished system that is not closed stays behind as
     cyclic garbage until a full collection, so the peak grows with every
     case that leaves its event queue and trace alive.
+    ``closed_cyclic_objects`` runs the same twelve cases with the
+    collector off and counts the ``repro`` objects a full collection then
+    finds: what a closed system still leaves for the collector.
     """
     from repro.chaos import ChaosCampaign, SpecSampler, compile_spec, run_case
 
@@ -654,6 +682,8 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
     mix_specs = [mix.sample(index) for index in range(12)]
     campaign_peak = _traced_peak_kib(
         lambda: [run_case(spec) for spec in mix_specs])
+    closed_cyclic = _cyclic_repro_objects(
+        lambda: [run_case(spec) for spec in mix_specs])
     return {
         "wall_s": compile_wall + result.wall_s,
         "compile.wall_s": compile_wall,
@@ -664,6 +694,7 @@ def bench_chaos(quick: bool) -> Dict[str, float]:
         "campaign.events": float(sum(case.events for case in result.cases)),
         "campaign.violations": float(result.violation_count),
         "campaign_peak_kib": campaign_peak,
+        "closed_cyclic_objects": closed_cyclic,
     }
 
 

@@ -76,6 +76,11 @@ class TestTolerances:
             tol, direction = regress.tolerance_for(f"telemetry.{metric}")
             assert tol < 1e-6 and direction == "both"
 
+    def test_closed_cyclic_objects_is_exact_and_the_peak_a_timing(self):
+        rule = regress.rule_for("chaos.closed_cyclic_objects")
+        assert rule.kind == "exact" and rule.anchor == "EXPERIMENTS CHAOS-2"
+        assert regress.rule_for("chaos.campaign_peak_kib").kind == "timing"
+
 
 class TestCompare:
     def test_identical_snapshots_are_clean(self, snapshot):
