@@ -1171,7 +1171,10 @@ def bench_telemetry(quick: bool) -> Dict[str, float]:
             system.run(until=prepared.horizon)
         else:
             profiler.runcall(system.run, until=prepared.horizon)
-        return time.perf_counter() - started, system
+        wall = time.perf_counter() - started
+        # Only spans and counts are read from here on; both survive close.
+        system.close()
+        return wall, system
 
     bare = sampled = ratio = float("inf")
     for _ in range(reps):

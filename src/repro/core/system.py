@@ -33,6 +33,10 @@ class IoTSystem:
 
     def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator()
+        # The subsystems registered under ``sim.context`` (traffic registry,
+        # security plane, flight recorder): the same dict, which the system
+        # keeps for its readers when close() empties the simulator's.
+        self.context = self.sim.context
         self.rngs = RngRegistry(seed=seed)
         self.trace = TraceLog()
         self.metrics = MetricsRecorder()
@@ -198,15 +202,25 @@ class IoTSystem:
         self.sim.run(until=until)
 
     def close(self) -> None:
-        """Free a finished system's event queue and stored trace.
+        """End a finished system's life: reference counting frees it.
 
         Call it once every digest, gate and report has been read.  The
         queued events (and the closures they hold) and the trace's events
-        and subscribers go; metric series, counters, spans, the kernel
-        ``Instrument``, ``network.stats`` and every component stay
-        readable.  The simulator refuses to run afterwards.
+        and subscribers go, and every reference that points back into the
+        system is cut: each registered subsystem's own ``close()``, the
+        simulator's context, the transport's handlers and security hooks,
+        the links' topology.  Metric series, counters, spans, the kernel
+        ``Instrument``, ``network.stats``, :meth:`kpi_report` and every
+        component's state stay readable.  The simulator refuses to run
+        afterwards.
         """
+        for subsystem in self.context.values():
+            close = getattr(subsystem, "close", None)
+            if close is not None:
+                close()
         self.sim.close()
+        self.network.close()
+        self.topology.close()
         self.trace.clear()
 
     def device(self, device_id: str) -> Device:

@@ -167,6 +167,12 @@ class Topology:
                 self._links.pop(link.key(), None)
             self._invalidate()
 
+    def close(self) -> None:
+        """Cut every link's back-reference: a finished topology's links
+        no longer invalidate it, and reference counting frees both."""
+        for link in self._links.values():
+            link._topology = None
+
     # -- access --------------------------------------------------------- #
     @property
     def nodes(self) -> List[str]:

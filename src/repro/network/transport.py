@@ -162,6 +162,18 @@ class Network:
     def unregister_node(self, node: str) -> None:
         self._handlers.pop(node, None)
 
+    def close(self) -> None:
+        """Drop the wiring that points back into a finished system.
+
+        Handlers, interceptors, the verifier and the remote router are
+        bound methods of components that hold this network; ``stats``
+        and the topology stay readable.
+        """
+        self._handlers.clear()
+        self._interceptors.clear()
+        self.verifier = None
+        self.remote_router = None
+
     def set_node_up(self, node: str, up: bool) -> None:
         if up:
             self._down_nodes.discard(node)

@@ -166,6 +166,12 @@ class FlightRecorder:
             self._unsubscribe = None
         self._unobserve()
 
+    def close(self) -> None:
+        """Disarm and let go of the system, which holds this recorder;
+        triggers and captured evidence stay readable."""
+        self.disarm()
+        self.system = None
+
     def _on_trace(self, event: Any) -> None:
         if event.category == "alert" and event.name == "slo-breach":
             self.trigger("slo-breach", detail={

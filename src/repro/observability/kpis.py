@@ -352,10 +352,10 @@ def kpi_report_for_system(system: Any, horizon: Optional[float] = None) -> KpiRe
         metrics=system.metrics,
         horizon=horizon,
     )
-    registry = system.sim.context.get("traffic")
+    registry = system.context.get("traffic")
     if registry is not None:
         report.traffic = registry.kpis(horizon)
-    plane = system.sim.context.get("security")
+    plane = system.context.get("security")
     if plane is not None:
         report.security = plane.kpis(horizon)
     return report

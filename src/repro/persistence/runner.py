@@ -399,6 +399,9 @@ def run_to_checkpoint(spec: ScenarioSpec, directory: str,
     prefix with no ``end`` record, and ``checkpoint.json`` captures the
     barrier.  With no ``at``, the run lasts until a fault (e.g.
     ``harness-crash``) stops the kernel, or the horizon if none does.
+    That experiment has died, so its system is closed once the checkpoint
+    is saved and the journal abandoned: the result's system refuses to
+    run, while its checkpoint, metrics and counters stay readable.
     """
     os.makedirs(directory, exist_ok=True)
     paths = default_paths(directory)
@@ -410,6 +413,7 @@ def run_to_checkpoint(spec: ScenarioSpec, directory: str,
         checkpoint = run.checkpoint(paths["checkpoint"])
     finally:
         run.abandon()
+        run.system.close()
     return RunResult(spec=spec, prepared=run.prepared,
                      journal_path=paths["journal"], checkpoint=checkpoint)
 

@@ -274,6 +274,15 @@ class Adversary:
         if self.system.metrics is not None:
             self.system.metrics.increment("security.compromised")
 
+    def close(self) -> None:
+        """Drop the references back to the plane and the system; which
+        nodes were compromised, and how, stays readable."""
+        for behaviors in self._behaviors.values():
+            for behavior in behaviors:
+                behavior.plane = None
+        self.plane = None
+        self.system = None
+
     def release(self, node: str) -> None:
         for behavior in self._behaviors.get(node, ()):
             behavior.deactivate()

@@ -35,6 +35,9 @@ class SecurityPlane:
 
     def __init__(self, system: Any, threshold: float = 0.45) -> None:
         self.system = system
+        # kpis() reads the transport counters through this, not through
+        # ``system``: close() cuts the plane's way back to the system.
+        self.transport_stats = system.network.stats
         self.keychain = KeyChain(system.rngs.stream("security:keys"))
         self.trust = TrustRegistry(system, threshold=threshold)
         self.adversary = Adversary(system)
@@ -128,13 +131,28 @@ class SecurityPlane:
                                    rotated=rotated)
         return rotated
 
+    def close(self) -> None:
+        """Cut the references that lead from the plane back into its system.
+
+        The system holds the plane (``context``), so the plane's own
+        ``system``, the adversary's and the trust registry's, each
+        behaviour's ``plane`` and the protocols attached here (whose
+        defence closures hold the plane) would each close a cycle.
+        What :meth:`kpis` reads stays.
+        """
+        self.adversary.close()
+        self.trust.close()
+        self._gossips.clear()
+        self._memberships.clear()
+        self.system = None
+
     # -- reporting ----------------------------------------------------------- #
     def kpis(self, horizon: float) -> Dict[str, Any]:
         trust_scores = {}
         for node in set(self.adversary.compromised_nodes) \
                 | set(self.trust.flagged) | set(self.trust.registered):
             trust_scores[node] = round(self.trust.aggregate(node), 6)
-        stats = self.system.network.stats
+        stats = self.transport_stats
         return {
             "compromised": self.adversary.compromised_nodes,
             "quarantined": sorted(self.quarantined),

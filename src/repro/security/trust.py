@@ -85,6 +85,12 @@ class TrustRegistry:
 
         gossip_node.on_update = _fold
 
+    def close(self) -> None:
+        """Drop the system and the bound gossip nodes (whose ``on_update``
+        holds this registry); scores, flags and evidence counts stay."""
+        self.system = None
+        self._publishers.clear()
+
     def register(self, device_id: str, reason: str = "registered") -> None:
         """Track a device for KPI attribution (e.g. untrusted environment)."""
         self._registered[device_id] = reason

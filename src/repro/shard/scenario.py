@@ -35,6 +35,7 @@ O(devices), so ``devices_per_domain=125000`` × 8 domains models a
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.system import IoTSystem
@@ -80,6 +81,39 @@ def federation_latency(
             ring = min(abs(i - j), count - abs(i - j))
             latency[(a, b)] = base_latency + latency_step * ring
     return latency
+
+
+def _exchange(system: IoTSystem, index: int, dom: str, domains: int,
+              period: float, horizon: float, _sim: Any) -> None:
+    """One exchange round of domain ``dom``: telemetry to its peers and a
+    control message to its own edge, then the next round while it falls
+    within ``horizon``.
+
+    Module-level and re-bound per round, not a closure that schedules
+    itself: such a closure holds itself, and a round that stops
+    rescheduling would leave the whole system in a reference cycle.
+    """
+    # Exact barrier alignment: the period is a multiple of the lookahead
+    # window with binary-exact defaults, so these sends are timestamped
+    # exactly at window edges.
+    src = f"{dom}:cloud"
+    k = int(round(system.sim.now / period))
+    for offset in _EXCHANGE_OFFSETS:
+        j = (index + offset) % domains
+        if j == index:
+            continue
+        payload = {"k": k, "origin": dom}
+        if k % 4 == 0:
+            payload["_personal"] = True
+        system.network.send(src, f"dom{j}:cloud", "fed.telemetry",
+                            payload, size_bytes=512)
+    system.network.send(src, f"{dom}:edge0", "fed.control", {"k": k})
+    nxt = system.sim.now + period
+    if nxt <= horizon:
+        system.sim.schedule_at(
+            nxt, partial(_exchange, system, index, dom, domains, period,
+                         horizon),
+            label="fed-exchange")
 
 
 def prepare_smart_city_federated(
@@ -214,36 +248,12 @@ def prepare_smart_city_federated(
                                 _telemetry_rx)
         system.network.register(f"{dom}:edge0", "fed.control", _control_rx)
 
-    def _make_exchanger(index: int, dom: str):
-        src = f"{dom}:cloud"
-
-        def tick(_t: float) -> None:
-            # Exact barrier alignment: exchange_period is a multiple of
-            # the lookahead window with binary-exact defaults, so these
-            # sends are timestamped exactly at window edges.
-            k = int(round(system.sim.now / exchange_period))
-            for offset in _EXCHANGE_OFFSETS:
-                j = (index + offset) % domains
-                if j == index:
-                    continue
-                payload = {"k": k, "origin": dom}
-                if k % 4 == 0:
-                    payload["_personal"] = True
-                system.network.send(src, f"dom{j}:cloud", "fed.telemetry",
-                                    payload, size_bytes=512)
-            system.network.send(src, f"{dom}:edge0", "fed.control",
-                                {"k": k})
-            nxt = system.sim.now + exchange_period
-            if nxt <= horizon:
-                system.sim.schedule_at(nxt, tick, label="fed-exchange")
-
-        return tick
-
     for dom in local:
-        index = names.index(dom)
-        system.sim.schedule_at(exchange_period,
-                               _make_exchanger(index, dom),
-                               label="fed-exchange")
+        system.sim.schedule_at(
+            exchange_period,
+            partial(_exchange, system, names.index(dom), dom, domains,
+                    exchange_period, horizon),
+            label="fed-exchange")
 
     monitor = SloMonitor(system.sim, system.metrics, slo_specs,
                          trace=system.trace, period=5.0)

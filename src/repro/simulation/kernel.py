@@ -113,6 +113,9 @@ class Simulator:
         # at_fired()).  Deliberately not part of snapshot_state(): hooks
         # belong to the driver, not to the simulated system.
         self._fired_hooks: Dict[int, List[Callable[["Simulator"], None]]] = {}
+        # The lowest key of _fired_hooks while it is not empty: _fire
+        # compares the fired count with it instead of probing the dict.
+        self._next_barrier = 0
 
     # ------------------------------------------------------------------ #
     # Clock and scheduling
@@ -186,6 +189,8 @@ class Simulator:
         ``instrument``, ``on_event`` and ``_fired_hooks`` are read here, per
         event, and not once when :meth:`run` starts: observability, the
         flight recorder and barrier hooks all attach from callbacks mid-run.
+        While a barrier is pending, an event that is not one costs an
+        integer comparison against the lowest pending barrier.
         """
         self._now = event.time
         event.fired = True
@@ -203,11 +208,14 @@ class Simulator:
         observer = self.on_event
         if observer is not None:
             observer(event)
-        if self._fired_hooks:
-            hooks = self._fired_hooks.pop(self._fired, None)
-            if hooks is not None:
-                for hook in hooks:
-                    hook(self)
+        if self._fired_hooks and self._fired == self._next_barrier:
+            hooks = self._fired_hooks.pop(self._fired)
+            # Booked before the hooks run: one that registers a later
+            # barrier (at_fired) lowers it from there.
+            if self._fired_hooks:
+                self._next_barrier = min(self._fired_hooks)
+            for hook in hooks:
+                hook(self)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or ``until`` is reached.
@@ -256,15 +264,31 @@ class Simulator:
         queued event closes a reference cycle.  Clearing ``callback`` on
         every queued event and emptying the queue breaks those cycles, so
         a finished system is freed by reference counting instead of
-        waiting for a full garbage collection.  Barrier hooks go too.
-        The clock and the counters stay readable; :meth:`run` and
-        :meth:`step` raise :class:`SimulationError` afterwards.
+        waiting for a full garbage collection.  A self-rescheduling
+        closure (``def tick(sim): ...; sim.schedule(period, tick)``) also
+        holds itself through its own cell; that cell is emptied.  Barrier
+        hooks and the ``on_event`` observer go too, and ``context`` is
+        replaced by an empty dict: its entries hold the simulator, and a
+        holder of the old dict (``IoTSystem.context``) still reads them.
+        The clock, the counters and ``instrument`` stay readable;
+        :meth:`run` and :meth:`step` raise :class:`SimulationError`
+        afterwards.
         """
         for entry in self._heap:
-            entry[3].callback = None
+            event = entry[3]
+            callback = event.callback
+            for cell in getattr(callback, "__closure__", None) or ():
+                try:
+                    if cell.cell_contents is callback:
+                        cell.cell_contents = None
+                except ValueError:   # a cell whose variable is unbound
+                    pass
+            event.callback = None
         self._heap.clear()
         self._pending = 0
         self._fired_hooks.clear()
+        self.on_event = None
+        self.context = {}
         self._closed = True
 
     def next_event_time(self) -> Optional[float]:
@@ -305,6 +329,8 @@ class Simulator:
         if index == self._fired:
             callback(self)
             return
+        if not self._fired_hooks or index < self._next_barrier:
+            self._next_barrier = index
         hooks = self._fired_hooks.setdefault(index, [])
         if first:
             hooks.insert(0, callback)

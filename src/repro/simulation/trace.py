@@ -10,8 +10,9 @@ simplest faithful form.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import islice
+from operator import itemgetter
 from time import perf_counter
 from typing import (Any, Callable, Deque, Dict, Iterator, List, NamedTuple,
                     Optional)
@@ -71,6 +72,9 @@ class TraceEvent(_TraceEventFields):
         return True
 
 
+_CATEGORY_NAME = itemgetter(1, 2)
+
+
 class TraceLog:
     """Append-only event log with query helpers and live subscribers.
 
@@ -88,6 +92,8 @@ class TraceLog:
         self._events: Deque[TraceEvent] = deque(maxlen=maxlen)
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         self.dropped = 0
+        # (category, name) -> events dropped by clear(), for count().
+        self._cleared: Counter = Counter()
         self.subscriber_errors = 0
         # Optional OverheadMeter (repro.observability.overhead): accounts
         # emit cost when attached; one ``is None`` check otherwise.
@@ -149,9 +155,11 @@ class TraceLog:
 
         The dropped events are counted in :attr:`dropped`, as ring-buffer
         eviction counts them, so a cleared log still says how much history
-        it once held.
+        it once held, and tallied by category and name, so :meth:`count`
+        (the KPI report's violation and alert counts) reads as before.
         """
         self.dropped += len(self._events)
+        self._cleared.update(map(_CATEGORY_NAME, self._events))
         self._events.clear()
         self._subscribers.clear()
 
@@ -188,4 +196,9 @@ class TraceLog:
         ]
 
     def count(self, category: Optional[str] = None, name: Optional[str] = None) -> int:
-        return len(self.select(category=category, name=name))
+        """Stored events matching the filters, plus the cleared ones."""
+        cleared = sum(
+            tally for (kind, event_name), tally in self._cleared.items()
+            if (category is None or kind == category)
+            and (name is None or event_name == name))
+        return len(self.select(category=category, name=name)) + cleared

@@ -104,7 +104,6 @@ class TrafficRegistry:
     """
 
     def __init__(self, system: Any) -> None:
-        self.system = system
         self.servers: Dict[str, "Server"] = {}
         self.clients: Dict[str, "TrafficClient"] = {}
         self.generators: List[Any] = []

@@ -75,11 +75,14 @@ class MobilityWorkload:
         registry.add(AdministrativeDomain("otherland", CCPA, TrustLevel.PARTNER))
         registry.set_mutual_trust("euroland", "otherland", TrustLevel.PARTNER)
         self.domains = registry
+        # The lookups close over the fleet, not over this workload, which
+        # holds the engine: that would be a reference cycle.
+        fleet = self.system.fleet
         self.policy_engine = PolicyEngine(
             registry,
             min_trust=TrustLevel.PARTNER,
-            device_domain=lambda d: self.system.fleet.get(d).domain,
-            environment_trusted=lambda d: self.system.fleet.get(d).environment_trusted,
+            device_domain=lambda d: fleet.get(d).domain,
+            environment_trusted=lambda d: fleet.get(d).environment_trusted,
         )
         self.transfer_protocol = DomainTransferProtocol(
             self.system.sim, self.system.fleet, self.policy_engine,

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.simulation.kernel import Event, SimulationError, Simulator
@@ -188,3 +192,162 @@ class TestClose:
         with pytest.raises(SimulationError, match="closed"):
             sim.step()
         assert sim.now == 0.0
+
+    def test_close_drops_pending_hooks(self, sim):
+        ran = []
+        for index in (3, 9, 6):
+            sim.at_fired(index, lambda s, index=index: ran.append(index))
+        for step in range(12):
+            sim.schedule(float(step + 1), lambda s: None)
+        sim.run(until=4.5)
+        assert ran == [3] and sorted(sim._fired_hooks) == [6, 9]
+        sim.close()
+        assert not sim._fired_hooks
+        assert ran == [3]
+
+    def test_close_drops_the_observer_and_hands_back_the_context(self, sim):
+        context = sim.context
+        context["plane"] = object()
+        sim.on_event = lambda event: None
+        sim.close()
+        assert sim.on_event is None and sim.context == {}
+        assert "plane" in context   # a holder of the old dict still reads it
+
+    def test_close_empties_a_self_rescheduling_closures_cell(self, sim):
+        class Component:
+            ticks = 0
+
+        def start(component):
+            def tick(s):
+                component.ticks += 1
+                s.schedule(1.0, tick)
+            sim.schedule(1.0, tick)
+
+        component = Component()
+        start(component)
+        alive = weakref.ref(component)
+        sim.run(until=3.5)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert component.ticks == 3
+            del component
+            assert alive() is not None   # the queued closure holds it
+            sim.close()
+            # ``tick`` held itself through its own cell; with the cell
+            # emptied, reference counting frees it and what it captured.
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _per_event_pop_fire(sim, event):
+    """The barrier check as it was: one ``dict.pop`` per event."""
+    sim._now = event.time
+    event.fired = True
+    sim._pending -= 1
+    sim._fired += 1
+    event.callback(sim)
+    if sim._fired_hooks:
+        hooks = sim._fired_hooks.pop(sim._fired, None)
+        if hooks is not None:
+            for hook in hooks:
+                hook(sim)
+
+
+class _PerEventPopSimulator(Simulator):
+    def _fire(self, event):
+        _per_event_pop_fire(self, event)
+
+
+class TestBarriers:
+    @staticmethod
+    def _events(sim, count):
+        for step in range(count):
+            sim.schedule(float(step + 1), lambda s: None)
+
+    def test_hooks_run_in_registration_order_and_first_goes_ahead(self, sim):
+        order = []
+        self._events(sim, 5)
+        sim.at_fired(2, lambda s: order.append("a"))
+        sim.at_fired(2, lambda s: order.append("b"))
+        sim.at_fired(2, lambda s: order.append("first"), first=True)
+        sim.at_fired(2, lambda s: order.append("c"))
+        sim.run()
+        assert order == ["first", "a", "b", "c"]
+
+    def test_barriers_registered_out_of_order_fire_at_their_counts(self, sim):
+        seen = []
+        self._events(sim, 10)
+        for index in (7, 3, 9, 5):
+            sim.at_fired(index, lambda s: seen.append(s.fired_count))
+        sim.run()
+        assert seen == [3, 5, 7, 9]
+        assert not sim._fired_hooks
+
+    def test_a_hook_registering_at_the_current_barrier_runs_at_once(self, sim):
+        seen = []
+
+        def outer(s):
+            seen.append(("outer", s.fired_count))
+            s.at_fired(s.fired_count,
+                       lambda s2: seen.append(("inner", s2.fired_count)))
+            seen.append(("outer-done", s.fired_count))
+
+        self._events(sim, 4)
+        sim.at_fired(2, outer)
+        sim.run()
+        assert seen == [("outer", 2), ("inner", 2), ("outer-done", 2)]
+
+    def test_a_hook_registering_at_the_next_barrier_runs_after_one_event(
+            self, sim):
+        seen = []
+        self._events(sim, 6)
+        sim.at_fired(9, lambda s: seen.append(("late", s.fired_count)))
+
+        def outer(s):
+            seen.append(("outer", s.fired_count))
+            s.at_fired(s.fired_count + 1,
+                       lambda s2: seen.append(("next", s2.fired_count)))
+
+        sim.at_fired(2, outer)
+        sim.run()
+        # The booked barrier was 9 after 2 ran; registering 3 lowered it.
+        assert seen == [("outer", 2), ("next", 3)]
+        assert sorted(sim._fired_hooks) == [9]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_per_event_pop_reference(self, seed):
+        def program(sim):
+            rng = random.Random(seed)
+            log = []
+
+            def hook(tag):
+                def run(s):
+                    log.append(("hook", tag, s.fired_count, s.now))
+                    roll = rng.random()
+                    if roll < 0.3:
+                        s.at_fired(s.fired_count + rng.randrange(0, 4),
+                                   hook(tag + "+"), first=rng.random() < 0.5)
+                    elif roll < 0.5:
+                        s.schedule(rng.uniform(0.0, 2.0), event(tag + "e"))
+                return run
+
+            def event(tag):
+                def run(s):
+                    log.append(("event", tag, s.fired_count, s.now))
+                    if rng.random() < 0.4:
+                        s.at_fired(s.fired_count + rng.randrange(0, 6),
+                                   hook(tag + "h"), first=rng.random() < 0.3)
+                return run
+
+            for index in range(30):
+                sim.schedule(rng.uniform(0.0, 10.0), event(str(index)))
+            for index in range(6):
+                sim.at_fired(rng.randrange(0, 40), hook(f"pre{index}"),
+                             first=rng.random() < 0.5)
+            sim.run()
+            return log, sorted(sim._fired_hooks)
+
+        assert program(Simulator()) == program(_PerEventPopSimulator())
